@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, NamedTuple, Optional
 
 from .errors import DomainError, EquilibriumExistenceError, PreconditionError, UnknownMessageError
@@ -40,6 +41,7 @@ from .verifiability import (
     max_min_available,
     messages_at,
     min_inverse,
+    skeptical_type_map,
 )
 
 
@@ -55,6 +57,24 @@ class GameSpec:
             raise DomainError(f"prior {self.prior} outside [0,1]")
         if not self.payoff.is_non_decreasing:
             raise ValueError("payoff function must be non-decreasing")
+
+    # Per-game intermediates, built on first use and shared by solve,
+    # equilibrium_value and the figure; read them through skeptical_value and
+    # value_hull.
+
+    @cached_property
+    def _adjusted_payoff(self) -> StepFunction:
+        if self.structure.full_verifiability:
+            return self.payoff
+        return skeptical_type_map(self.structure).map_values(lambda t: step_eval(self.payoff, t))
+
+    @cached_property
+    def _value_hull(self) -> ConcavePL:
+        pts = hull_candidates(self._adjusted_payoff)
+        if not self.structure.full_verifiability:
+            for e in self.structure.support_endpoints():
+                pts.append((e, skeptical_payoff_at(self, e)))
+        return ConcavePL(tuple(upper_hull_points(pts)))
 
 
 @dataclass(frozen=True)
@@ -92,7 +112,6 @@ class Equilibrium:
     messaging: Mapping[Fraction, str]
     beliefs: Mapping[str, Fraction]
     value: Fraction
-    w_beta: StepFunction
     s_minus: Fraction
     s_plus: Fraction
 
@@ -145,15 +164,11 @@ def pnbp(game: GameSpec) -> PnbpVerdict:
 def skeptical_value(game: GameSpec) -> StepFunction:
     """Skepticism-adjusted payoff v(g(s)) as a step function; v itself under full verifiability.
 
-    The step representation carries open-interval values; exact point values at
-    support endpoints come from `skeptical_payoff_at`.
+    Exact on the open gaps between support endpoints and at 1 (the pieces of
+    `skeptical_type_map` composed with v); `skeptical_payoff_at` is exact at
+    every type, endpoints included.  Built once per game and cached.
     """
-    if game.structure.full_verifiability:
-        return game.payoff
-    from .verifiability import skeptical_type_map
-
-    g = skeptical_type_map(game.structure)
-    return g.map_values(lambda t: step_eval(game.payoff, t))
+    return game._adjusted_payoff
 
 
 def skeptical_payoff_at(game: GameSpec, s: Fraction) -> Fraction:
@@ -162,18 +177,15 @@ def skeptical_payoff_at(game: GameSpec, s: Fraction) -> Fraction:
 
 
 def value_hull(game: GameSpec) -> ConcavePL:
-    """Concave envelope of the skepticism-adjusted payoff.
+    """Concave envelope of the skepticism-adjusted payoff, built once per game and cached.
 
-    Candidates are the step-representation piece endpoints plus the exact point
-    values at every support endpoint, so supports closed at an interior right
+    Candidates are the step-representation piece endpoints plus the exact
+    value at every support endpoint, so supports closed at an interior right
     end (or degenerate at a point) contribute the value they actually attain.
+    v(g) is constant on each open gap between endpoints, so the envelope is
+    exact.
     """
-    vm = skeptical_value(game)
-    pts = hull_candidates(vm)
-    if not game.structure.full_verifiability:
-        for e in game.structure.support_endpoints():
-            pts.append((e, skeptical_payoff_at(game, e)))
-    return ConcavePL(tuple(upper_hull_points(pts)))
+    return game._value_hull
 
 
 def equilibrium_value(game: GameSpec) -> ValueResult:
@@ -226,40 +238,6 @@ def _argmax_message(structure: VerifStructure, s: Fraction) -> str:
     return best_name
 
 
-def w_beta_step(structure: VerifStructure, payoff: StepFunction, beliefs: Mapping[str, Fraction]) -> StepFunction:
-    """Interim value w(s) = max over available m of v(beliefs[m]) as a step function.
-
-    Identity messages (full verifiability) contribute v(s).  Grid granularity
-    covers both support endpoints and payoff breakpoints so each open piece is
-    genuinely constant.
-    """
-    grid = sorted(set(structure.support_endpoints()) | set(payoff.breakpoints) | {ZERO, ONE})
-
-    def w_at(s: Fraction) -> Fraction:
-        best = None
-        for m in messages_at(structure, s):
-            if m.startswith(IDENTITY_PREFIX):
-                val = step_eval(payoff, s)
-            else:
-                val = step_eval(payoff, beliefs[m])
-            if best is None or val > best:
-                best = val
-        return best
-
-    bps: list[Fraction] = []
-    vals: list[Fraction] = []
-    for a, b in zip(grid, grid[1:]):
-        v = w_at((a + b) / 2)
-        if not vals or v != vals[-1]:
-            bps.append(a)
-            vals.append(v)
-    v1 = w_at(ONE)
-    if v1 != vals[-1]:
-        bps.append(ONE)
-        vals.append(v1)
-    return StepFunction(tuple(bps), tuple(vals))
-
-
 def solve(game: GameSpec) -> Equilibrium:
     """Canonical equilibrium: skeptical two-point split under PNBP, no acquisition otherwise."""
     if pnbp(game).holds:
@@ -282,7 +260,6 @@ def _solve_no_pnbp(game: GameSpec) -> Equilibrium:
         messaging=messaging,
         beliefs=beliefs,
         value=value,
-        w_beta=w_beta_step(structure, v, beliefs),
         s_minus=p,
         s_plus=p,
     )
@@ -293,9 +270,9 @@ def _solve_pnbp(game: GameSpec) -> Equilibrium:
     hull = value_hull(game)
     # candidate split points: exact contact with the envelope plus
     # lowest-consistency, so Bayes on path holds with skeptical beliefs.
-    xs = set(hull.xs) | {ZERO, ONE, p} | set(structure.support_endpoints())
-    vm = skeptical_value(game)
-    xs |= set(vm.breakpoints) | set(v.breakpoints)
+    # Hull vertices and breakpoints of v(g) are support endpoints or
+    # breakpoints of v, so this set holds them all.
+    xs = set(structure.support_endpoints()) | set(v.breakpoints) | {p}
     candidates = []
     for x in sorted(xs):
         if max_min_available(structure, x) != x:
@@ -338,7 +315,6 @@ def _solve_pnbp(game: GameSpec) -> Equilibrium:
         messaging=messaging,
         beliefs=beliefs,
         value=target,
-        w_beta=skeptical_value(game),
         s_minus=s_minus,
         s_plus=s_plus,
     )

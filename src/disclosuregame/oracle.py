@@ -21,7 +21,6 @@ from .equilibrium import (
     GameSpec,
     Signal,
     verify_equilibrium,
-    w_beta_step,
 )
 from .piecewise import Point, cav, contact_points, contact_set, step_eval
 from .rationals import ONE, ZERO
@@ -54,6 +53,18 @@ def discrete_cav(points: Sequence[Point], x: Fraction) -> Fraction:
     over the sorted points, then interpolation on the hull chain.
     """
     x = Fraction(x)
+    (x0, y0), (x1, y1) = _hull_segment(points, x)
+    if x0 == x1:
+        return y0
+    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+
+
+def _hull_segment(points: Sequence[Point], x: Fraction) -> tuple[Point, Point]:
+    """The edge of the points' upper concave hull whose x-range holds x.
+
+    A vertex at x comes back as a degenerate edge (vertex, vertex); otherwise
+    the edge's ends bracket x strictly.
+    """
     best: dict[Fraction, Fraction] = {}
     for px, py in points:
         px, py = Fraction(px), Fraction(py)
@@ -73,26 +84,31 @@ def discrete_cav(points: Sequence[Point], x: Fraction) -> Fraction:
         hull.append(pt)
     xs = [px for px, _ in hull]
     i = bisect_right(xs, x) - 1
-    if i == len(hull) - 1:
-        return hull[-1][1]
-    (x0, y0), (x1, y1) = hull[i], hull[i + 1]
-    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+    if xs[i] == x:
+        return hull[i], hull[i]
+    return hull[i], hull[i + 1]
 
 
-def _interim_value(game: GameSpec, beliefs: Mapping[str, Fraction], s: Fraction) -> Fraction:
-    best = None
-    for m in messages_at(game.structure, s):
-        if m.startswith(IDENTITY_PREFIX):
-            val = step_eval(game.payoff, s)
-        else:
-            val = step_eval(game.payoff, beliefs[m])
-        if best is None or val > best:
-            best = val
-    return best
+def _interim_values(game: GameSpec, beliefs: Mapping[str, Fraction], grid: CriticalGrid) -> list[Fraction]:
+    """w(s) = max over available m of v(beliefs[m]), v(s) for an identity message, at every grid point."""
+    structure, v = game.structure, game.payoff
+    levels = {name: step_eval(v, beliefs[name]) for name in structure.names}
+    return [
+        max(step_eval(v, s) if m.startswith(IDENTITY_PREFIX) else levels[m] for m in messages_at(structure, s))
+        for s in grid
+    ]
 
 
 def best_deviation(game: GameSpec, beliefs: Mapping[str, Fraction]) -> tuple[Fraction, Signal]:
-    """Best-response value against fixed beliefs, with an achieving signal."""
+    """Best-response value against fixed beliefs, with an achieving signal.
+
+    The value is the discrete hull of the interim value w over the critical
+    grid, at the prior.  When the prior is not itself optimal, the signal
+    splits it between the nearest grid points on either side whose w lies on
+    the hull edge over the prior.  Any chord through (prior, value) between
+    two grid points lies on that edge (the hull is a concave majorant), so
+    these are the closest such pair, not the edge's end vertices.
+    """
     for name, supp in game.structure.messages:
         if name not in beliefs:
             raise PreconditionError(f"beliefs missing message {name!r}")
@@ -100,25 +116,26 @@ def best_deviation(game: GameSpec, beliefs: Mapping[str, Fraction]) -> tuple[Fra
         if not (lo <= beliefs[name] <= hi):
             raise PreconditionError(f"belief for {name!r} outside conv support")
     grid = critical_grid(game)
-    w = {s: _interim_value(game, beliefs, s) for s in grid}
-    points = list(w.items())
+    w = _interim_values(game, beliefs, grid)
     p = game.prior
-    value = discrete_cav(points, p)
-    if value == w[p]:
-        return value, Signal((p,), (ONE,))
-    # two grid points whose chord attains the optimum at the prior
-    left = max(s for s in grid if s < p and _on_chord(w, s, p, value))
-    right = min(s for s in grid if s > p and _chord_value(w, left, s, p) == value)
+    (x0, y0), (x1, y1) = _hull_segment(list(zip(grid, w)), p)
+
+    def on_edge(i: int) -> bool:
+        return (w[i] - y0) * (x1 - x0) == (y1 - y0) * (grid[i] - x0)
+
+    k = grid.index(p)
+    if x0 == x1 or on_edge(k):
+        return w[k], Signal((p,), (ONE,))
+    value = y0 + (y1 - y0) * (p - x0) / (x1 - x0)
+    i = k - 1
+    while not on_edge(i):
+        i -= 1
+    j = k + 1
+    while not on_edge(j):
+        j += 1
+    left, right = grid[i], grid[j]
     w_lo = (right - p) / (right - left)
     return value, Signal((left, right), (w_lo, 1 - w_lo))
-
-
-def _chord_value(w, a: Fraction, b: Fraction, x: Fraction) -> Fraction:
-    return w[a] + (w[b] - w[a]) * (x - a) / (b - a)
-
-
-def _on_chord(w, s: Fraction, p: Fraction, value: Fraction) -> bool:
-    return any(b > p and _chord_value(w, s, b, p) == value for b in w)
 
 
 def exhaustive_search(
@@ -213,7 +230,6 @@ def exhaustive_equilibria(
             messaging=dict(zip(support, mu)),
             beliefs=beliefs,
             value=value,
-            w_beta=w_beta_step(structure, v, beliefs),
             s_minus=min(support),
             s_plus=max(support),
         )

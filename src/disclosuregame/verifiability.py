@@ -14,8 +14,11 @@ closed or open.
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import ConstructionError, DomainError, UnknownMessageError
@@ -142,10 +145,57 @@ class VerifStructure:
         return tuple(n for n, _ in self.messages)
 
     def support_endpoints(self) -> list[Fraction]:
+        return list(self._endpoints)
+
+    @cached_property
+    def _endpoints(self) -> tuple[Fraction, ...]:
+        """0, 1 and every support endpoint, sorted and distinct."""
         pts = {ZERO, ONE}
         for _, supp in self.messages:
             pts.update(supp.endpoints())
-        return sorted(pts)
+        return tuple(sorted(pts))
+
+    @cached_property
+    def _best_minima(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+        """Exact g at every endpoint and on every open gap between consecutive ones.
+
+        g(s) is the largest support minimum among the finite messages available
+        at s.  One sweep over the endpoints, left to right: intervals enter a
+        max-heap on their message's minimum when the sweep reaches their `lo`,
+        and leave lazily once the top has ended.  Availability only changes at
+        endpoints, so g is constant on each open gap.  Returns
+        (values at the endpoints, values on the gaps).
+        """
+        intervals = sorted(
+            (iv.lo, supp.minimum, iv.hi, iv.hi_closed)
+            for _, supp in self.messages
+            for iv in supp.intervals
+        )
+        heap: list[tuple[Fraction, Fraction, bool]] = []
+        at_point: list[Fraction] = []
+        on_gap: list[Fraction] = []
+        k = 0
+        for e in self._endpoints:
+            while k < len(intervals) and intervals[k][0] <= e:
+                _, minimum, hi, hi_closed = intervals[k]
+                heapq.heappush(heap, (-minimum, hi, hi_closed))
+                k += 1
+            # an interval that has ended at e has ended for every later point
+            while heap and (heap[0][1] < e or (heap[0][1] == e and not heap[0][2])):
+                heapq.heappop(heap)
+            at_point.append(_heap_best(heap, e))
+            if e == ONE:
+                break
+            while heap and heap[0][1] <= e:
+                heapq.heappop(heap)
+            on_gap.append(_heap_best(heap, e))
+        return tuple(at_point), tuple(on_gap)
+
+
+def _heap_best(heap: list[tuple[Fraction, Fraction, bool]], s: Fraction) -> Fraction:
+    if not heap:
+        raise ConstructionError(f"no message available near type {s}: structure violates coverage")
+    return -heap[0][0]
 
 
 def identity_name(s: Fraction) -> str:
@@ -175,11 +225,23 @@ def min_inverse(structure: VerifStructure, name: str) -> Fraction:
 
 
 def max_min_available(structure: VerifStructure, s: Fraction) -> Fraction:
-    """Best credible type reachable from s: max over M(s) of min of the support."""
+    """Best credible type reachable from s: max over M(s) of min of the support.
+
+    Exact at every s, support endpoints included; a binary search into the
+    structure's cached endpoint sweep.
+    """
+    s = Fraction(s)
+    if not in_unit_interval(s):
+        raise DomainError(f"type {s} outside [0,1]")
     if structure.full_verifiability:
         # the identity message dominates: every finite message at s has minimum <= s
-        return Fraction(s)
-    return max(min_inverse(structure, m) for m in messages_at(structure, s))
+        return s
+    endpoints = structure._endpoints
+    at_point, on_gap = structure._best_minima
+    i = bisect_left(endpoints, s)
+    if endpoints[i] == s:
+        return at_point[i]
+    return on_gap[i - 1]
 
 
 @dataclass(frozen=True)
@@ -230,28 +292,18 @@ def skeptical_type_map(structure: VerifStructure) -> StepFunction | IdentityType
     IdentityTypeMap (a piecewise-linear special case the equilibrium module
     consumes directly).
 
-    The step representation carries the value of each open inter-endpoint
-    interval; at an endpoint whose exact value differs from the value just to
-    its right (a support closed at an interior right end, or a degenerate
-    interior support point), the pointwise-exact value is recovered via
-    max_min_available, not from this representation.
+    Each piece carries g's exact value on the open gaps between consecutive
+    support endpoints, and g(1) at 1, both from the structure's endpoint
+    sweep.  Where g at an interior endpoint differs from its value just to the
+    right (a support closed at an interior right end, or a degenerate interior
+    support point), the left-closed pieces cannot show it; max_min_available
+    reads the same sweep's exact endpoint value.
     """
     if structure.full_verifiability:
         return IDENTITY_TYPE_MAP
-    grid = structure.support_endpoints()
-    bps: list[Fraction] = []
-    vals: list[Fraction] = []
-    for a, b in zip(grid, grid[1:]):
-        mid = (a + b) / 2
-        v = max_min_available(structure, mid)
-        if not vals or v != vals[-1]:
-            bps.append(a)
-            vals.append(v)
-    v1 = max_min_available(structure, ONE)
-    if v1 != vals[-1]:
-        bps.append(ONE)
-        vals.append(v1)
-    return StepFunction(tuple(bps), tuple(vals))
+    at_point, on_gap = structure._best_minima
+    endpoints = structure._endpoints
+    return StepFunction(endpoints, on_gap + (at_point[-1],))
 
 
 # ---------------------------------------------------------------------------

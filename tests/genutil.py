@@ -131,6 +131,37 @@ def rand_rich_structure(rng: random.Random, allow_full_verif=True) -> VerifStruc
     return structure
 
 
+def rand_interval_game(rng: random.Random, messages: int, denom: int = 997) -> GameSpec:
+    """A PNBP game with `messages` closed-interval supports and as many payoff pieces.
+
+    One base message covers [0,1]; the others are random intervals.  Every
+    rational has denominator `denom`, so endpoints rarely coincide.
+    """
+    while True:
+        msgs = [("m_0", IntervalUnion.from_pairs([(0, 1)]))]
+        for i in range(1, messages):
+            a, b = sorted(rand_point(rng, (denom,)) for _ in range(2))
+            msgs.append((f"m_{i}", IntervalUnion.from_pairs([(a, b)])))
+        game = GameSpec(
+            rand_payoff_pieces(rng, messages, denom),
+            rand_interior(rng, (denom,)),
+            VerifStructure(tuple(msgs)),
+        )
+        if pnbp(game).holds:
+            return game
+
+
+def rand_payoff_pieces(rng: random.Random, pieces: int, denom: int) -> StepFunction:
+    """Non-decreasing step payoff with exactly `pieces` pieces, breakpoints over `denom`."""
+    cuts = set()
+    while len(cuts) < pieces - 1:
+        cuts.add(rand_interior(rng, (denom,)))
+    vals = [Fraction(rng.randint(0, 2))]
+    for _ in range(pieces - 1):
+        vals.append(vals[-1] + rng.choice((Fraction(1, 2), Fraction(1), Fraction(2))))
+    return StepFunction((Fraction(0), *sorted(cuts)), tuple(vals))
+
+
 SMALL = dict(max_pieces=3, max_messages=2, denoms=(2, 3, 4, 6))
 
 

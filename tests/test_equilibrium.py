@@ -30,10 +30,20 @@ from disclosuregame import (
     thresholds,
     verify_equilibrium,
 )
-from disclosuregame.equilibrium import skeptical_payoff_at, value_hull, w_beta_step
+from disclosuregame.equilibrium import skeptical_payoff_at, value_hull
 from disclosuregame.piecewise import constant
+from disclosuregame.verifiability import SupportInterval
 
-from genutil import rand_game, rand_no_pnbp_game, rand_payoff, rand_pnbp_game, rand_point, rand_rich_structure
+from genutil import (
+    rand_game,
+    rand_interval_game,
+    rand_no_pnbp_game,
+    rand_payoff,
+    rand_pnbp_game,
+    rand_point,
+    rand_rich_structure,
+)
+from reference_paths import candidate_value_hull, midpoint_type_map
 
 V1 = StepFunction((F(0), F(2, 5), F(4, 5)), (F(0), F(1), F(3)))
 V43 = StepFunction((F(0), F(2, 5), F(4, 5)), (F(0), F(2), F(3)))
@@ -82,6 +92,39 @@ class TestSkepticalValue:
 
     def test_mandatory_disclosure_returns_payoff(self):
         assert skeptical_value(G_MANDATORY) == V1
+
+
+class TestSharedAnalysis:
+    def test_value_hull_matches_candidate_construction(self):
+        rng = random.Random(211)
+        for _ in range(1000):
+            game = GameSpec(rand_payoff(rng), rand_point(rng), rand_rich_structure(rng))
+            assert value_hull(game) == candidate_value_hull(game)
+            if not game.structure.full_verifiability:
+                g = midpoint_type_map(game.structure)
+                assert skeptical_value(game) == g.map_values(lambda t: step_eval(game.payoff, t))
+
+    def test_built_once_per_game(self):
+        game = GameSpec(V1, F(1, 3), M31)
+        assert skeptical_value(game) is skeptical_value(game)
+        assert value_hull(game) is value_hull(game)
+
+    def test_solve_queries_supports_linearly(self, monkeypatch):
+        # the solver reads g from one endpoint sweep; testing every support at
+        # every endpoint would take about M * E membership tests
+        game = rand_interval_game(random.Random(401), 400)
+        calls = 0
+        contains = SupportInterval.contains
+
+        def counting(self, x):
+            nonlocal calls
+            calls += 1
+            return contains(self, x)
+
+        monkeypatch.setattr(SupportInterval, "contains", counting)
+        eq = solve(game)
+        assert eq.signal.support != (game.prior,)
+        assert calls <= 4 * len(game.structure.messages)
 
 
 class TestEquilibriumValue:
@@ -165,7 +208,6 @@ class TestVerifyEquilibrium:
             messaging={F(0): "m_L", F(4, 5): "m_M"},
             beliefs=beliefs,
             value=value,
-            w_beta=w_beta_step(M31, V1, beliefs),
             s_minus=F(0),
             s_plus=F(4, 5),
         )

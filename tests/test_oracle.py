@@ -18,6 +18,7 @@ from disclosuregame import (
     mandatory_disclosure,
     pl_eval,
     solve,
+    thresholds,
 )
 from disclosuregame.equilibrium import value_hull
 from disclosuregame.oracle import (
@@ -28,7 +29,8 @@ from disclosuregame.oracle import (
     exhaustive_search,
 )
 
-from genutil import rand_game, rand_oracle_game, rand_payoff, rand_point, rand_rich_structure
+from genutil import rand_game, rand_interior, rand_oracle_game, rand_payoff, rand_point, rand_rich_structure
+from reference_paths import chord_best_deviation
 
 V1 = StepFunction((F(0), F(2, 5), F(4, 5)), (F(0), F(1), F(3)))
 M31 = VerifStructure(
@@ -104,6 +106,37 @@ class TestBestDeviation:
         value, signal = best_deviation(G31, {"m_L": F(1, 2), "m_M": F(1, 2)})
         assert value == F(1)
         assert signal.support == (F(1, 3),)
+
+    def test_split_uses_nearest_collinear_points(self):
+        # the hull edge over the prior runs from (0, 0) to (3/4, 3) through
+        # the grid points (1/4, 1) and (1/2, 2): the split takes the nearest
+        # touching points, not the edge's end vertices
+        payoff = StepFunction((F(0), F(1, 4), F(1, 2), F(3, 4)), (F(0), F(1), F(2), F(3)))
+        structure = thresholds([F(1, 4), F(1, 2), F(3, 4)])
+        game = GameSpec(payoff, F(3, 8), structure)
+        skeptical = {name: supp.minimum for name, supp in structure.messages}
+        value, signal = best_deviation(game, skeptical)
+        assert value == F(3, 2)
+        assert signal.support == (F(1, 4), F(1, 2))
+        assert signal.weights == (F(1, 2), F(1, 2))
+        assert (value, signal) == chord_best_deviation(game, skeptical)
+
+    def test_matches_pairwise_chord_search(self):
+        # half the payoffs are proportional to their breakpoints, which puts
+        # grid points inside hull edges; beliefs lean skeptical, which makes
+        # two-point splits common
+        rng = random.Random(71)
+        for k in range(600):
+            structure = rand_rich_structure(rng) if k % 2 else rand_game(rng).structure
+            payoff = rand_payoff(rng)
+            if k % 4 < 2:
+                payoff = StepFunction(payoff.breakpoints, tuple(4 * b for b in payoff.breakpoints))
+            game = GameSpec(payoff, rand_interior(rng), structure)
+            beliefs = {}
+            for name, supp in structure.messages:
+                lo, hi = supp.hull_bounds()
+                beliefs[name] = rng.choice((lo, lo, lo, hi, (lo + hi) / 2))
+            assert best_deviation(game, beliefs) == chord_best_deviation(game, beliefs)
 
     def test_inconsistent_beliefs_rejected(self):
         with pytest.raises(PreconditionError):

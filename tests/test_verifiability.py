@@ -29,7 +29,8 @@ from disclosuregame.verifiability import (
     max_min_available,
 )
 
-from genutil import rand_structure
+from genutil import rand_rich_structure, rand_structure
+from reference_paths import midpoint_type_map, pointwise_g
 
 M31 = VerifStructure(
     (
@@ -157,6 +158,44 @@ class TestSkepticalTypeMap:
             structure = rand_structure(rng)
             g = skeptical_type_map(structure)
             assert set(g.breakpoints) <= set(structure.support_endpoints()) | {F(0)}
+
+
+class TestEndpointSweep:
+    """The sweep behind max_min_available and skeptical_type_map, against direct evaluation."""
+
+    def test_matches_pointwise_and_midpoint_references(self):
+        rng = random.Random(2024)
+        for _ in range(3000):
+            structure = rand_rich_structure(rng)
+            assert skeptical_type_map(structure) == midpoint_type_map(structure)
+            ends = structure.support_endpoints()
+            points = [F(0), F(1), *ends, *((a + b) / 2 for a, b in zip(ends, ends[1:]))]
+            for s in points:
+                want = s if structure.full_verifiability else pointwise_g(structure, s)
+                assert max_min_available(structure, s) == want
+
+    def test_point_values_differ_from_gaps(self):
+        # a support closed at an interior right end, a degenerate point, a
+        # right-open end: g at the endpoint is not the value on either side
+        structure = VerifStructure(
+            (
+                ("m_0", IntervalUnion.from_pairs([(0, 1)])),
+                ("m_a", IntervalUnion.from_pairs([(F(1, 4), F(1, 2))])),
+                ("m_b", IntervalUnion.from_pairs([(F(3, 4), F(3, 4))])),
+                ("m_c", IntervalUnion.from_pairs([(F(1, 8), F(7, 8), False)])),
+            )
+        )
+        expect = {
+            F(1, 16): 0, F(1, 8): F(1, 8), F(1, 4): F(1, 4), F(1, 2): F(1, 4),
+            F(5, 8): F(1, 8), F(3, 4): F(3, 4), F(7, 8): 0, F(15, 16): 0, F(1): 0,
+        }
+        for s, g in expect.items():
+            assert max_min_available(structure, s) == g
+
+    def test_domain_error(self):
+        for structure in (M31, mandatory_disclosure()):
+            with pytest.raises(DomainError):
+                max_min_available(structure, F(-1, 2))
 
 
 class TestBuilders:
