@@ -1,11 +1,19 @@
 """Brute-force verification: grid best responses and exhaustive equilibrium search.
 
-The deviation oracle is exact, not approximate: the interim value function
-w(s) = max over available m of v(beliefs[m]) is piecewise constant with
-left-closed pieces whose endpoints are support endpoints, so an optimal signal
-can always be supported on contact points of cav w, all of which lie on the
-critical grid (piece endpoints plus the prior).  The discrete hull over the
-grid therefore equals the continuum optimum.
+The deviation oracle works on the critical grid: every payoff breakpoint and
+support endpoint, 0, 1, the prior, and the midpoint of each gap between them.
+The interim value w(s) = max over available m of v(beliefs[m]) (v(s) for an
+identity message) is constant on each open gap, since availability and v only
+change at grid points.
+
+Precondition for exactness: w must be upper semicontinuous.  Then an optimal
+signal can be supported on contact points of cav w, all of which lie on the
+grid, and the discrete hull over the grid equals the continuum optimum.  A
+right-open support can break this: w may then jump down at the open end, and
+the supremum over signals that approach that end from the left is not attained
+and not on the grid, so the oracle returns a value below it.  Structures whose
+supports are all right-closed meet the precondition (the payoff is
+non-decreasing, so identity messages keep it too).
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations, product
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .errors import DomainError, OracleSizeError, PreconditionError
@@ -22,9 +31,9 @@ from .equilibrium import (
     Signal,
     verify_equilibrium,
 )
-from .piecewise import Point, cav, contact_points, contact_set, step_eval
+from .piecewise import Point, step_eval
 from .rationals import ONE, ZERO
-from .verifiability import IDENTITY_PREFIX, messages_at
+from .verifiability import messages_at
 
 CriticalGrid = tuple[Fraction, ...]
 
@@ -34,9 +43,6 @@ def critical_grid(game: GameSpec) -> CriticalGrid:
     pts = {ZERO, ONE, game.prior}
     pts.update(game.payoff.breakpoints)
     pts.update(game.structure.support_endpoints())
-    if game.structure.full_verifiability:
-        envelope = cav(game.payoff)
-        pts.update(contact_points(contact_set(game.payoff, envelope)))
     base = sorted(pts)
     grid = []
     for a, b in zip(base, base[1:]):
@@ -90,13 +96,30 @@ def _hull_segment(points: Sequence[Point], x: Fraction) -> tuple[Point, Point]:
 
 
 def _interim_values(game: GameSpec, beliefs: Mapping[str, Fraction], grid: CriticalGrid) -> list[Fraction]:
-    """w(s) = max over available m of v(beliefs[m]), v(s) for an identity message, at every grid point."""
+    """w(s) = max over available m of v(beliefs[m]), v(s) for an identity message, at every grid point.
+
+    A range fill over grid indices: every support endpoint is a grid point, so
+    an interval [lo, hi] covers exactly the grid indices from index(lo) to
+    index(hi), one fewer when it is open at hi.  Messages are written in
+    ascending order of their level v(beliefs[m]), so each slot ends up holding
+    the highest level available there.  Under full verifiability each slot is
+    then compared with v(s), the level of the identity message; with no finite
+    message covering a slot (mandatory disclosure), v(s) is the value.
+    """
     structure, v = game.structure, game.payoff
-    levels = {name: step_eval(v, beliefs[name]) for name in structure.names}
-    return [
-        max(step_eval(v, s) if m.startswith(IDENTITY_PREFIX) else levels[m] for m in messages_at(structure, s))
-        for s in grid
-    ]
+    index = {s: i for i, s in enumerate(grid)}
+    w: list[Fraction | None] = [None] * len(grid)
+    levels = [(step_eval(v, beliefs[name]), supp) for name, supp in structure.messages]
+    for level, supp in sorted(levels, key=itemgetter(0)):
+        for iv in supp.intervals:
+            a, b = index[iv.lo], index[iv.hi] + iv.hi_closed
+            w[a:b] = [level] * (b - a)
+    if structure.full_verifiability:
+        for i, s in enumerate(grid):
+            own = step_eval(v, s)
+            if w[i] is None or w[i] < own:
+                w[i] = own
+    return w
 
 
 def best_deviation(game: GameSpec, beliefs: Mapping[str, Fraction]) -> tuple[Fraction, Signal]:
@@ -108,6 +131,10 @@ def best_deviation(game: GameSpec, beliefs: Mapping[str, Fraction]) -> tuple[Fra
     the hull edge over the prior.  Any chord through (prior, value) between
     two grid points lies on that edge (the hull is a concave majorant), so
     these are the closest such pair, not the edge's end vertices.
+
+    The value is the exact best response only when w is upper
+    semicontinuous (see the module docstring); at a right-open support end
+    where w drops, the supremum can lie above the returned value, unattained.
     """
     for name, supp in game.structure.messages:
         if name not in beliefs:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError
@@ -112,8 +113,9 @@ class ConcavePL:
     def __call__(self, x: Fraction) -> Fraction:
         return pl_eval(self, x)
 
-    @property
+    @cached_property
     def xs(self) -> tuple[Fraction, ...]:
+        """Vertex x-coordinates, built once per instance (not a field: eq and repr ignore it)."""
         return tuple(x for x, _ in self.vertices)
 
 

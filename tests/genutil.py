@@ -152,7 +152,13 @@ def rand_interval_game(rng: random.Random, messages: int, denom: int = 997) -> G
 
 
 def rand_payoff_pieces(rng: random.Random, pieces: int, denom: int) -> StepFunction:
-    """Non-decreasing step payoff with exactly `pieces` pieces, breakpoints over `denom`."""
+    """Non-decreasing step payoff with exactly `pieces` pieces, breakpoints over `denom`.
+
+    Needs `pieces - 1` distinct interior cuts k/denom, and only `denom - 1`
+    exist, so `pieces > denom` raises ValueError instead of searching forever.
+    """
+    if pieces > denom:
+        raise ValueError(f"{pieces} pieces need {pieces - 1} distinct cuts; denominator {denom} has {denom - 1}")
     cuts = set()
     while len(cuts) < pieces - 1:
         cuts.add(rand_interior(rng, (denom,)))

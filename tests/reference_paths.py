@@ -51,15 +51,22 @@ def candidate_value_hull(game: GameSpec) -> ConcavePL:
     return ConcavePL(tuple(upper_hull_points(pts)))
 
 
+def pointwise_interim_values(game: GameSpec, beliefs, grid) -> list[Fraction]:
+    """w at every grid point, by testing every support there (identity messages score v(s))."""
+    levels = {name: step_eval(game.payoff, beliefs[name]) for name in game.structure.names}
+    return [
+        max(
+            step_eval(game.payoff, s) if m.startswith(IDENTITY_PREFIX) else levels[m]
+            for m in messages_at(game.structure, s)
+        )
+        for s in grid
+    ]
+
+
 def chord_best_deviation(game: GameSpec, beliefs) -> tuple[Fraction, Signal]:
     """Best response by searching every pair of grid points for a chord through the optimum."""
     grid = critical_grid(game)
-    w = {}
-    for s in grid:
-        w[s] = max(
-            step_eval(game.payoff, s if m.startswith(IDENTITY_PREFIX) else beliefs[m])
-            for m in messages_at(game.structure, s)
-        )
+    w = dict(zip(grid, pointwise_interim_values(game, beliefs, grid)))
     p = game.prior
     value = discrete_cav(list(w.items()), p)
     if value == w[p]:

@@ -126,6 +126,23 @@ class TestSharedAnalysis:
         assert eq.signal.support != (game.prior,)
         assert calls <= 4 * len(game.structure.messages)
 
+    def test_verify_queries_supports_linearly(self, monkeypatch):
+        # the oracle fills w by grid-index ranges; testing every support at
+        # every grid point would take about M * G membership tests
+        game = rand_interval_game(random.Random(401), 400)
+        eq = solve(game)
+        calls = 0
+        contains = SupportInterval.contains
+
+        def counting(self, x):
+            nonlocal calls
+            calls += 1
+            return contains(self, x)
+
+        monkeypatch.setattr(SupportInterval, "contains", counting)
+        assert verify_equilibrium(game, eq).ok
+        assert calls <= 4 * len(game.structure.messages)
+
 
 class TestEquilibriumValue:
     def test_three_action(self):

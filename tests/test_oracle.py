@@ -12,9 +12,12 @@ from disclosuregame import (
     PreconditionError,
     StepFunction,
     VerifStructure,
+    cav,
     check_theorem1,
     cheap_talk,
+    contact_set,
     equilibrium_value,
+    full_verif,
     mandatory_disclosure,
     pl_eval,
     solve,
@@ -22,15 +25,25 @@ from disclosuregame import (
 )
 from disclosuregame.equilibrium import value_hull
 from disclosuregame.oracle import (
+    _interim_values,
     best_deviation,
     critical_grid,
     discrete_cav,
     exhaustive_equilibria,
     exhaustive_search,
 )
+from disclosuregame.piecewise import contact_points
 
-from genutil import rand_game, rand_interior, rand_oracle_game, rand_payoff, rand_point, rand_rich_structure
-from reference_paths import chord_best_deviation
+from genutil import (
+    rand_game,
+    rand_interior,
+    rand_oracle_game,
+    rand_payoff,
+    rand_point,
+    rand_rich_structure,
+    rand_structure,
+)
+from reference_paths import chord_best_deviation, pointwise_interim_values
 
 V1 = StepFunction((F(0), F(2, 5), F(4, 5)), (F(0), F(1), F(3)))
 M31 = VerifStructure(
@@ -65,6 +78,37 @@ class TestCriticalGrid:
         )
         game = GameSpec(V1, F(1, 2), M)
         assert F(9, 10) in critical_grid(game)
+
+    def test_full_verifiability_contact_points_on_grid(self):
+        # contact points of a step function's envelope are piece endpoints,
+        # which the grid already holds
+        rng = random.Random(83)
+        for k in range(500):
+            structure = mandatory_disclosure() if k % 5 == 0 else full_verif(rand_structure(rng))
+            game = GameSpec(rand_payoff(rng), rand_point(rng), structure)
+            grid = set(critical_grid(game))
+            assert set(contact_points(contact_set(game.payoff, cav(game.payoff)))) <= grid
+
+
+class TestInterimValues:
+    def test_matches_pointwise_reference(self):
+        # rich structures carry unions, degenerate points, right-open ends and
+        # sometimes full verifiability; every tenth game is mandatory disclosure
+        rng = random.Random(89)
+        for k in range(2000):
+            if k % 10 == 0:
+                structure = mandatory_disclosure()
+            else:
+                structure = rand_rich_structure(rng)
+                if k % 10 == 1:
+                    structure = full_verif(structure)
+            game = GameSpec(rand_payoff(rng), rand_point(rng), structure)
+            beliefs = {}
+            for name, supp in structure.messages:
+                lo, hi = supp.hull_bounds()
+                beliefs[name] = rng.choice((lo, hi, (lo + hi) / 2, rand_point(rng) * (hi - lo) + lo))
+            grid = critical_grid(game)
+            assert _interim_values(game, beliefs, grid) == pointwise_interim_values(game, beliefs, grid)
 
 
 class TestDiscreteCav:

@@ -128,6 +128,15 @@ class TestPlEval:
         with pytest.raises(ValueError):
             ConcavePL(((F(0), F(0)), (F(1, 2), F(0)), (F(1), F(1))))
 
+    def test_vertex_xs_built_once_and_invisible_to_eq_and_repr(self):
+        g = ConcavePL(((F(0), F(0)), (F(9, 10), F(3)), (F(1), F(3))))
+        fresh = ConcavePL(g.vertices)
+        text = repr(fresh)
+        assert g.xs is g.xs
+        assert g.xs == (F(0), F(9, 10), F(1))
+        assert g == fresh and hash(g) == hash(fresh)
+        assert repr(g) == text
+
 
 def grid_of(f: StepFunction):
     pts = []
