@@ -18,10 +18,10 @@ non-decreasing, so identity messages keep it too).
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations, product
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Mapping, Sequence
 
 from .errors import DomainError, OracleSizeError, PreconditionError
@@ -56,27 +56,33 @@ def discrete_cav(points: Sequence[Point], x: Fraction) -> Fraction:
     """Value at x of the upper concave hull of a finite point set (exact).
 
     Implemented independently of the analytic envelope: slope-monotone scan
-    over the sorted points, then interpolation on the hull chain.
-    """
-    x = Fraction(x)
-    (x0, y0), (x1, y1) = _hull_segment(points, x)
-    if x0 == x1:
-        return y0
-    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-
-
-def _hull_segment(points: Sequence[Point], x: Fraction) -> tuple[Point, Point]:
-    """The edge of the points' upper concave hull whose x-range holds x.
-
-    A vertex at x comes back as a degenerate edge (vertex, vertex); otherwise
-    the edge's ends bracket x strictly.
+    over the sorted points, then interpolation on the hull chain.  The points
+    may come in any order, as any numbers, with repeated x (the highest y
+    counts).
     """
     best: dict[Fraction, Fraction] = {}
     for px, py in points:
         px, py = Fraction(px), Fraction(py)
         if px not in best or py > best[px]:
             best[px] = py
-    pts = sorted(best.items())
+    return _sorted_cav(sorted(best.items()), Fraction(x))
+
+
+def _sorted_cav(pts: Sequence[Point], x: Fraction) -> Fraction:
+    """discrete_cav for Fraction points already sorted by strictly increasing x."""
+    (x0, y0), (x1, y1) = _hull_segment(pts, x)
+    if x0 == x1:
+        return y0
+    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+
+
+def _hull_segment(pts: Sequence[Point], x: Fraction) -> tuple[Point, Point]:
+    """The edge of the upper concave hull of pts whose x-range holds x.
+
+    pts are Fraction points sorted by strictly increasing x, as the critical
+    grid is.  A vertex at x comes back as a degenerate edge (vertex, vertex);
+    otherwise the edge's ends bracket x strictly.
+    """
     if not pts or not pts[0][0] <= x <= pts[-1][0]:
         raise DomainError(f"query {x} outside the hull's x-range")
     hull: list[Point] = []
@@ -173,11 +179,11 @@ def exhaustive_search(
     Pure messaging maps are enumerated over available messages; on-path beliefs
     come from Bayes, off-path beliefs are maximally skeptical; candidates are
     kept iff they pass verify_equilibrium.  Size-3 supports carry a
-    one-parameter family of Bayes-plausible weights, handled exactly by
-    subdividing the parameter range where a pooled posterior crosses a payoff
-    breakpoint; between crossings achieved and best-response values are
-    affine/constant, so each subinterval contributes at most one equilibrium
-    value.  The support-size cap is a desk-scale scope bound, not a theorem.
+    one-parameter family of Bayes-plausible weights, covered exactly: its
+    range is cut where a pooled posterior crosses a payoff breakpoint, and
+    each cut and each subinterval between cuts is one candidate (see
+    exhaustive_equilibria).  The support-size cap is a desk-scale scope bound,
+    not a theorem.
     """
     found = exhaustive_equilibria(game, max_messages, max_grid, dedup_values=True)
     return {eq.value for eq in found}
@@ -189,10 +195,38 @@ def exhaustive_equilibria(
     max_grid: int = 12,
     dedup_values: bool = False,
 ) -> list[Equilibrium]:
-    """The verified equilibrium profiles behind exhaustive_search.
+    """The verified equilibrium profiles behind exhaustive_search, in the order found.
 
-    With dedup_values=True, profiles whose value is already certified are
-    skipped (cheaper when only the value set matters).
+    full_check assembles every candidate exactly and keeps it iff it passes
+    condition (2) (no type has an available message with a higher level than
+    the one it sends), its value equals the best response to its beliefs (the
+    discrete hull of w at the prior) and verify_equilibrium accepts it.
+
+    Size-3 supports a < b < c around the prior p are planned per support.
+    Their Bayes-plausible weights W(t) are affine in t on [0, t_hi]; W0 = W(0)
+    and W1 = W(t_hi) are computed once per support, and v at the grid points
+    once per game.  The levels L (v at each sent message's belief) are
+    constant in t unless two types pool; then they change only at the cuts
+    where the pooled posterior crosses a payoff breakpoint.  The cuts and the
+    pooled level at each cut and on each subinterval between them depend on
+    the support and the pooled pair, not on the messages, so they are built
+    once per (support, pair) and memoised.  A messaging profile is then
+    lookups, condition (2) and two dot products.
+
+    At fixed levels the value W(t).L is affine in t, and it is never above
+    the best response: by condition (2) each (s, L) is a point of w on the
+    grid, so on or under its hull, and W(t) has mean p.  So the gap between
+    the two is zero inside (0, t_hi) only if it is zero throughout; with a
+    nonzero slope its closed-form root t* = (target - W0.L) t_hi /
+    (W1.L - W0.L) lies at or beyond an end.  A candidate at t therefore
+    exists iff W0.L = target = W1.L; each subinterval is tried at its
+    midpoint and each cut at the cut.
+
+    With dedup_values=True, a profile whose value is already certified is
+    skipped (cheaper when only the value set matters).  A size-3 profile is
+    skipped before assembly only when its value is known, because it equals
+    the best response, and that value is already certified; full_check
+    drops every other repeat.
     """
     structure = game.structure
     if structure.full_verifiability:
@@ -232,7 +266,7 @@ def exhaustive_equilibria(
         hit = target_memo.get(key)
         if hit is None:
             pts = [(s, max(vcache[m] for m in avail[s])) for s in grid]
-            hit = target_memo[key] = discrete_cav(pts, p)
+            hit = target_memo[key] = _sorted_cav(pts, p)
         return hit
 
     def full_check(support, mu, weights):
@@ -278,112 +312,74 @@ def exhaustive_equilibria(
             for mu in product(avail[a], avail[b]):
                 full_check((a, b), mu, weights)
 
-    # size 3: one-parameter family of Bayes-plausible weights
+    # size 3: the Bayes-plausible weights form a segment, affine in t
+    v_grid = {s: step_eval(v, s) for s in grid}
     for support in combinations(grid, 3):
         a, b, c = support
         if not (a < p < c):
             continue
         span = c - a
         t_hi = min((c - p) / (c - b), (p - a) / (b - a))
-        if t_hi <= 0:
-            continue
 
         def weights_at(t, a=a, b=b, c=c, span=span):
             return ((c - p) - t * (c - b)) / span, t, ((p - a) - t * (b - a)) / span
 
+        w0, w1 = weights_at(ZERO), weights_at(t_hi)
+        pair_plans: dict[tuple[int, int], list[tuple[Fraction, Fraction]]] = {}
+
+        def pair_plan(i, j, support=support, t_hi=t_hi, w0=w0, w1=w1):
+            """(t, level of the pooled message) at each cut where the posterior
+            of pooled types i, j crosses a payoff breakpoint, and at the
+            midpoint of each subinterval between cuts, in ascending t.
+
+            The posterior n(t)/d(t) is a ratio of affine functions with d > 0
+            before t_hi, so it is monotone: the cuts are the breakpoints
+            strictly between its end values, met in order.  At a cut the
+            posterior is the breakpoint; on a subinterval the level is v at
+            its lower end's posterior, since payoff pieces are left-closed.
+            """
+            n0 = w0[i] * support[i] + w0[j] * support[j]
+            d0 = w0[i] + w0[j]
+            n1 = w1[i] * support[i] + w1[j] * support[j]
+            d1 = w1[i] + w1[j]
+            q0 = n0 / d0
+            q1 = n1 / d1 if d1 else q0  # d1 = 0 only when b = p pools a with c: q is p throughout
+            bps = v.breakpoints
+            thetas = bps[bisect_right(bps, min(q0, q1)) : bisect_left(bps, max(q0, q1))]
+            if q1 < q0:
+                thetas = thetas[::-1]
+            cuts = [((theta * d0 - n0) * t_hi / ((n1 - n0) - theta * (d1 - d0)), theta) for theta in thetas]
+            plan = []
+            for (t0, x0), (t1, x1) in zip([(ZERO, q0), *cuts], [*cuts, (t_hi, q1)]):
+                plan.append(((t0 + t1) / 2, step_eval(v, min(x0, x1))))
+                if t1 < t_hi:
+                    plan.append((t1, step_eval(v, x1)))
+            return plan
+
         for mu in product(avail[a], avail[b], avail[c]):
-            groups: dict[str, list[int]] = {}
-            for i, m in enumerate(mu):
-                groups.setdefault(m, []).append(i)
-            sizes = sorted(len(idx) for idx in groups.values())
-
-            if sizes == [3]:
+            if mu[0] == mu[1] == mu[2]:
                 # everyone pools: the posterior is the prior at any weight
-                vcache = vcache_for({mu[0]: p})
-                if cond2_ok(support, mu, vcache):
-                    value = step_eval(v, p)
-                    if value == target_for(vcache):
-                        full_check(support, mu, weights_at(t_hi / 2))
-                continue
-
-            if sizes == [1, 1, 1]:
+                candidates = [(t_hi / 2, {**v_skeptical, mu[0]: v_grid[p]})]
+            elif len(set(mu)) == 3:
                 # beliefs are the types themselves: weight-independent
-                vcache = vcache_for({m: support[i] for i, m in enumerate(mu)})
+                candidates = [(t_hi / 2, {**v_skeptical, **{m: v_grid[s] for s, m in zip(support, mu)}})]
+            else:
+                # one pooled pair plus a singleton k: the pooled posterior moves with t
+                i, j = next((i, j) for i, j in ((0, 1), (0, 2), (1, 2)) if mu[i] == mu[j])
+                k = 3 - i - j
+                plan = pair_plans.get((i, j))
+                if plan is None:
+                    plan = pair_plans[i, j] = pair_plan(i, j)
+                single = {**v_skeptical, mu[k]: v_grid[support[k]]}
+                candidates = [(t, {**single, mu[i]: level}) for t, level in plan]
+            for t, vcache in candidates:
                 if not cond2_ok(support, mu, vcache):
                     continue
                 target = target_for(vcache)
-                vals = [vcache[m] for m in mu]
-
-                def value_at(t):
-                    w = weights_at(t)
-                    return sum(w[i] * vals[i] for i in range(3))
-
-                v0, v1 = value_at(ZERO), value_at(t_hi)
-                if v0 == v1:
-                    if v0 == target:
-                        full_check(support, mu, weights_at(t_hi / 2))
-                    continue
-                t_star = (target - v0) * t_hi / (v1 - v0)
-                if 0 < t_star < t_hi:
-                    full_check(support, mu, weights_at(t_star))
-                continue
-
-            # one pooled pair plus a singleton: the pooled posterior moves with t
-            (pair_idx,) = [idx for idx in groups.values() if len(idx) == 2]
-            i, j = pair_idx
-
-            def pool_nd(t):
-                w = weights_at(t)
-                return w[i] * support[i] + w[j] * support[j], w[i] + w[j]
-
-            n0, d0 = pool_nd(ZERO)
-            n1, d1 = pool_nd(t_hi)
-            cuts = []
-            for theta in v.breakpoints:
-                g0 = n0 - theta * d0
-                g1 = n1 - theta * d1
-                if g0 == g1:
-                    continue
-                t_cut = -g0 * t_hi / (g1 - g0)
-                if 0 < t_cut < t_hi:
-                    cuts.append(t_cut)
-
-            def profile_gap(t):
-                """achieved value minus best-response value at parameter t."""
-                w = weights_at(t)
-                num, den = pool_nd(t)
-                overrides = {m: support[k] for k, m in enumerate(mu) if len(groups[m]) == 1}
-                overrides[mu[i]] = num / den
-                vcache = vcache_for(overrides)
-                if not cond2_ok(support, mu, vcache):
-                    return None
-                value = sum(w[k] * vcache[mu[k]] for k in range(3))
-                return value - target_for(vcache), value
-
-            candidate_ts = set(cuts)
-            borders = [ZERO] + sorted(set(cuts)) + [t_hi]
-            for t0, t1 in zip(borders, borders[1:]):
-                if not t0 < t1:
-                    continue
-                tm = (t0 + t1) / 2
-                res = profile_gap(tm)
-                if res is None:
-                    continue
-                gap_a, _ = res
-                if gap_a == 0:
-                    candidate_ts.add(tm)
-                    continue
-                t2 = (tm + t1) / 2
-                res2 = profile_gap(t2)
-                if res2 is None:
-                    continue
-                gap_b, _ = res2
-                if gap_a == gap_b:
-                    continue
-                t_star = tm - gap_a * (t2 - tm) / (gap_b - gap_a)
-                if t0 < t_star < t1:
-                    candidate_ts.add(t_star)
-            for t in sorted(candidate_ts):
-                if 0 < t < t_hi:
+                if dedup_values and target in values:
+                    continue  # full_check would drop it: this value is already certified
+                levels = [vcache[m] for m in mu]
+                # at fixed levels the value is affine in t and never above the target
+                if sum(map(mul, w0, levels)) == target == sum(map(mul, w1, levels)):
                     full_check(support, mu, weights_at(t))
     return found

@@ -82,12 +82,6 @@ def step_eval(f: StepFunction, x: Fraction) -> Fraction:
     return f.values[bisect_right(f.breakpoints, x) - 1]
 
 
-def step_max(f: StepFunction, g: StepFunction) -> StepFunction:
-    """Pointwise maximum, exact on the merged breakpoint grid."""
-    bps = sorted(set(f.breakpoints) | set(g.breakpoints))
-    return StepFunction(tuple(bps), tuple(max(step_eval(f, b), step_eval(g, b)) for b in bps))
-
-
 @dataclass(frozen=True)
 class ConcavePL:
     """Concave piecewise-linear function given by its vertex chain over [0,1]."""

@@ -43,7 +43,7 @@ from genutil import (
     rand_rich_structure,
     rand_structure,
 )
-from reference_paths import chord_best_deviation, pointwise_interim_values
+from reference_paths import chord_best_deviation, per_profile_exhaustive_equilibria, pointwise_interim_values
 
 V1 = StepFunction((F(0), F(2, 5), F(4, 5)), (F(0), F(1), F(3)))
 M31 = VerifStructure(
@@ -212,6 +212,23 @@ class TestExhaustiveSearch:
     def test_refuses_full_verifiability(self):
         with pytest.raises(OracleSizeError):
             exhaustive_search(GameSpec(V1, F(1, 3), mandatory_disclosure()), 4, 12)
+
+    def test_matches_per_profile_reference(self):
+        # the same verified profiles in the same order, in both dedup modes
+        rng = random.Random(73)
+        games = [rand_oracle_game(rng, want_pnbp=k % 2 == 0) for k in range(8)]
+        while len(games) < 12:
+            game = GameSpec(
+                rand_payoff(rng, max_pieces=3, denoms=(2, 3, 4)),
+                rand_point(rng, (2, 3, 4)),
+                rand_rich_structure(rng, allow_full_verif=False),
+            )
+            if len(critical_grid(game)) <= 13:
+                games.append(game)
+        for game in games:
+            for dedup in (True, False):
+                want = per_profile_exhaustive_equilibria(game, 4, 13, dedup_values=dedup)
+                assert exhaustive_equilibria(game, 4, 13, dedup_values=dedup) == want
 
     def test_agreement_on_random_pnbp_games(self):
         rng = random.Random(53)

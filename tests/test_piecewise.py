@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from disclosuregame import ConcavePL, DomainError, StepFunction, cav, contact_set, pl_eval, step_eval
-from disclosuregame.piecewise import constant, hull_candidates, step_max
+from disclosuregame.piecewise import constant, hull_candidates
 
 from genutil import rand_payoff
 import random
@@ -199,12 +199,3 @@ class TestEnvelopeProperties:
         pts = hull_candidates(f)
         for x in grid_of(f):
             assert pl_eval(g, x) == brute_split_value(pts, x)
-
-
-class TestStepMax:
-    def test_pointwise_max(self):
-        f = StepFunction((F(0), F(1, 2)), (F(0), F(3)))
-        g = StepFunction((F(0), F(1, 4)), (F(1), F(2)))
-        h = step_max(f, g)
-        for x in (F(0), F(1, 8), F(1, 4), F(1, 2), F(3, 4), F(1)):
-            assert step_eval(h, x) == max(step_eval(f, x), step_eval(g, x))
