@@ -3,6 +3,12 @@
 All rationals travel as strings ("p/q" or an integer string); floats are
 rejected so files round-trip exactly.  Parse failures raise GameFileError with
 a field-path diagnostic like ``payoff.values[2]``.
+
+Input size is capped, so the solver's quadratic paths and exact arithmetic
+cannot be fed unbounded input: at most MAX_MESSAGES messages per structure,
+MAX_PAYOFF_PIECES payoff pieces per game, and MAX_RATIONAL_DIGITS digits in
+the numerator and in the denominator of every rational, as written.  Larger
+input raises GameFileError, which the CLI reports with exit code 2.
 """
 
 from __future__ import annotations
@@ -18,8 +24,17 @@ from .piecewise import StepFunction
 from .rationals import format_rational, parse_rational
 from .verifiability import IntervalUnion, SupportInterval, VerifStructure
 
+MAX_MESSAGES = 2_000
+MAX_PAYOFF_PIECES = 2_000
+MAX_RATIONAL_DIGITS = 40
+
 
 def _rat(obj: Any, path: str) -> Fraction:
+    text = str(obj) if isinstance(obj, (str, int)) else ""
+    if len(text) > MAX_RATIONAL_DIGITS and any(
+        len(part.strip().lstrip("+-")) > MAX_RATIONAL_DIGITS for part in text.split("/")
+    ):
+        raise GameFileError(f"{path}: more than {MAX_RATIONAL_DIGITS} digits in a numerator or denominator")
     try:
         return parse_rational(obj)
     except ValueError as exc:
@@ -63,6 +78,8 @@ def structure_from_obj(obj: Any, path: str = "structure") -> VerifStructure:
         raise GameFileError(f"{path}.full_verifiability: expected bool")
     messages = []
     raw_msgs = _expect(obj.get("messages", []), list, f"{path}.messages")
+    if len(raw_msgs) > MAX_MESSAGES:
+        raise GameFileError(f"{path}.messages: {len(raw_msgs)} messages, more than {MAX_MESSAGES}")
     for i, m in enumerate(raw_msgs):
         mp = f"{path}.messages[{i}]"
         _expect(m, dict, mp)
@@ -113,6 +130,8 @@ def game_from_obj(obj: Any, path: str = "") -> GameSpec:
     payoff_obj = _expect(obj.get("payoff"), dict, f"{prefix}payoff")
     raw_b = _expect(payoff_obj.get("breakpoints"), list, f"{prefix}payoff.breakpoints")
     raw_v = _expect(payoff_obj.get("values"), list, f"{prefix}payoff.values")
+    if max(len(raw_b), len(raw_v)) > MAX_PAYOFF_PIECES:
+        raise GameFileError(f"{prefix}payoff: more than {MAX_PAYOFF_PIECES} pieces")
     bps = tuple(_rat(b, f"{prefix}payoff.breakpoints[{i}]") for i, b in enumerate(raw_b))
     vals = tuple(_rat(v, f"{prefix}payoff.values[{i}]") for i, v in enumerate(raw_v))
     try:

@@ -14,6 +14,16 @@ the supremum over signals that approach that end from the left is not attained
 and not on the grid, so the oracle returns a value below it.  Structures whose
 supports are all right-closed meet the precondition (the payoff is
 non-decreasing, so identity messages keep it too).
+
+Arithmetic stays exact throughout, in two forms.  best_deviation and the
+exact assembly of a search candidate (full_check in exhaustive_equilibria)
+work in Fractions: best_deviation's grid grows with the game, so no common
+denominator is bounded.  The exhaustive search caps its grid at max_grid
+points, so the lcm of the grid's denominators stays small; it scales the
+grid, the prior and the payoff breakpoints to ints over that lcm, ranks the
+payoff values, and tests every messaging profile (condition (2), the
+best-response hull, the value) on Python ints.  Only the profiles that pass
+build Fractions.
 """
 
 from __future__ import annotations
@@ -21,6 +31,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd, lcm
 from operator import itemgetter, mul
 from typing import Mapping, Sequence
 
@@ -65,12 +76,8 @@ def discrete_cav(points: Sequence[Point], x: Fraction) -> Fraction:
         px, py = Fraction(px), Fraction(py)
         if px not in best or py > best[px]:
             best[px] = py
-    return _sorted_cav(sorted(best.items()), Fraction(x))
-
-
-def _sorted_cav(pts: Sequence[Point], x: Fraction) -> Fraction:
-    """discrete_cav for Fraction points already sorted by strictly increasing x."""
-    (x0, y0), (x1, y1) = _hull_segment(pts, x)
+    x = Fraction(x)
+    (x0, y0), (x1, y1) = _hull_segment(sorted(best.items()), x)
     if x0 == x1:
         return y0
     return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
@@ -79,9 +86,10 @@ def _sorted_cav(pts: Sequence[Point], x: Fraction) -> Fraction:
 def _hull_segment(pts: Sequence[Point], x: Fraction) -> tuple[Point, Point]:
     """The edge of the upper concave hull of pts whose x-range holds x.
 
-    pts are Fraction points sorted by strictly increasing x, as the critical
-    grid is.  A vertex at x comes back as a degenerate edge (vertex, vertex);
-    otherwise the edge's ends bracket x strictly.
+    pts are exact points (Fractions, or ints on a scaled grid) sorted by
+    strictly increasing x, as the critical grid is.  A vertex at x comes back
+    as a degenerate edge (vertex, vertex); otherwise the edge's ends bracket x
+    strictly.
     """
     if not pts or not pts[0][0] <= x <= pts[-1][0]:
         raise DomainError(f"query {x} outside the hull's x-range")
@@ -197,21 +205,31 @@ def exhaustive_equilibria(
 ) -> list[Equilibrium]:
     """The verified equilibrium profiles behind exhaustive_search, in the order found.
 
-    full_check assembles every candidate exactly and keeps it iff it passes
-    condition (2) (no type has an available message with a higher level than
-    the one it sends), its value equals the best response to its beliefs (the
-    discrete hull of w at the prior) and verify_equilibrium accepts it.
+    full_check assembles a candidate exactly, in Fractions, and keeps it iff
+    it passes condition (2) (no type has an available message with a higher
+    level than the one it sends), its value equals the best response to its
+    beliefs (the discrete hull of w at the prior) and verify_equilibrium
+    accepts it.
 
-    Size-3 supports a < b < c around the prior p are planned per support.
-    Their Bayes-plausible weights W(t) are affine in t on [0, t_hi]; W0 = W(0)
-    and W1 = W(t_hi) are computed once per support, and v at the grid points
-    once per game.  The levels L (v at each sent message's belief) are
-    constant in t unless two types pool; then they change only at the cuts
-    where the pooled posterior crosses a payoff breakpoint.  The cuts and the
-    pooled level at each cut and on each subinterval between them depend on
-    the support and the pooled pair, not on the messages, so they are built
-    once per (support, pair) and memoised.  A messaging profile is then
-    lookups, condition (2) and two dot products.
+    Every messaging profile, of every support size, first goes through the
+    same necessary tests on Python ints, and only survivors build Fractions.
+    Per game, the grid, the prior and the payoff breakpoints are scaled to
+    integers over the lcm of the grid's denominators; the grid has at most
+    max_grid points, so that lcm stays small.  A payoff value is ranked by
+    its piece's index, for comparisons, and scaled by the lcm of the values'
+    denominators, for sums.  A profile's levels (the rank of v at each
+    message's belief, messages in name order) form a tuple of ints, which
+    also keys the memoised best response; condition (2) compares ranks, and
+    the value test is cross-multiplied.
+
+    Size-3 supports a < b < c around the prior p carry a one-parameter family
+    of Bayes-plausible weights W(t), affine in t on [0, t_hi]; W0 = W(0) and
+    W1 = W(t_hi) are computed once per support.  The levels are constant in t
+    unless two types pool; then they change only at the cuts where the pooled
+    posterior crosses a payoff breakpoint.  The cuts and the pooled level at
+    each cut and on each subinterval between them depend on the support and
+    the pooled pair, not on the messages, so they are built once per
+    (support, pair) and memoised.
 
     At fixed levels the value W(t).L is affine in t, and it is never above
     the best response: by condition (2) each (s, L) is a point of w on the
@@ -223,10 +241,10 @@ def exhaustive_equilibria(
     midpoint and each cut at the cut.
 
     With dedup_values=True, a profile whose value is already certified is
-    skipped (cheaper when only the value set matters).  A size-3 profile is
-    skipped before assembly only when its value is known, because it equals
-    the best response, and that value is already certified; full_check
-    drops every other repeat.
+    skipped (cheaper when only the value set matters).  A profile is skipped
+    before assembly only when its value is known, because it equals the best
+    response, and that value is already certified; full_check drops every
+    other repeat.
     """
     structure = game.structure
     if structure.full_verifiability:
@@ -238,39 +256,73 @@ def exhaustive_equilibria(
         raise OracleSizeError(f"critical grid exceeds {max_grid} points")
     v, p = game.payoff, game.prior
     skeptical = {name: supp.minimum for name, supp in structure.messages}
-    v_skeptical = {m: step_eval(v, b) for m, b in skeptical.items()}
-    avail = {s: sorted(messages_at(structure, s)) for s in grid}
+    names = tuple(sorted(skeptical))
     found: list[Equilibrium] = []
-    values: set[Fraction] = set()
+    values: set[tuple[int, int]] = set()  # certified values as (numerator, denominator)
 
-    def vcache_for(beliefs_overrides: dict[str, Fraction]) -> dict[str, Fraction]:
-        out = dict(v_skeptical)
-        for m, b in beliefs_overrides.items():
-            out[m] = step_eval(v, b)
-        return out
+    # integer coordinates: grid points, the prior and the payoff breakpoints
+    # (all on the grid) over the lcm of the grid's denominators
+    scale = lcm(*(s.denominator for s in grid))
+    xs = [s.numerator * (scale // s.denominator) for s in grid]
+    ip = grid.index(p)
+    P = xs[ip]
+    bps = [b.numerator * (scale // b.denominator) for b in v.breakpoints]
+    # payoff levels: the payoff is non-decreasing with merged pieces, so its
+    # values strictly increase and a piece's index ranks its value; the values
+    # themselves, for sums, over the lcm of their denominators
+    rank = {y: k for k, y in enumerate(v.values)}
+    vscale = lcm(*(y.denominator for y in v.values))
+    scaled = [y.numerator * (vscale // y.denominator) for y in v.values]
 
-    def cond2_ok(support, mu, vcache) -> bool:
+    index = {name: k for k, name in enumerate(names)}
+    avail = [tuple(index[m] for m in sorted(messages_at(structure, s))) for s in grid]
+    v_grid = [bisect_right(bps, x) - 1 for x in xs]
+    skeptical_levels = [rank[step_eval(v, skeptical[m])] for m in names]
+
+    def cond2_ok(support, mu, lev) -> bool:
         for s, m in zip(support, mu):
-            vm = vcache[m]
-            if any(vcache[o] > vm for o in avail[s]):
-                return False
+            lm = lev[m]
+            for o in avail[s]:
+                if lev[o] > lm:
+                    return False
         return True
 
-    names_order = tuple(sorted(skeptical))
-    target_memo: dict[tuple, Fraction] = {}
+    target_memo: dict[tuple[int, ...], tuple[int, int, tuple[int, int]]] = {}
 
-    def target_for(vcache) -> Fraction:
-        # the best response depends only on the per-message payoff levels,
-        # which live in the finite set of payoff values: memoize
-        key = tuple(vcache[m] for m in names_order)
-        hit = target_memo.get(key)
+    def target_for(lev: tuple[int, ...]) -> tuple[int, int, tuple[int, int]]:
+        """The best response to levels lev: num, den with value num / (den * vscale),
+        and that value in lowest terms as (numerator, denominator).
+
+        It depends only on the per-message levels, which live in the finite
+        set of payoff values: memoised.
+        """
+        hit = target_memo.get(lev)
         if hit is None:
-            pts = [(s, max(vcache[m] for m in avail[s])) for s in grid]
-            hit = target_memo[key] = _sorted_cav(pts, p)
+            pts = [(x, scaled[max(lev[o] for o in av)]) for x, av in zip(xs, avail)]
+            (x0, y0), (x1, y1) = _hull_segment(pts, P)
+            num, den = (y0, 1) if x0 == x1 else (y0 * (x1 - x0) + (y1 - y0) * (P - x0), x1 - x0)
+            g = gcd(num, den * vscale)
+            hit = target_memo[lev] = (num, den, (num // g, den * vscale // g))
         return hit
 
-    def full_check(support, mu, weights):
-        """Exact assembly and verification of one candidate profile."""
+    def pretest(support, mu, lev, ends) -> bool:
+        """Condition (2), an uncertified target, and value = target at each end's weights.
+
+        ends holds (weight numerators, common denominator) pairs on the scaled
+        grid; each is a necessary test that full_check would repeat exactly.
+        """
+        if not cond2_ok(support, mu, lev):
+            return False
+        num, den, target = target_for(lev)
+        if dedup_values and target in values:
+            return False  # full_check would drop it: this value is already certified
+        ys = [scaled[lev[m]] for m in mu]
+        return all(sum(map(mul, wn, ys)) * den == num * wd for wn, wd in ends)
+
+    def full_check(support_idx, mu_idx, weights):
+        """Exact assembly and verification of one candidate profile (grid and message indices)."""
+        support = tuple(grid[i] for i in support_idx)
+        mu = tuple(names[m] for m in mu_idx)
         groups: dict[str, list[int]] = {}
         for i, m in enumerate(mu):
             groups.setdefault(m, []).append(i)
@@ -278,13 +330,15 @@ def exhaustive_equilibria(
         for m, idx in groups.items():
             tot = sum(weights[i] for i in idx)
             beliefs[m] = sum(weights[i] * support[i] for i in idx) / tot
-        vcache = vcache_for({m: beliefs[m] for m in groups})
-        if not cond2_ok(support, mu, vcache):
-            return
-        value = sum(w * vcache[m] for w, m in zip(weights, mu))
-        if dedup_values and value in values:
+        vcache = [step_eval(v, beliefs[m]) for m in names]
+        for s, m in zip(support_idx, mu_idx):
+            if any(vcache[o] > vcache[m] for o in avail[s]):
+                return
+        value = sum(w * vcache[m] for w, m in zip(weights, mu_idx))
+        key = value.numerator, value.denominator
+        if dedup_values and key in values:
             return  # another profile already certified this value
-        if value != target_for(vcache):
+        if key != target_for(tuple(rank[y] for y in vcache))[2]:
             return
         eq = Equilibrium(
             signal=Signal(support, weights),
@@ -295,74 +349,97 @@ def exhaustive_equilibria(
             s_plus=max(support),
         )
         if verify_equilibrium(game, eq).ok:
-            values.add(value)
+            values.add(key)
             found.append(eq)
 
-    # size 1: no information acquisition
-    for m in avail[p]:
-        full_check((p,), (m,), (ONE,))
+    def with_levels(overrides) -> tuple[int, ...]:
+        lev = list(skeptical_levels)
+        for m, r in overrides:
+            lev[m] = r
+        return tuple(lev)
 
-    # size 2: weights pinned by Bayes plausibility
-    lows = [s for s in grid if s < p]
-    highs = [s for s in grid if s > p]
-    for a in lows:
-        for b in highs:
-            w_lo = (b - p) / (b - a)
-            weights = (w_lo, 1 - w_lo)
+    # size 1: no information acquisition
+    for m in avail[ip]:
+        if pretest((ip,), (m,), with_levels([(m, v_grid[ip])]), [((1,), 1)]):
+            full_check((ip,), (m,), (ONE,))
+
+    # size 2: weights pinned by Bayes plausibility, (B - P, P - A) / (B - A)
+    for a in range(ip):
+        for b in range(ip + 1, len(grid)):
+            A, B = xs[a], xs[b]
+            ends = [((B - P, P - A), B - A)]
             for mu in product(avail[a], avail[b]):
-                full_check((a, b), mu, weights)
+                if mu[0] == mu[1]:
+                    lev = with_levels([(mu[0], v_grid[ip])])
+                else:
+                    lev = with_levels(zip(mu, (v_grid[a], v_grid[b])))
+                if pretest((a, b), mu, lev, ends):
+                    w_lo = Fraction(B - P, B - A)
+                    full_check((a, b), mu, (w_lo, 1 - w_lo))
 
     # size 3: the Bayes-plausible weights form a segment, affine in t
-    v_grid = {s: step_eval(v, s) for s in grid}
-    for support in combinations(grid, 3):
-        a, b, c = support
-        if not (a < p < c):
+    for support in combinations(range(len(grid)), 3):
+        S = A, B, C = [xs[i] for i in support]
+        if not (A < P < C):
             continue
-        span = c - a
-        t_hi = min((c - p) / (c - b), (p - a) / (b - a))
+        span = C - A
+        # t_hi = min((C - P) / (C - B), (P - A) / (B - A)) = tn / td
+        tn, td = (C - P, C - B) if (C - P) * (B - A) <= (P - A) * (C - B) else (P - A, B - A)
+        w0 = (C - P, 0, P - A)  # over span
+        w1 = ((C - P) * td - tn * (C - B), tn * span, (P - A) * td - tn * (B - A))  # over span * td
+        ends = [(w0, span), (w1, span * td)]
+        a, b, c = (grid[i] for i in support)
 
-        def weights_at(t, a=a, b=b, c=c, span=span):
-            return ((c - p) - t * (c - b)) / span, t, ((p - a) - t * (b - a)) / span
+        def weights_at(t, a=a, b=b, c=c):
+            return ((c - p) - t * (c - b)) / (c - a), t, ((p - a) - t * (b - a)) / (c - a)
 
-        w0, w1 = weights_at(ZERO), weights_at(t_hi)
-        pair_plans: dict[tuple[int, int], list[tuple[Fraction, Fraction]]] = {}
+        pair_plans: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
 
-        def pair_plan(i, j, support=support, t_hi=t_hi, w0=w0, w1=w1):
-            """(t, level of the pooled message) at each cut where the posterior
-            of pooled types i, j crosses a payoff breakpoint, and at the
-            midpoint of each subinterval between cuts, in ascending t.
+        def pair_plan(i, j, support=support, S=S, tn=tn, td=td, w0=w0, w1=w1):
+            """(t as num, den; rank of the pooled level) at each cut where the
+            posterior of pooled types i, j crosses a payoff breakpoint, and at
+            the midpoint of each subinterval between cuts, in ascending t.
 
-            The posterior n(t)/d(t) is a ratio of affine functions with d > 0
-            before t_hi, so it is monotone: the cuts are the breakpoints
-            strictly between its end values, met in order.  At a cut the
-            posterior is the breakpoint; on a subinterval the level is v at
-            its lower end's posterior, since payoff pieces are left-closed.
+            At each end of [0, t_hi] one type carries no weight (b at 0, a or
+            c at t_hi), so the pooled posterior there is a grid point: the
+            other pooled type, or p when the pair carries all the weight (or
+            none: b = p pooling a with c).  In between it is a ratio of affine
+            functions n(t)/d(t) with d > 0, so it is monotone: the cuts are the
+            breakpoints strictly between its end values, met in order.  At a
+            cut the posterior is the breakpoint; on a subinterval the level is
+            v at its lower end's posterior, since payoff pieces are left-closed.
             """
-            n0 = w0[i] * support[i] + w0[j] * support[j]
-            d0 = w0[i] + w0[j]
-            n1 = w1[i] * support[i] + w1[j] * support[j]
-            d1 = w1[i] + w1[j]
-            q0 = n0 / d0
-            q1 = n1 / d1 if d1 else q0  # d1 = 0 only when b = p pools a with c: q is p throughout
-            bps = v.breakpoints
-            thetas = bps[bisect_right(bps, min(q0, q1)) : bisect_left(bps, max(q0, q1))]
-            if q1 < q0:
-                thetas = thetas[::-1]
-            cuts = [((theta * d0 - n0) * t_hi / ((n1 - n0) - theta * (d1 - d0)), theta) for theta in thetas]
+            e0, e1 = (
+                ip if w[3 - i - j] == 0 or w[i] == w[j] == 0  # all the weight, or none
+                else support[j] if w[i] == 0
+                else support[i]
+                for w in (w0, w1)
+            )
+            rising = xs[e0] <= xs[e1]
+            ks = range(bisect_right(bps, min(xs[e0], xs[e1])), bisect_left(bps, max(xs[e0], xs[e1])))
+            if not rising:
+                ks = ks[::-1]
+            sub_levels = [v_grid[e0], *ks] if rising else [*ks, v_grid[e1]]
+            # n(t) = x d(t) at the cut at breakpoint x: t = t_hi (x d0 - n0) /
+            # ((n1 - n0) - x (d1 - d0)), with W0 brought over W1's denominator
+            n0, d0 = (w0[i] * S[i] + w0[j] * S[j]) * td, (w0[i] + w0[j]) * td
+            n1, d1 = w1[i] * S[i] + w1[j] * S[j], w1[i] + w1[j]
+            cuts = [(tn * (bps[k] * d0 - n0), td * ((n1 - n0) - bps[k] * (d1 - d0))) for k in ks]
+            borders = [(0, 1), *cuts, (tn, td)]
             plan = []
-            for (t0, x0), (t1, x1) in zip([(ZERO, q0), *cuts], [*cuts, (t_hi, q1)]):
-                plan.append(((t0 + t1) / 2, step_eval(v, min(x0, x1))))
-                if t1 < t_hi:
-                    plan.append((t1, step_eval(v, x1)))
+            for k, ((t0n, t0d), (t1n, t1d)) in enumerate(zip(borders, borders[1:])):
+                plan.append((t0n * t1d + t1n * t0d, 2 * t0d * t1d, sub_levels[k]))
+                if k < len(ks):
+                    plan.append((t1n, t1d, ks[k]))
             return plan
 
-        for mu in product(avail[a], avail[b], avail[c]):
+        for mu in product(*(avail[i] for i in support)):
             if mu[0] == mu[1] == mu[2]:
                 # everyone pools: the posterior is the prior at any weight
-                candidates = [(t_hi / 2, {**v_skeptical, mu[0]: v_grid[p]})]
+                candidates = [(tn, 2 * td, with_levels([(mu[0], v_grid[ip])]))]
             elif len(set(mu)) == 3:
                 # beliefs are the types themselves: weight-independent
-                candidates = [(t_hi / 2, {**v_skeptical, **{m: v_grid[s] for s, m in zip(support, mu)}})]
+                candidates = [(tn, 2 * td, with_levels(zip(mu, (v_grid[i] for i in support))))]
             else:
                 # one pooled pair plus a singleton k: the pooled posterior moves with t
                 i, j = next((i, j) for i, j in ((0, 1), (0, 2), (1, 2)) if mu[i] == mu[j])
@@ -370,16 +447,9 @@ def exhaustive_equilibria(
                 plan = pair_plans.get((i, j))
                 if plan is None:
                     plan = pair_plans[i, j] = pair_plan(i, j)
-                single = {**v_skeptical, mu[k]: v_grid[support[k]]}
-                candidates = [(t, {**single, mu[i]: level}) for t, level in plan]
-            for t, vcache in candidates:
-                if not cond2_ok(support, mu, vcache):
-                    continue
-                target = target_for(vcache)
-                if dedup_values and target in values:
-                    continue  # full_check would drop it: this value is already certified
-                levels = [vcache[m] for m in mu]
-                # at fixed levels the value is affine in t and never above the target
-                if sum(map(mul, w0, levels)) == target == sum(map(mul, w1, levels)):
-                    full_check(support, mu, weights_at(t))
+                single = (mu[k], v_grid[support[k]])
+                candidates = [(t_n, t_d, with_levels([single, (mu[i], r)])) for t_n, t_d, r in plan]
+            for t_n, t_d, lev in candidates:
+                if pretest(support, mu, lev, ends):
+                    full_check(support, mu, weights_at(Fraction(t_n, t_d)))
     return found

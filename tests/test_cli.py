@@ -8,10 +8,14 @@ import pytest
 
 from disclosuregame.cli import main
 from disclosuregame.gamefile import (
+    MAX_MESSAGES,
+    MAX_PAYOFF_PIECES,
+    MAX_RATIONAL_DIGITS,
     equilibrium_to_obj,
     game_from_obj,
     game_to_obj,
     load_game,
+    load_structure,
     signal_from_obj,
     structure_from_obj,
     structure_to_obj,
@@ -202,6 +206,87 @@ class TestWitnessCommand:
         code = main(["witness", fx("thresholds_half.json"), fx("cheap_talk.json")])
         assert code == 1
         assert "no witness" in capsys.readouterr().err
+
+
+class TestRepeatedCalls:
+    def test_mixed_sequence_in_one_process(self, capsys):
+        # no option of one call may leak into the next, and a bad call must
+        # not break later ones
+        assert main(["solve", fx("three_action.json"), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == "2/3"
+        assert main(["solve", fx("fig2_cheap_talk.json")]) == 0
+        assert capsys.readouterr().out == (
+            "pnbp: no\n"
+            "value: 2 (sender_preferred)\n"
+            "signal:\n"
+            "  posterior 1/2  weight 1  -> m_0\n"
+            "beliefs:\n"
+            "  m_0 = 1/2\n"
+            "split points: s- = 1/2  s+ = 1/2\n"
+        )
+        assert main(["compare", fx("sep_interval.json"), fx("sep_threshold.json"), "--relation", "sep"]) == 1
+        assert capsys.readouterr().out == "relation sep: fails at type 1/2, separating set [0,1/2)\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", fx("three_action.json"), "--relation", "lc"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("disclosuregame: error: unrecognized arguments: --relation lc\n")
+        assert main(["compare", fx("thresholds_three_quarters.json"), fx("thresholds_half.json")]) == 1
+        assert capsys.readouterr().out == "relation lc: fails, witness type 1/2\n"
+        assert main(["oracle", fx("three_action.json")]) == 0
+        assert capsys.readouterr().out == "analytic value: 2/3\noracle values: {2/3}\nagreement: yes\n"
+
+
+def _write(tmp_path, obj) -> str:
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def _game_obj(**changes) -> dict:
+    obj = {
+        "prior": "1/3",
+        "payoff": {"breakpoints": ["0", "2/5"], "values": ["0", "1"]},
+        "structure": {"messages": [{"name": "m_0", "support": [{"lo": "0", "hi": "1"}]}]},
+    }
+    obj.update(changes)
+    return obj
+
+
+class TestInputCaps:
+    def test_message_count(self, tmp_path, capsys):
+        messages = [{"name": f"m_{i}", "support": [{"lo": "0", "hi": "1"}]} for i in range(MAX_MESSAGES + 1)]
+        path = _write(tmp_path, {"messages": messages})
+        with pytest.raises(GameFileError, match="messages"):
+            load_structure(path)
+        assert main(["optimal", path, "--sender"]) == 2
+        assert f"more than {MAX_MESSAGES}" in capsys.readouterr().err
+        assert len(load_structure(_write(tmp_path, {"messages": messages[:MAX_MESSAGES]})).messages) == MAX_MESSAGES
+
+    def test_payoff_pieces(self, tmp_path, capsys):
+        n = MAX_PAYOFF_PIECES + 1
+        payoff = {"breakpoints": [f"{i}/{n}" for i in range(n)], "values": [str(i) for i in range(n)]}
+        path = _write(tmp_path, _game_obj(payoff=payoff))
+        with pytest.raises(GameFileError, match="pieces"):
+            load_game(path)
+        assert main(["solve", path]) == 2
+        assert f"more than {MAX_PAYOFF_PIECES} pieces" in capsys.readouterr().err
+        payoff = {key: vals[:-1] for key, vals in payoff.items()}
+        assert len(load_game(_write(tmp_path, _game_obj(payoff=payoff))).payoff.values) == MAX_PAYOFF_PIECES
+
+    def test_rational_digits(self, tmp_path, capsys):
+        longest = "1/" + "3" * MAX_RATIONAL_DIGITS
+        assert load_game(_write(tmp_path, _game_obj(prior=longest))).prior == F(1, int("3" * MAX_RATIONAL_DIGITS))
+        for text in ("1/3" + "3" * MAX_RATIONAL_DIGITS, "1" * (MAX_RATIONAL_DIGITS + 1) + "/" + "3" * 50):
+            path = _write(tmp_path, _game_obj(prior=text))
+            with pytest.raises(GameFileError, match="prior: more than"):
+                load_game(path)
+            assert main(["solve", path]) == 2
+            assert "digits" in capsys.readouterr().err
+        structure = {"messages": [{"name": "m_0", "support": [{"lo": "0", "hi": "1" * (MAX_RATIONAL_DIGITS + 1)}]}]}
+        with pytest.raises(GameFileError, match=r"support\[0\]\.hi"):
+            load_structure(_write(tmp_path, structure))
 
 
 class TestRoundTrips:

@@ -225,7 +225,33 @@ class TestExhaustiveSearch:
             )
             if len(critical_grid(game)) <= 13:
                 games.append(game)
-        for game in games:
+        # one more seeded recipe: grid denominators from 5, 7, 9 and 10, so
+        # the integer scale is not a product of 2s and 3s; up to four payoff
+        # pieces, so pooled posteriors cross two breakpoints (seeds 17, 23); a
+        # prior on a payoff breakpoint (seed 3); union supports with
+        # right-open ends and a degenerate point.  Every interior prior is a
+        # grid point b = p, where a pooled a and c carry no weight at t_hi.
+        wider = []
+        for seed in (3, 17, 20, 23):
+            rng = random.Random(seed)
+            while True:
+                payoff = rand_payoff(rng, max_pieces=4, denoms=(5, 7, 9, 10))
+                if seed % 2:
+                    structure = rand_rich_structure(rng, allow_full_verif=False)
+                else:
+                    structure = rand_structure(rng, 3, denoms=(5, 7, 9, 10))
+                inner = payoff.breakpoints[1:]
+                prior = rng.choice(inner) if seed % 3 == 0 and inner else rand_interior(rng, (5, 7, 9, 10))
+                game = GameSpec(payoff, prior, structure)
+                if len(critical_grid(game)) <= 9:
+                    wider.append(game)
+                    break
+        denominators = {s.denominator for game in wider for s in critical_grid(game)}
+        assert all(any(d % k == 0 for d in denominators) for k in (5, 7, 9))
+        assert any(game.prior in game.payoff.breakpoints for game in wider)
+        intervals = [iv for game in wider for _, supp in game.structure.messages for iv in supp.intervals]
+        assert any(not iv.hi_closed for iv in intervals) and any(iv.lo == iv.hi for iv in intervals)
+        for game in games + wider:
             for dedup in (True, False):
                 want = per_profile_exhaustive_equilibria(game, 4, 13, dedup_values=dedup)
                 assert exhaustive_equilibria(game, 4, 13, dedup_values=dedup) == want
