@@ -12,19 +12,17 @@ from .equilibrium import (
     pnbp,
     skeptical_value,
     solve,
-    split_points,
     verify_equilibrium,
 )
 from .errors import (
     ConstructionError,
     DomainError,
-    EquilibriumExistenceError,
     GameFileError,
     OracleSizeError,
     PreconditionError,
     UnknownMessageError,
 )
-from .piecewise import ConcavePL, StepFunction, cav, contact_set, pl_eval, step_eval
+from .piecewise import ConcavePL, StepFunction, cav, pl_eval, step_eval
 from .rationals import format_rational, parse_rational
 from .verifiability import (
     IntervalUnion,

@@ -20,6 +20,7 @@ from .errors import PreconditionError
 from .piecewise import StepFunction
 from .rationals import ONE, ZERO
 from .verifiability import (
+    IDENTITY_PREFIX,
     IntervalUnion,
     VerifStructure,
     lowest_consistent_set,
@@ -71,7 +72,7 @@ def _sep_grid(m_hi: VerifStructure, m_lo: VerifStructure) -> list[Fraction]:
 def _separates_same(m_hi: VerifStructure, s: Fraction, support: IntervalUnion) -> bool:
     """Can s separate in m_hi from exactly the complement of `support`?"""
     for name in messages_at(m_hi, s):
-        if name.startswith("id:"):
+        if name.startswith(IDENTITY_PREFIX):
             continue  # identity handled by the caller
         if m_hi.support(name) == support:
             return True
@@ -96,7 +97,7 @@ def geq_sep(m_hi: VerifStructure, m_lo: VerifStructure) -> OrderVerdict:
     """
     for s in _sep_grid(m_hi, m_lo):
         for name in sorted(messages_at(m_lo, s)):
-            if name.startswith("id:"):
+            if name.startswith(IDENTITY_PREFIX):
                 if not _has_identity_for(m_hi, s):
                     singleton = IntervalUnion.from_pairs([(s, s)])
                     return OrderVerdict("sep", False, (s, singleton.complement_pieces()))

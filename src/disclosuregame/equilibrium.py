@@ -22,12 +22,10 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, NamedTuple, Optional
 
-from .errors import DomainError, EquilibriumExistenceError, PreconditionError, UnknownMessageError
+from .errors import DomainError, PreconditionError, UnknownMessageError
 from .piecewise import (
     ConcavePL,
     StepFunction,
-    cav,
-    contact_set,
     hull_candidates,
     pl_eval,
     step_eval,
@@ -195,47 +193,20 @@ def equilibrium_value(game: GameSpec) -> ValueResult:
     return ValueResult(step_eval(game.payoff, game.prior), "sender_preferred")
 
 
-def split_points(w: StepFunction, prior: Fraction) -> tuple[Fraction, Fraction]:
-    """Nearest contact points of w with its concave envelope around the prior.
-
-    s_minus is the supremum of contact points <= prior, s_plus the infimum of
-    those >= prior.  For upper-semicontinuous w both are attained; a
-    non-monotone step representation can leave the left supremum at the open
-    end of a contact component, in which case the supremum value is still
-    returned.
-    """
-    prior = Fraction(prior)
-    if not in_unit_interval(prior):
-        raise DomainError(f"prior {prior} outside [0,1]")
-    comps = contact_set(w, cav(w))
-    s_minus = None
-    s_plus = None
-    for lo, hi, hi_closed in comps:
-        inside = lo <= prior and (prior < hi or (prior == hi and hi_closed))
-        if inside:
-            return prior, prior
-        if lo <= prior:
-            s_minus = min(hi, prior)
-        if lo >= prior and s_plus is None:
-            s_plus = lo
-    if s_minus is None or s_plus is None:
-        raise PreconditionError("contact set misses one side of the prior")
-    return s_minus, s_plus
-
-
 def _skeptical_beliefs(structure: VerifStructure) -> dict[str, Fraction]:
     return {name: supp.minimum for name, supp in structure.messages}
 
 
-def _argmax_message(structure: VerifStructure, s: Fraction) -> str:
-    """Deterministic argmax of min-support over available messages (lexicographic ties)."""
-    best_name = None
-    best_min = None
-    for m in sorted(messages_at(structure, s)):
-        mv = min_inverse(structure, m)
-        if best_min is None or mv > best_min:
-            best_name, best_min = m, mv
-    return best_name
+def _best_message(structure: VerifStructure, s: Fraction) -> str:
+    """Message available at s with the largest support minimum; ties go to the smallest name.
+
+    One pass over the finite messages; under full verifiability the identity
+    message of s (minimum s) competes by its name like any other.
+    """
+    candidates = [(supp.minimum, name) for name, supp in structure.messages if supp.contains(s)]
+    if structure.full_verifiability:
+        candidates.append((s, identity_name(s)))
+    return min(candidates, key=lambda c: (-c[0], c[1]))[1]
 
 
 def solve(game: GameSpec) -> Equilibrium:
@@ -247,9 +218,7 @@ def solve(game: GameSpec) -> Equilibrium:
 
 def _solve_no_pnbp(game: GameSpec) -> Equilibrium:
     structure, v, p = game.structure, game.payoff, game.prior
-    available = sorted(messages_at(structure, p))
-    best_min = max(min_inverse(structure, m) for m in available)
-    m0 = min(m for m in available if min_inverse(structure, m) == best_min)
+    m0 = _best_message(structure, p)
     beliefs = _skeptical_beliefs(structure)
     beliefs[m0] = p
     signal = Signal((p,), (ONE,))
@@ -266,10 +235,35 @@ def _solve_no_pnbp(game: GameSpec) -> Equilibrium:
 
 
 def _solve_pnbp(game: GameSpec) -> Equilibrium:
+    """Split the prior between the nearest lowest-consistent contact points.
+
+    A candidate is a type x with g(x) = x (lowest-consistent, so skeptical
+    beliefs satisfy Bayes' rule when x sends its best message) at which the
+    envelope hull = cav(v∘g) touches v∘g.  Under PNBP there is one on each
+    side of the prior p (or p itself), and the split attains hull(p):
+
+    1. PNBP gives a support minimum a with v(a) > v(p); v is non-decreasing,
+       so a > p, and hull(a) >= v(g(a)) >= v(a) > v(p).
+    2. Every hull candidate at x <= p has value v(c) <= v(p).  Here c <= x is
+       a support minimum: g(x) at a support endpoint, or the value of g on an
+       adjacent open gap, which gives a piece end its one-sided limit.  (Under
+       full verifiability every type is the minimum of its identity message.)
+    3. The edge of the hull over p (the edge to its right when p is a
+       vertex) starts at a vertex x <= p, a candidate, so by step 1 and
+       concavity it rises strictly, and the hull is strictly increasing up
+       to the edge's right end.
+    4. At either end x of that edge, a vertex, hull(x) = v(c) for a candidate
+       with c <= x.  c's message is available at c, so the candidate
+       (c, v(g(c))) gives hull(c) >= v(c) = hull(x); with c < x that
+       contradicts step 3.  So c = x: g(x) = x, since no message available
+       at x has a minimum above x, and hull(x) = v(g(x)).  Both ends are
+       lowest-consistent contact points, and they are support endpoints, so
+       the scan below finds them.
+    5. The nearest candidates s-/s+ around p lie on that edge, where the hull
+       is affine, so the split's value is hull(p).
+    """
     structure, v, p = game.structure, game.payoff, game.prior
     hull = value_hull(game)
-    # candidate split points: exact contact with the envelope plus
-    # lowest-consistency, so Bayes on path holds with skeptical beliefs.
     # Hull vertices and breakpoints of v(g) are support endpoints or
     # breakpoints of v, so this set holds them all.
     xs = set(structure.support_endpoints()) | set(v.breakpoints) | {p}
@@ -283,38 +277,22 @@ def _solve_pnbp(game: GameSpec) -> Equilibrium:
         s_minus = s_plus = p
         signal = Signal((p,), (ONE,))
     else:
-        left = [x for x in candidates if x < p]
-        right = [x for x in candidates if x > p]
-        if not left or not right:
-            raise EquilibriumExistenceError(
-                "no lowest-consistent contact point on one side of the prior; "
-                "structure violates the upper-semicontinuity assumption"
-            )
-        s_minus, s_plus = max(left), min(right)
+        s_minus = max(x for x in candidates if x < p)
+        s_plus = min(x for x in candidates if x > p)
         w_lo = (s_plus - p) / (s_plus - s_minus)
         signal = Signal((s_minus, s_plus), (w_lo, 1 - w_lo))
-    # value identity: the envelope must be affine between the chosen points
-    target = pl_eval(hull, p)
-    achieved = sum(
-        w * skeptical_payoff_at(game, s) for w, s in zip(signal.weights, signal.support)
-    )
-    if achieved != target:
-        raise EquilibriumExistenceError(
-            "two-point split cannot attain the envelope value; "
-            "structure violates the upper-semicontinuity assumption"
-        )
     beliefs = _skeptical_beliefs(structure)
     messaging = {}
     for s in signal.support:
-        m = _argmax_message(structure, s)
+        m = _best_message(structure, s)
         messaging[s] = m
         if m.startswith(IDENTITY_PREFIX):
-            beliefs[m] = min_inverse(structure, m)
+            beliefs[m] = s
     return Equilibrium(
         signal=signal,
         messaging=messaging,
         beliefs=beliefs,
-        value=target,
+        value=pl_eval(hull, p),
         s_minus=s_minus,
         s_plus=s_plus,
     )

@@ -21,16 +21,5 @@ class OracleSizeError(ValueError):
     """The brute-force oracle refuses instances above its desk-scale bounds."""
 
 
-class EquilibriumExistenceError(RuntimeError):
-    """No equilibrium of the canonical form exists.
-
-    Only reachable for structures that break the upper-semicontinuity of the
-    skeptical type map (e.g. a message support that is right-open at an interior
-    point while carrying the maximal credible type).  Such structures fall outside
-    the admissible class; the solver refuses rather than returning a profile that
-    would fail verification.
-    """
-
-
 class GameFileError(ValueError):
     """Malformed game/structure JSON; message carries a field path diagnostic."""

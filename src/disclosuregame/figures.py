@@ -13,31 +13,18 @@ decimals when written, so output is byte-for-byte deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .equilibrium import Equilibrium, GameSpec, skeptical_value, value_hull
 from .rationals import ONE, ZERO, format_rational
 
 
-@dataclass(frozen=True)
-class FigureSpec:
-    """Canvas geometry and which layers to draw."""
-
-    width: int = 720
-    plot_left: int = 60
-    plot_right: int = 620
-    plot_top: int = 30
-    plot_bottom: int = 330
-    row_height: int = 26
-    draw_payoff: bool = True
-    draw_adjusted: bool = True
-    draw_envelope: bool = True
-    draw_equilibrium: bool = True
-    draw_availability: bool = True
-
-
-DEFAULT_FIGURE = FigureSpec()
+WIDTH = 720
+PLOT_LEFT = 60
+PLOT_RIGHT = 620
+PLOT_TOP = 30
+PLOT_BOTTOM = 330
+ROW_HEIGHT = 26
 
 
 def _fmt(x: float) -> str:
@@ -45,28 +32,20 @@ def _fmt(x: float) -> str:
 
 
 class _Mapper:
-    def __init__(self, spec: FigureSpec, y_lo: Fraction, y_hi: Fraction):
-        self.spec = spec
+    def __init__(self, y_lo: Fraction, y_hi: Fraction):
         self.y_lo, self.y_hi = y_lo, y_hi
 
     def x(self, v: Fraction) -> str:
         t = Fraction(v)
-        return _fmt(self.spec.plot_left + float(t) * (self.spec.plot_right - self.spec.plot_left))
+        return _fmt(PLOT_LEFT + float(t) * (PLOT_RIGHT - PLOT_LEFT))
 
     def y(self, v: Fraction) -> str:
         span = self.y_hi - self.y_lo
         t = (Fraction(v) - self.y_lo) / span
-        return _fmt(self.spec.plot_bottom - float(t) * (self.spec.plot_bottom - self.spec.plot_top))
+        return _fmt(PLOT_BOTTOM - float(t) * (PLOT_BOTTOM - PLOT_TOP))
 
 
-def render_game_svg(game: GameSpec, eq: Equilibrium, spec: FigureSpec = DEFAULT_FIGURE) -> str:
-    WIDTH = spec.width
-    PLOT_LEFT = spec.plot_left
-    PLOT_RIGHT = spec.plot_right
-    PLOT_TOP = spec.plot_top
-    PLOT_BOTTOM = spec.plot_bottom
-    ROW_HEIGHT = spec.row_height
-
+def render_game_svg(game: GameSpec, eq: Equilibrium) -> str:
     v = game.payoff
     vm = skeptical_value(game)
     hull = value_hull(game)
@@ -75,10 +54,10 @@ def render_game_svg(game: GameSpec, eq: Equilibrium, spec: FigureSpec = DEFAULT_
     if y_lo == y_hi:
         y_hi = y_lo + 1
     pad = (y_hi - y_lo) / 12
-    m = _Mapper(spec, y_lo - pad, y_hi + pad)
+    m = _Mapper(y_lo - pad, y_hi + pad)
 
-    rows = list(game.structure.names) if spec.draw_availability else []
-    if spec.draw_availability and game.structure.full_verifiability:
+    rows = list(game.structure.names)
+    if game.structure.full_verifiability:
         rows.append("identity")
     height = PLOT_BOTTOM + 40 + ROW_HEIGHT * len(rows) + 20
 
@@ -105,33 +84,30 @@ def render_game_svg(game: GameSpec, eq: Equilibrium, spec: FigureSpec = DEFAULT_
             f"{format_rational(yv)}</text>"
         )
 
-    if spec.draw_envelope:
-        # concave envelope of the adjusted payoff: gray chord
-        chord = " ".join(f"{m.x(x)},{m.y(y)}" for x, y in hull.vertices)
-        parts.append(f'<polyline points="{chord}" fill="none" stroke="#9a9a9a" stroke-width="1.5"/>')
+    # concave envelope of the adjusted payoff: gray chord
+    chord = " ".join(f"{m.x(x)},{m.y(y)}" for x, y in hull.vertices)
+    parts.append(f'<polyline points="{chord}" fill="none" stroke="#9a9a9a" stroke-width="1.5"/>')
 
-    if spec.draw_adjusted:
-        # adjusted payoff: dashed
-        for lo, hi, val in vm.pieces():
-            parts.append(
-                f'<line x1="{m.x(lo)}" y1="{m.y(val)}" x2="{m.x(hi)}" y2="{m.y(val)}" '
-                f'stroke="#555555" stroke-width="1.5" stroke-dasharray="6,4"/>'
-            )
+    # adjusted payoff: dashed
+    for lo, hi, val in vm.pieces():
+        parts.append(
+            f'<line x1="{m.x(lo)}" y1="{m.y(val)}" x2="{m.x(hi)}" y2="{m.y(val)}" '
+            f'stroke="#555555" stroke-width="1.5" stroke-dasharray="6,4"/>'
+        )
 
-    if spec.draw_payoff:
-        # payoff: bold step with attained/limit markers
-        pieces = list(v.pieces())
-        for i, (lo, hi, val) in enumerate(pieces):
+    # payoff: bold step with attained/limit markers
+    pieces = list(v.pieces())
+    for i, (lo, hi, val) in enumerate(pieces):
+        parts.append(
+            f'<line x1="{m.x(lo)}" y1="{m.y(val)}" x2="{m.x(hi)}" y2="{m.y(val)}" '
+            f'stroke="black" stroke-width="3"/>'
+        )
+        if i > 0:
+            parts.append(f'<circle cx="{m.x(lo)}" cy="{m.y(val)}" r="4" fill="black"/>')
+            prev_val = pieces[i - 1][2]
             parts.append(
-                f'<line x1="{m.x(lo)}" y1="{m.y(val)}" x2="{m.x(hi)}" y2="{m.y(val)}" '
-                f'stroke="black" stroke-width="3"/>'
+                f'<circle cx="{m.x(lo)}" cy="{m.y(prev_val)}" r="4" fill="white" stroke="black"/>'
             )
-            if i > 0:
-                parts.append(f'<circle cx="{m.x(lo)}" cy="{m.y(val)}" r="4" fill="black"/>')
-                prev_val = pieces[i - 1][2]
-                parts.append(
-                    f'<circle cx="{m.x(lo)}" cy="{m.y(prev_val)}" r="4" fill="white" stroke="black"/>'
-                )
 
     # prior marker and equilibrium dots
     xp = m.x(game.prior)
@@ -139,15 +115,14 @@ def render_game_svg(game: GameSpec, eq: Equilibrium, spec: FigureSpec = DEFAULT_
         f'<line x1="{xp}" y1="{PLOT_BOTTOM}" x2="{xp}" y2="{PLOT_TOP}" '
         f'stroke="#cccccc" stroke-width="1" stroke-dasharray="2,3"/>'
     )
-    if spec.draw_equilibrium:
-        for s, w in zip(eq.signal.support, eq.signal.weights):
-            ys_post = step_value_at(game, eq, s)
-            parts.append(
-                f'<circle cx="{m.x(s)}" cy="{m.y(ys_post)}" r="4" fill="#9a9a9a" stroke="black"/>'
-            )
+    for s, w in zip(eq.signal.support, eq.signal.weights):
+        ys_post = step_value_at(game, eq, s)
         parts.append(
-            f'<circle cx="{xp}" cy="{m.y(eq.value)}" r="7" fill="#9a9a9a" stroke="black"/>'
+            f'<circle cx="{m.x(s)}" cy="{m.y(ys_post)}" r="4" fill="#9a9a9a" stroke="black"/>'
         )
+    parts.append(
+        f'<circle cx="{xp}" cy="{m.y(eq.value)}" r="7" fill="#9a9a9a" stroke="black"/>'
+    )
 
     # message availability bars below the axis
     base = PLOT_BOTTOM + 44

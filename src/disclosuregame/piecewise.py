@@ -17,7 +17,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import DomainError
 from .rationals import ONE, ZERO, in_unit_interval
@@ -175,63 +175,3 @@ def cav(f: StepFunction) -> ConcavePL:
     hull = upper_hull_points(hull_candidates(f))
     # candidates always include x=0 and x=1, so the hull spans [0,1]
     return ConcavePL(tuple(hull))
-
-
-ContactInterval = tuple[Fraction, Fraction, bool]  # (lo, hi, hi_closed); lo always attained
-
-
-def contact_set(f: StepFunction, g: ConcavePL) -> list[ContactInterval]:
-    """Exact set {x in [0,1] : g(x) = f(x)} as maximal intervals/points.
-
-    Within one piece of f the set {g = value} is the touching set of a concave
-    function with its floor, hence a single interval; clipping at a right-open
-    piece end can make the component half-open, encoded by hi_closed=False.
-    A (lo, lo, True) triple is an isolated contact point.
-    """
-    out: list[ContactInterval] = []
-    last_index = len(f.breakpoints) - 1
-    for idx, (lo, hi, v) in enumerate(f.pieces()):
-        closed_right = idx == last_index
-        seg = _level_touch(g, v, lo, hi)
-        if seg is None:
-            continue
-        a, b = seg
-        if b == hi and not closed_right:
-            if a == b:
-                continue  # single touch exactly at the open end: not attained
-            out.append((a, b, False))
-        else:
-            out.append((a, b, True))
-    # merge touching components
-    merged: list[ContactInterval] = []
-    for comp in out:
-        if merged and merged[-1][1] == comp[0]:
-            merged[-1] = (merged[-1][0], comp[1], comp[2])
-        else:
-            merged.append(comp)
-    return merged
-
-
-def _level_touch(g: ConcavePL, level: Fraction, lo: Fraction, hi: Fraction):
-    """Largest interval [a,b] within [lo,hi] where g equals `level`.
-
-    Requires g >= level on [lo,hi] (g majorizes the piece): the solution set is
-    then the touching set of a concave function with a floor, a single closed
-    interval whose endpoints are vertices of g or the piece ends, all of which
-    the scan below visits.
-    """
-    xs = [lo] + [x for x in g.xs if lo < x < hi] + [hi]
-    touch = [x for x in xs if pl_eval(g, x) == level]
-    if not touch:
-        return None
-    return min(touch), max(touch)
-
-
-def contact_points(intervals: Sequence[ContactInterval]) -> list[Fraction]:
-    """All interval endpoints of a contact set (attained ones only)."""
-    pts = []
-    for lo, hi, hi_closed in intervals:
-        pts.append(lo)
-        if hi_closed:
-            pts.append(hi)
-    return sorted(set(pts))

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import ConstructionError, DomainError, UnknownMessageError
+from .errors import ConstructionError, DomainError, PreconditionError, UnknownMessageError
 from .piecewise import StepFunction
 from .rationals import ONE, ZERO, format_rational, in_unit_interval, parse_rational
 
@@ -266,31 +266,8 @@ def lowest_consistent_set(structure: VerifStructure) -> LowestConsistentSet:
     return LowestConsistentSet(tuple(minima), structure.full_verifiability)
 
 
-class IdentityTypeMap:
-    """Flag object standing in for the map s -> s under full verifiability."""
-
-    def __call__(self, s: Fraction) -> Fraction:
-        return Fraction(s)
-
-    def __repr__(self):
-        return "IdentityTypeMap()"
-
-    def __eq__(self, other):
-        return isinstance(other, IdentityTypeMap)
-
-    def __hash__(self):
-        return hash(IdentityTypeMap)
-
-
-IDENTITY_TYPE_MAP = IdentityTypeMap()
-
-
-def skeptical_type_map(structure: VerifStructure) -> StepFunction | IdentityTypeMap:
+def skeptical_type_map(structure: VerifStructure) -> StepFunction:
     """Step function g(s) = max over available messages of the support minimum.
-
-    Under full verifiability g is the identity, returned as the flagged
-    IdentityTypeMap (a piecewise-linear special case the equilibrium module
-    consumes directly).
 
     Each piece carries g's exact value on the open gaps between consecutive
     support endpoints, and g(1) at 1, both from the structure's endpoint
@@ -298,9 +275,12 @@ def skeptical_type_map(structure: VerifStructure) -> StepFunction | IdentityType
     right (a support closed at an interior right end, or a degenerate interior
     support point), the left-closed pieces cannot show it; max_min_available
     reads the same sweep's exact endpoint value.
+
+    Under full verifiability g is the identity, which is not a step function;
+    callers test the flag first, and this raises PreconditionError.
     """
     if structure.full_verifiability:
-        return IDENTITY_TYPE_MAP
+        raise PreconditionError("skeptical_type_map needs a structure without full verifiability")
     at_point, on_gap = structure._best_minima
     endpoints = structure._endpoints
     return StepFunction(endpoints, on_gap + (at_point[-1],))

@@ -14,7 +14,7 @@ from disclosuregame.equilibrium import Equilibrium, verify_equilibrium
 from disclosuregame.errors import OracleSizeError
 from disclosuregame.oracle import critical_grid, discrete_cav
 from disclosuregame.piecewise import ConcavePL, hull_candidates, step_eval, upper_hull_points
-from disclosuregame.verifiability import IDENTITY_PREFIX, IDENTITY_TYPE_MAP
+from disclosuregame.verifiability import IDENTITY_PREFIX
 
 ZERO, ONE = Fraction(0), Fraction(1)
 
@@ -24,10 +24,11 @@ def pointwise_g(structure: VerifStructure, s: Fraction) -> Fraction:
     return max(min_inverse(structure, m) for m in messages_at(structure, s))
 
 
-def midpoint_type_map(structure: VerifStructure):
-    """g as a step function, sampled at the midpoint of every gap between endpoints."""
-    if structure.full_verifiability:
-        return IDENTITY_TYPE_MAP
+def midpoint_type_map(structure: VerifStructure) -> StepFunction:
+    """g as a step function, sampled at the midpoint of every gap between endpoints.
+
+    Only for structures without full verifiability, where g is a step function.
+    """
     grid = structure.support_endpoints()
     bps, vals = [], []
     for a, b in zip(grid, grid[1:]):

@@ -23,6 +23,8 @@ from disclosuregame.gamefile import (
 from disclosuregame import GameFileError, pnbp, solve
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+GAME_FIXTURES = ("fig2_cheap_talk", "fig2_more_verifiable", "mandatory_disclosure", "three_action")
 
 
 def fx(name: str) -> str:
@@ -78,6 +80,24 @@ class TestSolveCommand:
         assert "prior" in capsys.readouterr().err
 
 
+class TestGoldenOutputs:
+    """Pinned outputs of every game fixture.
+
+    Each `golden/<fixture>.txt` is the stdout of `disclosuregame solve <fixture>`;
+    `.json` and `.svg` are the stdout and the figure of
+    `disclosuregame solve <fixture> --json --svg <fixture>.svg`.
+    """
+
+    @pytest.mark.parametrize("stem", GAME_FIXTURES)
+    def test_solve_text_json_and_svg(self, stem, tmp_path, capsys):
+        assert main(["solve", fx(f"{stem}.json")]) == 0
+        assert capsys.readouterr().out == (GOLDEN / f"{stem}.txt").read_text()
+        svg = tmp_path / f"{stem}.svg"
+        assert main(["solve", fx(f"{stem}.json"), "--json", "--svg", str(svg)]) == 0
+        assert capsys.readouterr().out == (GOLDEN / f"{stem}.json").read_text()
+        assert svg.read_bytes() == (GOLDEN / f"{stem}.svg").read_bytes()
+
+
 class TestSvg:
     def test_deterministic_bytes(self, tmp_path, capsys):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
@@ -93,6 +113,7 @@ class TestSvg:
         text = out.read_text()
         assert text.startswith("<svg")
         assert "stroke-dasharray" in text  # skepticism-adjusted curve
+        assert "polyline" in text  # concave envelope
         assert "m_H" in text  # availability bar label
         assert text.count("circle") >= 3  # prior dot plus split dots
 
@@ -101,18 +122,6 @@ class TestSvg:
         main(["solve", fx("mandatory_disclosure.json"), "--svg", str(out)])
         capsys.readouterr()
         assert "identity" in out.read_text()
-
-    def test_figure_spec_layers(self):
-        from disclosuregame.figures import FigureSpec, render_game_svg
-
-        game = load_game(fx("three_action.json"))
-        eq = solve(game)
-        bare = render_game_svg(
-            game, eq, FigureSpec(draw_availability=False, draw_envelope=False)
-        )
-        full = render_game_svg(game, eq)
-        assert "m_M" not in bare and "polyline" not in bare
-        assert "m_M" in full and "polyline" in full
 
 
 class TestCompareCommand:

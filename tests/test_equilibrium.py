@@ -1,6 +1,7 @@
 """Solver: PNBP detection, values, explicit equilibria, verification."""
 
 import random
+from bisect import bisect_right
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -19,20 +20,20 @@ from disclosuregame import (
     check_theorem1,
     cheap_talk,
     equilibrium_value,
+    full_verif,
     mandatory_disclosure,
     min_inverse,
     pl_eval,
     pnbp,
     skeptical_value,
     solve,
-    split_points,
     step_eval,
     thresholds,
     verify_equilibrium,
 )
 from disclosuregame.equilibrium import skeptical_payoff_at, value_hull
 from disclosuregame.piecewise import constant
-from disclosuregame.verifiability import SupportInterval
+from disclosuregame.verifiability import SupportInterval, max_min_available
 
 from genutil import (
     rand_game,
@@ -158,13 +159,22 @@ class TestEquilibriumValue:
 
 class TestSplitPoints:
     def test_three_action(self):
-        assert split_points(skeptical_value(G31), F(1, 3)) == (F(0), F(1, 2))
+        eq = solve(G31)
+        assert (eq.s_minus, eq.s_plus) == (F(0), F(1, 2))
 
     def test_prior_in_contact_set(self):
-        assert split_points(skeptical_value(G31), F(3, 4)) == (F(3, 4), F(3, 4))
+        # v(g) = v touches its envelope at the vertex 2/5, and m_2 proves news
+        # better than the prior, so the prior is its own split
+        game = GameSpec(V43, F(2, 5), thresholds([F(2, 5), F(4, 5)]))
+        assert pnbp(game).holds
+        assert pl_eval(value_hull(game), F(2, 5)) == skeptical_payoff_at(game, F(2, 5))
+        eq = solve(game)
+        assert (eq.s_minus, eq.s_plus) == (F(2, 5), F(2, 5))
+        assert eq.signal.support == (F(2, 5),)
 
     def test_counterexample(self):
-        assert split_points(skeptical_value(G_DOUBLE_PRIME), F(1, 2)) == (F(0), F(9, 10))
+        eq = solve(G_DOUBLE_PRIME)
+        assert (eq.s_minus, eq.s_plus) == (F(0), F(9, 10))
 
 
 class TestSolve:
@@ -193,6 +203,21 @@ class TestSolve:
         eq = solve(G_MANDATORY)
         assert eq.signal.support == (F(0), F(4, 5))
         assert eq.value == F(5, 4)
+
+    def test_best_message_ties_go_to_the_smallest_name(self):
+        # no PNBP: m0 is the smallest name among the largest available minima
+        eq = solve(GameSpec(V43, F(1, 2), cheap_talk(("m_b", "m_a"))))
+        assert eq.messaging == {F(1, 2): "m_a"}
+        # PNBP: two messages share the threshold 1/2
+        structure = add_message(M31, "m_K", IntervalUnion.from_pairs([(F(1, 2), 1)]))
+        assert solve(GameSpec(V1, F(1, 3), structure)).messaging == {F(0): "m_L", F(1, 2): "m_K"}
+        # full verifiability: the identity message competes by its name
+        for name, top in (("a", "a"), ("z", "id:4/5")):
+            high = IntervalUnion.from_pairs([(F(4, 5), 1)])
+            game = GameSpec(V1, F(1, 3), full_verif(add_message(cheap_talk(("m_0",)), name, high)))
+            eq = solve(game)
+            assert eq.messaging == {F(0): "id:0", F(4, 5): top}
+            assert verify_equilibrium(game, eq).ok
 
     def test_all_fixtures_verify(self):
         for game in (G31, G_PRIME, G_DOUBLE_PRIME, G_MANDATORY):
@@ -278,6 +303,31 @@ class TestRandomizedInvariants:
             for s in eq.signal.support:
                 m = eq.messaging[s]
                 assert eq.beliefs[m] == min_inverse(game.structure, m) == s
+
+    def test_split_edge_ends_are_lowest_consistent_contact_points(self):
+        # the argument in _solve_pnbp's docstring: under PNBP the hull edge over
+        # the prior rises strictly and both of its ends are lowest-consistent
+        # contact points, so the split-point scan always finds both sides
+        rng = random.Random(2026)
+        seen = {"pnbp": 0, "union": 0, "degenerate": 0, "right_open": 0, "full": 0}
+        while seen["pnbp"] < 200:
+            game = GameSpec(rand_payoff(rng), rand_point(rng), rand_rich_structure(rng))
+            if not pnbp(game).holds:
+                continue
+            hull = value_hull(game)
+            i = bisect_right(hull.xs, game.prior) - 1
+            (x0, y0), (x1, y1) = hull.vertices[i], hull.vertices[i + 1]
+            assert y0 < y1
+            for x in (x0, x1):
+                assert max_min_available(game.structure, x) == x
+                assert pl_eval(hull, x) == skeptical_payoff_at(game, x)
+            intervals = [iv for _, supp in game.structure.messages for iv in supp.intervals]
+            seen["pnbp"] += 1
+            seen["union"] += any(len(supp.intervals) > 1 for _, supp in game.structure.messages)
+            seen["degenerate"] += any(iv.lo == iv.hi for iv in intervals)
+            seen["right_open"] += any(not iv.hi_closed for iv in intervals)
+            seen["full"] += game.structure.full_verifiability
+        assert min(seen.values()) > 0, seen
 
     def test_claim_a3_interim_value_strictly_increases(self):
         # the pointwise interim value, not its step representation: supports

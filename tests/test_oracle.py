@@ -12,10 +12,8 @@ from disclosuregame import (
     PreconditionError,
     StepFunction,
     VerifStructure,
-    cav,
     check_theorem1,
     cheap_talk,
-    contact_set,
     equilibrium_value,
     full_verif,
     mandatory_disclosure,
@@ -32,7 +30,6 @@ from disclosuregame.oracle import (
     exhaustive_equilibria,
     exhaustive_search,
 )
-from disclosuregame.piecewise import contact_points
 
 from genutil import (
     rand_game,
@@ -80,14 +77,12 @@ class TestCriticalGrid:
         assert F(9, 10) in critical_grid(game)
 
     def test_full_verifiability_contact_points_on_grid(self):
-        # contact points of a step function's envelope are piece endpoints,
-        # which the grid already holds
+        # the envelope's vertices are piece endpoints, which the grid already holds
         rng = random.Random(83)
         for k in range(500):
             structure = mandatory_disclosure() if k % 5 == 0 else full_verif(rand_structure(rng))
             game = GameSpec(rand_payoff(rng), rand_point(rng), structure)
-            grid = set(critical_grid(game))
-            assert set(contact_points(contact_set(game.payoff, cav(game.payoff)))) <= grid
+            assert set(value_hull(game).xs) <= set(critical_grid(game))
 
 
 class TestInterimValues:

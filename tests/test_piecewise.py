@@ -1,4 +1,4 @@
-"""Step functions, concave envelopes, contact sets.
+"""Step functions, concave envelopes and where they touch.
 
 Derived expectations are frozen from the brute-force split oracle below: the
 envelope value at x is the best two-point convex combination of candidate
@@ -10,7 +10,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from disclosuregame import ConcavePL, DomainError, StepFunction, cav, contact_set, pl_eval, step_eval
+from disclosuregame import ConcavePL, DomainError, StepFunction, cav, pl_eval, step_eval
 from disclosuregame.piecewise import constant, hull_candidates
 
 from genutil import rand_payoff
@@ -83,28 +83,40 @@ class TestCav:
             assert pl_eval(g, x) == brute_split_value(hull_candidates(f), x)
 
 
+def touches(f, g, x):
+    return pl_eval(g, x) == step_eval(f, x)
+
+
 class TestContactSet:
+    """Where the envelope touches f, read off cav's vertices and values."""
+
     def test_skeptical_three_action(self):
-        assert contact_set(VM31, cav(VM31)) == [(F(0), F(0), True), (F(1, 2), F(1), True)]
+        g = cav(VM31)
+        assert all(touches(VM31, g, x) for x in g.xs)
+        xs = (F(0), F(1, 4), F(1, 2), F(3, 4), F(1))
+        assert [x for x in xs if touches(VM31, g, x)] == [F(0), F(1, 2), F(3, 4), F(1)]
 
     def test_concave_function_touches_everywhere(self):
         f = StepFunction((F(0),), (F(2),))
-        assert contact_set(f, cav(f)) == [(F(0), F(1), True)]
+        g = cav(f)
+        assert g.vertices == ((F(0), F(2)), (F(1), F(2)))
+        assert all(touches(f, g, F(k, 7)) for k in range(8))
 
     def test_three_action(self):
-        assert contact_set(V1, cav(V1)) == [(F(0), F(0), True), (F(4, 5), F(1), True)]
+        g = cav(V1)
+        assert all(touches(V1, g, x) for x in g.xs)
+        xs = (F(0), F(2, 5), F(3, 5), F(4, 5), F(9, 10), F(1))
+        assert [x for x in xs if touches(V1, g, x)] == [F(0), F(4, 5), F(9, 10), F(1)]
 
     def test_never_empty_and_contains_hull_vertices_on_graph(self):
+        # a non-decreasing step function with left-closed pieces is upper
+        # semicontinuous, so every vertex of its envelope lies on its graph
         rng = random.Random(7)
         for _ in range(100):
             f = rand_payoff(rng)
             g = cav(f)
-            comps = contact_set(f, g)
-            assert comps
-            pts = {x for lo, hi, _ in comps for x in (lo, hi)}
-            for x, y in g.vertices:
-                if step_eval(f, x) == y:
-                    assert any(lo <= x <= hi for lo, hi, _ in comps)
+            assert all(touches(f, g, x) for x in g.xs)
+            assert all(pl_eval(g, x) >= step_eval(f, x) for x in f.breakpoints)
 
 
 class TestPlEval:

@@ -9,6 +9,7 @@ from disclosuregame import (
     ConstructionError,
     DomainError,
     IntervalUnion,
+    PreconditionError,
     StepFunction,
     UnknownMessageError,
     VerifStructure,
@@ -24,7 +25,6 @@ from disclosuregame import (
     thresholds,
 )
 from disclosuregame.verifiability import (
-    IDENTITY_TYPE_MAP,
     SupportInterval,
     max_min_available,
 )
@@ -136,7 +136,13 @@ class TestSkepticalTypeMap:
         assert skeptical_type_map(M43) == StepFunction((F(0), F(9, 10)), (F(0), F(9, 10)))
 
     def test_mandatory_disclosure_is_identity(self):
-        assert skeptical_type_map(mandatory_disclosure()) == IDENTITY_TYPE_MAP
+        # under full verifiability g is the identity, read through max_min_available;
+        # it is not a step function, so skeptical_type_map refuses
+        for structure in (mandatory_disclosure(), full_verif(M31)):
+            with pytest.raises(PreconditionError):
+                skeptical_type_map(structure)
+            for s in (F(0), F(1, 3), F(1, 2), F(1)):
+                assert max_min_available(structure, s) == s
 
     def test_dominated_by_type_with_equality_on_lowest_consistent(self):
         rng = random.Random(5)
@@ -167,7 +173,11 @@ class TestEndpointSweep:
         rng = random.Random(2024)
         for _ in range(3000):
             structure = rand_rich_structure(rng)
-            assert skeptical_type_map(structure) == midpoint_type_map(structure)
+            if structure.full_verifiability:
+                with pytest.raises(PreconditionError):
+                    skeptical_type_map(structure)
+            else:
+                assert skeptical_type_map(structure) == midpoint_type_map(structure)
             ends = structure.support_endpoints()
             points = [F(0), F(1), *ends, *((a + b) / 2 for a, b in zip(ends, ends[1:]))]
             for s in points:
