@@ -17,6 +17,7 @@ an independent grid oracle.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -26,7 +27,6 @@ from .errors import DomainError, PreconditionError, UnknownMessageError
 from .piecewise import (
     ConcavePL,
     StepFunction,
-    hull_candidates,
     pl_eval,
     step_eval,
     upper_hull_points,
@@ -39,7 +39,6 @@ from .verifiability import (
     max_min_available,
     messages_at,
     min_inverse,
-    skeptical_type_map,
 )
 
 
@@ -57,22 +56,75 @@ class GameSpec:
             raise ValueError("payoff function must be non-decreasing")
 
     # Per-game intermediates, built on first use and shared by solve,
-    # equilibrium_value and the figure; read them through skeptical_value and
-    # value_hull.
+    # equilibrium_value and the figure; read them through pnbp,
+    # skeptical_value and value_hull.
+
+    @cached_property
+    def _levels(self) -> tuple[tuple[Fraction, ...], list[int], list[int], list[int], list[bool]]:
+        """The level table (xs, piece, at, gap, fixed) of v∘g on sorted points xs.
+
+        piece[i] indexes v's piece at xs[i], at[i] v(g(xs[i]))'s piece and
+        gap[i] that of v∘g on the gap (xs[i], xs[i+1]); fixed[i] says g(xs[i])
+        = xs[i].  xs are the support endpoints, where the structure's sweep
+        gives g as endpoint indices; under full verifiability g is the
+        identity and xs also hold the payoff breakpoints and the prior.  The
+        payoff's values strictly increase, so a piece index ranks its value.
+        """
+        structure, bps = self.structure, self.payoff.breakpoints
+        xs = structure._endpoints
+        if structure.full_verifiability:
+            xs = tuple(sorted({*xs, *bps, self.prior}))
+        piece, k = [], 0
+        for x in xs:  # one merge walk of two sorted sequences
+            while k + 1 < len(bps) and bps[k + 1] <= x:
+                k += 1
+            piece.append(k)
+        if structure.full_verifiability:
+            return xs, piece, piece, piece[:-1], [True] * len(xs)
+        at_point, on_gap = structure._best_minima
+        at, gap = [piece[j] for j in at_point], [piece[j] for j in on_gap]
+        return xs, piece, at, gap, [j == i for i, j in enumerate(at_point)]
+
+    @cached_property
+    def _pnbp(self) -> PnbpVerdict:
+        structure, v = self.structure, self.payoff
+        vp = bisect_right(v.breakpoints, self.prior) - 1
+        if structure.full_verifiability:
+            return PnbpVerdict(True, identity_name(ONE)) if vp < len(v.values) - 1 else PnbpVerdict(False)
+        piece, rank = self._levels[1], structure._rank
+        above = [(-level, name) for name, supp in structure.messages if (level := piece[rank[supp.minimum]]) > vp]
+        return PnbpVerdict(True, min(above)[1]) if above else PnbpVerdict(False)
 
     @cached_property
     def _adjusted_payoff(self) -> StepFunction:
         if self.structure.full_verifiability:
             return self.payoff
-        return skeptical_type_map(self.structure).map_values(lambda t: step_eval(self.payoff, t))
+        xs, _, at, gap, _ = self._levels
+        return StepFunction(xs, tuple(self.payoff.values[k] for k in (*gap, at[-1])))
 
     @cached_property
     def _value_hull(self) -> ConcavePL:
-        pts = hull_candidates(self._adjusted_payoff)
-        if not self.structure.full_verifiability:
-            for e in self.structure.support_endpoints():
-                pts.append((e, skeptical_payoff_at(self, e)))
-        return ConcavePL(tuple(upper_hull_points(pts)))
+        xs, _, at, gap, _ = self._levels
+        top = list(map(max, at, [at[0], *gap], [*gap, at[-1]]))
+        vals = self.payoff.values
+        return ConcavePL(tuple(upper_hull_points((xs[i], vals[top[i]]) for i in _strict_records(top))))
+
+
+def _strict_records(levels: list[int]) -> list[int]:
+    """Indices, ascending, whose level exceeds every level to their left or every level to their right.
+
+    Any other point has a level at most that of some point on each side, so
+    it lies on or under the chord between them and is no strict hull vertex.
+    Each side has at most one strict record per payoff piece.
+    """
+    keep = set()
+    for order in (range(len(levels)), range(len(levels) - 1, -1, -1)):
+        top = -1
+        for i in order:
+            if levels[i] > top:
+                keep.add(i)
+                top = levels[i]
+    return sorted(keep)
 
 
 @dataclass(frozen=True)
@@ -139,32 +191,20 @@ class VerifyReport:
 def pnbp(game: GameSpec) -> PnbpVerdict:
     """Can the sender prove news better than the prior?
 
-    True iff some message m has v(min of its support) strictly above v(prior);
-    under full verifiability that reduces to v(prior) < v(1), witnessed by the
-    identity message of type 1.
+    True iff some message m has v(min of its support) strictly above v(prior),
+    i.e. a later payoff piece; the witness has the highest, ties to the
+    smallest name.  Under full verifiability that reduces to v(prior) < v(1),
+    witnessed by the identity message of type 1.  Cached per game.
     """
-    v, p = game.payoff, game.prior
-    vp = step_eval(v, p)
-    if game.structure.full_verifiability:
-        if step_eval(v, ONE) > vp:
-            return PnbpVerdict(True, identity_name(ONE))
-        return PnbpVerdict(False)
-    best: Optional[tuple[Fraction, str]] = None
-    for name, supp in game.structure.messages:
-        val = step_eval(v, supp.minimum)
-        if val > vp and (best is None or val > best[0] or (val == best[0] and name < best[1])):
-            best = (val, name)
-    if best is None:
-        return PnbpVerdict(False)
-    return PnbpVerdict(True, best[1])
+    return game._pnbp
 
 
 def skeptical_value(game: GameSpec) -> StepFunction:
     """Skepticism-adjusted payoff v(g(s)) as a step function; v itself under full verifiability.
 
-    Exact on the open gaps between support endpoints and at 1 (the pieces of
-    `skeptical_type_map` composed with v); `skeptical_payoff_at` is exact at
-    every type, endpoints included.  Built once per game and cached.
+    Exact on the open gaps between support endpoints and at 1 (the gap levels
+    of the level table, and its level at 1); `skeptical_payoff_at` is exact
+    at every type, endpoints included.  Built once per game and cached.
     """
     return game._adjusted_payoff
 
@@ -177,11 +217,12 @@ def skeptical_payoff_at(game: GameSpec, s: Fraction) -> Fraction:
 def value_hull(game: GameSpec) -> ConcavePL:
     """Concave envelope of the skepticism-adjusted payoff, built once per game and cached.
 
-    Candidates are the step-representation piece endpoints plus the exact
-    value at every support endpoint, so supports closed at an interior right
-    end (or degenerate at a point) contribute the value they actually attain.
-    v(g) is constant on each open gap between endpoints, so the envelope is
-    exact.
+    Read off the level table: each point's candidate is the highest of its
+    own level and its two gap levels, so supports closed at an interior right
+    end (or degenerate at a point) contribute the value they attain, and v(g)
+    is constant on each gap.  Only strict records of these levels (see
+    _strict_records), at most two per payoff piece, reach the Fraction
+    cross-products of upper_hull_points.
     """
     return game._value_hull
 
@@ -257,28 +298,31 @@ def _solve_pnbp(game: GameSpec) -> Equilibrium:
        (c, v(g(c))) gives hull(c) >= v(c) = hull(x); with c < x that
        contradicts step 3.  So c = x: g(x) = x, since no message available
        at x has a minimum above x, and hull(x) = v(g(x)).  Both ends are
-       lowest-consistent contact points, and they are support endpoints, so
-       the scan below finds them.
+       lowest-consistent contact points, and as hull vertices they are
+       points of the level table, so the walk below finds them.
     5. The nearest candidates s-/s+ around p lie on that edge, where the hull
        is affine, so the split's value is hull(p).
+
+    The walk goes outward from the prior's position in the level table and
+    stops on each side at the first point with g(x) = x (an int test; every
+    point passes under full verifiability) and hull(x) = v(g(x)).  Fractions
+    remain only in pl_eval at those points, the split weights and the value.
     """
-    structure, v, p = game.structure, game.payoff, game.prior
+    structure, p = game.structure, game.prior
     hull = value_hull(game)
-    # Hull vertices and breakpoints of v(g) are support endpoints or
-    # breakpoints of v, so this set holds them all.
-    xs = set(structure.support_endpoints()) | set(v.breakpoints) | {p}
-    candidates = []
-    for x in sorted(xs):
-        if max_min_available(structure, x) != x:
-            continue
-        if pl_eval(hull, x) == skeptical_payoff_at(game, x):
-            candidates.append(x)
-    if p in candidates:
+    xs, _, at, _, fixed = game._levels
+    vals = game.payoff.values
+
+    def contact(i: int) -> bool:
+        return fixed[i] and pl_eval(hull, xs[i]) == vals[at[i]]
+
+    k = bisect_left(xs, p)
+    if xs[k] == p and contact(k):
         s_minus = s_plus = p
         signal = Signal((p,), (ONE,))
     else:
-        s_minus = max(x for x in candidates if x < p)
-        s_plus = min(x for x in candidates if x > p)
+        s_minus = xs[_walk(contact, k - 1, -1, len(xs))]
+        s_plus = xs[_walk(contact, k + (xs[k] == p), 1, len(xs))]
         w_lo = (s_plus - p) / (s_plus - s_minus)
         signal = Signal((s_minus, s_plus), (w_lo, 1 - w_lo))
     beliefs = _skeptical_beliefs(structure)
@@ -296,6 +340,19 @@ def _solve_pnbp(game: GameSpec) -> Equilibrium:
         s_minus=s_minus,
         s_plus=s_plus,
     )
+
+
+def _walk(test, i: int, step: int, n: int) -> int:
+    """The first index from i on, stepping by step, that passes test.
+
+    Leaving range(n) raises instead of wrapping to a negative index; under
+    PNBP _solve_pnbp's argument rules it out.
+    """
+    while 0 <= i < n:
+        if test(i):
+            return i
+        i += step
+    raise PreconditionError("no lowest-consistent contact point on one side of the prior: the game lacks PNBP")
 
 
 def _belief_of(game: GameSpec, beliefs: Mapping[str, Fraction], name: str) -> Fraction:

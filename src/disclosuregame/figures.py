@@ -32,17 +32,25 @@ def _fmt(x: float) -> str:
 
 
 class _Mapper:
+    """Pixel strings, memoised by (numerator, denominator): cheaper to hash than a Fraction."""
+
     def __init__(self, y_lo: Fraction, y_hi: Fraction):
         self.y_lo, self.y_hi = y_lo, y_hi
+        self._xs: dict[tuple[int, int], str] = {}
+        self._ys: dict[tuple[int, int], str] = {}
 
     def x(self, v: Fraction) -> str:
-        t = Fraction(v)
-        return _fmt(PLOT_LEFT + float(t) * (PLOT_RIGHT - PLOT_LEFT))
+        key = v.numerator, v.denominator
+        if key not in self._xs:
+            self._xs[key] = _fmt(PLOT_LEFT + float(Fraction(v)) * (PLOT_RIGHT - PLOT_LEFT))
+        return self._xs[key]
 
     def y(self, v: Fraction) -> str:
-        span = self.y_hi - self.y_lo
-        t = (Fraction(v) - self.y_lo) / span
-        return _fmt(PLOT_BOTTOM - float(t) * (PLOT_BOTTOM - PLOT_TOP))
+        key = v.numerator, v.denominator
+        if key not in self._ys:
+            t = (Fraction(v) - self.y_lo) / (self.y_hi - self.y_lo)
+            self._ys[key] = _fmt(PLOT_BOTTOM - float(t) * (PLOT_BOTTOM - PLOT_TOP))
+        return self._ys[key]
 
 
 def render_game_svg(game: GameSpec, eq: Equilibrium) -> str:
@@ -56,9 +64,10 @@ def render_game_svg(game: GameSpec, eq: Equilibrium) -> str:
     pad = (y_hi - y_lo) / 12
     m = _Mapper(y_lo - pad, y_hi + pad)
 
-    rows = list(game.structure.names)
+    # the identity family has no support of its own: a dotted bar over [0,1]
+    rows = list(game.structure.messages)
     if game.structure.full_verifiability:
-        rows.append("identity")
+        rows.append(("identity", None))
     height = PLOT_BOTTOM + 40 + ROW_HEIGHT * len(rows) + 20
 
     parts = [
@@ -126,15 +135,14 @@ def render_game_svg(game: GameSpec, eq: Equilibrium) -> str:
 
     # message availability bars below the axis
     base = PLOT_BOTTOM + 44
-    for i, name in enumerate(rows):
+    for i, (name, supp) in enumerate(rows):
         y_row = base + i * ROW_HEIGHT
-        if name == "identity":
+        if supp is None:
             parts.append(
                 f'<line x1="{m.x(ZERO)}" y1="{y_row}" x2="{m.x(ONE)}" y2="{y_row}" '
                 f'stroke="black" stroke-width="1" stroke-dasharray="1,3"/>'
             )
         else:
-            supp = game.structure.support(name)
             for iv in supp.intervals:
                 if iv.lo == iv.hi:
                     parts.append(f'<circle cx="{m.x(iv.lo)}" cy="{y_row}" r="2.5" fill="black"/>')

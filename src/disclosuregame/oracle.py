@@ -15,15 +15,17 @@ and not on the grid, so the oracle returns a value below it.  Structures whose
 supports are all right-closed meet the precondition (the payoff is
 non-decreasing, so identity messages keep it too).
 
-Arithmetic stays exact throughout, in two forms.  best_deviation and the
-exact assembly of a search candidate (full_check in exhaustive_equilibria)
-work in Fractions: best_deviation's grid grows with the game, so no common
-denominator is bounded.  The exhaustive search caps its grid at max_grid
-points, so the lcm of the grid's denominators stays small; it scales the
-grid, the prior and the payoff breakpoints to ints over that lcm, ranks the
-payoff values, and tests every messaging profile (condition (2), the
-best-response hull, the value) on Python ints.  Only the profiles that pass
-build Fractions.
+Arithmetic stays exact throughout, and both searches rank a payoff value by
+its piece's index (the payoff is non-decreasing with merged pieces, so its
+values strictly increase).  best_deviation compares ranks to pick the grid
+points that can be hull vertices or lie on the hull edge over the prior;
+its hull cross-products, split weights and value stay in Fractions, since
+its grid grows with the game and no common denominator is bounded.  The
+exhaustive search caps its grid at max_grid points, so the lcm of the
+grid's denominators stays small; it scales the grid, the prior and the
+payoff breakpoints to ints over that lcm and tests every messaging profile
+(condition (2), the best-response hull, the value) on Python ints.  Only the
+profiles that pass build Fractions.
 """
 
 from __future__ import annotations
@@ -109,30 +111,31 @@ def _hull_segment(pts: Sequence[Point], x: Fraction) -> tuple[Point, Point]:
     return hull[i], hull[i + 1]
 
 
-def _interim_values(game: GameSpec, beliefs: Mapping[str, Fraction], grid: CriticalGrid) -> list[Fraction]:
+def _interim_values(game: GameSpec, beliefs: Mapping[str, Fraction], grid: CriticalGrid) -> list[int]:
     """w(s) = max over available m of v(beliefs[m]), v(s) for an identity message, at every grid point.
 
-    A range fill over grid indices: every support endpoint is a grid point, so
-    an interval [lo, hi] covers exactly the grid indices from index(lo) to
-    index(hi), one fewer when it is open at hi.  Messages are written in
-    ascending order of their level v(beliefs[m]), so each slot ends up holding
-    the highest level available there.  Under full verifiability each slot is
-    then compared with v(s), the level of the identity message; with no finite
-    message covering a slot (mandatory disclosure), v(s) is the value.
+    Each slot holds w's payoff piece index (game.payoff.values[w[i]] is w at
+    grid[i]).  A range fill over grid indices: every support endpoint is a
+    grid point, so an interval [lo, hi] covers exactly the grid indices from
+    index(lo) to index(hi), one fewer when it is open at hi.  Messages are
+    written in ascending order of their level, so each slot keeps the highest
+    level available there.  Under full verifiability each slot is then raised
+    to v(s)'s piece, the identity message's level (the only one under
+    mandatory disclosure); every breakpoint is a grid point, so piece k fills
+    the slots from index(b_k) up to index(b_k+1).
     """
-    structure, v = game.structure, game.payoff
+    structure, bps = game.structure, game.payoff.breakpoints
     index = {s: i for i, s in enumerate(grid)}
-    w: list[Fraction | None] = [None] * len(grid)
-    levels = [(step_eval(v, beliefs[name]), supp) for name, supp in structure.messages]
+    w = [-1] * len(grid)
+    levels = [(bisect_right(bps, beliefs[name]) - 1, supp) for name, supp in structure.messages]
     for level, supp in sorted(levels, key=itemgetter(0)):
         for iv in supp.intervals:
             a, b = index[iv.lo], index[iv.hi] + iv.hi_closed
             w[a:b] = [level] * (b - a)
     if structure.full_verifiability:
-        for i, s in enumerate(grid):
-            own = step_eval(v, s)
-            if w[i] is None or w[i] < own:
-                w[i] = own
+        starts = [index[b] for b in bps] + [len(grid)]
+        for k, (a, b) in enumerate(zip(starts, starts[1:])):
+            w[a:b] = [max(level, k) for level in w[a:b]]
     return w
 
 
@@ -146,6 +149,14 @@ def best_deviation(game: GameSpec, beliefs: Mapping[str, Fraction]) -> tuple[Fra
     two grid points lies on that edge (the hull is a concave majorant), so
     these are the closest such pair, not the edge's end vertices.
 
+    w comes as payoff piece indices.  A grid point whose level is at most some
+    level on each side lies on or under the chord between them, so only
+    strict records from the left or from the right reach the Fraction hull,
+    at most two per payoff piece.  The hull rises strictly up to a rising
+    edge, so only a strict left record can lie on one; likewise a strict
+    right record on a falling edge, and the top level on a flat one.  The
+    walk from the prior tests these ranks before its Fraction cross-product.
+
     The value is the exact best response only when w is upper
     semicontinuous (see the module docstring); at a right-open support end
     where w drops, the supremum can lie above the returned value, unattained.
@@ -158,15 +169,24 @@ def best_deviation(game: GameSpec, beliefs: Mapping[str, Fraction]) -> tuple[Fra
             raise PreconditionError(f"belief for {name!r} outside conv support")
     grid = critical_grid(game)
     w = _interim_values(game, beliefs, grid)
+    vals = game.payoff.values
+    n = len(w)
+    from_left, from_right = [False] * n, [False] * n  # strict records; top ends as the highest level
+    for record, order in ((from_left, range(n)), (from_right, range(n - 1, -1, -1))):
+        top = -1
+        for i in order:
+            if w[i] > top:
+                record[i], top = True, w[i]
     p = game.prior
-    (x0, y0), (x1, y1) = _hull_segment(list(zip(grid, w)), p)
+    (x0, y0), (x1, y1) = _hull_segment([(grid[i], vals[w[i]]) for i in range(n) if from_left[i] or from_right[i]], p)
+    may = from_left if y0 < y1 else from_right if y0 > y1 else [level == top for level in w]
 
     def on_edge(i: int) -> bool:
-        return (w[i] - y0) * (x1 - x0) == (y1 - y0) * (grid[i] - x0)
+        return may[i] and (vals[w[i]] - y0) * (x1 - x0) == (y1 - y0) * (grid[i] - x0)
 
-    k = grid.index(p)
+    k = bisect_left(grid, p)
     if x0 == x1 or on_edge(k):
-        return w[k], Signal((p,), (ONE,))
+        return vals[w[k]], Signal((p,), (ONE,))
     value = y0 + (y1 - y0) * (p - x0) / (x1 - x0)
     i = k - 1
     while not on_edge(i):

@@ -135,10 +135,14 @@ class VerifStructure:
                 raise ConstructionError("message supports must cover all of [0,1]")
 
     def support(self, name: str) -> IntervalUnion:
-        for n, supp in self.messages:
-            if n == name:
-                return supp
-        raise UnknownMessageError(name)
+        try:
+            return self._supports[name]
+        except KeyError:
+            raise UnknownMessageError(name) from None
+
+    @cached_property
+    def _supports(self) -> dict[str, IntervalUnion]:
+        return dict(self.messages)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -156,46 +160,47 @@ class VerifStructure:
         return tuple(sorted(pts))
 
     @cached_property
-    def _best_minima(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-        """Exact g at every endpoint and on every open gap between consecutive ones.
+    def _rank(self) -> dict[Fraction, int]:
+        """Each endpoint's index in `_endpoints`."""
+        return {e: i for i, e in enumerate(self._endpoints)}
+
+    @cached_property
+    def _best_minima(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Exact g at every endpoint and on every open gap, as indices into `_endpoints`.
 
         g(s) is the largest support minimum among the finite messages available
-        at s.  One sweep over the endpoints, left to right: intervals enter a
-        max-heap on their message's minimum when the sweep reaches their `lo`,
-        and leave lazily once the top has ended.  Availability only changes at
-        endpoints, so g is constant on each open gap.  Returns
-        (values at the endpoints, values on the gaps).
+        at s.  One sweep over endpoint ranks, left to right: each interval,
+        (rank of lo, rank of its minimum, rank of hi, closed), enters a
+        max-heap on its minimum's rank at its `lo`, and leaves lazily once the
+        top has ended.  Availability only changes at endpoints, so g is
+        constant on each open gap.  The heap never empties, since the supports
+        cover [0,1]; callers test the full-verifiability flag first.  Returns
+        (indices at the endpoints, indices on the gaps).
         """
+        rank = self._rank
         intervals = sorted(
-            (iv.lo, supp.minimum, iv.hi, iv.hi_closed)
+            (rank[iv.lo], rank[supp.minimum], rank[iv.hi], iv.hi_closed)
             for _, supp in self.messages
             for iv in supp.intervals
         )
-        heap: list[tuple[Fraction, Fraction, bool]] = []
-        at_point: list[Fraction] = []
-        on_gap: list[Fraction] = []
-        k = 0
-        for e in self._endpoints:
+        heap: list[tuple[int, int, bool]] = []
+        at_point, on_gap = [], []
+        k, last = 0, len(self._endpoints) - 1
+        for e in range(last + 1):
             while k < len(intervals) and intervals[k][0] <= e:
                 _, minimum, hi, hi_closed = intervals[k]
                 heapq.heappush(heap, (-minimum, hi, hi_closed))
                 k += 1
             # an interval that has ended at e has ended for every later point
-            while heap and (heap[0][1] < e or (heap[0][1] == e and not heap[0][2])):
+            while heap[0][1] < e or (heap[0][1] == e and not heap[0][2]):
                 heapq.heappop(heap)
-            at_point.append(_heap_best(heap, e))
-            if e == ONE:
+            at_point.append(-heap[0][0])
+            if e == last:
                 break
-            while heap and heap[0][1] <= e:
+            while heap[0][1] <= e:
                 heapq.heappop(heap)
-            on_gap.append(_heap_best(heap, e))
+            on_gap.append(-heap[0][0])
         return tuple(at_point), tuple(on_gap)
-
-
-def _heap_best(heap: list[tuple[Fraction, Fraction, bool]], s: Fraction) -> Fraction:
-    if not heap:
-        raise ConstructionError(f"no message available near type {s}: structure violates coverage")
-    return -heap[0][0]
 
 
 def identity_name(s: Fraction) -> str:
@@ -240,8 +245,8 @@ def max_min_available(structure: VerifStructure, s: Fraction) -> Fraction:
     at_point, on_gap = structure._best_minima
     i = bisect_left(endpoints, s)
     if endpoints[i] == s:
-        return at_point[i]
-    return on_gap[i - 1]
+        return endpoints[at_point[i]]
+    return endpoints[on_gap[i - 1]]
 
 
 @dataclass(frozen=True)
@@ -283,7 +288,7 @@ def skeptical_type_map(structure: VerifStructure) -> StepFunction:
         raise PreconditionError("skeptical_type_map needs a structure without full verifiability")
     at_point, on_gap = structure._best_minima
     endpoints = structure._endpoints
-    return StepFunction(endpoints, on_gap + (at_point[-1],))
+    return StepFunction(endpoints, tuple(endpoints[j] for j in (*on_gap, at_point[-1])))
 
 
 # ---------------------------------------------------------------------------

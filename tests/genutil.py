@@ -7,6 +7,7 @@ upper semicontinuous and the solver's admissibility assumptions hold.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from disclosuregame import (
     GameSpec,
@@ -166,6 +167,40 @@ def rand_payoff_pieces(rng: random.Random, pieces: int, denom: int) -> StepFunct
     for _ in range(pieces - 1):
         vals.append(vals[-1] + rng.choice((Fraction(1, 2), Fraction(1), Fraction(2))))
     return StepFunction((Fraction(0), *sorted(cuts)), tuple(vals))
+
+
+def rand_coprime_game(rng: random.Random, messages: int) -> GameSpec:
+    """A PNBP game like rand_interval_game whose rationals share no denominator.
+
+    Every support endpoint, every payoff breakpoint and the prior gets its own
+    denominator near 10**38 (39 digits, inside gamefile.MAX_RATIONAL_DIGITS),
+    pairwise coprime with every other one, so a common denominator of the
+    game's rationals has thousands of digits.
+    """
+    used = 1  # product of the denominators handed out so far
+
+    def fresh() -> Fraction:
+        nonlocal used
+        den = 10**38 + rng.randrange(10**37)
+        while gcd(den, used) != 1:
+            den += 1
+        used *= den
+        while True:
+            num = rng.randrange(1, den)
+            if gcd(num, den) == 1:
+                return Fraction(num, den)
+
+    while True:
+        msgs = [("m_0", IntervalUnion.from_pairs([(0, 1)]))]
+        for i in range(1, messages):
+            msgs.append((f"m_{i}", IntervalUnion.from_pairs([sorted((fresh(), fresh()))])))
+        vals = [Fraction(rng.randint(0, 2))]
+        for _ in range(messages - 1):
+            vals.append(vals[-1] + rng.choice((Fraction(1, 2), Fraction(1), Fraction(2))))
+        payoff = StepFunction((Fraction(0), *sorted(fresh() for _ in range(messages - 1))), tuple(vals))
+        game = GameSpec(payoff, fresh(), VerifStructure(tuple(msgs)))
+        if pnbp(game).holds:
+            return game
 
 
 SMALL = dict(max_pieces=3, max_messages=2, denoms=(2, 3, 4, 6))

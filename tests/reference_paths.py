@@ -3,18 +3,32 @@
 Each one evaluates its definition head-on: which messages a type can send is
 decided by testing every support, step functions are sampled at the midpoint
 of every gap between support endpoints, and the exhaustive search redoes its
-exact algebra for every messaging profile.
+exact algebra for every messaging profile.  The Fraction paths at the end are
+the solver's and the oracle's loops as they were before those ran on ranks:
+they compare, sort and scan every point as a Fraction.
 """
 
+import heapq
 from fractions import Fraction
 from itertools import combinations, product
+from operator import itemgetter
+from typing import Optional
 
 from disclosuregame import GameSpec, Signal, StepFunction, VerifStructure, messages_at, min_inverse
-from disclosuregame.equilibrium import Equilibrium, verify_equilibrium
-from disclosuregame.errors import OracleSizeError
-from disclosuregame.oracle import critical_grid, discrete_cav
-from disclosuregame.piecewise import ConcavePL, hull_candidates, step_eval, upper_hull_points
-from disclosuregame.verifiability import IDENTITY_PREFIX
+from disclosuregame.equilibrium import (
+    Equilibrium,
+    PnbpVerdict,
+    _best_message,
+    _skeptical_beliefs,
+    skeptical_payoff_at,
+    skeptical_value,
+    value_hull,
+    verify_equilibrium,
+)
+from disclosuregame.errors import ConstructionError, OracleSizeError, PreconditionError
+from disclosuregame.oracle import _hull_segment, critical_grid, discrete_cav
+from disclosuregame.piecewise import ConcavePL, hull_candidates, pl_eval, step_eval, upper_hull_points
+from disclosuregame.verifiability import IDENTITY_PREFIX, identity_name, max_min_available
 
 ZERO, ONE = Fraction(0), Fraction(1)
 
@@ -290,3 +304,155 @@ def per_profile_exhaustive_equilibria(
                 if 0 < t < t_hi:
                     full_check(support, mu, weights_at(t))
     return found
+
+
+# ---------------------------------------------------------------------------
+# Fraction paths replaced by rank coordinates
+# ---------------------------------------------------------------------------
+
+def heap_best_minima(structure: VerifStructure) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """VerifStructure._best_minima with Fractions in the heap: g at every endpoint and on every gap."""
+    intervals = sorted(
+        (iv.lo, supp.minimum, iv.hi, iv.hi_closed)
+        for _, supp in structure.messages
+        for iv in supp.intervals
+    )
+    heap: list[tuple[Fraction, Fraction, bool]] = []
+    at_point: list[Fraction] = []
+    on_gap: list[Fraction] = []
+    k = 0
+    for e in structure.support_endpoints():
+        while k < len(intervals) and intervals[k][0] <= e:
+            _, minimum, hi, hi_closed = intervals[k]
+            heapq.heappush(heap, (-minimum, hi, hi_closed))
+            k += 1
+        # an interval that has ended at e has ended for every later point
+        while heap and (heap[0][1] < e or (heap[0][1] == e and not heap[0][2])):
+            heapq.heappop(heap)
+        at_point.append(_heap_best(heap, e))
+        if e == ONE:
+            break
+        while heap and heap[0][1] <= e:
+            heapq.heappop(heap)
+        on_gap.append(_heap_best(heap, e))
+    return tuple(at_point), tuple(on_gap)
+
+
+def _heap_best(heap: list[tuple[Fraction, Fraction, bool]], s: Fraction) -> Fraction:
+    if not heap:
+        raise ConstructionError(f"no message available near type {s}: structure violates coverage")
+    return -heap[0][0]
+
+
+def stepwise_pnbp(game: GameSpec) -> PnbpVerdict:
+    """pnbp by evaluating v at the prior and at every support minimum."""
+    v, p = game.payoff, game.prior
+    vp = step_eval(v, p)
+    if game.structure.full_verifiability:
+        if step_eval(v, ONE) > vp:
+            return PnbpVerdict(True, identity_name(ONE))
+        return PnbpVerdict(False)
+    best: Optional[tuple[Fraction, str]] = None
+    for name, supp in game.structure.messages:
+        val = step_eval(v, supp.minimum)
+        if val > vp and (best is None or val > best[0] or (val == best[0] and name < best[1])):
+            best = (val, name)
+    if best is None:
+        return PnbpVerdict(False)
+    return PnbpVerdict(True, best[1])
+
+
+def endpoint_value_hull(game: GameSpec) -> ConcavePL:
+    """value_hull from every piece end of v(g) plus the exact value at every support endpoint."""
+    pts = hull_candidates(skeptical_value(game))
+    if not game.structure.full_verifiability:
+        for e in game.structure.support_endpoints():
+            pts.append((e, skeptical_payoff_at(game, e)))
+    return ConcavePL(tuple(upper_hull_points(pts)))
+
+
+def full_scan_solve_pnbp(game: GameSpec) -> Equilibrium:
+    """_solve_pnbp by testing every support endpoint, payoff breakpoint and the prior."""
+    structure, v, p = game.structure, game.payoff, game.prior
+    hull = value_hull(game)
+    # Hull vertices and breakpoints of v(g) are support endpoints or
+    # breakpoints of v, so this set holds them all.
+    xs = set(structure.support_endpoints()) | set(v.breakpoints) | {p}
+    candidates = []
+    for x in sorted(xs):
+        if max_min_available(structure, x) != x:
+            continue
+        if pl_eval(hull, x) == skeptical_payoff_at(game, x):
+            candidates.append(x)
+    if p in candidates:
+        s_minus = s_plus = p
+        signal = Signal((p,), (ONE,))
+    else:
+        s_minus = max(x for x in candidates if x < p)
+        s_plus = min(x for x in candidates if x > p)
+        w_lo = (s_plus - p) / (s_plus - s_minus)
+        signal = Signal((s_minus, s_plus), (w_lo, 1 - w_lo))
+    beliefs = _skeptical_beliefs(structure)
+    messaging = {}
+    for s in signal.support:
+        m = _best_message(structure, s)
+        messaging[s] = m
+        if m.startswith(IDENTITY_PREFIX):
+            beliefs[m] = s
+    return Equilibrium(
+        signal=signal,
+        messaging=messaging,
+        beliefs=beliefs,
+        value=pl_eval(hull, p),
+        s_minus=s_minus,
+        s_plus=s_plus,
+    )
+
+
+def fraction_interim_values(game: GameSpec, beliefs, grid) -> list[Fraction]:
+    """oracle._interim_values with Fraction levels: the same range fill, v evaluated per message and grid point."""
+    structure, v = game.structure, game.payoff
+    index = {s: i for i, s in enumerate(grid)}
+    w: list[Fraction | None] = [None] * len(grid)
+    levels = [(step_eval(v, beliefs[name]), supp) for name, supp in structure.messages]
+    for level, supp in sorted(levels, key=itemgetter(0)):
+        for iv in supp.intervals:
+            a, b = index[iv.lo], index[iv.hi] + iv.hi_closed
+            w[a:b] = [level] * (b - a)
+    if structure.full_verifiability:
+        for i, s in enumerate(grid):
+            own = step_eval(v, s)
+            if w[i] is None or w[i] < own:
+                w[i] = own
+    return w
+
+
+def full_grid_best_deviation(game: GameSpec, beliefs) -> tuple[Fraction, Signal]:
+    """best_deviation with the Fraction hull over every grid point and an unfiltered walk."""
+    for name, supp in game.structure.messages:
+        if name not in beliefs:
+            raise PreconditionError(f"beliefs missing message {name!r}")
+        lo, hi = supp.hull_bounds()
+        if not (lo <= beliefs[name] <= hi):
+            raise PreconditionError(f"belief for {name!r} outside conv support")
+    grid = critical_grid(game)
+    w = fraction_interim_values(game, beliefs, grid)
+    p = game.prior
+    (x0, y0), (x1, y1) = _hull_segment(list(zip(grid, w)), p)
+
+    def on_edge(i: int) -> bool:
+        return (w[i] - y0) * (x1 - x0) == (y1 - y0) * (grid[i] - x0)
+
+    k = grid.index(p)
+    if x0 == x1 or on_edge(k):
+        return w[k], Signal((p,), (ONE,))
+    value = y0 + (y1 - y0) * (p - x0) / (x1 - x0)
+    i = k - 1
+    while not on_edge(i):
+        i -= 1
+    j = k + 1
+    while not on_edge(j):
+        j += 1
+    left, right = grid[i], grid[j]
+    w_lo = (right - p) / (right - left)
+    return value, Signal((left, right), (w_lo, 1 - w_lo))

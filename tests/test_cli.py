@@ -20,7 +20,8 @@ from disclosuregame.gamefile import (
     structure_from_obj,
     structure_to_obj,
 )
-from disclosuregame import GameFileError, pnbp, solve
+from disclosuregame import GameFileError, GameSpec, IntervalUnion, StepFunction, VerifStructure, pnbp, solve
+from disclosuregame.figures import render_game_svg
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -122,6 +123,18 @@ class TestSvg:
         main(["solve", fx("mandatory_disclosure.json"), "--svg", str(out)])
         capsys.readouterr()
         assert "identity" in out.read_text()
+
+    def test_message_named_identity_draws_its_own_support(self):
+        # only the identity family of full verifiability gets the dotted bar
+        # over [0,1]; a finite message of that name keeps its support [1/2,1]
+        structure = VerifStructure((
+            ("base", IntervalUnion.from_pairs([(0, 1)])),
+            ("identity", IntervalUnion.from_pairs([(F(1, 2), 1)])),
+        ))
+        game = GameSpec(StepFunction((F(0), F(1, 2)), (F(0), F(1))), F(1, 4), structure)
+        svg = render_game_svg(game, solve(game))
+        assert 'stroke-dasharray="1,3"' not in svg
+        assert '<line x1="340.000" y1="400" x2="620.000" y2="400" stroke="black" stroke-width="2"/>' in svg
 
 
 class TestCompareCommand:

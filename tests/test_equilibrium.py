@@ -109,6 +109,7 @@ class TestSharedAnalysis:
         game = GameSpec(V1, F(1, 3), M31)
         assert skeptical_value(game) is skeptical_value(game)
         assert value_hull(game) is value_hull(game)
+        assert pnbp(game) is pnbp(game)
 
     def test_solve_queries_supports_linearly(self, monkeypatch):
         # the solver reads g from one endpoint sweep; testing every support at

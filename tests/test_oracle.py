@@ -103,7 +103,8 @@ class TestInterimValues:
                 lo, hi = supp.hull_bounds()
                 beliefs[name] = rng.choice((lo, hi, (lo + hi) / 2, rand_point(rng) * (hi - lo) + lo))
             grid = critical_grid(game)
-            assert _interim_values(game, beliefs, grid) == pointwise_interim_values(game, beliefs, grid)
+            w = [game.payoff.values[k] for k in _interim_values(game, beliefs, grid)]
+            assert w == pointwise_interim_values(game, beliefs, grid)
 
 
 class TestDiscreteCav:
