@@ -9,6 +9,13 @@ Two comparisons:
 * more separation possibilities (geq_sep): for every type, every set of types
   it can separate from with a single message in the lower structure must also
   be separable in the higher one.  Sufficient for geq_lc, not necessary.
+
+A message separates its senders from exactly the complement of its support,
+and every sender lies in that support, so geq_sep needs no sampling of types.
+It holds iff every finite support of the lower structure is a support of the
+higher one, or is a single point while the higher one has full
+verifiability, and the higher one has full verifiability whenever the lower
+one does.  Canonical interval unions compare as sets: one lookup per message.
 """
 
 from __future__ import annotations
@@ -19,13 +26,7 @@ from .equilibrium import GameSpec, equilibrium_value, pnbp
 from .errors import PreconditionError
 from .piecewise import StepFunction
 from .rationals import ONE, ZERO
-from .verifiability import (
-    IDENTITY_PREFIX,
-    IntervalUnion,
-    VerifStructure,
-    lowest_consistent_set,
-    messages_at,
-)
+from .verifiability import IntervalUnion, VerifStructure, identity_name, lowest_consistent_set
 
 
 @dataclass(frozen=True)
@@ -45,69 +46,46 @@ def geq_lc(m_hi: VerifStructure, m_lo: VerifStructure) -> OrderVerdict:
     if hi.issuperset(lo):
         return OrderVerdict("lc", True)
     if lo.all_of_unit_interval:
-        # every type is lowest-consistent below; exhibit one the high side misses
-        pts = sorted(set(hi.types) | {ZERO, ONE})
-        witness = None
-        for a, b in zip(pts, pts[1:]):
-            if b > a:
-                witness = (a + b) / 2
-                break
+        # every type is lowest-consistent below; exhibit one the high side
+        # misses: 1, or else any type between 0 and its smallest positive one
         if ONE not in hi.types:
-            witness = ONE
-        return OrderVerdict("lc", False, witness)
+            return OrderVerdict("lc", False, ONE)
+        return OrderVerdict("lc", False, min(t for t in hi.types if t > ZERO) / 2)
     missing = sorted(set(lo.types) - set(hi.types))
     return OrderVerdict("lc", False, missing[0])
-
-
-def _sep_grid(m_hi: VerifStructure, m_lo: VerifStructure) -> list[Fraction]:
-    pts = sorted(set(m_hi.support_endpoints()) | set(m_lo.support_endpoints()))
-    grid = []
-    for a, b in zip(pts, pts[1:]):
-        grid.append(a)
-        grid.append((a + b) / 2)
-    grid.append(pts[-1])
-    return grid
-
-
-def _separates_same(m_hi: VerifStructure, s: Fraction, support: IntervalUnion) -> bool:
-    """Can s separate in m_hi from exactly the complement of `support`?"""
-    for name in messages_at(m_hi, s):
-        if name.startswith(IDENTITY_PREFIX):
-            continue  # identity handled by the caller
-        if m_hi.support(name) == support:
-            return True
-    return False
-
-
-def _has_identity_for(m_hi: VerifStructure, s: Fraction) -> bool:
-    if m_hi.full_verifiability:
-        return True
-    singleton = IntervalUnion.from_pairs([(s, s)])
-    return _separates_same(m_hi, s, singleton)
 
 
 def geq_sep(m_hi: VerifStructure, m_lo: VerifStructure) -> OrderVerdict:
     """Does m_hi offer (weakly) more separation possibilities than m_lo?
 
-    Separation sets are compared as exact set identities; since complements are
-    determined by supports, two messages separate the same set iff their
-    supports coincide as canonical interval unions.  Availability is piecewise
-    constant between support endpoints, so the endpoint+midpoint grid decides
-    the comparison exactly.
+    A type separates from exactly the complement of a message's support, and
+    every type that can send a message lies in its support.  So m_hi offers
+    everything m_lo does iff every finite support of m_lo is a support of
+    m_hi (canonical interval unions compare as sets), or is a single point
+    while m_hi has full verifiability, and m_lo's identity family, if any, is
+    matched by m_hi's.
+
+    The witness is the smallest failing (type, message name), with identity
+    messages named ``id:<s>``.  A finite message first fails at its support
+    minimum.  An unmatched identity family fails at 0, or, when m_hi has the
+    support {0}, halfway between 0 and the smallest positive endpoint of
+    either structure, where no support of m_hi is a single point.
     """
-    for s in _sep_grid(m_hi, m_lo):
-        for name in sorted(messages_at(m_lo, s)):
-            if name.startswith(IDENTITY_PREFIX):
-                if not _has_identity_for(m_hi, s):
-                    singleton = IntervalUnion.from_pairs([(s, s)])
-                    return OrderVerdict("sep", False, (s, singleton.complement_pieces()))
-                continue
-            supp = m_lo.support(name)
-            if not _separates_same(m_hi, s, supp) and not (
-                m_hi.full_verifiability and supp == IntervalUnion.from_pairs([(s, s)])
-            ):
-                return OrderVerdict("sep", False, (s, supp.complement_pieces()))
-    return OrderVerdict("sep", True)
+    hi_supports = {supp for _, supp in m_hi.messages}
+    failures = []
+    for name, supp in m_lo.messages:
+        minimum, sup = supp.hull_bounds()
+        if supp not in hi_supports and not (m_hi.full_verifiability and minimum == sup):
+            failures.append((minimum, name, supp))
+    if m_lo.full_verifiability and not m_hi.full_verifiability:
+        s = ZERO
+        if IntervalUnion.from_pairs([(ZERO, ZERO)]) in hi_supports:
+            s = min(m_hi.support_endpoints()[1], m_lo.support_endpoints()[1]) / 2
+        failures.append((s, identity_name(s), IntervalUnion.from_pairs([(s, s)])))
+    if not failures:
+        return OrderVerdict("sep", True)
+    s, _, supp = min(failures, key=lambda f: f[:2])
+    return OrderVerdict("sep", False, (s, supp.complement_pieces()))
 
 
 def is_sender_optimal(structure: VerifStructure) -> bool:

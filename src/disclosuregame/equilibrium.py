@@ -391,11 +391,20 @@ def verify_equilibrium(game: GameSpec, eq: Equilibrium) -> VerifyReport:
        maximizing v(beliefs) among its available messages.
     3. Consistent beliefs: every belief lies in the convex hull of the
        message's support, and on-path messages satisfy Bayes' rule.
+
+    The oracle behind (1) needs every belief inside its message's convex
+    hull, so a belief outside it is reported as a violation of (3) before
+    (1) and (2) are tested.
     """
     from . import oracle  # late import: oracle builds on this module's types
 
     _validate_structure(game, eq)
     beliefs = dict(eq.beliefs)
+    for name, supp in game.structure.messages:
+        lo, hi = supp.hull_bounds()
+        b = beliefs[name]
+        if not (lo <= b <= hi):
+            return VerifyReport(False, 3, f"belief for {name!r} outside conv support", (name, b))
 
     # (1) optimal information acquisition
     best_value, best_signal = oracle.best_deviation(game, beliefs)
@@ -421,12 +430,7 @@ def verify_equilibrium(game: GameSpec, eq: Equilibrium) -> VerifyReport:
                     False, 2, f"type {s} prefers message {other!r} over {m!r}", (s, other)
                 )
 
-    # (3) consistent receiver beliefs
-    for name, supp in game.structure.messages:
-        lo, hi = supp.hull_bounds()
-        b = beliefs[name]
-        if not (lo <= b <= hi):
-            return VerifyReport(False, 3, f"belief for {name!r} outside conv support", (name, b))
+    # (3) consistent receiver beliefs; the convex hulls are checked above
     for name, b in beliefs.items():
         if name.startswith(IDENTITY_PREFIX) and b != min_inverse(game.structure, name):
             return VerifyReport(False, 3, f"identity belief {name!r} must equal its type", (name, b))

@@ -129,10 +129,7 @@ class VerifStructure:
         if not self.full_verifiability:
             if not self.messages:
                 raise ConstructionError("a structure without full verifiability needs messages")
-            union = IntervalUnion(tuple(iv for _, supp in self.messages for iv in supp.intervals))
-            covered = union.intervals
-            if len(covered) != 1 or covered[0].lo != ZERO or covered[0].hi != ONE or not covered[0].hi_closed:
-                raise ConstructionError("message supports must cover all of [0,1]")
+            self._best_minima  # the endpoint sweep checks coverage
 
     def support(self, name: str) -> IntervalUnion:
         try:
@@ -173,9 +170,10 @@ class VerifStructure:
         (rank of lo, rank of its minimum, rank of hi, closed), enters a
         max-heap on its minimum's rank at its `lo`, and leaves lazily once the
         top has ended.  Availability only changes at endpoints, so g is
-        constant on each open gap.  The heap never empties, since the supports
-        cover [0,1]; callers test the full-verifiability flag first.  Returns
-        (indices at the endpoints, indices on the gaps).
+        constant on each open gap.  An empty heap is a point or gap that no
+        support covers, and raises ConstructionError; structures without full
+        verifiability run the sweep when they are built, and callers test the
+        flag first.  Returns (indices at the endpoints, indices on the gaps).
         """
         rank = self._rank
         intervals = sorted(
@@ -184,6 +182,12 @@ class VerifStructure:
             for iv in supp.intervals
         )
         heap: list[tuple[int, int, bool]] = []
+
+        def best() -> int:
+            if not heap:
+                raise ConstructionError("message supports must cover all of [0,1]")
+            return -heap[0][0]
+
         at_point, on_gap = [], []
         k, last = 0, len(self._endpoints) - 1
         for e in range(last + 1):
@@ -192,14 +196,14 @@ class VerifStructure:
                 heapq.heappush(heap, (-minimum, hi, hi_closed))
                 k += 1
             # an interval that has ended at e has ended for every later point
-            while heap[0][1] < e or (heap[0][1] == e and not heap[0][2]):
+            while heap and (heap[0][1] < e or (heap[0][1] == e and not heap[0][2])):
                 heapq.heappop(heap)
-            at_point.append(-heap[0][0])
+            at_point.append(best())
             if e == last:
                 break
-            while heap[0][1] <= e:
+            while heap and heap[0][1] <= e:
                 heapq.heappop(heap)
-            on_gap.append(-heap[0][0])
+            on_gap.append(best())
         return tuple(at_point), tuple(on_gap)
 
 
@@ -215,8 +219,6 @@ def messages_at(structure: VerifStructure, s: Fraction) -> set[str]:
     out = {name for name, supp in structure.messages if supp.contains(s)}
     if structure.full_verifiability:
         out.add(identity_name(s))
-    if not out:
-        raise ConstructionError(f"no message available at type {s}: structure violates coverage")
     return out
 
 

@@ -132,6 +132,35 @@ def rand_rich_structure(rng: random.Random, allow_full_verif=True) -> VerifStruc
     return structure
 
 
+def rand_sep_pair(rng: random.Random) -> tuple[VerifStructure, VerifStructure]:
+    """An ordered pair (hi, lo) for the separation pre-order.
+
+    lo is a rich or plain random structure, or mandatory disclosure; it may
+    gain a message named to sort before identity names, and full
+    verifiability.  hi is often lo plus at most one union message, so that
+    the comparison holds, otherwise an unrelated draw; it may gain the point
+    supports {0} and {1}, and full verifiability of its own.
+    """
+    from disclosuregame import mandatory_disclosure
+
+    def draw():
+        style = rng.random()
+        if style < 0.1:
+            return mandatory_disclosure()
+        return rand_rich_structure(rng) if style < 0.7 else rand_structure(rng)
+
+    lo = draw()
+    extra = (("a_0", rand_union(rng)),) if rng.random() < 0.2 else ()
+    lo = VerifStructure(lo.messages + extra, lo.full_verifiability or rng.random() < 0.25)
+    base = lo if rng.random() < 0.45 else draw()
+    extra = tuple((f"x_{i}", rand_union(rng)) for i in range(rng.randint(0, 1)) if base is lo)
+    for name, point in (("p_0", 0), ("p_1", 1)):
+        if rng.random() < 0.3:
+            extra += ((name, IntervalUnion.from_pairs([(point, point)])),)
+    hi = VerifStructure(base.messages + extra, base.full_verifiability or rng.random() < 0.15)
+    return hi, lo
+
+
 def rand_interval_game(rng: random.Random, messages: int, denom: int = 997) -> GameSpec:
     """A PNBP game with `messages` closed-interval supports and as many payoff pieces.
 

@@ -5,7 +5,9 @@ decided by testing every support, step functions are sampled at the midpoint
 of every gap between support endpoints, and the exhaustive search redoes its
 exact algebra for every messaging profile.  The Fraction paths at the end are
 the solver's and the oracle's loops as they were before those ran on ranks:
-they compare, sort and scan every point as a Fraction.
+they compare, sort and scan every point as a Fraction.  Last comes the
+separation pre-order as it was before it compared supports: a scan of every
+message at every endpoint and gap midpoint of both structures.
 """
 
 import heapq
@@ -14,7 +16,8 @@ from itertools import combinations, product
 from operator import itemgetter
 from typing import Optional
 
-from disclosuregame import GameSpec, Signal, StepFunction, VerifStructure, messages_at, min_inverse
+from disclosuregame import GameSpec, IntervalUnion, Signal, StepFunction, VerifStructure, messages_at, min_inverse
+from disclosuregame.comparative import OrderVerdict
 from disclosuregame.equilibrium import (
     Equilibrium,
     PnbpVerdict,
@@ -456,3 +459,54 @@ def full_grid_best_deviation(game: GameSpec, beliefs) -> tuple[Fraction, Signal]
     left, right = grid[i], grid[j]
     w_lo = (right - p) / (right - left)
     return value, Signal((left, right), (w_lo, 1 - w_lo))
+
+
+def _sep_grid(m_hi: VerifStructure, m_lo: VerifStructure) -> list[Fraction]:
+    pts = sorted(set(m_hi.support_endpoints()) | set(m_lo.support_endpoints()))
+    grid = []
+    for a, b in zip(pts, pts[1:]):
+        grid.append(a)
+        grid.append((a + b) / 2)
+    grid.append(pts[-1])
+    return grid
+
+
+def _separates_same(m_hi: VerifStructure, s: Fraction, support: IntervalUnion) -> bool:
+    """Can s separate in m_hi from exactly the complement of `support`?"""
+    for name in messages_at(m_hi, s):
+        if name.startswith(IDENTITY_PREFIX):
+            continue  # identity handled by the caller
+        if m_hi.support(name) == support:
+            return True
+    return False
+
+
+def _has_identity_for(m_hi: VerifStructure, s: Fraction) -> bool:
+    if m_hi.full_verifiability:
+        return True
+    singleton = IntervalUnion.from_pairs([(s, s)])
+    return _separates_same(m_hi, s, singleton)
+
+
+def grid_geq_sep(m_hi: VerifStructure, m_lo: VerifStructure) -> OrderVerdict:
+    """geq_sep by scanning every message of m_lo at every endpoint and gap midpoint.
+
+    Separation sets are compared as exact set identities; since complements are
+    determined by supports, two messages separate the same set iff their
+    supports coincide as canonical interval unions.  Availability is piecewise
+    constant between support endpoints, so the endpoint+midpoint grid decides
+    the comparison exactly.
+    """
+    for s in _sep_grid(m_hi, m_lo):
+        for name in sorted(messages_at(m_lo, s)):
+            if name.startswith(IDENTITY_PREFIX):
+                if not _has_identity_for(m_hi, s):
+                    singleton = IntervalUnion.from_pairs([(s, s)])
+                    return OrderVerdict("sep", False, (s, singleton.complement_pieces()))
+                continue
+            supp = m_lo.support(name)
+            if not _separates_same(m_hi, s, supp) and not (
+                m_hi.full_verifiability and supp == IntervalUnion.from_pairs([(s, s)])
+            ):
+                return OrderVerdict("sep", False, (s, supp.complement_pieces()))
+    return OrderVerdict("sep", True)

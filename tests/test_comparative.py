@@ -19,6 +19,7 @@ from disclosuregame import (
     pnbp,
     thresholds,
 )
+from disclosuregame import comparative, verifiability
 from disclosuregame.comparative import (
     geq_lc,
     geq_sep,
@@ -27,7 +28,8 @@ from disclosuregame.comparative import (
     separating_instance,
 )
 
-from genutil import rand_interior, rand_pnbp_game, rand_structure
+from genutil import rand_interior, rand_interval_game, rand_pnbp_game, rand_sep_pair, rand_structure
+from reference_paths import grid_geq_sep
 
 M31 = VerifStructure(
     (
@@ -127,6 +129,56 @@ class TestGeqSep:
                 hi_struct, lo_struct = rand_structure(rng), a
             if geq_sep(hi_struct, lo_struct).holds:
                 assert geq_lc(hi_struct, lo_struct).holds
+
+
+    def test_matches_grid_scan(self):
+        # both orders of 1,000 pairs: verdict and witness as the scan of
+        # every message at every endpoint and gap midpoint finds them
+        rng = random.Random(11)
+        point_0 = IntervalUnion.from_pairs([(0, 0)])
+        holds, identity_at, seen = 0, set(), set()
+        for pair in (rand_sep_pair(rng) for _ in range(1000)):
+            for hi, lo in (pair, pair[::-1]):
+                verdict = geq_sep(hi, lo)
+                assert verdict == grid_geq_sep(hi, lo), (hi, lo)
+                holds += verdict.holds
+                if lo.full_verifiability and not hi.full_verifiability:
+                    # the identity family fails at 0 or, past a {0} support
+                    # of hi, at a type that is no endpoint of either side
+                    s, pieces = verdict.witness
+                    if s == 0 and pieces == point_0.complement_pieces():
+                        identity_at.add("at 0")
+                    elif s not in hi.support_endpoints() + lo.support_endpoints():
+                        identity_at.add("past {0}")
+            hi, lo = pair
+            supports = [supp for _, supp in hi.messages + lo.messages]
+            seen.update(
+                (
+                    ("full hi", hi.full_verifiability),
+                    ("full lo", lo.full_verifiability),
+                    ("mandatory", mandatory_disclosure() in pair),
+                    ("point 0 in hi", point_0 in dict(hi.messages).values()),
+                    ("union", any(len(supp.intervals) > 1 for supp in supports)),
+                    ("right-open", any(not iv.hi_closed for supp in supports for iv in supp.intervals)),
+                )
+            )
+        assert holds >= 500
+        assert identity_at == {"at 0", "past {0}"}
+        assert len(seen) == 12  # each feature both present and absent
+
+    def test_decided_without_type_queries(self, monkeypatch):
+        structure = rand_interval_game(random.Random(1), 1600, 9973).structure
+        bigger = add_message(structure, "extra", IntervalUnion.from_pairs([(F(1, 3), F(2, 3))]))
+
+        def refused(*args):
+            raise AssertionError("messages_at in geq_sep")
+
+        for module in (comparative, verifiability):
+            monkeypatch.setattr(module, "messages_at", refused, raising=False)
+        assert geq_sep(structure, structure).holds
+        assert geq_sep(bigger, structure).holds
+        verdict = geq_sep(structure, bigger)
+        assert not verdict.holds and verdict.witness[0] == F(1, 3)
 
 
 class TestOptimality:

@@ -269,6 +269,16 @@ class TestVerifyEquilibrium:
         assert not report.ok
         assert report.condition in (1, 2)
 
+    def test_belief_outside_conv_support_fails_condition_three(self):
+        # the oracle behind condition (1) refuses such beliefs, so the
+        # report has to come before it runs
+        game = GameSpec(StepFunction((F(0), F(1, 2)), (F(0), F(1))), F(1, 4), thresholds([F(1, 2)]))
+        eq = solve(game)
+        bad = replace(eq, beliefs={**eq.beliefs, "m_1": F(1, 4)}, value=F(0))
+        report = verify_equilibrium(game, bad)
+        assert not report.ok and report.condition == 3
+        assert report.witness == ("m_1", F(1, 4))
+
     def test_structurally_invalid_raises(self):
         eq = solve(G31)
         with pytest.raises(ValueError):

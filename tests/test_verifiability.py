@@ -236,6 +236,16 @@ class TestBuilders:
     def test_coverage_enforced(self):
         with pytest.raises(ConstructionError):
             VerifStructure((("m", IntervalUnion.from_pairs([(F(1, 2), 1)])),))
+        # uncovered only at 1, and on an interior gap
+        with pytest.raises(ConstructionError, match="cover all of"):
+            VerifStructure((("m", IntervalUnion.from_pairs([(0, 1, False)])),))
+        with pytest.raises(ConstructionError, match="cover all of"):
+            VerifStructure(
+                (
+                    ("a", IntervalUnion.from_pairs([(0, F(1, 3), False)])),
+                    ("b", IntervalUnion.from_pairs([(F(1, 2), 1)])),
+                )
+            )
 
     def test_reserved_identity_prefix(self):
         with pytest.raises(ConstructionError):
