@@ -31,7 +31,7 @@ from .piecewise import (
     step_eval,
     upper_hull_points,
 )
-from .rationals import ONE, ZERO, in_unit_interval
+from .rationals import ONE, ZERO, as_fraction, in_unit_interval, sorted_distinct
 from .verifiability import (
     IDENTITY_PREFIX,
     VerifStructure,
@@ -49,7 +49,7 @@ class GameSpec:
     structure: VerifStructure
 
     def __post_init__(self):
-        object.__setattr__(self, "prior", Fraction(self.prior))
+        object.__setattr__(self, "prior", as_fraction(self.prior))
         if not in_unit_interval(self.prior):
             raise DomainError(f"prior {self.prior} outside [0,1]")
         if not self.payoff.is_non_decreasing:
@@ -73,7 +73,7 @@ class GameSpec:
         structure, bps = self.structure, self.payoff.breakpoints
         xs = structure._endpoints
         if structure.full_verifiability:
-            xs = tuple(sorted({*xs, *bps, self.prior}))
+            xs = tuple(sorted_distinct((*xs, *bps, self.prior)))
         piece, k = [], 0
         for x in xs:  # one merge walk of two sorted sequences
             while k + 1 < len(bps) and bps[k + 1] <= x:
@@ -92,7 +92,11 @@ class GameSpec:
         if structure.full_verifiability:
             return PnbpVerdict(True, identity_name(ONE)) if vp < len(v.values) - 1 else PnbpVerdict(False)
         piece, rank = self._levels[1], structure._rank
-        above = [(-level, name) for name, supp in structure.messages if (level := piece[rank[supp.minimum]]) > vp]
+        above = [
+            (-level, name)
+            for name, supp in structure.messages
+            if (level := piece[rank[supp.minimum.numerator, supp.minimum.denominator]]) > vp
+        ]
         return PnbpVerdict(True, min(above)[1]) if above else PnbpVerdict(False)
 
     @cached_property
@@ -103,28 +107,35 @@ class GameSpec:
         return StepFunction(xs, tuple(self.payoff.values[k] for k in (*gap, at[-1])))
 
     @cached_property
-    def _value_hull(self) -> ConcavePL:
-        xs, _, at, gap, _ = self._levels
+    def _hull_levels(self) -> tuple[list[int], list[bool], list[bool]]:
+        """(top, from_left, from_right): each point's hull candidate level and its strict records.
+
+        top[i] is the highest of the point's own level and its two gap levels;
+        from_left[i] (from_right[i]) says top[i] exceeds every level to its
+        left (right).  A point that is neither has a level at most that of
+        some point on each side, so it lies on or under the chord between them
+        and is no strict hull vertex.  Each side has at most one strict record
+        per payoff piece.
+        """
+        _, _, at, gap, _ = self._levels
         top = list(map(max, at, [at[0], *gap], [*gap, at[-1]]))
+        n = len(top)
+        from_left, from_right = [False] * n, [False] * n
+        for record, order in ((from_left, range(n)), (from_right, range(n - 1, -1, -1))):
+            best = -1
+            for i in order:
+                if top[i] > best:
+                    record[i], best = True, top[i]
+        return top, from_left, from_right
+
+    @cached_property
+    def _value_hull(self) -> ConcavePL:
+        xs = self._levels[0]
+        top, from_left, from_right = self._hull_levels
         vals = self.payoff.values
-        return ConcavePL(tuple(upper_hull_points((xs[i], vals[top[i]]) for i in _strict_records(top))))
-
-
-def _strict_records(levels: list[int]) -> list[int]:
-    """Indices, ascending, whose level exceeds every level to their left or every level to their right.
-
-    Any other point has a level at most that of some point on each side, so
-    it lies on or under the chord between them and is no strict hull vertex.
-    Each side has at most one strict record per payoff piece.
-    """
-    keep = set()
-    for order in (range(len(levels)), range(len(levels) - 1, -1, -1)):
-        top = -1
-        for i in order:
-            if levels[i] > top:
-                keep.add(i)
-                top = levels[i]
-    return sorted(keep)
+        return ConcavePL(
+            tuple(upper_hull_points((xs[i], vals[top[i]]) for i in range(len(xs)) if from_left[i] or from_right[i]))
+        )
 
 
 @dataclass(frozen=True)
@@ -135,8 +146,8 @@ class Signal:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
-        sup = tuple(Fraction(s) for s in self.support)
-        wts = tuple(Fraction(w) for w in self.weights)
+        sup = tuple(as_fraction(s) for s in self.support)
+        wts = tuple(as_fraction(w) for w in self.weights)
         if len(sup) != len(wts) or not sup:
             raise ValueError("support and weights must be non-empty and same length")
         if len(set(sup)) != len(sup):
@@ -221,8 +232,8 @@ def value_hull(game: GameSpec) -> ConcavePL:
     own level and its two gap levels, so supports closed at an interior right
     end (or degenerate at a point) contribute the value they attain, and v(g)
     is constant on each gap.  Only strict records of these levels (see
-    _strict_records), at most two per payoff piece, reach the Fraction
-    cross-products of upper_hull_points.
+    GameSpec._hull_levels), at most two per payoff piece, reach
+    upper_hull_points, which decides each turn on ints.
     """
     return game._value_hull
 
@@ -304,17 +315,23 @@ def _solve_pnbp(game: GameSpec) -> Equilibrium:
        is affine, so the split's value is hull(p).
 
     The walk goes outward from the prior's position in the level table and
-    stops on each side at the first point with g(x) = x (an int test; every
-    point passes under full verifiability) and hull(x) = v(g(x)).  Fractions
-    remain only in pl_eval at those points, the split weights and the value.
+    stops on each side at the first point with g(x) = x and hull(x) =
+    v(g(x)).  Before pl_eval it tests ints: g(x) = x (every point passes under
+    full verifiability), the point's own level is its hull candidate level
+    (hull(x) >= v(top) >= v(g(x)), and levels rank values), and that level
+    is a strict left record.  The last holds at s-, s+ and p, since by step 3
+    the hull rises strictly up to them; a point failing it is no contact
+    point, and the walk stops at the same points.  Fractions remain only in
+    pl_eval at the points that pass, the split weights and the value.
     """
     structure, p = game.structure, game.prior
     hull = value_hull(game)
     xs, _, at, _, fixed = game._levels
+    top, from_left, _ = game._hull_levels
     vals = game.payoff.values
 
     def contact(i: int) -> bool:
-        return fixed[i] and pl_eval(hull, xs[i]) == vals[at[i]]
+        return fixed[i] and at[i] == top[i] and from_left[i] and pl_eval(hull, xs[i]) == vals[at[i]]
 
     k = bisect_left(xs, p)
     if xs[k] == p and contact(k):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .equilibrium import Equilibrium, GameSpec, skeptical_value, value_hull
-from .rationals import ONE, ZERO, format_rational
+from .rationals import ONE, ZERO, format_rational, sorted_distinct
 
 
 WIDTH = 720
@@ -42,13 +42,13 @@ class _Mapper:
     def x(self, v: Fraction) -> str:
         key = v.numerator, v.denominator
         if key not in self._xs:
-            self._xs[key] = _fmt(PLOT_LEFT + float(Fraction(v)) * (PLOT_RIGHT - PLOT_LEFT))
+            self._xs[key] = _fmt(PLOT_LEFT + float(v) * (PLOT_RIGHT - PLOT_LEFT))
         return self._xs[key]
 
     def y(self, v: Fraction) -> str:
         key = v.numerator, v.denominator
         if key not in self._ys:
-            t = (Fraction(v) - self.y_lo) / (self.y_hi - self.y_lo)
+            t = (v - self.y_lo) / (self.y_hi - self.y_lo)
             self._ys[key] = _fmt(PLOT_BOTTOM - float(t) * (PLOT_BOTTOM - PLOT_TOP))
         return self._ys[key]
 
@@ -80,7 +80,7 @@ def render_game_svg(game: GameSpec, eq: Equilibrium) -> str:
     ]
 
     # x ticks: breakpoints, support endpoints, prior
-    ticks = sorted(set(v.breakpoints) | {ZERO, ONE, game.prior})
+    ticks = sorted_distinct((*v.breakpoints, ZERO, ONE, game.prior))
     for t in ticks:
         xt = m.x(t)
         parts.append(f'<line x1="{xt}" y1="{PLOT_BOTTOM}" x2="{xt}" y2="{PLOT_BOTTOM + 4}" stroke="black"/>')

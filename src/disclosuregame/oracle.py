@@ -18,9 +18,11 @@ non-decreasing, so identity messages keep it too).
 Arithmetic stays exact throughout, and both searches rank a payoff value by
 its piece's index (the payoff is non-decreasing with merged pieces, so its
 values strictly increase).  best_deviation compares ranks to pick the grid
-points that can be hull vertices or lie on the hull edge over the prior;
-its hull cross-products, split weights and value stay in Fractions, since
-its grid grows with the game and no common denominator is bounded.  The
+points that can be hull vertices or lie on the hull edge over the prior.
+Its grid grows with the game and no common denominator is bounded, so it
+does not scale the grid: each hull turn cross-multiplies the points' own
+numerators and denominators (_slope_not_falling), and the on-edge tests,
+split weights and value stay in Fractions.  The
 exhaustive search caps its grid at max_grid points, so the lcm of the
 grid's denominators stays small; it scales the grid, the prior and the
 payoff breakpoints to ints over that lcm and tests every messaging profile
@@ -45,7 +47,7 @@ from .equilibrium import (
     verify_equilibrium,
 )
 from .piecewise import Point, step_eval
-from .rationals import ONE, ZERO
+from .rationals import ONE, ZERO, sorted_distinct
 from .verifiability import messages_at
 
 CriticalGrid = tuple[Fraction, ...]
@@ -53,10 +55,7 @@ CriticalGrid = tuple[Fraction, ...]
 
 def critical_grid(game: GameSpec) -> CriticalGrid:
     """0, 1, the prior, all payoff breakpoints and support endpoints, plus midpoints."""
-    pts = {ZERO, ONE, game.prior}
-    pts.update(game.payoff.breakpoints)
-    pts.update(game.structure.support_endpoints())
-    base = sorted(pts)
+    base = sorted_distinct((ZERO, ONE, game.prior, *game.payoff.breakpoints, *game.structure.support_endpoints()))
     grid = []
     for a, b in zip(base, base[1:]):
         grid.append(a)
@@ -91,24 +90,62 @@ def _hull_segment(pts: Sequence[Point], x: Fraction) -> tuple[Point, Point]:
     pts are exact points (Fractions, or ints on a scaled grid) sorted by
     strictly increasing x, as the critical grid is.  A vertex at x comes back
     as a degenerate edge (vertex, vertex); otherwise the edge's ends bracket x
-    strictly.
+    strictly.  Fraction points go through _fraction_hull, which decides each
+    turn on their numerators and denominators.
     """
     if not pts or not pts[0][0] <= x <= pts[-1][0]:
         raise DomainError(f"query {x} outside the hull's x-range")
-    hull: list[Point] = []
-    for pt in pts:
-        while len(hull) >= 2:
-            (x0, y0), (x1, y1) = hull[-2], hull[-1]
-            if (pt[1] - y1) * (x1 - x0) >= (y1 - y0) * (pt[0] - x1):
-                hull.pop()  # slope does not strictly decrease through hull[-1]
-            else:
-                break
-        hull.append(pt)
+    if isinstance(pts[0][0], Fraction):
+        hull = _fraction_hull(pts)
+    else:
+        hull = []
+        for pt in pts:
+            while len(hull) >= 2:
+                (x0, y0), (x1, y1) = hull[-2], hull[-1]
+                if (pt[1] - y1) * (x1 - x0) >= (y1 - y0) * (pt[0] - x1):
+                    hull.pop()  # slope does not strictly decrease through hull[-1]
+                else:
+                    break
+            hull.append(pt)
     xs = [px for px, _ in hull]
     i = bisect_right(xs, x) - 1
     if xs[i] == x:
         return hull[i], hull[i]
     return hull[i], hull[i + 1]
+
+
+def _fraction_hull(pts: Sequence[Point]) -> list[Point]:
+    """Upper hull vertices of Fraction points sorted by strictly increasing x.
+
+    The same scan as on ints, with each point also held as (xn, xd, yn, yd)
+    and each turn decided by _slope_not_falling on those ints.
+    """
+    hull: list[Point] = []
+    ints: list[tuple[int, int, int, int]] = []
+    for pt in pts:
+        x, y = pt
+        q = x.numerator, x.denominator, y.numerator, y.denominator
+        while len(ints) >= 2 and _slope_not_falling(ints[-2], ints[-1], q):
+            hull.pop()  # slope does not strictly decrease through hull[-1]
+            ints.pop()
+        hull.append(pt)
+        ints.append(q)
+    return hull
+
+
+def _slope_not_falling(p0: tuple[int, int, int, int], p1: tuple[int, int, int, int], p2: tuple[int, int, int, int]) -> bool:
+    """(y2 - y1)(x1 - x0) >= (y1 - y0)(x2 - x1) for points given as (xn, xd, yn, yd), on ints.
+
+    Each difference is an int over the product of two positive
+    denominators; both sides are multiplied by y1d * x1d and then by
+    x0d * y2d * y0d * x2d, so no gcd is taken.
+    """
+    x0n, x0d, y0n, y0d = p0
+    x1n, x1d, y1n, y1d = p1
+    x2n, x2d, y2n, y2d = p2
+    lhs = (y2n * y1d - y1n * y2d) * (x1n * x0d - x0n * x1d) * y0d * x2d
+    rhs = (y1n * y0d - y0n * y1d) * (x2n * x1d - x1n * x2d) * y2d * x0d
+    return lhs >= rhs
 
 
 def _interim_values(game: GameSpec, beliefs: Mapping[str, Fraction], grid: CriticalGrid) -> list[int]:
@@ -117,7 +154,8 @@ def _interim_values(game: GameSpec, beliefs: Mapping[str, Fraction], grid: Criti
     Each slot holds w's payoff piece index (game.payoff.values[w[i]] is w at
     grid[i]).  A range fill over grid indices: every support endpoint is a
     grid point, so an interval [lo, hi] covers exactly the grid indices from
-    index(lo) to index(hi), one fewer when it is open at hi.  Messages are
+    index(lo) to index(hi), one fewer when it is open at hi; the index is
+    keyed by each point's (numerator, denominator).  Messages are
     written in ascending order of their level, so each slot keeps the highest
     level available there.  Under full verifiability each slot is then raised
     to v(s)'s piece, the identity message's level (the only one under
@@ -125,15 +163,16 @@ def _interim_values(game: GameSpec, beliefs: Mapping[str, Fraction], grid: Criti
     the slots from index(b_k) up to index(b_k+1).
     """
     structure, bps = game.structure, game.payoff.breakpoints
-    index = {s: i for i, s in enumerate(grid)}
+    index = {(s.numerator, s.denominator): i for i, s in enumerate(grid)}
     w = [-1] * len(grid)
     levels = [(bisect_right(bps, beliefs[name]) - 1, supp) for name, supp in structure.messages]
     for level, supp in sorted(levels, key=itemgetter(0)):
         for iv in supp.intervals:
-            a, b = index[iv.lo], index[iv.hi] + iv.hi_closed
+            a = index[iv.lo.numerator, iv.lo.denominator]
+            b = index[iv.hi.numerator, iv.hi.denominator] + iv.hi_closed
             w[a:b] = [level] * (b - a)
     if structure.full_verifiability:
-        starts = [index[b] for b in bps] + [len(grid)]
+        starts = [index[b.numerator, b.denominator] for b in bps] + [len(grid)]
         for k, (a, b) in enumerate(zip(starts, starts[1:])):
             w[a:b] = [max(level, k) for level in w[a:b]]
     return w

@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import DomainError
-from .rationals import ONE, ZERO, in_unit_interval
+from .rationals import ONE, ZERO, as_fraction, in_unit_interval, order_key
 
 Point = tuple[Fraction, Fraction]
 
@@ -31,8 +31,8 @@ class StepFunction:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        bps = tuple(Fraction(b) for b in self.breakpoints)
-        vals = tuple(Fraction(v) for v in self.values)
+        bps = tuple(as_fraction(b) for b in self.breakpoints)
+        vals = tuple(as_fraction(v) for v in self.values)
         if len(bps) != len(vals) or not bps:
             raise ValueError("breakpoints and values must be non-empty and same length")
         if bps[0] != ZERO:
@@ -71,12 +71,12 @@ class StepFunction:
 
 
 def constant(value) -> StepFunction:
-    return StepFunction((ZERO,), (Fraction(value),))
+    return StepFunction((ZERO,), (as_fraction(value),))
 
 
 def step_eval(f: StepFunction, x: Fraction) -> Fraction:
     """Value of f at x under the left-closed piece convention."""
-    x = Fraction(x)
+    x = as_fraction(x)
     if not in_unit_interval(x):
         raise DomainError(f"step function argument {x} outside [0,1]")
     return f.values[bisect_right(f.breakpoints, x) - 1]
@@ -89,7 +89,7 @@ class ConcavePL:
     vertices: tuple[Point, ...]
 
     def __post_init__(self):
-        vs = tuple((Fraction(x), Fraction(y)) for x, y in self.vertices)
+        vs = tuple((as_fraction(x), as_fraction(y)) for x, y in self.vertices)
         if len(vs) < 2:
             raise ValueError("need at least two vertices")
         if vs[0][0] != ZERO or vs[-1][0] != ONE:
@@ -115,7 +115,7 @@ class ConcavePL:
 
 def pl_eval(g: ConcavePL, x: Fraction) -> Fraction:
     """Exact linear interpolation between the bracketing vertices."""
-    x = Fraction(x)
+    x = as_fraction(x)
     if not in_unit_interval(x):
         raise DomainError(f"piecewise-linear argument {x} outside [0,1]")
     xs = g.xs
@@ -130,28 +130,48 @@ def upper_hull_points(points: Iterable[Point]) -> list[Point]:
     """Vertices of the upper concave hull of a finite point set, left to right.
 
     Collinear interior points are dropped, so consecutive slopes strictly
-    decrease.  Duplicate x-coordinates keep only the highest y.
+    decrease.  Duplicate x-coordinates keep only the highest y.  Points are
+    keyed by their canonical (numerator, denominator) and each turn is
+    decided on ints by not_right_turn.
     """
-    best: dict[Fraction, Fraction] = {}
+    best: dict[tuple[int, int], Point] = {}
     for x, y in points:
-        if x not in best or y > best[x]:
-            best[x] = y
-    pts = sorted(best.items())
+        key = x.numerator, x.denominator
+        if key not in best or y > best[key][1]:
+            best[key] = (x, y)
+    pts = sorted(best.values(), key=lambda pt: order_key(pt[0]))
     if len(pts) == 1:
         return pts
     hull: list[Point] = []
+    ints: list[tuple[int, int, int, int]] = []
     for p in pts:
-        # pop while the middle point is on or below the chord (cross >= 0
-        # means a non-clockwise turn, i.e. not a strict upper-hull vertex)
-        while len(hull) >= 2:
-            (ox, oy), (ax, ay) = hull[-2], hull[-1]
-            cross = (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox)
-            if cross >= 0:
-                hull.pop()
-            else:
-                break
+        x, y = p
+        q = x.numerator, x.denominator, y.numerator, y.denominator
+        # pop while the middle point is on or below the chord: not a strict
+        # upper-hull vertex
+        while len(ints) >= 2 and not_right_turn(ints[-2], ints[-1], q):
+            hull.pop()
+            ints.pop()
         hull.append(p)
+        ints.append(q)
     return hull
+
+
+def not_right_turn(o: tuple[int, int, int, int], a: tuple[int, int, int, int], p: tuple[int, int, int, int]) -> bool:
+    """Whether o -> a -> p turns left or goes straight, for points given as (xn, xd, yn, yd).
+
+    That is the cross product (a - o) x (p - o) >= 0, the test
+    (ax - ox)(py - oy) >= (ay - oy)(px - ox) with every coordinate a
+    numerator over a positive denominator.  Each difference is an int over
+    the product of its two denominators; multiplying both sides by the
+    positive common factor leaves an int comparison with no gcd.
+    """
+    oxn, oxd, oyn, oyd = o
+    axn, axd, ayn, ayd = a
+    pxn, pxd, pyn, pyd = p
+    lhs = (axn * oxd - oxn * axd) * (pyn * oyd - oyn * pyd) * ayd * pxd
+    rhs = (ayn * oyd - oyn * ayd) * (pxn * oxd - oxn * pxd) * axd * pyd
+    return lhs >= rhs
 
 
 def hull_candidates(f: StepFunction) -> list[Point]:

@@ -1,6 +1,14 @@
-"""Exact rationals and their "p/q" string form used in all JSON I/O."""
+"""Exact rationals, their "p/q" string form used in all JSON I/O, and integer kernels on them.
+
+A Fraction's (numerator, denominator) pair is canonical: lowest terms with a
+positive denominator.  So the pair can stand in for the Fraction as a dict
+key, and exact tests can run on those two ints, which is much cheaper than
+Fraction's own hash, comparisons and arithmetic.
+"""
 
 from fractions import Fraction
+from math import inf
+from typing import Iterable
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -10,18 +18,33 @@ def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or integer strings into a Fraction.
 
     Floats are rejected on purpose: exactness is part of the I/O contract.
+    So are booleans, which JSON would otherwise hand over as the ints 0 and 1.
+    Plain ASCII "p" or "p/q" (an optional sign on p, digits only, q nonzero)
+    is read with two int() calls; anything else goes through Fraction(str),
+    which gives the same value on those inputs.
     """
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str):
         raise ValueError(f"rational must be a string like '2/5', got {text!r}")
     s = text.strip()
+    num, slash, den = s.partition("/")
+    if s.isascii() and (num[1:] if num[:1] in ("+", "-") else num).isdigit():
+        if not slash:
+            return Fraction(int(num))
+        if den.isdigit() and (d := int(den)):
+            return Fraction(int(num), d)
     if "." in s or "e" in s or "E" in s:
         raise ValueError(f"rational {text!r} must be exact (no decimal/float forms)")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed rational {text!r}: {exc}") from exc
+
+
+def as_fraction(x) -> Fraction:
+    """x itself when it is already a Fraction, else Fraction(x)."""
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def format_rational(q: Fraction) -> str:
@@ -32,4 +55,25 @@ def format_rational(q: Fraction) -> str:
 
 
 def in_unit_interval(q: Fraction) -> bool:
-    return ZERO <= q <= ONE
+    """0 <= q <= 1 for a Fraction q, on its numerator and (positive) denominator."""
+    return 0 <= q.numerator <= q.denominator
+
+
+def order_key(q: Fraction) -> tuple[float, Fraction]:
+    """Sort key that orders Fractions exactly, mostly by one float comparison.
+
+    Python divides ints with correct rounding, so n / d is monotone in q and
+    equal floats fall back to comparing the Fractions themselves.  A quotient
+    too large for a float maps to an infinity of its sign.
+    """
+    n, d = q.numerator, q.denominator
+    try:
+        return n / d, q
+    except OverflowError:
+        return (inf if n > 0 else -inf), q
+
+
+def sorted_distinct(values: Iterable[Fraction]) -> list[Fraction]:
+    """The distinct values, ascending; duplicates are found by their canonical (numerator, denominator)."""
+    unique = {(q.numerator, q.denominator): q for q in values}
+    return sorted(unique.values(), key=order_key)

@@ -23,7 +23,16 @@ from typing import Iterable, Sequence
 
 from .errors import ConstructionError, DomainError, PreconditionError, UnknownMessageError
 from .piecewise import StepFunction
-from .rationals import ONE, ZERO, format_rational, in_unit_interval, parse_rational
+from .rationals import (
+    ONE,
+    ZERO,
+    as_fraction,
+    format_rational,
+    in_unit_interval,
+    order_key,
+    parse_rational,
+    sorted_distinct,
+)
 
 IDENTITY_PREFIX = "id:"
 
@@ -35,7 +44,7 @@ class SupportInterval:
     hi_closed: bool = True
 
     def __post_init__(self):
-        lo, hi = Fraction(self.lo), Fraction(self.hi)
+        lo, hi = as_fraction(self.lo), as_fraction(self.hi)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         if not (in_unit_interval(lo) and in_unit_interval(hi)):
@@ -58,7 +67,9 @@ class IntervalUnion:
     intervals: tuple[SupportInterval, ...]
 
     def __post_init__(self):
-        ivs = sorted(self.intervals, key=lambda iv: (iv.lo, iv.hi, iv.hi_closed))
+        ivs = list(self.intervals)
+        if len(ivs) > 1:
+            ivs.sort(key=lambda iv: (order_key(iv.lo), order_key(iv.hi), iv.hi_closed))
         if not ivs:
             raise ConstructionError("support must be non-empty")
         merged = [ivs[0]]
@@ -78,9 +89,8 @@ class IntervalUnion:
         """Build from (lo, hi) or (lo, hi, hi_closed) tuples; closed by default."""
         ivs = []
         for p in pairs:
-            lo, hi = Fraction(p[0]), Fraction(p[1])
             hi_closed = bool(p[2]) if len(p) > 2 else True
-            ivs.append(SupportInterval(lo, hi, hi_closed))
+            ivs.append(SupportInterval(p[0], p[1], hi_closed))
         return cls(tuple(ivs))
 
     def contains(self, x: Fraction) -> bool:
@@ -151,15 +161,15 @@ class VerifStructure:
     @cached_property
     def _endpoints(self) -> tuple[Fraction, ...]:
         """0, 1 and every support endpoint, sorted and distinct."""
-        pts = {ZERO, ONE}
+        pts = [ZERO, ONE]
         for _, supp in self.messages:
-            pts.update(supp.endpoints())
-        return tuple(sorted(pts))
+            pts += supp.endpoints()
+        return tuple(sorted_distinct(pts))
 
     @cached_property
-    def _rank(self) -> dict[Fraction, int]:
-        """Each endpoint's index in `_endpoints`."""
-        return {e: i for i, e in enumerate(self._endpoints)}
+    def _rank(self) -> dict[tuple[int, int], int]:
+        """Each endpoint's index in `_endpoints`, keyed by its (numerator, denominator)."""
+        return {(e.numerator, e.denominator): i for i, e in enumerate(self._endpoints)}
 
     @cached_property
     def _best_minima(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -176,8 +186,12 @@ class VerifStructure:
         flag first.  Returns (indices at the endpoints, indices on the gaps).
         """
         rank = self._rank
+
+        def r(q: Fraction) -> int:
+            return rank[q.numerator, q.denominator]
+
         intervals = sorted(
-            (rank[iv.lo], rank[supp.minimum], rank[iv.hi], iv.hi_closed)
+            (r(iv.lo), r(supp.minimum), r(iv.hi), iv.hi_closed)
             for _, supp in self.messages
             for iv in supp.intervals
         )
@@ -213,7 +227,7 @@ def identity_name(s: Fraction) -> str:
 
 def messages_at(structure: VerifStructure, s: Fraction) -> set[str]:
     """All messages available to type s (identity message included under the flag)."""
-    s = Fraction(s)
+    s = as_fraction(s)
     if not in_unit_interval(s):
         raise DomainError(f"type {s} outside [0,1]")
     out = {name for name, supp in structure.messages if supp.contains(s)}
@@ -237,7 +251,7 @@ def max_min_available(structure: VerifStructure, s: Fraction) -> Fraction:
     Exact at every s, support endpoints included; a binary search into the
     structure's cached endpoint sweep.
     """
-    s = Fraction(s)
+    s = as_fraction(s)
     if not in_unit_interval(s):
         raise DomainError(f"type {s} outside [0,1]")
     if structure.full_verifiability:

@@ -5,12 +5,16 @@ decided by testing every support, step functions are sampled at the midpoint
 of every gap between support endpoints, and the exhaustive search redoes its
 exact algebra for every messaging profile.  The Fraction paths at the end are
 the solver's and the oracle's loops as they were before those ran on ranks:
-they compare, sort and scan every point as a Fraction.  Last comes the
-separation pre-order as it was before it compared supports: a scan of every
-message at every endpoint and gap midpoint of both structures.
+they compare, sort and scan every point as a Fraction.  Then come the
+separation pre-order as it was before it compared supports (a scan of every
+message at every endpoint and gap midpoint of both structures), and the
+Fraction kernels that integer ones replaced: Fraction(str) for every
+rational, sorting a set of Fractions, hull turns as Fraction cross-products,
+and a split walk that evaluates the envelope at every point with g(x) = x.
 """
 
 import heapq
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations, product
 from operator import itemgetter
@@ -23,14 +27,15 @@ from disclosuregame.equilibrium import (
     PnbpVerdict,
     _best_message,
     _skeptical_beliefs,
+    _walk,
     skeptical_payoff_at,
     skeptical_value,
     value_hull,
     verify_equilibrium,
 )
-from disclosuregame.errors import ConstructionError, OracleSizeError, PreconditionError
-from disclosuregame.oracle import _hull_segment, critical_grid, discrete_cav
-from disclosuregame.piecewise import ConcavePL, hull_candidates, pl_eval, step_eval, upper_hull_points
+from disclosuregame.errors import ConstructionError, DomainError, OracleSizeError, PreconditionError
+from disclosuregame.oracle import critical_grid, discrete_cav
+from disclosuregame.piecewise import ConcavePL, Point, hull_candidates, pl_eval, step_eval
 from disclosuregame.verifiability import IDENTITY_PREFIX, identity_name, max_min_available
 
 ZERO, ONE = Fraction(0), Fraction(1)
@@ -70,7 +75,7 @@ def candidate_value_hull(game: GameSpec) -> ConcavePL:
     if not game.structure.full_verifiability:
         for e in game.structure.support_endpoints():
             pts.append((e, step_eval(game.payoff, pointwise_g(game.structure, e))))
-    return ConcavePL(tuple(upper_hull_points(pts)))
+    return ConcavePL(tuple(fraction_upper_hull_points(pts)))
 
 
 def pointwise_interim_values(game: GameSpec, beliefs, grid) -> list[Fraction]:
@@ -371,7 +376,7 @@ def endpoint_value_hull(game: GameSpec) -> ConcavePL:
     if not game.structure.full_verifiability:
         for e in game.structure.support_endpoints():
             pts.append((e, skeptical_payoff_at(game, e)))
-    return ConcavePL(tuple(upper_hull_points(pts)))
+    return ConcavePL(tuple(fraction_upper_hull_points(pts)))
 
 
 def full_scan_solve_pnbp(game: GameSpec) -> Equilibrium:
@@ -438,10 +443,10 @@ def full_grid_best_deviation(game: GameSpec, beliefs) -> tuple[Fraction, Signal]
         lo, hi = supp.hull_bounds()
         if not (lo <= beliefs[name] <= hi):
             raise PreconditionError(f"belief for {name!r} outside conv support")
-    grid = critical_grid(game)
+    grid = set_critical_grid(game)
     w = fraction_interim_values(game, beliefs, grid)
     p = game.prior
-    (x0, y0), (x1, y1) = _hull_segment(list(zip(grid, w)), p)
+    (x0, y0), (x1, y1) = fraction_hull_segment(list(zip(grid, w)), p)
 
     def on_edge(i: int) -> bool:
         return (w[i] - y0) * (x1 - x0) == (y1 - y0) * (grid[i] - x0)
@@ -510,3 +515,93 @@ def grid_geq_sep(m_hi: VerifStructure, m_lo: VerifStructure) -> OrderVerdict:
             ):
                 return OrderVerdict("sep", False, (s, supp.complement_pieces()))
     return OrderVerdict("sep", True)
+
+
+# ---------------------------------------------------------------------------
+# Fraction kernels replaced by integer ones
+# ---------------------------------------------------------------------------
+
+def fraction_str_parse_rational(text) -> Fraction:
+    """parse_rational with every string going through Fraction(str), as before its int() fast path."""
+    if isinstance(text, int):
+        return Fraction(text)
+    if not isinstance(text, str):
+        raise ValueError(f"rational must be a string like '2/5', got {text!r}")
+    s = text.strip()
+    if "." in s or "e" in s or "E" in s:
+        raise ValueError(f"rational {text!r} must be exact (no decimal/float forms)")
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed rational {text!r}: {exc}") from exc
+
+
+def set_critical_grid(game: GameSpec) -> tuple[Fraction, ...]:
+    """critical_grid by sorting a set of Fractions."""
+    pts = {ZERO, ONE, game.prior}
+    pts.update(game.payoff.breakpoints)
+    pts.update(game.structure.support_endpoints())
+    base = sorted(pts)
+    grid = []
+    for a, b in zip(base, base[1:]):
+        grid.append(a)
+        grid.append((a + b) / 2)
+    grid.append(base[-1])
+    return tuple(grid)
+
+
+def fraction_upper_hull_points(points) -> list[Point]:
+    """upper_hull_points with a dict of Fractions, a Fraction sort and Fraction cross-products."""
+    best: dict[Fraction, Fraction] = {}
+    for x, y in points:
+        if x not in best or y > best[x]:
+            best[x] = y
+    pts = sorted(best.items())
+    if len(pts) == 1:
+        return pts
+    hull: list[Point] = []
+    for p in pts:
+        while len(hull) >= 2:
+            (ox, oy), (ax, ay) = hull[-2], hull[-1]
+            cross = (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox)
+            if cross >= 0:
+                hull.pop()
+            else:
+                break
+        hull.append(p)
+    return hull
+
+
+def fraction_hull_segment(pts, x) -> tuple[Point, Point]:
+    """oracle._hull_segment with each turn decided by Fraction arithmetic."""
+    if not pts or not pts[0][0] <= x <= pts[-1][0]:
+        raise DomainError(f"query {x} outside the hull's x-range")
+    hull: list[Point] = []
+    for pt in pts:
+        while len(hull) >= 2:
+            (x0, y0), (x1, y1) = hull[-2], hull[-1]
+            if (pt[1] - y1) * (x1 - x0) >= (y1 - y0) * (pt[0] - x1):
+                hull.pop()
+            else:
+                break
+        hull.append(pt)
+    xs = [px for px, _ in hull]
+    i = bisect_right(xs, x) - 1
+    if xs[i] == x:
+        return hull[i], hull[i]
+    return hull[i], hull[i + 1]
+
+
+def pl_eval_walk_split(game: GameSpec) -> tuple[Fraction, Fraction]:
+    """(s-, s+) of _solve_pnbp's walk with no rank test before pl_eval."""
+    p, hull = game.prior, value_hull(game)
+    xs, _, at, _, fixed = game._levels
+    vals = game.payoff.values
+
+    def contact(i: int) -> bool:
+        return fixed[i] and pl_eval(hull, xs[i]) == vals[at[i]]
+
+    k = bisect_left(xs, p)
+    if xs[k] == p and contact(k):
+        return p, p
+    return xs[_walk(contact, k - 1, -1, len(xs))], xs[_walk(contact, k + (xs[k] == p), 1, len(xs))]

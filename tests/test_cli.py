@@ -339,6 +339,14 @@ class TestRoundTrips:
         assert game.payoff.breakpoints[1] == F(2, 5)
         assert game_from_obj(game_to_obj(game)) == game
 
+    def test_boolean_rationals_rejected(self, tmp_path, capsys):
+        # JSON true and false are not rationals, although Python reads them as 1 and 0
+        assert main(["solve", _write(tmp_path, _game_obj(prior=True))]) == 2
+        assert "parse error: prior: rational must be a string like '2/5', got True" in capsys.readouterr().err
+        payoff = {"breakpoints": ["0", "2/5"], "values": [False, "1"]}
+        with pytest.raises(GameFileError, match=r"payoff\.values\[0\]"):
+            load_game(_write(tmp_path, _game_obj(payoff=payoff)))
+
     def test_float_rationals_rejected(self):
         with pytest.raises(GameFileError):
             game_from_obj({

@@ -1,4 +1,4 @@
-"""Rank coordinates in the solver and the deviation oracle, against the Fraction paths they replaced.
+"""Rank coordinates and integer kernels in the solver and the deviation oracle, against the Fraction paths they replaced.
 
 Rich games carry unions, degenerate points, right-open ends and full
 verifiability, with mandatory disclosure every tenth game; coprime games give
@@ -12,9 +12,10 @@ import pytest
 
 from disclosuregame import GameSpec, IntervalUnion, StepFunction, VerifStructure, mandatory_disclosure, pnbp, solve
 from disclosuregame import equilibrium, oracle, verifiability
-from disclosuregame.equilibrium import _solve_pnbp, _walk, value_hull
+from disclosuregame.equilibrium import _solve_pnbp, _walk, skeptical_payoff_at, skeptical_value, value_hull
 from disclosuregame.errors import PreconditionError
-from disclosuregame.oracle import best_deviation
+from disclosuregame.oracle import _hull_segment, best_deviation, critical_grid
+from disclosuregame.piecewise import hull_candidates, upper_hull_points
 
 from genutil import (
     rand_coprime_game,
@@ -26,10 +27,15 @@ from genutil import (
 )
 from reference_paths import (
     endpoint_value_hull,
+    fraction_hull_segment,
+    fraction_interim_values,
+    fraction_upper_hull_points,
     full_grid_best_deviation,
     full_scan_solve_pnbp,
     heap_best_minima,
+    pl_eval_walk_split,
     pointwise_interim_values,
+    set_critical_grid,
     stepwise_pnbp,
 )
 
@@ -104,6 +110,28 @@ def test_best_deviation_matches_full_grid():
                 lo, hi = pointwise_interim_values(game, beliefs, signal.support)
                 edges.add((lo > hi) - (lo < hi))
     assert edges == {-1, 0, 1}
+
+
+def test_integer_kernels_match_fraction_paths():
+    # critical_grid, the envelope's hull, the oracle's hull and the split
+    # walk, each against the Fraction path it replaced; the hull inputs are
+    # shuffled, with repeated x, and the oracle's hull sees every grid point
+    rng = random.Random(43)
+    for game in GAMES:
+        grid = critical_grid(game)
+        assert grid == set_critical_grid(game)
+        pts = hull_candidates(skeptical_value(game))
+        if not game.structure.full_verifiability:
+            pts += [(e, skeptical_payoff_at(game, e)) for e in game.structure.support_endpoints()]
+        rng.shuffle(pts)
+        assert upper_hull_points(pts) == fraction_upper_hull_points(pts)
+        beliefs = rand_beliefs(rng, game.structure)
+        w = list(zip(grid, fraction_interim_values(game, beliefs, grid)))
+        for x in (game.prior, rng.choice(grid), rand_point(rng)):
+            assert _hull_segment(w, x) == fraction_hull_segment(w, x)
+        if pnbp(game).holds:
+            eq = solve(game)
+            assert (eq.s_minus, eq.s_plus) == pl_eval_walk_split(game)
 
 
 def test_hull_inputs_are_strict_records(monkeypatch):

@@ -1,0 +1,115 @@
+"""Integer kernels on rationals, each against the Fraction arithmetic it stands in for."""
+
+import random
+from fractions import Fraction as F
+from math import gcd
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from disclosuregame.oracle import _slope_not_falling
+from disclosuregame.piecewise import not_right_turn
+from disclosuregame.rationals import order_key, parse_rational, sorted_distinct
+
+from reference_paths import fraction_str_parse_rational
+
+BIG = 10**39
+
+
+def outcome(fn, text):
+    try:
+        return "value", fn(text)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+@pytest.mark.parametrize("text", [
+    " 3/4 ", "+3/4", "-0/5", "007/3", "1/0", "3/-4", "٣/٤", "1_000/3",
+    "3 / 4", "3/", "/4", "+", "-", "--3/4", "+-3/4", "1/00", "12", "-12", "0", "0/7", "4/6",
+    "0.5", "1e3", "", " ", "\t5/2\n", "²/3", "3/²", str(BIG) + "/" + str(BIG + 1),
+])
+def test_parse_fast_path_matches_fraction_str(text):
+    assert outcome(parse_rational, text) == outcome(fraction_str_parse_rational, text)
+
+
+def test_parse_rejects_booleans_and_non_strings():
+    for obj in (True, False, 0.5, None, [1]):
+        with pytest.raises(ValueError, match="must be a string"):
+            parse_rational(obj)
+    assert parse_rational(7) == 7 and type(parse_rational(7)) is F
+
+
+FLOAT_TIES = [F(BIG, BIG + 1), F(BIG + 1, BIG + 2), F(BIG + 2, BIG + 3), F(1, BIG), F(1, BIG + 1)]
+
+
+def test_float_tied_values_are_ordered_exactly():
+    a, b = F(BIG, BIG + 1), F(BIG + 1, BIG + 2)
+    assert a.numerator / a.denominator == b.numerator / b.denominator and a < b
+    assert order_key(a) < order_key(b)
+    assert sorted_distinct([b, a, b, a]) == [a, b]
+
+
+def test_huge_values_do_not_raise():
+    huge = [F(10**400), F(-(10**400)), F(10**400, 3), F(10**400 + 1), F(0), F(-1, 10**400)]
+    assert order_key(F(10**400))[0] == float("inf")
+    assert order_key(F(-(10**400)))[0] == float("-inf")
+    assert sorted_distinct(huge + huge[::-1]) == sorted(set(huge))
+
+
+@given(st.lists(
+    st.one_of(
+        st.fractions(),
+        st.sampled_from(FLOAT_TIES),
+        st.builds(F, st.integers(-(10**400), 10**400), st.integers(1, 10**40)),
+    ),
+    max_size=40,
+))
+@settings(max_examples=100, deadline=None)
+def test_sorted_distinct_matches_sorted_set(values):
+    out = sorted_distinct(values)
+    assert out == sorted(set(values))
+    assert all(type(q) is F for q in out)
+    assert sorted(values, key=order_key) == sorted(values)
+
+
+COORD = st.one_of(
+    st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+    # 39-digit denominators, mostly coprime to each other
+    st.builds(lambda n, d: F(n % (d + 1), d), st.integers(0, 10**40), st.integers(10**38, 10**39)),
+)
+POINT = st.tuples(COORD, st.one_of(COORD, st.fractions(min_value=-5, max_value=5, max_denominator=50)))
+
+
+def ints(pt):
+    (x, y) = pt
+    return x.numerator, x.denominator, y.numerator, y.denominator
+
+
+@given(POINT, POINT, POINT)
+@settings(max_examples=150, deadline=None)
+def test_int_turns_match_fraction_cross_products(o, a, p):
+    (ox, oy), (ax, ay), (px, py) = o, a, p
+    assert not_right_turn(ints(o), ints(a), ints(p)) == ((ax - ox) * (py - oy) - (ay - oy) * (px - ox) >= 0)
+    assert _slope_not_falling(ints(o), ints(a), ints(p)) == ((py - ay) * (ax - ox) >= (ay - oy) * (px - ax))
+
+
+def test_int_turns_on_collinear_points():
+    pts = [(F(k, BIG + 1), F(3 * k, BIG + 1) + F(1, 7)) for k in range(3)]
+    assert not_right_turn(*map(ints, pts)) and _slope_not_falling(*map(ints, pts))
+    below = (pts[2][0], pts[2][1] - F(1, BIG))
+    assert not not_right_turn(ints(pts[0]), ints(pts[1]), ints(below))
+    assert not _slope_not_falling(ints(pts[0]), ints(pts[1]), ints(below))
+
+
+def test_int_turns_on_pairwise_coprime_39_digit_coordinates():
+    rng = random.Random(41)
+    for _ in range(300):
+        dens: list[int] = []
+        while len(dens) < 6:  # each coordinate over its own denominator, pairwise coprime
+            den = 10**38 + rng.randrange(10**37)
+            if all(gcd(den, d) == 1 for d in dens):
+                dens.append(den)
+        o, a, p = ((F(rng.randrange(1, dx), dx), F(rng.randrange(1, dy), dy)) for dx, dy in zip(dens[::2], dens[1::2]))
+        (ox, oy), (ax, ay), (px, py) = o, a, p
+        assert not_right_turn(ints(o), ints(a), ints(p)) == ((ax - ox) * (py - oy) - (ay - oy) * (px - ox) >= 0)
+        assert _slope_not_falling(ints(o), ints(a), ints(p)) == ((py - ay) * (ax - ox) >= (ay - oy) * (px - ax))
