@@ -31,7 +31,7 @@ from .piecewise import (
     step_eval,
     upper_hull_points,
 )
-from .rationals import ONE, ZERO, as_fraction, in_unit_interval, sorted_distinct
+from .rationals import ONE, ZERO, as_fraction, in_unit_interval, on_line_through, order_key, sorted_distinct
 from .verifiability import (
     IDENTITY_PREFIX,
     VerifStructure,
@@ -60,6 +60,15 @@ class GameSpec:
     # skeptical_value and value_hull.
 
     @cached_property
+    def _level_points(self) -> tuple[tuple[Fraction, ...], tuple[tuple[float, Fraction], ...]]:
+        """The level table's points xs (see _levels) and their order keys."""
+        structure = self.structure
+        if not structure.full_verifiability:
+            return structure._endpoints, structure._keys
+        xs = tuple(sorted_distinct((*structure._endpoints, *self.payoff.breakpoints, self.prior)))
+        return xs, tuple(map(order_key, xs))
+
+    @cached_property
     def _levels(self) -> tuple[tuple[Fraction, ...], list[int], list[int], list[int], list[bool]]:
         """The level table (xs, piece, at, gap, fixed) of v∘g on sorted points xs.
 
@@ -70,13 +79,12 @@ class GameSpec:
         identity and xs also hold the payoff breakpoints and the prior.  The
         payoff's values strictly increase, so a piece index ranks its value.
         """
-        structure, bps = self.structure, self.payoff.breakpoints
-        xs = structure._endpoints
-        if structure.full_verifiability:
-            xs = tuple(sorted_distinct((*xs, *bps, self.prior)))
+        structure = self.structure
+        xs, keys = self._level_points
+        bkeys = self.payoff._keys
         piece, k = [], 0
-        for x in xs:  # one merge walk of two sorted sequences
-            while k + 1 < len(bps) and bps[k + 1] <= x:
+        for key in keys:  # one merge walk of two sorted sequences, on order keys
+            while k + 1 < len(bkeys) and bkeys[k + 1] <= key:
                 k += 1
             piece.append(k)
         if structure.full_verifiability:
@@ -88,7 +96,7 @@ class GameSpec:
     @cached_property
     def _pnbp(self) -> PnbpVerdict:
         structure, v = self.structure, self.payoff
-        vp = bisect_right(v.breakpoints, self.prior) - 1
+        vp = v.piece(self.prior)
         if structure.full_verifiability:
             return PnbpVerdict(True, identity_name(ONE)) if vp < len(v.values) - 1 else PnbpVerdict(False)
         piece, rank = self._levels[1], structure._rank
@@ -252,13 +260,16 @@ def _skeptical_beliefs(structure: VerifStructure) -> dict[str, Fraction]:
 def _best_message(structure: VerifStructure, s: Fraction) -> str:
     """Message available at s with the largest support minimum; ties go to the smallest name.
 
-    One pass over the finite messages; under full verifiability the identity
-    message of s (minimum s) competes by its name like any other.
+    One pass over the finite messages' intervals on s's position among the
+    support endpoints (ints; positions also order the support minima); under
+    full verifiability the identity message of s (minimum s, at s's own
+    position) competes by its name like any other.
     """
-    candidates = [(supp.minimum, name) for name, supp in structure.messages if supp.contains(s)]
+    pos = structure._position(s)
+    candidates = [(-minimum, name) for start, end, minimum, name in structure._spans if start <= pos < end]
     if structure.full_verifiability:
-        candidates.append((s, identity_name(s)))
-    return min(candidates, key=lambda c: (-c[0], c[1]))[1]
+        candidates.append((-pos, identity_name(s)))
+    return min(candidates)[1]
 
 
 def solve(game: GameSpec) -> Equilibrium:
@@ -316,24 +327,29 @@ def _solve_pnbp(game: GameSpec) -> Equilibrium:
 
     The walk goes outward from the prior's position in the level table and
     stops on each side at the first point with g(x) = x and hull(x) =
-    v(g(x)).  Before pl_eval it tests ints: g(x) = x (every point passes under
-    full verifiability), the point's own level is its hull candidate level
+    v(g(x)).  It tests ranks first: g(x) = x (every point passes under full
+    verifiability), the point's own level is its hull candidate level
     (hull(x) >= v(top) >= v(g(x)), and levels rank values), and that level
     is a strict left record.  The last holds at s-, s+ and p, since by step 3
     the hull rises strictly up to them; a point failing it is no contact
-    point, and the walk stops at the same points.  Fractions remain only in
-    pl_eval at the points that pass, the split weights and the value.
+    point, and the walk stops at the same points.  Every point the walk
+    tests lies between the ends of the hull edge over p, which are contact
+    points by step 4, so hull(x) = v(g(x)) there is an int collinearity test
+    against that edge.  Fractions remain only in the split weights and the
+    value.
     """
     structure, p = game.structure, game.prior
     hull = value_hull(game)
     xs, _, at, _, fixed = game._levels
     top, from_left, _ = game._hull_levels
     vals = game.payoff.values
+    e = bisect_right(hull._keys, order_key(p)) - 1  # the edge over p; p < 1 under PNBP
+    on_edge = on_line_through(hull.vertices[e], hull.vertices[e + 1])
 
     def contact(i: int) -> bool:
-        return fixed[i] and at[i] == top[i] and from_left[i] and pl_eval(hull, xs[i]) == vals[at[i]]
+        return fixed[i] and at[i] == top[i] and from_left[i] and on_edge(xs[i], vals[at[i]])
 
-    k = bisect_left(xs, p)
+    k = bisect_left(game._level_points[1], order_key(p))
     if xs[k] == p and contact(k):
         s_minus = s_plus = p
         signal = Signal((p,), (ONE,))
@@ -411,20 +427,20 @@ def verify_equilibrium(game: GameSpec, eq: Equilibrium) -> VerifyReport:
 
     The oracle behind (1) needs every belief inside its message's convex
     hull, so a belief outside it is reported as a violation of (3) before
-    (1) and (2) are tested.
+    (1) and (2) are tested.  Having tested that here, once, verify calls the
+    oracle's search without best_deviation's own precondition check.
     """
     from . import oracle  # late import: oracle builds on this module's types
 
     _validate_structure(game, eq)
     beliefs = dict(eq.beliefs)
     for name, supp in game.structure.messages:
-        lo, hi = supp.hull_bounds()
         b = beliefs[name]
-        if not (lo <= b <= hi):
+        if not supp.hull_contains(b):
             return VerifyReport(False, 3, f"belief for {name!r} outside conv support", (name, b))
 
     # (1) optimal information acquisition
-    best_value, best_signal = oracle.best_deviation(game, beliefs)
+    best_value, best_signal = oracle._best_deviation(game, beliefs)
     if best_value != eq.value:
         return VerifyReport(
             False,

@@ -32,37 +32,55 @@ def _fmt(x: float) -> str:
 
 
 class _Mapper:
-    """Pixel strings, memoised by (numerator, denominator): cheaper to hash than a Fraction."""
+    """Pixel strings, memoised by (numerator, denominator): cheaper to hash than a Fraction.
+
+    float(q) for a Fraction q is its numerator / denominator, an int true
+    division, which Python rounds correctly; so is the same quotient of any
+    other pair of ints with the same ratio.  x and y therefore divide ints
+    directly and give float(q)'s bits without building q.
+    """
 
     def __init__(self, y_lo: Fraction, y_hi: Fraction):
-        self.y_lo, self.y_hi = y_lo, y_hi
+        # (v - y_lo) / (y_hi - y_lo) = (vn * ld - ln * vd) * hd / (vd * span)
+        self._ln, self._ld, self._hd = y_lo.numerator, y_lo.denominator, y_hi.denominator
+        self._span = y_hi.numerator * self._ld - self._ln * self._hd
         self._xs: dict[tuple[int, int], str] = {}
         self._ys: dict[tuple[int, int], str] = {}
 
     def x(self, v: Fraction) -> str:
         key = v.numerator, v.denominator
         if key not in self._xs:
-            self._xs[key] = _fmt(PLOT_LEFT + float(v) * (PLOT_RIGHT - PLOT_LEFT))
+            self._xs[key] = _fmt(PLOT_LEFT + key[0] / key[1] * (PLOT_RIGHT - PLOT_LEFT))
         return self._xs[key]
 
     def y(self, v: Fraction) -> str:
-        key = v.numerator, v.denominator
+        vn, vd = key = v.numerator, v.denominator
         if key not in self._ys:
-            t = (v - self.y_lo) / (self.y_hi - self.y_lo)
-            self._ys[key] = _fmt(PLOT_BOTTOM - float(t) * (PLOT_BOTTOM - PLOT_TOP))
+            t = (vn * self._ld - self._ln * vd) * self._hd / (vd * self._span)
+            self._ys[key] = _fmt(PLOT_BOTTOM - t * (PLOT_BOTTOM - PLOT_TOP))
         return self._ys[key]
+
+
+def _mapper(game: GameSpec, eq: Equilibrium) -> _Mapper:
+    """The figure's coordinates: y spans every value drawn, 0 and the equilibrium value, padded.
+
+    Every value drawn is a payoff value: v∘g takes v's values, and so do the
+    envelope's vertices.  The payoff's values strictly increase, so its first
+    and last bound them.
+    """
+    values = game.payoff.values
+    y_lo, y_hi = min(values[0], eq.value, ZERO), max(values[-1], eq.value, ZERO)
+    if y_lo == y_hi:
+        y_hi = y_lo + 1
+    pad = (y_hi - y_lo) / 12
+    return _Mapper(y_lo - pad, y_hi + pad)
 
 
 def render_game_svg(game: GameSpec, eq: Equilibrium) -> str:
     v = game.payoff
     vm = skeptical_value(game)
     hull = value_hull(game)
-    ys = set(v.values) | set(vm.values) | {y for _, y in hull.vertices} | {eq.value, ZERO}
-    y_lo, y_hi = min(ys), max(ys)
-    if y_lo == y_hi:
-        y_hi = y_lo + 1
-    pad = (y_hi - y_lo) / 12
-    m = _Mapper(y_lo - pad, y_hi + pad)
+    m = _mapper(game, eq)
 
     # the identity family has no support of its own: a dotted bar over [0,1]
     rows = list(game.structure.messages)
@@ -87,7 +105,7 @@ def render_game_svg(game: GameSpec, eq: Equilibrium) -> str:
         parts.append(
             f'<text x="{xt}" y="{PLOT_BOTTOM + 16}" text-anchor="middle">{format_rational(t)}</text>'
         )
-    for yv in sorted(set(v.values)):
+    for yv in v.values:  # strictly increasing
         parts.append(
             f'<text x="{PLOT_LEFT - 8}" y="{m.y(yv)}" text-anchor="end" dominant-baseline="middle">'
             f"{format_rational(yv)}</text>"

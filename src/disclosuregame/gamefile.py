@@ -1,8 +1,9 @@
 """JSON schemas for games, structures, equilibria and verdicts.
 
 All rationals travel as strings ("p/q" or an integer string); floats are
-rejected so files round-trip exactly.  Parse failures raise GameFileError with
-a field-path diagnostic like ``payoff.values[2]``.
+rejected so files round-trip exactly.  Each distinct string is parsed once per
+file.  Parse failures raise GameFileError with a field-path diagnostic like
+``payoff.values[2]``, built only when a failure occurs.
 
 Input size is capped, so the solver's quadratic paths and exact arithmetic
 cannot be fed unbounded input: at most MAX_MESSAGES messages per structure,
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
 from .comparative import OrderVerdict
 from .equilibrium import Equilibrium, GameSpec, Signal
@@ -29,21 +30,70 @@ MAX_PAYOFF_PIECES = 2_000
 MAX_RATIONAL_DIGITS = 40
 
 
-def _rat(obj: Any, path: str) -> Fraction:
+def _parse(obj: Any) -> Fraction:
+    """parse_rational under the digit cap; ValueError says what is wrong, the caller says where."""
     text = str(obj) if isinstance(obj, (str, int)) else ""
     if len(text) > MAX_RATIONAL_DIGITS and any(
         len(part.strip().lstrip("+-")) > MAX_RATIONAL_DIGITS for part in text.split("/")
     ):
-        raise GameFileError(f"{path}: more than {MAX_RATIONAL_DIGITS} digits in a numerator or denominator")
+        raise ValueError(f"more than {MAX_RATIONAL_DIGITS} digits in a numerator or denominator")
+    return parse_rational(obj)
+
+
+def _rat(obj: Any, path: str, read: Callable[[Any], Fraction] = _parse) -> Fraction:
     try:
-        return parse_rational(obj)
+        return read(obj)
     except ValueError as exc:
         raise GameFileError(f"{path}: {exc}") from exc
+
+
+def _reader() -> Callable[[Any], Fraction]:
+    """_parse for one file: each distinct string is parsed once.
+
+    Only strings are memoised: JSON's true would otherwise find the int 1's
+    entry, since True == 1 and both hash alike.
+    """
+    memo: dict[str, Fraction] = {}
+
+    def read(obj: Any) -> Fraction:
+        if isinstance(obj, str):
+            q = memo.get(obj)
+            if q is None:
+                q = memo[obj] = _parse(obj)
+            return q
+        return _parse(obj)
+
+    return read
+
+
+def _rats(raw: list, read: Callable[[Any], Fraction], path: str) -> tuple[Fraction, ...]:
+    """Every entry of raw; an error names the entry's index."""
+    out = []
+    for obj in raw:
+        try:
+            out.append(read(obj))
+        except ValueError as exc:
+            raise GameFileError(f"{path}[{len(out)}]: {exc}") from exc
+    return tuple(out)
 
 
 def _expect(obj: Any, kind: type, path: str):
     if not isinstance(obj, kind):
         raise GameFileError(f"{path}: expected {kind.__name__}, got {type(obj).__name__}")
+    return obj
+
+
+class _Invalid(Exception):
+    """A parse failure below the object being read: where is the path suffix from that object."""
+
+    def __init__(self, where: str, reason: object):
+        super().__init__(str(reason))
+        self.where = where
+
+
+def _check(obj: Any, kind: type, where: str):
+    if not isinstance(obj, kind):
+        raise _Invalid(where, f"expected {kind.__name__}, got {type(obj).__name__}")
     return obj
 
 
@@ -72,40 +122,66 @@ def structure_to_obj(structure: VerifStructure) -> dict:
 
 
 def structure_from_obj(obj: Any, path: str = "structure") -> VerifStructure:
+    return _structure(obj, path, _reader())
+
+
+def _structure(obj: Any, path: str, read: Callable[[Any], Fraction]) -> VerifStructure:
+    """structure_from_obj with the file's reader.
+
+    Field paths are built only on error: each message is read by _message,
+    whose failures carry their path below the message, prefixed here.
+    """
     _expect(obj, dict, path)
     full = obj.get("full_verifiability", False)
     if not isinstance(full, bool):
         raise GameFileError(f"{path}.full_verifiability: expected bool")
-    messages = []
     raw_msgs = _expect(obj.get("messages", []), list, f"{path}.messages")
     if len(raw_msgs) > MAX_MESSAGES:
         raise GameFileError(f"{path}.messages: {len(raw_msgs)} messages, more than {MAX_MESSAGES}")
-    for i, m in enumerate(raw_msgs):
-        mp = f"{path}.messages[{i}]"
-        _expect(m, dict, mp)
-        name = _expect(m.get("name"), str, f"{mp}.name")
-        raw_supp = _expect(m.get("support"), list, f"{mp}.support")
-        ivs = []
-        for j, iv in enumerate(raw_supp):
-            ip = f"{mp}.support[{j}]"
-            _expect(iv, dict, ip)
-            lo = _rat(iv.get("lo"), f"{ip}.lo")
-            hi = _rat(iv.get("hi"), f"{ip}.hi")
-            hi_closed = iv.get("hi_closed", True)
-            if not isinstance(hi_closed, bool):
-                raise GameFileError(f"{ip}.hi_closed: expected bool")
-            try:
-                ivs.append(SupportInterval(lo, hi, hi_closed))
-            except ConstructionError as exc:
-                raise GameFileError(f"{ip}: {exc}") from exc
+    messages = []
+    for m in raw_msgs:
         try:
-            messages.append((name, IntervalUnion(tuple(ivs))))
-        except ConstructionError as exc:
-            raise GameFileError(f"{mp}.support: {exc}") from exc
+            messages.append(_message(m, read))
+        except _Invalid as exc:
+            raise GameFileError(f"{path}.messages[{len(messages)}]{exc.where}: {exc}") from exc
     try:
         return VerifStructure(tuple(messages), full)
     except ConstructionError as exc:
         raise GameFileError(f"{path}: {exc}") from exc
+
+
+def _message(m: Any, read: Callable[[Any], Fraction]) -> tuple[str, IntervalUnion]:
+    _check(m, dict, "")
+    name = _check(m.get("name"), str, ".name")
+    raw_supp = _check(m.get("support"), list, ".support")
+    ivs = []
+    for iv in raw_supp:
+        try:
+            ivs.append(_interval(iv, read))
+        except _Invalid as exc:
+            exc.where = f".support[{len(ivs)}]{exc.where}"
+            raise
+    try:
+        return name, IntervalUnion(tuple(ivs))
+    except ConstructionError as exc:
+        raise _Invalid(".support", exc) from exc
+
+
+def _interval(iv: Any, read: Callable[[Any], Fraction]) -> SupportInterval:
+    _check(iv, dict, "")
+    ends = []
+    for key in ("lo", "hi"):
+        try:
+            ends.append(read(iv.get(key)))
+        except ValueError as exc:
+            raise _Invalid(f".{key}", exc) from exc
+    hi_closed = iv.get("hi_closed", True)
+    if not isinstance(hi_closed, bool):
+        raise _Invalid(".hi_closed", "expected bool")
+    try:
+        return SupportInterval(ends[0], ends[1], hi_closed)
+    except ConstructionError as exc:
+        raise _Invalid("", exc) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -126,19 +202,20 @@ def game_to_obj(game: GameSpec) -> dict:
 def game_from_obj(obj: Any, path: str = "") -> GameSpec:
     _expect(obj, dict, path or "game")
     prefix = f"{path}." if path else ""
-    prior = _rat(obj.get("prior"), f"{prefix}prior")
+    read = _reader()
+    prior = _rat(obj.get("prior"), f"{prefix}prior", read)
     payoff_obj = _expect(obj.get("payoff"), dict, f"{prefix}payoff")
     raw_b = _expect(payoff_obj.get("breakpoints"), list, f"{prefix}payoff.breakpoints")
     raw_v = _expect(payoff_obj.get("values"), list, f"{prefix}payoff.values")
     if max(len(raw_b), len(raw_v)) > MAX_PAYOFF_PIECES:
         raise GameFileError(f"{prefix}payoff: more than {MAX_PAYOFF_PIECES} pieces")
-    bps = tuple(_rat(b, f"{prefix}payoff.breakpoints[{i}]") for i, b in enumerate(raw_b))
-    vals = tuple(_rat(v, f"{prefix}payoff.values[{i}]") for i, v in enumerate(raw_v))
+    bps = _rats(raw_b, read, f"{prefix}payoff.breakpoints")
+    vals = _rats(raw_v, read, f"{prefix}payoff.values")
     try:
         payoff = StepFunction(bps, vals)
     except ValueError as exc:
         raise GameFileError(f"{prefix}payoff: {exc}") from exc
-    structure = structure_from_obj(obj.get("structure"), f"{prefix}structure")
+    structure = _structure(obj.get("structure"), f"{prefix}structure", read)
     try:
         return GameSpec(payoff, prior, structure)
     except ValueError as exc:

@@ -20,14 +20,15 @@ its piece's index (the payoff is non-decreasing with merged pieces, so its
 values strictly increase).  best_deviation compares ranks to pick the grid
 points that can be hull vertices or lie on the hull edge over the prior.
 Its grid grows with the game and no common denominator is bounded, so it
-does not scale the grid: each hull turn cross-multiplies the points' own
-numerators and denominators (_slope_not_falling), and the on-edge tests,
-split weights and value stay in Fractions.  The
-exhaustive search caps its grid at max_grid points, so the lcm of the
-grid's denominators stays small; it scales the grid, the prior and the
-payoff breakpoints to ints over that lcm and tests every messaging profile
-(condition (2), the best-response hull, the value) on Python ints.  Only the
-profiles that pass build Fractions.
+does not scale the grid: it looks up grid points and each belief's payoff
+piece by (numerator, denominator), each hull turn cross-multiplies the
+points' own numerators and denominators (_slope_not_falling), and so does
+each on-edge test (rationals.on_line_through); only the split weights and
+the value are Fraction arithmetic.  The exhaustive search caps its grid at
+max_grid points, so the lcm of the grid's denominators stays small; it
+scales the grid, the prior and the payoff breakpoints to ints over that lcm
+and tests every messaging profile (condition (2), the best-response hull,
+the value) on Python ints.  Only the profiles that pass build Fractions.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .equilibrium import (
     verify_equilibrium,
 )
 from .piecewise import Point, step_eval
-from .rationals import ONE, ZERO, sorted_distinct
+from .rationals import ONE, ZERO, on_line_through, sorted_distinct
 from .verifiability import messages_at
 
 CriticalGrid = tuple[Fraction, ...]
@@ -59,7 +60,8 @@ def critical_grid(game: GameSpec) -> CriticalGrid:
     grid = []
     for a, b in zip(base, base[1:]):
         grid.append(a)
-        grid.append((a + b) / 2)
+        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+        grid.append(Fraction(an * bd + bn * ad, 2 * ad * bd))  # (a + b) / 2
     grid.append(base[-1])
     return tuple(grid)
 
@@ -148,33 +150,49 @@ def _slope_not_falling(p0: tuple[int, int, int, int], p1: tuple[int, int, int, i
     return lhs >= rhs
 
 
-def _interim_values(game: GameSpec, beliefs: Mapping[str, Fraction], grid: CriticalGrid) -> list[int]:
+def _grid_index(grid: CriticalGrid) -> dict[tuple[int, int], int]:
+    """Each grid point's index, keyed by its (numerator, denominator)."""
+    return {(s.numerator, s.denominator): i for i, s in enumerate(grid)}
+
+
+def _interim_values(
+    game: GameSpec, beliefs: Mapping[str, Fraction], grid: CriticalGrid, index: Mapping[tuple[int, int], int]
+) -> list[int]:
     """w(s) = max over available m of v(beliefs[m]), v(s) for an identity message, at every grid point.
 
     Each slot holds w's payoff piece index (game.payoff.values[w[i]] is w at
     grid[i]).  A range fill over grid indices: every support endpoint is a
     grid point, so an interval [lo, hi] covers exactly the grid indices from
-    index(lo) to index(hi), one fewer when it is open at hi; the index is
-    keyed by each point's (numerator, denominator).  Messages are
-    written in ascending order of their level, so each slot keeps the highest
-    level available there.  Under full verifiability each slot is then raised
-    to v(s)'s piece, the identity message's level (the only one under
-    mandatory disclosure); every breakpoint is a grid point, so piece k fills
-    the slots from index(b_k) up to index(b_k+1).
+    index(lo) to index(hi), one fewer when it is open at hi; the index
+    (_grid_index) is keyed by each point's (numerator, denominator).  Every payoff breakpoint is a grid point too,
+    so piece k holds the slots from index(b_k) up to index(b_k+1): one range
+    fill gives the piece table, which reads each belief's piece when the
+    belief is a grid point; a belief off the grid bisects the breakpoints.
+    Messages are written in ascending order of their level, so each slot
+    keeps the highest level available there.  Under full verifiability each
+    slot is then raised to v(s)'s piece, the identity message's level (the
+    only one under mandatory disclosure).
     """
-    structure, bps = game.structure, game.payoff.breakpoints
-    index = {(s.numerator, s.denominator): i for i, s in enumerate(grid)}
-    w = [-1] * len(grid)
-    levels = [(bisect_right(bps, beliefs[name]) - 1, supp) for name, supp in structure.messages]
-    for level, supp in sorted(levels, key=itemgetter(0)):
+    structure, v = game.structure, game.payoff
+    n = len(grid)
+    starts = [index[b.numerator, b.denominator] for b in v.breakpoints] + [n]
+    piece = [0] * n
+    for k, (a, b) in enumerate(zip(starts, starts[1:])):
+        piece[a:b] = [k] * (b - a)
+
+    def level(b: Fraction) -> int:
+        i = index.get((b.numerator, b.denominator))
+        return v.piece(b) if i is None else piece[i]
+
+    w = [-1] * n
+    levels = [(level(beliefs[name]), supp) for name, supp in structure.messages]
+    for lvl, supp in sorted(levels, key=itemgetter(0)):
         for iv in supp.intervals:
             a = index[iv.lo.numerator, iv.lo.denominator]
             b = index[iv.hi.numerator, iv.hi.denominator] + iv.hi_closed
-            w[a:b] = [level] * (b - a)
+            w[a:b] = [lvl] * (b - a)
     if structure.full_verifiability:
-        starts = [index[b.numerator, b.denominator] for b in bps] + [len(grid)]
-        for k, (a, b) in enumerate(zip(starts, starts[1:])):
-            w[a:b] = [max(level, k) for level in w[a:b]]
+        w = list(map(max, w, piece))
     return w
 
 
@@ -188,13 +206,19 @@ def best_deviation(game: GameSpec, beliefs: Mapping[str, Fraction]) -> tuple[Fra
     two grid points lies on that edge (the hull is a concave majorant), so
     these are the closest such pair, not the edge's end vertices.
 
+    Precondition, enforced (PreconditionError): a belief for every finite
+    message, inside its support's convex hull.  verify_equilibrium tests the
+    hulls itself (a violation of its condition 3) and then calls the same
+    search without this check.
+
     w comes as payoff piece indices.  A grid point whose level is at most some
     level on each side lies on or under the chord between them, so only
-    strict records from the left or from the right reach the Fraction hull,
-    at most two per payoff piece.  The hull rises strictly up to a rising
-    edge, so only a strict left record can lie on one; likewise a strict
-    right record on a falling edge, and the top level on a flat one.  The
-    walk from the prior tests these ranks before its Fraction cross-product.
+    strict records from the left or from the right reach the hull, at most
+    two per payoff piece.  The hull rises strictly up to a rising edge, so
+    only a strict left record can lie on one; likewise a strict right record
+    on a falling edge, and the top level on a flat one.  The walk from the
+    prior tests these ranks before an int collinearity test against the
+    edge; Fractions remain only in the split weights and the value.
 
     The value is the exact best response only when w is upper
     semicontinuous (see the module docstring); at a right-open support end
@@ -203,11 +227,16 @@ def best_deviation(game: GameSpec, beliefs: Mapping[str, Fraction]) -> tuple[Fra
     for name, supp in game.structure.messages:
         if name not in beliefs:
             raise PreconditionError(f"beliefs missing message {name!r}")
-        lo, hi = supp.hull_bounds()
-        if not (lo <= beliefs[name] <= hi):
+        if not supp.hull_contains(beliefs[name]):
             raise PreconditionError(f"belief for {name!r} outside conv support")
+    return _best_deviation(game, beliefs)
+
+
+def _best_deviation(game: GameSpec, beliefs: Mapping[str, Fraction]) -> tuple[Fraction, Signal]:
+    """best_deviation without its precondition check; the caller has made it."""
     grid = critical_grid(game)
-    w = _interim_values(game, beliefs, grid)
+    index = _grid_index(grid)
+    w = _interim_values(game, beliefs, grid, index)
     vals = game.payoff.values
     n = len(w)
     from_left, from_right = [False] * n, [False] * n  # strict records; top ends as the highest level
@@ -218,13 +247,16 @@ def best_deviation(game: GameSpec, beliefs: Mapping[str, Fraction]) -> tuple[Fra
                 record[i], top = True, w[i]
     p = game.prior
     (x0, y0), (x1, y1) = _hull_segment([(grid[i], vals[w[i]]) for i in range(n) if from_left[i] or from_right[i]], p)
+    k = index[p.numerator, p.denominator]
+    if x0 == x1:
+        return vals[w[k]], Signal((p,), (ONE,))
     may = from_left if y0 < y1 else from_right if y0 > y1 else [level == top for level in w]
+    on_line = on_line_through((x0, y0), (x1, y1))
 
     def on_edge(i: int) -> bool:
-        return may[i] and (vals[w[i]] - y0) * (x1 - x0) == (y1 - y0) * (grid[i] - x0)
+        return may[i] and on_line(grid[i], vals[w[i]])
 
-    k = bisect_left(grid, p)
-    if x0 == x1 or on_edge(k):
+    if on_edge(k):
         return vals[w[k]], Signal((p,), (ONE,))
     value = y0 + (y1 - y0) * (p - x0) / (x1 - x0)
     i = k - 1

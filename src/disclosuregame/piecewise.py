@@ -8,7 +8,9 @@ Conventions, fixed once for the whole toolkit:
   semicontinuous automatically.  Non-monotone instances are allowed (the
   skepticism-adjusted payoff can be non-monotone).
 * All arithmetic is over ``fractions.Fraction``; every comparison in this module
-  is exact, there are no tolerances anywhere.
+  is exact, there are no tolerances anywhere.  Point queries bisect cached
+  ``rationals.order_key`` tables, and validation and hull turns cross-multiply
+  numerators and denominators.
 """
 
 from __future__ import annotations
@@ -35,25 +37,38 @@ class StepFunction:
         vals = tuple(as_fraction(v) for v in self.values)
         if len(bps) != len(vals) or not bps:
             raise ValueError("breakpoints and values must be non-empty and same length")
-        if bps[0] != ZERO:
+        if bps[0].numerator != 0:
             raise ValueError("first breakpoint must be 0")
+        # exact tests on the canonical (numerator, denominator) pairs, with
+        # the positive denominators cross-multiplied
         for a, b in zip(bps, bps[1:]):
-            if not a < b:
+            if not a.numerator * b.denominator < b.numerator * a.denominator:
                 raise ValueError("breakpoints must be strictly ascending")
-        if bps[-1] > ONE:
+        if bps[-1].numerator > bps[-1].denominator:
             raise ValueError("breakpoints must lie in [0,1]")
         # canonical form: merge adjacent pieces with equal values
         merged_b = [bps[0]]
         merged_v = [vals[0]]
+        last = vals[0].numerator, vals[0].denominator
         for b, v in zip(bps[1:], vals[1:]):
-            if v != merged_v[-1]:
+            if (v.numerator, v.denominator) != last:
                 merged_b.append(b)
                 merged_v.append(v)
+                last = v.numerator, v.denominator
         object.__setattr__(self, "breakpoints", tuple(merged_b))
         object.__setattr__(self, "values", tuple(merged_v))
 
     def __call__(self, x: Fraction) -> Fraction:
         return step_eval(self, x)
+
+    @cached_property
+    def _keys(self) -> tuple[tuple[float, Fraction], ...]:
+        """order_key of every breakpoint, built once per instance (not a field: eq and repr ignore it)."""
+        return tuple(map(order_key, self.breakpoints))
+
+    def piece(self, x: Fraction) -> int:
+        """Index of the piece holding x in [0,1]: a bisect into the breakpoints' order keys."""
+        return bisect_right(self._keys, order_key(x)) - 1
 
     def pieces(self) -> Iterator[tuple[Fraction, Fraction, Fraction]]:
         """Yield (lo, hi, value); every piece is [lo, hi) except the last, [lo, 1]."""
@@ -63,7 +78,7 @@ class StepFunction:
 
     @property
     def is_non_decreasing(self) -> bool:
-        return all(a <= b for a, b in zip(self.values, self.values[1:]))
+        return all(a.numerator * b.denominator <= b.numerator * a.denominator for a, b in zip(self.values, self.values[1:]))
 
     def map_values(self, fn) -> "StepFunction":
         """Compose an outer function piece-by-piece (exact for any outer map)."""
@@ -79,7 +94,7 @@ def step_eval(f: StepFunction, x: Fraction) -> Fraction:
     x = as_fraction(x)
     if not in_unit_interval(x):
         raise DomainError(f"step function argument {x} outside [0,1]")
-    return f.values[bisect_right(f.breakpoints, x) - 1]
+    return f.values[f.piece(x)]
 
 
 @dataclass(frozen=True)
@@ -112,15 +127,19 @@ class ConcavePL:
         """Vertex x-coordinates, built once per instance (not a field: eq and repr ignore it)."""
         return tuple(x for x, _ in self.vertices)
 
+    @cached_property
+    def _keys(self) -> tuple[tuple[float, Fraction], ...]:
+        """order_key of every vertex x-coordinate, built once per instance."""
+        return tuple(map(order_key, self.xs))
+
 
 def pl_eval(g: ConcavePL, x: Fraction) -> Fraction:
     """Exact linear interpolation between the bracketing vertices."""
     x = as_fraction(x)
     if not in_unit_interval(x):
         raise DomainError(f"piecewise-linear argument {x} outside [0,1]")
-    xs = g.xs
-    i = bisect_right(xs, x) - 1
-    if i == len(xs) - 1:
+    i = bisect_right(g._keys, order_key(x)) - 1
+    if i == len(g.vertices) - 1:
         return g.vertices[-1][1]
     (x0, y0), (x1, y1) = g.vertices[i], g.vertices[i + 1]
     return y0 + (y1 - y0) * (x - x0) / (x1 - x0)

@@ -8,7 +8,7 @@ Fraction's own hash, comparisons and arithmetic.
 
 from fractions import Fraction
 from math import inf
-from typing import Iterable
+from typing import Callable, Iterable
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -77,3 +77,23 @@ def sorted_distinct(values: Iterable[Fraction]) -> list[Fraction]:
     """The distinct values, ascending; duplicates are found by their canonical (numerator, denominator)."""
     unique = {(q.numerator, q.denominator): q for q in values}
     return sorted(unique.values(), key=order_key)
+
+
+def on_line_through(p0: tuple[Fraction, Fraction], p1: tuple[Fraction, Fraction]) -> Callable[[Fraction, Fraction], bool]:
+    """A test of whether the point (x, y) lies on the line through p0 and p1 (x0 != x1).
+
+    The test is (y - y0)(x1 - x0) == (y1 - y0)(x - x0).  Each difference is
+    an int over the product of two positive denominators; the common factor
+    y0d * x0d cancels and the rest is cross-multiplied, so every call is one
+    int comparison with no gcd.
+    """
+    (x0, y0), (x1, y1) = p0, p1
+    x0n, x0d, y0n, y0d = x0.numerator, x0.denominator, y0.numerator, y0.denominator
+    dx = (x1.numerator * x0d - x0n * x1.denominator) * y1.denominator
+    dy = (y1.numerator * y0d - y0n * y1.denominator) * x1.denominator
+
+    def on_line(x: Fraction, y: Fraction) -> bool:
+        xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+        return (yn * y0d - y0n * yd) * dx * xd == dy * (xn * x0d - x0n * xd) * yd
+
+    return on_line

@@ -49,9 +49,11 @@ class SupportInterval:
         object.__setattr__(self, "hi", hi)
         if not (in_unit_interval(lo) and in_unit_interval(hi)):
             raise ConstructionError(f"interval [{lo},{hi}] must lie in [0,1]")
-        if lo > hi:
+        # lo vs hi on the canonical pairs, positive denominators cross-multiplied
+        left, right = lo.numerator * hi.denominator, hi.numerator * lo.denominator
+        if left > right:
             raise ConstructionError(f"interval has lo {lo} > hi {hi}")
-        if lo == hi and not self.hi_closed:
+        if left == right and not self.hi_closed:
             raise ConstructionError("degenerate interval must be closed")
 
     def contains(self, x: Fraction) -> bool:
@@ -103,6 +105,12 @@ class IntervalUnion:
     def hull_bounds(self) -> tuple[Fraction, Fraction]:
         """Closure of the convex hull, [min, sup]."""
         return self.intervals[0].lo, self.intervals[-1].hi
+
+    def hull_contains(self, x: Fraction) -> bool:
+        """min <= x <= sup, on numerators and (positive) denominators cross-multiplied."""
+        lo, hi = self.intervals[0].lo, self.intervals[-1].hi
+        xn, xd = x.numerator, x.denominator
+        return lo.numerator * xd <= xn * lo.denominator and xn * hi.denominator <= hi.numerator * xd
 
     def endpoints(self) -> list[Fraction]:
         out = []
@@ -172,6 +180,42 @@ class VerifStructure:
         return {(e.numerator, e.denominator): i for i, e in enumerate(self._endpoints)}
 
     @cached_property
+    def _keys(self) -> tuple[tuple[float, Fraction], ...]:
+        """order_key of every endpoint."""
+        return tuple(map(order_key, self._endpoints))
+
+    def _position(self, s: Fraction) -> int:
+        """2i when s is the endpoint of rank i, 2i + 1 when s lies on the open gap after it.
+
+        An endpoint is a dict lookup; any other s in [0,1] bisects the
+        endpoints' order keys.  Availability is constant on each open gap,
+        so positions decide every membership test on ints (see `_spans`).
+        """
+        i = self._rank.get((s.numerator, s.denominator))
+        if i is not None:
+            return 2 * i
+        return 2 * bisect_left(self._keys, order_key(s)) - 1
+
+    @cached_property
+    def _spans(self) -> tuple[tuple[int, int, int, str], ...]:
+        """(start, end, minimum, name) for every interval of every finite message, in message order.
+
+        An interval covers the positions start <= pos < end: from its lo's
+        position to its hi's, inclusive when closed.  minimum is the position
+        of its support's minimum, so positions also order the minima.
+        """
+        rank = self._rank
+
+        def pos(q: Fraction) -> int:
+            return 2 * rank[q.numerator, q.denominator]
+
+        return tuple(
+            (pos(iv.lo), pos(iv.hi) + iv.hi_closed, pos(supp.minimum), name)
+            for name, supp in self.messages
+            for iv in supp.intervals
+        )
+
+    @cached_property
     def _best_minima(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Exact g at every endpoint and on every open gap, as indices into `_endpoints`.
 
@@ -226,11 +270,15 @@ def identity_name(s: Fraction) -> str:
 
 
 def messages_at(structure: VerifStructure, s: Fraction) -> set[str]:
-    """All messages available to type s (identity message included under the flag)."""
+    """All messages available to type s (identity message included under the flag).
+
+    Each interval is tested on s's position among the support endpoints, ints.
+    """
     s = as_fraction(s)
     if not in_unit_interval(s):
         raise DomainError(f"type {s} outside [0,1]")
-    out = {name for name, supp in structure.messages if supp.contains(s)}
+    pos = structure._position(s)
+    out = {name for start, end, _, name in structure._spans if start <= pos < end}
     if structure.full_verifiability:
         out.add(identity_name(s))
     return out
@@ -248,8 +296,8 @@ def min_inverse(structure: VerifStructure, name: str) -> Fraction:
 def max_min_available(structure: VerifStructure, s: Fraction) -> Fraction:
     """Best credible type reachable from s: max over M(s) of min of the support.
 
-    Exact at every s, support endpoints included; a binary search into the
-    structure's cached endpoint sweep.
+    Exact at every s, support endpoints included; a lookup of s's position
+    in the structure's cached endpoint sweep.
     """
     s = as_fraction(s)
     if not in_unit_interval(s):
@@ -257,12 +305,9 @@ def max_min_available(structure: VerifStructure, s: Fraction) -> Fraction:
     if structure.full_verifiability:
         # the identity message dominates: every finite message at s has minimum <= s
         return s
-    endpoints = structure._endpoints
     at_point, on_gap = structure._best_minima
-    i = bisect_left(endpoints, s)
-    if endpoints[i] == s:
-        return endpoints[at_point[i]]
-    return endpoints[on_gap[i - 1]]
+    pos = structure._position(s)
+    return structure._endpoints[on_gap[pos // 2] if pos % 2 else at_point[pos // 2]]
 
 
 @dataclass(frozen=True)

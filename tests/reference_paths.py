@@ -11,6 +11,11 @@ message at every endpoint and gap midpoint of both structures), and the
 Fraction kernels that integer ones replaced: Fraction(str) for every
 rational, sorting a set of Fractions, hull turns as Fraction cross-products,
 and a split walk that evaluates the envelope at every point with g(x) = x.
+Last come the Fraction searches that lookups and int tests replaced: step
+and envelope evaluation by bisecting Fractions, availability by testing
+every support's Fraction bounds, on-line tests as Fraction products, each
+belief's payoff level by bisection, and the figure's coordinates as
+Fractions.  The references above are built on these, not on the fast paths.
 """
 
 import heapq
@@ -20,30 +25,34 @@ from itertools import combinations, product
 from operator import itemgetter
 from typing import Optional
 
-from disclosuregame import GameSpec, IntervalUnion, Signal, StepFunction, VerifStructure, messages_at, min_inverse
+from disclosuregame import GameSpec, IntervalUnion, Signal, StepFunction, VerifStructure, min_inverse
 from disclosuregame.comparative import OrderVerdict
 from disclosuregame.equilibrium import (
     Equilibrium,
     PnbpVerdict,
-    _best_message,
     _skeptical_beliefs,
     _walk,
-    skeptical_payoff_at,
     skeptical_value,
     value_hull,
     verify_equilibrium,
 )
 from disclosuregame.errors import ConstructionError, DomainError, OracleSizeError, PreconditionError
+from disclosuregame.figures import PLOT_BOTTOM, PLOT_LEFT, PLOT_RIGHT, PLOT_TOP, _fmt
 from disclosuregame.oracle import critical_grid, discrete_cav
-from disclosuregame.piecewise import ConcavePL, Point, hull_candidates, pl_eval, step_eval
-from disclosuregame.verifiability import IDENTITY_PREFIX, identity_name, max_min_available
+from disclosuregame.piecewise import ConcavePL, Point, hull_candidates
+from disclosuregame.verifiability import IDENTITY_PREFIX, identity_name
 
 ZERO, ONE = Fraction(0), Fraction(1)
 
 
 def pointwise_g(structure: VerifStructure, s: Fraction) -> Fraction:
     """Best support minimum among the messages available at s, by testing every support."""
-    return max(min_inverse(structure, m) for m in messages_at(structure, s))
+    return max(min_inverse(structure, m) for m in contains_messages_at(structure, s))
+
+
+def pointwise_adjusted(game: GameSpec, s: Fraction) -> Fraction:
+    """v(g(s)), with g by testing every support."""
+    return fraction_step_eval(game.payoff, pointwise_g(game.structure, s))
 
 
 def midpoint_type_map(structure: VerifStructure) -> StepFunction:
@@ -70,21 +79,21 @@ def candidate_value_hull(game: GameSpec) -> ConcavePL:
     if game.structure.full_verifiability:
         adjusted = game.payoff
     else:
-        adjusted = midpoint_type_map(game.structure).map_values(lambda t: step_eval(game.payoff, t))
+        adjusted = midpoint_type_map(game.structure).map_values(lambda t: fraction_step_eval(game.payoff, t))
     pts = hull_candidates(adjusted)
     if not game.structure.full_verifiability:
         for e in game.structure.support_endpoints():
-            pts.append((e, step_eval(game.payoff, pointwise_g(game.structure, e))))
+            pts.append((e, fraction_step_eval(game.payoff, pointwise_g(game.structure, e))))
     return ConcavePL(tuple(fraction_upper_hull_points(pts)))
 
 
 def pointwise_interim_values(game: GameSpec, beliefs, grid) -> list[Fraction]:
     """w at every grid point, by testing every support there (identity messages score v(s))."""
-    levels = {name: step_eval(game.payoff, beliefs[name]) for name in game.structure.names}
+    levels = {name: fraction_step_eval(game.payoff, beliefs[name]) for name in game.structure.names}
     return [
         max(
-            step_eval(game.payoff, s) if m.startswith(IDENTITY_PREFIX) else levels[m]
-            for m in messages_at(game.structure, s)
+            fraction_step_eval(game.payoff, s) if m.startswith(IDENTITY_PREFIX) else levels[m]
+            for m in contains_messages_at(game.structure, s)
         )
         for s in grid
     ]
@@ -129,15 +138,15 @@ def per_profile_exhaustive_equilibria(
         raise OracleSizeError(f"critical grid exceeds {max_grid} points")
     v, p = game.payoff, game.prior
     skeptical = {name: supp.minimum for name, supp in structure.messages}
-    v_skeptical = {m: step_eval(v, b) for m, b in skeptical.items()}
-    avail = {s: sorted(messages_at(structure, s)) for s in grid}
+    v_skeptical = {m: fraction_step_eval(v, b) for m, b in skeptical.items()}
+    avail = {s: sorted(contains_messages_at(structure, s)) for s in grid}
     found: list[Equilibrium] = []
     values: set[Fraction] = set()
 
     def vcache_for(beliefs_overrides: dict[str, Fraction]) -> dict[str, Fraction]:
         out = dict(v_skeptical)
         for m, b in beliefs_overrides.items():
-            out[m] = step_eval(v, b)
+            out[m] = fraction_step_eval(v, b)
         return out
 
     def cond2_ok(support, mu, vcache) -> bool:
@@ -226,7 +235,7 @@ def per_profile_exhaustive_equilibria(
                 # everyone pools: the posterior is the prior at any weight
                 vcache = vcache_for({mu[0]: p})
                 if cond2_ok(support, mu, vcache):
-                    value = step_eval(v, p)
+                    value = fraction_step_eval(v, p)
                     if value == target_for(vcache):
                         full_check(support, mu, weights_at(t_hi / 2))
                 continue
@@ -355,14 +364,14 @@ def _heap_best(heap: list[tuple[Fraction, Fraction, bool]], s: Fraction) -> Frac
 def stepwise_pnbp(game: GameSpec) -> PnbpVerdict:
     """pnbp by evaluating v at the prior and at every support minimum."""
     v, p = game.payoff, game.prior
-    vp = step_eval(v, p)
+    vp = fraction_step_eval(v, p)
     if game.structure.full_verifiability:
-        if step_eval(v, ONE) > vp:
+        if fraction_step_eval(v, ONE) > vp:
             return PnbpVerdict(True, identity_name(ONE))
         return PnbpVerdict(False)
     best: Optional[tuple[Fraction, str]] = None
     for name, supp in game.structure.messages:
-        val = step_eval(v, supp.minimum)
+        val = fraction_step_eval(v, supp.minimum)
         if val > vp and (best is None or val > best[0] or (val == best[0] and name < best[1])):
             best = (val, name)
     if best is None:
@@ -375,7 +384,7 @@ def endpoint_value_hull(game: GameSpec) -> ConcavePL:
     pts = hull_candidates(skeptical_value(game))
     if not game.structure.full_verifiability:
         for e in game.structure.support_endpoints():
-            pts.append((e, skeptical_payoff_at(game, e)))
+            pts.append((e, pointwise_adjusted(game, e)))
     return ConcavePL(tuple(fraction_upper_hull_points(pts)))
 
 
@@ -388,9 +397,9 @@ def full_scan_solve_pnbp(game: GameSpec) -> Equilibrium:
     xs = set(structure.support_endpoints()) | set(v.breakpoints) | {p}
     candidates = []
     for x in sorted(xs):
-        if max_min_available(structure, x) != x:
+        if pointwise_g(structure, x) != x:
             continue
-        if pl_eval(hull, x) == skeptical_payoff_at(game, x):
+        if fraction_pl_eval(hull, x) == pointwise_adjusted(game, x):
             candidates.append(x)
     if p in candidates:
         s_minus = s_plus = p
@@ -403,7 +412,7 @@ def full_scan_solve_pnbp(game: GameSpec) -> Equilibrium:
     beliefs = _skeptical_beliefs(structure)
     messaging = {}
     for s in signal.support:
-        m = _best_message(structure, s)
+        m = contains_best_message(structure, s)
         messaging[s] = m
         if m.startswith(IDENTITY_PREFIX):
             beliefs[m] = s
@@ -411,7 +420,7 @@ def full_scan_solve_pnbp(game: GameSpec) -> Equilibrium:
         signal=signal,
         messaging=messaging,
         beliefs=beliefs,
-        value=pl_eval(hull, p),
+        value=fraction_pl_eval(hull, p),
         s_minus=s_minus,
         s_plus=s_plus,
     )
@@ -422,14 +431,14 @@ def fraction_interim_values(game: GameSpec, beliefs, grid) -> list[Fraction]:
     structure, v = game.structure, game.payoff
     index = {s: i for i, s in enumerate(grid)}
     w: list[Fraction | None] = [None] * len(grid)
-    levels = [(step_eval(v, beliefs[name]), supp) for name, supp in structure.messages]
+    levels = [(fraction_step_eval(v, beliefs[name]), supp) for name, supp in structure.messages]
     for level, supp in sorted(levels, key=itemgetter(0)):
         for iv in supp.intervals:
             a, b = index[iv.lo], index[iv.hi] + iv.hi_closed
             w[a:b] = [level] * (b - a)
     if structure.full_verifiability:
         for i, s in enumerate(grid):
-            own = step_eval(v, s)
+            own = fraction_step_eval(v, s)
             if w[i] is None or w[i] < own:
                 w[i] = own
     return w
@@ -478,7 +487,7 @@ def _sep_grid(m_hi: VerifStructure, m_lo: VerifStructure) -> list[Fraction]:
 
 def _separates_same(m_hi: VerifStructure, s: Fraction, support: IntervalUnion) -> bool:
     """Can s separate in m_hi from exactly the complement of `support`?"""
-    for name in messages_at(m_hi, s):
+    for name in contains_messages_at(m_hi, s):
         if name.startswith(IDENTITY_PREFIX):
             continue  # identity handled by the caller
         if m_hi.support(name) == support:
@@ -503,7 +512,7 @@ def grid_geq_sep(m_hi: VerifStructure, m_lo: VerifStructure) -> OrderVerdict:
     the comparison exactly.
     """
     for s in _sep_grid(m_hi, m_lo):
-        for name in sorted(messages_at(m_lo, s)):
+        for name in sorted(contains_messages_at(m_lo, s)):
             if name.startswith(IDENTITY_PREFIX):
                 if not _has_identity_for(m_hi, s):
                     singleton = IntervalUnion.from_pairs([(s, s)])
@@ -599,9 +608,105 @@ def pl_eval_walk_split(game: GameSpec) -> tuple[Fraction, Fraction]:
     vals = game.payoff.values
 
     def contact(i: int) -> bool:
-        return fixed[i] and pl_eval(hull, xs[i]) == vals[at[i]]
+        return fixed[i] and fraction_pl_eval(hull, xs[i]) == vals[at[i]]
 
     k = bisect_left(xs, p)
     if xs[k] == p and contact(k):
         return p, p
     return xs[_walk(contact, k - 1, -1, len(xs))], xs[_walk(contact, k + (xs[k] == p), 1, len(xs))]
+
+
+# ---------------------------------------------------------------------------
+# Fraction searches and comparisons replaced by lookups and int tests
+# ---------------------------------------------------------------------------
+
+def fraction_step_eval(f: StepFunction, x: Fraction) -> Fraction:
+    """step_eval by bisecting the Fraction breakpoints."""
+    x = Fraction(x)
+    if not 0 <= x <= 1:
+        raise DomainError(f"step function argument {x} outside [0,1]")
+    return f.values[bisect_right(f.breakpoints, x) - 1]
+
+
+def fraction_pl_eval(g: ConcavePL, x: Fraction) -> Fraction:
+    """pl_eval by bisecting the Fraction vertex x-coordinates."""
+    x = Fraction(x)
+    if not 0 <= x <= 1:
+        raise DomainError(f"piecewise-linear argument {x} outside [0,1]")
+    xs = [vx for vx, _ in g.vertices]
+    i = bisect_right(xs, x) - 1
+    if i == len(xs) - 1:
+        return g.vertices[-1][1]
+    (x0, y0), (x1, y1) = g.vertices[i], g.vertices[i + 1]
+    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+
+
+def contains_messages_at(structure: VerifStructure, s: Fraction) -> set[str]:
+    """messages_at by testing every support with Fraction comparisons."""
+    s = Fraction(s)
+    if not 0 <= s <= 1:
+        raise DomainError(f"type {s} outside [0,1]")
+    out = {name for name, supp in structure.messages if supp.contains(s)}
+    if structure.full_verifiability:
+        out.add(identity_name(s))
+    return out
+
+
+def contains_best_message(structure: VerifStructure, s: Fraction) -> str:
+    """_best_message by testing every support with Fraction comparisons."""
+    candidates = [(supp.minimum, name) for name, supp in structure.messages if supp.contains(s)]
+    if structure.full_verifiability:
+        candidates.append((s, identity_name(s)))
+    return min(candidates, key=lambda c: (-c[0], c[1]))[1]
+
+
+def fraction_on_line(p0: Point, p1: Point, x: Fraction, y: Fraction) -> bool:
+    """(x, y) on the line through p0 and p1, by Fraction arithmetic."""
+    (x0, y0), (x1, y1) = p0, p1
+    return (y - y0) * (x1 - x0) == (y1 - y0) * (x - x0)
+
+
+def fraction_level_pieces(game: GameSpec) -> list[int]:
+    """The level table's payoff pieces, each by a bisect into the Fraction breakpoints."""
+    bps = game.payoff.breakpoints
+    return [bisect_right(bps, x) - 1 for x in game._levels[0]]
+
+
+def bisect_interim_levels(game: GameSpec, beliefs, grid) -> list[int]:
+    """oracle._interim_values with each message's level bisected in the Fraction breakpoints."""
+    structure, bps = game.structure, game.payoff.breakpoints
+    index = {s: i for i, s in enumerate(grid)}
+    w = [-1] * len(grid)
+    levels = [(bisect_right(bps, beliefs[name]) - 1, supp) for name, supp in structure.messages]
+    for level, supp in sorted(levels, key=itemgetter(0)):
+        for iv in supp.intervals:
+            a, b = index[iv.lo], index[iv.hi] + iv.hi_closed
+            w[a:b] = [level] * (b - a)
+    if structure.full_verifiability:
+        w = [max(level, bisect_right(bps, s) - 1) for level, s in zip(w, grid)]
+    return w
+
+
+class FractionMapper:
+    """figures._Mapper with each coordinate computed as a Fraction and then converted by float()."""
+
+    def __init__(self, y_lo: Fraction, y_hi: Fraction):
+        self.y_lo, self.y_hi = y_lo, y_hi
+
+    def x(self, v: Fraction) -> str:
+        return _fmt(PLOT_LEFT + float(v) * (PLOT_RIGHT - PLOT_LEFT))
+
+    def y(self, v: Fraction) -> str:
+        t = (v - self.y_lo) / (self.y_hi - self.y_lo)
+        return _fmt(PLOT_BOTTOM - float(t) * (PLOT_BOTTOM - PLOT_TOP))
+
+
+def fraction_mapper(game: GameSpec, eq: Equilibrium) -> FractionMapper:
+    """figures._mapper over the sorted set of every value drawn."""
+    ys = set(game.payoff.values) | set(skeptical_value(game).values)
+    ys |= {y for _, y in value_hull(game).vertices} | {eq.value, ZERO}
+    y_lo, y_hi = min(ys), max(ys)
+    if y_lo == y_hi:
+        y_hi = y_lo + 1
+    pad = (y_hi - y_lo) / 12
+    return FractionMapper(y_lo - pad, y_hi + pad)

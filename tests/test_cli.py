@@ -311,6 +311,67 @@ class TestInputCaps:
             load_structure(_write(tmp_path, structure))
 
 
+def _messages(*supports) -> dict:
+    """A structure whose message m_i has supports[i] as its list of intervals."""
+    return {"messages": [{"name": f"m_{i}", "support": supp} for i, supp in enumerate(supports)]}
+
+
+WHOLE = [{"lo": "0", "hi": "1"}]
+FIELD_ERRORS = [
+    (_messages(WHOLE, "all"), "structure.messages[1].support: expected list, got str"),
+    ({"messages": [{"name": "m_0", "support": WHOLE}, ["m_1"]]}, "structure.messages[1]: expected dict, got list"),
+    ({"messages": [{"name": "m_0", "support": WHOLE}, {"name": 1, "support": WHOLE}]},
+     "structure.messages[1].name: expected str, got int"),
+    (_messages(WHOLE, [{"lo": "0", "hi": "1/2"}, "1/2..1"]), "structure.messages[1].support[1]: expected dict, got str"),
+    (_messages(WHOLE, [{"lo": "0", "hi": "1/2"}, {"lo": "1/2", "hi": "x"}]),
+     "structure.messages[1].support[1].hi: malformed rational 'x': "),
+    (_messages(WHOLE, [{"lo": "0.5", "hi": "1"}]),
+     "structure.messages[1].support[0].lo: rational '0.5' must be exact (no decimal/float forms)"),
+    (_messages([{"lo": 0, "hi": 1}], [{"lo": 0, "hi": True}]),
+     "structure.messages[1].support[0].hi: rational must be a string like '2/5', got True"),
+    (_messages(WHOLE, [{"lo": "0", "hi": "1", "hi_closed": 1}]), "structure.messages[1].support[0].hi_closed: expected bool"),
+    (_messages(WHOLE, [{"lo": "3/4", "hi": "1/2"}]), "structure.messages[1].support[0]: interval has lo 3/4 > hi 1/2"),
+    (_messages(WHOLE, [{"lo": "1/2", "hi": "1/2", "hi_closed": False}]),
+     "structure.messages[1].support[0]: degenerate interval must be closed"),
+    (_messages(WHOLE, []), "structure.messages[1].support: support must be non-empty"),
+    (_messages([{"lo": "0", "hi": "1/2", "hi_closed": False}]), "structure: message supports must cover all of [0,1]"),
+]
+
+
+class TestFieldPaths:
+    """Each parse error names its field; paths are built only on error, so each one is checked here.
+
+    Where the reason ends in Fraction's own wording, which may vary across
+    Python versions, only the text up to it is pinned.
+    """
+
+    @pytest.mark.parametrize("structure, message", FIELD_ERRORS)
+    def test_structure_errors(self, tmp_path, structure, message):
+        with pytest.raises(GameFileError) as err:
+            load_game(_write(tmp_path, _game_obj(structure=structure)))
+        assert str(err.value) == message or message.endswith(": ") and str(err.value).startswith(message)
+
+    def test_payoff_errors(self, tmp_path):
+        for payoff, message in (
+            ({"breakpoints": ["0", "2/5", "2/5"], "values": ["0", "1", "2"]},
+             "payoff: breakpoints must be strictly ascending"),
+            ({"breakpoints": ["0", "2/5", "1/2"], "values": ["0", "1", "1.5"]},
+             "payoff.values[2]: rational '1.5' must be exact (no decimal/float forms)"),
+            ({"breakpoints": ["0", "2/5", "-"], "values": ["0", "1", "2"]},
+             "payoff.breakpoints[2]: malformed rational '-': "),
+            ({"breakpoints": ["1/5", "2/5"], "values": ["0", "1"]}, "payoff: first breakpoint must be 0"),
+            ({"breakpoints": ["0", "6/5"], "values": ["0", "1"]}, "payoff: breakpoints must lie in [0,1]"),
+            ({"breakpoints": ["0", "2/5"], "values": ["1", "0"]}, ": payoff function must be non-decreasing"),
+        ):
+            with pytest.raises(GameFileError) as err:
+                load_game(_write(tmp_path, _game_obj(payoff=payoff)))
+            assert str(err.value) == message or message.endswith(": ") and str(err.value).startswith(message)
+
+    def test_repeated_strings_share_one_parse(self):
+        game = game_from_obj(_game_obj(prior="2/5", structure=_messages(WHOLE, [{"lo": "2/5", "hi": "1"}])))
+        assert game.prior is game.payoff.breakpoints[1] is game.structure.support("m_1").minimum
+
+
 class TestRoundTrips:
     def test_game_round_trip(self):
         game = load_game(fx("three_action.json"))

@@ -23,6 +23,7 @@ from disclosuregame import (
 )
 from disclosuregame.equilibrium import value_hull
 from disclosuregame.oracle import (
+    _grid_index,
     _interim_values,
     best_deviation,
     critical_grid,
@@ -103,7 +104,7 @@ class TestInterimValues:
                 lo, hi = supp.hull_bounds()
                 beliefs[name] = rng.choice((lo, hi, (lo + hi) / 2, rand_point(rng) * (hi - lo) + lo))
             grid = critical_grid(game)
-            w = [game.payoff.values[k] for k in _interim_values(game, beliefs, grid)]
+            w = [game.payoff.values[k] for k in _interim_values(game, beliefs, grid, _grid_index(grid))]
             assert w == pointwise_interim_values(game, beliefs, grid)
 
 

@@ -1,4 +1,4 @@
-"""Rank coordinates and integer kernels in the solver and the deviation oracle, against the Fraction paths they replaced.
+"""Rank coordinates, lookups and integer kernels in the solver, the deviation oracle and the figure, against the Fraction paths they replaced.
 
 Rich games carry unions, degenerate points, right-open ends and full
 verifiability, with mandatory disclosure every tenth game; coprime games give
@@ -6,16 +6,28 @@ every rational its own 39-digit denominator.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from disclosuregame import GameSpec, IntervalUnion, StepFunction, VerifStructure, mandatory_disclosure, pnbp, solve
-from disclosuregame import equilibrium, oracle, verifiability
-from disclosuregame.equilibrium import _solve_pnbp, _walk, skeptical_payoff_at, skeptical_value, value_hull
+from disclosuregame import equilibrium, figures, oracle, verifiability
+from disclosuregame.equilibrium import (
+    _best_message,
+    _solve_pnbp,
+    _walk,
+    skeptical_payoff_at,
+    skeptical_value,
+    value_hull,
+    verify_equilibrium,
+)
 from disclosuregame.errors import PreconditionError
-from disclosuregame.oracle import _hull_segment, best_deviation, critical_grid
-from disclosuregame.piecewise import hull_candidates, upper_hull_points
+from disclosuregame.figures import render_game_svg
+from disclosuregame.oracle import _grid_index, _hull_segment, _interim_values, best_deviation, critical_grid
+from disclosuregame.piecewise import hull_candidates, pl_eval, step_eval, upper_hull_points
+from disclosuregame.rationals import on_line_through
+from disclosuregame.verifiability import max_min_available, messages_at
 
 from genutil import (
     rand_coprime_game,
@@ -26,14 +38,23 @@ from genutil import (
     rand_rich_structure,
 )
 from reference_paths import (
+    bisect_interim_levels,
+    contains_best_message,
+    contains_messages_at,
     endpoint_value_hull,
     fraction_hull_segment,
     fraction_interim_values,
+    fraction_level_pieces,
+    fraction_mapper,
+    fraction_on_line,
+    fraction_pl_eval,
+    fraction_step_eval,
     fraction_upper_hull_points,
     full_grid_best_deviation,
     full_scan_solve_pnbp,
     heap_best_minima,
     pl_eval_walk_split,
+    pointwise_g,
     pointwise_interim_values,
     set_critical_grid,
     stepwise_pnbp,
@@ -60,6 +81,22 @@ def coprime_games(seed: int, count: int) -> list[GameSpec]:
 
 
 GAMES = rich_games(2027, 700) + coprime_games(2027, 30)
+SAMPLE = GAMES[:700:3] + GAMES[700:]  # every third rich game, mandatory disclosure among them, and every coprime one
+
+
+def float_ties(q: F) -> list[F]:
+    """q and its neighbours q -/+ 1/(10**30 den) inside [0,1]; away from 0 they round to q's float."""
+    eps = F(1, q.denominator * 10**30)
+    return [x for x in (q - eps, q, q + eps) if 0 <= x <= 1]
+
+
+def query_points(rng: random.Random, points) -> list[F]:
+    """Every point, its float-tied neighbours, every midpoint between consecutive points, and two random points."""
+    pts = sorted(set(points))
+    out = [x for q in pts for x in float_ties(q)]
+    out += [(a + b) / 2 for a, b in zip(pts, pts[1:])]
+    out += [rand_point(rng), F(rng.randrange(1, 10**39), 10**39 + 1)]
+    return out
 
 
 def rand_beliefs(rng: random.Random, structure: VerifStructure) -> dict:
@@ -180,3 +217,177 @@ def test_split_walk_raises_instead_of_wrapping():
     assert not pnbp(game).holds
     with pytest.raises(PreconditionError):
         _solve_pnbp(game)
+
+
+def test_position_lookups_match_fraction_contains():
+    # availability and the best message at every endpoint (degenerate
+    # points and right-open ends among them), its float-tied neighbours, and
+    # points off the endpoint table, against the Fraction scans of every
+    # support; g at the same points against a scan of every support
+    rng = random.Random(51)
+    seen = {"open_end": 0, "degenerate": 0, "off_table": 0, "full": 0}
+    for game in SAMPLE:
+        structure = game.structure
+        ends = structure.support_endpoints()
+        for s in query_points(rng, ends):
+            avail = messages_at(structure, s)
+            assert avail == contains_messages_at(structure, s)
+            assert _best_message(structure, s) == contains_best_message(structure, s)
+            assert max_min_available(structure, s) == pointwise_g(structure, s)
+            seen["off_table"] += s not in ends
+            seen["full"] += structure.full_verifiability
+            for _, supp in structure.messages:
+                for iv in supp.intervals:
+                    seen["open_end"] += s == iv.hi and not iv.hi_closed
+                    seen["degenerate"] += s == iv.lo == iv.hi
+    assert min(seen.values()) > 100, seen
+
+
+def test_keyed_evaluation_matches_fraction_bisect():
+    # step_eval on the payoff and on v(g), pl_eval on the envelope and the
+    # level table's pieces, against bisecting Fractions; the coprime games'
+    # breakpoints have 39-digit denominators, so their float-tied neighbours
+    # reach the exact tie-break of the order keys
+    rng = random.Random(53)
+    ties = 0
+    for game in SAMPLE:
+        adjusted, hull = skeptical_value(game), value_hull(game)
+        assert game._levels[1] == fraction_level_pieces(game)
+        points = (*game.payoff.breakpoints, *adjusted.breakpoints, *hull.xs, game.prior)
+        for x in query_points(rng, points):
+            assert step_eval(game.payoff, x) == fraction_step_eval(game.payoff, x)
+            assert step_eval(adjusted, x) == fraction_step_eval(adjusted, x)
+            assert pl_eval(hull, x) == fraction_pl_eval(hull, x)
+            ties += x not in points and any(float(x) == float(b) for b in game.payoff.breakpoints)
+    assert ties > 500
+
+
+def test_int_line_tests_match_fraction_products():
+    # every level-table point against every envelope edge, and the oracle's
+    # grid points against the hull edge over the prior, both ways
+    rng = random.Random(57)
+    hits = misses = 0
+    for game in SAMPLE:
+        vertices = value_hull(game).vertices
+        xs, _, at, _, _ = game._levels
+        vals = game.payoff.values
+        for p0, p1 in zip(vertices, vertices[1:]):
+            on_line = on_line_through(p0, p1)
+            for x, k in zip(xs, at):
+                got = on_line(x, vals[k])
+                assert got == fraction_on_line(p0, p1, x, vals[k])
+                hits += got
+                misses += not got
+        grid = critical_grid(game)
+        w = list(zip(grid, fraction_interim_values(game, rand_beliefs(rng, game.structure), grid)))
+        p0, p1 = _hull_segment(w, game.prior)
+        if p0 != p1:
+            on_line = on_line_through(p0, p1)
+            assert [on_line(x, y) for x, y in w] == [fraction_on_line(p0, p1, x, y) for x, y in w]
+    assert hits > 1000 and misses > 1000
+
+
+def test_interim_values_off_grid_beliefs():
+    # beliefs off the grid take the bisect fallback, grid beliefs the piece table
+    rng = random.Random(59)
+    off_grid = 0
+    for game in GAMES:
+        grid = critical_grid(game)
+        beliefs = rand_beliefs(rng, game.structure)
+        for name, supp in game.structure.messages[::2]:
+            lo, hi = supp.hull_bounds()
+            beliefs[name] = lo + (hi - lo) * F(rng.randrange(1, 97), 97)
+        assert _interim_values(game, beliefs, grid, _grid_index(grid)) == bisect_interim_levels(game, beliefs, grid)
+        off_grid += sum(b not in grid for b in beliefs.values())
+    assert off_grid > 300
+
+
+def test_figure_matches_fraction_mapper(monkeypatch):
+    # coprime games, payoffs shifted to negative values, and equilibrium
+    # values moved past either end of the payoff's range, each drawn with the
+    # int mapper and with the Fraction one
+    cases = []
+    for game in coprime_games(61, 12) + GAMES[::25]:
+        eq = solve(game)
+        negative = GameSpec(game.payoff.map_values(lambda y: y - 7), game.prior, game.structure)
+        values = game.payoff.values
+        cases += [(game, eq), (negative, solve(negative))]
+        cases += [(game, replace(eq, value=values[-1] + F(1, 3))), (game, replace(eq, value=values[0] - 2))]
+    assert any(eq.value == game.payoff.values[-1] for game, eq in cases)
+    for game, eq in cases:
+        svg = render_game_svg(game, eq)
+        with monkeypatch.context() as patched:
+            patched.setattr(figures, "_mapper", fraction_mapper)
+            assert svg == render_game_svg(game, eq)
+
+
+def test_beliefs_tested_against_support_hulls_once(monkeypatch):
+    # verify tests each belief against its support's hull, then runs the
+    # oracle's search without best_deviation's repeat of that test
+    calls = []
+    hull_contains = verifiability.IntervalUnion.hull_contains
+
+    def counted(self, x):
+        calls.append(x)
+        return hull_contains(self, x)
+
+    monkeypatch.setattr(verifiability.IntervalUnion, "hull_contains", counted)
+    for game in coprime_games(67, 3):
+        eq = solve(game)
+        calls.clear()
+        assert verify_equilibrium(game, eq).ok
+        assert len(calls) == len(game.structure.messages)
+        calls.clear()
+        best_deviation(game, eq.beliefs)
+        assert len(calls) == len(game.structure.messages)
+
+
+def test_belief_outside_support_hull_on_either_side():
+    # verify reports condition 3 and best_deviation raises, below the
+    # minimum and above the supremum of a right-open support alike
+    structure = VerifStructure((
+        ("m_0", IntervalUnion.from_pairs([(0, 1)])),
+        ("m_1", IntervalUnion.from_pairs([(F(1, 3), 1)])),
+        ("m_x", IntervalUnion.from_pairs([(F(1, 3), F(1, 2), False), (F(2, 3), F(5, 6), False)])),
+    ))
+    game = GameSpec(StepFunction((F(0), F(1, 3)), (F(0), F(1))), F(1, 4), structure)
+    eq = solve(game)
+    assert "m_x" not in eq.messaging.values()
+    for b in (F(1, 3) - F(1, 10**40), F(5, 6) + F(1, 10**40)):
+        bad = replace(eq, beliefs={**eq.beliefs, "m_x": b})
+        report = verify_equilibrium(game, bad)
+        assert not report.ok and report.condition == 3 and report.witness == ("m_x", b)
+        with pytest.raises(PreconditionError, match="outside conv support"):
+            best_deviation(game, bad.beliefs)
+    for b in (F(1, 3), F(5, 6)):  # the hull's closure holds both ends
+        assert verify_equilibrium(game, replace(eq, beliefs={**eq.beliefs, "m_x": b})).ok
+        best_deviation(game, {**eq.beliefs, "m_x": b})
+    with pytest.raises(PreconditionError, match="missing"):
+        best_deviation(game, {"m_0": F(0), "m_1": F(1, 3)})
+
+
+def test_constructors_validate_float_tied_rationals():
+    # StepFunction, SupportInterval and the payoff's monotonicity test decide
+    # order and equality on cross-multiplied ints; these pairs share a float
+    b = F(10**38 + 7, 3 * 10**38 + 1)
+    lo, hi = b, b + F(1, 10**70)
+    assert float(lo) == float(hi) and lo < hi
+    assert StepFunction((F(0), lo, hi), (F(0), F(1), F(2))).breakpoints == (F(0), lo, hi)
+    for bps in ((F(0), hi, lo), (F(0), lo, lo), (F(1, 10**70), lo)):
+        with pytest.raises(ValueError):
+            StepFunction(bps, (F(0), F(1), F(2))[: len(bps)])
+    with pytest.raises(ValueError, match="lie in"):
+        StepFunction((F(0), 1 + F(1, 10**70)), (F(0), F(1)))
+    merged = StepFunction((F(0), F(1, 3), F(1, 2)), (lo, F(b.numerator * 5, b.denominator * 5), hi))
+    assert merged.breakpoints == (F(0), F(1, 2)) and merged.values == (lo, hi)
+    assert merged.is_non_decreasing
+    assert not StepFunction((F(0), F(1, 2)), (hi, lo)).is_non_decreasing
+    assert verifiability.SupportInterval(lo, hi, False).hi == hi
+    assert verifiability.SupportInterval(lo, lo).lo == lo
+    with pytest.raises(verifiability.ConstructionError, match="lo .* > hi"):
+        verifiability.SupportInterval(hi, lo)
+    with pytest.raises(verifiability.ConstructionError, match="degenerate"):
+        verifiability.SupportInterval(lo, lo, False)
+    union = IntervalUnion.from_pairs([(lo, hi)])
+    assert union.hull_contains(lo) and union.hull_contains(hi)
+    assert not union.hull_contains(lo - F(1, 10**80)) and not union.hull_contains(hi + F(1, 10**80))
