@@ -36,7 +36,6 @@ from .verifiability import (
     IDENTITY_PREFIX,
     VerifStructure,
     identity_name,
-    max_min_available,
     messages_at,
     min_inverse,
 )
@@ -222,15 +221,11 @@ def skeptical_value(game: GameSpec) -> StepFunction:
     """Skepticism-adjusted payoff v(g(s)) as a step function; v itself under full verifiability.
 
     Exact on the open gaps between support endpoints and at 1 (the gap levels
-    of the level table, and its level at 1); `skeptical_payoff_at` is exact
-    at every type, endpoints included.  Built once per game and cached.
+    of the level table, and its level at 1); at an interior endpoint g can
+    differ from both sides, and v(max_min_available(structure, s)) is exact
+    at every type.  Built once per game and cached.
     """
     return game._adjusted_payoff
-
-
-def skeptical_payoff_at(game: GameSpec, s: Fraction) -> Fraction:
-    """Pointwise-exact skepticism-adjusted payoff v(max min available at s)."""
-    return step_eval(game.payoff, max_min_available(game.structure, s))
 
 
 def value_hull(game: GameSpec) -> ConcavePL:
@@ -442,12 +437,11 @@ def verify_equilibrium(game: GameSpec, eq: Equilibrium) -> VerifyReport:
     # (1) optimal information acquisition
     best_value, best_signal = oracle._best_deviation(game, beliefs)
     if best_value != eq.value:
-        return VerifyReport(
-            False,
-            1,
-            f"profitable deviation: value {eq.value} below best response {best_value}",
-            best_signal,
-        )
+        if eq.value < best_value:
+            detail = f"profitable deviation: value {eq.value} below best response {best_value}"
+        else:
+            detail = f"value {eq.value} above best response {best_value}: no signal attains it"
+        return VerifyReport(False, 1, detail, best_signal)
 
     # (2) sequentially rational communication
     for s in eq.signal.support:

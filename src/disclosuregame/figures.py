@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .equilibrium import Equilibrium, GameSpec, skeptical_value, value_hull
+from .equilibrium import Equilibrium, GameSpec, _belief_of, skeptical_value, value_hull
+from .piecewise import step_eval
 from .rationals import ONE, ZERO, format_rational, sorted_distinct
 
 
@@ -142,8 +143,8 @@ def render_game_svg(game: GameSpec, eq: Equilibrium) -> str:
         f'<line x1="{xp}" y1="{PLOT_BOTTOM}" x2="{xp}" y2="{PLOT_TOP}" '
         f'stroke="#cccccc" stroke-width="1" stroke-dasharray="2,3"/>'
     )
-    for s, w in zip(eq.signal.support, eq.signal.weights):
-        ys_post = step_value_at(game, eq, s)
+    for s in eq.signal.support:
+        ys_post = step_eval(v, _belief_of(game, eq.beliefs, eq.messaging[s]))
         parts.append(
             f'<circle cx="{m.x(s)}" cy="{m.y(ys_post)}" r="4" fill="#9a9a9a" stroke="black"/>'
         )
@@ -174,14 +175,3 @@ def render_game_svg(game: GameSpec, eq: Equilibrium) -> str:
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def step_value_at(game: GameSpec, eq: Equilibrium, s: Fraction) -> Fraction:
-    """Ex-post payoff of an on-path type: v at the induced receiver belief."""
-    from .piecewise import step_eval
-    from .verifiability import min_inverse
-
-    name = eq.messaging[s]
-    if name in eq.beliefs:
-        return step_eval(game.payoff, eq.beliefs[name])
-    return step_eval(game.payoff, min_inverse(game.structure, name))

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Any, Callable
 
 from .comparative import OrderVerdict
-from .equilibrium import Equilibrium, GameSpec, Signal
+from .equilibrium import Equilibrium, GameSpec
 from .errors import ConstructionError, GameFileError
 from .piecewise import StepFunction
 from .rationals import format_rational, parse_rational
@@ -40,7 +40,7 @@ def _parse(obj: Any) -> Fraction:
     return parse_rational(obj)
 
 
-def _rat(obj: Any, path: str, read: Callable[[Any], Fraction] = _parse) -> Fraction:
+def _rat(obj: Any, path: str, read: Callable[[Any], Fraction]) -> Fraction:
     try:
         return read(obj)
     except ValueError as exc:
@@ -264,25 +264,6 @@ def equilibrium_to_obj(eq: Equilibrium, pnbp_holds: bool) -> dict:
         "s_minus": format_rational(eq.s_minus),
         "s_plus": format_rational(eq.s_plus),
     }
-
-
-def signal_from_obj(obj: Any, path: str = "signal") -> tuple[Signal, dict]:
-    """Parse a serialized signal; returns (Signal, messaging map)."""
-    _expect(obj, list, path)
-    support, weights, messaging = [], [], {}
-    for i, entry in enumerate(obj):
-        ep = f"{path}[{i}]"
-        _expect(entry, dict, ep)
-        s = _rat(entry.get("posterior"), f"{ep}.posterior")
-        w = _rat(entry.get("weight"), f"{ep}.weight")
-        m = _expect(entry.get("message"), str, f"{ep}.message")
-        support.append(s)
-        weights.append(w)
-        messaging[s] = m
-    try:
-        return Signal(tuple(support), tuple(weights)), messaging
-    except ValueError as exc:
-        raise GameFileError(f"{path}: {exc}") from exc
 
 
 def verdict_to_obj(verdict: OrderVerdict) -> dict:

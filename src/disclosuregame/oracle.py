@@ -22,8 +22,8 @@ points that can be hull vertices or lie on the hull edge over the prior.
 Its grid grows with the game and no common denominator is bounded, so it
 does not scale the grid: it looks up grid points and each belief's payoff
 piece by (numerator, denominator), each hull turn cross-multiplies the
-points' own numerators and denominators (_slope_not_falling), and so does
-each on-edge test (rationals.on_line_through); only the split weights and
+points' own numerators and denominators (rationals.not_right_turn), and so
+does each on-edge test (rationals.on_line_through); only the split weights and
 the value are Fraction arithmetic.  The exhaustive search caps its grid at
 max_grid points, so the lcm of the grid's denominators stays small; it
 scales the grid, the prior and the payoff breakpoints to ints over that lcm
@@ -48,7 +48,7 @@ from .equilibrium import (
     verify_equilibrium,
 )
 from .piecewise import Point, step_eval
-from .rationals import ONE, ZERO, on_line_through, sorted_distinct
+from .rationals import ONE, ZERO, not_right_turn, on_line_through, sorted_distinct
 from .verifiability import messages_at
 
 CriticalGrid = tuple[Fraction, ...]
@@ -64,26 +64,6 @@ def critical_grid(game: GameSpec) -> CriticalGrid:
         grid.append(Fraction(an * bd + bn * ad, 2 * ad * bd))  # (a + b) / 2
     grid.append(base[-1])
     return tuple(grid)
-
-
-def discrete_cav(points: Sequence[Point], x: Fraction) -> Fraction:
-    """Value at x of the upper concave hull of a finite point set (exact).
-
-    Implemented independently of the analytic envelope: slope-monotone scan
-    over the sorted points, then interpolation on the hull chain.  The points
-    may come in any order, as any numbers, with repeated x (the highest y
-    counts).
-    """
-    best: dict[Fraction, Fraction] = {}
-    for px, py in points:
-        px, py = Fraction(px), Fraction(py)
-        if px not in best or py > best[px]:
-            best[px] = py
-    x = Fraction(x)
-    (x0, y0), (x1, y1) = _hull_segment(sorted(best.items()), x)
-    if x0 == x1:
-        return y0
-    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
 
 def _hull_segment(pts: Sequence[Point], x: Fraction) -> tuple[Point, Point]:
@@ -120,34 +100,19 @@ def _fraction_hull(pts: Sequence[Point]) -> list[Point]:
     """Upper hull vertices of Fraction points sorted by strictly increasing x.
 
     The same scan as on ints, with each point also held as (xn, xd, yn, yd)
-    and each turn decided by _slope_not_falling on those ints.
+    and each turn decided by rationals.not_right_turn on those ints.
     """
     hull: list[Point] = []
     ints: list[tuple[int, int, int, int]] = []
     for pt in pts:
         x, y = pt
         q = x.numerator, x.denominator, y.numerator, y.denominator
-        while len(ints) >= 2 and _slope_not_falling(ints[-2], ints[-1], q):
+        while len(ints) >= 2 and not_right_turn(ints[-2], ints[-1], q):
             hull.pop()  # slope does not strictly decrease through hull[-1]
             ints.pop()
         hull.append(pt)
         ints.append(q)
     return hull
-
-
-def _slope_not_falling(p0: tuple[int, int, int, int], p1: tuple[int, int, int, int], p2: tuple[int, int, int, int]) -> bool:
-    """(y2 - y1)(x1 - x0) >= (y1 - y0)(x2 - x1) for points given as (xn, xd, yn, yd), on ints.
-
-    Each difference is an int over the product of two positive
-    denominators; both sides are multiplied by y1d * x1d and then by
-    x0d * y2d * y0d * x2d, so no gcd is taken.
-    """
-    x0n, x0d, y0n, y0d = p0
-    x1n, x1d, y1n, y1d = p1
-    x2n, x2d, y2n, y2d = p2
-    lhs = (y2n * y1d - y1n * y2d) * (x1n * x0d - x0n * x1d) * y0d * x2d
-    rhs = (y1n * y0d - y0n * y1d) * (x2n * x1d - x1n * x2d) * y2d * x0d
-    return lhs >= rhs
 
 
 def _grid_index(grid: CriticalGrid) -> dict[tuple[int, int], int]:

@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import DomainError
-from .rationals import ONE, ZERO, as_fraction, in_unit_interval, order_key
+from .rationals import ONE, ZERO, as_fraction, in_unit_interval, not_right_turn, order_key
 
 Point = tuple[Fraction, Fraction]
 
@@ -79,14 +79,6 @@ class StepFunction:
     @property
     def is_non_decreasing(self) -> bool:
         return all(a.numerator * b.denominator <= b.numerator * a.denominator for a, b in zip(self.values, self.values[1:]))
-
-    def map_values(self, fn) -> "StepFunction":
-        """Compose an outer function piece-by-piece (exact for any outer map)."""
-        return StepFunction(self.breakpoints, tuple(fn(v) for v in self.values))
-
-
-def constant(value) -> StepFunction:
-    return StepFunction((ZERO,), (as_fraction(value),))
 
 
 def step_eval(f: StepFunction, x: Fraction) -> Fraction:
@@ -174,23 +166,6 @@ def upper_hull_points(points: Iterable[Point]) -> list[Point]:
         hull.append(p)
         ints.append(q)
     return hull
-
-
-def not_right_turn(o: tuple[int, int, int, int], a: tuple[int, int, int, int], p: tuple[int, int, int, int]) -> bool:
-    """Whether o -> a -> p turns left or goes straight, for points given as (xn, xd, yn, yd).
-
-    That is the cross product (a - o) x (p - o) >= 0, the test
-    (ax - ox)(py - oy) >= (ay - oy)(px - ox) with every coordinate a
-    numerator over a positive denominator.  Each difference is an int over
-    the product of its two denominators; multiplying both sides by the
-    positive common factor leaves an int comparison with no gcd.
-    """
-    oxn, oxd, oyn, oyd = o
-    axn, axd, ayn, ayd = a
-    pxn, pxd, pyn, pyd = p
-    lhs = (axn * oxd - oxn * axd) * (pyn * oyd - oyn * pyd) * ayd * pxd
-    rhs = (ayn * oyd - oyn * ayd) * (pxn * oxd - oxn * pxd) * axd * pyd
-    return lhs >= rhs
 
 
 def hull_candidates(f: StepFunction) -> list[Point]:

@@ -97,3 +97,22 @@ def on_line_through(p0: tuple[Fraction, Fraction], p1: tuple[Fraction, Fraction]
         return (yn * y0d - y0n * yd) * dx * xd == dy * (xn * x0d - x0n * xd) * yd
 
     return on_line
+
+
+def not_right_turn(o: tuple[int, int, int, int], a: tuple[int, int, int, int], p: tuple[int, int, int, int]) -> bool:
+    """Whether o -> a -> p turns left or goes straight, for points given as (xn, xd, yn, yd).
+
+    That is the cross product (a - o) x (p - o) >= 0, the test
+    (ax - ox)(py - oy) >= (ay - oy)(px - ox) with every coordinate a
+    numerator over a positive denominator.  Each difference is an int over
+    the product of its two denominators; multiplying both sides by the
+    positive common factor leaves an int comparison with no gcd.  The
+    envelope's hull scan (piecewise.upper_hull_points) and the oracle's
+    (oracle._fraction_hull) each pop a point on this test.
+    """
+    oxn, oxd, oyn, oyd = o
+    axn, axd, ayn, ayd = a
+    pxn, pxd, pyn, pyd = p
+    lhs = (axn * oxd - oxn * axd) * (pyn * oyd - oyn * pyd) * ayd * pxd
+    rhs = (ayn * oyd - oyn * ayd) * (pxn * oxd - oxn * pxd) * axd * pyd
+    return lhs >= rhs

@@ -56,11 +56,6 @@ class SupportInterval:
         if left == right and not self.hi_closed:
             raise ConstructionError("degenerate interval must be closed")
 
-    def contains(self, x: Fraction) -> bool:
-        if self.hi_closed:
-            return self.lo <= x <= self.hi
-        return self.lo <= x < self.hi
-
 
 @dataclass(frozen=True)
 class IntervalUnion:
@@ -94,9 +89,6 @@ class IntervalUnion:
             hi_closed = bool(p[2]) if len(p) > 2 else True
             ivs.append(SupportInterval(p[0], p[1], hi_closed))
         return cls(tuple(ivs))
-
-    def contains(self, x: Fraction) -> bool:
-        return any(iv.contains(x) for iv in self.intervals)
 
     @property
     def minimum(self) -> Fraction:
@@ -314,9 +306,6 @@ def max_min_available(structure: VerifStructure, s: Fraction) -> Fraction:
 class LowestConsistentSet:
     types: tuple[Fraction, ...]
     all_of_unit_interval: bool = False
-
-    def contains(self, s: Fraction) -> bool:
-        return self.all_of_unit_interval or Fraction(s) in self.types
 
     def issuperset(self, other: "LowestConsistentSet") -> bool:
         if self.all_of_unit_interval:

@@ -1,53 +1,80 @@
-"""Slow, direct implementations that the solver's fast paths are tested against.
+"""Slow, direct implementations that the solver's and the oracle's fast paths are tested against.
 
-Each one evaluates its definition head-on: which messages a type can send is
-decided by testing every support, step functions are sampled at the midpoint
-of every gap between support endpoints, and the exhaustive search redoes its
-exact algebra for every messaging profile.  The Fraction paths at the end are
-the solver's and the oracle's loops as they were before those ran on ranks:
-they compare, sort and scan every point as a Fraction.  Then come the
-separation pre-order as it was before it compared supports (a scan of every
-message at every endpoint and gap midpoint of both structures), and the
-Fraction kernels that integer ones replaced: Fraction(str) for every
-rational, sorting a set of Fractions, hull turns as Fraction cross-products,
-and a split walk that evaluates the envelope at every point with g(x) = x.
-Last come the Fraction searches that lookups and int tests replaced: step
-and envelope evaluation by bisecting Fractions, availability by testing
-every support's Fraction bounds, on-line tests as Fraction products, each
-belief's payoff level by bisection, and the figure's coordinates as
-Fractions.  The references above are built on these, not on the fast paths.
+There is one reference per quantity, each evaluating its definition head-on.
+Which messages a type can send is decided by testing every support; g, the
+skeptical type map, is the best support minimum among them; the envelope is
+the Fraction hull of v(g) at every point and at both ends of every gap
+between points, each gap sampled at its midpoint; PNBP and the split scan
+every support minimum and every candidate point; the interim value tests
+every support at every grid point; the best deviation searches every pair of
+grid points for a chord through the optimum; the exhaustive search redoes
+its exact algebra for every messaging profile; and the separation pre-order
+scans every message at every endpoint and gap midpoint of both structures.
+
+Then come the Fraction twins of the program's integer kernels: Fraction(str)
+for every rational, hull turns as Fraction cross-products, step and envelope
+evaluation by bisecting Fractions, on-line tests as Fraction products, and
+the figure's coordinates as Fractions.  The references above are built on
+these twins, never on the fast paths.
 """
 
-import heapq
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations, product
 from operator import itemgetter
-from typing import Optional
 
-from disclosuregame import GameSpec, IntervalUnion, Signal, StepFunction, VerifStructure, min_inverse
-from disclosuregame.comparative import OrderVerdict
-from disclosuregame.equilibrium import (
-    Equilibrium,
+from disclosuregame import (
+    ConcavePL,
+    GameSpec,
+    IntervalUnion,
     PnbpVerdict,
-    _skeptical_beliefs,
-    _walk,
-    skeptical_value,
-    value_hull,
+    Signal,
+    StepFunction,
+    VerifStructure,
     verify_equilibrium,
 )
-from disclosuregame.errors import ConstructionError, DomainError, OracleSizeError, PreconditionError
+from disclosuregame.comparative import OrderVerdict
+from disclosuregame.equilibrium import Equilibrium, skeptical_value, value_hull
+from disclosuregame.errors import DomainError, OracleSizeError
 from disclosuregame.figures import PLOT_BOTTOM, PLOT_LEFT, PLOT_RIGHT, PLOT_TOP, _fmt
-from disclosuregame.oracle import critical_grid, discrete_cav
-from disclosuregame.piecewise import ConcavePL, Point, hull_candidates
+from disclosuregame.oracle import critical_grid
+from disclosuregame.piecewise import Point
 from disclosuregame.verifiability import IDENTITY_PREFIX, identity_name
 
 ZERO, ONE = Fraction(0), Fraction(1)
 
 
+def in_support(supp: IntervalUnion, s: Fraction) -> bool:
+    """s lies in one of the support's intervals, each closed on the left."""
+    for iv in supp.intervals:
+        if iv.lo <= s and (s <= iv.hi if iv.hi_closed else s < iv.hi):
+            return True
+    return False
+
+
+def contains_messages_at(structure: VerifStructure, s: Fraction) -> set[str]:
+    """messages_at by testing every support with Fraction comparisons."""
+    s = Fraction(s)
+    if not 0 <= s <= 1:
+        raise DomainError(f"type {s} outside [0,1]")
+    out = {name for name, supp in structure.messages if in_support(supp, s)}
+    if structure.full_verifiability:
+        out.add(identity_name(s))
+    return out
+
+
+def contains_best_message(structure: VerifStructure, s: Fraction) -> str:
+    """_best_message by testing every support with Fraction comparisons."""
+    candidates = [(supp.minimum, name) for name, supp in structure.messages if in_support(supp, s)]
+    if structure.full_verifiability:
+        candidates.append((s, identity_name(s)))
+    return min(candidates, key=lambda c: (-c[0], c[1]))[1]
+
+
 def pointwise_g(structure: VerifStructure, s: Fraction) -> Fraction:
-    """Best support minimum among the messages available at s, by testing every support."""
-    return max(min_inverse(structure, m) for m in contains_messages_at(structure, s))
+    """Best support minimum among the messages available at s (s itself for an identity message), by testing every support."""
+    minima = [supp.minimum for _, supp in structure.messages if in_support(supp, s)]
+    return max(minima + [s] * structure.full_verifiability)
 
 
 def pointwise_adjusted(game: GameSpec, s: Fraction) -> Fraction:
@@ -55,64 +82,124 @@ def pointwise_adjusted(game: GameSpec, s: Fraction) -> Fraction:
     return fraction_step_eval(game.payoff, pointwise_g(game.structure, s))
 
 
-def midpoint_type_map(structure: VerifStructure) -> StepFunction:
-    """g as a step function, sampled at the midpoint of every gap between endpoints.
+def _candidate_points(game: GameSpec) -> list[Fraction]:
+    """0, 1, the prior, every support endpoint and every payoff breakpoint, sorted.
 
-    Only for structures without full verifiability, where g is a step function.
+    v(g) is constant on each open gap between consecutive points: g only
+    changes at support endpoints, and v at its breakpoints.
     """
-    grid = structure.support_endpoints()
-    bps, vals = [], []
-    for a, b in zip(grid, grid[1:]):
-        v = pointwise_g(structure, (a + b) / 2)
-        if not vals or v != vals[-1]:
-            bps.append(a)
-            vals.append(v)
-    v1 = pointwise_g(structure, ONE)
-    if v1 != vals[-1]:
-        bps.append(ONE)
-        vals.append(v1)
-    return StepFunction(tuple(bps), tuple(vals))
+    return sorted({ZERO, ONE, game.prior, *game.structure.support_endpoints(), *game.payoff.breakpoints})
 
 
-def candidate_value_hull(game: GameSpec) -> ConcavePL:
-    """Envelope of v(g) from the midpoint map's pieces plus pointwise values at every endpoint."""
-    if game.structure.full_verifiability:
-        adjusted = game.payoff
-    else:
-        adjusted = midpoint_type_map(game.structure).map_values(lambda t: fraction_step_eval(game.payoff, t))
-    pts = hull_candidates(adjusted)
-    if not game.structure.full_verifiability:
-        for e in game.structure.support_endpoints():
-            pts.append((e, fraction_step_eval(game.payoff, pointwise_g(game.structure, e))))
+def pointwise_envelope(game: GameSpec) -> ConcavePL:
+    """The concave envelope of v(g): the Fraction hull of v(g) at every point and at both ends of every gap.
+
+    v(g) is constant on each open gap, so any concave majorant is at least
+    that constant at both ends of the gap; the hull of these points is the
+    smallest one.
+    """
+    xs = _candidate_points(game)
+    pts = [(x, pointwise_adjusted(game, x)) for x in xs]
+    for a, b in zip(xs, xs[1:]):
+        level = pointwise_adjusted(game, (a + b) / 2)
+        pts += [(a, level), (b, level)]
     return ConcavePL(tuple(fraction_upper_hull_points(pts)))
 
 
-def pointwise_interim_values(game: GameSpec, beliefs, grid) -> list[Fraction]:
-    """w at every grid point, by testing every support there (identity messages score v(s))."""
-    levels = {name: fraction_step_eval(game.payoff, beliefs[name]) for name in game.structure.names}
-    return [
-        max(
-            fraction_step_eval(game.payoff, s) if m.startswith(IDENTITY_PREFIX) else levels[m]
-            for m in contains_messages_at(game.structure, s)
-        )
-        for s in grid
+def scan_solve(game: GameSpec) -> tuple[PnbpVerdict, ConcavePL, Equilibrium]:
+    """pnbp, the envelope (pointwise_envelope) and solve from their definitions.
+
+    PNBP: some message's support minimum has v above v(prior), the witness
+    having the highest v, ties to the smallest name; under full
+    verifiability, v(1) above v(prior), witnessed by the identity message of
+    type 1.  With PNBP the prior is split between the nearest candidate
+    points x with g(x) = x where the envelope touches v(g); without it, no
+    information, and the best message at the prior is read as the prior.
+    """
+    structure, v, p = game.structure, game.payoff, game.prior
+    vp = fraction_step_eval(v, p)
+    if structure.full_verifiability:
+        above = [(fraction_step_eval(v, ONE), identity_name(ONE))]
+    else:
+        above = [(fraction_step_eval(v, supp.minimum), name) for name, supp in structure.messages]
+    above = [(level, name) for level, name in above if level > vp]
+    verdict = PnbpVerdict(True, min(above, key=lambda c: (-c[0], c[1]))[1]) if above else PnbpVerdict(False)
+    hull = pointwise_envelope(game)
+    beliefs = {name: supp.minimum for name, supp in structure.messages}
+    if not verdict.holds:
+        m0 = contains_best_message(structure, p)
+        beliefs[m0] = p
+        return verdict, hull, Equilibrium(Signal((p,), (ONE,)), {p: m0}, beliefs, vp, p, p)
+    contacts = [
+        x for x in _candidate_points(game)
+        if pointwise_g(structure, x) == x and fraction_pl_eval(hull, x) == fraction_step_eval(v, x)
     ]
+    if p in contacts:
+        s_minus = s_plus = p
+        signal = Signal((p,), (ONE,))
+    else:
+        s_minus = max(x for x in contacts if x < p)
+        s_plus = min(x for x in contacts if x > p)
+        w_lo = (s_plus - p) / (s_plus - s_minus)
+        signal = Signal((s_minus, s_plus), (w_lo, 1 - w_lo))
+    messaging = {}
+    for s in signal.support:
+        m = messaging[s] = contains_best_message(structure, s)
+        if m.startswith(IDENTITY_PREFIX):
+            beliefs[m] = s
+    return verdict, hull, Equilibrium(signal, messaging, beliefs, fraction_pl_eval(hull, p), s_minus, s_plus)
+
+
+def pointwise_interim_values(game: GameSpec, beliefs, grid) -> list[Fraction]:
+    """w at every grid point: the highest level among the messages whose support holds it (an identity message scores v(s))."""
+    v, structure = game.payoff, game.structure
+    levels = sorted(((fraction_step_eval(v, beliefs[name]), supp) for name, supp in structure.messages),
+                    key=itemgetter(0), reverse=True)
+
+    def w(s: Fraction) -> Fraction:
+        top = next((level for level, supp in levels if in_support(supp, s)), None)  # levels descend
+        if structure.full_verifiability:
+            own = fraction_step_eval(v, s)
+            return own if top is None or own > top else top
+        return top
+
+    return [w(s) for s in grid]
+
+
+def discrete_hull_value(points, x: Fraction) -> Fraction:
+    """Value at x of the upper concave hull of a finite point set, in any order; repeated x keep the highest y."""
+    best: dict[Fraction, Fraction] = {}
+    for px, py in points:
+        if px not in best or py > best[px]:
+            best[px] = py
+    (x0, y0), (x1, y1) = fraction_hull_segment(sorted(best.items()), x)
+    return y0 if x0 == x1 else y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
 
 def chord_best_deviation(game: GameSpec, beliefs) -> tuple[Fraction, Signal]:
-    """Best response by searching every pair of grid points for a chord through the optimum."""
+    """Best response by searching pairs of grid points for a chord through the optimum.
+
+    The value is the hull of w over the grid at the prior.  The left end is
+    the grid point nearest below the prior from which some chord to a point
+    above it passes through (prior, value); the right end is the nearest
+    point above the prior on the chord from that left end.
+    """
     grid = critical_grid(game)
-    w = dict(zip(grid, pointwise_interim_values(game, beliefs, grid)))
+    w = pointwise_interim_values(game, beliefs, grid)
     p = game.prior
-    value = discrete_cav(list(w.items()), p)
-    if value == w[p]:
+    k = grid.index(p)
+    (x0, y0), (x1, y1) = fraction_hull_segment(list(zip(grid, w)), p)
+    value = y0 if x0 == x1 else y0 + (y1 - y0) * (p - x0) / (x1 - x0)
+    if value == w[k]:
         return value, Signal((p,), (ONE,))
 
-    def chord(a, b):
-        return w[a] + (w[b] - w[a]) * (p - a) / (b - a)
+    def chord_ends(i: int) -> list[int]:
+        """Every j above the prior whose chord from grid[i] passes through (p, value)."""
+        rise, run = value - w[i], p - grid[i]
+        return [j for j in range(k + 1, len(grid)) if (w[j] - w[i]) * run == rise * (grid[j] - grid[i])]
 
-    left = max(s for s in grid if s < p and any(b > p and chord(s, b) == value for b in grid))
-    right = min(s for s in grid if s > p and chord(left, s) == value)
+    i = next(i for i in range(k - 1, -1, -1) if chord_ends(i))
+    left, right = grid[i], grid[chord_ends(i)[0]]
     w_lo = (right - p) / (right - left)
     return value, Signal((left, right), (w_lo, 1 - w_lo))
 
@@ -166,7 +253,7 @@ def per_profile_exhaustive_equilibria(
         hit = target_memo.get(key)
         if hit is None:
             pts = [(s, max(vcache[m] for m in avail[s])) for s in grid]
-            hit = target_memo[key] = discrete_cav(pts, p)
+            hit = target_memo[key] = discrete_hull_value(pts, p)
         return hit
 
     def full_check(support, mu, weights):
@@ -323,158 +410,6 @@ def per_profile_exhaustive_equilibria(
     return found
 
 
-# ---------------------------------------------------------------------------
-# Fraction paths replaced by rank coordinates
-# ---------------------------------------------------------------------------
-
-def heap_best_minima(structure: VerifStructure) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """VerifStructure._best_minima with Fractions in the heap: g at every endpoint and on every gap."""
-    intervals = sorted(
-        (iv.lo, supp.minimum, iv.hi, iv.hi_closed)
-        for _, supp in structure.messages
-        for iv in supp.intervals
-    )
-    heap: list[tuple[Fraction, Fraction, bool]] = []
-    at_point: list[Fraction] = []
-    on_gap: list[Fraction] = []
-    k = 0
-    for e in structure.support_endpoints():
-        while k < len(intervals) and intervals[k][0] <= e:
-            _, minimum, hi, hi_closed = intervals[k]
-            heapq.heappush(heap, (-minimum, hi, hi_closed))
-            k += 1
-        # an interval that has ended at e has ended for every later point
-        while heap and (heap[0][1] < e or (heap[0][1] == e and not heap[0][2])):
-            heapq.heappop(heap)
-        at_point.append(_heap_best(heap, e))
-        if e == ONE:
-            break
-        while heap and heap[0][1] <= e:
-            heapq.heappop(heap)
-        on_gap.append(_heap_best(heap, e))
-    return tuple(at_point), tuple(on_gap)
-
-
-def _heap_best(heap: list[tuple[Fraction, Fraction, bool]], s: Fraction) -> Fraction:
-    if not heap:
-        raise ConstructionError(f"no message available near type {s}: structure violates coverage")
-    return -heap[0][0]
-
-
-def stepwise_pnbp(game: GameSpec) -> PnbpVerdict:
-    """pnbp by evaluating v at the prior and at every support minimum."""
-    v, p = game.payoff, game.prior
-    vp = fraction_step_eval(v, p)
-    if game.structure.full_verifiability:
-        if fraction_step_eval(v, ONE) > vp:
-            return PnbpVerdict(True, identity_name(ONE))
-        return PnbpVerdict(False)
-    best: Optional[tuple[Fraction, str]] = None
-    for name, supp in game.structure.messages:
-        val = fraction_step_eval(v, supp.minimum)
-        if val > vp and (best is None or val > best[0] or (val == best[0] and name < best[1])):
-            best = (val, name)
-    if best is None:
-        return PnbpVerdict(False)
-    return PnbpVerdict(True, best[1])
-
-
-def endpoint_value_hull(game: GameSpec) -> ConcavePL:
-    """value_hull from every piece end of v(g) plus the exact value at every support endpoint."""
-    pts = hull_candidates(skeptical_value(game))
-    if not game.structure.full_verifiability:
-        for e in game.structure.support_endpoints():
-            pts.append((e, pointwise_adjusted(game, e)))
-    return ConcavePL(tuple(fraction_upper_hull_points(pts)))
-
-
-def full_scan_solve_pnbp(game: GameSpec) -> Equilibrium:
-    """_solve_pnbp by testing every support endpoint, payoff breakpoint and the prior."""
-    structure, v, p = game.structure, game.payoff, game.prior
-    hull = value_hull(game)
-    # Hull vertices and breakpoints of v(g) are support endpoints or
-    # breakpoints of v, so this set holds them all.
-    xs = set(structure.support_endpoints()) | set(v.breakpoints) | {p}
-    candidates = []
-    for x in sorted(xs):
-        if pointwise_g(structure, x) != x:
-            continue
-        if fraction_pl_eval(hull, x) == pointwise_adjusted(game, x):
-            candidates.append(x)
-    if p in candidates:
-        s_minus = s_plus = p
-        signal = Signal((p,), (ONE,))
-    else:
-        s_minus = max(x for x in candidates if x < p)
-        s_plus = min(x for x in candidates if x > p)
-        w_lo = (s_plus - p) / (s_plus - s_minus)
-        signal = Signal((s_minus, s_plus), (w_lo, 1 - w_lo))
-    beliefs = _skeptical_beliefs(structure)
-    messaging = {}
-    for s in signal.support:
-        m = contains_best_message(structure, s)
-        messaging[s] = m
-        if m.startswith(IDENTITY_PREFIX):
-            beliefs[m] = s
-    return Equilibrium(
-        signal=signal,
-        messaging=messaging,
-        beliefs=beliefs,
-        value=fraction_pl_eval(hull, p),
-        s_minus=s_minus,
-        s_plus=s_plus,
-    )
-
-
-def fraction_interim_values(game: GameSpec, beliefs, grid) -> list[Fraction]:
-    """oracle._interim_values with Fraction levels: the same range fill, v evaluated per message and grid point."""
-    structure, v = game.structure, game.payoff
-    index = {s: i for i, s in enumerate(grid)}
-    w: list[Fraction | None] = [None] * len(grid)
-    levels = [(fraction_step_eval(v, beliefs[name]), supp) for name, supp in structure.messages]
-    for level, supp in sorted(levels, key=itemgetter(0)):
-        for iv in supp.intervals:
-            a, b = index[iv.lo], index[iv.hi] + iv.hi_closed
-            w[a:b] = [level] * (b - a)
-    if structure.full_verifiability:
-        for i, s in enumerate(grid):
-            own = fraction_step_eval(v, s)
-            if w[i] is None or w[i] < own:
-                w[i] = own
-    return w
-
-
-def full_grid_best_deviation(game: GameSpec, beliefs) -> tuple[Fraction, Signal]:
-    """best_deviation with the Fraction hull over every grid point and an unfiltered walk."""
-    for name, supp in game.structure.messages:
-        if name not in beliefs:
-            raise PreconditionError(f"beliefs missing message {name!r}")
-        lo, hi = supp.hull_bounds()
-        if not (lo <= beliefs[name] <= hi):
-            raise PreconditionError(f"belief for {name!r} outside conv support")
-    grid = set_critical_grid(game)
-    w = fraction_interim_values(game, beliefs, grid)
-    p = game.prior
-    (x0, y0), (x1, y1) = fraction_hull_segment(list(zip(grid, w)), p)
-
-    def on_edge(i: int) -> bool:
-        return (w[i] - y0) * (x1 - x0) == (y1 - y0) * (grid[i] - x0)
-
-    k = grid.index(p)
-    if x0 == x1 or on_edge(k):
-        return w[k], Signal((p,), (ONE,))
-    value = y0 + (y1 - y0) * (p - x0) / (x1 - x0)
-    i = k - 1
-    while not on_edge(i):
-        i -= 1
-    j = k + 1
-    while not on_edge(j):
-        j += 1
-    left, right = grid[i], grid[j]
-    w_lo = (right - p) / (right - left)
-    return value, Signal((left, right), (w_lo, 1 - w_lo))
-
-
 def _sep_grid(m_hi: VerifStructure, m_lo: VerifStructure) -> list[Fraction]:
     pts = sorted(set(m_hi.support_endpoints()) | set(m_lo.support_endpoints()))
     grid = []
@@ -527,7 +462,7 @@ def grid_geq_sep(m_hi: VerifStructure, m_lo: VerifStructure) -> OrderVerdict:
 
 
 # ---------------------------------------------------------------------------
-# Fraction kernels replaced by integer ones
+# Fraction twins of the integer kernels
 # ---------------------------------------------------------------------------
 
 def fraction_str_parse_rational(text) -> Fraction:
@@ -543,20 +478,6 @@ def fraction_str_parse_rational(text) -> Fraction:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed rational {text!r}: {exc}") from exc
-
-
-def set_critical_grid(game: GameSpec) -> tuple[Fraction, ...]:
-    """critical_grid by sorting a set of Fractions."""
-    pts = {ZERO, ONE, game.prior}
-    pts.update(game.payoff.breakpoints)
-    pts.update(game.structure.support_endpoints())
-    base = sorted(pts)
-    grid = []
-    for a, b in zip(base, base[1:]):
-        grid.append(a)
-        grid.append((a + b) / 2)
-    grid.append(base[-1])
-    return tuple(grid)
 
 
 def fraction_upper_hull_points(points) -> list[Point]:
@@ -601,25 +522,6 @@ def fraction_hull_segment(pts, x) -> tuple[Point, Point]:
     return hull[i], hull[i + 1]
 
 
-def pl_eval_walk_split(game: GameSpec) -> tuple[Fraction, Fraction]:
-    """(s-, s+) of _solve_pnbp's walk with no rank test before pl_eval."""
-    p, hull = game.prior, value_hull(game)
-    xs, _, at, _, fixed = game._levels
-    vals = game.payoff.values
-
-    def contact(i: int) -> bool:
-        return fixed[i] and fraction_pl_eval(hull, xs[i]) == vals[at[i]]
-
-    k = bisect_left(xs, p)
-    if xs[k] == p and contact(k):
-        return p, p
-    return xs[_walk(contact, k - 1, -1, len(xs))], xs[_walk(contact, k + (xs[k] == p), 1, len(xs))]
-
-
-# ---------------------------------------------------------------------------
-# Fraction searches and comparisons replaced by lookups and int tests
-# ---------------------------------------------------------------------------
-
 def fraction_step_eval(f: StepFunction, x: Fraction) -> Fraction:
     """step_eval by bisecting the Fraction breakpoints."""
     x = Fraction(x)
@@ -641,50 +543,10 @@ def fraction_pl_eval(g: ConcavePL, x: Fraction) -> Fraction:
     return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
 
-def contains_messages_at(structure: VerifStructure, s: Fraction) -> set[str]:
-    """messages_at by testing every support with Fraction comparisons."""
-    s = Fraction(s)
-    if not 0 <= s <= 1:
-        raise DomainError(f"type {s} outside [0,1]")
-    out = {name for name, supp in structure.messages if supp.contains(s)}
-    if structure.full_verifiability:
-        out.add(identity_name(s))
-    return out
-
-
-def contains_best_message(structure: VerifStructure, s: Fraction) -> str:
-    """_best_message by testing every support with Fraction comparisons."""
-    candidates = [(supp.minimum, name) for name, supp in structure.messages if supp.contains(s)]
-    if structure.full_verifiability:
-        candidates.append((s, identity_name(s)))
-    return min(candidates, key=lambda c: (-c[0], c[1]))[1]
-
-
 def fraction_on_line(p0: Point, p1: Point, x: Fraction, y: Fraction) -> bool:
     """(x, y) on the line through p0 and p1, by Fraction arithmetic."""
     (x0, y0), (x1, y1) = p0, p1
     return (y - y0) * (x1 - x0) == (y1 - y0) * (x - x0)
-
-
-def fraction_level_pieces(game: GameSpec) -> list[int]:
-    """The level table's payoff pieces, each by a bisect into the Fraction breakpoints."""
-    bps = game.payoff.breakpoints
-    return [bisect_right(bps, x) - 1 for x in game._levels[0]]
-
-
-def bisect_interim_levels(game: GameSpec, beliefs, grid) -> list[int]:
-    """oracle._interim_values with each message's level bisected in the Fraction breakpoints."""
-    structure, bps = game.structure, game.payoff.breakpoints
-    index = {s: i for i, s in enumerate(grid)}
-    w = [-1] * len(grid)
-    levels = [(bisect_right(bps, beliefs[name]) - 1, supp) for name, supp in structure.messages]
-    for level, supp in sorted(levels, key=itemgetter(0)):
-        for iv in supp.intervals:
-            a, b = index[iv.lo], index[iv.hi] + iv.hi_closed
-            w[a:b] = [level] * (b - a)
-    if structure.full_verifiability:
-        w = [max(level, bisect_right(bps, s) - 1) for level, s in zip(w, grid)]
-    return w
 
 
 class FractionMapper:

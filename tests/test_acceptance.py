@@ -30,7 +30,7 @@ from disclosuregame import (
 )
 from disclosuregame.comparative import geq_lc, geq_sep, separating_instance
 from disclosuregame.equilibrium import value_hull
-from disclosuregame.oracle import discrete_cav, exhaustive_search
+from disclosuregame.oracle import exhaustive_search
 from disclosuregame.piecewise import hull_candidates
 
 from genutil import (
@@ -42,6 +42,7 @@ from genutil import (
     rand_pnbp_game,
     rand_structure,
 )
+from reference_paths import discrete_hull_value
 
 V1 = StepFunction((F(0), F(2, 5), F(4, 5)), (F(0), F(1), F(3)))
 V43 = StepFunction((F(0), F(2, 5), F(4, 5)), (F(0), F(2), F(3)))
@@ -235,6 +236,6 @@ def test_criterion_10_concavification_suite():
         assert all(a > b for a, b in zip(slopes, slopes[1:]))
         candidates = hull_candidates(f)
         for x in grid:
-            assert pl_eval(envelope, x) == discrete_cav(candidates, x)
+            assert pl_eval(envelope, x) == discrete_hull_value(candidates, x)
     print("PASS criterion 10: 1000 random step functions: envelope majorizes, "
           "slopes strictly decrease, agrees with the discrete hull, exactly")

@@ -16,11 +16,12 @@ from disclosuregame.gamefile import (
     game_to_obj,
     load_game,
     load_structure,
-    signal_from_obj,
     structure_from_obj,
     structure_to_obj,
 )
-from disclosuregame import GameFileError, GameSpec, IntervalUnion, StepFunction, VerifStructure, pnbp, solve
+from disclosuregame import (
+    GameFileError, GameSpec, IntervalUnion, Signal, StepFunction, VerifStructure, parse_rational, pnbp, solve,
+)
 from disclosuregame.figures import render_game_svg
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -384,10 +385,10 @@ class TestRoundTrips:
     def test_equilibrium_signal_round_trip(self):
         game = load_game(fx("three_action.json"))
         eq = solve(game)
-        obj = equilibrium_to_obj(eq, pnbp(game).holds)
-        signal, messaging = signal_from_obj(obj["signal"])
-        assert signal == eq.signal
-        assert messaging == dict(eq.messaging)
+        entries = equilibrium_to_obj(eq, pnbp(game).holds)["signal"]
+        support = tuple(parse_rational(e["posterior"]) for e in entries)
+        assert Signal(support, tuple(parse_rational(e["weight"]) for e in entries)) == eq.signal
+        assert dict(zip(support, (e["message"] for e in entries))) == dict(eq.messaging)
 
     def test_rationals_normalized_on_reparse(self, tmp_path):
         raw = {

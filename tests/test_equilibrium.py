@@ -31,9 +31,8 @@ from disclosuregame import (
     thresholds,
     verify_equilibrium,
 )
-from disclosuregame.equilibrium import skeptical_payoff_at, value_hull
-from disclosuregame.piecewise import constant
-from disclosuregame.verifiability import SupportInterval, max_min_available
+from disclosuregame.equilibrium import value_hull
+from disclosuregame.verifiability import max_min_available
 
 from genutil import (
     rand_game,
@@ -44,7 +43,7 @@ from genutil import (
     rand_point,
     rand_rich_structure,
 )
-from reference_paths import candidate_value_hull, midpoint_type_map
+from reference_paths import pointwise_adjusted, pointwise_envelope
 
 V1 = StepFunction((F(0), F(2, 5), F(4, 5)), (F(0), F(1), F(3)))
 V43 = StepFunction((F(0), F(2, 5), F(4, 5)), (F(0), F(2), F(3)))
@@ -72,7 +71,7 @@ class TestPnbp:
         assert not pnbp(G_PRIME).holds
 
     def test_constant_payoff_never(self):
-        game = GameSpec(constant(2), F(1, 3), M31)
+        game = GameSpec(StepFunction((F(0),), (F(2),)), F(1, 3), M31)
         assert not pnbp(game).holds
 
     def test_counterexample_high_message(self):
@@ -100,10 +99,12 @@ class TestSharedAnalysis:
         rng = random.Random(211)
         for _ in range(1000):
             game = GameSpec(rand_payoff(rng), rand_point(rng), rand_rich_structure(rng))
-            assert value_hull(game) == candidate_value_hull(game)
+            assert value_hull(game) == pointwise_envelope(game)
             if not game.structure.full_verifiability:
-                g = midpoint_type_map(game.structure)
-                assert skeptical_value(game) == g.map_values(lambda t: step_eval(game.payoff, t))
+                # v(g) sampled at every gap's midpoint, and at 1
+                ends = game.structure.support_endpoints()
+                levels = [pointwise_adjusted(game, (a + b) / 2) for a, b in zip(ends, ends[1:])]
+                assert skeptical_value(game) == StepFunction(ends, (*levels, pointwise_adjusted(game, F(1))))
 
     def test_built_once_per_game(self):
         game = GameSpec(V1, F(1, 3), M31)
@@ -111,39 +112,37 @@ class TestSharedAnalysis:
         assert value_hull(game) is value_hull(game)
         assert pnbp(game) is pnbp(game)
 
+    @staticmethod
+    def count_position_queries(monkeypatch) -> list:
+        """Record every availability query: each scans all M supports' spans at one point."""
+        calls = []
+        position = VerifStructure._position
+
+        def counting(self, s):
+            calls.append(s)
+            return position(self, s)
+
+        monkeypatch.setattr(VerifStructure, "_position", counting)
+        return calls
+
     def test_solve_queries_supports_linearly(self, monkeypatch):
-        # the solver reads g from one endpoint sweep; testing every support at
-        # every endpoint would take about M * E membership tests
+        # the solver reads g from one endpoint sweep and asks availability
+        # only at the split's points; asking at every endpoint would take
+        # about M * E span tests
         game = rand_interval_game(random.Random(401), 400)
-        calls = 0
-        contains = SupportInterval.contains
-
-        def counting(self, x):
-            nonlocal calls
-            calls += 1
-            return contains(self, x)
-
-        monkeypatch.setattr(SupportInterval, "contains", counting)
+        calls = self.count_position_queries(monkeypatch)
         eq = solve(game)
         assert eq.signal.support != (game.prior,)
-        assert calls <= 4 * len(game.structure.messages)
+        assert len(calls) <= 2 * len(eq.signal.support)
 
     def test_verify_queries_supports_linearly(self, monkeypatch):
-        # the oracle fills w by grid-index ranges; testing every support at
-        # every grid point would take about M * G membership tests
+        # the oracle fills w by grid-index ranges; asking availability at
+        # every grid point would take about M * G span tests
         game = rand_interval_game(random.Random(401), 400)
         eq = solve(game)
-        calls = 0
-        contains = SupportInterval.contains
-
-        def counting(self, x):
-            nonlocal calls
-            calls += 1
-            return contains(self, x)
-
-        monkeypatch.setattr(SupportInterval, "contains", counting)
+        calls = self.count_position_queries(monkeypatch)
         assert verify_equilibrium(game, eq).ok
-        assert calls <= 4 * len(game.structure.messages)
+        assert len(calls) <= 2 * len(eq.signal.support)
 
 
 class TestEquilibriumValue:
@@ -168,7 +167,7 @@ class TestSplitPoints:
         # better than the prior, so the prior is its own split
         game = GameSpec(V43, F(2, 5), thresholds([F(2, 5), F(4, 5)]))
         assert pnbp(game).holds
-        assert pl_eval(value_hull(game), F(2, 5)) == skeptical_payoff_at(game, F(2, 5))
+        assert pl_eval(value_hull(game), F(2, 5)) == pointwise_adjusted(game, F(2, 5))
         eq = solve(game)
         assert (eq.s_minus, eq.s_plus) == (F(2, 5), F(2, 5))
         assert eq.signal.support == (F(2, 5),)
@@ -258,7 +257,10 @@ class TestVerifyEquilibrium:
         assert not report.ok and report.condition == 1
         assert set(report.witness.support) == {F(0), F(1, 2)}
 
-    def test_suboptimal_message_fails_condition_two(self):
+    def test_suboptimal_message_on_usc_game_fails_condition_one(self):
+        # on an upper semicontinuous game a type that sends a worse message
+        # lowers the value below the best response, so condition (1) fires
+        # before condition (2) is tested
         eq = solve(G31)
         bad = replace(
             eq,
@@ -266,8 +268,33 @@ class TestVerifyEquilibrium:
             value=F(0),
         )
         report = verify_equilibrium(G31, bad)
-        assert not report.ok
-        assert report.condition in (1, 2)
+        assert not report.ok and report.condition == 1
+
+    def test_suboptimal_message_fails_condition_two(self):
+        # only a game that is not upper semicontinuous reaches "prefers another
+        # message": the right-open m_X makes the oracle's grid value 2/3 (the
+        # unattained supremum is 1), which this claim matches, while type 1/2
+        # sends m_L although m_X is worth more.  Once the oracle reports the
+        # supremum (ROADMAP item 2), this case fails condition (1) instead.
+        structure = VerifStructure(
+            (
+                ("m_L", IntervalUnion.from_pairs([(0, 1)])),
+                ("m_X", IntervalUnion.from_pairs([(F(1, 2), F(3, 4), False)])),
+            )
+        )
+        game = GameSpec(StepFunction((F(0), F(1, 2), F(3, 4)), (F(0), F(1), F(2))), F(7, 8), structure)
+        support = (F(1, 2), F(11, 16), F(1))
+        eq = Equilibrium(
+            signal=Signal(support, (F(1, 24), F(1, 3), F(5, 8))),
+            messaging=dict(zip(support, ("m_L", "m_X", "m_L"))),
+            beliefs={"m_L": F(0), "m_X": F(3, 4)},
+            value=F(2, 3),
+            s_minus=F(1, 2),
+            s_plus=F(1),
+        )
+        report = verify_equilibrium(game, eq)
+        assert not report.ok and report.condition == 2
+        assert report.witness == (F(1, 2), "m_X")
 
     def test_belief_outside_conv_support_fails_condition_three(self):
         # the oracle behind condition (1) refuses such beliefs, so the
@@ -283,6 +310,62 @@ class TestVerifyEquilibrium:
         eq = solve(G31)
         with pytest.raises(ValueError):
             verify_equilibrium(G31, replace(eq, value=F(1)))
+
+
+# v jumps from 0 to 1 at 1/2, prior 1/4; the solution splits {0, 1/2} with
+# messages m_L and m_H, value 1/2
+TAMPER_GAME = GameSpec(
+    StepFunction((F(0), F(1, 2)), (F(0), F(1))),
+    F(1, 4),
+    VerifStructure(
+        (
+            ("m_L", IntervalUnion.from_pairs([(0, 1)])),
+            ("m_H", IntervalUnion.from_pairs([(F(1, 2), 1)])),
+            ("m_X", IntervalUnion.from_pairs([(F(3, 4), 1)])),
+        )
+    ),
+)
+
+
+class TestVerifyTamper:
+    """One edit of a solved profile per case, each rejected with its own condition."""
+
+    def test_solution_verifies(self):
+        eq = solve(TAMPER_GAME)
+        assert eq.messaging == {F(0): "m_L", F(1, 2): "m_H"} and eq.value == F(1, 2)
+        assert verify_equilibrium(TAMPER_GAME, eq).ok
+
+    def test_claim_above_best_response_fails_condition_one(self):
+        # type 0 sends the unavailable m_H; the claimed value 1 is what the
+        # beliefs pay, but no signal reaches it against those beliefs
+        eq = replace(solve(TAMPER_GAME), messaging={F(0): "m_H", F(1, 2): "m_H"}, value=F(1))
+        report = verify_equilibrium(TAMPER_GAME, eq)
+        assert not report.ok and report.condition == 1
+        assert report.witness.support == (F(0), F(1, 2))
+
+    def test_unavailable_message_fails_condition_two(self):
+        # type 1/2 sends m_X, provable only from 3/4 on; the value matches
+        eq = replace(solve(TAMPER_GAME), messaging={F(0): "m_L", F(1, 2): "m_X"})
+        assert eq.beliefs["m_X"] == F(3, 4)
+        report = verify_equilibrium(TAMPER_GAME, eq)
+        assert not report.ok and report.condition == 2
+        assert report.witness == (F(1, 2), "m_X")
+
+    def test_identity_belief_off_its_type_fails_condition_three(self):
+        game = replace(TAMPER_GAME, structure=full_verif(TAMPER_GAME.structure))
+        eq = solve(game)
+        assert verify_equilibrium(game, eq).ok
+        bad = replace(eq, beliefs={**eq.beliefs, "id:1/3": F(1, 2)})
+        report = verify_equilibrium(game, bad)
+        assert not report.ok and report.condition == 3
+        assert report.witness == ("id:1/3", F(1, 2))
+
+    def test_condition_one_detail_names_the_direction_of_the_gap(self):
+        eq = solve(TAMPER_GAME)
+        above = replace(eq, messaging={F(0): "m_H", F(1, 2): "m_H"}, value=F(1))
+        assert verify_equilibrium(TAMPER_GAME, above).detail == "value 1 above best response 1/2: no signal attains it"
+        below = replace(eq, messaging={F(0): "m_L", F(1, 2): "m_L"}, value=F(0))
+        assert verify_equilibrium(TAMPER_GAME, below).detail == "profitable deviation: value 0 below best response 1/2"
 
 
 class TestCheckTheorem1:
@@ -331,7 +414,7 @@ class TestRandomizedInvariants:
             assert y0 < y1
             for x in (x0, x1):
                 assert max_min_available(game.structure, x) == x
-                assert pl_eval(hull, x) == skeptical_payoff_at(game, x)
+                assert pl_eval(hull, x) == pointwise_adjusted(game, x)
             intervals = [iv for _, supp in game.structure.messages for iv in supp.intervals]
             seen["pnbp"] += 1
             seen["union"] += any(len(supp.intervals) > 1 for _, supp in game.structure.messages)
@@ -343,7 +426,7 @@ class TestRandomizedInvariants:
     def test_claim_a3_interim_value_strictly_increases(self):
         # the pointwise interim value, not its step representation: supports
         # closed at an interior right end attain values the representation
-        # only carries through skeptical_payoff_at
+        # only carries through max_min_available
         rng = random.Random(103)
         seen = 0
         while seen < 60:
@@ -352,7 +435,7 @@ class TestRandomizedInvariants:
             if eq.s_minus == eq.s_plus:
                 continue
             seen += 1
-            assert skeptical_payoff_at(game, eq.s_minus) < skeptical_payoff_at(game, eq.s_plus)
+            assert pointwise_adjusted(game, eq.s_minus) < pointwise_adjusted(game, eq.s_plus)
 
     def test_no_pnbp_value_is_prior_payoff(self):
         rng = random.Random(107)
@@ -440,3 +523,4 @@ class TestRandomizedInvariants:
         high = equilibrium_value(GameSpec(v_high, prior, structure)).value
         assert low == F(5)
         assert high == F(10, 3) < low
+

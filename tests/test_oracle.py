@@ -22,12 +22,13 @@ from disclosuregame import (
     thresholds,
 )
 from disclosuregame.equilibrium import value_hull
+from disclosuregame.errors import DomainError
 from disclosuregame.oracle import (
     _grid_index,
+    _hull_segment,
     _interim_values,
     best_deviation,
     critical_grid,
-    discrete_cav,
     exhaustive_equilibria,
     exhaustive_search,
 )
@@ -109,23 +110,26 @@ class TestInterimValues:
 
 
 class TestDiscreteCav:
+    """The oracle's discrete hull: the edge of the upper hull of grid points over a query point."""
+
     def test_matches_analytic_on_skeptical_payoff(self):
-        pts = [(F(0), F(0)), (F(1, 2), F(0)), (F(1, 2), F(1)), (F(1), F(1))]
-        assert discrete_cav(pts, F(1, 3)) == F(2, 3)
+        pts = [(F(0), F(0)), (F(1, 4), F(0)), (F(1, 2), F(1)), (F(1), F(1))]
+        assert _hull_segment(pts, F(1, 3)) == ((F(0), F(0)), (F(1, 2), F(1)))  # 2/3 at 1/3
 
     def test_two_points(self):
         pts = [(F(0), F(2)), (F(1), F(5))]
-        assert discrete_cav(pts, F(0)) == F(2)
-        assert discrete_cav(pts, F(1)) == F(5)
+        assert _hull_segment(pts, F(0)) == ((F(0), F(2)), (F(0), F(2)))
+        assert _hull_segment(pts, F(1)) == ((F(1), F(5)), (F(1), F(5)))
+        # the exhaustive search's scaled grid: the same scan on ints
+        assert _hull_segment([(0, 2), (3, 2), (6, 5)], 3) == ((0, 2), (6, 5))
 
     def test_matches_three_action_envelope(self):
-        pts = [(F(0), F(0)), (F(2, 5), F(0)), (F(2, 5), F(1)), (F(4, 5), F(1)),
-               (F(4, 5), F(3)), (F(1), F(3))]
-        assert discrete_cav(pts, F(1, 3)) == F(5, 4)
+        pts = [(F(0), F(0)), (F(2, 5), F(1)), (F(4, 5), F(3)), (F(1), F(3))]
+        assert _hull_segment(pts, F(1, 3)) == ((F(0), F(0)), (F(4, 5), F(3)))  # 5/4 at 1/3
 
     def test_domain_error(self):
-        with pytest.raises(Exception):
-            discrete_cav([(F(1, 4), F(0)), (F(3, 4), F(1))], F(7, 8))
+        with pytest.raises(DomainError):
+            _hull_segment([(F(1, 4), F(0)), (F(3, 4), F(1))], F(7, 8))
 
 
 class TestBestDeviation:
@@ -161,6 +165,42 @@ class TestBestDeviation:
         assert signal.support == (F(1, 4), F(1, 2))
         assert signal.weights == (F(1, 2), F(1, 2))
         assert (value, signal) == chord_best_deviation(game, skeptical)
+
+    def test_split_on_falling_edge_takes_nearest_points(self):
+        # a right-open m_X drops w at 3/4, so the midpoint 5/8 of the gap
+        # before it lies on a falling hull edge, next to the prior on either
+        # side (w is not upper semicontinuous there; see the module docstring)
+        m_l = IntervalUnion.from_pairs([(0, 1)])
+        m_x = IntervalUnion.from_pairs([(F(1, 2), F(3, 4), False)])
+        # w: 2 on [0, 1/4], 0 on (1/4, 1/2), 1 on [1/2, 3/4), 0 from 3/4 on;
+        # the edge runs from (1/4, 2) to (1, 0), the prior is 1/2
+        right = GameSpec(
+            StepFunction((F(0), F(1, 8), F(1, 4)), (F(0), F(1), F(2))),
+            F(1, 2),
+            VerifStructure((
+                ("m_L", m_l),
+                ("m_H", IntervalUnion.from_pairs([(0, F(1, 4))])),
+                # the point 1/8 lets m_X carry the belief 1/8, level 1
+                ("m_X", IntervalUnion.from_pairs([(F(1, 8), F(1, 8)), (F(1, 2), F(3, 4), False)])),
+            )),
+        )
+        right_beliefs = {"m_L": F(0), "m_H": F(1, 4), "m_X": F(1, 8)}
+        # w: 0 below 1/2, 2 on [1/2, 3/4), 0 from 3/4 on; the edge runs from
+        # (5/8, 2) to (1, 0), the prior is 3/4
+        left = GameSpec(
+            StepFunction((F(0), F(1, 2), F(3, 4)), (F(0), F(1), F(2))),
+            F(3, 4),
+            VerifStructure((("m_L", m_l), ("m_X", m_x))),
+        )
+        left_beliefs = {"m_L": F(0), "m_X": F(3, 4)}
+        for game, beliefs, support, weights in (
+            (right, right_beliefs, (F(1, 4), F(5, 8)), (F(1, 3), F(2, 3))),
+            (left, left_beliefs, (F(5, 8), F(1)), (F(2, 3), F(1, 3))),
+        ):
+            value, signal = best_deviation(game, beliefs)
+            assert value == F(4, 3)
+            assert signal.support == support and signal.weights == weights
+            assert (value, signal) == chord_best_deviation(game, beliefs)
 
     def test_matches_pairwise_chord_search(self):
         # half the payoffs are proportional to their breakpoints, which puts

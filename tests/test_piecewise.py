@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from disclosuregame import ConcavePL, DomainError, StepFunction, cav, pl_eval, step_eval
-from disclosuregame.piecewise import constant, hull_candidates
+from disclosuregame.piecewise import hull_candidates
 
 from genutil import rand_payoff
 import random
@@ -42,7 +42,7 @@ class TestStepEval:
         assert step_eval(V1, F(2, 5)) == 1
 
     def test_constant(self):
-        assert step_eval(constant(0), F(7, 13)) == 0
+        assert step_eval(StepFunction((F(0),), (F(0),)), F(7, 13)) == 0
 
     def test_last_piece_closed_at_one(self):
         assert step_eval(V1, F(1)) == 3
@@ -73,12 +73,14 @@ class TestCav:
         assert brute_split_value(hull_candidates(VM31), F(1, 3)) == F(2, 3)
 
     def test_constant_is_its_own_envelope(self):
-        g = cav(constant(F(5, 7)))
+        g = cav(StepFunction((F(0),), (F(5, 7),)))
         assert pl_eval(g, F(0)) == pl_eval(g, F(1)) == F(5, 7)
 
     def test_non_monotone_input(self):
         f = StepFunction((F(0), F(1, 4), F(1, 2)), (F(0), F(2), F(1)))
         g = cav(f)
+        # the piece at 2 holds up to 1/2, where f falls: its right end is a vertex
+        assert g.vertices == ((F(0), F(0)), (F(1, 4), F(2)), (F(1, 2), F(2)), (F(1), F(1)))
         for x in (F(0), F(1, 8), F(1, 4), F(3, 8), F(1, 2), F(3, 4), F(1)):
             assert pl_eval(g, x) == brute_split_value(hull_candidates(f), x)
 

@@ -1,4 +1,4 @@
-"""Rank coordinates, lookups and integer kernels in the solver, the deviation oracle and the figure, against the Fraction paths they replaced.
+"""Rank coordinates, lookups and integer kernels in the solver, the deviation oracle and the figure, against the references and Fraction twins in reference_paths.
 
 Rich games carry unions, degenerate points, right-open ends and full
 verifiability, with mandatory disclosure every tenth game; coprime games give
@@ -17,7 +17,6 @@ from disclosuregame.equilibrium import (
     _best_message,
     _solve_pnbp,
     _walk,
-    skeptical_payoff_at,
     skeptical_value,
     value_hull,
     verify_equilibrium,
@@ -38,26 +37,19 @@ from genutil import (
     rand_rich_structure,
 )
 from reference_paths import (
-    bisect_interim_levels,
+    chord_best_deviation,
     contains_best_message,
     contains_messages_at,
-    endpoint_value_hull,
     fraction_hull_segment,
-    fraction_interim_values,
-    fraction_level_pieces,
     fraction_mapper,
     fraction_on_line,
     fraction_pl_eval,
     fraction_step_eval,
     fraction_upper_hull_points,
-    full_grid_best_deviation,
-    full_scan_solve_pnbp,
-    heap_best_minima,
-    pl_eval_walk_split,
+    pointwise_adjusted,
     pointwise_g,
     pointwise_interim_values,
-    set_critical_grid,
-    stepwise_pnbp,
+    scan_solve,
 )
 
 
@@ -107,33 +99,38 @@ def rand_beliefs(rng: random.Random, structure: VerifStructure) -> dict:
     return beliefs
 
 
-def test_endpoint_sweep_matches_heap_reference():
+def interim_values(game: GameSpec, beliefs, grid) -> list[F]:
+    """The oracle's w at every grid point, as payoff values."""
+    return [game.payoff.values[k] for k in _interim_values(game, beliefs, grid, _grid_index(grid))]
+
+
+def test_endpoint_sweep_matches_pointwise_g():
+    # g at every endpoint and on every gap, as endpoint indices, against a
+    # scan of every support at the endpoint and at the gap's midpoint
     for game in GAMES:
         structure = game.structure
         if structure.full_verifiability:
             continue
         ends = structure._endpoints
         at_point, on_gap = structure._best_minima
-        assert heap_best_minima(structure) == (
-            tuple(ends[j] for j in at_point),
-            tuple(ends[j] for j in on_gap),
-        )
+        assert [ends[j] for j in at_point] == [pointwise_g(structure, e) for e in ends]
+        assert [ends[j] for j in on_gap] == [pointwise_g(structure, (a + b) / 2) for a, b in zip(ends, ends[1:])]
 
 
 def test_level_table_matches_fraction_paths():
-    # pnbp, the envelope and the split, each against the path it replaced
+    # pnbp, the envelope and the solution (the split walk among it) against
+    # their definitions
     split = 0
     for game in GAMES:
-        assert pnbp(game) == stepwise_pnbp(game)
-        assert value_hull(game) == endpoint_value_hull(game)
-        if pnbp(game).holds:
-            eq = solve(game)
-            assert repr(eq) == repr(full_scan_solve_pnbp(game))
-            split += eq.s_minus != eq.s_plus
+        verdict, envelope, eq = scan_solve(game)
+        assert pnbp(game) == verdict
+        assert value_hull(game) == envelope
+        assert repr(solve(game)) == repr(eq)
+        split += eq.s_minus != eq.s_plus
     assert split > 100
 
 
-def test_best_deviation_matches_full_grid():
+def test_best_deviation_matches_chord_search():
     # skeptical beliefs, which the solver's own verification uses, and
     # random ones, which also put falling and flat hull edges over the prior
     rng = random.Random(31)
@@ -142,7 +139,7 @@ def test_best_deviation_matches_full_grid():
         skeptical = {name: supp.minimum for name, supp in game.structure.messages}
         for beliefs in (skeptical, rand_beliefs(rng, game.structure)):
             value, signal = best_deviation(game, beliefs)
-            assert (value, signal) == full_grid_best_deviation(game, beliefs)
+            assert (value, signal) == chord_best_deviation(game, beliefs)
             if len(signal.support) == 2:
                 lo, hi = pointwise_interim_values(game, beliefs, signal.support)
                 edges.add((lo > hi) - (lo < hi))
@@ -150,25 +147,24 @@ def test_best_deviation_matches_full_grid():
 
 
 def test_integer_kernels_match_fraction_paths():
-    # critical_grid, the envelope's hull, the oracle's hull and the split
-    # walk, each against the Fraction path it replaced; the hull inputs are
-    # shuffled, with repeated x, and the oracle's hull sees every grid point
+    # critical_grid's int midpoints, the envelope's hull and the oracle's
+    # hull against Fraction arithmetic; the hull inputs are shuffled, with
+    # repeated x, and the oracle's hull sees every grid point
     rng = random.Random(43)
     for game in GAMES:
         grid = critical_grid(game)
-        assert grid == set_critical_grid(game)
+        base = {F(0), F(1), game.prior, *game.payoff.breakpoints, *game.structure.support_endpoints()}
+        assert list(grid[::2]) == sorted(base)
+        assert all(grid[i] == (grid[i - 1] + grid[i + 1]) / 2 for i in range(1, len(grid), 2))
         pts = hull_candidates(skeptical_value(game))
         if not game.structure.full_verifiability:
-            pts += [(e, skeptical_payoff_at(game, e)) for e in game.structure.support_endpoints()]
+            pts += [(e, pointwise_adjusted(game, e)) for e in game.structure.support_endpoints()]
         rng.shuffle(pts)
         assert upper_hull_points(pts) == fraction_upper_hull_points(pts)
         beliefs = rand_beliefs(rng, game.structure)
-        w = list(zip(grid, fraction_interim_values(game, beliefs, grid)))
+        w = list(zip(grid, interim_values(game, beliefs, grid)))
         for x in (game.prior, rng.choice(grid), rand_point(rng)):
             assert _hull_segment(w, x) == fraction_hull_segment(w, x)
-        if pnbp(game).holds:
-            eq = solve(game)
-            assert (eq.s_minus, eq.s_plus) == pl_eval_walk_split(game)
 
 
 def test_hull_inputs_are_strict_records(monkeypatch):
@@ -195,9 +191,7 @@ def test_hull_inputs_are_strict_records(monkeypatch):
 
     monkeypatch.setattr(equilibrium, "upper_hull_points", counted("hull", equilibrium.upper_hull_points))
     monkeypatch.setattr(oracle, "_hull_segment", counted("segment", oracle._hull_segment))
-    for module, name in ((equilibrium, "max_min_available"), (verifiability, "max_min_available"),
-                         (equilibrium, "skeptical_payoff_at")):
-        monkeypatch.setattr(module, name, refused)
+    monkeypatch.setattr(verifiability, "max_min_available", refused)
     eq = solve(game)
     best_deviation(game, eq.beliefs)
     assert eq.s_minus < game.prior < eq.s_plus
@@ -252,7 +246,8 @@ def test_keyed_evaluation_matches_fraction_bisect():
     ties = 0
     for game in SAMPLE:
         adjusted, hull = skeptical_value(game), value_hull(game)
-        assert game._levels[1] == fraction_level_pieces(game)
+        xs, piece, _, _, _ = game._levels
+        assert [game.payoff.values[k] for k in piece] == [fraction_step_eval(game.payoff, x) for x in xs]
         points = (*game.payoff.breakpoints, *adjusted.breakpoints, *hull.xs, game.prior)
         for x in query_points(rng, points):
             assert step_eval(game.payoff, x) == fraction_step_eval(game.payoff, x)
@@ -279,7 +274,7 @@ def test_int_line_tests_match_fraction_products():
                 hits += got
                 misses += not got
         grid = critical_grid(game)
-        w = list(zip(grid, fraction_interim_values(game, rand_beliefs(rng, game.structure), grid)))
+        w = list(zip(grid, interim_values(game, rand_beliefs(rng, game.structure), grid)))
         p0, p1 = _hull_segment(w, game.prior)
         if p0 != p1:
             on_line = on_line_through(p0, p1)
@@ -297,7 +292,7 @@ def test_interim_values_off_grid_beliefs():
         for name, supp in game.structure.messages[::2]:
             lo, hi = supp.hull_bounds()
             beliefs[name] = lo + (hi - lo) * F(rng.randrange(1, 97), 97)
-        assert _interim_values(game, beliefs, grid, _grid_index(grid)) == bisect_interim_levels(game, beliefs, grid)
+        assert interim_values(game, beliefs, grid) == pointwise_interim_values(game, beliefs, grid)
         off_grid += sum(b not in grid for b in beliefs.values())
     assert off_grid > 300
 
@@ -309,8 +304,8 @@ def test_figure_matches_fraction_mapper(monkeypatch):
     cases = []
     for game in coprime_games(61, 12) + GAMES[::25]:
         eq = solve(game)
-        negative = GameSpec(game.payoff.map_values(lambda y: y - 7), game.prior, game.structure)
         values = game.payoff.values
+        negative = GameSpec(StepFunction(game.payoff.breakpoints, tuple(y - 7 for y in values)), game.prior, game.structure)
         cases += [(game, eq), (negative, solve(negative))]
         cases += [(game, replace(eq, value=values[-1] + F(1, 3))), (game, replace(eq, value=values[0] - 2))]
     assert any(eq.value == game.payoff.values[-1] for game, eq in cases)

@@ -7,9 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from disclosuregame.oracle import _slope_not_falling
-from disclosuregame.piecewise import not_right_turn
-from disclosuregame.rationals import order_key, parse_rational, sorted_distinct
+from disclosuregame.rationals import not_right_turn, order_key, parse_rational, sorted_distinct
 
 from reference_paths import fraction_str_parse_rational
 
@@ -90,15 +88,13 @@ def ints(pt):
 def test_int_turns_match_fraction_cross_products(o, a, p):
     (ox, oy), (ax, ay), (px, py) = o, a, p
     assert not_right_turn(ints(o), ints(a), ints(p)) == ((ax - ox) * (py - oy) - (ay - oy) * (px - ox) >= 0)
-    assert _slope_not_falling(ints(o), ints(a), ints(p)) == ((py - ay) * (ax - ox) >= (ay - oy) * (px - ax))
 
 
 def test_int_turns_on_collinear_points():
     pts = [(F(k, BIG + 1), F(3 * k, BIG + 1) + F(1, 7)) for k in range(3)]
-    assert not_right_turn(*map(ints, pts)) and _slope_not_falling(*map(ints, pts))
+    assert not_right_turn(*map(ints, pts))
     below = (pts[2][0], pts[2][1] - F(1, BIG))
     assert not not_right_turn(ints(pts[0]), ints(pts[1]), ints(below))
-    assert not _slope_not_falling(ints(pts[0]), ints(pts[1]), ints(below))
 
 
 def test_int_turns_on_pairwise_coprime_39_digit_coordinates():
@@ -112,4 +108,3 @@ def test_int_turns_on_pairwise_coprime_39_digit_coordinates():
         o, a, p = ((F(rng.randrange(1, dx), dx), F(rng.randrange(1, dy), dy)) for dx, dy in zip(dens[::2], dens[1::2]))
         (ox, oy), (ax, ay), (px, py) = o, a, p
         assert not_right_turn(ints(o), ints(a), ints(p)) == ((ax - ox) * (py - oy) - (ay - oy) * (px - ox) >= 0)
-        assert _slope_not_falling(ints(o), ints(a), ints(p)) == ((py - ay) * (ax - ox) >= (ay - oy) * (px - ax))

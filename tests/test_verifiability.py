@@ -30,7 +30,7 @@ from disclosuregame.verifiability import (
 )
 
 from genutil import rand_rich_structure, rand_structure
-from reference_paths import midpoint_type_map, pointwise_g
+from reference_paths import pointwise_g
 
 M31 = VerifStructure(
     (
@@ -52,7 +52,8 @@ class TestIntervalUnion:
 
     def test_degenerate_point(self):
         u = IntervalUnion.from_pairs([(1, 1)])
-        assert u.contains(F(1)) and not u.contains(F(99, 100))
+        assert u.intervals == (SupportInterval(F(1), F(1)),)
+        assert u.hull_contains(F(1)) and not u.hull_contains(F(99, 100))
 
     def test_degenerate_open_rejected(self):
         with pytest.raises(ConstructionError):
@@ -120,7 +121,7 @@ class TestLowestConsistentSet:
 
     def test_full_verifiability_flag(self):
         lset = lowest_consistent_set(mandatory_disclosure())
-        assert lset.all_of_unit_interval and lset.contains(F(17, 31))
+        assert lset.all_of_unit_interval and lset.issuperset(lowest_consistent_set(thresholds([F(17, 31)])))
 
     def test_always_contains_zero(self):
         rng = random.Random(3)
@@ -173,12 +174,14 @@ class TestEndpointSweep:
         rng = random.Random(2024)
         for _ in range(3000):
             structure = rand_rich_structure(rng)
+            ends = structure.support_endpoints()
             if structure.full_verifiability:
                 with pytest.raises(PreconditionError):
                     skeptical_type_map(structure)
             else:
-                assert skeptical_type_map(structure) == midpoint_type_map(structure)
-            ends = structure.support_endpoints()
+                # g sampled at every gap's midpoint, and at 1
+                on_gaps = [pointwise_g(structure, (a + b) / 2) for a, b in zip(ends, ends[1:])]
+                assert skeptical_type_map(structure) == StepFunction(ends, (*on_gaps, pointwise_g(structure, F(1))))
             points = [F(0), F(1), *ends, *((a + b) / 2 for a, b in zip(ends, ends[1:]))]
             for s in points:
                 want = s if structure.full_verifiability else pointwise_g(structure, s)

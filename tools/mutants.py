@@ -1,0 +1,287 @@
+"""Mutation run: is each named mutant of the package caught by the test suite?
+
+    python tools/mutants.py              # every mutant, about 10 minutes on one core
+    python tools/mutants.py NAME ...     # only the named ones
+
+Not part of tier-1.  Each mutant is one exact source edit (a snippet and its
+replacement) that must match exactly once in ``src/disclosuregame`` and still
+parse.  The snippet is searched across the package, so a function keeps its
+mutants when it moves between modules.  Mutants run one at a time: the edit is
+written into a temporary copy of what the tests read (``src``, ``tests``,
+``fixtures``, ``pyproject.toml`` and ``README.md``), and ``pytest -x`` runs
+there.  A failing or timed-out run kills the mutant.  The unmutated copy
+runs first and must pass, or no kill would mean anything.
+
+One line per mutant: killed (with the first failing test), or survived (with
+the reason when the mutant is listed as equivalent: no input tells it apart).
+The exit code is 1 when a survivor has no stated reason, when a mutant listed
+as equivalent is killed (its reason is wrong), or when a snippet does not
+match exactly once; 2 when the unmutated tests fail; else 0.  Stdlib only; needs ``pytest`` and ``hypothesis``
+like the tests themselves.
+"""
+
+from __future__ import annotations
+
+import ast
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple, Optional
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = Path("src") / "disclosuregame"
+COPIED = ("src", "tests", "fixtures", "pyproject.toml", "README.md")
+TIMEOUT_S = 300
+
+
+class Mutant(NamedTuple):
+    name: str
+    old: str
+    new: str
+    equivalent: Optional[str] = None  # why no input tells the mutant apart
+
+
+MUTANTS = (
+    # rationals: the parse fast path, order keys and the int kernels
+    Mutant("rationals.parse_zero_denominator", "if den.isdigit() and (d := int(den)):",
+           "if den.isdigit() and ((d := int(den)) or True):"),
+    Mutant("rationals.sort_on_float_only", "return sorted(unique.values(), key=order_key)",
+           "return sorted(unique.values(), key=lambda q: q.numerator / q.denominator)"),
+    Mutant("rationals.huge_negative_to_plus_inf", "return (inf if n > 0 else -inf), q", "return inf, q"),
+    Mutant("rationals.unit_interval_open_at_one", "return 0 <= q.numerator <= q.denominator",
+           "return 0 <= q.numerator < q.denominator"),
+    Mutant("rationals.on_line_drops_xd",
+           "return (yn * y0d - y0n * yd) * dx * xd == dy * (xn * x0d - x0n * xd) * yd",
+           "return (yn * y0d - y0n * yd) * dx == dy * (xn * x0d - x0n * xd) * yd"),
+    Mutant("rationals.on_line_drops_y1d",
+           "dx = (x1.numerator * x0d - x0n * x1.denominator) * y1.denominator",
+           "dx = (x1.numerator * x0d - x0n * x1.denominator)"),
+    Mutant("rationals.turn_strict",
+           "rhs = (ayn * oyd - oyn * ayd) * (pxn * oxd - oxn * pxd) * axd * pyd\n    return lhs >= rhs",
+           "rhs = (ayn * oyd - oyn * ayd) * (pxn * oxd - oxn * pxd) * axd * pyd\n    return lhs > rhs"),
+    Mutant("rationals.turn_drops_pxd",
+           "lhs = (axn * oxd - oxn * axd) * (pyn * oyd - oyn * pyd) * ayd * pxd",
+           "lhs = (axn * oxd - oxn * axd) * (pyn * oyd - oyn * pyd) * ayd"),
+    # piecewise: keyed lookups, validation and the envelope
+    Mutant("piecewise.piece_bisect_left", "return bisect_right(self._keys, order_key(x)) - 1",
+           "return bisect_left(self._keys, order_key(x)) - 1"),
+    Mutant("piecewise.pl_eval_float_key", "i = bisect_right(g._keys, order_key(x)) - 1",
+           "i = bisect_right([k[0] for k in g._keys], x.numerator / x.denominator) - 1"),
+    Mutant("piecewise.breakpoints_non_strict",
+           "if not a.numerator * b.denominator < b.numerator * a.denominator:",
+           "if not a.numerator * b.denominator <= b.numerator * a.denominator:"),
+    Mutant("piecewise.non_decreasing_drops_denominator",
+           "a.numerator * b.denominator <= b.numerator * a.denominator for a, b",
+           "a.numerator * b.denominator <= b.numerator for a, b"),
+    Mutant("piecewise.non_decreasing_strict",
+           "a.numerator * b.denominator <= b.numerator * a.denominator for a, b",
+           "a.numerator * b.denominator < b.numerator * a.denominator for a, b",
+           "adjacent values are merged when equal, so consecutive values differ and <= is <"),
+    Mutant("piecewise.equal_pieces_not_merged", "if (v.numerator, v.denominator) != last:", "if True:"),
+    Mutant("piecewise.hull_keeps_first_duplicate", "if key not in best or y > best[key][1]:",
+           "if key not in best:"),
+    Mutant("piecewise.candidates_drop_right_ends", "pts.append((hi, v))", "pass"),
+    Mutant("piecewise.pl_eval_last_vertex", "if i == len(g.vertices) - 1:", "if i == len(g.vertices):"),
+    # verifiability: supports, positions and the endpoint sweep
+    Mutant("verifiability.open_end_spans_as_closed", "pos(iv.hi) + iv.hi_closed, pos(supp.minimum)",
+           "pos(iv.hi) + 1, pos(supp.minimum)"),
+    Mutant("verifiability.span_end_inclusive",
+           "out = {name for start, end, _, name in structure._spans if start <= pos < end}",
+           "out = {name for start, end, _, name in structure._spans if start <= pos <= end}"),
+    Mutant("verifiability.open_degenerate_interval", "if left == right and not self.hi_closed:", "if False:"),
+    Mutant("verifiability.hull_sup_strict", "xn * hi.denominator <= hi.numerator * xd",
+           "xn * hi.denominator < hi.numerator * xd"),
+    Mutant("verifiability.sweep_open_end_at_point",
+           "while heap and (heap[0][1] < e or (heap[0][1] == e and not heap[0][2])):",
+           "while heap and heap[0][1] < e:"),
+    Mutant("verifiability.sweep_keeps_ended_on_gap", "while heap and heap[0][1] <= e:",
+           "while heap and heap[0][1] < e:"),
+    Mutant("verifiability.position_gap_off_by_one", "return 2 * bisect_left(self._keys, order_key(s)) - 1",
+           "return 2 * bisect_left(self._keys, order_key(s)) + 1"),
+    Mutant("verifiability.coverage_unchecked",
+           'raise ConstructionError("message supports must cover all of [0,1]")', "return 0"),
+    Mutant("verifiability.touching_not_merged", "if iv.lo < cur.hi or (iv.lo == cur.hi):",
+           "if iv.lo < cur.hi:"),
+    Mutant("verifiability.full_verif_g_not_identity",
+           "return s\n    at_point, on_gap = structure._best_minima", "return ZERO\n    at_point, on_gap = structure._best_minima"),
+    Mutant("verifiability.lcs_ignores_flag",
+           "return LowestConsistentSet(tuple(minima), structure.full_verifiability)",
+           "return LowestConsistentSet(tuple(minima), False)"),
+    # equilibrium: the solver's level table and split walk, and verify
+    Mutant("equilibrium.identity_loses_ties", "candidates.append((-pos, identity_name(s)))",
+           "candidates.append((-pos + 1, identity_name(s)))"),
+    Mutant("equilibrium.best_message_largest_name", "return min(candidates)[1]", "return max(candidates)[1]"),
+    Mutant("equilibrium.level_merge_strict", "while k + 1 < len(bkeys) and bkeys[k + 1] <= key:",
+           "while k + 1 < len(bkeys) and bkeys[k + 1] < key:"),
+    Mutant("equilibrium.pnbp_weak",
+           "if (level := piece[rank[supp.minimum.numerator, supp.minimum.denominator]]) > vp",
+           "if (level := piece[rank[supp.minimum.numerator, supp.minimum.denominator]]) >= vp"),
+    Mutant("equilibrium.hull_levels_without_gaps", "top = list(map(max, at, [at[0], *gap], [*gap, at[-1]]))",
+           "top = list(at)"),
+    Mutant("equilibrium.walk_on_right_records", "top, from_left, _ = game._hull_levels",
+           "top, _, from_left = game._hull_levels"),
+    Mutant("equilibrium.split_edge_right_of_prior", "e = bisect_right(hull._keys, order_key(p)) - 1",
+           "e = bisect_right(hull._keys, order_key(p))"),
+    Mutant("equilibrium.split_edge_bisect_left", "e = bisect_right(hull._keys, order_key(p)) - 1",
+           "e = bisect_left(hull._keys, order_key(p)) - 1",
+           "differs only when p is a hull vertex, which is then a contact point on either edge"),
+    Mutant("equilibrium.no_pnbp_belief_skeptical", "    beliefs[m0] = p\n", ""),
+    Mutant("equilibrium.value_identity_unchecked", "if total != eq.value:", "if False:"),
+    Mutant("equilibrium.hull_check_dropped", "if not supp.hull_contains(b):", "if False:"),
+    Mutant("equilibrium.verify_calls_checked_search", "oracle._best_deviation(game, beliefs)",
+           "oracle.best_deviation(game, beliefs)"),
+    Mutant("equilibrium.condition_one_accepts_above", "if best_value != eq.value:", "if best_value > eq.value:"),
+    Mutant("equilibrium.condition_two_and_identity_deleted",
+           """    # (2) sequentially rational communication
+    for s in eq.signal.support:
+        m = eq.messaging[s]
+        avail = messages_at(game.structure, s)
+        if m not in avail:
+            return VerifyReport(False, 2, f"type {s} sends unavailable message {m!r}", (s, m))
+        vm = step_eval(game.payoff, _belief_of(game, beliefs, m))
+        for other in sorted(avail):
+            vo = step_eval(game.payoff, _belief_of(game, beliefs, other))
+            if vo > vm:
+                return VerifyReport(
+                    False, 2, f"type {s} prefers message {other!r} over {m!r}", (s, other)
+                )
+
+    # (3) consistent receiver beliefs; the convex hulls are checked above
+    for name, b in beliefs.items():
+        if name.startswith(IDENTITY_PREFIX) and b != min_inverse(game.structure, name):
+            return VerifyReport(False, 3, f"identity belief {name!r} must equal its type", (name, b))
+""",
+           "    # (3) consistent receiver beliefs; the convex hulls are checked above\n"),
+    Mutant("equilibrium.unavailable_message_accepted", "if m not in avail:", "if False:"),
+    Mutant("equilibrium.better_message_ignored", "if vo > vm:", "if False:"),
+    Mutant("equilibrium.identity_belief_unchecked",
+           "if name.startswith(IDENTITY_PREFIX) and b != min_inverse(game.structure, name):", "if False:"),
+    Mutant("equilibrium.bayes_unchecked", "if imbalance != 0:", "if False:"),
+    # oracle: the critical grid, the interim values and the searches
+    Mutant("oracle.midpoint_drops_factor_two", "grid.append(Fraction(an * bd + bn * ad, 2 * ad * bd))",
+           "grid.append(Fraction(an * bd + bn * ad, ad * bd))"),
+    Mutant("oracle.piece_table_off_by_one", "starts = [index[b.numerator, b.denominator] for b in v.breakpoints]",
+           "starts = [index[b.numerator, b.denominator] + 1 for b in v.breakpoints]"),
+    Mutant("oracle.piece_table_slice_longer", "piece[a:b] = [k] * (b - a)", "piece[a:b + 1] = [k] * (b + 1 - a)",
+           "the next piece's fill overwrites the extra slot, and after the last piece it lies past the grid"),
+    Mutant("oracle.off_grid_level_low", "return v.piece(b) if i is None else piece[i]",
+           "return v.piece(b) - 1 if i is None else piece[i]"),
+    Mutant("oracle.fill_open_end_as_closed", "b = index[iv.hi.numerator, iv.hi.denominator] + iv.hi_closed",
+           "b = index[iv.hi.numerator, iv.hi.denominator] + 1"),
+    Mutant("oracle.fill_in_message_order", "for lvl, supp in sorted(levels, key=itemgetter(0)):",
+           "for lvl, supp in levels:"),
+    Mutant("oracle.identity_level_ignored", "w = list(map(max, w, piece))", "pass"),
+    Mutant("oracle.flat_edge_on_left_records",
+           "may = from_left if y0 < y1 else from_right if y0 > y1 else [level == top for level in w]",
+           "may = from_left if y0 <= y1 else from_right"),
+    Mutant("oracle.walk_skips_left_neighbour", "    i = k - 1\n    while not on_edge(i):",
+           "    i = k - 2\n    while not on_edge(i):"),
+    Mutant("oracle.walk_skips_right_neighbour", "    j = k + 1\n    while not on_edge(j):",
+           "    j = k + 2\n    while not on_edge(j):"),
+    Mutant("oracle.best_deviation_unchecked", "if not supp.hull_contains(beliefs[name]):", "if False:"),
+    Mutant("oracle.condition_two_weak", "if lev[o] > lm:", "if lev[o] >= lm:"),
+    Mutant("oracle.size_two_weights_swapped", "ends = [((B - P, P - A), B - A)]", "ends = [((P - A, B - P), B - A)]"),
+    Mutant("oracle.dedup_always", "if dedup_values and target in values:", "if target in values:"),
+    # figures
+    Mutant("figures.y_drops_hd", "t = (vn * self._ld - self._ln * vd) * self._hd / (vd * self._span)",
+           "t = (vn * self._ld - self._ln * vd) / (vd * self._span)"),
+    Mutant("figures.y_range_without_value",
+           "y_lo, y_hi = min(values[0], eq.value, ZERO), max(values[-1], eq.value, ZERO)",
+           "y_lo, y_hi = min(values[0], ZERO), max(values[-1], ZERO)"),
+    Mutant("figures.limit_marker_at_own_value", "prev_val = pieces[i - 1][2]", "prev_val = pieces[i][2]"),
+    Mutant("figures.no_identity_bar", 'rows.append(("identity", None))', "pass"),
+    # gamefile: the per-file reader and field paths
+    Mutant("gamefile.memo_takes_bools", "if isinstance(obj, str):\n            q = memo.get(obj)",
+           "if isinstance(obj, (str, int)):\n            q = memo.get(obj)"),
+    Mutant("gamefile.no_memo", "q = memo.get(obj)", "q = None"),
+    Mutant("gamefile.support_index_off_by_one", 'exc.where = f".support[{len(ivs)}]{exc.where}"',
+           'exc.where = f".support[{len(ivs) + 1}]{exc.where}"'),
+)
+
+
+def locate(mutant: Mutant, sources: dict[Path, str]) -> tuple[Optional[Path], str]:
+    """The one file the snippet matches, and the mutated source; None and a reason otherwise."""
+    hits = [(path, text) for path, text in sources.items() if mutant.old in text]
+    count = sum(text.count(mutant.old) for _, text in hits)
+    if count != 1:
+        return None, f"snippet matches {count} times"
+    path, text = hits[0]
+    mutated = text.replace(mutant.old, mutant.new)
+    try:
+        ast.parse(mutated)
+    except SyntaxError as exc:
+        return None, f"mutated source does not parse: {exc}"
+    return path, mutated
+
+
+def run_tests(workdir: Path) -> tuple[bool, str]:
+    """(failed, first failing test or the reason) for pytest -x in workdir."""
+    env = dict(os.environ, PYTHONPATH=str(workdir / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"]
+    try:
+        proc = subprocess.run(cmd, cwd=workdir, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return True, f"timed out after {TIMEOUT_S} s"
+    if proc.returncode == 0:
+        return False, ""
+    failed = [line.split(" - ")[0] for line in proc.stdout.splitlines() if line.startswith(("FAILED", "ERROR"))]
+    return True, failed[0] if failed else f"pytest exit code {proc.returncode}"
+
+
+def main(argv: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    sources = {path.relative_to(ROOT): path.read_text() for path in sorted((ROOT / PACKAGE).glob("*.py"))}
+    bad = 0
+    counts = {"killed": 0, "equivalent": 0}
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        work = Path(tmp)
+        for name in COPIED:
+            src = ROOT / name
+            if src.is_dir():
+                shutil.copytree(src, work / name, ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+            else:
+                shutil.copy2(src, work / name)
+        failed, why = run_tests(work)
+        if failed:
+            print(f"the tests fail without a mutant: {why}", file=sys.stderr)
+            return 2
+        for mutant in chosen:
+            path, mutated = locate(mutant, sources)
+            if path is None:
+                print(f"STALE     {mutant.name}: {mutated}", flush=True)
+                bad += 1
+                continue
+            (work / path).write_text(mutated)
+            try:
+                killed, why = run_tests(work)
+            finally:
+                (work / path).write_text(sources[path])
+            if killed and mutant.equivalent:
+                print(f"KILLED    {mutant.name} ({path.name}), listed as equivalent: {why}", flush=True)
+                bad += 1
+            elif killed:
+                counts["killed"] += 1
+                print(f"killed    {mutant.name} ({path.name}): {why}", flush=True)
+            elif mutant.equivalent:
+                counts["equivalent"] += 1
+                print(f"survived  {mutant.name} ({path.name}), equivalent: {mutant.equivalent}", flush=True)
+            else:
+                print(f"SURVIVED  {mutant.name} ({path.name}): no test fails and no reason is given", flush=True)
+                bad += 1
+    minutes = (time.perf_counter() - start) / 60
+    print(f"{len(chosen)} mutants: {counts['killed']} killed, {counts['equivalent']} equivalent, "
+          f"{bad} unexplained or stale; {minutes:.1f} min")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
