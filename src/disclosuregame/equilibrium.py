@@ -17,7 +17,7 @@ an independent grid oracle.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -29,9 +29,9 @@ from .piecewise import (
     StepFunction,
     pl_eval,
     step_eval,
-    upper_hull_points,
+    upper_hull_of_sorted,
 )
-from .rationals import ONE, ZERO, as_fraction, in_unit_interval, on_line_through, order_key, sorted_distinct
+from .rationals import ONE, ZERO, as_fraction, in_unit_interval, on_line_through, order_key
 from .verifiability import (
     IDENTITY_PREFIX,
     VerifStructure,
@@ -53,52 +53,48 @@ class GameSpec:
             raise DomainError(f"prior {self.prior} outside [0,1]")
         if not self.payoff.is_non_decreasing:
             raise ValueError("payoff function must be non-decreasing")
+        # One coordinate table for the whole game: the structure's, once it
+        # also ranks the payoff's breakpoints and the prior (load_game builds
+        # it so); any other structure is rebuilt once here with them.
+        structure, extra = self.structure, (*self.payoff.breakpoints, self.prior)
+        rank = structure._table.rank
+        if any((q.numerator, q.denominator) not in rank for q in extra):
+            object.__setattr__(self, "structure", VerifStructure(structure.messages, structure.full_verifiability, extra))
 
     # Per-game intermediates, built on first use and shared by solve,
     # equilibrium_value and the figure; read them through pnbp,
     # skeptical_value and value_hull.
 
     @cached_property
-    def _level_points(self) -> tuple[tuple[Fraction, ...], tuple[tuple[float, Fraction], ...]]:
-        """The level table's points xs (see _levels) and their order keys."""
-        structure = self.structure
-        if not structure.full_verifiability:
-            return structure._endpoints, structure._keys
-        xs = tuple(sorted_distinct((*structure._endpoints, *self.payoff.breakpoints, self.prior)))
-        return xs, tuple(map(order_key, xs))
-
-    @cached_property
     def _levels(self) -> tuple[tuple[Fraction, ...], list[int], list[int], list[int], list[bool]]:
-        """The level table (xs, piece, at, gap, fixed) of v∘g on sorted points xs.
+        """The level table (xs, piece, at, gap, fixed) of v∘g on the game's table points xs.
 
         piece[i] indexes v's piece at xs[i], at[i] v(g(xs[i]))'s piece and
         gap[i] that of v∘g on the gap (xs[i], xs[i+1]); fixed[i] says g(xs[i])
-        = xs[i].  xs are the support endpoints, where the structure's sweep
-        gives g as endpoint indices; under full verifiability g is the
-        identity and xs also hold the payoff breakpoints and the prior.  The
-        payoff's values strictly increase, so a piece index ranks its value.
+        = xs[i].  xs hold 0, 1, the support endpoints, the payoff breakpoints
+        and the prior; piece k runs from breakpoint k's rank to the next one's,
+        and the structure's sweep gives g as ranks (under full verifiability g
+        is the identity).  The payoff's values strictly increase, so a piece
+        index ranks its value.
         """
-        structure = self.structure
-        xs, keys = self._level_points
-        bkeys = self.payoff._keys
-        piece, k = [], 0
-        for key in keys:  # one merge walk of two sorted sequences, on order keys
-            while k + 1 < len(bkeys) and bkeys[k + 1] <= key:
-                k += 1
-            piece.append(k)
-        if structure.full_verifiability:
+        xs, rank = self.structure._table.points, self.structure._table.rank
+        breaks = [rank[b.numerator, b.denominator] for b in self.payoff.breakpoints]
+        piece = [0] * len(xs)
+        for k, (lo, hi) in enumerate(zip(breaks, [*breaks[1:], len(xs)])):
+            piece[lo:hi] = [k] * (hi - lo)
+        if self.structure.full_verifiability:
             return xs, piece, piece, piece[:-1], [True] * len(xs)
-        at_point, on_gap = structure._best_minima
+        at_point, on_gap = self.structure._best_minima
         at, gap = [piece[j] for j in at_point], [piece[j] for j in on_gap]
         return xs, piece, at, gap, [j == i for i, j in enumerate(at_point)]
 
     @cached_property
     def _pnbp(self) -> PnbpVerdict:
         structure, v = self.structure, self.payoff
-        vp = v.piece(self.prior)
+        piece, rank = self._levels[1], structure._table.rank
+        vp = piece[rank[self.prior.numerator, self.prior.denominator]]
         if structure.full_verifiability:
             return PnbpVerdict(True, identity_name(ONE)) if vp < len(v.values) - 1 else PnbpVerdict(False)
-        piece, rank = self._levels[1], structure._rank
         above = [
             (-level, name)
             for name, supp in structure.messages
@@ -107,11 +103,16 @@ class GameSpec:
         return PnbpVerdict(True, min(above)[1]) if above else PnbpVerdict(False)
 
     @cached_property
+    def _adjusted_runs(self) -> list[tuple[int, int]]:
+        """v∘g as (rank, level) where each of its pieces starts: the level table's gap levels and its level at 1, merged."""
+        _, _, at, gap, _ = self._levels
+        levels = (*gap, at[-1])
+        return [(i, level) for i, level in enumerate(levels) if i == 0 or level != levels[i - 1]]
+
+    @cached_property
     def _adjusted_payoff(self) -> StepFunction:
-        if self.structure.full_verifiability:
-            return self.payoff
-        xs, _, at, gap, _ = self._levels
-        return StepFunction(xs, tuple(self.payoff.values[k] for k in (*gap, at[-1])))
+        xs, vals = self._levels[0], self.payoff.values
+        return StepFunction(tuple(xs[i] for i, _ in self._adjusted_runs), tuple(vals[k] for _, k in self._adjusted_runs))
 
     @cached_property
     def _hull_levels(self) -> tuple[list[int], list[bool], list[bool]]:
@@ -137,12 +138,14 @@ class GameSpec:
 
     @cached_property
     def _value_hull(self) -> ConcavePL:
-        xs = self._levels[0]
+        table, vals = self.structure._table, self.payoff.values
         top, from_left, from_right = self._hull_levels
-        vals = self.payoff.values
-        return ConcavePL(
-            tuple(upper_hull_points((xs[i], vals[top[i]]) for i in range(len(xs)) if from_left[i] or from_right[i]))
-        )
+        # candidates come in rank order, distinct: the hull scan needs no sort
+        ranks = [i for i, (a, b) in enumerate(zip(from_left, from_right)) if a or b]
+        levels = [(v.numerator, v.denominator) for v in vals]
+        return ConcavePL(tuple(upper_hull_of_sorted(
+            [(table.points[i], vals[top[i]]) for i in ranks], [(*table.pairs[i], *levels[top[i]]) for i in ranks]
+        )))
 
 
 @dataclass(frozen=True)
@@ -222,8 +225,8 @@ def skeptical_value(game: GameSpec) -> StepFunction:
 
     Exact on the open gaps between support endpoints and at 1 (the gap levels
     of the level table, and its level at 1); at an interior endpoint g can
-    differ from both sides, and v(max_min_available(structure, s)) is exact
-    at every type.  Built once per game and cached.
+    differ from both sides, and the level table holds v(g) there exactly.
+    Built once per game and cached, from the level changes only.
     """
     return game._adjusted_payoff
 
@@ -235,8 +238,9 @@ def value_hull(game: GameSpec) -> ConcavePL:
     own level and its two gap levels, so supports closed at an interior right
     end (or degenerate at a point) contribute the value they attain, and v(g)
     is constant on each gap.  Only strict records of these levels (see
-    GameSpec._hull_levels), at most two per payoff piece, reach
-    upper_hull_points, which decides each turn on ints.
+    GameSpec._hull_levels), at most two per payoff piece, reach the hull
+    scan, in rank order and with the table's pairs, so it needs no sort and
+    decides each turn on ints.
     """
     return game._value_hull
 
@@ -260,7 +264,7 @@ def _best_message(structure: VerifStructure, s: Fraction) -> str:
     full verifiability the identity message of s (minimum s, at s's own
     position) competes by its name like any other.
     """
-    pos = structure._position(s)
+    pos = structure._table.position(s)
     candidates = [(-minimum, name) for start, end, minimum, name in structure._spans if start <= pos < end]
     if structure.full_verifiability:
         candidates.append((-pos, identity_name(s)))
@@ -320,7 +324,7 @@ def _solve_pnbp(game: GameSpec) -> Equilibrium:
     5. The nearest candidates s-/s+ around p lie on that edge, where the hull
        is affine, so the split's value is hull(p).
 
-    The walk goes outward from the prior's position in the level table and
+    The walk goes outward from the prior's rank in the level table and
     stops on each side at the first point with g(x) = x and hull(x) =
     v(g(x)).  It tests ranks first: g(x) = x (every point passes under full
     verifiability), the point's own level is its hull candidate level
@@ -344,13 +348,13 @@ def _solve_pnbp(game: GameSpec) -> Equilibrium:
     def contact(i: int) -> bool:
         return fixed[i] and at[i] == top[i] and from_left[i] and on_edge(xs[i], vals[at[i]])
 
-    k = bisect_left(game._level_points[1], order_key(p))
-    if xs[k] == p and contact(k):
+    k = structure._table.rank[p.numerator, p.denominator]
+    if contact(k):
         s_minus = s_plus = p
         signal = Signal((p,), (ONE,))
     else:
         s_minus = xs[_walk(contact, k - 1, -1, len(xs))]
-        s_plus = xs[_walk(contact, k + (xs[k] == p), 1, len(xs))]
+        s_plus = xs[_walk(contact, k + 1, 1, len(xs))]
         w_lo = (s_plus - p) / (s_plus - s_minus)
         signal = Signal((s_minus, s_plus), (w_lo, 1 - w_lo))
     beliefs = _skeptical_beliefs(structure)

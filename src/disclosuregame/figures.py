@@ -14,10 +14,11 @@ decimals when written, so output is byte-for-byte deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable
 
-from .equilibrium import Equilibrium, GameSpec, _belief_of, skeptical_value, value_hull
+from .equilibrium import Equilibrium, GameSpec, _belief_of, value_hull
 from .piecewise import step_eval
-from .rationals import ONE, ZERO, format_rational, sorted_distinct
+from .rationals import ZERO, Coordinates, format_rational
 
 
 WIDTH = 720
@@ -32,56 +33,54 @@ def _fmt(x: float) -> str:
     return f"{x:.3f}"
 
 
-class _Mapper:
-    """Pixel strings, memoised by (numerator, denominator): cheaper to hash than a Fraction.
+def _x_pixels(table: Coordinates) -> list[str]:
+    """The x pixel string of every point of the game's table, by rank.
 
-    float(q) for a Fraction q is its numerator / denominator, an int true
-    division, which Python rounds correctly; so is the same quotient of any
-    other pair of ints with the same ratio.  x and y therefore divide ints
-    directly and give float(q)'s bits without building q.
+    A point's order key starts with float(q): its numerator / denominator, an
+    int true division, which Python rounds correctly.  So each string comes
+    from float(q)'s bits without building anything, once per point.
     """
-
-    def __init__(self, y_lo: Fraction, y_hi: Fraction):
-        # (v - y_lo) / (y_hi - y_lo) = (vn * ld - ln * vd) * hd / (vd * span)
-        self._ln, self._ld, self._hd = y_lo.numerator, y_lo.denominator, y_hi.denominator
-        self._span = y_hi.numerator * self._ld - self._ln * self._hd
-        self._xs: dict[tuple[int, int], str] = {}
-        self._ys: dict[tuple[int, int], str] = {}
-
-    def x(self, v: Fraction) -> str:
-        key = v.numerator, v.denominator
-        if key not in self._xs:
-            self._xs[key] = _fmt(PLOT_LEFT + key[0] / key[1] * (PLOT_RIGHT - PLOT_LEFT))
-        return self._xs[key]
-
-    def y(self, v: Fraction) -> str:
-        vn, vd = key = v.numerator, v.denominator
-        if key not in self._ys:
-            t = (vn * self._ld - self._ln * vd) * self._hd / (vd * self._span)
-            self._ys[key] = _fmt(PLOT_BOTTOM - t * (PLOT_BOTTOM - PLOT_TOP))
-        return self._ys[key]
+    return [_fmt(PLOT_LEFT + key[0] * (PLOT_RIGHT - PLOT_LEFT)) for key in table.keys]
 
 
-def _mapper(game: GameSpec, eq: Equilibrium) -> _Mapper:
-    """The figure's coordinates: y spans every value drawn, 0 and the equilibrium value, padded.
+def _y_pixels(game: GameSpec, eq: Equilibrium) -> Callable[[Fraction], str]:
+    """The y pixel string of a value: y spans every value drawn, 0 and the equilibrium value, padded.
 
     Every value drawn is a payoff value: v∘g takes v's values, and so do the
     envelope's vertices.  The payoff's values strictly increase, so its first
-    and last bound them.
+    and last bound them.  (v - y_lo) / (y_hi - y_lo) is one int true
+    division, (vn * ld - ln * vd) * hd / (vd * span), which gives float()'s
+    bits of the same quotient without building it.
     """
     values = game.payoff.values
     y_lo, y_hi = min(values[0], eq.value, ZERO), max(values[-1], eq.value, ZERO)
     if y_lo == y_hi:
         y_hi = y_lo + 1
     pad = (y_hi - y_lo) / 12
-    return _Mapper(y_lo - pad, y_hi + pad)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+    ln, ld, hd = y_lo.numerator, y_lo.denominator, y_hi.denominator
+    span = y_hi.numerator * ld - ln * hd
+
+    def y(v: Fraction) -> str:
+        vn, vd = v.numerator, v.denominator
+        t = (vn * ld - ln * vd) * hd / (vd * span)
+        return _fmt(PLOT_BOTTOM - t * (PLOT_BOTTOM - PLOT_TOP))
+
+    return y
 
 
 def render_game_svg(game: GameSpec, eq: Equilibrium) -> str:
-    v = game.payoff
-    vm = skeptical_value(game)
+    """The figure; every x is a point of the game's table, drawn from one pixel string per rank."""
+    v, table = game.payoff, game.structure._table
     hull = value_hull(game)
-    m = _mapper(game, eq)
+    px, y = _x_pixels(table), _y_pixels(game, eq)
+    py = [y(val) for val in v.values]  # by payoff piece, which every level indexes
+    rank = table.rank
+
+    def x(q: Fraction) -> str:
+        """By rank: every x drawn is a point of the table, but for a posterior of a signal that solve did not find."""
+        i = rank.get((q.numerator, q.denominator))
+        return px[i] if i is not None else _fmt(PLOT_LEFT + float(q) * (PLOT_RIGHT - PLOT_LEFT))
 
     # the identity family has no support of its own: a dotted bar over [0,1]
     rows = list(game.structure.messages)
@@ -94,51 +93,49 @@ def render_game_svg(game: GameSpec, eq: Equilibrium) -> str:
         f'viewBox="0 0 {WIDTH} {height}" font-family="sans-serif" font-size="12">',
         f'<rect width="{WIDTH}" height="{height}" fill="white"/>',
         # axes
-        f'<line x1="{m.x(ZERO)}" y1="{PLOT_BOTTOM}" x2="{m.x(ONE)}" y2="{PLOT_BOTTOM}" stroke="black"/>',
-        f'<line x1="{m.x(ZERO)}" y1="{PLOT_BOTTOM}" x2="{m.x(ZERO)}" y2="{PLOT_TOP}" stroke="black"/>',
+        f'<line x1="{px[0]}" y1="{PLOT_BOTTOM}" x2="{px[-1]}" y2="{PLOT_BOTTOM}" stroke="black"/>',
+        f'<line x1="{px[0]}" y1="{PLOT_BOTTOM}" x2="{px[0]}" y2="{PLOT_TOP}" stroke="black"/>',
     ]
 
-    # x ticks: breakpoints, support endpoints, prior
-    ticks = sorted_distinct((*v.breakpoints, ZERO, ONE, game.prior))
-    for t in ticks:
-        xt = m.x(t)
-        parts.append(f'<line x1="{xt}" y1="{PLOT_BOTTOM}" x2="{xt}" y2="{PLOT_BOTTOM + 4}" stroke="black"/>')
+    # x ticks: breakpoints, 0, 1 and the prior
+    breaks = [rank[b.numerator, b.denominator] for b in v.breakpoints]
+    for r in sorted({*breaks, len(px) - 1, rank[game.prior.numerator, game.prior.denominator]}):
+        parts.append(f'<line x1="{px[r]}" y1="{PLOT_BOTTOM}" x2="{px[r]}" y2="{PLOT_BOTTOM + 4}" stroke="black"/>')
         parts.append(
-            f'<text x="{xt}" y="{PLOT_BOTTOM + 16}" text-anchor="middle">{format_rational(t)}</text>'
+            f'<text x="{px[r]}" y="{PLOT_BOTTOM + 16}" text-anchor="middle">{format_rational(table.points[r])}</text>'
         )
-    for yv in v.values:  # strictly increasing
+    for yv, label in zip(py, v.values):  # strictly increasing
         parts.append(
-            f'<text x="{PLOT_LEFT - 8}" y="{m.y(yv)}" text-anchor="end" dominant-baseline="middle">'
-            f"{format_rational(yv)}</text>"
+            f'<text x="{PLOT_LEFT - 8}" y="{yv}" text-anchor="end" dominant-baseline="middle">'
+            f"{format_rational(label)}</text>"
         )
 
     # concave envelope of the adjusted payoff: gray chord
-    chord = " ".join(f"{m.x(x)},{m.y(y)}" for x, y in hull.vertices)
+    chord = " ".join(f"{x(xv)},{y(yv)}" for xv, yv in hull.vertices)
     parts.append(f'<polyline points="{chord}" fill="none" stroke="#9a9a9a" stroke-width="1.5"/>')
 
-    # adjusted payoff: dashed
-    for lo, hi, val in vm.pieces():
+    # adjusted payoff: dashed, one line per piece of v∘g
+    runs = game._adjusted_runs
+    for (lo, level), (hi, _) in zip(runs, [*runs[1:], (len(px) - 1, None)]):
         parts.append(
-            f'<line x1="{m.x(lo)}" y1="{m.y(val)}" x2="{m.x(hi)}" y2="{m.y(val)}" '
+            f'<line x1="{px[lo]}" y1="{py[level]}" x2="{px[hi]}" y2="{py[level]}" '
             f'stroke="#555555" stroke-width="1.5" stroke-dasharray="6,4"/>'
         )
 
     # payoff: bold step with attained/limit markers
-    pieces = list(v.pieces())
-    for i, (lo, hi, val) in enumerate(pieces):
+    for k, (lo, hi) in enumerate(zip(breaks, [*breaks[1:], len(px) - 1])):
         parts.append(
-            f'<line x1="{m.x(lo)}" y1="{m.y(val)}" x2="{m.x(hi)}" y2="{m.y(val)}" '
+            f'<line x1="{px[lo]}" y1="{py[k]}" x2="{px[hi]}" y2="{py[k]}" '
             f'stroke="black" stroke-width="3"/>'
         )
-        if i > 0:
-            parts.append(f'<circle cx="{m.x(lo)}" cy="{m.y(val)}" r="4" fill="black"/>')
-            prev_val = pieces[i - 1][2]
+        if k > 0:
+            parts.append(f'<circle cx="{px[lo]}" cy="{py[k]}" r="4" fill="black"/>')
             parts.append(
-                f'<circle cx="{m.x(lo)}" cy="{m.y(prev_val)}" r="4" fill="white" stroke="black"/>'
+                f'<circle cx="{px[lo]}" cy="{py[k - 1]}" r="4" fill="white" stroke="black"/>'
             )
 
     # prior marker and equilibrium dots
-    xp = m.x(game.prior)
+    xp = x(game.prior)
     parts.append(
         f'<line x1="{xp}" y1="{PLOT_BOTTOM}" x2="{xp}" y2="{PLOT_TOP}" '
         f'stroke="#cccccc" stroke-width="1" stroke-dasharray="2,3"/>'
@@ -146,10 +143,10 @@ def render_game_svg(game: GameSpec, eq: Equilibrium) -> str:
     for s in eq.signal.support:
         ys_post = step_eval(v, _belief_of(game, eq.beliefs, eq.messaging[s]))
         parts.append(
-            f'<circle cx="{m.x(s)}" cy="{m.y(ys_post)}" r="4" fill="#9a9a9a" stroke="black"/>'
+            f'<circle cx="{x(s)}" cy="{y(ys_post)}" r="4" fill="#9a9a9a" stroke="black"/>'
         )
     parts.append(
-        f'<circle cx="{xp}" cy="{m.y(eq.value)}" r="7" fill="#9a9a9a" stroke="black"/>'
+        f'<circle cx="{xp}" cy="{y(eq.value)}" r="7" fill="#9a9a9a" stroke="black"/>'
     )
 
     # message availability bars below the axis
@@ -158,16 +155,17 @@ def render_game_svg(game: GameSpec, eq: Equilibrium) -> str:
         y_row = base + i * ROW_HEIGHT
         if supp is None:
             parts.append(
-                f'<line x1="{m.x(ZERO)}" y1="{y_row}" x2="{m.x(ONE)}" y2="{y_row}" '
+                f'<line x1="{px[0]}" y1="{y_row}" x2="{px[-1]}" y2="{y_row}" '
                 f'stroke="black" stroke-width="1" stroke-dasharray="1,3"/>'
             )
         else:
             for iv in supp.intervals:
-                if iv.lo == iv.hi:
-                    parts.append(f'<circle cx="{m.x(iv.lo)}" cy="{y_row}" r="2.5" fill="black"/>')
+                lo, hi = rank[iv.lo.numerator, iv.lo.denominator], rank[iv.hi.numerator, iv.hi.denominator]
+                if lo == hi:
+                    parts.append(f'<circle cx="{px[lo]}" cy="{y_row}" r="2.5" fill="black"/>')
                 else:
                     parts.append(
-                        f'<line x1="{m.x(iv.lo)}" y1="{y_row}" x2="{m.x(iv.hi)}" y2="{y_row}" '
+                        f'<line x1="{px[lo]}" y1="{y_row}" x2="{px[hi]}" y2="{y_row}" '
                         f'stroke="black" stroke-width="2"/>'
                     )
         parts.append(

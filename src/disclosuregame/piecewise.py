@@ -33,18 +33,19 @@ class StepFunction:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        bps = tuple(as_fraction(b) for b in self.breakpoints)
-        vals = tuple(as_fraction(v) for v in self.values)
+        bps = tuple(map(as_fraction, self.breakpoints))
+        vals = tuple(map(as_fraction, self.values))
         if len(bps) != len(vals) or not bps:
             raise ValueError("breakpoints and values must be non-empty and same length")
         if bps[0].numerator != 0:
             raise ValueError("first breakpoint must be 0")
         # exact tests on the canonical (numerator, denominator) pairs, with
         # the positive denominators cross-multiplied
-        for a, b in zip(bps, bps[1:]):
-            if not a.numerator * b.denominator < b.numerator * a.denominator:
+        pairs = [(b.numerator, b.denominator) for b in bps]
+        for (an, ad), (bn, bd) in zip(pairs, pairs[1:]):
+            if not an * bd < bn * ad:
                 raise ValueError("breakpoints must be strictly ascending")
-        if bps[-1].numerator > bps[-1].denominator:
+        if pairs[-1][0] > pairs[-1][1]:
             raise ValueError("breakpoints must lie in [0,1]")
         # canonical form: merge adjacent pieces with equal values
         merged_b = [bps[0]]
@@ -151,20 +152,21 @@ def upper_hull_points(points: Iterable[Point]) -> list[Point]:
         if key not in best or y > best[key][1]:
             best[key] = (x, y)
     pts = sorted(best.values(), key=lambda pt: order_key(pt[0]))
-    if len(pts) == 1:
-        return pts
+    return upper_hull_of_sorted(pts, [(x.numerator, x.denominator, y.numerator, y.denominator) for x, y in pts])
+
+
+def upper_hull_of_sorted(pts: list[Point], ints: list[tuple[int, int, int, int]]) -> list[Point]:
+    """upper_hull_points of points already sorted by strictly increasing x, each also given as (xn, xd, yn, yd)."""
     hull: list[Point] = []
-    ints: list[tuple[int, int, int, int]] = []
-    for p in pts:
-        x, y = p
-        q = x.numerator, x.denominator, y.numerator, y.denominator
+    kept: list[tuple[int, int, int, int]] = []
+    for p, q in zip(pts, ints):
         # pop while the middle point is on or below the chord: not a strict
         # upper-hull vertex
-        while len(ints) >= 2 and not_right_turn(ints[-2], ints[-1], q):
+        while len(kept) >= 2 and not_right_turn(kept[-2], kept[-1], q):
             hull.pop()
-            ints.pop()
+            kept.pop()
         hull.append(p)
-        ints.append(q)
+        kept.append(q)
     return hull
 
 

@@ -6,6 +6,7 @@ key, and exact tests can run on those two ints, which is much cheaper than
 Fraction's own hash, comparisons and arithmetic.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import inf
 from typing import Callable, Iterable
@@ -77,6 +78,38 @@ def sorted_distinct(values: Iterable[Fraction]) -> list[Fraction]:
     """The distinct values, ascending; duplicates are found by their canonical (numerator, denominator)."""
     unique = {(q.numerator, q.denominator): q for q in values}
     return sorted(unique.values(), key=order_key)
+
+
+class Coordinates:
+    """One sorted table of distinct rationals in [0,1]: the coordinates that every layer of a game reads.
+
+    points[i] is the i-th smallest value, pairs[i] its canonical (numerator,
+    denominator), keys[i] its order key and rank[pairs[i]] its index i;
+    marked[i] says whether it came from the marked group (a structure marks
+    0, 1 and its support endpoints).  Where a value sits is then a dict
+    lookup on its pair, or one keyed bisect (position), never another sort.
+    """
+
+    __slots__ = ("points", "pairs", "keys", "rank", "marked")
+
+    def __init__(self, marked: dict[tuple[int, int], Fraction], others: Iterable[Fraction] = ()):
+        """marked maps each canonical (numerator, denominator) to its value; others are values."""
+        unique = {(q.numerator, q.denominator): q for q in others}
+        unique.update(marked)
+        # order_key of each value, from its pair: n / d cannot overflow in [0,1]
+        keyed = {(n, d): (n / d, q) for (n, d), q in unique.items()}
+        self.pairs = pairs = tuple(sorted(keyed, key=keyed.__getitem__))
+        self.keys = tuple(map(keyed.__getitem__, pairs))
+        self.points = tuple(q for _, q in self.keys)
+        self.rank = dict(zip(pairs, range(len(pairs))))
+        self.marked = tuple(pair in marked for pair in pairs)
+
+    def position(self, q: Fraction) -> int:
+        """2i when q is points[i], 2i + 1 when q lies on the open gap after it; q between the ends."""
+        i = self.rank.get((q.numerator, q.denominator))
+        if i is not None:
+            return 2 * i
+        return 2 * bisect_left(self.keys, order_key(q)) - 1
 
 
 def on_line_through(p0: tuple[Fraction, Fraction], p1: tuple[Fraction, Fraction]) -> Callable[[Fraction, Fraction], bool]:

@@ -10,15 +10,19 @@ so that prefix is reserved.
 Support intervals are left-closed (the minimum of every support is attained,
 which is what the lowest-consistent machinery needs); the right endpoint may be
 closed or open.
+
+A type is a position in the structure's coordinate table (see VerifStructure),
+so availability and g, the largest support minimum among the messages
+available at s (the endpoint sweep), are int comparisons on table ranks.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import ConstructionError, DomainError, PreconditionError, UnknownMessageError
@@ -26,12 +30,12 @@ from .piecewise import StepFunction
 from .rationals import (
     ONE,
     ZERO,
+    Coordinates,
     as_fraction,
     format_rational,
     in_unit_interval,
     order_key,
     parse_rational,
-    sorted_distinct,
 )
 
 IDENTITY_PREFIX = "id:"
@@ -44,13 +48,16 @@ class SupportInterval:
     hi_closed: bool = True
 
     def __post_init__(self):
-        lo, hi = as_fraction(self.lo), as_fraction(self.hi)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        if not (in_unit_interval(lo) and in_unit_interval(hi)):
+        lo, hi = self.lo, self.hi
+        if not (isinstance(lo, Fraction) and isinstance(hi, Fraction)):
+            lo, hi = as_fraction(lo), as_fraction(hi)
+            object.__setattr__(self, "lo", lo)
+            object.__setattr__(self, "hi", hi)
+        # exact tests on the canonical pairs, positive denominators cross-multiplied
+        ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+        if not (0 <= ln <= ld and 0 <= hn <= hd):
             raise ConstructionError(f"interval [{lo},{hi}] must lie in [0,1]")
-        # lo vs hi on the canonical pairs, positive denominators cross-multiplied
-        left, right = lo.numerator * hi.denominator, hi.numerator * lo.denominator
+        left, right = ln * hd, hn * ld
         if left > right:
             raise ConstructionError(f"interval has lo {lo} > hi {hi}")
         if left == right and not self.hi_closed:
@@ -64,22 +71,24 @@ class IntervalUnion:
     intervals: tuple[SupportInterval, ...]
 
     def __post_init__(self):
-        ivs = list(self.intervals)
-        if len(ivs) > 1:
-            ivs.sort(key=lambda iv: (order_key(iv.lo), order_key(iv.hi), iv.hi_closed))
+        ivs = tuple(self.intervals)
         if not ivs:
             raise ConstructionError("support must be non-empty")
-        merged = [ivs[0]]
-        for iv in ivs[1:]:
-            cur = merged[-1]
-            if iv.lo < cur.hi or (iv.lo == cur.hi):
-                # overlapping or touching: the union stays one interval because
-                # iv is left-closed
-                if iv.hi > cur.hi or (iv.hi == cur.hi and iv.hi_closed):
-                    merged[-1] = SupportInterval(cur.lo, iv.hi, iv.hi_closed)
-            else:
-                merged.append(iv)
-        object.__setattr__(self, "intervals", tuple(merged))
+        if len(ivs) > 1:
+            # sorted and merged on order keys, which compare exactly
+            keyed = sorted((((order_key(iv.lo), order_key(iv.hi), iv.hi_closed), iv) for iv in ivs), key=itemgetter(0))
+            merged, cur_hi = [keyed[0][1]], keyed[0][0][1]
+            for (lo, hi, hi_closed), iv in keyed[1:]:
+                if lo <= cur_hi:
+                    # overlapping or touching: the union stays one interval
+                    # because iv is left-closed
+                    if hi > cur_hi or (hi == cur_hi and hi_closed):
+                        merged[-1], cur_hi = SupportInterval(merged[-1].lo, iv.hi, hi_closed), hi
+                else:
+                    merged.append(iv)
+                    cur_hi = hi
+            ivs = tuple(merged)
+        object.__setattr__(self, "intervals", ivs)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable) -> "IntervalUnion":
@@ -104,13 +113,6 @@ class IntervalUnion:
         xn, xd = x.numerator, x.denominator
         return lo.numerator * xd <= xn * lo.denominator and xn * hi.denominator <= hi.numerator * xd
 
-    def endpoints(self) -> list[Fraction]:
-        out = []
-        for iv in self.intervals:
-            out.append(iv.lo)
-            out.append(iv.hi)
-        return out
-
     def complement_pieces(self) -> list[tuple[Fraction, bool, Fraction, bool]]:
         """Complement within [0,1] as (lo, lo_closed, hi, hi_closed) pieces."""
         out = []
@@ -126,16 +128,46 @@ class IntervalUnion:
 
 @dataclass(frozen=True)
 class VerifStructure:
+    """Named messages with their supports, and the full-verifiability flag.
+
+    ``_table`` (rationals.Coordinates) ranks 0, 1 and every support endpoint,
+    marked, plus any further points of [0,1] given as ``points`` (a game's
+    payoff breakpoints and prior), so that a game shares it.  Extra points
+    change no answer and are not part of the value (eq, hash and repr).
+    ``_spans`` holds (start, end, minimum, name) for every interval, in
+    message order, as table positions (2i at point i, 2i + 1 on the open gap
+    after it): it covers start <= pos < end, and minimum is the position of
+    its support's minimum.  Availability is constant on each open gap.
+    """
+
     messages: tuple[tuple[str, IntervalUnion], ...]
     full_verifiability: bool = False
+    points: InitVar[Iterable[Fraction]] = ()
 
-    def __post_init__(self):
+    def __post_init__(self, points):
         names = [name for name, _ in self.messages]
         if len(set(names)) != len(names):
             raise ConstructionError("message names must be unique")
         for name in names:
             if name.startswith(IDENTITY_PREFIX):
                 raise ConstructionError(f"message name {name!r} uses the reserved prefix {IDENTITY_PREFIX!r}")
+        # each endpoint's canonical pair is read once, for the table and the spans
+        ends, pairs = {(0, 1): ZERO, (1, 1): ONE}, []
+        for name, supp in self.messages:
+            for iv in supp.intervals:
+                lo, hi = iv.lo, iv.hi
+                lo_pair, hi_pair = (lo.numerator, lo.denominator), (hi.numerator, hi.denominator)
+                ends[lo_pair], ends[hi_pair] = lo, hi
+                pairs.append((lo_pair, hi_pair, iv.hi_closed, name))
+        table = Coordinates(ends, points)
+        rank, spans, minimum, last = table.rank, [], 0, None
+        for lo_pair, hi_pair, hi_closed, name in pairs:
+            start = 2 * rank[lo_pair]
+            if name != last:  # a support's first interval starts at its minimum
+                minimum, last = start, name
+            spans.append((start, 2 * rank[hi_pair] + hi_closed, minimum, name))
+        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_spans", tuple(spans))
         if not self.full_verifiability:
             if not self.messages:
                 raise ConstructionError("a structure without full verifiability needs messages")
@@ -156,105 +188,39 @@ class VerifStructure:
         return tuple(n for n, _ in self.messages)
 
     def support_endpoints(self) -> list[Fraction]:
+        """0, 1 and every support endpoint, ascending."""
         return list(self._endpoints)
 
     @cached_property
     def _endpoints(self) -> tuple[Fraction, ...]:
-        """0, 1 and every support endpoint, sorted and distinct."""
-        pts = [ZERO, ONE]
-        for _, supp in self.messages:
-            pts += supp.endpoints()
-        return tuple(sorted_distinct(pts))
+        table = self._table
+        return tuple(q for q, marked in zip(table.points, table.marked) if marked)
 
     @cached_property
-    def _rank(self) -> dict[tuple[int, int], int]:
-        """Each endpoint's index in `_endpoints`, keyed by its (numerator, denominator)."""
-        return {(e.numerator, e.denominator): i for i, e in enumerate(self._endpoints)}
-
-    @cached_property
-    def _keys(self) -> tuple[tuple[float, Fraction], ...]:
-        """order_key of every endpoint."""
-        return tuple(map(order_key, self._endpoints))
-
-    def _position(self, s: Fraction) -> int:
-        """2i when s is the endpoint of rank i, 2i + 1 when s lies on the open gap after it.
-
-        An endpoint is a dict lookup; any other s in [0,1] bisects the
-        endpoints' order keys.  Availability is constant on each open gap,
-        so positions decide every membership test on ints (see `_spans`).
-        """
-        i = self._rank.get((s.numerator, s.denominator))
-        if i is not None:
-            return 2 * i
-        return 2 * bisect_left(self._keys, order_key(s)) - 1
-
-    @cached_property
-    def _spans(self) -> tuple[tuple[int, int, int, str], ...]:
-        """(start, end, minimum, name) for every interval of every finite message, in message order.
-
-        An interval covers the positions start <= pos < end: from its lo's
-        position to its hi's, inclusive when closed.  minimum is the position
-        of its support's minimum, so positions also order the minima.
-        """
-        rank = self._rank
-
-        def pos(q: Fraction) -> int:
-            return 2 * rank[q.numerator, q.denominator]
-
-        return tuple(
-            (pos(iv.lo), pos(iv.hi) + iv.hi_closed, pos(supp.minimum), name)
-            for name, supp in self.messages
-            for iv in supp.intervals
-        )
-
-    @cached_property
-    def _best_minima(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Exact g at every endpoint and on every open gap, as indices into `_endpoints`.
+    def _best_minima(self) -> tuple[list[int], list[int]]:
+        """Exact g at every point of the table and on every open gap, as table ranks.
 
         g(s) is the largest support minimum among the finite messages available
-        at s.  One sweep over endpoint ranks, left to right: each interval,
-        (rank of lo, rank of its minimum, rank of hi, closed), enters a
-        max-heap on its minimum's rank at its `lo`, and leaves lazily once the
-        top has ended.  Availability only changes at endpoints, so g is
-        constant on each open gap.  An empty heap is a point or gap that no
-        support covers, and raises ConstructionError; structures without full
-        verifiability run the sweep when they are built, and callers test the
-        flag first.  Returns (indices at the endpoints, indices on the gaps).
+        at s.  One sweep over the positions of `_spans`: each interval enters a
+        max-heap on its minimum at its start, and the top fills every position
+        up to the next start or its own end as one run; ended intervals leave
+        lazily.  An empty heap is a point or gap that no support covers: it
+        raises ConstructionError when a structure without full verifiability
+        is built.  Returns (ranks at the points, ranks on the gaps).
         """
-        rank = self._rank
-
-        def r(q: Fraction) -> int:
-            return rank[q.numerator, q.denominator]
-
-        intervals = sorted(
-            (r(iv.lo), r(supp.minimum), r(iv.hi), iv.hi_closed)
-            for _, supp in self.messages
-            for iv in supp.intervals
-        )
-        heap: list[tuple[int, int, bool]] = []
-
-        def best() -> int:
-            if not heap:
-                raise ConstructionError("message supports must cover all of [0,1]")
-            return -heap[0][0]
-
-        at_point, on_gap = [], []
-        k, last = 0, len(self._endpoints) - 1
-        for e in range(last + 1):
-            while k < len(intervals) and intervals[k][0] <= e:
-                _, minimum, hi, hi_closed = intervals[k]
-                heapq.heappush(heap, (-minimum, hi, hi_closed))
-                k += 1
-            # an interval that has ended at e has ended for every later point
-            while heap and (heap[0][1] < e or (heap[0][1] == e and not heap[0][2])):
-                heapq.heappop(heap)
-            at_point.append(best())
-            if e == last:
-                break
-            while heap and heap[0][1] <= e:
-                heapq.heappop(heap)
-            on_gap.append(best())
-        return tuple(at_point), tuple(on_gap)
+        size = 2 * len(self._table.points) - 1
+        best, heap, pos = [0] * size, [], 0
+        for start, end, minimum, _ in [*sorted(self._spans), (size, size, 0, "")]:
+            while pos < start:
+                while heap and heap[0][1] <= pos:  # ended before pos, so for every later position
+                    heapq.heappop(heap)
+                if not heap:
+                    raise ConstructionError("message supports must cover all of [0,1]")
+                top, stop = -heap[0][0], min(start, heap[0][1])
+                best[pos:stop] = [top // 2] * (stop - pos)
+                pos = stop
+            heapq.heappush(heap, (-minimum, end))
+        return best[0::2], best[1::2]
 
 
 def identity_name(s: Fraction) -> str:
@@ -264,12 +230,12 @@ def identity_name(s: Fraction) -> str:
 def messages_at(structure: VerifStructure, s: Fraction) -> set[str]:
     """All messages available to type s (identity message included under the flag).
 
-    Each interval is tested on s's position among the support endpoints, ints.
+    Each interval is tested on s's position in the structure's table, ints.
     """
     s = as_fraction(s)
     if not in_unit_interval(s):
         raise DomainError(f"type {s} outside [0,1]")
-    pos = structure._position(s)
+    pos = structure._table.position(s)
     out = {name for start, end, _, name in structure._spans if start <= pos < end}
     if structure.full_verifiability:
         out.add(identity_name(s))
@@ -283,23 +249,6 @@ def min_inverse(structure: VerifStructure, name: str) -> Fraction:
             raise UnknownMessageError(name)
         return parse_rational(name[len(IDENTITY_PREFIX):])
     return structure.support(name).minimum
-
-
-def max_min_available(structure: VerifStructure, s: Fraction) -> Fraction:
-    """Best credible type reachable from s: max over M(s) of min of the support.
-
-    Exact at every s, support endpoints included; a lookup of s's position
-    in the structure's cached endpoint sweep.
-    """
-    s = as_fraction(s)
-    if not in_unit_interval(s):
-        raise DomainError(f"type {s} outside [0,1]")
-    if structure.full_verifiability:
-        # the identity message dominates: every finite message at s has minimum <= s
-        return s
-    at_point, on_gap = structure._best_minima
-    pos = structure._position(s)
-    return structure._endpoints[on_gap[pos // 2] if pos % 2 else at_point[pos // 2]]
 
 
 @dataclass(frozen=True)
@@ -325,11 +274,11 @@ def skeptical_type_map(structure: VerifStructure) -> StepFunction:
     """Step function g(s) = max over available messages of the support minimum.
 
     Each piece carries g's exact value on the open gaps between consecutive
-    support endpoints, and g(1) at 1, both from the structure's endpoint
+    points of the structure's table, and g(1) at 1, both from its endpoint
     sweep.  Where g at an interior endpoint differs from its value just to the
     right (a support closed at an interior right end, or a degenerate interior
-    support point), the left-closed pieces cannot show it; max_min_available
-    reads the same sweep's exact endpoint value.
+    support point), the left-closed pieces cannot show it; the same sweep
+    holds the exact value at every point of the table.
 
     Under full verifiability g is the identity, which is not a step function;
     callers test the flag first, and this raises PreconditionError.
@@ -337,8 +286,8 @@ def skeptical_type_map(structure: VerifStructure) -> StepFunction:
     if structure.full_verifiability:
         raise PreconditionError("skeptical_type_map needs a structure without full verifiability")
     at_point, on_gap = structure._best_minima
-    endpoints = structure._endpoints
-    return StepFunction(endpoints, tuple(endpoints[j] for j in (*on_gap, at_point[-1])))
+    points = structure._table.points
+    return StepFunction(points, tuple(points[j] for j in (*on_gap, at_point[-1])))
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,26 @@ def pointwise_g(structure: VerifStructure, s: Fraction) -> Fraction:
     return max(minima + [s] * structure.full_verifiability)
 
 
+def swept_g(structure: VerifStructure, s: Fraction) -> Fraction:
+    """g at s read off the structure's endpoint sweep at s's position in its table (s itself under full verifiability)."""
+    s = Fraction(s)
+    if structure.full_verifiability:
+        return s
+    at_point, on_gap = structure._best_minima
+    pos = structure._table.position(s)
+    return structure._table.points[on_gap[pos // 2] if pos % 2 else at_point[pos // 2]]
+
+
+def piece_ends(f: StepFunction) -> list[Point]:
+    """(x, value) at both ends of every piece of f, read off its breakpoints and values.
+
+    The smallest concave majorant of f is the upper hull of these points, so
+    brute-force splits over them check cav without piecewise.hull_candidates.
+    """
+    his = (*f.breakpoints[1:], ONE)
+    return [pt for lo, hi, v in zip(f.breakpoints, his, f.values) for pt in ((lo, v), (hi, v))]
+
+
 def pointwise_adjusted(game: GameSpec, s: Fraction) -> Fraction:
     """v(g(s)), with g by testing every support."""
     return fraction_step_eval(game.payoff, pointwise_g(game.structure, s))
@@ -549,26 +569,23 @@ def fraction_on_line(p0: Point, p1: Point, x: Fraction, y: Fraction) -> bool:
     return (y - y0) * (x1 - x0) == (y1 - y0) * (x - x0)
 
 
-class FractionMapper:
-    """figures._Mapper with each coordinate computed as a Fraction and then converted by float()."""
-
-    def __init__(self, y_lo: Fraction, y_hi: Fraction):
-        self.y_lo, self.y_hi = y_lo, y_hi
-
-    def x(self, v: Fraction) -> str:
-        return _fmt(PLOT_LEFT + float(v) * (PLOT_RIGHT - PLOT_LEFT))
-
-    def y(self, v: Fraction) -> str:
-        t = (v - self.y_lo) / (self.y_hi - self.y_lo)
-        return _fmt(PLOT_BOTTOM - float(t) * (PLOT_BOTTOM - PLOT_TOP))
+def fraction_x_pixels(table) -> list[str]:
+    """figures._x_pixels with each point converted by float()."""
+    return [_fmt(PLOT_LEFT + float(q) * (PLOT_RIGHT - PLOT_LEFT)) for q in table.points]
 
 
-def fraction_mapper(game: GameSpec, eq: Equilibrium) -> FractionMapper:
-    """figures._mapper over the sorted set of every value drawn."""
+def fraction_y_pixels(game: GameSpec, eq: Equilibrium):
+    """figures._y_pixels over the sorted set of every value drawn, each coordinate a Fraction converted by float()."""
     ys = set(game.payoff.values) | set(skeptical_value(game).values)
     ys |= {y for _, y in value_hull(game).vertices} | {eq.value, ZERO}
     y_lo, y_hi = min(ys), max(ys)
     if y_lo == y_hi:
         y_hi = y_lo + 1
     pad = (y_hi - y_lo) / 12
-    return FractionMapper(y_lo - pad, y_hi + pad)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+
+    def y(v: Fraction) -> str:
+        t = (v - y_lo) / (y_hi - y_lo)
+        return _fmt(PLOT_BOTTOM - float(t) * (PLOT_BOTTOM - PLOT_TOP))
+
+    return y

@@ -31,7 +31,6 @@ from disclosuregame import (
 from disclosuregame.comparative import geq_lc, geq_sep, separating_instance
 from disclosuregame.equilibrium import value_hull
 from disclosuregame.oracle import exhaustive_search
-from disclosuregame.piecewise import hull_candidates
 
 from genutil import (
     rand_game,
@@ -42,7 +41,7 @@ from genutil import (
     rand_pnbp_game,
     rand_structure,
 )
-from reference_paths import discrete_hull_value
+from reference_paths import discrete_hull_value, piece_ends
 
 V1 = StepFunction((F(0), F(2, 5), F(4, 5)), (F(0), F(1), F(3)))
 V43 = StepFunction((F(0), F(2, 5), F(4, 5)), (F(0), F(2), F(3)))
@@ -219,9 +218,18 @@ def test_criterion_9_separation_implies_lc():
 
 
 def test_criterion_10_concavification_suite():
-    rng = random.Random(20246)
-    for _ in range(1000):
-        f = rand_payoff(rng)
+    # every drawn payoff, and for every fourth one the same pieces with their
+    # values shuffled: the skepticism-adjusted payoff need not be monotone
+    rng, shuffler = random.Random(20246), random.Random(20247)
+    steps = []
+    for k in range(1000):
+        steps.append(rand_payoff(rng))
+        if k % 4 == 0:
+            values = list(steps[-1].values)
+            shuffler.shuffle(values)
+            steps.append(StepFunction(steps[-1].breakpoints, tuple(values)))
+    assert sum(not f.is_non_decreasing for f in steps) > 150
+    for f in steps:
         envelope = cav(f)
         grid = []
         for lo, hi, _ in f.pieces():
@@ -234,8 +242,8 @@ def test_criterion_10_concavification_suite():
             for (x0, y0), (x1, y1) in zip(envelope.vertices, envelope.vertices[1:])
         ]
         assert all(a > b for a, b in zip(slopes, slopes[1:]))
-        candidates = hull_candidates(f)
+        candidates = piece_ends(f)
         for x in grid:
             assert pl_eval(envelope, x) == discrete_hull_value(candidates, x)
-    print("PASS criterion 10: 1000 random step functions: envelope majorizes, "
+    print("PASS criterion 10: 1000 random payoffs and 250 shuffled step functions: envelope majorizes, "
           "slopes strictly decrease, agrees with the discrete hull, exactly")

@@ -32,7 +32,7 @@ from disclosuregame import (
     verify_equilibrium,
 )
 from disclosuregame.equilibrium import value_hull
-from disclosuregame.verifiability import max_min_available
+from disclosuregame.rationals import Coordinates
 
 from genutil import (
     rand_game,
@@ -43,7 +43,7 @@ from genutil import (
     rand_point,
     rand_rich_structure,
 )
-from reference_paths import pointwise_adjusted, pointwise_envelope
+from reference_paths import pointwise_adjusted, pointwise_envelope, pointwise_g, swept_g
 
 V1 = StepFunction((F(0), F(2, 5), F(4, 5)), (F(0), F(1), F(3)))
 V43 = StepFunction((F(0), F(2, 5), F(4, 5)), (F(0), F(2), F(3)))
@@ -116,13 +116,13 @@ class TestSharedAnalysis:
     def count_position_queries(monkeypatch) -> list:
         """Record every availability query: each scans all M supports' spans at one point."""
         calls = []
-        position = VerifStructure._position
+        position = Coordinates.position
 
         def counting(self, s):
             calls.append(s)
             return position(self, s)
 
-        monkeypatch.setattr(VerifStructure, "_position", counting)
+        monkeypatch.setattr(Coordinates, "position", counting)
         return calls
 
     def test_solve_queries_supports_linearly(self, monkeypatch):
@@ -413,7 +413,7 @@ class TestRandomizedInvariants:
             (x0, y0), (x1, y1) = hull.vertices[i], hull.vertices[i + 1]
             assert y0 < y1
             for x in (x0, x1):
-                assert max_min_available(game.structure, x) == x
+                assert swept_g(game.structure, x) == x == pointwise_g(game.structure, x)
                 assert pl_eval(hull, x) == pointwise_adjusted(game, x)
             intervals = [iv for _, supp in game.structure.messages for iv in supp.intervals]
             seen["pnbp"] += 1
@@ -426,7 +426,7 @@ class TestRandomizedInvariants:
     def test_claim_a3_interim_value_strictly_increases(self):
         # the pointwise interim value, not its step representation: supports
         # closed at an interior right end attain values the representation
-        # only carries through max_min_available
+        # only carries through the endpoint sweep
         rng = random.Random(103)
         seen = 0
         while seen < 60:

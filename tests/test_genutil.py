@@ -23,7 +23,7 @@ def test_rand_coprime_game_denominators():
     game = rand_coprime_game(random.Random(5), 12)
     rationals = [game.prior, *game.payoff.breakpoints[1:]]
     for _, supp in game.structure.messages[1:]:
-        rationals += supp.endpoints()
+        rationals += [q for iv in supp.intervals for q in (iv.lo, iv.hi)]
     dens = [q.denominator for q in rationals]
     assert len(dens) == 1 + 11 + 2 * 11
     for i, a in enumerate(dens):

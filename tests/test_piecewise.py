@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from disclosuregame import ConcavePL, DomainError, StepFunction, cav, pl_eval, step_eval
-from disclosuregame.piecewise import hull_candidates
 
 from genutil import rand_payoff
+from reference_paths import piece_ends
 import random
 
 
@@ -64,13 +64,13 @@ class TestCav:
     def test_three_action_value(self):
         g = cav(V1)
         assert pl_eval(g, F(1, 3)) == F(5, 4)
-        assert brute_split_value(hull_candidates(V1), F(1, 3)) == F(5, 4)
+        assert brute_split_value(piece_ends(V1), F(1, 3)) == F(5, 4)
 
     def test_skeptical_three_action(self):
         g = cav(VM31)
         assert g.vertices == ((F(0), F(0)), (F(1, 2), F(1)), (F(1), F(1)))
         assert pl_eval(g, F(1, 3)) == F(2, 3)
-        assert brute_split_value(hull_candidates(VM31), F(1, 3)) == F(2, 3)
+        assert brute_split_value(piece_ends(VM31), F(1, 3)) == F(2, 3)
 
     def test_constant_is_its_own_envelope(self):
         g = cav(StepFunction((F(0),), (F(5, 7),)))
@@ -82,7 +82,7 @@ class TestCav:
         # the piece at 2 holds up to 1/2, where f falls: its right end is a vertex
         assert g.vertices == ((F(0), F(0)), (F(1, 4), F(2)), (F(1, 2), F(2)), (F(1), F(1)))
         for x in (F(0), F(1, 8), F(1, 4), F(3, 8), F(1, 2), F(3, 4), F(1)):
-            assert pl_eval(g, x) == brute_split_value(hull_candidates(f), x)
+            assert pl_eval(g, x) == brute_split_value(piece_ends(f), x)
 
 
 def touches(f, g, x):
@@ -210,6 +210,6 @@ class TestEnvelopeProperties:
         except ValueError:
             return
         g = cav(f)
-        pts = hull_candidates(f)
+        pts = piece_ends(f)
         for x in grid_of(f):
             assert pl_eval(g, x) == brute_split_value(pts, x)

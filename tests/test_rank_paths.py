@@ -5,6 +5,7 @@ verifiability, with mandatory disclosure every tenth game; coprime games give
 every rational its own 39-digit denominator.
 """
 
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction as F
@@ -12,7 +13,7 @@ from fractions import Fraction as F
 import pytest
 
 from disclosuregame import GameSpec, IntervalUnion, StepFunction, VerifStructure, mandatory_disclosure, pnbp, solve
-from disclosuregame import equilibrium, figures, oracle, verifiability
+from disclosuregame import equilibrium, figures, oracle, rationals, verifiability
 from disclosuregame.equilibrium import (
     _best_message,
     _solve_pnbp,
@@ -23,10 +24,11 @@ from disclosuregame.equilibrium import (
 )
 from disclosuregame.errors import PreconditionError
 from disclosuregame.figures import render_game_svg
+from disclosuregame.gamefile import game_to_obj, load_game
 from disclosuregame.oracle import _grid_index, _hull_segment, _interim_values, best_deviation, critical_grid
 from disclosuregame.piecewise import hull_candidates, pl_eval, step_eval, upper_hull_points
 from disclosuregame.rationals import on_line_through
-from disclosuregame.verifiability import max_min_available, messages_at
+from disclosuregame.verifiability import messages_at
 
 from genutil import (
     rand_coprime_game,
@@ -41,15 +43,17 @@ from reference_paths import (
     contains_best_message,
     contains_messages_at,
     fraction_hull_segment,
-    fraction_mapper,
     fraction_on_line,
     fraction_pl_eval,
     fraction_step_eval,
     fraction_upper_hull_points,
+    fraction_x_pixels,
+    fraction_y_pixels,
     pointwise_adjusted,
     pointwise_g,
     pointwise_interim_values,
     scan_solve,
+    swept_g,
 )
 
 
@@ -104,14 +108,42 @@ def interim_values(game: GameSpec, beliefs, grid) -> list[F]:
     return [game.payoff.values[k] for k in _interim_values(game, beliefs, grid, _grid_index(grid))]
 
 
+def test_one_coordinate_table_per_loaded_game(monkeypatch, tmp_path):
+    # load_game builds one table, which also ranks the payoff's breakpoints
+    # and the prior, and the game reads it; a game built from a structure
+    # without them rebuilds an equal structure once; support_endpoints lists
+    # 0, 1 and the support endpoints only
+    built = []
+    init = rationals.Coordinates.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(rationals.Coordinates, "__init__", counted)
+    path = tmp_path / "game.json"
+    for game in SAMPLE[:60]:
+        ends = {F(0), F(1)} | {q for _, supp in game.structure.messages for iv in supp.intervals for q in (iv.lo, iv.hi)}
+        path.write_text(json.dumps(game_to_obj(game)))
+        built.clear()
+        loaded = load_game(str(path))
+        assert len(built) == 1
+        assert set(loaded.structure._table.points) == ends | set(game.payoff.breakpoints) | {game.prior}
+        assert loaded.structure.support_endpoints() == sorted(ends)
+        built.clear()
+        rebuilt = GameSpec(loaded.payoff, loaded.prior, VerifStructure(loaded.structure.messages, loaded.structure.full_verifiability))
+        assert len(built) == 1 + (set(loaded.structure._table.points) != ends) and rebuilt.structure == loaded.structure
+        assert rebuilt.structure._table.points == loaded.structure._table.points
+
+
 def test_endpoint_sweep_matches_pointwise_g():
-    # g at every endpoint and on every gap, as endpoint indices, against a
-    # scan of every support at the endpoint and at the gap's midpoint
+    # g at every table point and on every gap, as table ranks, against a
+    # scan of every support at the point and at the gap's midpoint
     for game in GAMES:
         structure = game.structure
         if structure.full_verifiability:
             continue
-        ends = structure._endpoints
+        ends = structure._table.points
         at_point, on_gap = structure._best_minima
         assert [ends[j] for j in at_point] == [pointwise_g(structure, e) for e in ends]
         assert [ends[j] for j in on_gap] == [pointwise_g(structure, (a + b) / 2) for a, b in zip(ends, ends[1:])]
@@ -186,12 +218,8 @@ def test_hull_inputs_are_strict_records(monkeypatch):
             return fn(pts, *args)
         return wrapper
 
-    def refused(*args):
-        raise AssertionError("pointwise query in solve")
-
-    monkeypatch.setattr(equilibrium, "upper_hull_points", counted("hull", equilibrium.upper_hull_points))
+    monkeypatch.setattr(equilibrium, "upper_hull_of_sorted", counted("hull", equilibrium.upper_hull_of_sorted))
     monkeypatch.setattr(oracle, "_hull_segment", counted("segment", oracle._hull_segment))
-    monkeypatch.setattr(verifiability, "max_min_available", refused)
     eq = solve(game)
     best_deviation(game, eq.beliefs)
     assert eq.s_minus < game.prior < eq.s_plus
@@ -227,7 +255,7 @@ def test_position_lookups_match_fraction_contains():
             avail = messages_at(structure, s)
             assert avail == contains_messages_at(structure, s)
             assert _best_message(structure, s) == contains_best_message(structure, s)
-            assert max_min_available(structure, s) == pointwise_g(structure, s)
+            assert swept_g(structure, s) == pointwise_g(structure, s)
             seen["off_table"] += s not in ends
             seen["full"] += structure.full_verifiability
             for _, supp in structure.messages:
@@ -300,7 +328,7 @@ def test_interim_values_off_grid_beliefs():
 def test_figure_matches_fraction_mapper(monkeypatch):
     # coprime games, payoffs shifted to negative values, and equilibrium
     # values moved past either end of the payoff's range, each drawn with the
-    # int mapper and with the Fraction one
+    # program's pixel tables and with their Fraction twins
     cases = []
     for game in coprime_games(61, 12) + GAMES[::25]:
         eq = solve(game)
@@ -312,8 +340,20 @@ def test_figure_matches_fraction_mapper(monkeypatch):
     for game, eq in cases:
         svg = render_game_svg(game, eq)
         with monkeypatch.context() as patched:
-            patched.setattr(figures, "_mapper", fraction_mapper)
+            patched.setattr(figures, "_x_pixels", fraction_x_pixels)
+            patched.setattr(figures, "_y_pixels", fraction_y_pixels)
             assert svg == render_game_svg(game, eq)
+
+
+def test_figure_draws_posteriors_off_the_table():
+    # a signal that solve would not pick, with a posterior on no support
+    # endpoint, breakpoint or prior: its dot is drawn at float(s)'s pixel
+    game = GameSpec(StepFunction((F(0), F(1, 2)), (F(0), F(1))), F(1, 3), mandatory_disclosure())
+    eq = solve(game)
+    off = replace(eq, signal=replace(eq.signal, support=(F(0), F(2, 3)), weights=(F(1, 2), F(1, 2))),
+                  messaging={F(0): "id:0", F(2, 3): "id:2/3"})
+    assert F(2, 3) not in game.structure._table.points
+    assert f'<circle cx="{figures._fmt(figures.PLOT_LEFT + float(F(2, 3)) * 560)}"' in render_game_svg(game, off)
 
 
 def test_beliefs_tested_against_support_hulls_once(monkeypatch):
@@ -359,6 +399,22 @@ def test_belief_outside_support_hull_on_either_side():
         best_deviation(game, {**eq.beliefs, "m_x": b})
     with pytest.raises(PreconditionError, match="missing"):
         best_deviation(game, {"m_0": F(0), "m_1": F(1, 3)})
+
+
+def test_table_orders_float_tied_points_exactly():
+    # two support minima that share a float, met in descending order: the
+    # table, availability and g still order them exactly
+    lo = F(10**38 + 7, 3 * 10**38 + 1)
+    hi = lo + F(1, 10**70)
+    assert float(lo) == float(hi) == float((lo + hi) / 2)
+    structure = VerifStructure((
+        ("m_0", IntervalUnion.from_pairs([(0, 1)])),
+        ("m_hi", IntervalUnion.from_pairs([(hi, 1)])),
+        ("m_lo", IntervalUnion.from_pairs([(lo, 1)])),
+    ))
+    assert structure.support_endpoints() == [F(0), lo, hi, F(1)]
+    assert messages_at(structure, lo) == {"m_0", "m_lo"} and messages_at(structure, hi) == {"m_0", "m_lo", "m_hi"}
+    assert [swept_g(structure, s) for s in (lo, (lo + hi) / 2, hi)] == [lo, lo, hi]
 
 
 def test_constructors_validate_float_tied_rationals():

@@ -26,11 +26,10 @@ from disclosuregame import (
 )
 from disclosuregame.verifiability import (
     SupportInterval,
-    max_min_available,
 )
 
 from genutil import rand_rich_structure, rand_structure
-from reference_paths import pointwise_g
+from reference_paths import pointwise_g, swept_g
 
 M31 = VerifStructure(
     (
@@ -45,6 +44,15 @@ class TestIntervalUnion:
     def test_canonical_merge(self):
         u = IntervalUnion.from_pairs([(F(1, 2), F(3, 4), False), (F(3, 4), 1)])
         assert u.intervals == (SupportInterval(F(1, 2), F(1), True),)
+        # the merged interval keeps the open or closed end of whichever reaches furthest
+        for pairs, merged in (
+            ([(0, F(1, 2)), (F(1, 4), F(3, 4), False)], (0, F(3, 4), False)),
+            ([(0, F(3, 4), False), (F(1, 4), F(3, 4))], (0, F(3, 4), True)),
+            ([(0, F(3, 4)), (F(1, 4), F(3, 4), False)], (0, F(3, 4), True)),
+            ([(0, F(1, 2), False), (F(1, 2), F(1, 2))], (0, F(1, 2), True)),
+        ):
+            assert IntervalUnion.from_pairs(pairs).intervals == (SupportInterval(*merged),)
+            assert IntervalUnion.from_pairs(pairs[::-1]).intervals == (SupportInterval(*merged),)
 
     def test_disjoint_kept_sorted(self):
         u = IntervalUnion.from_pairs([(F(1, 2), F(3, 4)), (0, F(1, 4))])
@@ -137,13 +145,13 @@ class TestSkepticalTypeMap:
         assert skeptical_type_map(M43) == StepFunction((F(0), F(9, 10)), (F(0), F(9, 10)))
 
     def test_mandatory_disclosure_is_identity(self):
-        # under full verifiability g is the identity, read through max_min_available;
+        # under full verifiability g is the identity, read off no sweep;
         # it is not a step function, so skeptical_type_map refuses
         for structure in (mandatory_disclosure(), full_verif(M31)):
             with pytest.raises(PreconditionError):
                 skeptical_type_map(structure)
             for s in (F(0), F(1, 3), F(1, 2), F(1)):
-                assert max_min_available(structure, s) == s
+                assert swept_g(structure, s) == s == pointwise_g(structure, s)
 
     def test_dominated_by_type_with_equality_on_lowest_consistent(self):
         rng = random.Random(5)
@@ -155,7 +163,8 @@ class TestSkepticalTypeMap:
                 | {F(k, 16) for k in range(17)}
             )
             for s in grid:
-                g = max_min_available(structure, s)
+                g = swept_g(structure, s)
+                assert g == pointwise_g(structure, s)
                 assert g <= s
                 assert (g == s) == (s in lset)
 
@@ -168,7 +177,7 @@ class TestSkepticalTypeMap:
 
 
 class TestEndpointSweep:
-    """The sweep behind max_min_available and skeptical_type_map, against direct evaluation."""
+    """The sweep behind skeptical_type_map and the level table, against direct evaluation."""
 
     def test_matches_pointwise_and_midpoint_references(self):
         rng = random.Random(2024)
@@ -185,7 +194,7 @@ class TestEndpointSweep:
             points = [F(0), F(1), *ends, *((a + b) / 2 for a, b in zip(ends, ends[1:]))]
             for s in points:
                 want = s if structure.full_verifiability else pointwise_g(structure, s)
-                assert max_min_available(structure, s) == want
+                assert swept_g(structure, s) == want
 
     def test_point_values_differ_from_gaps(self):
         # a support closed at an interior right end, a degenerate point, a
@@ -203,12 +212,13 @@ class TestEndpointSweep:
             F(5, 8): F(1, 8), F(3, 4): F(3, 4), F(7, 8): 0, F(15, 16): 0, F(1): 0,
         }
         for s, g in expect.items():
-            assert max_min_available(structure, s) == g
+            assert swept_g(structure, s) == g == pointwise_g(structure, s)
 
     def test_domain_error(self):
         for structure in (M31, mandatory_disclosure()):
-            with pytest.raises(DomainError):
-                max_min_available(structure, F(-1, 2))
+            for s in (F(-1, 2), F(3, 2)):
+                with pytest.raises(DomainError):
+                    messages_at(structure, s)
 
 
 class TestBuilders:

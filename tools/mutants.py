@@ -9,8 +9,10 @@ parse.  The snippet is searched across the package, so a function keeps its
 mutants when it moves between modules.  Mutants run one at a time: the edit is
 written into a temporary copy of what the tests read (``src``, ``tests``,
 ``fixtures``, ``pyproject.toml`` and ``README.md``), and ``pytest -x`` runs
-there.  A failing or timed-out run kills the mutant.  The unmutated copy
-runs first and must pass, or no kill would mean anything.
+there, without the tier-1 test that checks this list against the unmutated
+package (``tests/test_mutants_anchored.py``).  A failing or timed-out run
+kills the mutant.  The unmutated copy runs first and must pass, or no kill
+would mean anything.
 
 One line per mutant: killed (with the first failing test), or survived (with
 the reason when the mutant is listed as equivalent: no input tells it apart).
@@ -36,6 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "disclosuregame"
 COPIED = ("src", "tests", "fixtures", "pyproject.toml", "README.md")
 TIMEOUT_S = 300
+ANCHORING_TEST = "tests/test_mutants_anchored.py"
 
 
 class Mutant(NamedTuple):
@@ -71,9 +74,7 @@ MUTANTS = (
            "return bisect_left(self._keys, order_key(x)) - 1"),
     Mutant("piecewise.pl_eval_float_key", "i = bisect_right(g._keys, order_key(x)) - 1",
            "i = bisect_right([k[0] for k in g._keys], x.numerator / x.denominator) - 1"),
-    Mutant("piecewise.breakpoints_non_strict",
-           "if not a.numerator * b.denominator < b.numerator * a.denominator:",
-           "if not a.numerator * b.denominator <= b.numerator * a.denominator:"),
+    Mutant("piecewise.breakpoints_non_strict", "if not an * bd < bn * ad:", "if not an * bd <= bn * ad:"),
     Mutant("piecewise.non_decreasing_drops_denominator",
            "a.numerator * b.denominator <= b.numerator * a.denominator for a, b",
            "a.numerator * b.denominator <= b.numerator for a, b"),
@@ -86,28 +87,32 @@ MUTANTS = (
            "if key not in best:"),
     Mutant("piecewise.candidates_drop_right_ends", "pts.append((hi, v))", "pass"),
     Mutant("piecewise.pl_eval_last_vertex", "if i == len(g.vertices) - 1:", "if i == len(g.vertices):"),
-    # verifiability: supports, positions and the endpoint sweep
-    Mutant("verifiability.open_end_spans_as_closed", "pos(iv.hi) + iv.hi_closed, pos(supp.minimum)",
-           "pos(iv.hi) + 1, pos(supp.minimum)"),
+    # verifiability: supports, the coordinate table, positions and the endpoint sweep
+    Mutant("verifiability.open_end_spans_as_closed", "2 * rank[hi_pair] + hi_closed, minimum, name",
+           "2 * rank[hi_pair] + 1, minimum, name"),
+    Mutant("verifiability.span_starts_a_rank_late", "start = 2 * rank[lo_pair]\n", "start = 2 * rank[lo_pair] + 2\n"),
+    Mutant("verifiability.lo_above_hi_accepted", "if left > right:", "if False:"),
+    Mutant("verifiability.merge_drops_hi_closed", "SupportInterval(merged[-1].lo, iv.hi, hi_closed)",
+           "SupportInterval(merged[-1].lo, iv.hi)"),
     Mutant("verifiability.span_end_inclusive",
            "out = {name for start, end, _, name in structure._spans if start <= pos < end}",
            "out = {name for start, end, _, name in structure._spans if start <= pos <= end}"),
     Mutant("verifiability.open_degenerate_interval", "if left == right and not self.hi_closed:", "if False:"),
     Mutant("verifiability.hull_sup_strict", "xn * hi.denominator <= hi.numerator * xd",
            "xn * hi.denominator < hi.numerator * xd"),
-    Mutant("verifiability.sweep_open_end_at_point",
-           "while heap and (heap[0][1] < e or (heap[0][1] == e and not heap[0][2])):",
-           "while heap and heap[0][1] < e:"),
-    Mutant("verifiability.sweep_keeps_ended_on_gap", "while heap and heap[0][1] <= e:",
-           "while heap and heap[0][1] < e:"),
-    Mutant("verifiability.position_gap_off_by_one", "return 2 * bisect_left(self._keys, order_key(s)) - 1",
-           "return 2 * bisect_left(self._keys, order_key(s)) + 1"),
+    Mutant("verifiability.sweep_fills_past_next_start", "top, stop = -heap[0][0], min(start, heap[0][1])",
+           "top, stop = -heap[0][0], heap[0][1]"),
+    Mutant("verifiability.sweep_keeps_ended_on_gap", "top, stop = -heap[0][0], min(start, heap[0][1])",
+           "top, stop = -heap[0][0], min(start, heap[0][1] + 1)"),
+    Mutant("rationals.position_gap_off_by_one", "return 2 * bisect_left(self.keys, order_key(q)) - 1",
+           "return 2 * bisect_left(self.keys, order_key(q)) + 1"),
+    Mutant("rationals.table_sort_on_float_only", "pairs = tuple(sorted(keyed, key=keyed.__getitem__))",
+           "pairs = tuple(sorted(keyed, key=lambda pair: keyed[pair][0]))"),
+    Mutant("rationals.table_marks_every_point", "self.marked = tuple(pair in marked for pair in pairs)",
+           "self.marked = tuple(True for pair in pairs)"),
     Mutant("verifiability.coverage_unchecked",
            'raise ConstructionError("message supports must cover all of [0,1]")', "return 0"),
-    Mutant("verifiability.touching_not_merged", "if iv.lo < cur.hi or (iv.lo == cur.hi):",
-           "if iv.lo < cur.hi:"),
-    Mutant("verifiability.full_verif_g_not_identity",
-           "return s\n    at_point, on_gap = structure._best_minima", "return ZERO\n    at_point, on_gap = structure._best_minima"),
+    Mutant("verifiability.touching_not_merged", "if lo <= cur_hi:", "if lo < cur_hi:"),
     Mutant("verifiability.lcs_ignores_flag",
            "return LowestConsistentSet(tuple(minima), structure.full_verifiability)",
            "return LowestConsistentSet(tuple(minima), False)"),
@@ -115,8 +120,12 @@ MUTANTS = (
     Mutant("equilibrium.identity_loses_ties", "candidates.append((-pos, identity_name(s)))",
            "candidates.append((-pos + 1, identity_name(s)))"),
     Mutant("equilibrium.best_message_largest_name", "return min(candidates)[1]", "return max(candidates)[1]"),
-    Mutant("equilibrium.level_merge_strict", "while k + 1 < len(bkeys) and bkeys[k + 1] <= key:",
-           "while k + 1 < len(bkeys) and bkeys[k + 1] < key:"),
+    Mutant("equilibrium.game_table_not_widened",
+           "if any((q.numerator, q.denominator) not in rank for q in extra):", "if False:"),
+    Mutant("equilibrium.level_fill_skips_breakpoint", "piece[lo:hi] = [k] * (hi - lo)",
+           "piece[lo + 1:hi] = [k] * (hi - lo - 1)"),
+    Mutant("equilibrium.full_verif_g_not_identity", "return xs, piece, piece, piece[:-1], [True] * len(xs)",
+           "return xs, piece, [0] * len(xs), [0] * (len(xs) - 1), [True] * len(xs)"),
     Mutant("equilibrium.pnbp_weak",
            "if (level := piece[rank[supp.minimum.numerator, supp.minimum.denominator]]) > vp",
            "if (level := piece[rank[supp.minimum.numerator, supp.minimum.denominator]]) >= vp"),
@@ -127,7 +136,7 @@ MUTANTS = (
     Mutant("equilibrium.split_edge_right_of_prior", "e = bisect_right(hull._keys, order_key(p)) - 1",
            "e = bisect_right(hull._keys, order_key(p))"),
     Mutant("equilibrium.split_edge_bisect_left", "e = bisect_right(hull._keys, order_key(p)) - 1",
-           "e = bisect_left(hull._keys, order_key(p)) - 1",
+           "e = __import__('bisect').bisect_left(hull._keys, order_key(p)) - 1",
            "differs only when p is a hull vertex, which is then a contact point on either edge"),
     Mutant("equilibrium.no_pnbp_belief_skeptical", "    beliefs[m0] = p\n", ""),
     Mutant("equilibrium.value_identity_unchecked", "if total != eq.value:", "if False:"),
@@ -187,17 +196,19 @@ MUTANTS = (
     Mutant("oracle.size_two_weights_swapped", "ends = [((B - P, P - A), B - A)]", "ends = [((P - A, B - P), B - A)]"),
     Mutant("oracle.dedup_always", "if dedup_values and target in values:", "if target in values:"),
     # figures
-    Mutant("figures.y_drops_hd", "t = (vn * self._ld - self._ln * vd) * self._hd / (vd * self._span)",
-           "t = (vn * self._ld - self._ln * vd) / (vd * self._span)"),
+    Mutant("figures.y_drops_hd", "t = (vn * ld - ln * vd) * hd / (vd * span)", "t = (vn * ld - ln * vd) / (vd * span)"),
     Mutant("figures.y_range_without_value",
            "y_lo, y_hi = min(values[0], eq.value, ZERO), max(values[-1], eq.value, ZERO)",
            "y_lo, y_hi = min(values[0], ZERO), max(values[-1], ZERO)"),
-    Mutant("figures.limit_marker_at_own_value", "prev_val = pieces[i - 1][2]", "prev_val = pieces[i][2]"),
+    Mutant("figures.limit_marker_at_own_value", 'cy="{py[k - 1]}"', 'cy="{py[k]}"'),
     Mutant("figures.no_identity_bar", 'rows.append(("identity", None))', "pass"),
     # gamefile: the per-file reader and field paths
     Mutant("gamefile.memo_takes_bools", "if isinstance(obj, str):\n            q = memo.get(obj)",
            "if isinstance(obj, (str, int)):\n            q = memo.get(obj)"),
     Mutant("gamefile.no_memo", "q = memo.get(obj)", "q = None"),
+    Mutant("gamefile.hi_closed_dropped", "return SupportInterval(ends[0], ends[1], hi_closed)",
+           "return SupportInterval(ends[0], ends[1])"),
+    Mutant("gamefile.fast_parse_zero_denominator", "(d := int(den or 1))", "((d := int(den or 1)) or True)"),
     Mutant("gamefile.support_index_off_by_one", 'exc.where = f".support[{len(ivs)}]{exc.where}"',
            'exc.where = f".support[{len(ivs) + 1}]{exc.where}"'),
 )
@@ -221,7 +232,7 @@ def locate(mutant: Mutant, sources: dict[Path, str]) -> tuple[Optional[Path], st
 def run_tests(workdir: Path) -> tuple[bool, str]:
     """(failed, first failing test or the reason) for pytest -x in workdir."""
     env = dict(os.environ, PYTHONPATH=str(workdir / "src"), PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"]
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--ignore", ANCHORING_TEST, "tests"]
     try:
         proc = subprocess.run(cmd, cwd=workdir, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
