@@ -21,6 +21,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate, compress
 from typing import Mapping, NamedTuple, Optional
 
 from .errors import DomainError, PreconditionError, UnknownMessageError
@@ -31,7 +32,7 @@ from .piecewise import (
     step_eval,
     upper_hull_of_sorted,
 )
-from .rationals import ONE, ZERO, as_fraction, in_unit_interval, on_line_through, order_key
+from .rationals import ONE, ZERO, Coordinates, as_fraction, in_unit_interval, on_line_through, order_key
 from .verifiability import (
     IDENTITY_PREFIX,
     VerifStructure,
@@ -53,17 +54,15 @@ class GameSpec:
             raise DomainError(f"prior {self.prior} outside [0,1]")
         if not self.payoff.is_non_decreasing:
             raise ValueError("payoff function must be non-decreasing")
-        # One coordinate table for the whole game: the structure's, once it
-        # also ranks the payoff's breakpoints and the prior (load_game builds
-        # it so); any other structure is rebuilt once here with them.
-        structure, extra = self.structure, (*self.payoff.breakpoints, self.prior)
-        rank = structure._table.rank
-        if any((q.numerator, q.denominator) not in rank for q in extra):
-            object.__setattr__(self, "structure", VerifStructure(structure.messages, structure.full_verifiability, extra))
 
     # Per-game intermediates, built on first use and shared by solve,
     # equilibrium_value and the figure; read them through pnbp,
     # skeptical_value and value_hull.
+
+    @cached_property
+    def _table(self) -> Coordinates:
+        """The game's coordinate table: the structure's (0, 1 and the support endpoints, marked), the payoff's breakpoints and the prior."""
+        return self.structure._table.widened((*self.payoff.breakpoints, self.prior))
 
     @cached_property
     def _levels(self) -> tuple[tuple[Fraction, ...], list[int], list[int], list[int], list[bool]]:
@@ -73,11 +72,14 @@ class GameSpec:
         gap[i] that of v∘g on the gap (xs[i], xs[i+1]); fixed[i] says g(xs[i])
         = xs[i].  xs hold 0, 1, the support endpoints, the payoff breakpoints
         and the prior; piece k runs from breakpoint k's rank to the next one's,
-        and the structure's sweep gives g as ranks (under full verifiability g
-        is the identity).  The payoff's values strictly increase, so a piece
-        index ranks its value.
+        and the structure's sweep gives g as ranks in the structure's own
+        table, whose points are the marked ones here: every other point, and
+        every gap, lies on the structure's gap after the last marked point
+        at or before it (under full verifiability g is the identity).  The
+        payoff's values strictly increase, so a piece index ranks its value.
         """
-        xs, rank = self.structure._table.points, self.structure._table.rank
+        table = self._table
+        xs, rank = table.points, table.rank
         breaks = [rank[b.numerator, b.denominator] for b in self.payoff.breakpoints]
         piece = [0] * len(xs)
         for k, (lo, hi) in enumerate(zip(breaks, [*breaks[1:], len(xs)])):
@@ -85,13 +87,18 @@ class GameSpec:
         if self.structure.full_verifiability:
             return xs, piece, piece, piece[:-1], [True] * len(xs)
         at_point, on_gap = self.structure._best_minima
-        at, gap = [piece[j] for j in at_point], [piece[j] for j in on_gap]
-        return xs, piece, at, gap, [j == i for i, j in enumerate(at_point)]
+        # the game rank of each structure rank, and of each game point the
+        # structure point at or before it
+        to_game = list(compress(range(len(xs)), table.marked))
+        below = [j - 1 for j in accumulate(table.marked)]
+        g_at = [to_game[at_point[j] if marked else on_gap[j]] for j, marked in zip(below, table.marked)]
+        at, gap = [piece[i] for i in g_at], [piece[to_game[on_gap[j]]] for j in below[:-1]]
+        return xs, piece, at, gap, [i == k for k, i in enumerate(g_at)]
 
     @cached_property
     def _pnbp(self) -> PnbpVerdict:
         structure, v = self.structure, self.payoff
-        piece, rank = self._levels[1], structure._table.rank
+        piece, rank = self._levels[1], self._table.rank
         vp = piece[rank[self.prior.numerator, self.prior.denominator]]
         if structure.full_verifiability:
             return PnbpVerdict(True, identity_name(ONE)) if vp < len(v.values) - 1 else PnbpVerdict(False)
@@ -138,7 +145,7 @@ class GameSpec:
 
     @cached_property
     def _value_hull(self) -> ConcavePL:
-        table, vals = self.structure._table, self.payoff.values
+        table, vals = self._table, self.payoff.values
         top, from_left, from_right = self._hull_levels
         # candidates come in rank order, distinct: the hull scan needs no sort
         ranks = [i for i, (a, b) in enumerate(zip(from_left, from_right)) if a or b]
@@ -348,7 +355,7 @@ def _solve_pnbp(game: GameSpec) -> Equilibrium:
     def contact(i: int) -> bool:
         return fixed[i] and at[i] == top[i] and from_left[i] and on_edge(xs[i], vals[at[i]])
 
-    k = structure._table.rank[p.numerator, p.denominator]
+    k = game._table.rank[p.numerator, p.denominator]
     if contact(k):
         s_minus = s_plus = p
         signal = Signal((p,), (ONE,))

@@ -71,7 +71,7 @@ def _y_pixels(game: GameSpec, eq: Equilibrium) -> Callable[[Fraction], str]:
 
 def render_game_svg(game: GameSpec, eq: Equilibrium) -> str:
     """The figure; every x is a point of the game's table, drawn from one pixel string per rank."""
-    v, table = game.payoff, game.structure._table
+    v, table = game.payoff, game._table
     hull = value_hull(game)
     px, y = _x_pixels(table), _y_pixels(game, eq)
     py = [y(val) for val in v.values]  # by payoff piece, which every level indexes

@@ -5,9 +5,9 @@ rejected so files round-trip exactly.  Each distinct string is parsed once per
 file.  Parse failures raise GameFileError with a field-path diagnostic like
 ``payoff.values[2]``, built only when a failure occurs.
 
-A game is built once: load_game hands the payoff's breakpoints and the prior
-to the structure's coordinate table, which the game then shares.  Each check
-runs once, on ints, in the constructor that a library caller uses too.
+Each check runs once, on ints, in the constructor that a library caller uses
+too; the structure ranks its support endpoints in one coordinate table, and
+the game widens it once with the payoff's breakpoints and the prior.
 
 Input size is capped, so the solver's quadratic paths and exact arithmetic
 cannot be fed unbounded input: at most MAX_MESSAGES messages per structure,
@@ -26,7 +26,7 @@ from .comparative import OrderVerdict
 from .equilibrium import Equilibrium, GameSpec
 from .errors import ConstructionError, GameFileError
 from .piecewise import StepFunction
-from .rationals import format_rational, in_unit_interval, parse_rational
+from .rationals import format_rational, parse_rational
 from .verifiability import IntervalUnion, SupportInterval, VerifStructure
 
 MAX_MESSAGES = 2_000
@@ -36,8 +36,7 @@ MAX_RATIONAL_DIGITS = 40
 
 def _parse(obj: Any) -> Fraction:
     """parse_rational under the digit cap; ValueError says what is wrong, the caller says where."""
-    text = str(obj) if isinstance(obj, (str, int)) else ""
-    if len(text) > MAX_RATIONAL_DIGITS and any(
+    if isinstance(obj, (str, int)) and len(text := str(obj)) > MAX_RATIONAL_DIGITS and any(
         len(part.strip().lstrip("+-")) > MAX_RATIONAL_DIGITS for part in text.split("/")
     ):
         raise ValueError(f"more than {MAX_RATIONAL_DIGITS} digits in a numerator or denominator")
@@ -55,9 +54,7 @@ def _reader() -> Callable[[Any], Fraction]:
     """_parse for one file: each distinct string is parsed once.
 
     Only strings are memoised: JSON's true would otherwise find the int 1's
-    entry, since True == 1 and both hash alike.  Plain ASCII "p" or "p/q"
-    within the digit cap becomes a Fraction of two ints (parse_rational's
-    value for it) without _parse; anything else goes through _parse.
+    entry, since True == 1 and both hash alike.
     """
     memo: dict[str, Fraction] = {}
 
@@ -65,11 +62,7 @@ def _reader() -> Callable[[Any], Fraction]:
         if isinstance(obj, str):
             q = memo.get(obj)
             if q is None:
-                num, slash, den = obj.partition("/")
-                if num.isdigit() and (den.isdigit() or not slash) and obj.isascii() and len(obj) <= MAX_RATIONAL_DIGITS and (d := int(den or 1)):
-                    q = memo[obj] = Fraction(int(num), d) if slash else Fraction(int(num))
-                else:
-                    q = memo[obj] = _parse(obj)
+                q = memo[obj] = _parse(obj)
             return q
         return _parse(obj)
 
@@ -135,8 +128,8 @@ def structure_from_obj(obj: Any, path: str = "structure") -> VerifStructure:
     return _structure(obj, path, _reader())
 
 
-def _structure(obj: Any, path: str, read: Callable[[Any], Fraction], points: tuple = ()) -> VerifStructure:
-    """structure_from_obj with the file's reader; points go into the structure's coordinate table.
+def _structure(obj: Any, path: str, read: Callable[[Any], Fraction]) -> VerifStructure:
+    """structure_from_obj with the file's reader.
 
     Field paths are built only on error: each message is read by _message,
     whose failures carry their path below the message, prefixed here.
@@ -155,7 +148,7 @@ def _structure(obj: Any, path: str, read: Callable[[Any], Fraction], points: tup
         except _Invalid as exc:
             raise GameFileError(f"{path}.messages[{len(messages)}]{exc.where}: {exc}") from exc
     try:
-        return VerifStructure(tuple(messages), full, points)
+        return VerifStructure(tuple(messages), full)
     except ConstructionError as exc:
         raise GameFileError(f"{path}: {exc}") from exc
 
@@ -225,10 +218,7 @@ def game_from_obj(obj: Any, path: str = "") -> GameSpec:
         payoff = StepFunction(bps, vals)
     except ValueError as exc:
         raise GameFileError(f"{prefix}payoff: {exc}") from exc
-    # the structure's table also ranks the breakpoints and the prior (when it
-    # lies in [0,1], else GameSpec refuses it), so the game shares that table
-    points = (*payoff.breakpoints, prior) if in_unit_interval(prior) else payoff.breakpoints
-    structure = _structure(obj.get("structure"), f"{prefix}structure", read, points)
+    structure = _structure(obj.get("structure"), f"{prefix}structure", read)
     try:
         return GameSpec(payoff, prior, structure)
     except ValueError as exc:

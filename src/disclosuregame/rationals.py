@@ -85,24 +85,35 @@ class Coordinates:
 
     points[i] is the i-th smallest value, pairs[i] its canonical (numerator,
     denominator), keys[i] its order key and rank[pairs[i]] its index i;
-    marked[i] says whether it came from the marked group (a structure marks
-    0, 1 and its support endpoints).  Where a value sits is then a dict
-    lookup on its pair, or one keyed bisect (position), never another sort.
+    marked[i] says whether it came from the first table (a structure's table
+    ranks 0, 1 and its support endpoints, all marked; a game widens it with
+    points that are not).  Where a value sits is then a dict lookup on its
+    pair, or one keyed bisect (position), never another sort.
     """
 
     __slots__ = ("points", "pairs", "keys", "rank", "marked")
 
-    def __init__(self, marked: dict[tuple[int, int], Fraction], others: Iterable[Fraction] = ()):
-        """marked maps each canonical (numerator, denominator) to its value; others are values."""
-        unique = {(q.numerator, q.denominator): q for q in others}
-        unique.update(marked)
+    def __init__(self, points: dict[tuple[int, int], Fraction]):
+        """points maps each canonical (numerator, denominator) to its value."""
         # order_key of each value, from its pair: n / d cannot overflow in [0,1]
-        keyed = {(n, d): (n / d, q) for (n, d), q in unique.items()}
-        self.pairs = pairs = tuple(sorted(keyed, key=keyed.__getitem__))
-        self.keys = tuple(map(keyed.__getitem__, pairs))
+        self._fill([((n / d, q), (n, d), True) for (n, d), q in points.items()])
+
+    def widened(self, others: Iterable[Fraction]) -> "Coordinates":
+        """A table of these points, marked as here, and of the values others, which are not marked."""
+        rank, table = self.rank, object.__new__(Coordinates)
+        extra = {(q.numerator, q.denominator): q for q in others}
+        table._fill([
+            *zip(self.keys, self.pairs, self.marked),
+            *(((n / d, q), (n, d), False) for (n, d), q in extra.items() if (n, d) not in rank),
+        ])
+        return table
+
+    def _fill(self, entries: list[tuple[tuple[float, Fraction], tuple[int, int], bool]]) -> None:
+        """Set the table from (order key, pair, marked) entries with distinct pairs, sorted here."""
+        entries.sort()
+        self.keys, self.pairs, self.marked = map(tuple, zip(*entries))
         self.points = tuple(q for _, q in self.keys)
-        self.rank = dict(zip(pairs, range(len(pairs))))
-        self.marked = tuple(pair in marked for pair in pairs)
+        self.rank = dict(zip(self.pairs, range(len(entries))))
 
     def position(self, q: Fraction) -> int:
         """2i when q is points[i], 2i + 1 when q lies on the open gap after it; q between the ends."""

@@ -19,7 +19,7 @@ available at s (the endpoint sweep), are int comparisons on table ranks.
 from __future__ import annotations
 
 import heapq
-from dataclasses import InitVar, dataclass, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
@@ -130,21 +130,19 @@ class IntervalUnion:
 class VerifStructure:
     """Named messages with their supports, and the full-verifiability flag.
 
-    ``_table`` (rationals.Coordinates) ranks 0, 1 and every support endpoint,
-    marked, plus any further points of [0,1] given as ``points`` (a game's
-    payoff breakpoints and prior), so that a game shares it.  Extra points
-    change no answer and are not part of the value (eq, hash and repr).
-    ``_spans`` holds (start, end, minimum, name) for every interval, in
-    message order, as table positions (2i at point i, 2i + 1 on the open gap
-    after it): it covers start <= pos < end, and minimum is the position of
-    its support's minimum.  Availability is constant on each open gap.
+    ``_table`` (rationals.Coordinates) ranks 0, 1 and every support endpoint;
+    a game widens it with the payoff's breakpoints and the prior (see
+    GameSpec._table).  ``_spans`` holds (start, end, minimum, name) for every
+    interval, in message order, as table positions (2i at point i, 2i + 1 on
+    the open gap after it): it covers start <= pos < end, and minimum is the
+    position of its support's minimum.  Availability is constant on each
+    open gap.
     """
 
     messages: tuple[tuple[str, IntervalUnion], ...]
     full_verifiability: bool = False
-    points: InitVar[Iterable[Fraction]] = ()
 
-    def __post_init__(self, points):
+    def __post_init__(self):
         names = [name for name, _ in self.messages]
         if len(set(names)) != len(names):
             raise ConstructionError("message names must be unique")
@@ -159,7 +157,7 @@ class VerifStructure:
                 lo_pair, hi_pair = (lo.numerator, lo.denominator), (hi.numerator, hi.denominator)
                 ends[lo_pair], ends[hi_pair] = lo, hi
                 pairs.append((lo_pair, hi_pair, iv.hi_closed, name))
-        table = Coordinates(ends, points)
+        table = Coordinates(ends)
         rank, spans, minimum, last = table.rank, [], 0, None
         for lo_pair, hi_pair, hi_closed, name in pairs:
             start = 2 * rank[lo_pair]
@@ -189,12 +187,7 @@ class VerifStructure:
 
     def support_endpoints(self) -> list[Fraction]:
         """0, 1 and every support endpoint, ascending."""
-        return list(self._endpoints)
-
-    @cached_property
-    def _endpoints(self) -> tuple[Fraction, ...]:
-        table = self._table
-        return tuple(q for q, marked in zip(table.points, table.marked) if marked)
+        return list(self._table.points)
 
     @cached_property
     def _best_minima(self) -> tuple[list[int], list[int]]:

@@ -2,7 +2,6 @@
 
 import json
 import pathlib
-import re
 from fractions import Fraction as F
 
 import pytest
@@ -19,8 +18,6 @@ from disclosuregame.gamefile import (
     load_structure,
     structure_from_obj,
     structure_to_obj,
-    _parse,
-    _reader,
 )
 from disclosuregame import (
     GameFileError, GameSpec, IntervalUnion, Signal, StepFunction, VerifStructure, parse_rational, pnbp, solve,
@@ -387,23 +384,6 @@ class TestFieldPaths:
     def test_repeated_strings_share_one_parse(self):
         game = game_from_obj(_game_obj(prior="2/5", structure=_messages(WHOLE, [{"lo": "2/5", "hi": "1"}])))
         assert game.prior is game.payoff.breakpoints[1] is game.structure.support("m_1").minimum
-
-    @pytest.mark.parametrize("text", [
-        "0", "1", "007", "4/6", "0/5", "12/1", "1/" + "9" * 38, "9" * 19 + "/" + "9" * 20, "3/0", "0/0", "3/", "/4",
-        "-1/2", "+1/2", " 1/2", "1/2 ", "1 /2", "1_0/3", "\u0663/4", "1/\u0664", "1.5", "1e3", "x", "", "1/2/3",
-        "1/" + "3" * (MAX_RATIONAL_DIGITS + 1),
-    ])
-    def test_reader_fast_path_matches_parse_rational(self, text):
-        # the loader reads plain "p" and "p/q" without parse_rational; every
-        # string gets parse_rational's value, or its error under the digit cap
-        try:
-            want = _parse(text)
-        except ValueError as exc:
-            with pytest.raises(ValueError, match=re.escape(str(exc))):
-                _reader()(text)
-        else:
-            got = _reader()(text)
-            assert got == want and type(got) is F
 
 
 class TestRoundTrips:

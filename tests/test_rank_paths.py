@@ -108,32 +108,31 @@ def interim_values(game: GameSpec, beliefs, grid) -> list[F]:
     return [game.payoff.values[k] for k in _interim_values(game, beliefs, grid, _grid_index(grid))]
 
 
-def test_one_coordinate_table_per_loaded_game(monkeypatch, tmp_path):
-    # load_game builds one table, which also ranks the payoff's breakpoints
-    # and the prior, and the game reads it; a game built from a structure
-    # without them rebuilds an equal structure once; support_endpoints lists
-    # 0, 1 and the support endpoints only
+def test_one_coordinate_table_per_structure_and_per_game(monkeypatch, tmp_path):
+    # a loaded structure builds one table of 0, 1 and its support endpoints;
+    # the game builds one more, which also ranks the payoff's breakpoints
+    # and the prior, and keeps the structure it was given
     built = []
-    init = rationals.Coordinates.__init__
+    fill = rationals.Coordinates._fill
 
-    def counted(self, *args):
-        built.append(args)
-        init(self, *args)
+    def counted(self, entries):
+        built.append(len(entries))
+        fill(self, entries)
 
-    monkeypatch.setattr(rationals.Coordinates, "__init__", counted)
+    monkeypatch.setattr(rationals.Coordinates, "_fill", counted)
     path = tmp_path / "game.json"
     for game in SAMPLE[:60]:
         ends = {F(0), F(1)} | {q for _, supp in game.structure.messages for iv in supp.intervals for q in (iv.lo, iv.hi)}
         path.write_text(json.dumps(game_to_obj(game)))
         built.clear()
         loaded = load_game(str(path))
-        assert len(built) == 1
-        assert set(loaded.structure._table.points) == ends | set(game.payoff.breakpoints) | {game.prior}
-        assert loaded.structure.support_endpoints() == sorted(ends)
-        built.clear()
-        rebuilt = GameSpec(loaded.payoff, loaded.prior, VerifStructure(loaded.structure.messages, loaded.structure.full_verifiability))
-        assert len(built) == 1 + (set(loaded.structure._table.points) != ends) and rebuilt.structure == loaded.structure
-        assert rebuilt.structure._table.points == loaded.structure._table.points
+        assert len(built) == 1 and loaded.structure.support_endpoints() == sorted(ends)
+        assert set(loaded._table.points) == ends | set(game.payoff.breakpoints) | {game.prior}
+        solve(loaded)
+        assert len(built) == 2
+        assert [q for q, marked in zip(loaded._table.points, loaded._table.marked) if marked] == sorted(ends)
+        structure = VerifStructure(loaded.structure.messages, loaded.structure.full_verifiability)
+        assert GameSpec(loaded.payoff, loaded.prior, structure).structure is structure
 
 
 def test_endpoint_sweep_matches_pointwise_g():
@@ -352,7 +351,7 @@ def test_figure_draws_posteriors_off_the_table():
     eq = solve(game)
     off = replace(eq, signal=replace(eq.signal, support=(F(0), F(2, 3)), weights=(F(1, 2), F(1, 2))),
                   messaging={F(0): "id:0", F(2, 3): "id:2/3"})
-    assert F(2, 3) not in game.structure._table.points
+    assert F(2, 3) not in game._table.points
     assert f'<circle cx="{figures._fmt(figures.PLOT_LEFT + float(F(2, 3)) * 560)}"' in render_game_svg(game, off)
 
 

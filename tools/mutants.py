@@ -106,10 +106,9 @@ MUTANTS = (
            "top, stop = -heap[0][0], min(start, heap[0][1] + 1)"),
     Mutant("rationals.position_gap_off_by_one", "return 2 * bisect_left(self.keys, order_key(q)) - 1",
            "return 2 * bisect_left(self.keys, order_key(q)) + 1"),
-    Mutant("rationals.table_sort_on_float_only", "pairs = tuple(sorted(keyed, key=keyed.__getitem__))",
-           "pairs = tuple(sorted(keyed, key=lambda pair: keyed[pair][0]))"),
-    Mutant("rationals.table_marks_every_point", "self.marked = tuple(pair in marked for pair in pairs)",
-           "self.marked = tuple(True for pair in pairs)"),
+    Mutant("rationals.table_sort_on_float_only", "        entries.sort()\n", "        entries.sort(key=lambda entry: entry[0][0])\n"),
+    Mutant("rationals.widened_table_marks_every_point", "((n / d, q), (n, d), False) for (n, d), q in extra.items()",
+           "((n / d, q), (n, d), True) for (n, d), q in extra.items()"),
     Mutant("verifiability.coverage_unchecked",
            'raise ConstructionError("message supports must cover all of [0,1]")', "return 0"),
     Mutant("verifiability.touching_not_merged", "if lo <= cur_hi:", "if lo < cur_hi:"),
@@ -120,8 +119,10 @@ MUTANTS = (
     Mutant("equilibrium.identity_loses_ties", "candidates.append((-pos, identity_name(s)))",
            "candidates.append((-pos + 1, identity_name(s)))"),
     Mutant("equilibrium.best_message_largest_name", "return min(candidates)[1]", "return max(candidates)[1]"),
-    Mutant("equilibrium.game_table_not_widened",
-           "if any((q.numerator, q.denominator) not in rank for q in extra):", "if False:"),
+    Mutant("equilibrium.game_point_off_table_reads_point", "g_at = [to_game[at_point[j] if marked else on_gap[j]]",
+           "g_at = [to_game[at_point[j]]"),
+    Mutant("equilibrium.structure_ranks_as_game_ranks", "to_game = list(compress(range(len(xs)), table.marked))",
+           "to_game = list(range(len(xs)))"),
     Mutant("equilibrium.level_fill_skips_breakpoint", "piece[lo:hi] = [k] * (hi - lo)",
            "piece[lo + 1:hi] = [k] * (hi - lo - 1)"),
     Mutant("equilibrium.full_verif_g_not_identity", "return xs, piece, piece, piece[:-1], [True] * len(xs)",
@@ -208,7 +209,6 @@ MUTANTS = (
     Mutant("gamefile.no_memo", "q = memo.get(obj)", "q = None"),
     Mutant("gamefile.hi_closed_dropped", "return SupportInterval(ends[0], ends[1], hi_closed)",
            "return SupportInterval(ends[0], ends[1])"),
-    Mutant("gamefile.fast_parse_zero_denominator", "(d := int(den or 1))", "((d := int(den or 1)) or True)"),
     Mutant("gamefile.support_index_off_by_one", 'exc.where = f".support[{len(ivs)}]{exc.where}"',
            'exc.where = f".support[{len(ivs) + 1}]{exc.where}"'),
 )
