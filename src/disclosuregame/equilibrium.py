@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate, compress
 from typing import Mapping, NamedTuple, Optional
 
@@ -30,9 +30,8 @@ from .piecewise import (
     StepFunction,
     pl_eval,
     step_eval,
-    upper_hull_of_sorted,
 )
-from .rationals import ONE, ZERO, Coordinates, as_fraction, in_unit_interval, on_line_through, order_key
+from .rationals import ONE, ZERO, Coordinates, as_fraction, in_unit_interval, on_line_through, order_key, strict_records, upper_hull
 from .verifiability import (
     IDENTITY_PREFIX,
     VerifStructure,
@@ -126,22 +125,13 @@ class GameSpec:
         """(top, from_left, from_right): each point's hull candidate level and its strict records.
 
         top[i] is the highest of the point's own level and its two gap levels;
-        from_left[i] (from_right[i]) says top[i] exceeds every level to its
-        left (right).  A point that is neither has a level at most that of
-        some point on each side, so it lies on or under the chord between them
-        and is no strict hull vertex.  Each side has at most one strict record
-        per payoff piece.
+        from_left and from_right are rationals.strict_records of top, the only
+        points that can be strict hull vertices, at most one per payoff piece
+        on each side.
         """
         _, _, at, gap, _ = self._levels
         top = list(map(max, at, [at[0], *gap], [*gap, at[-1]]))
-        n = len(top)
-        from_left, from_right = [False] * n, [False] * n
-        for record, order in ((from_left, range(n)), (from_right, range(n - 1, -1, -1))):
-            best = -1
-            for i in order:
-                if top[i] > best:
-                    record[i], best = True, top[i]
-        return top, from_left, from_right
+        return (top, *strict_records(top))
 
     @cached_property
     def _value_hull(self) -> ConcavePL:
@@ -150,9 +140,8 @@ class GameSpec:
         # candidates come in rank order, distinct: the hull scan needs no sort
         ranks = [i for i, (a, b) in enumerate(zip(from_left, from_right)) if a or b]
         levels = [(v.numerator, v.denominator) for v in vals]
-        return ConcavePL(tuple(upper_hull_of_sorted(
-            [(table.points[i], vals[top[i]]) for i in ranks], [(*table.pairs[i], *levels[top[i]]) for i in ranks]
-        )))
+        hull = upper_hull([(*table.pairs[i], *levels[top[i]]) for i in ranks])
+        return ConcavePL(tuple((table.points[ranks[h]], vals[top[ranks[h]]]) for h in hull))
 
 
 @dataclass(frozen=True)
@@ -190,8 +179,16 @@ class Equilibrium:
     messaging: Mapping[Fraction, str]
     beliefs: Mapping[str, Fraction]
     value: Fraction
-    s_minus: Fraction
-    s_plus: Fraction
+
+    @property
+    def s_minus(self) -> Fraction:
+        """The lowest posterior of the signal: the left split point (the prior when there is no split)."""
+        return self.signal.support[0]
+
+    @property
+    def s_plus(self) -> Fraction:
+        """The highest posterior of the signal: the right split point (the prior when there is no split)."""
+        return self.signal.support[-1]
 
 
 @dataclass(frozen=True)
@@ -293,14 +290,7 @@ def _solve_no_pnbp(game: GameSpec) -> Equilibrium:
     signal = Signal((p,), (ONE,))
     messaging = {p: m0}
     value = step_eval(v, p)
-    return Equilibrium(
-        signal=signal,
-        messaging=messaging,
-        beliefs=beliefs,
-        value=value,
-        s_minus=p,
-        s_plus=p,
-    )
+    return Equilibrium(signal=signal, messaging=messaging, beliefs=beliefs, value=value)
 
 
 def _solve_pnbp(game: GameSpec) -> Equilibrium:
@@ -357,7 +347,6 @@ def _solve_pnbp(game: GameSpec) -> Equilibrium:
 
     k = game._table.rank[p.numerator, p.denominator]
     if contact(k):
-        s_minus = s_plus = p
         signal = Signal((p,), (ONE,))
     else:
         s_minus = xs[_walk(contact, k - 1, -1, len(xs))]
@@ -371,14 +360,7 @@ def _solve_pnbp(game: GameSpec) -> Equilibrium:
         messaging[s] = m
         if m.startswith(IDENTITY_PREFIX):
             beliefs[m] = s
-    return Equilibrium(
-        signal=signal,
-        messaging=messaging,
-        beliefs=beliefs,
-        value=pl_eval(hull, p),
-        s_minus=s_minus,
-        s_plus=s_plus,
-    )
+    return Equilibrium(signal=signal, messaging=messaging, beliefs=beliefs, value=pl_eval(hull, p))
 
 
 def _walk(test, i: int, step: int, n: int) -> int:
@@ -454,16 +436,17 @@ def verify_equilibrium(game: GameSpec, eq: Equilibrium) -> VerifyReport:
             detail = f"value {eq.value} above best response {best_value}: no signal attains it"
         return VerifyReport(False, 1, detail, best_signal)
 
-    # (2) sequentially rational communication
+    # (2) sequentially rational communication; each message's payoff is
+    # evaluated once, however many signal points may send it
+    payoff = cache(lambda name: step_eval(game.payoff, _belief_of(game, beliefs, name)))
     for s in eq.signal.support:
         m = eq.messaging[s]
         avail = messages_at(game.structure, s)
         if m not in avail:
             return VerifyReport(False, 2, f"type {s} sends unavailable message {m!r}", (s, m))
-        vm = step_eval(game.payoff, _belief_of(game, beliefs, m))
+        vm = payoff(m)
         for other in sorted(avail):
-            vo = step_eval(game.payoff, _belief_of(game, beliefs, other))
-            if vo > vm:
+            if payoff(other) > vm:
                 return VerifyReport(
                     False, 2, f"type {s} prefers message {other!r} over {m!r}", (s, other)
                 )

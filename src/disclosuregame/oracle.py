@@ -20,15 +20,17 @@ its piece's index (the payoff is non-decreasing with merged pieces, so its
 values strictly increase).  best_deviation compares ranks to pick the grid
 points that can be hull vertices or lie on the hull edge over the prior.
 Its grid grows with the game and no common denominator is bounded, so it
-does not scale the grid: it looks up grid points and each belief's payoff
-piece by (numerator, denominator), each hull turn cross-multiplies the
-points' own numerators and denominators (rationals.not_right_turn), and so
-does each on-edge test (rationals.on_line_through); only the split weights and
-the value are Fraction arithmetic.  The exhaustive search caps its grid at
-max_grid points, so the lcm of the grid's denominators stays small; it
-scales the grid, the prior and the payoff breakpoints to ints over that lcm
-and tests every messaging profile (condition (2), the best-response hull,
-the value) on Python ints.  Only the profiles that pass build Fractions.
+does not scale the grid.  It builds its own rationals.Coordinates table of
+the grid's points other than the midpoints, and grid slot i is table
+position i, so grid points are found by rank and each belief's payoff piece
+by position.  It shares only rationals kernels with the solver: that table,
+upper_hull, strict_records and on_line_through, each deciding on numerators
+and denominators; only the split weights and the value are Fraction
+arithmetic.  The exhaustive search caps its grid at max_grid points, so the
+lcm of the grid's denominators stays small; it scales the grid, the prior
+and the payoff breakpoints to ints over that lcm and tests every messaging
+profile (condition (2), the best-response hull, the value) on Python ints.
+Only the profiles that pass build Fractions.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .equilibrium import (
     verify_equilibrium,
 )
 from .piecewise import Point, step_eval
-from .rationals import ONE, ZERO, not_right_turn, on_line_through, sorted_distinct
+from .rationals import ONE, ZERO, Coordinates, on_line_through, strict_records, upper_hull
 from .verifiability import messages_at
 
 CriticalGrid = tuple[Fraction, ...]
@@ -56,14 +58,25 @@ CriticalGrid = tuple[Fraction, ...]
 
 def critical_grid(game: GameSpec) -> CriticalGrid:
     """0, 1, the prior, all payoff breakpoints and support endpoints, plus midpoints."""
-    base = sorted_distinct((ZERO, ONE, game.prior, *game.payoff.breakpoints, *game.structure.support_endpoints()))
+    return _table_and_grid(game)[1]
+
+
+def _table_and_grid(game: GameSpec) -> tuple[Coordinates, CriticalGrid]:
+    """The oracle's own coordinate table, and the critical grid on it: grid[i] sits at table position i.
+
+    The table holds 0, 1, the prior, the payoff breakpoints and the support
+    endpoints, derived from game.payoff and game.structure (never the
+    solver's table); the grid adds the midpoint of each gap between them.
+    """
+    points = (ZERO, ONE, game.prior, *game.payoff.breakpoints, *game.structure.support_endpoints())
+    table = Coordinates({(q.numerator, q.denominator): q for q in points})
+    base, pairs = table.points, table.pairs
     grid = []
-    for a, b in zip(base, base[1:]):
+    for a, (an, ad), (bn, bd) in zip(base, pairs, pairs[1:]):
         grid.append(a)
-        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
         grid.append(Fraction(an * bd + bn * ad, 2 * ad * bd))  # (a + b) / 2
     grid.append(base[-1])
-    return tuple(grid)
+    return table, tuple(grid)
 
 
 def _hull_segment(pts: Sequence[Point], x: Fraction) -> tuple[Point, Point]:
@@ -72,23 +85,12 @@ def _hull_segment(pts: Sequence[Point], x: Fraction) -> tuple[Point, Point]:
     pts are exact points (Fractions, or ints on a scaled grid) sorted by
     strictly increasing x, as the critical grid is.  A vertex at x comes back
     as a degenerate edge (vertex, vertex); otherwise the edge's ends bracket x
-    strictly.  Fraction points go through _fraction_hull, which decides each
-    turn on their numerators and denominators.
+    strictly.  The hull is rationals.upper_hull on each point's numerators
+    and denominators (an int is its own numerator, over 1).
     """
     if not pts or not pts[0][0] <= x <= pts[-1][0]:
         raise DomainError(f"query {x} outside the hull's x-range")
-    if isinstance(pts[0][0], Fraction):
-        hull = _fraction_hull(pts)
-    else:
-        hull = []
-        for pt in pts:
-            while len(hull) >= 2:
-                (x0, y0), (x1, y1) = hull[-2], hull[-1]
-                if (pt[1] - y1) * (x1 - x0) >= (y1 - y0) * (pt[0] - x1):
-                    hull.pop()  # slope does not strictly decrease through hull[-1]
-                else:
-                    break
-            hull.append(pt)
+    hull = [pts[i] for i in upper_hull([(px.numerator, px.denominator, py.numerator, py.denominator) for px, py in pts])]
     xs = [px for px, _ in hull]
     i = bisect_right(xs, x) - 1
     if xs[i] == x:
@@ -96,65 +98,33 @@ def _hull_segment(pts: Sequence[Point], x: Fraction) -> tuple[Point, Point]:
     return hull[i], hull[i + 1]
 
 
-def _fraction_hull(pts: Sequence[Point]) -> list[Point]:
-    """Upper hull vertices of Fraction points sorted by strictly increasing x.
-
-    The same scan as on ints, with each point also held as (xn, xd, yn, yd)
-    and each turn decided by rationals.not_right_turn on those ints.
-    """
-    hull: list[Point] = []
-    ints: list[tuple[int, int, int, int]] = []
-    for pt in pts:
-        x, y = pt
-        q = x.numerator, x.denominator, y.numerator, y.denominator
-        while len(ints) >= 2 and not_right_turn(ints[-2], ints[-1], q):
-            hull.pop()  # slope does not strictly decrease through hull[-1]
-            ints.pop()
-        hull.append(pt)
-        ints.append(q)
-    return hull
-
-
-def _grid_index(grid: CriticalGrid) -> dict[tuple[int, int], int]:
-    """Each grid point's index, keyed by its (numerator, denominator)."""
-    return {(s.numerator, s.denominator): i for i, s in enumerate(grid)}
-
-
-def _interim_values(
-    game: GameSpec, beliefs: Mapping[str, Fraction], grid: CriticalGrid, index: Mapping[tuple[int, int], int]
-) -> list[int]:
+def _interim_values(game: GameSpec, beliefs: Mapping[str, Fraction], table: Coordinates) -> list[int]:
     """w(s) = max over available m of v(beliefs[m]), v(s) for an identity message, at every grid point.
 
-    Each slot holds w's payoff piece index (game.payoff.values[w[i]] is w at
-    grid[i]).  A range fill over grid indices: every support endpoint is a
-    grid point, so an interval [lo, hi] covers exactly the grid indices from
-    index(lo) to index(hi), one fewer when it is open at hi; the index
-    (_grid_index) is keyed by each point's (numerator, denominator).  Every payoff breakpoint is a grid point too,
-    so piece k holds the slots from index(b_k) up to index(b_k+1): one range
-    fill gives the piece table, which reads each belief's piece when the
-    belief is a grid point; a belief off the grid bisects the breakpoints.
-    Messages are written in ascending order of their level, so each slot
-    keeps the highest level available there.  Under full verifiability each
-    slot is then raised to v(s)'s piece, the identity message's level (the
-    only one under mandatory disclosure).
+    Slot i, the grid's point i and the table's position i, holds w's payoff
+    piece index (game.payoff.values[w[i]] is w there).  A range fill over
+    positions: every support endpoint is a table point, so an interval
+    [lo, hi] covers the slots from 2 rank(lo) to 2 rank(hi), one fewer when
+    it is open at hi.  Every payoff breakpoint is a table point too, so piece
+    k holds the slots from 2 rank(b_k) up to 2 rank(b_k+1): one range fill
+    gives the piece table, read at each belief's position, on the table or
+    on a gap.  Messages are written in ascending order of their level, so
+    each slot keeps the highest level available there.  Under full
+    verifiability each slot is then raised to v(s)'s piece, the identity
+    message's level (the only one under mandatory disclosure).
     """
-    structure, v = game.structure, game.payoff
-    n = len(grid)
-    starts = [index[b.numerator, b.denominator] for b in v.breakpoints] + [n]
+    structure, v, rank = game.structure, game.payoff, table.rank
+    n = 2 * len(table.points) - 1
+    starts = [2 * rank[b.numerator, b.denominator] for b in v.breakpoints] + [n]
     piece = [0] * n
     for k, (a, b) in enumerate(zip(starts, starts[1:])):
         piece[a:b] = [k] * (b - a)
-
-    def level(b: Fraction) -> int:
-        i = index.get((b.numerator, b.denominator))
-        return v.piece(b) if i is None else piece[i]
-
     w = [-1] * n
-    levels = [(level(beliefs[name]), supp) for name, supp in structure.messages]
+    levels = [(piece[table.position(beliefs[name])], supp) for name, supp in structure.messages]
     for lvl, supp in sorted(levels, key=itemgetter(0)):
         for iv in supp.intervals:
-            a = index[iv.lo.numerator, iv.lo.denominator]
-            b = index[iv.hi.numerator, iv.hi.denominator] + iv.hi_closed
+            a = 2 * rank[iv.lo.numerator, iv.lo.denominator]
+            b = 2 * rank[iv.hi.numerator, iv.hi.denominator] + iv.hi_closed
             w[a:b] = [lvl] * (b - a)
     if structure.full_verifiability:
         w = list(map(max, w, piece))
@@ -199,22 +169,16 @@ def best_deviation(game: GameSpec, beliefs: Mapping[str, Fraction]) -> tuple[Fra
 
 def _best_deviation(game: GameSpec, beliefs: Mapping[str, Fraction]) -> tuple[Fraction, Signal]:
     """best_deviation without its precondition check; the caller has made it."""
-    grid = critical_grid(game)
-    index = _grid_index(grid)
-    w = _interim_values(game, beliefs, grid, index)
+    table, grid = _table_and_grid(game)
+    w = _interim_values(game, beliefs, table)
     vals = game.payoff.values
-    n = len(w)
-    from_left, from_right = [False] * n, [False] * n  # strict records; top ends as the highest level
-    for record, order in ((from_left, range(n)), (from_right, range(n - 1, -1, -1))):
-        top = -1
-        for i in order:
-            if w[i] > top:
-                record[i], top = True, w[i]
+    from_left, from_right = strict_records(w)
     p = game.prior
-    (x0, y0), (x1, y1) = _hull_segment([(grid[i], vals[w[i]]) for i in range(n) if from_left[i] or from_right[i]], p)
-    k = index[p.numerator, p.denominator]
+    (x0, y0), (x1, y1) = _hull_segment([(grid[i], vals[w[i]]) for i in range(len(w)) if from_left[i] or from_right[i]], p)
+    k = 2 * table.rank[p.numerator, p.denominator]
     if x0 == x1:
         return vals[w[k]], Signal((p,), (ONE,))
+    top = max(w)
     may = from_left if y0 < y1 else from_right if y0 > y1 else [level == top for level in w]
     on_line = on_line_through((x0, y0), (x1, y1))
 
@@ -307,7 +271,7 @@ def exhaustive_equilibria(
         raise OracleSizeError("full verifiability carries infinitely many messages")
     if len(structure.messages) > max_messages:
         raise OracleSizeError(f"structure has more than {max_messages} messages")
-    grid = critical_grid(game)
+    table, grid = _table_and_grid(game)
     if len(grid) > max_grid:
         raise OracleSizeError(f"critical grid exceeds {max_grid} points")
     v, p = game.payoff, game.prior
@@ -320,7 +284,7 @@ def exhaustive_equilibria(
     # (all on the grid) over the lcm of the grid's denominators
     scale = lcm(*(s.denominator for s in grid))
     xs = [s.numerator * (scale // s.denominator) for s in grid]
-    ip = grid.index(p)
+    ip = 2 * table.rank[p.numerator, p.denominator]
     P = xs[ip]
     bps = [b.numerator * (scale // b.denominator) for b in v.breakpoints]
     # payoff levels: the payoff is non-decreasing with merged pieces, so its
@@ -401,8 +365,6 @@ def exhaustive_equilibria(
             messaging=dict(zip(support, mu)),
             beliefs=beliefs,
             value=value,
-            s_minus=min(support),
-            s_plus=max(support),
         )
         if verify_equilibrium(game, eq).ok:
             values.add(key)

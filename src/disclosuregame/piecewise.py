@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import DomainError
-from .rationals import ONE, ZERO, as_fraction, in_unit_interval, not_right_turn, order_key
+from .rationals import ONE, ZERO, as_fraction, in_unit_interval, not_right_turn, order_key, upper_hull
 
 Point = tuple[Fraction, Fraction]
 
@@ -102,14 +102,13 @@ class ConcavePL:
             raise ValueError("need at least two vertices")
         if vs[0][0] != ZERO or vs[-1][0] != ONE:
             raise ValueError("vertex chain must span [0,1]")
-        slopes = []
-        for (x0, y0), (x1, y1) in zip(vs, vs[1:]):
-            if not x0 < x1:
-                raise ValueError("vertex x-coordinates must be strictly ascending")
-            slopes.append((y1 - y0) / (x1 - x0))
-        for s0, s1 in zip(slopes, slopes[1:]):
-            if not s1 < s0:
-                raise ValueError("slopes must strictly decrease (concavity)")
+        # exact tests on numerators and denominators: ascending x cross-multiplied,
+        # and concavity as a strict right turn at each interior vertex
+        ints = [(x.numerator, x.denominator, y.numerator, y.denominator) for x, y in vs]
+        if any(not an * bd < bn * ad for (an, ad, _, _), (bn, bd, _, _) in zip(ints, ints[1:])):
+            raise ValueError("vertex x-coordinates must be strictly ascending")
+        if any(map(not_right_turn, ints, ints[1:], ints[2:])):
+            raise ValueError("slopes must strictly decrease (concavity)")
         object.__setattr__(self, "vertices", vs)
 
     def __call__(self, x: Fraction) -> Fraction:
@@ -143,8 +142,8 @@ def upper_hull_points(points: Iterable[Point]) -> list[Point]:
 
     Collinear interior points are dropped, so consecutive slopes strictly
     decrease.  Duplicate x-coordinates keep only the highest y.  Points are
-    keyed by their canonical (numerator, denominator) and each turn is
-    decided on ints by not_right_turn.
+    keyed by their canonical (numerator, denominator), and rationals.upper_hull
+    scans them on those ints.
     """
     best: dict[tuple[int, int], Point] = {}
     for x, y in points:
@@ -152,22 +151,7 @@ def upper_hull_points(points: Iterable[Point]) -> list[Point]:
         if key not in best or y > best[key][1]:
             best[key] = (x, y)
     pts = sorted(best.values(), key=lambda pt: order_key(pt[0]))
-    return upper_hull_of_sorted(pts, [(x.numerator, x.denominator, y.numerator, y.denominator) for x, y in pts])
-
-
-def upper_hull_of_sorted(pts: list[Point], ints: list[tuple[int, int, int, int]]) -> list[Point]:
-    """upper_hull_points of points already sorted by strictly increasing x, each also given as (xn, xd, yn, yd)."""
-    hull: list[Point] = []
-    kept: list[tuple[int, int, int, int]] = []
-    for p, q in zip(pts, ints):
-        # pop while the middle point is on or below the chord: not a strict
-        # upper-hull vertex
-        while len(kept) >= 2 and not_right_turn(kept[-2], kept[-1], q):
-            hull.pop()
-            kept.pop()
-        hull.append(p)
-        kept.append(q)
-    return hull
+    return [pts[i] for i in upper_hull([(x.numerator, x.denominator, y.numerator, y.denominator) for x, y in pts])]
 
 
 def hull_candidates(f: StepFunction) -> list[Point]:

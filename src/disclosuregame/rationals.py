@@ -9,7 +9,7 @@ Fraction's own hash, comparisons and arithmetic.
 from bisect import bisect_left
 from fractions import Fraction
 from math import inf
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -72,12 +72,6 @@ def order_key(q: Fraction) -> tuple[float, Fraction]:
         return n / d, q
     except OverflowError:
         return (inf if n > 0 else -inf), q
-
-
-def sorted_distinct(values: Iterable[Fraction]) -> list[Fraction]:
-    """The distinct values, ascending; duplicates are found by their canonical (numerator, denominator)."""
-    unique = {(q.numerator, q.denominator): q for q in values}
-    return sorted(unique.values(), key=order_key)
 
 
 class Coordinates:
@@ -150,9 +144,9 @@ def not_right_turn(o: tuple[int, int, int, int], a: tuple[int, int, int, int], p
     (ax - ox)(py - oy) >= (ay - oy)(px - ox) with every coordinate a
     numerator over a positive denominator.  Each difference is an int over
     the product of its two denominators; multiplying both sides by the
-    positive common factor leaves an int comparison with no gcd.  The
-    envelope's hull scan (piecewise.upper_hull_points) and the oracle's
-    (oracle._fraction_hull) each pop a point on this test.
+    positive common factor leaves an int comparison with no gcd.  The one
+    upper-hull scan (upper_hull) pops a point on this test, and
+    piecewise.ConcavePL rejects a vertex chain that makes such a turn.
     """
     oxn, oxd, oyn, oyd = o
     axn, axd, ayn, ayd = a
@@ -160,3 +154,36 @@ def not_right_turn(o: tuple[int, int, int, int], a: tuple[int, int, int, int], p
     lhs = (axn * oxd - oxn * axd) * (pyn * oyd - oyn * pyd) * ayd * pxd
     rhs = (ayn * oyd - oyn * ayd) * (pxn * oxd - oxn * pxd) * axd * pyd
     return lhs >= rhs
+
+
+def upper_hull(points: Sequence[tuple[int, int, int, int]]) -> list[int]:
+    """Indices of the strict upper-hull vertices of points given as (xn, xd, yn, yd), left to right.
+
+    The points are sorted by strictly increasing x.  A point on or below the
+    chord between its neighbours on the hull is popped (not_right_turn), so
+    consecutive hull slopes strictly decrease.
+    """
+    hull: list[int] = []
+    for i, p in enumerate(points):
+        while len(hull) >= 2 and not_right_turn(points[hull[-2]], points[hull[-1]], p):
+            hull.pop()
+        hull.append(i)
+    return hull
+
+
+def strict_records(levels: Sequence[int]) -> tuple[list[bool], list[bool]]:
+    """(from_left, from_right): whether levels[i] exceeds every level to its left (right).
+
+    Over a sequence of points, one with a level at most that of some point on
+    each side lies on or under the chord between them, so only strict records
+    can be strict upper-hull vertices.  Each side has at most one record per
+    distinct level.
+    """
+    n = len(levels)
+    from_left, from_right = [False] * n, [False] * n
+    for record, order in ((from_left, range(n)), (from_right, range(n - 1, -1, -1))):
+        top = -inf
+        for i in order:
+            if levels[i] > top:
+                record[i], top = True, levels[i]
+    return from_left, from_right

@@ -149,13 +149,12 @@ def scan_solve(game: GameSpec) -> tuple[PnbpVerdict, ConcavePL, Equilibrium]:
     if not verdict.holds:
         m0 = contains_best_message(structure, p)
         beliefs[m0] = p
-        return verdict, hull, Equilibrium(Signal((p,), (ONE,)), {p: m0}, beliefs, vp, p, p)
+        return verdict, hull, Equilibrium(Signal((p,), (ONE,)), {p: m0}, beliefs, vp)
     contacts = [
         x for x in _candidate_points(game)
         if pointwise_g(structure, x) == x and fraction_pl_eval(hull, x) == fraction_step_eval(v, x)
     ]
     if p in contacts:
-        s_minus = s_plus = p
         signal = Signal((p,), (ONE,))
     else:
         s_minus = max(x for x in contacts if x < p)
@@ -167,7 +166,7 @@ def scan_solve(game: GameSpec) -> tuple[PnbpVerdict, ConcavePL, Equilibrium]:
         m = messaging[s] = contains_best_message(structure, s)
         if m.startswith(IDENTITY_PREFIX):
             beliefs[m] = s
-    return verdict, hull, Equilibrium(signal, messaging, beliefs, fraction_pl_eval(hull, p), s_minus, s_plus)
+    return verdict, hull, Equilibrium(signal, messaging, beliefs, fraction_pl_eval(hull, p))
 
 
 def pointwise_interim_values(game: GameSpec, beliefs, grid) -> list[Fraction]:
@@ -298,8 +297,6 @@ def per_profile_exhaustive_equilibria(
             messaging=dict(zip(support, mu)),
             beliefs=beliefs,
             value=value,
-            s_minus=min(support),
-            s_plus=max(support),
         )
         if verify_equilibrium(game, eq).ok:
             values.add(value)

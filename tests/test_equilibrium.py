@@ -113,13 +113,14 @@ class TestSharedAnalysis:
         assert pnbp(game) is pnbp(game)
 
     @staticmethod
-    def count_position_queries(monkeypatch) -> list:
-        """Record every availability query: each scans all M supports' spans at one point."""
+    def count_position_queries(monkeypatch, table: Coordinates) -> list:
+        """Record every availability query, a position in the structure's own table: each scans all M supports' spans at one point."""
         calls = []
         position = Coordinates.position
 
         def counting(self, s):
-            calls.append(s)
+            if self is table:
+                calls.append(s)
             return position(self, s)
 
         monkeypatch.setattr(Coordinates, "position", counting)
@@ -130,17 +131,18 @@ class TestSharedAnalysis:
         # only at the split's points; asking at every endpoint would take
         # about M * E span tests
         game = rand_interval_game(random.Random(401), 400)
-        calls = self.count_position_queries(monkeypatch)
+        calls = self.count_position_queries(monkeypatch, game.structure._table)
         eq = solve(game)
         assert eq.signal.support != (game.prior,)
         assert len(calls) <= 2 * len(eq.signal.support)
 
     def test_verify_queries_supports_linearly(self, monkeypatch):
         # the oracle fills w by grid-index ranges; asking availability at
-        # every grid point would take about M * G span tests
+        # every grid point would take about M * G span tests (the oracle's own
+        # table, which places each belief, is not the structure's)
         game = rand_interval_game(random.Random(401), 400)
         eq = solve(game)
-        calls = self.count_position_queries(monkeypatch)
+        calls = self.count_position_queries(monkeypatch, game.structure._table)
         assert verify_equilibrium(game, eq).ok
         assert len(calls) <= 2 * len(eq.signal.support)
 
@@ -175,6 +177,14 @@ class TestSplitPoints:
     def test_counterexample(self):
         eq = solve(G_DOUBLE_PRIME)
         assert (eq.s_minus, eq.s_plus) == (F(0), F(9, 10))
+
+    def test_split_points_follow_the_signal(self):
+        # the split points are the signal's ends, so an edit of the signal
+        # cannot leave them stale
+        eq = solve(G31)
+        moved = replace(eq, signal=Signal((F(0), F(4, 5)), (F(7, 12), F(5, 12))))
+        assert (moved.s_minus, moved.s_plus) == (F(0), F(4, 5))
+        assert (eq.s_minus, eq.s_plus) == (F(0), F(1, 2))
 
 
 class TestSolve:
@@ -250,8 +260,6 @@ class TestVerifyEquilibrium:
             messaging={F(0): "m_L", F(4, 5): "m_M"},
             beliefs=beliefs,
             value=value,
-            s_minus=F(0),
-            s_plus=F(4, 5),
         )
         report = verify_equilibrium(G31, eq)
         assert not report.ok and report.condition == 1
@@ -289,8 +297,6 @@ class TestVerifyEquilibrium:
             messaging=dict(zip(support, ("m_L", "m_X", "m_L"))),
             beliefs={"m_L": F(0), "m_X": F(3, 4)},
             value=F(2, 3),
-            s_minus=F(1, 2),
-            s_plus=F(1),
         )
         report = verify_equilibrium(game, eq)
         assert not report.ok and report.condition == 2

@@ -25,7 +25,7 @@ from disclosuregame.equilibrium import (
 from disclosuregame.errors import PreconditionError
 from disclosuregame.figures import render_game_svg
 from disclosuregame.gamefile import game_to_obj, load_game
-from disclosuregame.oracle import _grid_index, _hull_segment, _interim_values, best_deviation, critical_grid
+from disclosuregame.oracle import _hull_segment, _interim_values, _table_and_grid, best_deviation, critical_grid
 from disclosuregame.piecewise import hull_candidates, pl_eval, step_eval, upper_hull_points
 from disclosuregame.rationals import on_line_through
 from disclosuregame.verifiability import messages_at
@@ -103,9 +103,9 @@ def rand_beliefs(rng: random.Random, structure: VerifStructure) -> dict:
     return beliefs
 
 
-def interim_values(game: GameSpec, beliefs, grid) -> list[F]:
+def interim_values(game: GameSpec, beliefs) -> list[F]:
     """The oracle's w at every grid point, as payoff values."""
-    return [game.payoff.values[k] for k in _interim_values(game, beliefs, grid, _grid_index(grid))]
+    return [game.payoff.values[k] for k in _interim_values(game, beliefs, _table_and_grid(game)[0])]
 
 
 def test_one_coordinate_table_per_structure_and_per_game(monkeypatch, tmp_path):
@@ -193,7 +193,7 @@ def test_integer_kernels_match_fraction_paths():
         rng.shuffle(pts)
         assert upper_hull_points(pts) == fraction_upper_hull_points(pts)
         beliefs = rand_beliefs(rng, game.structure)
-        w = list(zip(grid, interim_values(game, beliefs, grid)))
+        w = list(zip(grid, interim_values(game, beliefs)))
         for x in (game.prior, rng.choice(grid), rand_point(rng)):
             assert _hull_segment(w, x) == fraction_hull_segment(w, x)
 
@@ -217,7 +217,7 @@ def test_hull_inputs_are_strict_records(monkeypatch):
             return fn(pts, *args)
         return wrapper
 
-    monkeypatch.setattr(equilibrium, "upper_hull_of_sorted", counted("hull", equilibrium.upper_hull_of_sorted))
+    monkeypatch.setattr(equilibrium, "upper_hull", counted("hull", equilibrium.upper_hull))
     monkeypatch.setattr(oracle, "_hull_segment", counted("segment", oracle._hull_segment))
     eq = solve(game)
     best_deviation(game, eq.beliefs)
@@ -301,7 +301,7 @@ def test_int_line_tests_match_fraction_products():
                 hits += got
                 misses += not got
         grid = critical_grid(game)
-        w = list(zip(grid, interim_values(game, rand_beliefs(rng, game.structure), grid)))
+        w = list(zip(grid, interim_values(game, rand_beliefs(rng, game.structure))))
         p0, p1 = _hull_segment(w, game.prior)
         if p0 != p1:
             on_line = on_line_through(p0, p1)
@@ -310,7 +310,8 @@ def test_int_line_tests_match_fraction_products():
 
 
 def test_interim_values_off_grid_beliefs():
-    # beliefs off the grid take the bisect fallback, grid beliefs the piece table
+    # a belief off the grid reads the piece table at its gap's position, one
+    # on the grid at its own
     rng = random.Random(59)
     off_grid = 0
     for game in GAMES:
@@ -319,7 +320,7 @@ def test_interim_values_off_grid_beliefs():
         for name, supp in game.structure.messages[::2]:
             lo, hi = supp.hull_bounds()
             beliefs[name] = lo + (hi - lo) * F(rng.randrange(1, 97), 97)
-        assert interim_values(game, beliefs, grid) == pointwise_interim_values(game, beliefs, grid)
+        assert interim_values(game, beliefs) == pointwise_interim_values(game, beliefs, grid)
         off_grid += sum(b not in grid for b in beliefs.values())
     assert off_grid > 300
 

@@ -1,7 +1,7 @@
 """Every validation raise of the game's value types, through the library constructors and through the loader.
 
 Each check runs once, on ints, in the constructor that owns it (SupportInterval,
-IntervalUnion, StepFunction, GameSpec, Signal) or on the structure's coordinate
+IntervalUnion, StepFunction, ConcavePL, GameSpec, Signal) or on the structure's coordinate
 table (VerifStructure's names and its endpoint sweep).  Each one is reached here
 by a library call and, where a game file can express it, by load_game and by
 the CLI, which exits with code 2; so moving a check cannot drop it silently.
@@ -14,6 +14,7 @@ from fractions import Fraction as F
 import pytest
 
 from disclosuregame import (
+    ConcavePL,
     ConstructionError,
     DomainError,
     GameSpec,
@@ -58,6 +59,13 @@ LIBRARY = [
     (lambda: StepFunction((THIRD, HALF), (F(0), F(1))), ValueError, "first breakpoint must be 0"),
     (lambda: StepFunction((F(0), HALF, THIRD), (F(0), F(1), F(2))), ValueError, "breakpoints must be strictly ascending"),
     (lambda: StepFunction((F(0), F(3, 2)), (F(0), F(1))), ValueError, r"breakpoints must lie in \[0,1\]"),
+    # ConcavePL: a repeated x, and a chain whose slopes rise, then stay equal
+    (lambda: ConcavePL(((F(0), F(0)),)), ValueError, "need at least two vertices"),
+    (lambda: ConcavePL(((F(0), F(0)), (HALF, F(1)))), ValueError, r"vertex chain must span \[0,1\]"),
+    (lambda: ConcavePL(((F(0), F(0)), (HALF, F(1)), (HALF, F(1)), (F(1), F(1)))), ValueError,
+     "vertex x-coordinates must be strictly ascending"),
+    (lambda: ConcavePL(((F(0), F(0)), (HALF, F(0)), (F(1), F(1)))), ValueError, r"slopes must strictly decrease \(concavity\)"),
+    (lambda: ConcavePL(((F(0), F(0)), (THIRD, F(1)), (F(1), F(3)))), ValueError, r"slopes must strictly decrease \(concavity\)"),
     # GameSpec
     (lambda: GameSpec(PAYOFF, F(3, 2), VerifStructure((("m", WHOLE),))), DomainError, r"prior 3/2 outside \[0,1\]"),
     (lambda: GameSpec(StepFunction((F(0), HALF), (F(1), F(0))), THIRD, VerifStructure((("m", WHOLE),))),

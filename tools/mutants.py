@@ -52,8 +52,6 @@ MUTANTS = (
     # rationals: the parse fast path, order keys and the int kernels
     Mutant("rationals.parse_zero_denominator", "if den.isdigit() and (d := int(den)):",
            "if den.isdigit() and ((d := int(den)) or True):"),
-    Mutant("rationals.sort_on_float_only", "return sorted(unique.values(), key=order_key)",
-           "return sorted(unique.values(), key=lambda q: q.numerator / q.denominator)"),
     Mutant("rationals.huge_negative_to_plus_inf", "return (inf if n > 0 else -inf), q", "return inf, q"),
     Mutant("rationals.unit_interval_open_at_one", "return 0 <= q.numerator <= q.denominator",
            "return 0 <= q.numerator < q.denominator"),
@@ -69,12 +67,19 @@ MUTANTS = (
     Mutant("rationals.turn_drops_pxd",
            "lhs = (axn * oxd - oxn * axd) * (pyn * oyd - oyn * pyd) * ayd * pxd",
            "lhs = (axn * oxd - oxn * axd) * (pyn * oyd - oyn * pyd) * ayd"),
+    Mutant("rationals.hull_pops_on_strict_turn",
+           "while len(hull) >= 2 and not_right_turn(points[hull[-2]], points[hull[-1]], p):",
+           "while len(hull) >= 2 and not not_right_turn(points[hull[-2]], points[hull[-1]], p):"),
+    Mutant("rationals.hull_pops_once", "while len(hull) >= 2 and not_right_turn(", "if len(hull) >= 2 and not_right_turn("),
+    Mutant("rationals.records_on_ties", "if levels[i] > top:", "if levels[i] >= top:"),
     # piecewise: keyed lookups, validation and the envelope
     Mutant("piecewise.piece_bisect_left", "return bisect_right(self._keys, order_key(x)) - 1",
            "return bisect_left(self._keys, order_key(x)) - 1"),
     Mutant("piecewise.pl_eval_float_key", "i = bisect_right(g._keys, order_key(x)) - 1",
            "i = bisect_right([k[0] for k in g._keys], x.numerator / x.denominator) - 1"),
     Mutant("piecewise.breakpoints_non_strict", "if not an * bd < bn * ad:", "if not an * bd <= bn * ad:"),
+    Mutant("piecewise.vertex_x_non_strict", "if any(not an * bd < bn * ad for", "if any(not an * bd <= bn * ad for"),
+    Mutant("piecewise.concavity_unchecked", "if any(map(not_right_turn, ints, ints[1:], ints[2:])):", "if False:"),
     Mutant("piecewise.non_decreasing_drops_denominator",
            "a.numerator * b.denominator <= b.numerator * a.denominator for a, b",
            "a.numerator * b.denominator <= b.numerator for a, b"),
@@ -146,16 +151,17 @@ MUTANTS = (
            "oracle.best_deviation(game, beliefs)"),
     Mutant("equilibrium.condition_one_accepts_above", "if best_value != eq.value:", "if best_value > eq.value:"),
     Mutant("equilibrium.condition_two_and_identity_deleted",
-           """    # (2) sequentially rational communication
+           """    # (2) sequentially rational communication; each message's payoff is
+    # evaluated once, however many signal points may send it
+    payoff = cache(lambda name: step_eval(game.payoff, _belief_of(game, beliefs, name)))
     for s in eq.signal.support:
         m = eq.messaging[s]
         avail = messages_at(game.structure, s)
         if m not in avail:
             return VerifyReport(False, 2, f"type {s} sends unavailable message {m!r}", (s, m))
-        vm = step_eval(game.payoff, _belief_of(game, beliefs, m))
+        vm = payoff(m)
         for other in sorted(avail):
-            vo = step_eval(game.payoff, _belief_of(game, beliefs, other))
-            if vo > vm:
+            if payoff(other) > vm:
                 return VerifyReport(
                     False, 2, f"type {s} prefers message {other!r} over {m!r}", (s, other)
                 )
@@ -167,21 +173,21 @@ MUTANTS = (
 """,
            "    # (3) consistent receiver beliefs; the convex hulls are checked above\n"),
     Mutant("equilibrium.unavailable_message_accepted", "if m not in avail:", "if False:"),
-    Mutant("equilibrium.better_message_ignored", "if vo > vm:", "if False:"),
+    Mutant("equilibrium.better_message_ignored", "if payoff(other) > vm:", "if False:"),
     Mutant("equilibrium.identity_belief_unchecked",
            "if name.startswith(IDENTITY_PREFIX) and b != min_inverse(game.structure, name):", "if False:"),
     Mutant("equilibrium.bayes_unchecked", "if imbalance != 0:", "if False:"),
     # oracle: the critical grid, the interim values and the searches
     Mutant("oracle.midpoint_drops_factor_two", "grid.append(Fraction(an * bd + bn * ad, 2 * ad * bd))",
            "grid.append(Fraction(an * bd + bn * ad, ad * bd))"),
-    Mutant("oracle.piece_table_off_by_one", "starts = [index[b.numerator, b.denominator] for b in v.breakpoints]",
-           "starts = [index[b.numerator, b.denominator] + 1 for b in v.breakpoints]"),
+    Mutant("oracle.piece_table_off_by_one", "starts = [2 * rank[b.numerator, b.denominator] for b in v.breakpoints]",
+           "starts = [2 * rank[b.numerator, b.denominator] + 1 for b in v.breakpoints]"),
     Mutant("oracle.piece_table_slice_longer", "piece[a:b] = [k] * (b - a)", "piece[a:b + 1] = [k] * (b + 1 - a)",
            "the next piece's fill overwrites the extra slot, and after the last piece it lies past the grid"),
-    Mutant("oracle.off_grid_level_low", "return v.piece(b) if i is None else piece[i]",
-           "return v.piece(b) - 1 if i is None else piece[i]"),
-    Mutant("oracle.fill_open_end_as_closed", "b = index[iv.hi.numerator, iv.hi.denominator] + iv.hi_closed",
-           "b = index[iv.hi.numerator, iv.hi.denominator] + 1"),
+    Mutant("oracle.off_grid_level_low", "levels = [(piece[table.position(beliefs[name])], supp)",
+           "levels = [(piece[(pos := table.position(beliefs[name]))] - pos % 2, supp)"),
+    Mutant("oracle.fill_open_end_as_closed", "b = 2 * rank[iv.hi.numerator, iv.hi.denominator] + iv.hi_closed",
+           "b = 2 * rank[iv.hi.numerator, iv.hi.denominator] + 1"),
     Mutant("oracle.fill_in_message_order", "for lvl, supp in sorted(levels, key=itemgetter(0)):",
            "for lvl, supp in levels:"),
     Mutant("oracle.identity_level_ignored", "w = list(map(max, w, piece))", "pass"),
