@@ -31,6 +31,9 @@ from .gamefile import (
 from .oracle import exhaustive_search
 from .rationals import format_rational
 
+# oracle --max-messages, --max-grid ceilings; worst case at both: about 25 s (README)
+ORACLE_CEILINGS = {"max_messages": 8, "max_grid": 81}
+
 
 def main(argv=None) -> int:
     parser = build_parser()
@@ -159,6 +162,9 @@ def cmd_optimal(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    for flag, ceiling in ORACLE_CEILINGS.items():
+        if not 1 <= getattr(args, flag) <= ceiling:
+            raise ValueError(f"--{flag.replace('_', '-')} must lie in 1..{ceiling}")
     game = load_game(args.path)
     analytic = equilibrium_value(game).value
     values = exhaustive_search(game, args.max_messages, args.max_grid)

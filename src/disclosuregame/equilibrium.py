@@ -109,6 +109,12 @@ class GameSpec:
         return PnbpVerdict(True, min(above)[1]) if above else PnbpVerdict(False)
 
     @cached_property
+    def _oracle_grid(self) -> tuple[Coordinates, tuple[Fraction, ...]]:
+        """The brute-force oracle's own table and critical grid (oracle._table_and_grid); the solver never reads it."""
+        from .oracle import _table_and_grid  # late import: oracle builds on this module's types
+        return _table_and_grid(self)
+
+    @cached_property
     def _adjusted_runs(self) -> list[tuple[int, int]]:
         """v∘g as (rank, level) where each of its pieces starts: the level table's gap levels and its level at 1, merged."""
         _, _, at, gap, _ = self._levels

@@ -20,26 +20,28 @@ its piece's index (the payoff is non-decreasing with merged pieces, so its
 values strictly increase).  best_deviation compares ranks to pick the grid
 points that can be hull vertices or lie on the hull edge over the prior.
 Its grid grows with the game and no common denominator is bounded, so it
-does not scale the grid.  It builds its own rationals.Coordinates table of
-the grid's points other than the midpoints, and grid slot i is table
-position i, so grid points are found by rank and each belief's payoff piece
-by position.  It shares only rationals kernels with the solver: that table,
+does not scale the grid.  Its own rationals.Coordinates table holds the
+grid's points other than the midpoints, grid slot i at table position i, so
+grid points are found by rank and each belief's payoff piece by position;
+table and grid are built once per game and kept on it (the solver never
+reads them).  It shares only rationals kernels with the solver: that table,
 upper_hull, strict_records and on_line_through, each deciding on numerators
-and denominators; only the split weights and the value are Fraction
-arithmetic.  The exhaustive search caps its grid at max_grid points, so the
-lcm of the grid's denominators stays small; it scales the grid, the prior
-and the payoff breakpoints to ints over that lcm and tests every messaging
-profile (condition (2), the best-response hull, the value) on Python ints.
-Only the profiles that pass build Fractions.
+and denominators; only the split weights and the value are Fractions.  The
+exhaustive search caps its grid at max_grid points, so the lcm of the
+grid's denominators stays small; it scales the grid, the prior and the
+payoff breakpoints to ints over that lcm and tests each messaging profile
+once on Python ints (condition (2), the best-response hull, the value), at
+the one assignment of levels whose value the weights cannot move.  Only
+the profiles that pass build Fractions.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from math import gcd, lcm
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .errors import DomainError, OracleSizeError, PreconditionError
@@ -58,7 +60,7 @@ CriticalGrid = tuple[Fraction, ...]
 
 def critical_grid(game: GameSpec) -> CriticalGrid:
     """0, 1, the prior, all payoff breakpoints and support endpoints, plus midpoints."""
-    return _table_and_grid(game)[1]
+    return game._oracle_grid[1]
 
 
 def _table_and_grid(game: GameSpec) -> tuple[Coordinates, CriticalGrid]:
@@ -169,7 +171,7 @@ def best_deviation(game: GameSpec, beliefs: Mapping[str, Fraction]) -> tuple[Fra
 
 def _best_deviation(game: GameSpec, beliefs: Mapping[str, Fraction]) -> tuple[Fraction, Signal]:
     """best_deviation without its precondition check; the caller has made it."""
-    table, grid = _table_and_grid(game)
+    table, grid = game._oracle_grid
     w = _interim_values(game, beliefs, table)
     vals = game.payoff.values
     from_left, from_right = strict_records(w)
@@ -207,11 +209,9 @@ def exhaustive_search(
     Pure messaging maps are enumerated over available messages; on-path beliefs
     come from Bayes, off-path beliefs are maximally skeptical; candidates are
     kept iff they pass verify_equilibrium.  Size-3 supports carry a
-    one-parameter family of Bayes-plausible weights, covered exactly: its
-    range is cut where a pooled posterior crosses a payoff breakpoint, and
-    each cut and each subinterval between cuts is one candidate (see
-    exhaustive_equilibria).  The support-size cap is a desk-scale scope bound,
-    not a theorem.
+    one-parameter family of Bayes-plausible weights, covered exactly (see
+    exhaustive_equilibria).  The support-size cap is a desk-scale scope
+    bound, not a theorem.
     """
     found = exhaustive_equilibria(game, max_messages, max_grid, dedup_values=True)
     return {eq.value for eq in found}
@@ -231,47 +231,51 @@ def exhaustive_equilibria(
     beliefs (the discrete hull of w at the prior) and verify_equilibrium
     accepts it.
 
-    Every messaging profile, of every support size, first goes through the
-    same necessary tests on Python ints, and only survivors build Fractions.
-    Per game, the grid, the prior and the payoff breakpoints are scaled to
-    integers over the lcm of the grid's denominators; the grid has at most
-    max_grid points, so that lcm stays small.  A payoff value is ranked by
-    its piece's index, for comparisons, and scaled by the lcm of the values'
-    denominators, for sums.  A profile's levels (the rank of v at each
-    message's belief, messages in name order) form a tuple of ints, which
-    also keys the memoised best response; condition (2) compares ranks, and
-    the value test is cross-multiplied.
+    Every candidate first passes the same necessary tests on Python ints, and
+    only survivors build Fractions.  The grid, the prior and the payoff
+    breakpoints are scaled over the lcm of the grid's denominators; a payoff
+    value is ranked by its piece's index, for comparisons, and scaled over
+    the lcm of the values' denominators, for sums.  Condition (2) compares
+    ranks; once it holds, the levels (the rank of v at each message's belief,
+    messages in name order) form a tuple that keys the memoised best
+    response, and the value test is cross-multiplied.
 
     Size-3 supports a < b < c around the prior p carry a one-parameter family
-    of Bayes-plausible weights W(t), affine in t on [0, t_hi]; W0 = W(0) and
-    W1 = W(t_hi) are computed once per support.  The levels are constant in t
-    unless two types pool; then they change only at the cuts where the pooled
-    posterior crosses a payoff breakpoint.  The cuts and the pooled level at
-    each cut and on each subinterval between them depend on the support and
-    the pooled pair, not on the messages, so they are built once per
-    (support, pair) and memoised.
+    of Bayes-plausible weights W(t), affine in t on [0, t_hi].  At fixed
+    levels L the value W(t).L is affine in t and never above the best
+    response: by condition (2) each (s, L) is a point of w on the grid, so on
+    or under its hull, and W(t) has mean p.  The two can meet inside
+    (0, t_hi) only if they meet throughout, so a candidate's value must not
+    move with t:
 
-    At fixed levels the value W(t).L is affine in t, and it is never above
-    the best response: by condition (2) each (s, L) is a point of w on the
-    grid, so on or under its hull, and W(t) has mean p.  So the gap between
-    the two is zero inside (0, t_hi) only if it is zero throughout; with a
-    nonzero slope its closed-form root t* = (target - W0.L) t_hi /
-    (W1.L - W0.L) lies at or beyond an end.  A candidate at t therefore
-    exists iff W0.L = target = W1.L; each subinterval is tried at its
-    midpoint and each cut at the cut.
+    * if all types pool, the belief is p at any weights: the value is v(p);
+    * if none pool, the beliefs are the types: the value is constant iff
+      (b, v(b)) lies on the chord from (a, v(a)) to (c, v(c)), one test per
+      support, and it is then that chord at p;
+    * if a pair pools at level r beside a singleton k, the value is
+      r + W_k(t) (L_k - r), and W_k moves with t (W_b = t; W_a and W_c fall),
+      so only r = L_k can pass.
+
+    In the first and last cases every sent message has one level l, so the
+    value is v_l and condition (2) asks only that no message available in
+    the support rank above l (at_one_level).  The pair's level changes at
+    the cuts where its posterior crosses a payoff breakpoint; the cuts and
+    levels depend on the support and the pair's positions, not on the
+    messages, so each (support, pair) is planned once: its cut and
+    subinterval midpoint at level L_k are the candidates (pair_candidates),
+    and where it has none, its later profiles are skipped untested.
 
     With dedup_values=True, a profile whose value is already certified is
-    skipped (cheaper when only the value set matters).  A profile is skipped
-    before assembly only when its value is known, because it equals the best
-    response, and that value is already certified; full_check drops every
-    other repeat.
+    skipped (cheaper when only the value set matters): before assembly when
+    its value is known (v_l, or the best response it must equal), else in
+    full_check.
     """
     structure = game.structure
     if structure.full_verifiability:
         raise OracleSizeError("full verifiability carries infinitely many messages")
     if len(structure.messages) > max_messages:
         raise OracleSizeError(f"structure has more than {max_messages} messages")
-    table, grid = _table_and_grid(game)
+    table, grid = game._oracle_grid
     if len(grid) > max_grid:
         raise OracleSizeError(f"critical grid exceeds {max_grid} points")
     v, p = game.payoff, game.prior
@@ -284,38 +288,27 @@ def exhaustive_equilibria(
     # (all on the grid) over the lcm of the grid's denominators
     scale = lcm(*(s.denominator for s in grid))
     xs = [s.numerator * (scale // s.denominator) for s in grid]
-    ip = 2 * table.rank[p.numerator, p.denominator]
+    n, ip = len(grid), 2 * table.rank[p.numerator, p.denominator]
     P = xs[ip]
     bps = [b.numerator * (scale // b.denominator) for b in v.breakpoints]
     # payoff levels: the payoff is non-decreasing with merged pieces, so its
     # values strictly increase and a piece's index ranks its value; the values
-    # themselves, for sums, over the lcm of their denominators
+    # themselves, for sums, over the lcm of their denominators, and as keys
     rank = {y: k for k, y in enumerate(v.values)}
     vscale = lcm(*(y.denominator for y in v.values))
     scaled = [y.numerator * (vscale // y.denominator) for y in v.values]
+    keys = [(y.numerator, y.denominator) for y in v.values]
 
     index = {name: k for k, name in enumerate(names)}
     avail = [tuple(index[m] for m in sorted(messages_at(structure, s))) for s in grid]
     v_grid = [bisect_right(bps, x) - 1 for x in xs]
     skeptical_levels = [rank[step_eval(v, skeptical[m])] for m in names]
 
-    def cond2_ok(support, mu, lev) -> bool:
-        for s, m in zip(support, mu):
-            lm = lev[m]
-            for o in avail[s]:
-                if lev[o] > lm:
-                    return False
-        return True
-
     target_memo: dict[tuple[int, ...], tuple[int, int, tuple[int, int]]] = {}
 
     def target_for(lev: tuple[int, ...]) -> tuple[int, int, tuple[int, int]]:
-        """The best response to levels lev: num, den with value num / (den * vscale),
-        and that value in lowest terms as (numerator, denominator).
-
-        It depends only on the per-message levels, which live in the finite
-        set of payoff values: memoised.
-        """
+        """The best response to levels lev, memoised: num, den with value
+        num / (den * vscale), and that value in lowest terms as (numerator, denominator)."""
         hit = target_memo.get(lev)
         if hit is None:
             pts = [(x, scaled[max(lev[o] for o in av)]) for x, av in zip(xs, avail)]
@@ -325,31 +318,38 @@ def exhaustive_equilibria(
             hit = target_memo[lev] = (num, den, (num // g, den * vscale // g))
         return hit
 
-    def pretest(support, mu, lev, ends) -> bool:
-        """Condition (2), an uncertified target, and value = target at each end's weights.
-
-        ends holds (weight numerators, common denominator) pairs on the scaled
-        grid; each is a necessary test that full_check would repeat exactly.
-        """
-        if not cond2_ok(support, mu, lev):
-            return False
+    def best_is(lev, vn, vd) -> bool:
+        """The best response to levels lev is the value vn / (vd * vscale), not yet certified."""
         num, den, target = target_for(lev)
-        if dedup_values and target in values:
-            return False  # full_check would drop it: this value is already certified
-        ys = [scaled[lev[m]] for m in mu]
-        return all(sum(map(mul, wn, ys)) * den == num * wd for wn, wd in ends)
+        return not (dedup_values and target in values) and vn * den == num * vd
+
+    def at_one_level(support, mu, l) -> bool:
+        """The int tests of a profile whose sent messages all have level l, so its value is v_l."""
+        if dedup_values and keys[l] in values or any(  # full_check would drop a certified value
+            skeptical_levels[o] > l for s in support for o in avail[s] if o not in mu
+        ):
+            return False
+        lev = list(skeptical_levels)
+        for m in mu:
+            lev[m] = l
+        return best_is(tuple(lev), scaled[l], 1)
+
+    def separating(support, mu, vn, vd) -> bool:
+        """The int tests of a profile that sends each type's own message, with value vn / (vd * vscale)."""
+        lev = list(skeptical_levels)
+        for s, m in zip(support, mu):
+            lev[m] = v_grid[s]
+        cond2 = not any(lev[o] > lev[m] for s, m in zip(support, mu) for o in avail[s])
+        return cond2 and best_is(tuple(lev), vn, vd)
 
     def full_check(support_idx, mu_idx, weights):
         """Exact assembly and verification of one candidate profile (grid and message indices)."""
         support = tuple(grid[i] for i in support_idx)
         mu = tuple(names[m] for m in mu_idx)
-        groups: dict[str, list[int]] = {}
-        for i, m in enumerate(mu):
-            groups.setdefault(m, []).append(i)
         beliefs = dict(skeptical)
-        for m, idx in groups.items():
-            tot = sum(weights[i] for i in idx)
-            beliefs[m] = sum(weights[i] * support[i] for i in idx) / tot
+        for m in set(mu):
+            idx = [i for i, sent in enumerate(mu) if sent == m]
+            beliefs[m] = sum(weights[i] * support[i] for i in idx) / sum(weights[i] for i in idx)
         vcache = [step_eval(v, beliefs[m]) for m in names]
         for s, m in zip(support_idx, mu_idx):
             if any(vcache[o] > vcache[m] for o in avail[s]):
@@ -360,114 +360,101 @@ def exhaustive_equilibria(
             return  # another profile already certified this value
         if key != target_for(tuple(rank[y] for y in vcache))[2]:
             return
-        eq = Equilibrium(
-            signal=Signal(support, weights),
-            messaging=dict(zip(support, mu)),
-            beliefs=beliefs,
-            value=value,
-        )
+        eq = Equilibrium(signal=Signal(support, weights), messaging=dict(zip(support, mu)), beliefs=beliefs, value=value)
         if verify_equilibrium(game, eq).ok:
             values.add(key)
             found.append(eq)
 
-    def with_levels(overrides) -> tuple[int, ...]:
-        lev = list(skeptical_levels)
-        for m, r in overrides:
-            lev[m] = r
-        return tuple(lev)
+    def weights_at(support, t):
+        a, b, c = (grid[i] for i in support)
+        return ((c - p) - t * (c - b)) / (c - a), t, ((p - a) - t * (b - a)) / (c - a)
+
+    def pair_candidates(support, S, k, tn, td, w0, w1, level):
+        """The t (num, den), ascending, where the pair pooled beside the
+        singleton at position k has level `level`: at the cut where its
+        posterior crosses breakpoint `level`, and at the midpoint of the
+        subinterval between cuts that holds that level.
+
+        At each end of [0, t_hi] one type carries no weight (b at 0, a or
+        c at t_hi), so the pooled posterior there is a grid point: the
+        other pooled type, or p when the pair carries all the weight (or
+        none: b = p pooling a with c).  In between it is a ratio of affine
+        functions n(t)/d(t) with d > 0, so it is monotone: the cuts are the
+        breakpoints strictly between its end values, met in order.  At a
+        cut the posterior is the breakpoint; on a subinterval the level is
+        v at its lower end's posterior, since payoff pieces are left-closed.
+        So the subinterval at level L runs from the lower end or cut L to
+        cut L + 1 or the upper end, and only those two cuts are computed.
+        """
+        i, j = (x for x in range(3) if x != k)
+        e0, e1 = (
+            ip if w[k] == 0 or w[i] == w[j] == 0  # all the weight, or none
+            else support[j] if w[i] == 0
+            else support[i]
+            for w in (w0, w1)
+        )
+        rising = xs[e0] <= xs[e1]
+        # the cuts are at breakpoints first .. last - 1; the lower end is on piece first - 1
+        first, last = bisect_right(bps, min(xs[e0], xs[e1])), bisect_left(bps, max(xs[e0], xs[e1]))
+        if not (level == first - 1 or first <= level < last):
+            return []
+        # n(t) = x d(t) at the cut at breakpoint x: t = t_hi (x d0 - n0) /
+        # ((n1 - n0) - x (d1 - d0)), with W0 brought over W1's denominator
+        n0, d0 = (w0[i] * S[i] + w0[j] * S[j]) * td, (w0[i] + w0[j]) * td
+        n1, d1 = w1[i] * S[i] + w1[j] * S[j], w1[i] + w1[j]
+
+        def cut(q):
+            return tn * (bps[q] * d0 - n0), td * ((n1 - n0) - bps[q] * (d1 - d0))
+
+        lower, upper = ((0, 1), (tn, td)) if rising else ((tn, td), (0, 1))  # t at the lower and upper ends
+        (an, ad), (bn, bd) = cut(level) if level >= first else lower, cut(level + 1) if level + 1 < last else upper
+        mid = an * bd + bn * ad, 2 * ad * bd
+        if level < first:
+            return [mid]
+        return [cut(level), mid] if rising else [mid, cut(level)]
 
     # size 1: no information acquisition
     for m in avail[ip]:
-        if pretest((ip,), (m,), with_levels([(m, v_grid[ip])]), [((1,), 1)]):
+        if at_one_level((ip,), (m,), v_grid[ip]):
             full_check((ip,), (m,), (ONE,))
 
     # size 2: weights pinned by Bayes plausibility, (B - P, P - A) / (B - A)
     for a in range(ip):
-        for b in range(ip + 1, len(grid)):
+        for b in range(ip + 1, n):
             A, B = xs[a], xs[b]
-            ends = [((B - P, P - A), B - A)]
+            value = scaled[v_grid[a]] * (B - P) + scaled[v_grid[b]] * (P - A)  # when separating
             for mu in product(avail[a], avail[b]):
-                if mu[0] == mu[1]:
-                    lev = with_levels([(mu[0], v_grid[ip])])
-                else:
-                    lev = with_levels(zip(mu, (v_grid[a], v_grid[b])))
-                if pretest((a, b), mu, lev, ends):
+                if at_one_level((a, b), mu, v_grid[ip]) if mu[0] == mu[1] else separating((a, b), mu, value, B - A):
                     w_lo = Fraction(B - P, B - A)
                     full_check((a, b), mu, (w_lo, 1 - w_lo))
 
-    # size 3: the Bayes-plausible weights form a segment, affine in t
-    for support in combinations(range(len(grid)), 3):
-        S = A, B, C = [xs[i] for i in support]
-        if not (A < P < C):
-            continue
-        span = C - A
-        # t_hi = min((C - P) / (C - B), (P - A) / (B - A)) = tn / td
-        tn, td = (C - P, C - B) if (C - P) * (B - A) <= (P - A) * (C - B) else (P - A, B - A)
-        w0 = (C - P, 0, P - A)  # over span
-        w1 = ((C - P) * td - tn * (C - B), tn * span, (P - A) * td - tn * (B - A))  # over span * td
-        ends = [(w0, span), (w1, span * td)]
-        a, b, c = (grid[i] for i in support)
-
-        def weights_at(t, a=a, b=b, c=c):
-            return ((c - p) - t * (c - b)) / (c - a), t, ((p - a) - t * (b - a)) / (c - a)
-
-        pair_plans: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-
-        def pair_plan(i, j, support=support, S=S, tn=tn, td=td, w0=w0, w1=w1):
-            """(t as num, den; rank of the pooled level) at each cut where the
-            posterior of pooled types i, j crosses a payoff breakpoint, and at
-            the midpoint of each subinterval between cuts, in ascending t.
-
-            At each end of [0, t_hi] one type carries no weight (b at 0, a or
-            c at t_hi), so the pooled posterior there is a grid point: the
-            other pooled type, or p when the pair carries all the weight (or
-            none: b = p pooling a with c).  In between it is a ratio of affine
-            functions n(t)/d(t) with d > 0, so it is monotone: the cuts are the
-            breakpoints strictly between its end values, met in order.  At a
-            cut the posterior is the breakpoint; on a subinterval the level is
-            v at its lower end's posterior, since payoff pieces are left-closed.
-            """
-            e0, e1 = (
-                ip if w[3 - i - j] == 0 or w[i] == w[j] == 0  # all the weight, or none
-                else support[j] if w[i] == 0
-                else support[i]
-                for w in (w0, w1)
-            )
-            rising = xs[e0] <= xs[e1]
-            ks = range(bisect_right(bps, min(xs[e0], xs[e1])), bisect_left(bps, max(xs[e0], xs[e1])))
-            if not rising:
-                ks = ks[::-1]
-            sub_levels = [v_grid[e0], *ks] if rising else [*ks, v_grid[e1]]
-            # n(t) = x d(t) at the cut at breakpoint x: t = t_hi (x d0 - n0) /
-            # ((n1 - n0) - x (d1 - d0)), with W0 brought over W1's denominator
-            n0, d0 = (w0[i] * S[i] + w0[j] * S[j]) * td, (w0[i] + w0[j]) * td
-            n1, d1 = w1[i] * S[i] + w1[j] * S[j], w1[i] + w1[j]
-            cuts = [(tn * (bps[k] * d0 - n0), td * ((n1 - n0) - bps[k] * (d1 - d0))) for k in ks]
-            borders = [(0, 1), *cuts, (tn, td)]
-            plan = []
-            for k, ((t0n, t0d), (t1n, t1d)) in enumerate(zip(borders, borders[1:])):
-                plan.append((t0n * t1d + t1n * t0d, 2 * t0d * t1d, sub_levels[k]))
-                if k < len(ks):
-                    plan.append((t1n, t1d, ks[k]))
-            return plan
-
-        for mu in product(*(avail[i] for i in support)):
-            if mu[0] == mu[1] == mu[2]:
-                # everyone pools: the posterior is the prior at any weight
-                candidates = [(tn, 2 * td, with_levels([(mu[0], v_grid[ip])]))]
-            elif len(set(mu)) == 3:
-                # beliefs are the types themselves: weight-independent
-                candidates = [(tn, 2 * td, with_levels(zip(mu, (v_grid[i] for i in support))))]
-            else:
-                # one pooled pair plus a singleton k: the pooled posterior moves with t
-                i, j = next((i, j) for i, j in ((0, 1), (0, 2), (1, 2)) if mu[i] == mu[j])
-                k = 3 - i - j
-                plan = pair_plans.get((i, j))
-                if plan is None:
-                    plan = pair_plans[i, j] = pair_plan(i, j)
-                single = (mu[k], v_grid[support[k]])
-                candidates = [(t_n, t_d, with_levels([single, (mu[i], r)])) for t_n, t_d, r in plan]
-            for t_n, t_d, lev in candidates:
-                if pretest(support, mu, lev, ends):
-                    full_check(support, mu, weights_at(Fraction(t_n, t_d)))
+    # size 3: the supports a < ip < c, in the order of combinations(range(n), 3)
+    for a in range(ip):
+        for b in range(a + 1, n - 1):
+            for c in range(max(b, ip) + 1, n):
+                support = a, b, c
+                S = A, B, C = xs[a], xs[b], xs[c]
+                span = C - A
+                # t_hi = min((C - P) / (C - B), (P - A) / (B - A)) = tn / td
+                tn, td = (C - P, C - B) if (C - P) * (B - A) <= (P - A) * (C - B) else (P - A, B - A)
+                w0 = (C - P, 0, P - A)  # W(0), over span
+                w1 = ((C - P) * td - tn * (C - B), tn * span, (P - A) * td - tn * (B - A))  # W(t_hi), over span * td
+                ya, yb, yc = scaled[v_grid[a]], scaled[v_grid[b]], scaled[v_grid[c]]
+                flat = yb * span == ya * (C - B) + yc * (B - A)
+                plans: list = [None] * 3  # by the singleton's position, which fixes the level
+                for mu in product(avail[a], avail[b], avail[c]):
+                    m0, m1, m2 = mu
+                    if m0 == m1 == m2 or m0 != m1 != m2 != m0:  # weight-independent: try t_hi / 2
+                        if at_one_level(support, mu, v_grid[ip]) if m0 == m1 else (
+                            flat and separating(support, mu, ya * (C - P) + yc * (P - A), span)
+                        ):
+                            full_check(support, mu, weights_at(support, Fraction(tn, 2 * td)))
+                    else:
+                        k = 0 if m1 == m2 else 1 if m0 == m2 else 2
+                        level = v_grid[support[k]]
+                        if plans[k] != [] and at_one_level(support, mu, level):
+                            if plans[k] is None:
+                                plans[k] = pair_candidates(support, S, k, tn, td, w0, w1, level)
+                            for t_n, t_d in plans[k]:
+                                full_check(support, mu, weights_at(support, Fraction(t_n, t_d)))
     return found

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from disclosuregame.cli import main
+from disclosuregame.cli import ORACLE_CEILINGS, main
 from disclosuregame.gamefile import (
     MAX_MESSAGES,
     MAX_PAYOFF_PIECES,
@@ -219,6 +219,17 @@ class TestOracleCommand:
     def test_oversized_refusal(self, capsys):
         assert main(["oracle", fx("three_action.json"), "--max-grid", "4"]) == 2
         assert "refused" in capsys.readouterr().err
+
+    def test_size_flags_bounded(self, capsys):
+        # each flag runs at its ceiling and exits 2 below 1 or above it
+        for flag, ceiling in ORACLE_CEILINGS.items():
+            option = "--" + flag.replace("_", "-")
+            assert main(["oracle", fx("three_action.json"), option, str(ceiling)]) == 0
+            assert capsys.readouterr().out.endswith("agreement: yes\n")
+            for bad in (0, ceiling + 1):
+                assert main(["oracle", fx("three_action.json"), option, str(bad)]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == "" and f"{option} must lie in 1..{ceiling}" in captured.err
 
 
 class TestWitnessCommand:

@@ -224,6 +224,27 @@ class TestBestDeviation:
             best_deviation(G31, {"m_L": F(0), "m_M": F(1, 4)})
 
 
+def _size3_pooling(game, eq):
+    """How a size-3 equilibrium pools: "all", "none", or (i, j, cut, falling) for a pooled pair i, j.
+
+    cut: a payoff breakpoint lies strictly between the pair's posteriors at
+    the two ends of the Bayes-plausible weight segment; falling: the
+    posterior falls from the first end to the second.
+    """
+    s, p = eq.signal.support, game.prior
+    mu = [eq.messaging[x] for x in s]
+    if len(set(mu)) != 2:
+        return "all" if len(set(mu)) == 1 else "none"
+    i, j = next((i, j) for i, j in ((0, 1), (0, 2), (1, 2)) if mu[i] == mu[j])
+    a, b, c = s
+    ends = []
+    for t in (F(0), min((c - p) / (c - b), (p - a) / (b - a))):
+        w = ((c - p) - t * (c - b)) / (c - a), t, ((p - a) - t * (b - a)) / (c - a)
+        ends.append((w[i] * s[i] + w[j] * s[j]) / (w[i] + w[j]) if w[i] + w[j] else p)
+    lo, hi = sorted(ends)
+    return i, j, any(lo < x < hi for x in game.payoff.breakpoints), ends[0] > ends[1]
+
+
 class TestExhaustiveSearch:
     def test_three_action_unique_value(self):
         assert exhaustive_search(G31, 4, 12) == {F(2, 3)}
@@ -262,6 +283,11 @@ class TestExhaustiveSearch:
             )
             if len(critical_grid(game)) <= 13:
                 games.append(game)
+        # (0, 0), (1/4, 1) and (3/4, 3) are collinear, unevenly spaced: each
+        # type of that support sending its own threshold message is an
+        # equilibrium on a sloped chord
+        sloped = StepFunction((F(0), F(1, 4), F(3, 4)), (F(0), F(1), F(3)))
+        games.append(GameSpec(sloped, F(1, 2), thresholds([F(1, 4), F(3, 4)])))
         # one more seeded recipe: grid denominators from 5, 7, 9 and 10, so
         # the integer scale is not a product of 2s and 3s; up to four payoff
         # pieces, so pooled posteriors cross two breakpoints (seeds 17, 23); a
@@ -288,10 +314,18 @@ class TestExhaustiveSearch:
         assert any(game.prior in game.payoff.breakpoints for game in wider)
         intervals = [iv for game in wider for _, supp in game.structure.messages for iv in supp.intervals]
         assert any(not iv.hi_closed for iv in intervals) and any(iv.lo == iv.hi for iv in intervals)
+        kinds = set()
         for game in games + wider:
             for dedup in (True, False):
                 want = per_profile_exhaustive_equilibria(game, 4, 13, dedup_values=dedup)
                 assert exhaustive_equilibria(game, 4, 13, dedup_values=dedup) == want
+                kinds |= {_size3_pooling(game, eq) for eq in want if len(eq.signal.support) == 3}
+        # the size-3 branches all find equilibria: everyone pooling, no one
+        # pooling, and a pooled pair at each position whose posterior
+        # crosses a payoff breakpoint, one of them falling
+        pairs = [k for k in kinds if isinstance(k, tuple)]
+        assert {"all", "none"} <= kinds and any(k[3] for k in pairs)
+        assert all(any(k[:3] == (i, j, True) for k in pairs) for i, j in ((0, 1), (0, 2), (1, 2)))
 
     def test_agreement_on_random_pnbp_games(self):
         rng = random.Random(53)

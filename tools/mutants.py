@@ -1,6 +1,6 @@
 """Mutation run: is each named mutant of the package caught by the test suite?
 
-    python tools/mutants.py              # every mutant, about 10 minutes on one core
+    python tools/mutants.py              # every mutant, about 13 minutes on one core
     python tools/mutants.py NAME ...     # only the named ones
 
 Not part of tier-1.  Each mutant is one exact source edit (a snippet and its
@@ -199,9 +199,27 @@ MUTANTS = (
     Mutant("oracle.walk_skips_right_neighbour", "    j = k + 1\n    while not on_edge(j):",
            "    j = k + 2\n    while not on_edge(j):"),
     Mutant("oracle.best_deviation_unchecked", "if not supp.hull_contains(beliefs[name]):", "if False:"),
-    Mutant("oracle.condition_two_weak", "if lev[o] > lm:", "if lev[o] >= lm:"),
-    Mutant("oracle.size_two_weights_swapped", "ends = [((B - P, P - A), B - A)]", "ends = [((P - A, B - P), B - A)]"),
-    Mutant("oracle.dedup_always", "if dedup_values and target in values:", "if target in values:"),
+    Mutant("oracle.condition_two_weak", "cond2 = not any(lev[o] > lev[m] for s, m",
+           "cond2 = not any(lev[o] >= lev[m] for s, m"),
+    Mutant("oracle.size_two_weights_swapped", "value = scaled[v_grid[a]] * (B - P) + scaled[v_grid[b]] * (P - A)",
+           "value = scaled[v_grid[a]] * (P - A) + scaled[v_grid[b]] * (B - P)"),
+    Mutant("oracle.dedup_always", "return not (dedup_values and target in values) and",
+           "return not (target in values) and"),
+    Mutant("oracle.level_dedup_always", "if dedup_values and keys[l] in values or any(", "if keys[l] in values or any("),
+    Mutant("oracle.one_level_condition_two_weak", "skeptical_levels[o] > l for s in support",
+           "skeptical_levels[o] >= l for s in support"),
+    Mutant("oracle.pair_position_swapped", "k = 0 if m1 == m2 else 1 if m0 == m2 else 2",
+           "k = 0 if m0 == m2 else 1 if m1 == m2 else 2"),
+    Mutant("oracle.pair_level_of_pooled_type", "level = v_grid[support[k]]", "level = v_grid[support[k - 1]]"),
+    Mutant("oracle.chord_test_swapped", "flat = yb * span == ya * (C - B) + yc * (B - A)",
+           "flat = yb * span == ya * (B - A) + yc * (C - B)"),
+    Mutant("oracle.separating_value_swapped", "ya * (C - P) + yc * (P - A), span)", "ya * (P - A) + yc * (C - P), span)"),
+    Mutant("oracle.pair_lower_piece_dropped", "if not (level == first - 1 or first <= level < last):",
+           "if not (first <= level < last):"),
+    Mutant("oracle.falling_candidates_reordered", "return [cut(level), mid] if rising else [mid, cut(level)]",
+           "return [cut(level), mid]"),
+    Mutant("oracle.pair_plan_reused_as_empty", "if plans[k] != [] and at_one_level(", "if plans[k] is None and at_one_level("),
+    Mutant("oracle.size_three_support_at_prior", "for c in range(max(b, ip) + 1, n):", "for c in range(max(b, ip), n):"),
     # figures
     Mutant("figures.y_drops_hd", "t = (vn * ld - ln * vd) * hd / (vd * span)", "t = (vn * ld - ln * vd) / (vd * span)"),
     Mutant("figures.y_range_without_value",
