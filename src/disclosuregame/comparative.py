@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from .equilibrium import GameSpec, equilibrium_value, pnbp
+from .equilibrium import GameSpec, equilibrium_value
 from .errors import PreconditionError
 from .piecewise import StepFunction
 from .rationals import ONE, ZERO
@@ -113,9 +113,23 @@ class SeparatingInstance:
 def separating_instance(m_hi: VerifStructure, m_lo: VerifStructure) -> SeparatingInstance:
     """Constructive witness that a failed lc-comparison costs the sender.
 
-    Picks the smallest s* > 0 lowest-consistent below but not above, and the
-    indicator payoff at s* with prior s*/2; the low structure then supports
-    PNBP and strictly beats every equilibrium value of the high structure.
+    Takes geq_lc's witness s* > 0, lowest-consistent below but not above (0
+    is lowest-consistent in every structure, since the supports cover it),
+    and the indicator payoff v = 1[s >= s*] with prior p = s*/2.  The low
+    structure then supports PNBP and strictly beats every equilibrium value
+    of the high structure, so neither needs a runtime check:
+
+    * low: s* is the minimum of some support, which holds it (supports are
+      left-closed), or every type is lowest-consistent; so type s* can prove
+      itself, v(s*) = 1 > 0 = v(p), which is PNBP, and v(g(s*)) = 1.  Since
+      g(s) <= s, v(g(s)) = 0 below s*.  So v(g) lies under the concave
+      min(1, s/s*) and touches it at 0 and s*: value_lo = 1/2.
+    * high: the structure has no full verifiability (else its lowest-
+      consistent set would contain the low one), so its lowest-consistent
+      types are finitely many, and g(s) is one of them, at most s.  So
+      v(g(s)) = 1 only for s >= t, the least of them above s*, and v(g) lies
+      under min(1, s/t): every equilibrium value, the PNBP value cav v(g)(p)
+      or else v(p) = 0, is at most s*/(2t) < 1/2 (0 when there is no t).
     """
     verdict = geq_lc(m_hi, m_lo)
     if verdict.holds:
@@ -125,10 +139,6 @@ def separating_instance(m_hi: VerifStructure, m_lo: VerifStructure) -> Separatin
     prior = s_star / 2
     game_lo = GameSpec(payoff, prior, m_lo)
     game_hi = GameSpec(payoff, prior, m_hi)
-    if not pnbp(game_lo).holds:
-        raise AssertionError("separating instance must satisfy PNBP on the low side")
     value_lo = equilibrium_value(game_lo).value
     sup_hi = equilibrium_value(game_hi).value  # sup of the equilibrium set either way
-    if not value_lo > sup_hi:
-        raise AssertionError("separating instance failed to reverse values strictly")
     return SeparatingInstance(s_star, payoff, prior, game_lo, game_hi, value_lo, sup_hi)

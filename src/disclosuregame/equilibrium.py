@@ -109,8 +109,8 @@ class GameSpec:
         return PnbpVerdict(True, min(above)[1]) if above else PnbpVerdict(False)
 
     @cached_property
-    def _oracle_grid(self) -> tuple[Coordinates, tuple[Fraction, ...]]:
-        """The brute-force oracle's own table and critical grid (oracle._table_and_grid); the solver never reads it."""
+    def _oracle_grid(self) -> tuple[Coordinates, tuple[Fraction, ...], tuple[int, ...]]:
+        """The brute-force oracle's own table, critical grid and piece table (oracle._table_and_grid); the solver never reads it."""
         from .oracle import _table_and_grid  # late import: oracle builds on this module's types
         return _table_and_grid(self)
 

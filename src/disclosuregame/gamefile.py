@@ -222,7 +222,7 @@ def game_from_obj(obj: Any, path: str = "") -> GameSpec:
     try:
         return GameSpec(payoff, prior, structure)
     except ValueError as exc:
-        raise GameFileError(f"{prefix}: {exc}") from exc
+        raise GameFileError(f"{path or 'game'}: {exc}") from exc
 
 
 def load_game(path: str) -> GameSpec:

@@ -15,24 +15,23 @@ and not on the grid, so the oracle returns a value below it.  Structures whose
 supports are all right-closed meet the precondition (the payoff is
 non-decreasing, so identity messages keep it too).
 
-Arithmetic stays exact throughout, and both searches rank a payoff value by
-its piece's index (the payoff is non-decreasing with merged pieces, so its
-values strictly increase).  best_deviation compares ranks to pick the grid
-points that can be hull vertices or lie on the hull edge over the prior.
-Its grid grows with the game and no common denominator is bounded, so it
-does not scale the grid.  Its own rationals.Coordinates table holds the
-grid's points other than the midpoints, grid slot i at table position i, so
-grid points are found by rank and each belief's payoff piece by position;
-table and grid are built once per game and kept on it (the solver never
-reads them).  It shares only rationals kernels with the solver: that table,
-upper_hull, strict_records and on_line_through, each deciding on numerators
-and denominators; only the split weights and the value are Fractions.  The
-exhaustive search caps its grid at max_grid points, so the lcm of the
-grid's denominators stays small; it scales the grid, the prior and the
-payoff breakpoints to ints over that lcm and tests each messaging profile
-once on Python ints (condition (2), the best-response hull, the value), at
-the one assignment of levels whose value the weights cannot move.  Only
-the profiles that pass build Fractions.
+Arithmetic stays exact throughout.  The oracle builds its own table once
+per game and keeps it on the game (the solver never reads it): a
+rationals.Coordinates over the grid's points other than the midpoints, grid
+slot i at table position i, and the payoff piece of every slot, read at any
+belief's position.  A payoff value is ranked by its piece's index (the
+payoff is non-decreasing with merged pieces, so its values strictly
+increase).  best_deviation compares ranks to pick the grid points that can
+be hull vertices or lie on the hull edge over the prior, with the
+rationals kernels upper_hull, strict_records and on_line_through; only the
+split weights and the value are Fractions.  The exhaustive search caps its
+grid at max_grid points, scales it to ints over the lcm of its
+denominators, and tests each messaging profile once on Python ints, at the
+one assignment of levels whose value the weights cannot move; the
+profiles that pass build Fractions, and verify_equilibrium alone decides
+which are kept.  Besides the rationals kernels, the oracle reads the game
+only through its fields, the structure's support_endpoints() and
+verifiability.messages_at.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from .equilibrium import (
     Signal,
     verify_equilibrium,
 )
-from .piecewise import Point, step_eval
+from .piecewise import Point
 from .rationals import ONE, ZERO, Coordinates, on_line_through, strict_records, upper_hull
 from .verifiability import messages_at
 
@@ -63,22 +62,30 @@ def critical_grid(game: GameSpec) -> CriticalGrid:
     return game._oracle_grid[1]
 
 
-def _table_and_grid(game: GameSpec) -> tuple[Coordinates, CriticalGrid]:
-    """The oracle's own coordinate table, and the critical grid on it: grid[i] sits at table position i.
+def _table_and_grid(game: GameSpec) -> tuple[Coordinates, CriticalGrid, tuple[int, ...]]:
+    """The oracle's own coordinate table, the critical grid on it, and the payoff piece of every grid slot.
 
     The table holds 0, 1, the prior, the payoff breakpoints and the support
     endpoints, derived from game.payoff and game.structure (never the
-    solver's table); the grid adds the midpoint of each gap between them.
+    solver's table); the grid adds the midpoint of each gap between them, so
+    grid[i] sits at table position i.  Every breakpoint is a table point, so
+    piece k holds the slots from 2 rank(b_k) up to 2 rank(b_k+1): one range
+    fill gives piece[i], the index of v's piece at grid[i], and
+    piece[table.position(q)] is that index at any q in [0,1].
     """
     points = (ZERO, ONE, game.prior, *game.payoff.breakpoints, *game.structure.support_endpoints())
     table = Coordinates({(q.numerator, q.denominator): q for q in points})
-    base, pairs = table.points, table.pairs
+    base, pairs, rank = table.points, table.pairs, table.rank
     grid = []
     for a, (an, ad), (bn, bd) in zip(base, pairs, pairs[1:]):
         grid.append(a)
         grid.append(Fraction(an * bd + bn * ad, 2 * ad * bd))  # (a + b) / 2
     grid.append(base[-1])
-    return table, tuple(grid)
+    starts = [2 * rank[b.numerator, b.denominator] for b in game.payoff.breakpoints] + [len(grid)]
+    piece = [0] * len(grid)
+    for k, (a, b) in enumerate(zip(starts, starts[1:])):
+        piece[a:b] = [k] * (b - a)
+    return table, tuple(grid), tuple(piece)
 
 
 def _hull_segment(pts: Sequence[Point], x: Fraction) -> tuple[Point, Point]:
@@ -100,28 +107,23 @@ def _hull_segment(pts: Sequence[Point], x: Fraction) -> tuple[Point, Point]:
     return hull[i], hull[i + 1]
 
 
-def _interim_values(game: GameSpec, beliefs: Mapping[str, Fraction], table: Coordinates) -> list[int]:
+def _interim_values(game: GameSpec, beliefs: Mapping[str, Fraction]) -> list[int]:
     """w(s) = max over available m of v(beliefs[m]), v(s) for an identity message, at every grid point.
 
     Slot i, the grid's point i and the table's position i, holds w's payoff
-    piece index (game.payoff.values[w[i]] is w there).  A range fill over
-    positions: every support endpoint is a table point, so an interval
-    [lo, hi] covers the slots from 2 rank(lo) to 2 rank(hi), one fewer when
-    it is open at hi.  Every payoff breakpoint is a table point too, so piece
-    k holds the slots from 2 rank(b_k) up to 2 rank(b_k+1): one range fill
-    gives the piece table, read at each belief's position, on the table or
-    on a gap.  Messages are written in ascending order of their level, so
-    each slot keeps the highest level available there.  Under full
-    verifiability each slot is then raised to v(s)'s piece, the identity
-    message's level (the only one under mandatory disclosure).
+    piece index (game.payoff.values[w[i]] is w there).  Each belief's level
+    is the game's piece table read at its position, on the table or on a
+    gap.  Then a range fill over positions: every support endpoint is a
+    table point, so an interval [lo, hi] covers the slots from 2 rank(lo) to
+    2 rank(hi), one fewer when it is open at hi.  Messages are written in
+    ascending order of their level, so each slot keeps the highest level
+    available there.  Under full verifiability each slot is then raised to
+    v(s)'s piece, the identity message's level (the only one under
+    mandatory disclosure).
     """
-    structure, v, rank = game.structure, game.payoff, table.rank
-    n = 2 * len(table.points) - 1
-    starts = [2 * rank[b.numerator, b.denominator] for b in v.breakpoints] + [n]
-    piece = [0] * n
-    for k, (a, b) in enumerate(zip(starts, starts[1:])):
-        piece[a:b] = [k] * (b - a)
-    w = [-1] * n
+    table, grid, piece = game._oracle_grid
+    structure, rank = game.structure, table.rank
+    w = [-1] * len(grid)
     levels = [(piece[table.position(beliefs[name])], supp) for name, supp in structure.messages]
     for lvl, supp in sorted(levels, key=itemgetter(0)):
         for iv in supp.intervals:
@@ -171,8 +173,8 @@ def best_deviation(game: GameSpec, beliefs: Mapping[str, Fraction]) -> tuple[Fra
 
 def _best_deviation(game: GameSpec, beliefs: Mapping[str, Fraction]) -> tuple[Fraction, Signal]:
     """best_deviation without its precondition check; the caller has made it."""
-    table, grid = game._oracle_grid
-    w = _interim_values(game, beliefs, table)
+    table, grid, _ = game._oracle_grid
+    w = _interim_values(game, beliefs)
     vals = game.payoff.values
     from_left, from_right = strict_records(w)
     p = game.prior
@@ -225,20 +227,18 @@ def exhaustive_equilibria(
 ) -> list[Equilibrium]:
     """The verified equilibrium profiles behind exhaustive_search, in the order found.
 
-    full_check assembles a candidate exactly, in Fractions, and keeps it iff
-    it passes condition (2) (no type has an available message with a higher
-    level than the one it sends), its value equals the best response to its
-    beliefs (the discrete hull of w at the prior) and verify_equilibrium
-    accepts it.
-
-    Every candidate first passes the same necessary tests on Python ints, and
-    only survivors build Fractions.  The grid, the prior and the payoff
-    breakpoints are scaled over the lcm of the grid's denominators; a payoff
-    value is ranked by its piece's index, for comparisons, and scaled over
-    the lcm of the values' denominators, for sums.  Condition (2) compares
-    ranks; once it holds, the levels (the rank of v at each message's belief,
-    messages in name order) form a tuple that keys the memoised best
-    response, and the value test is cross-multiplied.
+    Every candidate first passes two of verify's tests on Python ints,
+    condition (2) and the best response at its levels.  Only then does
+    full_check assemble it in Fractions (Bayes beliefs, skeptical off path,
+    and the value read from the piece table) and keep it iff
+    verify_equilibrium accepts it, without testing either again.  The
+    grid, the prior and the payoff breakpoints are scaled over the lcm of
+    the grid's denominators; a payoff value is ranked by its piece's index,
+    for comparisons, and scaled over the lcm of the values' denominators,
+    for sums.  Condition (2) compares ranks; once it holds, the levels (the
+    rank of v at each message's belief, messages in name order) form a
+    tuple that keys the memoised best response, and the value test is
+    cross-multiplied.
 
     Size-3 supports a < b < c around the prior p carry a one-parameter family
     of Bayes-plausible weights W(t), affine in t on [0, t_hi].  At fixed
@@ -266,16 +266,23 @@ def exhaustive_equilibria(
     and where it has none, its later profiles are skipped untested.
 
     With dedup_values=True, a profile whose value is already certified is
-    skipped (cheaper when only the value set matters): before assembly when
-    its value is known (v_l, or the best response it must equal), else in
-    full_check.
+    skipped before assembly, where its value is known (v_l, or the best
+    response it must equal); cheaper when only the value set matters.
+    full_check need not test again: only a pair plan sends one profile to
+    it twice, with equal levels, so verify accepts both or neither.  If
+    both, v_l is the best response and a < p < c sit at level l, so w is at
+    most l on the grid (its hull is flat at v_l over [a, c]).  Two
+    candidates mean a cut, where the pair's posterior q is breakpoint l, a
+    grid point across p from the singleton s_k: the size-2 profile on
+    {q, s_k} (s_k keeps its message; q sends another, or the same) is then
+    an equilibrium of value v_l, certified before any size-3 support.
     """
     structure = game.structure
     if structure.full_verifiability:
         raise OracleSizeError("full verifiability carries infinitely many messages")
     if len(structure.messages) > max_messages:
         raise OracleSizeError(f"structure has more than {max_messages} messages")
-    table, grid = game._oracle_grid
+    table, grid, v_grid = game._oracle_grid
     if len(grid) > max_grid:
         raise OracleSizeError(f"critical grid exceeds {max_grid} points")
     v, p = game.payoff, game.prior
@@ -294,15 +301,13 @@ def exhaustive_equilibria(
     # payoff levels: the payoff is non-decreasing with merged pieces, so its
     # values strictly increase and a piece's index ranks its value; the values
     # themselves, for sums, over the lcm of their denominators, and as keys
-    rank = {y: k for k, y in enumerate(v.values)}
     vscale = lcm(*(y.denominator for y in v.values))
     scaled = [y.numerator * (vscale // y.denominator) for y in v.values]
     keys = [(y.numerator, y.denominator) for y in v.values]
 
     index = {name: k for k, name in enumerate(names)}
     avail = [tuple(index[m] for m in sorted(messages_at(structure, s))) for s in grid]
-    v_grid = [bisect_right(bps, x) - 1 for x in xs]
-    skeptical_levels = [rank[step_eval(v, skeptical[m])] for m in names]
+    skeptical_levels = [v_grid[table.position(skeptical[m])] for m in names]
 
     target_memo: dict[tuple[int, ...], tuple[int, int, tuple[int, int]]] = {}
 
@@ -343,26 +348,17 @@ def exhaustive_equilibria(
         return cond2 and best_is(tuple(lev), vn, vd)
 
     def full_check(support_idx, mu_idx, weights):
-        """Exact assembly and verification of one candidate profile (grid and message indices)."""
+        """Exact assembly of one candidate profile (grid and message indices), kept iff verify_equilibrium accepts it."""
         support = tuple(grid[i] for i in support_idx)
         mu = tuple(names[m] for m in mu_idx)
         beliefs = dict(skeptical)
         for m in set(mu):
             idx = [i for i, sent in enumerate(mu) if sent == m]
             beliefs[m] = sum(weights[i] * support[i] for i in idx) / sum(weights[i] for i in idx)
-        vcache = [step_eval(v, beliefs[m]) for m in names]
-        for s, m in zip(support_idx, mu_idx):
-            if any(vcache[o] > vcache[m] for o in avail[s]):
-                return
-        value = sum(w * vcache[m] for w, m in zip(weights, mu_idx))
-        key = value.numerator, value.denominator
-        if dedup_values and key in values:
-            return  # another profile already certified this value
-        if key != target_for(tuple(rank[y] for y in vcache))[2]:
-            return
+        value = sum(w * v.values[v_grid[table.position(beliefs[m])]] for w, m in zip(weights, mu))
         eq = Equilibrium(signal=Signal(support, weights), messaging=dict(zip(support, mu)), beliefs=beliefs, value=value)
         if verify_equilibrium(game, eq).ok:
-            values.add(key)
+            values.add((value.numerator, value.denominator))
             found.append(eq)
 
     def weights_at(support, t):

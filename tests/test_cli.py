@@ -6,7 +6,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from disclosuregame import cli
 from disclosuregame.cli import ORACLE_CEILINGS, main
+from disclosuregame.equilibrium import _solve_no_pnbp
 from disclosuregame.gamefile import (
     MAX_MESSAGES,
     MAX_PAYOFF_PIECES,
@@ -50,6 +52,17 @@ class TestSolveCommand:
         out = capsys.readouterr().out
         assert "value: 2 (sender_preferred)" in out
         assert "pnbp: no" in out
+
+    def test_unverified_solution_is_an_internal_error(self, monkeypatch, capsys):
+        # a solver fault must not reach the output: under PNBP the babbling
+        # profile fails condition (1)
+        monkeypatch.setattr(cli, "solve", _solve_no_pnbp)
+        assert main(["solve", fx("three_action.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "internal error: solution failed verification: profitable deviation: value 0 below best response 2/3\n"
+        )
 
     def test_json_matches_schema(self, capsys):
         assert main(["solve", fx("three_action.json"), "--json"]) == 0
@@ -386,7 +399,7 @@ class TestFieldPaths:
              "payoff.breakpoints[2]: malformed rational '-': "),
             ({"breakpoints": ["1/5", "2/5"], "values": ["0", "1"]}, "payoff: first breakpoint must be 0"),
             ({"breakpoints": ["0", "6/5"], "values": ["0", "1"]}, "payoff: breakpoints must lie in [0,1]"),
-            ({"breakpoints": ["0", "2/5"], "values": ["1", "0"]}, ": payoff function must be non-decreasing"),
+            ({"breakpoints": ["0", "2/5"], "values": ["1", "0"]}, "game: payoff function must be non-decreasing"),
         ):
             with pytest.raises(GameFileError) as err:
                 load_game(_write(tmp_path, _game_obj(payoff=payoff)))

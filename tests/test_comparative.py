@@ -28,7 +28,14 @@ from disclosuregame.comparative import (
     separating_instance,
 )
 
-from genutil import rand_interior, rand_interval_game, rand_pnbp_game, rand_sep_pair, rand_structure
+from genutil import (
+    rand_interior,
+    rand_interval_game,
+    rand_pnbp_game,
+    rand_rich_structure,
+    rand_sep_pair,
+    rand_structure,
+)
 from reference_paths import grid_geq_sep
 
 M31 = VerifStructure(
@@ -65,6 +72,10 @@ class TestGeqLc:
     def test_disjoint_thresholds_fail_with_witness(self):
         verdict = geq_lc(thresholds([F(3, 4)]), thresholds([F(1, 2)]))
         assert not verdict.holds and verdict.witness == F(1, 2)
+
+    def test_verdict_is_its_truth_value(self):
+        assert geq_lc(thresholds([F(1, 2), F(3, 4)]), thresholds([F(1, 2)]))
+        assert not geq_lc(thresholds([F(3, 4)]), thresholds([F(1, 2)]))
 
     def test_everything_dominates_cheap_talk(self):
         rng = random.Random(31)
@@ -223,6 +234,20 @@ class TestSeparatingInstance:
         inst = separating_instance(thresholds([F(3, 4)]), thresholds([F(1, 2)]))
         assert inst.payoff == StepFunction((F(0), F(1, 2)), (F(0), F(1)))
         assert pnbp(inst.game_lo).holds
+
+    def test_reversal_on_rich_pairs(self):
+        # the docstring's argument, on unions with open, degenerate and
+        # full-verifiability supports: PNBP below, value 1/2 below, less above
+        rng = random.Random(61)
+        checked = 0
+        while checked < 40:
+            hi, lo = rand_rich_structure(rng), rand_rich_structure(rng)
+            if geq_lc(hi, lo).holds:
+                continue
+            inst = separating_instance(hi, lo)
+            assert pnbp(inst.game_lo).holds
+            assert inst.value_lo == F(1, 2) > inst.sup_value_hi
+            checked += 1
 
 
 class TestLcDominanceMonotonicity:

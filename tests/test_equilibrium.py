@@ -82,6 +82,9 @@ class TestPnbp:
         assert pnbp(G_MANDATORY).holds
         assert not pnbp(GameSpec(V1, F(1), mandatory_disclosure())).holds
 
+    def test_verdict_is_its_truth_value(self):
+        assert pnbp(G31) and not pnbp(G_PRIME)
+
 
 class TestSkepticalValue:
     def test_three_action(self):

@@ -26,7 +26,6 @@ from disclosuregame.errors import DomainError
 from disclosuregame.oracle import (
     _hull_segment,
     _interim_values,
-    _table_and_grid,
     best_deviation,
     critical_grid,
     exhaustive_equilibria,
@@ -105,7 +104,7 @@ class TestInterimValues:
                 lo, hi = supp.hull_bounds()
                 beliefs[name] = rng.choice((lo, hi, (lo + hi) / 2, rand_point(rng) * (hi - lo) + lo))
             grid = critical_grid(game)
-            w = [game.payoff.values[k] for k in _interim_values(game, beliefs, _table_and_grid(game)[0])]
+            w = [game.payoff.values[k] for k in _interim_values(game, beliefs)]
             assert w == pointwise_interim_values(game, beliefs, grid)
 
 

@@ -47,6 +47,9 @@ class TestStepEval:
     def test_last_piece_closed_at_one(self):
         assert step_eval(V1, F(1)) == 3
 
+    def test_call_is_step_eval(self):
+        assert V1(F(2, 5)) == step_eval(V1, F(2, 5)) == 1
+
     @pytest.mark.parametrize("x", [F(-1, 10), F(11, 10)])
     def test_domain_error(self, x):
         with pytest.raises(DomainError):
@@ -63,7 +66,7 @@ class TestCav:
 
     def test_three_action_value(self):
         g = cav(V1)
-        assert pl_eval(g, F(1, 3)) == F(5, 4)
+        assert pl_eval(g, F(1, 3)) == g(F(1, 3)) == F(5, 4)
         assert brute_split_value(piece_ends(V1), F(1, 3)) == F(5, 4)
 
     def test_skeptical_three_action(self):

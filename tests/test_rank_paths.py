@@ -25,7 +25,7 @@ from disclosuregame.equilibrium import (
 from disclosuregame.errors import PreconditionError
 from disclosuregame.figures import render_game_svg
 from disclosuregame.gamefile import game_to_obj, load_game
-from disclosuregame.oracle import _hull_segment, _interim_values, _table_and_grid, best_deviation, critical_grid
+from disclosuregame.oracle import _hull_segment, _interim_values, best_deviation, critical_grid
 from disclosuregame.piecewise import hull_candidates, pl_eval, step_eval, upper_hull_points
 from disclosuregame.rationals import on_line_through
 from disclosuregame.verifiability import messages_at
@@ -105,7 +105,7 @@ def rand_beliefs(rng: random.Random, structure: VerifStructure) -> dict:
 
 def interim_values(game: GameSpec, beliefs) -> list[F]:
     """The oracle's w at every grid point, as payoff values."""
-    return [game.payoff.values[k] for k in _interim_values(game, beliefs, _table_and_grid(game)[0])]
+    return [game.payoff.values[k] for k in _interim_values(game, beliefs)]
 
 
 def test_one_coordinate_table_per_structure_and_per_game(monkeypatch, tmp_path):

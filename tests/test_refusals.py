@@ -22,9 +22,14 @@ from disclosuregame import (
     Signal,
     StepFunction,
     SupportInterval,
+    UnknownMessageError,
     VerifStructure,
+    cheap_talk,
     mandatory_disclosure,
+    min_inverse,
+    partition,
     solve,
+    thresholds,
     verify_equilibrium,
 )
 from disclosuregame.cli import main
@@ -53,6 +58,14 @@ LIBRARY = [
      ConstructionError, r"message supports must cover all of \[0,1\]"),
     (lambda: VerifStructure((("m", IntervalUnion.from_pairs([(THIRD, 1)])),)),
      ConstructionError, r"message supports must cover all of \[0,1\]"),
+    (lambda: min_inverse(VerifStructure((("m", WHOLE),)), "id:1/2"), UnknownMessageError, "id:1/2"),
+    # the canonical builders
+    (lambda: cheap_talk(()), ConstructionError, "cheap talk needs at least one message"),
+    (lambda: thresholds([F(0)]), ConstructionError, r"thresholds must lie in \(0,1\]"),
+    (lambda: thresholds([HALF], names=["m"]), ConstructionError, "need one name per threshold plus the base message"),
+    (lambda: partition([(0, HALF)]), ConstructionError, r"partition cells must tile \[0,1\]"),
+    (lambda: partition([(0, 0), (0, 1)]), ConstructionError, "partition cells must be non-degenerate"),
+    (lambda: partition([(0, 1)], names=["a", "b"]), ConstructionError, "need one name per cell"),
     # StepFunction
     (lambda: StepFunction((), ()), ValueError, "breakpoints and values must be non-empty and same length"),
     (lambda: StepFunction((F(0), HALF), (F(0),)), ValueError, "breakpoints and values must be non-empty and same length"),
@@ -120,8 +133,10 @@ LOADED = [
     (_game(payoff={"breakpoints": ["0", "2/5", "1/5"], "values": ["0", "1", "2"]}),
      "payoff: breakpoints must be strictly ascending"),
     (_game(payoff={"breakpoints": ["0", "6/5"], "values": ["0", "1"]}), r"payoff: breakpoints must lie in \[0,1\]"),
-    (_game(prior="3/2"), r": prior 3/2 outside \[0,1\]"),
-    (_game(payoff={"breakpoints": ["0", "2/5"], "values": ["1", "0"]}), ": payoff function must be non-decreasing"),
+    (_game(prior="3/2"), r"^game: prior 3/2 outside \[0,1\]"),
+    (_game(payoff={"breakpoints": ["0", "2/5"], "values": ["1", "0"]}), "^game: payoff function must be non-decreasing"),
+    (_game(payoff=["0"]), "^payoff: expected dict, got list"),
+    (_game(full_verifiability="yes"), r"^structure\.full_verifiability: expected bool"),
 ]
 
 
@@ -165,6 +180,12 @@ def test_verify_refuses_structurally_invalid_equilibria(tamper, message):
     assert eq.signal.support == (F(0), F(2, 5)) and verify_equilibrium(game, eq).ok
     with pytest.raises(ValueError, match=message):
         verify_equilibrium(game, tamper(eq))
+
+
+def test_verify_refuses_a_message_outside_the_structure():
+    game, eq = _solved()
+    with pytest.raises(UnknownMessageError, match="m_9"):
+        verify_equilibrium(game, replace(eq, messaging={**eq.messaging, eq.signal.support[0]: "m_9"}))
 
 
 def test_identity_beliefs_allowed_under_full_verifiability():

@@ -180,10 +180,12 @@ MUTANTS = (
     # oracle: the critical grid, the interim values and the searches
     Mutant("oracle.midpoint_drops_factor_two", "grid.append(Fraction(an * bd + bn * ad, 2 * ad * bd))",
            "grid.append(Fraction(an * bd + bn * ad, ad * bd))"),
-    Mutant("oracle.piece_table_off_by_one", "starts = [2 * rank[b.numerator, b.denominator] for b in v.breakpoints]",
-           "starts = [2 * rank[b.numerator, b.denominator] + 1 for b in v.breakpoints]"),
+    Mutant("oracle.piece_table_off_by_one",
+           "starts = [2 * rank[b.numerator, b.denominator] for b in game.payoff.breakpoints]",
+           "starts = [2 * rank[b.numerator, b.denominator] + 1 for b in game.payoff.breakpoints]"),
     Mutant("oracle.piece_table_slice_longer", "piece[a:b] = [k] * (b - a)", "piece[a:b + 1] = [k] * (b + 1 - a)",
-           "the next piece's fill overwrites the extra slot, and after the last piece it lies past the grid"),
+           "the next piece's fill overwrites the extra slot, and the last piece's adds one slot past the grid, "
+           "which no reader indexes"),
     Mutant("oracle.off_grid_level_low", "levels = [(piece[table.position(beliefs[name])], supp)",
            "levels = [(piece[(pos := table.position(beliefs[name]))] - pos % 2, supp)"),
     Mutant("oracle.fill_open_end_as_closed", "b = 2 * rank[iv.hi.numerator, iv.hi.denominator] + iv.hi_closed",
