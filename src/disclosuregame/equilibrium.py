@@ -412,17 +412,19 @@ def _validate_structure(game: GameSpec, eq: Equilibrium) -> None:
 def verify_equilibrium(game: GameSpec, eq: Equilibrium) -> VerifyReport:
     """Check the three equilibrium conditions; first violation wins.
 
-    1. Optimal information acquisition: the claimed value equals the grid
-       oracle's best-response value against the stated beliefs.
+    1. Optimal information acquisition: against the stated beliefs, the
+       claimed value is the best response on the oracle's grid.  The test
+       is concavification's dual (oracle._supporting_line): a line through
+       (prior, value) weakly above the interim value on the grid touches
+       it.  It builds no hull, so it shares no hull code with the solver.
     2. Sequentially rational communication: each on-path type sends a message
        maximizing v(beliefs) among its available messages.
     3. Consistent beliefs: every belief lies in the convex hull of the
        message's support, and on-path messages satisfy Bayes' rule.
 
-    The oracle behind (1) needs every belief inside its message's convex
-    hull, so a belief outside it is reported as a violation of (3) before
-    (1) and (2) are tested.  Having tested that here, once, verify calls the
-    oracle's search without best_deviation's own precondition check.
+    The line test needs every belief inside its message's convex hull, so a
+    belief outside it is reported as a violation of (3) before (1) and (2)
+    are tested.
     """
     from . import oracle  # late import: oracle builds on this module's types
 
@@ -434,13 +436,9 @@ def verify_equilibrium(game: GameSpec, eq: Equilibrium) -> VerifyReport:
             return VerifyReport(False, 3, f"belief for {name!r} outside conv support", (name, b))
 
     # (1) optimal information acquisition
-    best_value, best_signal = oracle._best_deviation(game, beliefs)
-    if best_value != eq.value:
-        if eq.value < best_value:
-            detail = f"profitable deviation: value {eq.value} below best response {best_value}"
-        else:
-            detail = f"value {eq.value} above best response {best_value}: no signal attains it"
-        return VerifyReport(False, 1, detail, best_signal)
+    report = oracle._supporting_line(game, beliefs, eq.value)
+    if report is not None:
+        return report
 
     # (2) sequentially rational communication; each message's payoff is
     # evaluated once, however many signal points may send it

@@ -1,17 +1,17 @@
-"""Brute-force verification: grid best responses and exhaustive equilibrium search.
+"""Brute-force verification: condition (1) on a grid, and an exhaustive equilibrium search.
 
-The deviation oracle works on the critical grid: every payoff breakpoint and
-support endpoint, 0, 1, the prior, and the midpoint of each gap between them.
-The interim value w(s) = max over available m of v(beliefs[m]) (v(s) for an
-identity message) is constant on each open gap, since availability and v only
-change at grid points.
+The oracle works on the critical grid: every payoff breakpoint and support
+endpoint, 0, 1, the prior, and the midpoint of each gap between them.  The
+interim value w(s) = max over available m of v(beliefs[m]) (v(s) for an
+identity message) is constant on each open gap, since availability and v
+only change at grid points.
 
 Precondition for exactness: w must be upper semicontinuous.  Then an optimal
 signal can be supported on contact points of cav w, all of which lie on the
 grid, and the discrete hull over the grid equals the continuum optimum.  A
 right-open support can break this: w may then jump down at the open end, and
 the supremum over signals that approach that end from the left is not attained
-and not on the grid, so the oracle returns a value below it.  Structures whose
+and not on the grid, so the grid's optimum lies below it.  Structures whose
 supports are all right-closed meet the precondition (the payoff is
 non-decreasing, so identity messages keep it too).
 
@@ -21,17 +21,16 @@ rationals.Coordinates over the grid's points other than the midpoints, grid
 slot i at table position i, and the payoff piece of every slot, read at any
 belief's position.  A payoff value is ranked by its piece's index (the
 payoff is non-decreasing with merged pieces, so its values strictly
-increase).  best_deviation compares ranks to pick the grid points that can
-be hull vertices or lie on the hull edge over the prior, with the
-rationals kernels upper_hull, strict_records and on_line_through; only the
-split weights and the value are Fractions.  The exhaustive search caps its
-grid at max_grid points, scales it to ints over the lcm of its
-denominators, and tests each messaging profile once on Python ints, at the
-one assignment of levels whose value the weights cannot move; the
-profiles that pass build Fractions, and verify_equilibrium alone decides
-which are kept.  Besides the rationals kernels, the oracle reads the game
-only through its fields, the structure's support_endpoints() and
-verifiability.messages_at.
+increase).  Condition (1) is a supporting-line test on ints
+(_supporting_line) and builds no hull.  The exhaustive search caps its grid
+at max_grid points, scales it to ints over the lcm of its denominators, and
+tests each messaging profile once on Python ints, at the one assignment of
+levels whose value the weights cannot move, against a best response from
+its one hull call (_hull_segment); the profiles that pass build Fractions,
+and verify_equilibrium alone decides which are kept.  So the oracle shares
+with the solver only the Coordinates table and the search's
+rationals.upper_hull, and reads the game only through its fields, the
+structure's support_endpoints() and verifiability.messages_at.
 """
 
 from __future__ import annotations
@@ -41,28 +40,22 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
-from .errors import DomainError, OracleSizeError, PreconditionError
+from .errors import DomainError, OracleSizeError
 from .equilibrium import (
     Equilibrium,
     GameSpec,
     Signal,
+    VerifyReport,
     verify_equilibrium,
 )
 from .piecewise import Point
-from .rationals import ONE, ZERO, Coordinates, on_line_through, strict_records, upper_hull
+from .rationals import ONE, ZERO, Coordinates, upper_hull
 from .verifiability import messages_at
 
-CriticalGrid = tuple[Fraction, ...]
 
-
-def critical_grid(game: GameSpec) -> CriticalGrid:
-    """0, 1, the prior, all payoff breakpoints and support endpoints, plus midpoints."""
-    return game._oracle_grid[1]
-
-
-def _table_and_grid(game: GameSpec) -> tuple[Coordinates, CriticalGrid, tuple[int, ...]]:
+def _table_and_grid(game: GameSpec) -> tuple[Coordinates, tuple[Fraction, ...], tuple[int, ...]]:
     """The oracle's own coordinate table, the critical grid on it, and the payoff piece of every grid slot.
 
     The table holds 0, 1, the prior, the payoff breakpoints and the support
@@ -135,72 +128,80 @@ def _interim_values(game: GameSpec, beliefs: Mapping[str, Fraction]) -> list[int
     return w
 
 
-def best_deviation(game: GameSpec, beliefs: Mapping[str, Fraction]) -> tuple[Fraction, Signal]:
-    """Best-response value against fixed beliefs, with an achieving signal.
+def _supporting_line(game: GameSpec, beliefs: Mapping[str, Fraction], value: Fraction) -> Optional[VerifyReport]:
+    """Condition (1) of verify_equilibrium: None iff a line through (p, value) lies weakly above w and touches it.
 
-    The value is the discrete hull of the interim value w over the critical
-    grid, at the prior.  When the prior is not itself optimal, the signal
-    splits it between the nearest grid points on either side whose w lies on
-    the hull edge over the prior.  Any chord through (prior, value) between
-    two grid points lies on that edge (the hull is a concave majorant), so
-    these are the closest such pair, not the edge's end vertices.
+    Else the failing report.  verify has put every belief in its message's hull.
 
-    Precondition, enforced (PreconditionError): a belief for every finite
-    message, inside its support's convex hull.  verify_equilibrium tests the
-    hulls itself (a violation of its condition 3) and then calls the same
-    search without this check.
+    Let C be the grid's best response at the prior p: the largest value of
+    a signal on grid points with mean p, the upper hull of w at p.  A line
+    L(x) = v* + l (x - p) pays the claimed value v* on every such signal, so
+    L >= w on the grid gives C <= v*, and L > w gives C < v* (C is attained).
+    Conversely, the hull edge over p, raised by v* - C >= 0 (> 0), is such
+    an L.  With s(x) = (w(x) - v*) / (x - p), L >= w reads w(p) <= v*,
+    l >= s(x) right of p and l <= s(x) left of it; so with lo the largest s
+    right of p and hi the smallest s left of it (-inf, +inf on an empty side):
+    C > v* (below) iff w(p) > v* or lo > hi; else C = v* (pass) iff
+    w(p) = v* or lo = hi; else C < v* (above).  At p = 0 or 1 one side is
+    empty, lo = hi cannot hold, and w(p) alone decides, as it must: the only
+    signal with mean p is degenerate.
 
-    w comes as payoff piece indices.  A grid point whose level is at most some
-    level on each side lies on or under the chord between them, so only
-    strict records from the left or from the right reach the hull, at most
-    two per payoff piece.  The hull rises strictly up to a rising edge, so
-    only a strict left record can lie on one; likewise a strict right record
-    on a falling edge, and the top level on a flat one.  The walk from the
-    prior tests these ranks before an int collinearity test against the
-    edge; Fractions remain only in the split weights and the value.
+    w is constant on each run of grid slots, so s is monotone over the part
+    of a run on one side of p, and only the run's first and last slots bind
+    (the run through p has the level w(p) <= v* by then: its far ends bind).
+    Each s is an int pair num / den, den > 0, times the factor p_d / v*_d
+    that all share; (-1, 0) and (1, 0) stand for -inf and +inf.
 
-    The value is the exact best response only when w is upper
-    semicontinuous (see the module docstring); at a right-open support end
-    where w drops, the supremum can lie above the returned value, unattained.
+    Below, the witness is a signal worth u > v*, not always the best
+    response: the degenerate one at p, or the pair x_l < p < x_r whose
+    slopes cross, worth v* + (p - x_l)(x_r - p)(s(x_r) - s(x_l)) / (x_r - x_l).
+    Above, it is a slope strictly between lo and hi (lo + 1 or hi - 1 with
+    one side empty): the line through (p, v*) with that slope clears w.
     """
-    for name, supp in game.structure.messages:
-        if name not in beliefs:
-            raise PreconditionError(f"beliefs missing message {name!r}")
-        if not supp.hull_contains(beliefs[name]):
-            raise PreconditionError(f"belief for {name!r} outside conv support")
-    return _best_deviation(game, beliefs)
-
-
-def _best_deviation(game: GameSpec, beliefs: Mapping[str, Fraction]) -> tuple[Fraction, Signal]:
-    """best_deviation without its precondition check; the caller has made it."""
     table, grid, _ = game._oracle_grid
     w = _interim_values(game, beliefs)
-    vals = game.payoff.values
-    from_left, from_right = strict_records(w)
-    p = game.prior
-    (x0, y0), (x1, y1) = _hull_segment([(grid[i], vals[w[i]]) for i in range(len(w)) if from_left[i] or from_right[i]], p)
+    vals, p, n = game.payoff.values, game.prior, len(w)
     k = 2 * table.rank[p.numerator, p.denominator]
-    if x0 == x1:
-        return vals[w[k]], Signal((p,), (ONE,))
-    top = max(w)
-    may = from_left if y0 < y1 else from_right if y0 > y1 else [level == top for level in w]
-    on_line = on_line_through((x0, y0), (x1, y1))
+    vn, vd, pn, pd = value.numerator, value.denominator, p.numerator, p.denominator
+    # (v_l - v*) times v*_d v_ld, and v_ld, for each payoff level l
+    rise = [(y.numerator * vd - vn * y.denominator, y.denominator) for y in vals]
+    at_p = rise[w[k]][0]
+    if at_p > 0:
+        return _below(value, vals[w[k]], Signal((p,), (ONE,)))
+    # the runs of w: [a, b) for consecutive a, b in cuts
+    cuts = [0, *(i for i in range(1, n) if w[i] != w[i - 1]), n]
+    # lo = max s right of p and hi = min s left of it, as (num, den, slot)
+    lo, hi = (-1, 0, None), (1, 0, None)
+    for a, b in zip(cuts, cuts[1:]):
+        for i in (a, b - 1):
+            x = grid[i]
+            dy, yd = rise[w[i]]
+            num, den = dy * x.denominator, (x.numerator * pd - pn * x.denominator) * yd
+            if i > k:
+                if num * lo[1] > lo[0] * den:
+                    lo = num, den, i
+            elif i < k:
+                num, den = -num, -den
+                if num * hi[1] < hi[0] * den:
+                    hi = num, den, i
+    if lo[0] * hi[1] > hi[0] * lo[1]:
+        left, right = grid[hi[2]], grid[lo[2]]
+        w_lo = (right - p) / (right - left)
+        u = w_lo * vals[w[hi[2]]] + (1 - w_lo) * vals[w[lo[2]]]
+        return _below(value, u, Signal((left, right), (w_lo, 1 - w_lo)))
+    if at_p == 0:  # the line touches w at p
+        return None
+    if lo[0] * hi[1] == hi[0] * lo[1]:  # the line touches w on both sides of p
+        return None
+    lo_s, hi_s = (Fraction(num, den) if den else None for num, den, _ in (lo, hi))
+    slope = lo_s + 1 if hi_s is None else hi_s - 1 if lo_s is None else (lo_s + hi_s) / 2
+    return VerifyReport(False, 1, f"value {value} above best response: no signal attains it", slope * pd / vd)
 
-    def on_edge(i: int) -> bool:
-        return may[i] and on_line(grid[i], vals[w[i]])
 
-    if on_edge(k):
-        return vals[w[k]], Signal((p,), (ONE,))
-    value = y0 + (y1 - y0) * (p - x0) / (x1 - x0)
-    i = k - 1
-    while not on_edge(i):
-        i -= 1
-    j = k + 1
-    while not on_edge(j):
-        j += 1
-    left, right = grid[i], grid[j]
-    w_lo = (right - p) / (right - left)
-    return value, Signal((left, right), (w_lo, 1 - w_lo))
+def _below(value: Fraction, u: Fraction, signal: Signal) -> VerifyReport:
+    """The report of a profitable deviation: the signal, worth u > value."""
+    detail = f"profitable deviation: value {value} below {u}, the witness signal's value (not necessarily the best response)"
+    return VerifyReport(False, 1, detail, signal)
 
 
 def exhaustive_search(

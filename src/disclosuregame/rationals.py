@@ -123,7 +123,7 @@ def on_line_through(p0: tuple[Fraction, Fraction], p1: tuple[Fraction, Fraction]
     The test is (y - y0)(x1 - x0) == (y1 - y0)(x - x0).  Each difference is
     an int over the product of two positive denominators; the common factor
     y0d * x0d cancels and the rest is cross-multiplied, so every call is one
-    int comparison with no gcd.
+    int comparison with no gcd.  The solver's split walk is the one caller.
     """
     (x0, y0), (x1, y1) = p0, p1
     x0n, x0d, y0n, y0d = x0.numerator, x0.denominator, y0.numerator, y0.denominator
@@ -177,7 +177,7 @@ def strict_records(levels: Sequence[int]) -> tuple[list[bool], list[bool]]:
     Over a sequence of points, one with a level at most that of some point on
     each side lies on or under the chord between them, so only strict records
     can be strict upper-hull vertices.  Each side has at most one record per
-    distinct level.
+    distinct level.  The solver's envelope is the one caller.
     """
     n = len(levels)
     from_left, from_right = [False] * n, [False] * n

@@ -235,10 +235,13 @@ def rand_coprime_game(rng: random.Random, messages: int) -> GameSpec:
 SMALL = dict(max_pieces=3, max_messages=2, denoms=(2, 3, 4, 6))
 
 
+def critical_grid(game: GameSpec) -> tuple[Fraction, ...]:
+    """The oracle's critical grid: 0, 1, the prior, the payoff breakpoints and support endpoints, and the midpoint of each gap."""
+    return game._oracle_grid[1]
+
+
 def rand_oracle_game(rng: random.Random, want_pnbp: bool, max_grid=12) -> GameSpec:
     """Desk-scale instances within the exhaustive oracle's bounds."""
-    from disclosuregame.oracle import critical_grid
-
     while True:
         game = rand_game(rng, **SMALL)
         if pnbp(game).holds != want_pnbp:

@@ -6,10 +6,11 @@ skeptical type map, is the best support minimum among them; the envelope is
 the Fraction hull of v(g) at every point and at both ends of every gap
 between points, each gap sampled at its midpoint; PNBP and the split scan
 every support minimum and every candidate point; the interim value tests
-every support at every grid point; the best deviation searches every pair of
-grid points for a chord through the optimum; the exhaustive search redoes
-its exact algebra for every messaging profile; and the separation pre-order
-scans every message at every endpoint and gap midpoint of both structures.
+every support at every grid point, and a signal's value and a line's
+clearance read it; the best deviation searches every pair of grid points
+for a chord through the optimum; the exhaustive search redoes its exact
+algebra for every messaging profile; and the separation pre-order scans
+every message at every endpoint and gap midpoint of both structures.
 
 Then come the Fraction twins of the program's integer kernels: Fraction(str)
 for every rational, hull turns as Fraction cross-products, step and envelope
@@ -37,9 +38,10 @@ from disclosuregame.comparative import OrderVerdict
 from disclosuregame.equilibrium import Equilibrium, skeptical_value, value_hull
 from disclosuregame.errors import DomainError, OracleSizeError
 from disclosuregame.figures import PLOT_BOTTOM, PLOT_LEFT, PLOT_RIGHT, PLOT_TOP, _fmt
-from disclosuregame.oracle import critical_grid
 from disclosuregame.piecewise import Point
 from disclosuregame.verifiability import IDENTITY_PREFIX, identity_name
+
+from genutil import critical_grid
 
 ZERO, ONE = Fraction(0), Fraction(1)
 
@@ -183,6 +185,19 @@ def pointwise_interim_values(game: GameSpec, beliefs, grid) -> list[Fraction]:
         return top
 
     return [w(s) for s in grid]
+
+
+def signal_value(game: GameSpec, beliefs, signal: Signal) -> Fraction:
+    """A signal's value against fixed beliefs: the interim value w at each posterior, weighted."""
+    w = pointwise_interim_values(game, beliefs, signal.support)
+    return sum(weight * y for weight, y in zip(signal.weights, w))
+
+
+def line_clears_w(game: GameSpec, beliefs, value: Fraction, slope: Fraction) -> bool:
+    """The line through (prior, value) with this slope lies strictly above w at every grid point."""
+    grid = critical_grid(game)
+    w = pointwise_interim_values(game, beliefs, grid)
+    return all(value + slope * (x - game.prior) > y for x, y in zip(grid, w))
 
 
 def discrete_hull_value(points, x: Fraction) -> Fraction:

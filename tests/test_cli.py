@@ -61,7 +61,8 @@ class TestSolveCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "internal error: solution failed verification: profitable deviation: value 0 below best response 2/3\n"
+            "internal error: solution failed verification: profitable deviation: value 0 below 2/3,"
+            " the witness signal's value (not necessarily the best response)\n"
         )
 
     def test_json_matches_schema(self, capsys):
@@ -183,6 +184,18 @@ class TestCompareCommand:
         out = capsys.readouterr().out
         assert "separating set" in out
 
+    def test_sep_witness_closed_on_the_right(self, tmp_path, capsys):
+        # the separating set (0,1] of type 0: the low structure's m_2 covers
+        # [0,1) and its identity message {0}, while the high one has no
+        # message whose support is (0,1] or contains it without 0
+        hi = _messages(WHOLE, [{"lo": "1/3", "hi": "1"}], [{"lo": "3/5", "hi": "3/5"}])
+        lo = {**_messages(WHOLE, [{"lo": "1/8", "hi": "1/3", "hi_closed": False}, {"lo": "1/2", "hi": "1"}],
+                          [{"lo": "0", "hi": "1", "hi_closed": False}]), "full_verifiability": True}
+        (tmp_path / "hi.json").write_text(json.dumps(hi))
+        (tmp_path / "lo.json").write_text(json.dumps(lo))
+        assert main(["compare", str(tmp_path / "hi.json"), str(tmp_path / "lo.json"), "--relation", "sep"]) == 1
+        assert capsys.readouterr().out == "relation sep: fails at type 0, separating set (0,1]\n"
+
     def test_sep_json_witness(self, capsys):
         main([
             "compare", fx("sep_interval.json"), fx("sep_threshold.json"),
@@ -228,6 +241,15 @@ class TestOracleCommand:
         assert main(["oracle", fx("fig2_cheap_talk.json")]) == 0
         out = capsys.readouterr().out
         assert "analytic value: 2" in out and "agreement: yes" in out
+
+    def test_disagreement_exits_one(self, monkeypatch, capsys):
+        # an oracle that misses the analytic value (a fault in either) is
+        # reported, not hidden: exit 1, in text and JSON alike
+        monkeypatch.setattr(cli, "exhaustive_search", lambda game, max_messages, max_grid: {F(0)})
+        assert main(["oracle", fx("three_action.json")]) == 1
+        assert capsys.readouterr().out == "analytic value: 2/3\noracle values: {0}\nagreement: no\n"
+        assert main(["oracle", fx("three_action.json"), "--json"]) == 1
+        assert json.loads(capsys.readouterr().out) == {"analytic": "2/3", "oracle_values": ["0"], "agree": False}
 
     def test_oversized_refusal(self, capsys):
         assert main(["oracle", fx("three_action.json"), "--max-grid", "4"]) == 2
@@ -404,6 +426,14 @@ class TestFieldPaths:
             with pytest.raises(GameFileError) as err:
                 load_game(_write(tmp_path, _game_obj(payoff=payoff)))
             assert str(err.value) == message or message.endswith(": ") and str(err.value).startswith(message)
+
+    def test_errors_under_a_path_prefix(self):
+        # a game nested in a larger document names its fields under the
+        # caller's path, and the game itself by that path
+        with pytest.raises(GameFileError, match=r"^case\.game\.prior: malformed rational"):
+            game_from_obj(_game_obj(prior="-"), "case.game")
+        with pytest.raises(GameFileError, match=r"^case\.game: payoff function must be non-decreasing"):
+            game_from_obj(_game_obj(payoff={"breakpoints": ["0", "2/5"], "values": ["1", "0"]}), "case.game")
 
     def test_repeated_strings_share_one_parse(self):
         game = game_from_obj(_game_obj(prior="2/5", structure=_messages(WHOLE, [{"lo": "2/5", "hi": "1"}])))

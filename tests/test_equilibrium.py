@@ -306,8 +306,8 @@ class TestVerifyEquilibrium:
         assert report.witness == (F(1, 2), "m_X")
 
     def test_belief_outside_conv_support_fails_condition_three(self):
-        # the oracle behind condition (1) refuses such beliefs, so the
-        # report has to come before it runs
+        # condition (1)'s line test takes beliefs inside their hulls as its
+        # precondition, so the report has to come before it runs
         game = GameSpec(StepFunction((F(0), F(1, 2)), (F(0), F(1))), F(1, 4), thresholds([F(1, 2)]))
         eq = solve(game)
         bad = replace(eq, beliefs={**eq.beliefs, "m_1": F(1, 4)}, value=F(0))
@@ -346,11 +346,13 @@ class TestVerifyTamper:
 
     def test_claim_above_best_response_fails_condition_one(self):
         # type 0 sends the unavailable m_H; the claimed value 1 is what the
-        # beliefs pay, but no signal reaches it against those beliefs
+        # beliefs pay, but no signal reaches it against those beliefs: w is 0 below
+        # 1/2 and 1 from there, so the line through (1/4, 1) with the witness
+        # slope 2, between 0 (from the right) and 4 (from the left), clears it
         eq = replace(solve(TAMPER_GAME), messaging={F(0): "m_H", F(1, 2): "m_H"}, value=F(1))
         report = verify_equilibrium(TAMPER_GAME, eq)
         assert not report.ok and report.condition == 1
-        assert report.witness.support == (F(0), F(1, 2))
+        assert report.witness == F(2)
 
     def test_unavailable_message_fails_condition_two(self):
         # type 1/2 sends m_X, provable only from 3/4 on; the value matches
@@ -372,9 +374,15 @@ class TestVerifyTamper:
     def test_condition_one_detail_names_the_direction_of_the_gap(self):
         eq = solve(TAMPER_GAME)
         above = replace(eq, messaging={F(0): "m_H", F(1, 2): "m_H"}, value=F(1))
-        assert verify_equilibrium(TAMPER_GAME, above).detail == "value 1 above best response 1/2: no signal attains it"
+        assert verify_equilibrium(TAMPER_GAME, above).detail == "value 1 above best response: no signal attains it"
+        # the witness splits the prior between 0 and 1/2, worth 1/2 (here
+        # also the best response)
         below = replace(eq, messaging={F(0): "m_L", F(1, 2): "m_L"}, value=F(0))
-        assert verify_equilibrium(TAMPER_GAME, below).detail == "profitable deviation: value 0 below best response 1/2"
+        report = verify_equilibrium(TAMPER_GAME, below)
+        assert report.detail == (
+            "profitable deviation: value 0 below 1/2, the witness signal's value (not necessarily the best response)"
+        )
+        assert report.witness == Signal((F(0), F(1, 2)), (F(1, 2), F(1, 2)))
 
 
 class TestCheckTheorem1:

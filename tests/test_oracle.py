@@ -9,7 +9,6 @@ from disclosuregame import (
     GameSpec,
     IntervalUnion,
     OracleSizeError,
-    PreconditionError,
     StepFunction,
     VerifStructure,
     check_theorem1,
@@ -26,13 +25,13 @@ from disclosuregame.errors import DomainError
 from disclosuregame.oracle import (
     _hull_segment,
     _interim_values,
-    best_deviation,
-    critical_grid,
+    _supporting_line,
     exhaustive_equilibria,
     exhaustive_search,
 )
 
 from genutil import (
+    critical_grid,
     rand_game,
     rand_interior,
     rand_oracle_game,
@@ -41,7 +40,13 @@ from genutil import (
     rand_rich_structure,
     rand_structure,
 )
-from reference_paths import chord_best_deviation, per_profile_exhaustive_equilibria, pointwise_interim_values
+from reference_paths import (
+    chord_best_deviation,
+    line_clears_w,
+    per_profile_exhaustive_equilibria,
+    pointwise_interim_values,
+    signal_value,
+)
 
 V1 = StepFunction((F(0), F(2, 5), F(4, 5)), (F(0), F(1), F(3)))
 M31 = VerifStructure(
@@ -131,44 +136,64 @@ class TestDiscreteCav:
             _hull_segment([(F(1, 4), F(0)), (F(3, 4), F(1))], F(7, 8))
 
 
-class TestBestDeviation:
-    def test_skeptical_beliefs_reproduce_solution(self):
-        value, signal = best_deviation(G31, {"m_L": F(0), "m_M": F(1, 2)})
-        assert value == F(2, 3)
-        assert signal.support == (F(0), F(1, 2))
-        assert signal.weights == (F(1, 3), F(2, 3))
+def line_verdict(game, beliefs, value) -> int:
+    """Condition (1)'s outcome on a claimed value: 1 below the best response, 0 at it, -1 above it.
 
-    def test_optimistic_belief_dominates_public_split(self):
-        # with m_M read as 4/5, deviating beats the Bayes payoff of the
-        # public-persuasion split {0, 4/5}, which is 5/12 * 3 = 5/4
-        value, signal = best_deviation(G31, {"m_L": F(0), "m_M": F(4, 5)})
-        assert value == F(2)
-        assert value > F(5, 4)
-        assert signal.support == (F(0), F(1, 2))
+    Each failure's witness is checked too: below, a signal with mean at the
+    prior worth more than the claim against these beliefs; above, a slope
+    whose line through (prior, claim) lies strictly above w on the grid.
+    """
+    report = _supporting_line(game, beliefs, value)
+    if report is None:
+        return 0
+    assert not report.ok and report.condition == 1
+    if report.detail.startswith("profitable deviation"):
+        u = signal_value(game, beliefs, report.witness)
+        assert report.witness.mean == game.prior and u > value
+        assert report.detail == (
+            f"profitable deviation: value {value} below {u}, the witness signal's value (not necessarily the best response)"
+        )
+        return 1
+    assert report.detail == f"value {value} above best response: no signal attains it"
+    assert line_clears_w(game, beliefs, value, report.witness)
+    return -1
 
-    def test_constant_beliefs_no_information(self):
-        value, signal = best_deviation(G31, {"m_L": F(1, 2), "m_M": F(1, 2)})
-        assert value == F(1)
-        assert signal.support == (F(1, 3),)
 
-    def test_split_uses_nearest_collinear_points(self):
+def assert_line_matches_chord(game, beliefs) -> F:
+    """The line test's outcome at the best response and beside it, against the pairwise chord search; the best response."""
+    best = chord_best_deviation(game, beliefs)[0]
+    for eps in (F(0), F(1, 97), F(1, 10**40)):
+        assert line_verdict(game, beliefs, best - eps) == (1 if eps else 0)
+        assert line_verdict(game, beliefs, best + eps) == (-1 if eps else 0)
+    return best
+
+
+class TestSupportingLine:
+    """Condition (1) as a supporting-line test, against the Fraction hull of w at the prior (chord_best_deviation)."""
+
+    def test_three_action_beliefs(self):
+        # skeptical beliefs reproduce the solution's 2/3; with m_M read as
+        # 4/5, deviating beats the Bayes payoff 5/4 of the public-persuasion
+        # split {0, 4/5}; constant beliefs leave no gain from information
+        for beliefs, best in (
+            ({"m_L": F(0), "m_M": F(1, 2)}, F(2, 3)),
+            ({"m_L": F(0), "m_M": F(4, 5)}, F(2)),
+            ({"m_L": F(1, 2), "m_M": F(1, 2)}, F(1)),
+        ):
+            assert assert_line_matches_chord(G31, beliefs) == best
+
+    def test_collinear_grid_points(self):
         # the hull edge over the prior runs from (0, 0) to (3/4, 3) through
-        # the grid points (1/4, 1) and (1/2, 2): the split takes the nearest
-        # touching points, not the edge's end vertices
+        # the grid points (1/4, 1) and (1/2, 2): lo = hi at every one of them
         payoff = StepFunction((F(0), F(1, 4), F(1, 2), F(3, 4)), (F(0), F(1), F(2), F(3)))
         structure = thresholds([F(1, 4), F(1, 2), F(3, 4)])
         game = GameSpec(payoff, F(3, 8), structure)
         skeptical = {name: supp.minimum for name, supp in structure.messages}
-        value, signal = best_deviation(game, skeptical)
-        assert value == F(3, 2)
-        assert signal.support == (F(1, 4), F(1, 2))
-        assert signal.weights == (F(1, 2), F(1, 2))
-        assert (value, signal) == chord_best_deviation(game, skeptical)
+        assert assert_line_matches_chord(game, skeptical) == F(3, 2)
 
-    def test_split_on_falling_edge_takes_nearest_points(self):
-        # a right-open m_X drops w at 3/4, so the midpoint 5/8 of the gap
-        # before it lies on a falling hull edge, next to the prior on either
-        # side (w is not upper semicontinuous there; see the module docstring)
+    def test_falling_edges(self):
+        # a right-open m_X drops w at 3/4, so the hull edge over the prior
+        # falls (w is not upper semicontinuous there; see the module docstring)
         m_l = IntervalUnion.from_pairs([(0, 1)])
         m_x = IntervalUnion.from_pairs([(F(1, 2), F(3, 4), False)])
         # w: 2 on [0, 1/4], 0 on (1/4, 1/2), 1 on [1/2, 3/4), 0 from 3/4 on;
@@ -183,7 +208,6 @@ class TestBestDeviation:
                 ("m_X", IntervalUnion.from_pairs([(F(1, 8), F(1, 8)), (F(1, 2), F(3, 4), False)])),
             )),
         )
-        right_beliefs = {"m_L": F(0), "m_H": F(1, 4), "m_X": F(1, 8)}
         # w: 0 below 1/2, 2 on [1/2, 3/4), 0 from 3/4 on; the edge runs from
         # (5/8, 2) to (1, 0), the prior is 3/4
         left = GameSpec(
@@ -191,15 +215,15 @@ class TestBestDeviation:
             F(3, 4),
             VerifStructure((("m_L", m_l), ("m_X", m_x))),
         )
-        left_beliefs = {"m_L": F(0), "m_X": F(3, 4)}
-        for game, beliefs, support, weights in (
-            (right, right_beliefs, (F(1, 4), F(5, 8)), (F(1, 3), F(2, 3))),
-            (left, left_beliefs, (F(5, 8), F(1)), (F(2, 3), F(1, 3))),
-        ):
-            value, signal = best_deviation(game, beliefs)
-            assert value == F(4, 3)
-            assert signal.support == support and signal.weights == weights
-            assert (value, signal) == chord_best_deviation(game, beliefs)
+        assert assert_line_matches_chord(right, {"m_L": F(0), "m_H": F(1, 4), "m_X": F(1, 8)}) == F(4, 3)
+        assert assert_line_matches_chord(left, {"m_L": F(0), "m_X": F(3, 4)}) == F(4, 3)
+
+    def test_priors_at_zero_and_one(self):
+        # one side of the prior is empty, and w(prior) alone decides
+        for p in (F(0), F(1)):
+            game = GameSpec(V1, p, M31)
+            for beliefs in ({"m_L": F(0), "m_M": F(1, 2)}, {"m_L": F(1, 2), "m_M": F(1)}):
+                assert assert_line_matches_chord(game, beliefs) == pointwise_interim_values(game, beliefs, [p])[0]
 
     def test_matches_pairwise_chord_search(self):
         # half the payoffs are proportional to their breakpoints, which puts
@@ -216,11 +240,7 @@ class TestBestDeviation:
             for name, supp in structure.messages:
                 lo, hi = supp.hull_bounds()
                 beliefs[name] = rng.choice((lo, lo, lo, hi, (lo + hi) / 2))
-            assert best_deviation(game, beliefs) == chord_best_deviation(game, beliefs)
-
-    def test_inconsistent_beliefs_rejected(self):
-        with pytest.raises(PreconditionError):
-            best_deviation(G31, {"m_L": F(0), "m_M": F(1, 4)})
+            assert_line_matches_chord(game, beliefs)
 
 
 def _size3_pooling(game, eq):
@@ -342,14 +362,13 @@ class TestExhaustiveSearch:
             for eq in exhaustive_equilibria(game, 4, 12):
                 assert check_theorem1(game, eq)
 
-    def test_skeptical_best_deviation_is_adjusted_envelope(self):
+    def test_skeptical_best_response_is_adjusted_envelope(self):
         # holds with or without PNBP
         rng = random.Random(61)
         for _ in range(40):
             game = rand_game(rng)
             skeptical = {name: supp.minimum for name, supp in game.structure.messages}
-            value, _ = best_deviation(game, skeptical)
-            assert value == pl_eval(value_hull(game), game.prior)
+            assert assert_line_matches_chord(game, skeptical) == pl_eval(value_hull(game), game.prior)
 
     def test_agreement_on_rich_structures(self):
         rng = random.Random(67)

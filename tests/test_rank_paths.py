@@ -25,12 +25,13 @@ from disclosuregame.equilibrium import (
 from disclosuregame.errors import PreconditionError
 from disclosuregame.figures import render_game_svg
 from disclosuregame.gamefile import game_to_obj, load_game
-from disclosuregame.oracle import _hull_segment, _interim_values, best_deviation, critical_grid
+from disclosuregame.oracle import _hull_segment, _interim_values
 from disclosuregame.piecewise import hull_candidates, pl_eval, step_eval, upper_hull_points
 from disclosuregame.rationals import on_line_through
 from disclosuregame.verifiability import messages_at
 
 from genutil import (
+    critical_grid,
     rand_coprime_game,
     rand_interval_game,
     rand_payoff,
@@ -161,16 +162,21 @@ def test_level_table_matches_fraction_paths():
     assert split > 100
 
 
-def test_best_deviation_matches_chord_search():
+def test_supporting_line_matches_chord_search():
     # skeptical beliefs, which the solver's own verification uses, and
-    # random ones, which also put falling and flat hull edges over the prior
+    # random ones, which also put falling and flat hull edges over the prior;
+    # the claim at the best response and beside it
     rng = random.Random(31)
     edges = set()
     for game in GAMES:
         skeptical = {name: supp.minimum for name, supp in game.structure.messages}
         for beliefs in (skeptical, rand_beliefs(rng, game.structure)):
-            value, signal = best_deviation(game, beliefs)
-            assert (value, signal) == chord_best_deviation(game, beliefs)
+            best, signal = chord_best_deviation(game, beliefs)
+            assert oracle._supporting_line(game, beliefs, best) is None
+            below = oracle._supporting_line(game, beliefs, best - F(1, 10**40))
+            above = oracle._supporting_line(game, beliefs, best + F(1, 10**40))
+            assert below.detail.startswith("profitable deviation") and below.witness.mean == game.prior
+            assert above.detail.endswith("above best response: no signal attains it")
             if len(signal.support) == 2:
                 lo, hi = pointwise_interim_values(game, beliefs, signal.support)
                 edges.add((lo > hi) - (lo < hi))
@@ -199,30 +205,26 @@ def test_integer_kernels_match_fraction_paths():
 
 
 def test_hull_inputs_are_strict_records(monkeypatch):
-    # M = 400 messages, P = 5 payoff pieces: the envelope and the oracle's
-    # hull each see at most two points per piece, and the solver asks no
-    # pointwise best-credible-type query
+    # M = 400 messages, P = 5 payoff pieces: the envelope's hull sees at most
+    # two points per piece, and the solver asks no pointwise
+    # best-credible-type query
     rng = random.Random(9)
     while True:
         base = rand_interval_game(rng, 400)
         game = GameSpec(rand_payoff_pieces(rng, 5, 997), base.prior, base.structure)
         if pnbp(game).holds:
             break
-    sizes = {}
+    sizes = []
+    hull = equilibrium.upper_hull
 
-    def counted(name, fn):
-        def wrapper(pts, *args):
-            pts = list(pts)
-            sizes[name] = max(sizes.get(name, 0), len(pts))
-            return fn(pts, *args)
-        return wrapper
+    def counted(pts):
+        sizes.append(len(pts))
+        return hull(pts)
 
-    monkeypatch.setattr(equilibrium, "upper_hull", counted("hull", equilibrium.upper_hull))
-    monkeypatch.setattr(oracle, "_hull_segment", counted("segment", oracle._hull_segment))
+    monkeypatch.setattr(equilibrium, "upper_hull", counted)
     eq = solve(game)
-    best_deviation(game, eq.beliefs)
     assert eq.s_minus < game.prior < eq.s_plus
-    assert 0 < sizes["hull"] <= 10 and 0 < sizes["segment"] <= 10, sizes
+    assert len(sizes) == 1 and 0 < sizes[0] <= 10, sizes
 
 
 def test_split_walk_raises_instead_of_wrapping():
@@ -357,8 +359,8 @@ def test_figure_draws_posteriors_off_the_table():
 
 
 def test_beliefs_tested_against_support_hulls_once(monkeypatch):
-    # verify tests each belief against its support's hull, then runs the
-    # oracle's search without best_deviation's repeat of that test
+    # verify tests each belief against its support's hull once, and its
+    # line test does not repeat that test
     calls = []
     hull_contains = verifiability.IntervalUnion.hull_contains
 
@@ -372,14 +374,11 @@ def test_beliefs_tested_against_support_hulls_once(monkeypatch):
         calls.clear()
         assert verify_equilibrium(game, eq).ok
         assert len(calls) == len(game.structure.messages)
-        calls.clear()
-        best_deviation(game, eq.beliefs)
-        assert len(calls) == len(game.structure.messages)
 
 
 def test_belief_outside_support_hull_on_either_side():
-    # verify reports condition 3 and best_deviation raises, below the
-    # minimum and above the supremum of a right-open support alike
+    # verify reports condition 3, below the minimum and above the supremum
+    # of a right-open support alike
     structure = VerifStructure((
         ("m_0", IntervalUnion.from_pairs([(0, 1)])),
         ("m_1", IntervalUnion.from_pairs([(F(1, 3), 1)])),
@@ -392,13 +391,8 @@ def test_belief_outside_support_hull_on_either_side():
         bad = replace(eq, beliefs={**eq.beliefs, "m_x": b})
         report = verify_equilibrium(game, bad)
         assert not report.ok and report.condition == 3 and report.witness == ("m_x", b)
-        with pytest.raises(PreconditionError, match="outside conv support"):
-            best_deviation(game, bad.beliefs)
     for b in (F(1, 3), F(5, 6)):  # the hull's closure holds both ends
         assert verify_equilibrium(game, replace(eq, beliefs={**eq.beliefs, "m_x": b})).ok
-        best_deviation(game, {**eq.beliefs, "m_x": b})
-    with pytest.raises(PreconditionError, match="missing"):
-        best_deviation(game, {"m_0": F(0), "m_1": F(1, 3)})
 
 
 def test_table_orders_float_tied_points_exactly():

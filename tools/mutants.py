@@ -147,9 +147,6 @@ MUTANTS = (
     Mutant("equilibrium.no_pnbp_belief_skeptical", "    beliefs[m0] = p\n", ""),
     Mutant("equilibrium.value_identity_unchecked", "if total != eq.value:", "if False:"),
     Mutant("equilibrium.hull_check_dropped", "if not supp.hull_contains(b):", "if False:"),
-    Mutant("equilibrium.verify_calls_checked_search", "oracle._best_deviation(game, beliefs)",
-           "oracle.best_deviation(game, beliefs)"),
-    Mutant("equilibrium.condition_one_accepts_above", "if best_value != eq.value:", "if best_value > eq.value:"),
     Mutant("equilibrium.condition_two_and_identity_deleted",
            """    # (2) sequentially rational communication; each message's payoff is
     # evaluated once, however many signal points may send it
@@ -193,14 +190,18 @@ MUTANTS = (
     Mutant("oracle.fill_in_message_order", "for lvl, supp in sorted(levels, key=itemgetter(0)):",
            "for lvl, supp in levels:"),
     Mutant("oracle.identity_level_ignored", "w = list(map(max, w, piece))", "pass"),
-    Mutant("oracle.flat_edge_on_left_records",
-           "may = from_left if y0 < y1 else from_right if y0 > y1 else [level == top for level in w]",
-           "may = from_left if y0 <= y1 else from_right"),
-    Mutant("oracle.walk_skips_left_neighbour", "    i = k - 1\n    while not on_edge(i):",
-           "    i = k - 2\n    while not on_edge(i):"),
-    Mutant("oracle.walk_skips_right_neighbour", "    j = k + 1\n    while not on_edge(j):",
-           "    j = k + 2\n    while not on_edge(j):"),
-    Mutant("oracle.best_deviation_unchecked", "if not supp.hull_contains(beliefs[name]):", "if False:"),
+    # oracle: condition (1)'s supporting-line test
+    Mutant("oracle.line_ignores_w_at_prior", "at_p = rise[w[k]][0]", "at_p = -1"),
+    Mutant("oracle.line_drops_first_of_run", "for i in (a, b - 1):", "for i in (b - 1,):"),
+    Mutant("oracle.line_drops_last_of_run", "for i in (a, b - 1):", "for i in (a,):"),
+    Mutant("oracle.line_sides_swapped",
+           "if i > k:\n                if num * lo[1] > lo[0] * den:\n                    lo = num, den, i\n            elif i < k:",
+           "if i < k:\n                if num * lo[1] > lo[0] * den:\n                    lo = num, den, i\n            elif i > k:"),
+    Mutant("oracle.line_feasibility_strict", "if lo[0] * hi[1] > hi[0] * lo[1]:", "if lo[0] * hi[1] >= hi[0] * lo[1]:"),
+    Mutant("oracle.line_tie_dropped", "if lo[0] * hi[1] == hi[0] * lo[1]:", "if False:"),
+    Mutant("oracle.line_accepts_above", "if lo[0] * hi[1] == hi[0] * lo[1]:", "if True:"),
+    # oracle: the exhaustive search
+    Mutant("oracle.search_gate_bypassed", "if verify_equilibrium(game, eq).ok:", "if True:"),
     Mutant("oracle.condition_two_weak", "cond2 = not any(lev[o] > lev[m] for s, m",
            "cond2 = not any(lev[o] >= lev[m] for s, m"),
     Mutant("oracle.size_two_weights_swapped", "value = scaled[v_grid[a]] * (B - P) + scaled[v_grid[b]] * (P - A)",
