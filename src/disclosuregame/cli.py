@@ -31,7 +31,7 @@ from .gamefile import (
 from .oracle import exhaustive_search
 from .rationals import format_rational
 
-# oracle --max-messages, --max-grid ceilings; worst case at both: about 25 s (README)
+# oracle --max-messages, --max-grid ceilings; the slowest games measured at both: under 1 s (README)
 ORACLE_CEILINGS = {"max_messages": 8, "max_grid": 81}
 
 

@@ -202,27 +202,26 @@ def game_to_obj(game: GameSpec) -> dict:
     }
 
 
-def game_from_obj(obj: Any, path: str = "") -> GameSpec:
-    _expect(obj, dict, path or "game")
-    prefix = f"{path}." if path else ""
+def game_from_obj(obj: Any) -> GameSpec:
+    _expect(obj, dict, "game")
     read = _reader()
-    prior = _rat(obj.get("prior"), f"{prefix}prior", read)
-    payoff_obj = _expect(obj.get("payoff"), dict, f"{prefix}payoff")
-    raw_b = _expect(payoff_obj.get("breakpoints"), list, f"{prefix}payoff.breakpoints")
-    raw_v = _expect(payoff_obj.get("values"), list, f"{prefix}payoff.values")
+    prior = _rat(obj.get("prior"), "prior", read)
+    payoff_obj = _expect(obj.get("payoff"), dict, "payoff")
+    raw_b = _expect(payoff_obj.get("breakpoints"), list, "payoff.breakpoints")
+    raw_v = _expect(payoff_obj.get("values"), list, "payoff.values")
     if max(len(raw_b), len(raw_v)) > MAX_PAYOFF_PIECES:
-        raise GameFileError(f"{prefix}payoff: more than {MAX_PAYOFF_PIECES} pieces")
-    bps = _rats(raw_b, read, f"{prefix}payoff.breakpoints")
-    vals = _rats(raw_v, read, f"{prefix}payoff.values")
+        raise GameFileError(f"payoff: more than {MAX_PAYOFF_PIECES} pieces")
+    bps = _rats(raw_b, read, "payoff.breakpoints")
+    vals = _rats(raw_v, read, "payoff.values")
     try:
         payoff = StepFunction(bps, vals)
     except ValueError as exc:
-        raise GameFileError(f"{prefix}payoff: {exc}") from exc
-    structure = _structure(obj.get("structure"), f"{prefix}structure", read)
+        raise GameFileError(f"payoff: {exc}") from exc
+    structure = _structure(obj.get("structure"), "structure", read)
     try:
         return GameSpec(payoff, prior, structure)
     except ValueError as exc:
-        raise GameFileError(f"{path or 'game'}: {exc}") from exc
+        raise GameFileError(f"game: {exc}") from exc
 
 
 def load_game(path: str) -> GameSpec:

@@ -427,13 +427,15 @@ class TestFieldPaths:
                 load_game(_write(tmp_path, _game_obj(payoff=payoff)))
             assert str(err.value) == message or message.endswith(": ") and str(err.value).startswith(message)
 
-    def test_errors_under_a_path_prefix(self):
-        # a game nested in a larger document names its fields under the
-        # caller's path, and the game itself by that path
-        with pytest.raises(GameFileError, match=r"^case\.game\.prior: malformed rational"):
-            game_from_obj(_game_obj(prior="-"), "case.game")
-        with pytest.raises(GameFileError, match=r"^case\.game: payoff function must be non-decreasing"):
-            game_from_obj(_game_obj(payoff={"breakpoints": ["0", "2/5"], "values": ["1", "0"]}), "case.game")
+    def test_game_object_errors_name_default_paths(self):
+        # a game object read on its own names its fields from its root, and
+        # the game itself "game"
+        with pytest.raises(GameFileError, match=r"^prior: malformed rational"):
+            game_from_obj(_game_obj(prior="-"))
+        with pytest.raises(GameFileError, match=r"^game: payoff function must be non-decreasing$"):
+            game_from_obj(_game_obj(payoff={"breakpoints": ["0", "2/5"], "values": ["1", "0"]}))
+        with pytest.raises(GameFileError, match=r"^game: expected dict, got list$"):
+            game_from_obj([])
 
     def test_repeated_strings_share_one_parse(self):
         game = game_from_obj(_game_obj(prior="2/5", structure=_messages(WHOLE, [{"lo": "2/5", "hi": "1"}])))

@@ -18,8 +18,10 @@ from disclosuregame import (
     mandatory_disclosure,
     pl_eval,
     solve,
+    step_eval,
     thresholds,
 )
+from disclosuregame import oracle
 from disclosuregame.equilibrium import value_hull
 from disclosuregame.errors import DomainError
 from disclosuregame.oracle import (
@@ -345,6 +347,57 @@ class TestExhaustiveSearch:
         pairs = [k for k in kinds if isinstance(k, tuple)]
         assert {"all", "none"} <= kinds and any(k[3] for k in pairs)
         assert all(any(k[:3] == (i, j, True) for k in pairs) for i, j in ((0, 1), (0, 2), (1, 2)))
+
+    def test_many_messages_match_per_profile_reference(self, monkeypatch):
+        # 5-8 messages, so the mask tables run past 16 entries, on 7-point
+        # grids over thirds: each game has a message supported from the top
+        # breakpoint on, whose skeptical level is above every other's, and
+        # short unions, some repeated under a second name.  The same
+        # verified profiles in the same order, in both dedup modes; and the
+        # int tests are exact, so verify rejects none of the candidates
+        verify, rejected = oracle.verify_equilibrium, []
+
+        def counted(game, eq):
+            report = verify(game, eq)
+            if not report.ok:
+                rejected.append(report)
+            return report
+
+        monkeypatch.setattr(oracle, "verify_equilibrium", counted)
+        rng = random.Random(41)
+        thirds = [F(k, 3) for k in range(4)]
+        repeated = 0
+        for messages in (5, 6, 7, 8):
+            cuts = sorted(rng.sample(thirds[1:3], rng.randint(1, 2)))
+            values = [F(rng.randint(0, 1))]
+            for _ in cuts:
+                values.append(values[-1] + rng.choice((F(1, 2), F(1), F(2))))
+            payoff = StepFunction((F(0), *cuts), tuple(values))
+            msgs = [("m_0", IntervalUnion.from_pairs([(0, 1)])), ("m_top", IntervalUnion.from_pairs([(cuts[-1], 1)]))]
+            while len(msgs) < messages:
+                if rng.random() < 0.25:
+                    supp = rng.choice(msgs[2:] or msgs)[1]
+                else:
+                    pairs = []
+                    for _ in range(rng.randint(1, 2)):
+                        i = rng.randrange(3)
+                        lo, hi = (thirds[i], thirds[i + 1]) if rng.random() < 0.7 else (thirds[i], thirds[i])
+                        pairs.append((lo, hi, lo == hi or rng.random() < 0.7))
+                    supp = IntervalUnion.from_pairs(pairs)
+                    if supp.minimum >= cuts[-1]:
+                        continue
+                msgs.append((f"m_{len(msgs)}", supp))
+            rng.shuffle(msgs)
+            game = GameSpec(payoff, rng.choice(thirds[1:3]), VerifStructure(tuple(msgs)))
+            assert len(critical_grid(game)) <= 9
+            supports = [supp for _, supp in msgs]
+            repeated += len(supports) - len(set(supports))
+            top = step_eval(payoff, cuts[-1])
+            assert all(step_eval(payoff, supp.minimum) < top for name, supp in msgs if name != "m_top")
+            for dedup in (True, False):
+                want = per_profile_exhaustive_equilibria(game, 8, 9, dedup_values=dedup)
+                assert exhaustive_equilibria(game, 8, 9, dedup_values=dedup) == want
+        assert repeated and not rejected
 
     def test_agreement_on_random_pnbp_games(self):
         rng = random.Random(53)

@@ -202,26 +202,42 @@ MUTANTS = (
     Mutant("oracle.line_accepts_above", "if lo[0] * hi[1] == hi[0] * lo[1]:", "if True:"),
     # oracle: the exhaustive search
     Mutant("oracle.search_gate_bypassed", "if verify_equilibrium(game, eq).ok:", "if True:"),
-    Mutant("oracle.condition_two_weak", "cond2 = not any(lev[o] > lev[m] for s, m",
-           "cond2 = not any(lev[o] >= lev[m] for s, m"),
+    Mutant("oracle.condition_two_weak", "if v_grid[r] < v_grid[s]:", "if v_grid[r] <= v_grid[s]:"),
+    Mutant("oracle.sendable_ignores_lower_types", "below |= avail[r]", "pass",
+           "condition (2) is implied by the best-response test: a sent message that a lower type can send raises "
+           "w there, so a signal on the support beats the profile's value; the mask only spares hull work"),
     Mutant("oracle.size_two_weights_swapped", "value = scaled[v_grid[a]] * (B - P) + scaled[v_grid[b]] * (P - A)",
            "value = scaled[v_grid[a]] * (P - A) + scaled[v_grid[b]] * (B - P)"),
     Mutant("oracle.dedup_always", "return not (dedup_values and target in values) and",
            "return not (target in values) and"),
-    Mutant("oracle.level_dedup_always", "if dedup_values and keys[l] in values or any(", "if keys[l] in values or any("),
-    Mutant("oracle.one_level_condition_two_weak", "skeptical_levels[o] > l for s in support",
-           "skeptical_levels[o] >= l for s in support"),
+    Mutant("oracle.level_dedup_always", "if dedup_values and value_p in values or sk_max[",
+           "if value_p in values or sk_max["),
+    Mutant("oracle.pre_test_dedup_always", "p_open = not (dedup_values and value_p in values)",
+           "p_open = not (value_p in values)"),
+    Mutant("oracle.one_level_condition_two_weak", "sk_max[around & ~mu] > l_p:", "sk_max[around & ~mu] >= l_p:"),
+    Mutant("oracle.sk_max_folded_with_min", "sk_max += [max(level, top) for top in sk_max]",
+           "sk_max += [min(level, top) for top in sk_max]",
+           "condition (2) is implied by the best-response test: an unsent message ranked above the sender's level "
+           "at a support type raises w there, so a signal on the support beats the profile's value; the lookup "
+           "only spares hull work"),
+    Mutant("oracle.slot_mask_drops_lowest_message",
+           "avail = [sum(1 << index[m] for m in messages_at(structure, s)) for s in grid]",
+           "avail = [(mask := sum(1 << index[m] for m in messages_at(structure, s))) & (mask - 1) for s in grid]"),
+    Mutant("oracle.feasibility_wrong_pooled_end", "e, g = (ip, b) if a_first else (b, ip)",
+           "e, g = (b, ip) if a_first else (ip, b)"),
+    Mutant("oracle.diagonal_only_despite_pairs", "if not (none_pool or any(feasible)):", "if not none_pool:"),
     Mutant("oracle.pair_position_swapped", "k = 0 if m1 == m2 else 1 if m0 == m2 else 2",
            "k = 0 if m0 == m2 else 1 if m1 == m2 else 2"),
-    Mutant("oracle.pair_level_of_pooled_type", "level = v_grid[support[k]]", "level = v_grid[support[k - 1]]"),
-    Mutant("oracle.chord_test_swapped", "flat = yb * span == ya * (C - B) + yc * (B - A)",
-           "flat = yb * span == ya * (B - A) + yc * (C - B)"),
-    Mutant("oracle.separating_value_swapped", "ya * (C - P) + yc * (P - A), span)", "ya * (P - A) + yc * (C - P), span)"),
-    Mutant("oracle.pair_lower_piece_dropped", "if not (level == first - 1 or first <= level < last):",
-           "if not (first <= level < last):"),
-    Mutant("oracle.falling_candidates_reordered", "return [cut(level), mid] if rising else [mid, cut(level)]",
-           "return [cut(level), mid]"),
-    Mutant("oracle.pair_plan_reused_as_empty", "if plans[k] != [] and at_one_level(", "if plans[k] is None and at_one_level("),
+    Mutant("oracle.chord_test_swapped", "yb * (C - A) == ya * (C - B) + yc * (B - A)",
+           "yb * (C - A) == ya * (B - A) + yc * (C - B)"),
+    Mutant("oracle.separating_value_swapped", "ya * (C - P) + yc * (P - A), C - A)", "ya * (P - A) + yc * (C - P), C - A)"),
+    Mutant("oracle.pair_lower_piece_dropped", "if bottom:\n            return [mid]", "if bottom:\n            return []"),
+    Mutant("oracle.falling_candidates_reordered", "return [cut(l_p), mid] if rising else [mid, cut(l_p)]",
+           "return [cut(l_p), mid]"),
+    Mutant("oracle.pair_plan_reused_as_empty",
+           "if plans[k] is None:\n                                        plans[k] = pair_candidates(",
+           "if plans[k] is not None:\n                                        plans[k] = []\n"
+           "                                    else:\n                                        plans[k] = pair_candidates("),
     Mutant("oracle.size_three_support_at_prior", "for c in range(max(b, ip) + 1, n):", "for c in range(max(b, ip), n):"),
     # figures
     Mutant("figures.y_drops_hd", "t = (vn * ld - ln * vd) * hd / (vd * span)", "t = (vn * ld - ln * vd) / (vd * span)"),
