@@ -64,67 +64,71 @@ class GameSpec:
         return self.structure._table.widened((*self.payoff.breakpoints, self.prior))
 
     @cached_property
-    def _levels(self) -> tuple[tuple[Fraction, ...], list[int], list[int], list[int], list[bool]]:
-        """The level table (xs, piece, at, gap, fixed) of v∘g on the game's table points xs.
+    def _to_game(self) -> list[int]:
+        """The game rank of each rank of the structure's table, whose points are the marked ones of the game's."""
+        return list(compress(range(len(self._table.marked)), self._table.marked))
 
-        piece[i] indexes v's piece at xs[i], at[i] v(g(xs[i]))'s piece and
-        gap[i] that of v∘g on the gap (xs[i], xs[i+1]); fixed[i] says g(xs[i])
-        = xs[i].  xs hold 0, 1, the support endpoints, the payoff breakpoints
-        and the prior; piece k runs from breakpoint k's rank to the next one's,
+    @cached_property
+    def _levels(self) -> tuple[list[int], list[int], list[int], list[bool]]:
+        """The level table (piece, at, gap, fixed) of v∘g on the points x_i of the game's table.
+
+        piece[i] indexes v's piece at x_i, at[i] v(g(x_i))'s piece and gap[i]
+        that of v∘g on the gap (x_i, x_i+1); fixed[i] says g(x_i) = x_i.  The
+        table holds 0, 1, the support endpoints, the payoff breakpoints and
+        the prior; piece k runs from breakpoint k's rank to the next one's,
         and the structure's sweep gives g as ranks in the structure's own
-        table, whose points are the marked ones here: every other point, and
-        every gap, lies on the structure's gap after the last marked point
-        at or before it (under full verifiability g is the identity).  The
-        payoff's values strictly increase, so a piece index ranks its value.
+        table (_to_game): every other point, and every gap, lies on the
+        structure's gap after the last marked point at or before it (under
+        full verifiability g is the identity).  The payoff's values strictly
+        increase, so a piece index ranks its value.
         """
         table = self._table
-        xs, rank = table.points, table.rank
+        n, rank = len(table.pairs), table.rank
         breaks = [rank[b.numerator, b.denominator] for b in self.payoff.breakpoints]
-        piece = [0] * len(xs)
-        for k, (lo, hi) in enumerate(zip(breaks, [*breaks[1:], len(xs)])):
+        piece = [0] * n
+        for k, (lo, hi) in enumerate(zip(breaks, [*breaks[1:], n])):
             piece[lo:hi] = [k] * (hi - lo)
         if self.structure.full_verifiability:
-            return xs, piece, piece, piece[:-1], [True] * len(xs)
+            return piece, piece, piece[:-1], [True] * n
         at_point, on_gap = self.structure._best_minima
-        # the game rank of each structure rank, and of each game point the
-        # structure point at or before it
-        to_game = list(compress(range(len(xs)), table.marked))
-        below = [j - 1 for j in accumulate(table.marked)]
+        # of each game point, the structure point at or before it
+        to_game, below = self._to_game, [j - 1 for j in accumulate(table.marked)]
         g_at = [to_game[at_point[j] if marked else on_gap[j]] for j, marked in zip(below, table.marked)]
         at, gap = [piece[i] for i in g_at], [piece[to_game[on_gap[j]]] for j in below[:-1]]
-        return xs, piece, at, gap, [i == k for k, i in enumerate(g_at)]
+        return piece, at, gap, [i == k for k, i in enumerate(g_at)]
 
     @cached_property
     def _pnbp(self) -> PnbpVerdict:
         structure, v = self.structure, self.payoff
-        piece, rank = self._levels[1], self._table.rank
+        piece, rank = self._levels[0], self._table.rank
         vp = piece[rank[self.prior.numerator, self.prior.denominator]]
         if structure.full_verifiability:
             return PnbpVerdict(True, identity_name(ONE)) if vp < len(v.values) - 1 else PnbpVerdict(False)
+        to_game = self._to_game
         above = [
             (-level, name)
-            for name, supp in structure.messages
-            if (level := piece[rank[supp.minimum.numerator, supp.minimum.denominator]]) > vp
+            for name, (minimum, _) in structure._hulls.items()
+            if (level := piece[to_game[minimum]]) > vp
         ]
         return PnbpVerdict(True, min(above)[1]) if above else PnbpVerdict(False)
 
     @cached_property
-    def _oracle_grid(self) -> tuple[Coordinates, tuple[Fraction, ...], tuple[int, ...]]:
-        """The brute-force oracle's own table, critical grid and piece table (oracle._table_and_grid); the solver never reads it."""
+    def _oracle_grid(self) -> tuple[Coordinates, tuple[tuple[int, int], ...], tuple[int, ...], tuple[tuple[int, int, str], ...]]:
+        """The brute-force oracle's own table, critical grid, piece table and support slots (oracle._table_and_grid); the solver never reads it."""
         from .oracle import _table_and_grid  # late import: oracle builds on this module's types
         return _table_and_grid(self)
 
     @cached_property
     def _adjusted_runs(self) -> list[tuple[int, int]]:
         """v∘g as (rank, level) where each of its pieces starts: the level table's gap levels and its level at 1, merged."""
-        _, _, at, gap, _ = self._levels
+        _, at, gap, _ = self._levels
         levels = (*gap, at[-1])
         return [(i, level) for i, level in enumerate(levels) if i == 0 or level != levels[i - 1]]
 
     @cached_property
     def _adjusted_payoff(self) -> StepFunction:
-        xs, vals = self._levels[0], self.payoff.values
-        return StepFunction(tuple(xs[i] for i, _ in self._adjusted_runs), tuple(vals[k] for _, k in self._adjusted_runs))
+        point, vals = self._table.point, self.payoff.values
+        return StepFunction(tuple(point(i) for i, _ in self._adjusted_runs), tuple(vals[k] for _, k in self._adjusted_runs))
 
     @cached_property
     def _hull_levels(self) -> tuple[list[int], list[bool], list[bool]]:
@@ -135,7 +139,7 @@ class GameSpec:
         points that can be strict hull vertices, at most one per payoff piece
         on each side.
         """
-        _, _, at, gap, _ = self._levels
+        _, at, gap, _ = self._levels
         top = list(map(max, at, [at[0], *gap], [*gap, at[-1]]))
         return (top, *strict_records(top))
 
@@ -147,7 +151,7 @@ class GameSpec:
         ranks = [i for i, (a, b) in enumerate(zip(from_left, from_right)) if a or b]
         levels = [(v.numerator, v.denominator) for v in vals]
         hull = upper_hull([(*table.pairs[i], *levels[top[i]]) for i in ranks])
-        return ConcavePL(tuple((table.points[ranks[h]], vals[top[ranks[h]]]) for h in hull))
+        return ConcavePL(tuple((table.point(ranks[h]), vals[top[ranks[h]]]) for h in hull))
 
 
 @dataclass(frozen=True)
@@ -263,7 +267,8 @@ def equilibrium_value(game: GameSpec) -> ValueResult:
 
 
 def _skeptical_beliefs(structure: VerifStructure) -> dict[str, Fraction]:
-    return {name: supp.minimum for name, supp in structure.messages}
+    point = structure._table.point
+    return {name: point(minimum) for name, (minimum, _) in structure._hulls.items()}
 
 
 def _best_message(structure: VerifStructure, s: Fraction) -> str:
@@ -342,21 +347,22 @@ def _solve_pnbp(game: GameSpec) -> Equilibrium:
     """
     structure, p = game.structure, game.prior
     hull = value_hull(game)
-    xs, _, at, _, fixed = game._levels
+    point, (_, at, _, fixed) = game._table.point, game._levels
     top, from_left, _ = game._hull_levels
     vals = game.payoff.values
     e = bisect_right(hull._keys, order_key(p)) - 1  # the edge over p; p < 1 under PNBP
     on_edge = on_line_through(hull.vertices[e], hull.vertices[e + 1])
 
     def contact(i: int) -> bool:
-        return fixed[i] and at[i] == top[i] and from_left[i] and on_edge(xs[i], vals[at[i]])
+        return fixed[i] and at[i] == top[i] and from_left[i] and on_edge(point(i), vals[at[i]])
 
     k = game._table.rank[p.numerator, p.denominator]
     if contact(k):
         signal = Signal((p,), (ONE,))
     else:
-        s_minus = xs[_walk(contact, k - 1, -1, len(xs))]
-        s_plus = xs[_walk(contact, k + 1, 1, len(xs))]
+        n = len(game._table.pairs)
+        s_minus = point(_walk(contact, k - 1, -1, n))
+        s_plus = point(_walk(contact, k + 1, 1, n))
         w_lo = (s_plus - p) / (s_plus - s_minus)
         signal = Signal((s_minus, s_plus), (w_lo, 1 - w_lo))
     beliefs = _skeptical_beliefs(structure)
@@ -430,9 +436,11 @@ def verify_equilibrium(game: GameSpec, eq: Equilibrium) -> VerifyReport:
 
     _validate_structure(game, eq)
     beliefs = dict(eq.beliefs)
-    for name, supp in game.structure.messages:
+    pairs = game.structure._table.pairs
+    for name, (minimum, supremum) in game.structure._hulls.items():
         b = beliefs[name]
-        if not supp.hull_contains(b):
+        (ln, ld), (hn, hd), bn, bd = pairs[minimum], pairs[supremum], b.numerator, b.denominator
+        if not (ln * bd <= bn * ld and bn * hd <= hn * bd):
             return VerifyReport(False, 3, f"belief for {name!r} outside conv support", (name, b))
 
     # (1) optimal information acquisition

@@ -36,11 +36,11 @@ def _fmt(x: float) -> str:
 def _x_pixels(table: Coordinates) -> list[str]:
     """The x pixel string of every point of the game's table, by rank.
 
-    A point's order key starts with float(q): its numerator / denominator, an
-    int true division, which Python rounds correctly.  So each string comes
-    from float(q)'s bits without building anything, once per point.
+    A point's key is float(q): its numerator / denominator, an int true
+    division, which Python rounds correctly.  So each string comes from
+    float(q)'s bits without building anything, once per point.
     """
-    return [_fmt(PLOT_LEFT + key[0] * (PLOT_RIGHT - PLOT_LEFT)) for key in table.keys]
+    return [_fmt(PLOT_LEFT + key * (PLOT_RIGHT - PLOT_LEFT)) for key in table.keys]
 
 
 def _y_pixels(game: GameSpec, eq: Equilibrium) -> Callable[[Fraction], str]:
@@ -82,8 +82,13 @@ def render_game_svg(game: GameSpec, eq: Equilibrium) -> str:
         i = rank.get((q.numerator, q.denominator))
         return px[i] if i is not None else _fmt(PLOT_LEFT + float(q) * (PLOT_RIGHT - PLOT_LEFT))
 
-    # the identity family has no support of its own: a dotted bar over [0,1]
-    rows = list(game.structure.messages)
+    # one row per message, its spans as game ranks (the structure's ranks are
+    # the marked points of the game's table); the identity family has no
+    # support of its own: a dotted bar over [0,1]
+    to_game, spans = game._to_game, {}
+    for start, end, _, name in game.structure._spans:
+        spans.setdefault(name, []).append((to_game[start >> 1], to_game[end >> 1]))
+    rows = list(spans.items())
     if game.structure.full_verifiability:
         rows.append(("identity", None))
     height = PLOT_BOTTOM + 40 + ROW_HEIGHT * len(rows) + 20
@@ -102,7 +107,7 @@ def render_game_svg(game: GameSpec, eq: Equilibrium) -> str:
     for r in sorted({*breaks, len(px) - 1, rank[game.prior.numerator, game.prior.denominator]}):
         parts.append(f'<line x1="{px[r]}" y1="{PLOT_BOTTOM}" x2="{px[r]}" y2="{PLOT_BOTTOM + 4}" stroke="black"/>')
         parts.append(
-            f'<text x="{px[r]}" y="{PLOT_BOTTOM + 16}" text-anchor="middle">{format_rational(table.points[r])}</text>'
+            f'<text x="{px[r]}" y="{PLOT_BOTTOM + 16}" text-anchor="middle">{format_rational(table.point(r))}</text>'
         )
     for yv, label in zip(py, v.values):  # strictly increasing
         parts.append(
@@ -151,16 +156,15 @@ def render_game_svg(game: GameSpec, eq: Equilibrium) -> str:
 
     # message availability bars below the axis
     base = PLOT_BOTTOM + 44
-    for i, (name, supp) in enumerate(rows):
+    for i, (name, bars) in enumerate(rows):
         y_row = base + i * ROW_HEIGHT
-        if supp is None:
+        if bars is None:
             parts.append(
                 f'<line x1="{px[0]}" y1="{y_row}" x2="{px[-1]}" y2="{y_row}" '
                 f'stroke="black" stroke-width="1" stroke-dasharray="1,3"/>'
             )
         else:
-            for iv in supp.intervals:
-                lo, hi = rank[iv.lo.numerator, iv.lo.denominator], rank[iv.hi.numerator, iv.hi.denominator]
+            for lo, hi in bars:
                 if lo == hi:
                     parts.append(f'<circle cx="{px[lo]}" cy="{y_row}" r="2.5" fill="black"/>')
                 else:

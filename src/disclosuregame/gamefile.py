@@ -2,12 +2,16 @@
 
 All rationals travel as strings ("p/q" or an integer string); floats are
 rejected so files round-trip exactly.  Each distinct string is parsed once per
-file.  Parse failures raise GameFileError with a field-path diagnostic like
-``payoff.values[2]``, built only when a failure occurs.
+file, to a canonical (numerator, denominator) pair, and a Fraction is built
+once per file, only for the payoff, the prior and the support endpoints read
+as numbers.  Parse failures raise GameFileError with a field-path diagnostic
+like ``payoff.values[2]``, built only when a failure occurs.
 
-Each check runs once, on ints, in the constructor that a library caller uses
-too; the structure ranks its support endpoints in one coordinate table, and
-the game widens it once with the payoff's breakpoints and the prior.
+Each check runs once, on ints, in code that a library caller's constructors
+run too (verifiability.check_interval for a support interval).  The
+structure is built from its endpoint pairs, with no SupportInterval or
+IntervalUnion object until something reads its messages; the game widens its
+coordinate table with the payoff's breakpoints and the prior.
 
 Input size is capped, so the solver's quadratic paths and exact arithmetic
 cannot be fed unbounded input: at most MAX_MESSAGES messages per structure,
@@ -26,58 +30,57 @@ from .comparative import OrderVerdict
 from .equilibrium import Equilibrium, GameSpec
 from .errors import ConstructionError, GameFileError
 from .piecewise import StepFunction
-from .rationals import format_rational, parse_rational
-from .verifiability import IntervalUnion, SupportInterval, VerifStructure
+from .rationals import format_rational, from_pair, parse_pair
+from .verifiability import Interval, Pair, VerifStructure, _canonical, check_interval
 
 MAX_MESSAGES = 2_000
 MAX_PAYOFF_PIECES = 2_000
 MAX_RATIONAL_DIGITS = 40
 
 
-def _parse(obj: Any) -> Fraction:
-    """parse_rational under the digit cap; ValueError says what is wrong, the caller says where."""
+def _parse(obj: Any) -> Pair:
+    """parse_pair under the digit cap; ValueError says what is wrong, the caller says where."""
     if isinstance(obj, (str, int)) and len(text := str(obj)) > MAX_RATIONAL_DIGITS and any(
         len(part.strip().lstrip("+-")) > MAX_RATIONAL_DIGITS for part in text.split("/")
     ):
         raise ValueError(f"more than {MAX_RATIONAL_DIGITS} digits in a numerator or denominator")
-    return parse_rational(obj)
+    return parse_pair(obj)
 
 
-def _rat(obj: Any, path: str, read: Callable[[Any], Fraction]) -> Fraction:
+def _rat(obj: Any, path: str, read: Callable[[Any], Pair]) -> Pair:
     try:
         return read(obj)
     except ValueError as exc:
         raise GameFileError(f"{path}: {exc}") from exc
 
 
-def _reader() -> Callable[[Any], Fraction]:
+def _reader() -> Callable[[Any], Pair]:
     """_parse for one file: each distinct string is parsed once.
 
     Only strings are memoised: JSON's true would otherwise find the int 1's
     entry, since True == 1 and both hash alike.
     """
-    memo: dict[str, Fraction] = {}
+    memo: dict[str, Pair] = {}
 
-    def read(obj: Any) -> Fraction:
+    def read(obj: Any) -> Pair:
         if isinstance(obj, str):
-            q = memo.get(obj)
-            if q is None:
-                q = memo[obj] = _parse(obj)
-            return q
+            pair = memo.get(obj)
+            if pair is None:  # a string no longer than the cap cannot break it
+                pair = memo[obj] = parse_pair(obj) if len(obj) <= MAX_RATIONAL_DIGITS else _parse(obj)
+            return pair
         return _parse(obj)
 
     return read
 
 
-def _rats(raw: list, read: Callable[[Any], Fraction], path: str) -> tuple[Fraction, ...]:
-    """Every entry of raw; an error names the entry's index."""
-    out = []
-    for obj in raw:
-        try:
-            out.append(read(obj))
-        except ValueError as exc:
-            raise GameFileError(f"{path}[{len(out)}]: {exc}") from exc
-    return tuple(out)
+def _rats(raw: list, read: Callable[[Any], Pair], path: str) -> list[Pair]:
+    """Every entry of raw; an error names the first bad entry's index, found by a second reading."""
+    try:
+        return list(map(read, raw))
+    except ValueError:
+        pass
+    for k, obj in enumerate(raw):
+        _rat(obj, f"{path}[{k}]", read)
 
 
 def _expect(obj: Any, kind: type, path: str):
@@ -125,11 +128,11 @@ def structure_to_obj(structure: VerifStructure) -> dict:
 
 
 def structure_from_obj(obj: Any, path: str = "structure") -> VerifStructure:
-    return _structure(obj, path, _reader())
+    return _structure(obj, path, _reader(), {})
 
 
-def _structure(obj: Any, path: str, read: Callable[[Any], Fraction]) -> VerifStructure:
-    """structure_from_obj with the file's reader.
+def _structure(obj: Any, path: str, read: Callable[[Any], Pair], built: dict[Pair, Fraction]) -> VerifStructure:
+    """structure_from_obj with the file's reader, and the Fractions the file has built so far, by pair.
 
     Field paths are built only on error: each message is read by _message,
     whose failures carry their path below the message, prefixed here.
@@ -148,12 +151,12 @@ def _structure(obj: Any, path: str, read: Callable[[Any], Fraction]) -> VerifStr
         except _Invalid as exc:
             raise GameFileError(f"{path}.messages[{len(messages)}]{exc.where}: {exc}") from exc
     try:
-        return VerifStructure(tuple(messages), full)
+        return VerifStructure._from_pairs(messages, full, built)
     except ConstructionError as exc:
         raise GameFileError(f"{path}: {exc}") from exc
 
 
-def _message(m: Any, read: Callable[[Any], Fraction]) -> tuple[str, IntervalUnion]:
+def _message(m: Any, read: Callable[[Any], Pair]) -> tuple[str, list[Interval]]:
     _check(m, dict, "")
     name = _check(m.get("name"), str, ".name")
     raw_supp = _check(m.get("support"), list, ".support")
@@ -164,13 +167,12 @@ def _message(m: Any, read: Callable[[Any], Fraction]) -> tuple[str, IntervalUnio
         except _Invalid as exc:
             exc.where = f".support[{len(ivs)}]{exc.where}"
             raise
-    try:
-        return name, IntervalUnion(tuple(ivs))
-    except ConstructionError as exc:
-        raise _Invalid(".support", exc) from exc
+    if not ivs:
+        raise _Invalid(".support", "support must be non-empty")
+    return name, _canonical(ivs) if len(ivs) > 1 else ivs
 
 
-def _interval(iv: Any, read: Callable[[Any], Fraction]) -> SupportInterval:
+def _interval(iv: Any, read: Callable[[Any], Pair]) -> Interval:
     _check(iv, dict, "")
     ends = []
     for key in ("lo", "hi"):
@@ -178,13 +180,15 @@ def _interval(iv: Any, read: Callable[[Any], Fraction]) -> SupportInterval:
             ends.append(read(iv.get(key)))
         except ValueError as exc:
             raise _Invalid(f".{key}", exc) from exc
+    lo, hi = ends
     hi_closed = iv.get("hi_closed", True)
     if not isinstance(hi_closed, bool):
         raise _Invalid(".hi_closed", "expected bool")
     try:
-        return SupportInterval(ends[0], ends[1], hi_closed)
+        check_interval(lo, hi, hi_closed)
     except ConstructionError as exc:
         raise _Invalid("", exc) from exc
+    return lo, hi, hi_closed
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +208,15 @@ def game_to_obj(game: GameSpec) -> dict:
 
 def game_from_obj(obj: Any) -> GameSpec:
     _expect(obj, dict, "game")
-    read = _reader()
+    read, built = _reader(), {}
+
+    def fraction(pair: Pair) -> Fraction:
+        """The Fraction of a pair the file holds, built once per file."""
+        q = built.get(pair)
+        if q is None:
+            q = built[pair] = from_pair(*pair)
+        return q
+
     prior = _rat(obj.get("prior"), "prior", read)
     payoff_obj = _expect(obj.get("payoff"), dict, "payoff")
     raw_b = _expect(payoff_obj.get("breakpoints"), list, "payoff.breakpoints")
@@ -214,12 +226,12 @@ def game_from_obj(obj: Any) -> GameSpec:
     bps = _rats(raw_b, read, "payoff.breakpoints")
     vals = _rats(raw_v, read, "payoff.values")
     try:
-        payoff = StepFunction(bps, vals)
+        payoff = StepFunction(tuple(map(fraction, bps)), tuple(map(fraction, vals)))
     except ValueError as exc:
         raise GameFileError(f"payoff: {exc}") from exc
-    structure = _structure(obj.get("structure"), "structure", read)
+    structure = _structure(obj.get("structure"), "structure", read, built)
     try:
-        return GameSpec(payoff, prior, structure)
+        return GameSpec(payoff, fraction(prior), structure)
     except ValueError as exc:
         raise GameFileError(f"game: {exc}") from exc
 

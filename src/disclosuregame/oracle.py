@@ -18,10 +18,12 @@ non-decreasing, so identity messages keep it too).
 Arithmetic stays exact throughout.  The oracle builds its own table once
 per game and keeps it on the game (the solver never reads it): a
 rationals.Coordinates over the grid's points other than the midpoints, grid
-slot i at table position i, and the payoff piece of every slot, read at any
-belief's position.  A payoff value is ranked by its piece's index (the
-payoff is non-decreasing with merged pieces, so its values strictly
-increase).  Condition (1) is a supporting-line test on ints
+slot i at table position i, the payoff piece of every slot, read at any
+belief's position, and the slots each support interval covers.  A payoff
+value is ranked by its piece's index (the payoff is non-decreasing with
+merged pieces, so its values strictly increase).  w is one fill of those
+slots, in descending order of level, that writes each slot once
+(_interim_values).  Condition (1) is a supporting-line test on ints
 (_supporting_line) and builds no hull.  The exhaustive search caps its grid
 at max_grid points and scales it to ints over the lcm of its denominators.
 A set of messages is an int mask: each grid slot's available messages are
@@ -34,11 +36,12 @@ memoised best response from one hull call per tuple of levels
 then v(p)'s, reads its whole test from a memo keyed by its sent mask.  A
 size-3 support first puts each pooled pair through a feasibility pre-test
 on the levels at the two ends of the pair's posterior, and builds the
-pair's weights and cuts only when a profile needs them.  The profiles that pass build
-Fractions, and verify_equilibrium alone decides which are kept.  So the
-oracle shares with the solver only the Coordinates table and the search's
-rationals.upper_hull, and reads the game only through its fields, the
-structure's support_endpoints() and verifiability.messages_at.
+pair's weights and cuts only when a profile needs them.  The profiles that
+pass build Fractions, and verify_equilibrium alone decides which are kept.
+So the oracle shares with the solver only the Coordinates table and the
+search's rationals.upper_hull, and reads the game only through its fields,
+the pairs of the structure's support endpoints and the spans over them, and
+verifiability.messages_at.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, lcm
-from operator import itemgetter
 from typing import Mapping, Optional, Sequence
 
 from .errors import DomainError, OracleSizeError
@@ -58,34 +60,38 @@ from .equilibrium import (
     verify_equilibrium,
 )
 from .piecewise import Point
-from .rationals import ONE, ZERO, Coordinates, upper_hull
+from .rationals import ONE, Coordinates, upper_hull
 from .verifiability import messages_at
 
 
-def _table_and_grid(game: GameSpec) -> tuple[Coordinates, tuple[Fraction, ...], tuple[int, ...]]:
-    """The oracle's own coordinate table, the critical grid on it, and the payoff piece of every grid slot.
+def _table_and_grid(game: GameSpec) -> tuple[Coordinates, tuple[tuple[int, int], ...], tuple[int, ...], tuple[tuple[int, int, str], ...]]:
+    """The oracle's own coordinate table, the critical grid on it, the payoff piece of every grid slot, and each support interval's slots.
 
     The table holds 0, 1, the prior, the payoff breakpoints and the support
-    endpoints, derived from game.payoff and game.structure (never the
-    solver's table); the grid adds the midpoint of each gap between them, so
-    grid[i] sits at table position i.  Every breakpoint is a table point, so
-    piece k holds the slots from 2 rank(b_k) up to 2 rank(b_k+1): one range
-    fill gives piece[i], the index of v's piece at grid[i], and
-    piece[table.position(q)] is that index at any q in [0,1].
+    endpoints, read off game.payoff, game.prior and the pairs of the
+    structure's endpoints (never the solver's table); the grid adds the
+    midpoint of each gap between them, so grid[i], a (numerator,
+    denominator) pair not always in lowest terms, sits at table position i.
+    Every breakpoint is a table point, so piece k holds the slots from
+    2 rank(b_k) up to 2 rank(b_k+1): one range fill gives piece[i], the
+    index of v's piece at grid[i], and piece[table.position(q)] is that
+    index at any q in [0,1].  An interval [lo, hi] covers the slots from
+    a = 2 rank(lo) up to b = 2 rank(hi), b + 1 when closed: (a, b, name).
     """
-    points = (ZERO, ONE, game.prior, *game.payoff.breakpoints, *game.structure.support_endpoints())
-    table = Coordinates({(q.numerator, q.denominator): q for q in points})
-    base, pairs, rank = table.points, table.pairs, table.rank
-    grid = []
-    for a, (an, ad), (bn, bd) in zip(base, pairs, pairs[1:]):
-        grid.append(a)
-        grid.append(Fraction(an * bd + bn * ad, 2 * ad * bd))  # (a + b) / 2
-    grid.append(base[-1])
+    structure, p = game.structure, game.prior
+    ends = structure._table.pairs
+    table = Coordinates(dict.fromkeys([(p.numerator, p.denominator), *((b.numerator, b.denominator) for b in game.payoff.breakpoints), *ends]))
+    rank, pairs, grid = table.rank, table.pairs, []
+    for (an, ad), (bn, bd) in zip(pairs, pairs[1:]):
+        grid += (an, ad), (an * bd + bn * ad, 2 * ad * bd)  # a, (a + b) / 2
+    grid.append(pairs[-1])
     starts = [2 * rank[b.numerator, b.denominator] for b in game.payoff.breakpoints] + [len(grid)]
     piece = [0] * len(grid)
     for k, (a, b) in enumerate(zip(starts, starts[1:])):
         piece[a:b] = [k] * (b - a)
-    return table, tuple(grid), tuple(piece)
+    slot = [2 * rank[pair] for pair in ends]
+    slots = tuple((slot[start >> 1], slot[end >> 1] + (end & 1), name) for start, end, _, name in structure._spans)
+    return table, tuple(grid), tuple(piece), slots
 
 
 def _hull_segment(pts: Sequence[Point], x: Fraction) -> tuple[Point, Point]:
@@ -113,24 +119,31 @@ def _interim_values(game: GameSpec, beliefs: Mapping[str, Fraction]) -> list[int
     Slot i, the grid's point i and the table's position i, holds w's payoff
     piece index (game.payoff.values[w[i]] is w there).  Each belief's level
     is the game's piece table read at its position, on the table or on a
-    gap.  Then a range fill over positions: every support endpoint is a
-    table point, so an interval [lo, hi] covers the slots from 2 rank(lo) to
-    2 rank(hi), one fewer when it is open at hi.  Messages are written in
-    ascending order of their level, so each slot keeps the highest level
-    available there.  Under full verifiability each slot is then raised to
-    v(s)'s piece, the identity message's level (the only one under
-    mandatory disclosure).
+    gap.  The intervals' slots (_table_and_grid) are written in descending
+    order of level, each slot once, so it keeps the highest level available
+    there: free[i] is i at an unwritten slot, else a later slot with every
+    slot between written, and each search for an unwritten slot halves its
+    path.  Under full verifiability each slot is then raised to v(s)'s
+    piece, the identity message's level (the only one under mandatory
+    disclosure).
     """
-    table, grid, piece = game._oracle_grid
-    structure, rank = game.structure, table.rank
-    w = [-1] * len(grid)
-    levels = [(piece[table.position(beliefs[name])], supp) for name, supp in structure.messages]
-    for lvl, supp in sorted(levels, key=itemgetter(0)):
-        for iv in supp.intervals:
-            a = 2 * rank[iv.lo.numerator, iv.lo.denominator]
-            b = 2 * rank[iv.hi.numerator, iv.hi.denominator] + iv.hi_closed
-            w[a:b] = [lvl] * (b - a)
-    if structure.full_verifiability:
+    table, grid, piece, slots = game._oracle_grid
+    position, n = table.position, len(grid)
+    w, free = [-1] * n, list(range(n + 1))
+    for lvl, a, b in sorted([(piece[position(beliefs[name])], a, b) for a, b, name in slots], reverse=True):
+        i = a
+        while i < b:
+            if free[i] != i:  # written: leap on, halving the path
+                free[i] = free[free[i]]
+                i = free[i]
+                continue
+            j = i + 1
+            while j < b and free[j] == j:
+                j += 1
+            w[i:j] = [lvl] * (j - i)
+            free[i:j] = [j] * (j - i)
+            i = j
+    if game.structure.full_verifiability:
         w = list(map(max, w, piece))
     return w
 
@@ -165,7 +178,7 @@ def _supporting_line(game: GameSpec, beliefs: Mapping[str, Fraction], value: Fra
     Above, it is a slope strictly between lo and hi (lo + 1 or hi - 1 with
     one side empty): the line through (p, v*) with that slope clears w.
     """
-    table, grid, _ = game._oracle_grid
+    table, grid, _, _ = game._oracle_grid
     w = _interim_values(game, beliefs)
     vals, p, n = game.payoff.values, game.prior, len(w)
     k = 2 * table.rank[p.numerator, p.denominator]
@@ -181,9 +194,9 @@ def _supporting_line(game: GameSpec, beliefs: Mapping[str, Fraction], value: Fra
     lo, hi = (-1, 0, None), (1, 0, None)
     for a, b in zip(cuts, cuts[1:]):
         for i in (a, b - 1):
-            x = grid[i]
+            xn, xd = grid[i]
             dy, yd = rise[w[i]]
-            num, den = dy * x.denominator, (x.numerator * pd - pn * x.denominator) * yd
+            num, den = dy * xd, (xn * pd - pn * xd) * yd
             if i > k:
                 if num * lo[1] > lo[0] * den:
                     lo = num, den, i
@@ -192,7 +205,7 @@ def _supporting_line(game: GameSpec, beliefs: Mapping[str, Fraction], value: Fra
                 if num * hi[1] < hi[0] * den:
                     hi = num, den, i
     if lo[0] * hi[1] > hi[0] * lo[1]:
-        left, right = grid[hi[2]], grid[lo[2]]
+        left, right = Fraction(*grid[hi[2]]), Fraction(*grid[lo[2]])
         w_lo = (right - p) / (right - left)
         u = w_lo * vals[w[hi[2]]] + (1 - w_lo) * vals[w[lo[2]]]
         return _below(value, u, Signal((left, right), (w_lo, 1 - w_lo)))
@@ -318,10 +331,10 @@ def exhaustive_equilibria(
         raise OracleSizeError("full verifiability carries infinitely many messages")
     if len(structure.messages) > max_messages:
         raise OracleSizeError(f"structure has more than {max_messages} messages")
-    table, grid, v_grid = game._oracle_grid
+    table, grid, v_grid, _ = game._oracle_grid
     if len(grid) > max_grid:
         raise OracleSizeError(f"critical grid exceeds {max_grid} points")
-    v, p = game.payoff, game.prior
+    v, p, grid = game.payoff, game.prior, [Fraction(n, d) for n, d in grid]
     skeptical = {name: supp.minimum for name, supp in structure.messages}
     names = tuple(sorted(skeptical))
     found: list[Equilibrium] = []

@@ -8,39 +8,60 @@ Fraction's own hash, comparisons and arithmetic.
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import inf
-from typing import Callable, Iterable, Sequence
+from math import gcd, inf
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or integer strings into a Fraction.
+def parse_pair(text) -> tuple[int, int]:
+    """Parse "p/q" or integer strings into a canonical (numerator, denominator) pair.
 
-    Floats are rejected on purpose: exactness is part of the I/O contract.
-    So are booleans, which JSON would otherwise hand over as the ints 0 and 1.
-    Plain ASCII "p" or "p/q" (an optional sign on p, digits only, q nonzero)
-    is read with two int() calls; anything else goes through Fraction(str),
-    which gives the same value on those inputs.
+    Floats are rejected on purpose: exactness is part of the I/O contract.  So
+    are booleans, which JSON would hand over as the ints 0 and 1.  The language
+    and error texts are those of Python 3.10's Fraction(str) less decimal
+    forms on every version (3.11 added underscores, 3.12 spaces at the slash).
     """
-    if isinstance(text, int) and not isinstance(text, bool):
-        return Fraction(text)
     if not isinstance(text, str):
+        if isinstance(text, int) and not isinstance(text, bool):
+            return text, 1
         raise ValueError(f"rational must be a string like '2/5', got {text!r}")
     s = text.strip()
     num, slash, den = s.partition("/")
-    if s.isascii() and (num[1:] if num[:1] in ("+", "-") else num).isdigit():
+    if (num.isdecimal() or num[:1] in ("+", "-") and num[1:].isdecimal()) and (den.isdecimal() or not slash):
+        n = int(num)
         if not slash:
-            return Fraction(int(num))
-        if den.isdigit() and (d := int(den)):
-            return Fraction(int(num), d)
+            return n, 1
+        d = int(den)
+        if d:
+            g = gcd(n, d)
+            return n // g, d // g
+        raise ValueError(f"malformed rational {text!r}: Fraction({n}, 0)")
     if "." in s or "e" in s or "E" in s:
         raise ValueError(f"rational {text!r} must be exact (no decimal/float forms)")
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"malformed rational {text!r}: {exc}") from exc
+    raise ValueError(f"malformed rational {text!r}: Invalid literal for Fraction: {s!r}")
+
+
+def parse_rational(text) -> Fraction:
+    """parse_pair's value as a Fraction."""
+    return from_pair(*parse_pair(text))
+
+
+def from_pair(n: int, d: int) -> Fraction:
+    """Fraction(n, d) for a canonical pair (lowest terms, d > 0), without its checks and gcd.
+
+    Fraction keeps just these two ints in its slots on every supported Python
+    (3.12 has this as Fraction._from_coprime_ints).
+    """
+    q = _new(Fraction)
+    q._numerator = n
+    q._denominator = d
+    return q
+
+
+_new = object.__new__
 
 
 def as_fraction(x) -> Fraction:
@@ -77,44 +98,63 @@ def order_key(q: Fraction) -> tuple[float, Fraction]:
 class Coordinates:
     """One sorted table of distinct rationals in [0,1]: the coordinates that every layer of a game reads.
 
-    points[i] is the i-th smallest value, pairs[i] its canonical (numerator,
-    denominator), keys[i] its order key and rank[pairs[i]] its index i;
-    marked[i] says whether it came from the first table (a structure's table
-    ranks 0, 1 and its support endpoints, all marked; a game widens it with
-    points that are not).  Where a value sits is then a dict lookup on its
-    pair, or one keyed bisect (position), never another sort.
+    pairs[i] is the canonical pair of the i-th smallest value, point(i) its
+    Fraction (built on first use), keys[i] its float n / d (correctly
+    rounded, so monotone in the value) and rank[pairs[i]] its index i;
+    marked[i] says whether it came from the first table (a structure's ranks
+    0, 1 and its support endpoints; a game widens it with points that are
+    not).  Where a value sits is then a dict lookup on its pair, or one
+    bisect on the floats (position), never another sort.
     """
 
-    __slots__ = ("points", "pairs", "keys", "rank", "marked")
+    __slots__ = ("pairs", "keys", "rank", "marked", "_points")
 
-    def __init__(self, points: dict[tuple[int, int], Fraction]):
-        """points maps each canonical (numerator, denominator) to its value."""
-        # order_key of each value, from its pair: n / d cannot overflow in [0,1]
-        self._fill([((n / d, q), (n, d), True) for (n, d), q in points.items()])
+    def __init__(self, points: Mapping[tuple[int, int], Optional[Fraction]]):
+        """points maps the canonical pair of each value in [0,1] to its Fraction, or to None."""
+        self._fill([(n / d, (n, d), True, q) for (n, d), q in points.items()])
 
     def widened(self, others: Iterable[Fraction]) -> "Coordinates":
         """A table of these points, marked as here, and of the values others, which are not marked."""
-        rank, table = self.rank, object.__new__(Coordinates)
+        rank, table = self.rank, _new(Coordinates)
         extra = {(q.numerator, q.denominator): q for q in others}
         table._fill([
-            *zip(self.keys, self.pairs, self.marked),
-            *(((n / d, q), (n, d), False) for (n, d), q in extra.items() if (n, d) not in rank),
+            *zip(self.keys, self.pairs, self.marked, self._points),
+            *((n / d, (n, d), False, q) for (n, d), q in extra.items() if (n, d) not in rank),
         ])
         return table
 
-    def _fill(self, entries: list[tuple[tuple[float, Fraction], tuple[int, int], bool]]) -> None:
-        """Set the table from (order key, pair, marked) entries with distinct pairs, sorted here."""
-        entries.sort()
-        self.keys, self.pairs, self.marked = map(tuple, zip(*entries))
-        self.points = tuple(q for _, q in self.keys)
+    def _fill(self, entries: list[tuple[float, tuple[int, int], bool, Optional[Fraction]]]) -> None:
+        """Set the table from (float, pair, marked, Fraction or None) entries with distinct pairs; ties of floats sort exactly."""
+        entries.sort()  # pairs are distinct, so no comparison reaches the values
+        if len(set(map(itemgetter(0), entries))) < len(entries):
+            entries.sort(key=lambda entry: (entry[0], from_pair(*entry[1])))
+        self.keys, self.pairs, self.marked, points = map(tuple, zip(*entries))
         self.rank = dict(zip(self.pairs, range(len(entries))))
+        self._points = list(points)
+
+    def point(self, i: int) -> Fraction:
+        """The i-th smallest value, built on first use."""
+        q = self._points[i]
+        if q is None:
+            q = self._points[i] = from_pair(*self.pairs[i])
+        return q
+
+    @property
+    def points(self) -> tuple[Fraction, ...]:
+        """Every value, ascending."""
+        return tuple(map(self.point, range(len(self.pairs))))
 
     def position(self, q: Fraction) -> int:
-        """2i when q is points[i], 2i + 1 when q lies on the open gap after it; q between the ends."""
-        i = self.rank.get((q.numerator, q.denominator))
+        """2i when q is point i, 2i + 1 when q lies on the open gap after it; q between the ends, compared exactly on float ties."""
+        n, d = q.numerator, q.denominator
+        i = self.rank.get((n, d))
         if i is not None:
             return 2 * i
-        return 2 * bisect_left(self.keys, order_key(q)) - 1
+        keys, pairs, f = self.keys, self.pairs, n / d
+        i = bisect_left(keys, f)
+        while keys[i] == f and pairs[i][0] * d < n * pairs[i][1]:
+            i += 1
+        return 2 * i - 1
 
 
 def on_line_through(p0: tuple[Fraction, Fraction], p1: tuple[Fraction, Fraction]) -> Callable[[Fraction, Fraction], bool]:

@@ -22,23 +22,28 @@ import heapq
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ConstructionError, DomainError, PreconditionError, UnknownMessageError
 from .piecewise import StepFunction
-from .rationals import (
-    ONE,
-    ZERO,
-    Coordinates,
-    as_fraction,
-    format_rational,
-    in_unit_interval,
-    order_key,
-    parse_rational,
-)
+from .rationals import ONE, ZERO, Coordinates, as_fraction, format_rational, from_pair, in_unit_interval, parse_rational
 
 IDENTITY_PREFIX = "id:"
+Pair = tuple[int, int]
+Interval = tuple[Pair, Pair, bool]  # (lo, hi, hi_closed) as canonical pairs
+_new = object.__new__
+
+
+def check_interval(lo: Pair, hi: Pair, hi_closed: bool) -> None:
+    """ConstructionError unless [lo, hi], or [lo, hi), is an interval in [0,1]; exact, on the pairs."""
+    (ln, ld), (hn, hd) = lo, hi
+    if not (0 <= ln <= ld and 0 <= hn <= hd):
+        raise ConstructionError(f"interval [{from_pair(ln, ld)},{from_pair(hn, hd)}] must lie in [0,1]")
+    left, right = ln * hd, hn * ld
+    if left > right:
+        raise ConstructionError(f"interval has lo {from_pair(ln, ld)} > hi {from_pair(hn, hd)}")
+    if left == right and not hi_closed:
+        raise ConstructionError("degenerate interval must be closed")
 
 
 @dataclass(frozen=True)
@@ -53,15 +58,7 @@ class SupportInterval:
             lo, hi = as_fraction(lo), as_fraction(hi)
             object.__setattr__(self, "lo", lo)
             object.__setattr__(self, "hi", hi)
-        # exact tests on the canonical pairs, positive denominators cross-multiplied
-        ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-        if not (0 <= ln <= ld and 0 <= hn <= hd):
-            raise ConstructionError(f"interval [{lo},{hi}] must lie in [0,1]")
-        left, right = ln * hd, hn * ld
-        if left > right:
-            raise ConstructionError(f"interval has lo {lo} > hi {hi}")
-        if left == right and not self.hi_closed:
-            raise ConstructionError("degenerate interval must be closed")
+        check_interval((lo.numerator, lo.denominator), (hi.numerator, hi.denominator), self.hi_closed)
 
 
 @dataclass(frozen=True)
@@ -75,19 +72,9 @@ class IntervalUnion:
         if not ivs:
             raise ConstructionError("support must be non-empty")
         if len(ivs) > 1:
-            # sorted and merged on order keys, which compare exactly
-            keyed = sorted((((order_key(iv.lo), order_key(iv.hi), iv.hi_closed), iv) for iv in ivs), key=itemgetter(0))
-            merged, cur_hi = [keyed[0][1]], keyed[0][0][1]
-            for (lo, hi, hi_closed), iv in keyed[1:]:
-                if lo <= cur_hi:
-                    # overlapping or touching: the union stays one interval
-                    # because iv is left-closed
-                    if hi > cur_hi or (hi == cur_hi and hi_closed):
-                        merged[-1], cur_hi = SupportInterval(merged[-1].lo, iv.hi, hi_closed), hi
-                else:
-                    merged.append(iv)
-                    cur_hi = hi
-            ivs = tuple(merged)
+            value = {(q.numerator, q.denominator): q for iv in ivs for q in (iv.lo, iv.hi)}
+            merged = _canonical([(_pair(iv.lo), _pair(iv.hi), iv.hi_closed) for iv in ivs])
+            ivs = tuple(SupportInterval(value[lo], value[hi], hi_closed) for lo, hi, hi_closed in merged)
         object.__setattr__(self, "intervals", ivs)
 
     @classmethod
@@ -107,12 +94,6 @@ class IntervalUnion:
         """Closure of the convex hull, [min, sup]."""
         return self.intervals[0].lo, self.intervals[-1].hi
 
-    def hull_contains(self, x: Fraction) -> bool:
-        """min <= x <= sup, on numerators and (positive) denominators cross-multiplied."""
-        lo, hi = self.intervals[0].lo, self.intervals[-1].hi
-        xn, xd = x.numerator, x.denominator
-        return lo.numerator * xd <= xn * lo.denominator and xn * hi.denominator <= hi.numerator * xd
-
     def complement_pieces(self) -> list[tuple[Fraction, bool, Fraction, bool]]:
         """Complement within [0,1] as (lo, lo_closed, hi, hi_closed) pieces."""
         out = []
@@ -126,50 +107,100 @@ class IntervalUnion:
         return out
 
 
+def _pair(q: Fraction) -> Pair:
+    return q.numerator, q.denominator
+
+
+def _canonical(ivs: Sequence[Interval]) -> list[Interval]:
+    """A union's intervals sorted and merged, on positions in a table of their ends (as VerifStructure's spans).
+
+    An interval that starts at or before the end of the one before joins it,
+    since it is left-closed.
+    """
+    table = Coordinates(dict.fromkeys(q for lo, hi, _ in ivs for q in (lo, hi)))
+    rank, pairs, runs = table.rank, table.pairs, []
+    for start, end in sorted((2 * rank[lo], 2 * rank[hi] + hi_closed) for lo, hi, hi_closed in ivs):
+        if runs and start <= runs[-1][1]:
+            runs[-1] = runs[-1][0], max(end, runs[-1][1])
+        else:
+            runs.append((start, end))
+    return [(pairs[start >> 1], pairs[end >> 1], end & 1 == 1) for start, end in runs]
+
+
 @dataclass(frozen=True)
 class VerifStructure:
     """Named messages with their supports, and the full-verifiability flag.
 
-    ``_table`` (rationals.Coordinates) ranks 0, 1 and every support endpoint;
-    a game widens it with the payoff's breakpoints and the prior (see
-    GameSpec._table).  ``_spans`` holds (start, end, minimum, name) for every
-    interval, in message order, as table positions (2i at point i, 2i + 1 on
-    the open gap after it): it covers start <= pos < end, and minimum is the
-    position of its support's minimum.  Availability is constant on each
-    open gap.
+    Built from the supports' endpoint pairs (_from_pairs, or the objects'
+    pairs).  ``_table`` (rationals.Coordinates) ranks 0, 1 and every support
+    endpoint; a game widens it with the payoff's breakpoints and the prior
+    (see GameSpec._table).  ``_spans`` holds (start, end, minimum, name) for
+    every interval, in message order, as table positions (2i at point i,
+    2i + 1 on the open gap after it): it covers start <= pos < end, and
+    minimum is the position of its support's minimum.  Availability is
+    constant on each open gap.  Without objects, ``messages`` is built on
+    first access.
     """
 
     messages: tuple[tuple[str, IntervalUnion], ...]
     full_verifiability: bool = False
 
     def __post_init__(self):
-        names = [name for name, _ in self.messages]
+        points = {(q.numerator, q.denominator): q for _, supp in self.messages for iv in supp.intervals for q in (iv.lo, iv.hi)}
+        self._build([(name, [(_pair(iv.lo), _pair(iv.hi), iv.hi_closed) for iv in supp.intervals]) for name, supp in self.messages], points)
+
+    @classmethod
+    def _from_pairs(cls, supports: Sequence[tuple[str, Sequence[Interval]]], full_verifiability: bool,
+                    points: Mapping[Pair, Fraction]) -> "VerifStructure":
+        """A structure from (name, intervals), each interval checked (check_interval) and each union canonical (_canonical).
+
+        The table keeps the Fractions that points holds for some endpoints.
+        """
+        structure = _new(cls)
+        object.__setattr__(structure, "full_verifiability", full_verifiability)
+        structure._build(supports, points)
+        return structure
+
+    def _build(self, supports: Sequence[tuple[str, Sequence[Interval]]], points: Mapping[Pair, Fraction]) -> None:
+        """The table and spans of canonical supports, and the structure's own checks."""
+        names = [name for name, _ in supports]
         if len(set(names)) != len(names):
             raise ConstructionError("message names must be unique")
         for name in names:
             if name.startswith(IDENTITY_PREFIX):
                 raise ConstructionError(f"message name {name!r} uses the reserved prefix {IDENTITY_PREFIX!r}")
-        # each endpoint's canonical pair is read once, for the table and the spans
-        ends, pairs = {(0, 1): ZERO, (1, 1): ONE}, []
-        for name, supp in self.messages:
-            for iv in supp.intervals:
-                lo, hi = iv.lo, iv.hi
-                lo_pair, hi_pair = (lo.numerator, lo.denominator), (hi.numerator, hi.denominator)
-                ends[lo_pair], ends[hi_pair] = lo, hi
-                pairs.append((lo_pair, hi_pair, iv.hi_closed, name))
+        ends = {(0, 1): ZERO, (1, 1): ONE}
+        for _, ivs in supports:
+            for lo, hi, _ in ivs:
+                ends[lo], ends[hi] = points.get(lo), points.get(hi)
         table = Coordinates(ends)
-        rank, spans, minimum, last = table.rank, [], 0, None
-        for lo_pair, hi_pair, hi_closed, name in pairs:
-            start = 2 * rank[lo_pair]
-            if name != last:  # a support's first interval starts at its minimum
-                minimum, last = start, name
-            spans.append((start, 2 * rank[hi_pair] + hi_closed, minimum, name))
+        rank, spans = table.rank, []
+        for name, ivs in supports:
+            minimum = 2 * rank[ivs[0][0]]
+            for lo, hi, hi_closed in ivs:
+                spans.append((2 * rank[lo], 2 * rank[hi] + hi_closed, minimum, name))
         object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_spans", tuple(spans))
         if not self.full_verifiability:
-            if not self.messages:
+            if not supports:
                 raise ConstructionError("a structure without full verifiability needs messages")
             self._best_minima  # the endpoint sweep checks coverage
+
+    def __getattr__(self, name: str):
+        """messages, built from the spans when the structure came without them (_from_pairs)."""
+        if name != "messages" or "_spans" not in self.__dict__:
+            raise AttributeError(name)
+        point, supports = self._table.point, {}
+        for start, end, _, message in self._spans:
+            supports.setdefault(message, []).append(SupportInterval(point(start >> 1), point(end >> 1), end & 1 == 1))
+        messages = tuple((message, IntervalUnion(tuple(ivs))) for message, ivs in supports.items())
+        object.__setattr__(self, "messages", messages)
+        return messages
+
+    @cached_property
+    def _hulls(self) -> dict[str, tuple[int, int]]:
+        """Each support's closed convex hull [minimum, supremum] as table ranks, in message order."""
+        return {name: (minimum >> 1, end >> 1) for _, end, minimum, name in self._spans}
 
     def support(self, name: str) -> IntervalUnion:
         try:
@@ -183,7 +214,7 @@ class VerifStructure:
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.messages)
+        return tuple(self._hulls)
 
     def support_endpoints(self) -> list[Fraction]:
         """0, 1 and every support endpoint, ascending."""
@@ -201,7 +232,7 @@ class VerifStructure:
         raises ConstructionError when a structure without full verifiability
         is built.  Returns (ranks at the points, ranks on the gaps).
         """
-        size = 2 * len(self._table.points) - 1
+        size = 2 * len(self._table.pairs) - 1
         best, heap, pos = [0] * size, [], 0
         for start, end, minimum, _ in [*sorted(self._spans), (size, size, 0, "")]:
             while pos < start:

@@ -237,7 +237,7 @@ SMALL = dict(max_pieces=3, max_messages=2, denoms=(2, 3, 4, 6))
 
 def critical_grid(game: GameSpec) -> tuple[Fraction, ...]:
     """The oracle's critical grid: 0, 1, the prior, the payoff breakpoints and support endpoints, and the midpoint of each gap."""
-    return game._oracle_grid[1]
+    return tuple(Fraction(n, d) for n, d in game._oracle_grid[1])
 
 
 def rand_oracle_game(rng: random.Random, want_pnbp: bool, max_grid=12) -> GameSpec:

@@ -6,14 +6,15 @@ skeptical type map, is the best support minimum among them; the envelope is
 the Fraction hull of v(g) at every point and at both ends of every gap
 between points, each gap sampled at its midpoint; PNBP and the split scan
 every support minimum and every candidate point; the interim value tests
-every support at every grid point, and a signal's value and a line's
-clearance read it; the best deviation searches every pair of grid points
+every support at every grid point (and its slice fill writes every
+interval's slots, messages in ascending level order), and a signal's value
+and a line's clearance read it; the best deviation searches every pair of grid points
 for a chord through the optimum; the exhaustive search redoes its exact
 algebra for every messaging profile; and the separation pre-order scans
 every message at every endpoint and gap midpoint of both structures.
 
 Then come the Fraction twins of the program's integer kernels: Fraction(str)
-for every rational, hull turns as Fraction cross-products, step and envelope
+for every rational (the reader before it read pairs), hull turns as Fraction cross-products, step and envelope
 evaluation by bisecting Fractions, on-line tests as Fraction products, and
 the figure's coordinates as Fractions.  The references above are built on
 these twins, never on the fast paths.
@@ -185,6 +186,27 @@ def pointwise_interim_values(game: GameSpec, beliefs, grid) -> list[Fraction]:
         return top
 
     return [w(s) for s in grid]
+
+
+def slice_interim_values(game: GameSpec, beliefs) -> list[int]:
+    """oracle._interim_values as a slice fill over the support objects' intervals.
+
+    Each interval writes its message's level into every slot from 2 rank(lo)
+    to 2 rank(hi) in the oracle's table, one fewer when open at hi, messages
+    in ascending level order, so the highest level written last wins: about
+    M * G writes on nested supports.
+    """
+    table, grid, piece, _ = game._oracle_grid
+    rank, w = table.rank, [-1] * len(grid)
+    levels = [(piece[table.position(beliefs[name])], supp) for name, supp in game.structure.messages]
+    for lvl, supp in sorted(levels, key=itemgetter(0)):
+        for iv in supp.intervals:
+            a = 2 * rank[iv.lo.numerator, iv.lo.denominator]
+            b = 2 * rank[iv.hi.numerator, iv.hi.denominator] + iv.hi_closed
+            w[a:b] = [lvl] * (b - a)
+    if game.structure.full_verifiability:
+        w = list(map(max, w, piece))
+    return w
 
 
 def signal_value(game: GameSpec, beliefs, signal: Signal) -> Fraction:
@@ -498,8 +520,8 @@ def grid_geq_sep(m_hi: VerifStructure, m_lo: VerifStructure) -> OrderVerdict:
 # ---------------------------------------------------------------------------
 
 def fraction_str_parse_rational(text) -> Fraction:
-    """parse_rational with every string going through Fraction(str), as before its int() fast path."""
-    if isinstance(text, int):
+    """parse_rational as it read every string before the pair reader: through Fraction(str), whose language grew with Python's version."""
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str):
         raise ValueError(f"rational must be a string like '2/5', got {text!r}")
@@ -510,6 +532,15 @@ def fraction_str_parse_rational(text) -> Fraction:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed rational {text!r}: {exc}") from exc
+
+
+def fraction_str_parse(obj) -> Fraction:
+    """gamefile's reader before the pair reader: the 40-digit cap on the string as written, then fraction_str_parse_rational."""
+    if isinstance(obj, (str, int)) and len(text := str(obj)) > 40 and any(
+        len(part.strip().lstrip("+-")) > 40 for part in text.split("/")
+    ):
+        raise ValueError("more than 40 digits in a numerator or denominator")
+    return fraction_str_parse_rational(obj)
 
 
 def fraction_upper_hull_points(points) -> list[Point]:

@@ -110,9 +110,10 @@ def interim_values(game: GameSpec, beliefs) -> list[F]:
 
 
 def test_one_coordinate_table_per_structure_and_per_game(monkeypatch, tmp_path):
-    # a loaded structure builds one table of 0, 1 and its support endpoints;
-    # the game builds one more, which also ranks the payoff's breakpoints
-    # and the prior, and keeps the structure it was given
+    # a loaded structure builds one table of 0, 1 and its support endpoints,
+    # after one small table per union of several intervals, which orders
+    # and merges them; the game builds one more, which also ranks the
+    # payoff's breakpoints and the prior, and keeps the structure it was given
     built = []
     fill = rationals.Coordinates._fill
 
@@ -127,10 +128,11 @@ def test_one_coordinate_table_per_structure_and_per_game(monkeypatch, tmp_path):
         path.write_text(json.dumps(game_to_obj(game)))
         built.clear()
         loaded = load_game(str(path))
-        assert len(built) == 1 and loaded.structure.support_endpoints() == sorted(ends)
+        unions = sum(len(supp.intervals) > 1 for _, supp in game.structure.messages)
+        assert len(built) == 1 + unions and loaded.structure.support_endpoints() == sorted(ends)
         assert set(loaded._table.points) == ends | set(game.payoff.breakpoints) | {game.prior}
         solve(loaded)
-        assert len(built) == 2
+        assert len(built) == 2 + unions
         assert [q for q, marked in zip(loaded._table.points, loaded._table.marked) if marked] == sorted(ends)
         structure = VerifStructure(loaded.structure.messages, loaded.structure.full_verifiability)
         assert GameSpec(loaded.payoff, loaded.prior, structure).structure is structure
@@ -275,7 +277,7 @@ def test_keyed_evaluation_matches_fraction_bisect():
     ties = 0
     for game in SAMPLE:
         adjusted, hull = skeptical_value(game), value_hull(game)
-        xs, piece, _, _, _ = game._levels
+        xs, (piece, _, _, _) = game._table.points, game._levels
         assert [game.payoff.values[k] for k in piece] == [fraction_step_eval(game.payoff, x) for x in xs]
         points = (*game.payoff.breakpoints, *adjusted.breakpoints, *hull.xs, game.prior)
         for x in query_points(rng, points):
@@ -293,7 +295,7 @@ def test_int_line_tests_match_fraction_products():
     hits = misses = 0
     for game in SAMPLE:
         vertices = value_hull(game).vertices
-        xs, _, at, _, _ = game._levels
+        xs, (_, at, _, _) = game._table.points, game._levels
         vals = game.payoff.values
         for p0, p1 in zip(vertices, vertices[1:]):
             on_line = on_line_through(p0, p1)
@@ -358,24 +360,6 @@ def test_figure_draws_posteriors_off_the_table():
     assert f'<circle cx="{figures._fmt(figures.PLOT_LEFT + float(F(2, 3)) * 560)}"' in render_game_svg(game, off)
 
 
-def test_beliefs_tested_against_support_hulls_once(monkeypatch):
-    # verify tests each belief against its support's hull once, and its
-    # line test does not repeat that test
-    calls = []
-    hull_contains = verifiability.IntervalUnion.hull_contains
-
-    def counted(self, x):
-        calls.append(x)
-        return hull_contains(self, x)
-
-    monkeypatch.setattr(verifiability.IntervalUnion, "hull_contains", counted)
-    for game in coprime_games(67, 3):
-        eq = solve(game)
-        calls.clear()
-        assert verify_equilibrium(game, eq).ok
-        assert len(calls) == len(game.structure.messages)
-
-
 def test_belief_outside_support_hull_on_either_side():
     # verify reports condition 3, below the minimum and above the supremum
     # of a right-open support alike
@@ -433,6 +417,4 @@ def test_constructors_validate_float_tied_rationals():
         verifiability.SupportInterval(hi, lo)
     with pytest.raises(verifiability.ConstructionError, match="degenerate"):
         verifiability.SupportInterval(lo, lo, False)
-    union = IntervalUnion.from_pairs([(lo, hi)])
-    assert union.hull_contains(lo) and union.hull_contains(hi)
-    assert not union.hull_contains(lo - F(1, 10**80)) and not union.hull_contains(hi + F(1, 10**80))
+    assert IntervalUnion.from_pairs([(lo, hi)]).hull_bounds() == (lo, hi)

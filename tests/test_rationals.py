@@ -7,9 +7,10 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from disclosuregame.rationals import Coordinates, not_right_turn, order_key, parse_rational
+from disclosuregame import gamefile
+from disclosuregame.rationals import Coordinates, from_pair, not_right_turn, order_key, parse_pair, parse_rational
 
-from reference_paths import fraction_str_parse_rational
+from reference_paths import fraction_str_parse, fraction_str_parse_rational
 
 BIG = 10**39
 
@@ -21,13 +22,83 @@ def outcome(fn, text):
         return "error", str(exc)
 
 
+def newer_python_only(text) -> bool:
+    """Whether only a newer Python's Fraction(str) reads text: underscores between digits (3.11) or spaces around the slash (3.12)."""
+    if not isinstance(text, str):
+        return False
+    num, slash, den = text.strip().partition("/")
+    return "_" in text or bool(slash) and (num != num.rstrip() or den != den.lstrip())
+
+
+def expected_outcome(read, text):
+    """read's outcome on text, but for a string that only newer Pythons read: Python 3.10's malformed-literal error.
+
+    The digit cap and the refusal of decimal forms come first, as before.
+    """
+    got = outcome(read, text)
+    if newer_python_only(text) and not (got[0] == "error" and ("digits" in got[1] or "must be exact" in got[1])):
+        return "error", f"malformed rational {text!r}: Invalid literal for Fraction: {text.strip()!r}"
+    return got
+
+
 @pytest.mark.parametrize("text", [
     " 3/4 ", "+3/4", "-0/5", "007/3", "1/0", "3/-4", "٣/٤", "1_000/3",
     "3 / 4", "3/", "/4", "+", "-", "--3/4", "+-3/4", "1/00", "12", "-12", "0", "0/7", "4/6",
     "0.5", "1e3", "", " ", "\t5/2\n", "²/3", "3/²", str(BIG) + "/" + str(BIG + 1),
 ])
-def test_parse_fast_path_matches_fraction_str(text):
-    assert outcome(parse_rational, text) == outcome(fraction_str_parse_rational, text)
+def test_parse_matches_fraction_str(text):
+    assert outcome(parse_rational, text) == expected_outcome(fraction_str_parse_rational, text)
+
+
+def test_underscores_and_spaces_around_the_slash_are_refused_on_every_version():
+    for text in ("1_0/3", "10/3_0", "1 /3", "1/ 3", "1\u2007/\u20073"):
+        with pytest.raises(ValueError, match="malformed rational .*: Invalid literal for Fraction"):
+            parse_pair(text)
+    assert parse_pair(" 10/30 ") == (1, 3)
+
+
+DIGITS = st.sampled_from("0123456789" * 4 + "٣٤" + "０９" + "²" + "_")
+PART = st.one_of(
+    st.text(DIGITS, max_size=5),
+    st.builds(lambda zeros, n: "0" * zeros + str(n), st.integers(0, 3), st.integers(0, 10**6)),
+    st.builds(lambda k: "7" * k, st.integers(38, 42)),  # around the 40-digit cap
+)
+SPACE = st.sampled_from(["", "", " ", "\t", "\u2007"])
+TEXT = st.builds(
+    lambda s1, sign, num, s2, slash, s3, den, s4: f"{s1}{sign}{num}{s2}{slash}{s3}{den}{s4}",
+    SPACE, st.sampled_from(["", "", "+", "-", "--", "+-"]), PART, SPACE, st.sampled_from(["/", "/", ""]), SPACE,
+    st.one_of(PART, st.sampled_from(["0", "00", "-4", "+4", "", "1.5", "2e3"])), SPACE,
+)
+
+
+@given(st.one_of(
+    TEXT,
+    st.integers(-(10**42), 10**42),
+    st.sampled_from([True, False, None, 0.5, [1], {"n": 1}]),
+))
+@settings(max_examples=600, deadline=None)
+def test_pair_reader_matches_fraction_str_reader(obj):
+    # the file reader's pairs against its Fraction(str) predecessor, cap
+    # included: the same pair or the same error text, but for the strings
+    # that only newer Pythons read
+    def as_pair(read):
+        def run(text):
+            q = read(text)
+            return q if isinstance(q, tuple) else (q.numerator, q.denominator)
+        return run
+
+    assert outcome(as_pair(gamefile._parse), obj) == expected_outcome(as_pair(fraction_str_parse), obj)
+
+
+@given(st.integers(-(10**45), 10**45), st.integers(1, 10**45))
+@settings(max_examples=200, deadline=None)
+def test_pairs_are_canonical_and_build_the_same_fraction(n, d):
+    q = F(n, d)
+    pair = parse_pair(f"{n}/{d}")
+    assert pair == (q.numerator, q.denominator)
+    built = from_pair(*pair)
+    assert type(built) is F and built == q and hash(built) == hash(q) and repr(built) == repr(q)
+    assert built + 1 == q + 1 and built * q == q * q and str(built) == str(q)
 
 
 def test_parse_rejects_booleans_and_non_strings():

@@ -50,8 +50,9 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     # rationals: the parse fast path, order keys and the int kernels
-    Mutant("rationals.parse_zero_denominator", "if den.isdigit() and (d := int(den)):",
-           "if den.isdigit() and ((d := int(den)) or True):"),
+    Mutant("rationals.parse_zero_denominator", "        if d:\n            g = gcd(n, d)", "        if True:\n            g = gcd(n, d)"),
+    Mutant("rationals.pair_gcd_dropped", "return n // g, d // g", "return n, d"),
+    Mutant("rationals.pair_sign_on_denominator", "return n // g, d // g", "return abs(n) // g, (d if n >= 0 else -d) // g"),
     Mutant("rationals.huge_negative_to_plus_inf", "return (inf if n > 0 else -inf), q", "return inf, q"),
     Mutant("rationals.unit_interval_open_at_one", "return 0 <= q.numerator <= q.denominator",
            "return 0 <= q.numerator < q.denominator"),
@@ -93,30 +94,31 @@ MUTANTS = (
     Mutant("piecewise.candidates_drop_right_ends", "pts.append((hi, v))", "pass"),
     Mutant("piecewise.pl_eval_last_vertex", "if i == len(g.vertices) - 1:", "if i == len(g.vertices):"),
     # verifiability: supports, the coordinate table, positions and the endpoint sweep
-    Mutant("verifiability.open_end_spans_as_closed", "2 * rank[hi_pair] + hi_closed, minimum, name",
-           "2 * rank[hi_pair] + 1, minimum, name"),
-    Mutant("verifiability.span_starts_a_rank_late", "start = 2 * rank[lo_pair]\n", "start = 2 * rank[lo_pair] + 2\n"),
+    Mutant("verifiability.open_end_spans_as_closed", "spans.append((2 * rank[lo], 2 * rank[hi] + hi_closed, minimum, name))",
+           "spans.append((2 * rank[lo], 2 * rank[hi] + 1, minimum, name))"),
+    Mutant("verifiability.span_starts_a_rank_late", "spans.append((2 * rank[lo], 2 * rank[hi]", "spans.append((2 * rank[lo] + 2, 2 * rank[hi]"),
+    Mutant("verifiability.merge_shrinks", "runs[-1] = runs[-1][0], max(end, runs[-1][1])", "runs[-1] = runs[-1][0], end"),
+    Mutant("verifiability.reader_unions_not_merged", "_canonical(ivs) if len(ivs) > 1 else ivs", "ivs"),
     Mutant("verifiability.lo_above_hi_accepted", "if left > right:", "if False:"),
-    Mutant("verifiability.merge_drops_hi_closed", "SupportInterval(merged[-1].lo, iv.hi, hi_closed)",
-           "SupportInterval(merged[-1].lo, iv.hi)"),
+    Mutant("verifiability.merge_drops_hi_closed", "pairs[end >> 1], end & 1 == 1) for start, end in runs]",
+           "pairs[end >> 1], True) for start, end in runs]"),
     Mutant("verifiability.span_end_inclusive",
            "out = {name for start, end, _, name in structure._spans if start <= pos < end}",
            "out = {name for start, end, _, name in structure._spans if start <= pos <= end}"),
-    Mutant("verifiability.open_degenerate_interval", "if left == right and not self.hi_closed:", "if False:"),
-    Mutant("verifiability.hull_sup_strict", "xn * hi.denominator <= hi.numerator * xd",
-           "xn * hi.denominator < hi.numerator * xd"),
+    Mutant("verifiability.open_degenerate_interval", "if left == right and not hi_closed:", "if False:"),
     Mutant("verifiability.sweep_fills_past_next_start", "top, stop = -heap[0][0], min(start, heap[0][1])",
            "top, stop = -heap[0][0], heap[0][1]"),
     Mutant("verifiability.sweep_keeps_ended_on_gap", "top, stop = -heap[0][0], min(start, heap[0][1])",
            "top, stop = -heap[0][0], min(start, heap[0][1] + 1)"),
-    Mutant("rationals.position_gap_off_by_one", "return 2 * bisect_left(self.keys, order_key(q)) - 1",
-           "return 2 * bisect_left(self.keys, order_key(q)) + 1"),
-    Mutant("rationals.table_sort_on_float_only", "        entries.sort()\n", "        entries.sort(key=lambda entry: entry[0][0])\n"),
-    Mutant("rationals.widened_table_marks_every_point", "((n / d, q), (n, d), False) for (n, d), q in extra.items()",
-           "((n / d, q), (n, d), True) for (n, d), q in extra.items()"),
+    Mutant("rationals.position_gap_off_by_one", "        return 2 * i - 1\n", "        return 2 * i + 1\n"),
+    Mutant("rationals.position_ignores_float_ties", "while keys[i] == f and pairs[i][0] * d < n * pairs[i][1]:",
+           "while False:"),
+    Mutant("rationals.table_sort_on_float_only", "if len(set(map(itemgetter(0), entries))) < len(entries):", "if False:"),
+    Mutant("rationals.widened_table_marks_every_point", "((n / d, (n, d), False, q) for (n, d), q in extra.items()",
+           "((n / d, (n, d), True, q) for (n, d), q in extra.items()"),
     Mutant("verifiability.coverage_unchecked",
            'raise ConstructionError("message supports must cover all of [0,1]")', "return 0"),
-    Mutant("verifiability.touching_not_merged", "if lo <= cur_hi:", "if lo < cur_hi:"),
+    Mutant("verifiability.touching_not_merged", "if runs and start <= runs[-1][1]:", "if runs and start < runs[-1][1]:"),
     Mutant("verifiability.lcs_ignores_flag",
            "return LowestConsistentSet(tuple(minima), structure.full_verifiability)",
            "return LowestConsistentSet(tuple(minima), False)"),
@@ -126,15 +128,14 @@ MUTANTS = (
     Mutant("equilibrium.best_message_largest_name", "return min(candidates)[1]", "return max(candidates)[1]"),
     Mutant("equilibrium.game_point_off_table_reads_point", "g_at = [to_game[at_point[j] if marked else on_gap[j]]",
            "g_at = [to_game[at_point[j]]"),
-    Mutant("equilibrium.structure_ranks_as_game_ranks", "to_game = list(compress(range(len(xs)), table.marked))",
-           "to_game = list(range(len(xs)))"),
+    Mutant("equilibrium.structure_ranks_as_game_ranks",
+           "return list(compress(range(len(self._table.marked)), self._table.marked))",
+           "return list(range(len(self._table.marked)))"),
     Mutant("equilibrium.level_fill_skips_breakpoint", "piece[lo:hi] = [k] * (hi - lo)",
            "piece[lo + 1:hi] = [k] * (hi - lo - 1)"),
-    Mutant("equilibrium.full_verif_g_not_identity", "return xs, piece, piece, piece[:-1], [True] * len(xs)",
-           "return xs, piece, [0] * len(xs), [0] * (len(xs) - 1), [True] * len(xs)"),
-    Mutant("equilibrium.pnbp_weak",
-           "if (level := piece[rank[supp.minimum.numerator, supp.minimum.denominator]]) > vp",
-           "if (level := piece[rank[supp.minimum.numerator, supp.minimum.denominator]]) >= vp"),
+    Mutant("equilibrium.full_verif_g_not_identity", "return piece, piece, piece[:-1], [True] * n",
+           "return piece, [0] * n, [0] * (n - 1), [True] * n"),
+    Mutant("equilibrium.pnbp_weak", "if (level := piece[to_game[minimum]]) > vp", "if (level := piece[to_game[minimum]]) >= vp"),
     Mutant("equilibrium.hull_levels_without_gaps", "top = list(map(max, at, [at[0], *gap], [*gap, at[-1]]))",
            "top = list(at)"),
     Mutant("equilibrium.walk_on_right_records", "top, from_left, _ = game._hull_levels",
@@ -146,7 +147,8 @@ MUTANTS = (
            "differs only when p is a hull vertex, which is then a contact point on either edge"),
     Mutant("equilibrium.no_pnbp_belief_skeptical", "    beliefs[m0] = p\n", ""),
     Mutant("equilibrium.value_identity_unchecked", "if total != eq.value:", "if False:"),
-    Mutant("equilibrium.hull_check_dropped", "if not supp.hull_contains(b):", "if False:"),
+    Mutant("equilibrium.hull_check_dropped", "if not (ln * bd <= bn * ld and bn * hd <= hn * bd):", "if False:"),
+    Mutant("equilibrium.hull_sup_strict", "bn * hd <= hn * bd", "bn * hd < hn * bd"),
     Mutant("equilibrium.condition_two_and_identity_deleted",
            """    # (2) sequentially rational communication; each message's payoff is
     # evaluated once, however many signal points may send it
@@ -175,20 +177,18 @@ MUTANTS = (
            "if name.startswith(IDENTITY_PREFIX) and b != min_inverse(game.structure, name):", "if False:"),
     Mutant("equilibrium.bayes_unchecked", "if imbalance != 0:", "if False:"),
     # oracle: the critical grid, the interim values and the searches
-    Mutant("oracle.midpoint_drops_factor_two", "grid.append(Fraction(an * bd + bn * ad, 2 * ad * bd))",
-           "grid.append(Fraction(an * bd + bn * ad, ad * bd))"),
+    Mutant("oracle.midpoint_drops_factor_two", "(an * bd + bn * ad, 2 * ad * bd)", "(an * bd + bn * ad, ad * bd)"),
     Mutant("oracle.piece_table_off_by_one",
            "starts = [2 * rank[b.numerator, b.denominator] for b in game.payoff.breakpoints]",
            "starts = [2 * rank[b.numerator, b.denominator] + 1 for b in game.payoff.breakpoints]"),
     Mutant("oracle.piece_table_slice_longer", "piece[a:b] = [k] * (b - a)", "piece[a:b + 1] = [k] * (b + 1 - a)",
            "the next piece's fill overwrites the extra slot, and the last piece's adds one slot past the grid, "
            "which no reader indexes"),
-    Mutant("oracle.off_grid_level_low", "levels = [(piece[table.position(beliefs[name])], supp)",
-           "levels = [(piece[(pos := table.position(beliefs[name]))] - pos % 2, supp)"),
-    Mutant("oracle.fill_open_end_as_closed", "b = 2 * rank[iv.hi.numerator, iv.hi.denominator] + iv.hi_closed",
-           "b = 2 * rank[iv.hi.numerator, iv.hi.denominator] + 1"),
-    Mutant("oracle.fill_in_message_order", "for lvl, supp in sorted(levels, key=itemgetter(0)):",
-           "for lvl, supp in levels:"),
+    Mutant("oracle.off_grid_level_low", "sorted([(piece[position(beliefs[name])], a, b)",
+           "sorted([(piece[(pos := position(beliefs[name]))] - pos % 2, a, b)"),
+    Mutant("oracle.fill_open_end_as_closed", "slot[end >> 1] + (end & 1)", "slot[end >> 1] + 1"),
+    Mutant("oracle.fill_in_ascending_level_order", "for a, b, name in slots], reverse=True):", "for a, b, name in slots]):"),
+    Mutant("oracle.fill_skips_a_slot", "free[i:j] = [j] * (j - i)", "free[i:j + 1] = [j + 1] * (j + 1 - i)"),
     Mutant("oracle.identity_level_ignored", "w = list(map(max, w, piece))", "pass"),
     # oracle: condition (1)'s supporting-line test
     Mutant("oracle.line_ignores_w_at_prior", "at_p = rise[w[k]][0]", "at_p = -1"),
@@ -246,12 +246,14 @@ MUTANTS = (
            "y_lo, y_hi = min(values[0], ZERO), max(values[-1], ZERO)"),
     Mutant("figures.limit_marker_at_own_value", 'cy="{py[k - 1]}"', 'cy="{py[k]}"'),
     Mutant("figures.no_identity_bar", 'rows.append(("identity", None))', "pass"),
+    Mutant("figures.bar_at_structure_rank", "(to_game[start >> 1], to_game[end >> 1])", "(start >> 1, end >> 1)"),
     # gamefile: the per-file reader and field paths
-    Mutant("gamefile.memo_takes_bools", "if isinstance(obj, str):\n            q = memo.get(obj)",
-           "if isinstance(obj, (str, int)):\n            q = memo.get(obj)"),
-    Mutant("gamefile.no_memo", "q = memo.get(obj)", "q = None"),
-    Mutant("gamefile.hi_closed_dropped", "return SupportInterval(ends[0], ends[1], hi_closed)",
-           "return SupportInterval(ends[0], ends[1])"),
+    Mutant("gamefile.memo_takes_bools", "if isinstance(obj, str):\n            pair = memo.get(obj)",
+           "if isinstance(obj, (str, int)):\n            pair = memo.get(obj)"),
+    Mutant("gamefile.no_memo", "pair = memo.get(obj)", "pair = None"),
+    Mutant("gamefile.hi_closed_dropped", "return lo, hi, hi_closed", "return lo, hi, True"),
+    Mutant("gamefile.digit_cap_inclusive", 'len(part.strip().lstrip("+-")) > MAX_RATIONAL_DIGITS',
+           'len(part.strip().lstrip("+-")) >= MAX_RATIONAL_DIGITS'),
     Mutant("gamefile.support_index_off_by_one", 'exc.where = f".support[{len(ivs)}]{exc.where}"',
            'exc.where = f".support[{len(ivs) + 1}]{exc.where}"'),
 )
