@@ -3,6 +3,10 @@
 Subcommands: solve, compare, optimal, oracle, witness.  Exit codes follow one
 contract everywhere: 0 success/holds, 1 semantic negative (comparison fails,
 oracle disagrees, not optimal, no witness), 2 input error.
+
+Each subcommand imports the modules only it runs (comparative, figures,
+oracle) when it runs, so a start that compiles the package from source
+compiles only what its subcommand needs.
 """
 
 from __future__ import annotations
@@ -11,16 +15,8 @@ import argparse
 import json
 import sys
 
-from .comparative import (
-    geq_lc,
-    geq_sep,
-    is_receiver_optimal,
-    is_sender_optimal,
-    separating_instance,
-)
 from .equilibrium import equilibrium_value, pnbp, solve, verify_equilibrium
 from .errors import GameFileError, OracleSizeError, PreconditionError
-from .figures import render_game_svg
 from .gamefile import (
     equilibrium_to_obj,
     game_to_obj,
@@ -28,7 +24,6 @@ from .gamefile import (
     load_structure,
     verdict_to_obj,
 )
-from .oracle import exhaustive_search
 from .rationals import format_rational
 
 # oracle --max-messages, --max-grid ceilings; the slowest games measured at both: under 1 s (README)
@@ -103,6 +98,8 @@ def cmd_solve(args) -> int:
         print(f"internal error: solution failed verification: {report.detail}", file=sys.stderr)
         return 2
     if args.svg:
+        from .figures import render_game_svg
+
         with open(args.svg, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(render_game_svg(game, eq))
     if args.json:
@@ -128,6 +125,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .comparative import geq_lc, geq_sep
+
     hi = load_structure(args.path_hi)
     lo = load_structure(args.path_lo)
     verdict = geq_lc(hi, lo) if args.relation == "lc" else geq_sep(hi, lo)
@@ -149,6 +148,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_optimal(args) -> int:
+    from .comparative import is_receiver_optimal, is_sender_optimal
+
     structure = load_structure(args.path)
     if args.sender:
         which, result = "sender", is_sender_optimal(structure)
@@ -165,6 +166,8 @@ def cmd_oracle(args) -> int:
     for flag, ceiling in ORACLE_CEILINGS.items():
         if not 1 <= getattr(args, flag) <= ceiling:
             raise ValueError(f"--{flag.replace('_', '-')} must lie in 1..{ceiling}")
+    from .oracle import exhaustive_search
+
     game = load_game(args.path)
     analytic = equilibrium_value(game).value
     values = exhaustive_search(game, args.max_messages, args.max_grid)
@@ -188,6 +191,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    from .comparative import separating_instance
+
     hi = load_structure(args.path_hi)
     lo = load_structure(args.path_lo)
     try:

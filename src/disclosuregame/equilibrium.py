@@ -114,8 +114,8 @@ class GameSpec:
 
     @cached_property
     def _oracle_grid(self) -> tuple[Coordinates, tuple[tuple[int, int], ...], tuple[int, ...], tuple[tuple[int, int, str], ...]]:
-        """The brute-force oracle's own table, critical grid, piece table and support slots (oracle._table_and_grid); the solver never reads it."""
-        from .oracle import _table_and_grid  # late import: oracle builds on this module's types
+        """The brute-force oracle's own table, critical grid, piece table and support slots (grid._table_and_grid); the solver never reads it."""
+        from .grid import _table_and_grid  # late import: grid builds on this module's types
         return _table_and_grid(self)
 
     @cached_property
@@ -420,7 +420,7 @@ def verify_equilibrium(game: GameSpec, eq: Equilibrium) -> VerifyReport:
 
     1. Optimal information acquisition: against the stated beliefs, the
        claimed value is the best response on the oracle's grid.  The test
-       is concavification's dual (oracle._supporting_line): a line through
+       is concavification's dual (grid._supporting_line): a line through
        (prior, value) weakly above the interim value on the grid touches
        it.  It builds no hull, so it shares no hull code with the solver.
     2. Sequentially rational communication: each on-path type sends a message
@@ -432,7 +432,7 @@ def verify_equilibrium(game: GameSpec, eq: Equilibrium) -> VerifyReport:
     belief outside it is reported as a violation of (3) before (1) and (2)
     are tested.
     """
-    from . import oracle  # late import: oracle builds on this module's types
+    from . import grid  # late import: grid builds on this module's types
 
     _validate_structure(game, eq)
     beliefs = dict(eq.beliefs)
@@ -444,7 +444,7 @@ def verify_equilibrium(game: GameSpec, eq: Equilibrium) -> VerifyReport:
             return VerifyReport(False, 3, f"belief for {name!r} outside conv support", (name, b))
 
     # (1) optimal information acquisition
-    report = oracle._supporting_line(game, beliefs, eq.value)
+    report = grid._supporting_line(game, beliefs, eq.value)
     if report is not None:
         return report
 

@@ -26,7 +26,6 @@ import json
 from fractions import Fraction
 from typing import Any, Callable
 
-from .comparative import OrderVerdict
 from .equilibrium import Equilibrium, GameSpec
 from .errors import ConstructionError, GameFileError
 from .piecewise import StepFunction
@@ -280,7 +279,8 @@ def equilibrium_to_obj(eq: Equilibrium, pnbp_holds: bool) -> dict:
     }
 
 
-def verdict_to_obj(verdict: OrderVerdict) -> dict:
+def verdict_to_obj(verdict: Any) -> dict:
+    """The JSON object of a comparative.OrderVerdict (typed Any, so loading this module imports no comparative)."""
     witness: Any = None
     if not verdict.holds:
         if verdict.relation == "lc":

@@ -39,8 +39,9 @@ class StepFunction:
             raise ValueError("breakpoints and values must be non-empty and same length")
         if bps[0].numerator != 0:
             raise ValueError("first breakpoint must be 0")
-        # exact tests on the canonical (numerator, denominator) pairs, with
-        # the positive denominators cross-multiplied
+        # every check, the merge and the monotonicity test run once, on the
+        # canonical (numerator, denominator) pairs, with the positive
+        # denominators cross-multiplied
         pairs = [(b.numerator, b.denominator) for b in bps]
         for (an, ad), (bn, bd) in zip(pairs, pairs[1:]):
             if not an * bd < bn * ad:
@@ -48,16 +49,12 @@ class StepFunction:
         if pairs[-1][0] > pairs[-1][1]:
             raise ValueError("breakpoints must lie in [0,1]")
         # canonical form: merge adjacent pieces with equal values
-        merged_b = [bps[0]]
-        merged_v = [vals[0]]
-        last = vals[0].numerator, vals[0].denominator
-        for b, v in zip(bps[1:], vals[1:]):
-            if (v.numerator, v.denominator) != last:
-                merged_b.append(b)
-                merged_v.append(v)
-                last = v.numerator, v.denominator
-        object.__setattr__(self, "breakpoints", tuple(merged_b))
-        object.__setattr__(self, "values", tuple(merged_v))
+        v_pairs = [(v.numerator, v.denominator) for v in vals]
+        keep = [0, *(i for i in range(1, len(vals)) if v_pairs[i] != v_pairs[i - 1])]
+        kept = [v_pairs[i] for i in keep]
+        object.__setattr__(self, "breakpoints", tuple(bps[i] for i in keep))
+        object.__setattr__(self, "values", tuple(vals[i] for i in keep))
+        object.__setattr__(self, "_non_decreasing", all(an * bd <= bn * ad for (an, ad), (bn, bd) in zip(kept, kept[1:])))
 
     def __call__(self, x: Fraction) -> Fraction:
         return step_eval(self, x)
@@ -79,7 +76,7 @@ class StepFunction:
 
     @property
     def is_non_decreasing(self) -> bool:
-        return all(a.numerator * b.denominator <= b.numerator * a.denominator for a, b in zip(self.values, self.values[1:]))
+        return self._non_decreasing
 
 
 def step_eval(f: StepFunction, x: Fraction) -> Fraction:

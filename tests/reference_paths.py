@@ -189,7 +189,7 @@ def pointwise_interim_values(game: GameSpec, beliefs, grid) -> list[Fraction]:
 
 
 def slice_interim_values(game: GameSpec, beliefs) -> list[int]:
-    """oracle._interim_values as a slice fill over the support objects' intervals.
+    """grid._interim_values as a slice fill over the support objects' intervals.
 
     Each interval writes its message's level into every slot from 2 rank(lo)
     to 2 rank(hi) in the oracle's table, one fewer when open at hi, messages

@@ -1,12 +1,15 @@
 """Command-line interface: commands, exit codes, JSON round-trips, SVG output."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
-from disclosuregame import cli
+from disclosuregame import cli, oracle
 from disclosuregame.cli import ORACLE_CEILINGS, main
 from disclosuregame.equilibrium import _solve_no_pnbp
 from disclosuregame.gamefile import (
@@ -27,6 +30,7 @@ from disclosuregame import (
 from disclosuregame.figures import render_game_svg
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 GAME_FIXTURES = ("fig2_cheap_talk", "fig2_more_verifiable", "mandatory_disclosure", "three_action")
 
@@ -245,7 +249,7 @@ class TestOracleCommand:
     def test_disagreement_exits_one(self, monkeypatch, capsys):
         # an oracle that misses the analytic value (a fault in either) is
         # reported, not hidden: exit 1, in text and JSON alike
-        monkeypatch.setattr(cli, "exhaustive_search", lambda game, max_messages, max_grid: {F(0)})
+        monkeypatch.setattr(oracle, "exhaustive_search", lambda game, max_messages, max_grid: {F(0)})
         assert main(["oracle", fx("three_action.json")]) == 1
         assert capsys.readouterr().out == "analytic value: 2/3\noracle values: {0}\nagreement: no\n"
         assert main(["oracle", fx("three_action.json"), "--json"]) == 1
@@ -318,6 +322,52 @@ class TestRepeatedCalls:
         assert capsys.readouterr().out == "relation lc: fails, witness type 1/2\n"
         assert main(["oracle", fx("three_action.json")]) == 0
         assert capsys.readouterr().out == "analytic value: 2/3\noracle values: {2/3}\nagreement: yes\n"
+
+
+# one subcommand in a fresh interpreter, its output swallowed: prints its exit
+# code and the package's modules that it imported
+RUN_AND_LIST_IMPORTS = (
+    "import contextlib, io, json, sys\n"
+    "from disclosuregame.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+    "    code = main(sys.argv[1:])\n"
+    "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('disclosuregame.'))]))\n"
+)
+
+
+class TestImportSets:
+    """Each subcommand imports only the modules it runs: a start that compiles the package from source compiles no more."""
+
+    @staticmethod
+    def imported(*argv: str) -> set:
+        path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        out = subprocess.run([sys.executable, "-c", RUN_AND_LIST_IMPORTS, *argv], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        code, modules = json.loads(out.stdout)
+        assert code == 0
+        return {name.split(".", 1)[1] for name in modules}
+
+    def test_solve_imports_figures_only_for_svg(self, tmp_path):
+        plain = self.imported("solve", fx("three_action.json"))
+        assert {"equilibrium", "grid", "gamefile"} <= plain
+        assert plain.isdisjoint({"comparative", "figures", "oracle"})
+        assert self.imported("solve", fx("three_action.json"), "--svg", str(tmp_path / "out.svg")) == plain | {"figures"}
+
+    def test_structure_commands_import_no_grid(self):
+        for argv in (
+            ("compare", fx("thresholds_half.json"), fx("cheap_talk.json")),
+            ("optimal", fx("receiver_optimal.json"), "--receiver"),
+            ("witness", fx("thresholds_three_quarters.json"), fx("thresholds_half.json")),
+        ):
+            modules = self.imported(*argv)
+            assert "comparative" in modules
+            assert modules.isdisjoint({"oracle", "grid", "figures"}), argv
+
+    def test_oracle_imports_no_pre_orders_or_figure(self):
+        modules = self.imported("oracle", fx("three_action.json"))
+        assert "oracle" in modules
+        assert modules.isdisjoint({"comparative", "figures"})
 
 
 def _write(tmp_path, obj) -> str:

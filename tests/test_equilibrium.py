@@ -1,6 +1,7 @@
 """Solver: PNBP detection, values, explicit equilibria, verification."""
 
 import random
+import sys
 from bisect import bisect_right
 from dataclasses import replace
 from fractions import Fraction as F
@@ -31,8 +32,8 @@ from disclosuregame import (
     thresholds,
     verify_equilibrium,
 )
+from disclosuregame import equilibrium, verifiability
 from disclosuregame.equilibrium import value_hull
-from disclosuregame.rationals import Coordinates
 
 from genutil import (
     rand_game,
@@ -116,17 +117,19 @@ class TestSharedAnalysis:
         assert pnbp(game) is pnbp(game)
 
     @staticmethod
-    def count_position_queries(monkeypatch, table: Coordinates) -> list:
-        """Record every availability query, a position in the structure's own table: each scans all M supports' spans at one point."""
+    def count_span_scans(monkeypatch) -> list:
+        """Record every call that scans all M supports' spans at one point (messages_at, _best_message), under every name bound to it."""
         calls = []
-        position = Coordinates.position
-
-        def counting(self, s):
-            if self is table:
+        modules = [module for name, module in sys.modules.items() if name.split(".")[0] == "disclosuregame"]
+        for scan in (verifiability.messages_at, equilibrium._best_message):
+            def counting(structure, s, scan=scan):
                 calls.append(s)
-            return position(self, s)
+                return scan(structure, s)
 
-        monkeypatch.setattr(Coordinates, "position", counting)
+            for module in modules:
+                for attr, value in list(vars(module).items()):
+                    if value is scan:
+                        monkeypatch.setattr(module, attr, counting)
         return calls
 
     def test_solve_queries_supports_linearly(self, monkeypatch):
@@ -134,18 +137,17 @@ class TestSharedAnalysis:
         # only at the split's points; asking at every endpoint would take
         # about M * E span tests
         game = rand_interval_game(random.Random(401), 400)
-        calls = self.count_position_queries(monkeypatch, game.structure._table)
+        calls = self.count_span_scans(monkeypatch)
         eq = solve(game)
         assert eq.signal.support != (game.prior,)
         assert len(calls) <= 2 * len(eq.signal.support)
 
     def test_verify_queries_supports_linearly(self, monkeypatch):
         # the oracle fills w by grid-index ranges; asking availability at
-        # every grid point would take about M * G span tests (the oracle's own
-        # table, which places each belief, is not the structure's)
+        # every grid point would take about M * G span tests
         game = rand_interval_game(random.Random(401), 400)
         eq = solve(game)
-        calls = self.count_position_queries(monkeypatch, game.structure._table)
+        calls = self.count_span_scans(monkeypatch)
         assert verify_equilibrium(game, eq).ok
         assert len(calls) <= 2 * len(eq.signal.support)
 

@@ -24,13 +24,8 @@ from disclosuregame import (
 from disclosuregame import oracle
 from disclosuregame.equilibrium import value_hull
 from disclosuregame.errors import DomainError
-from disclosuregame.oracle import (
-    _hull_segment,
-    _interim_values,
-    _supporting_line,
-    exhaustive_equilibria,
-    exhaustive_search,
-)
+from disclosuregame.grid import _interim_values, _supporting_line
+from disclosuregame.oracle import _hull_segment, exhaustive_equilibria, exhaustive_search
 
 from genutil import (
     critical_grid,

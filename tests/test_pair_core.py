@@ -11,7 +11,7 @@ builds on first access are the ones the caller would have passed, and that
 import io
 import json
 import random
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
 from disclosuregame import GameSpec, IntervalUnion, SupportInterval, VerifStructure, mandatory_disclosure, solve
@@ -19,9 +19,9 @@ from disclosuregame import cli, gamefile, verifiability
 from disclosuregame.equilibrium import verify_equilibrium
 from disclosuregame.figures import render_game_svg
 from disclosuregame.gamefile import game_from_obj, game_to_obj, load_game
-from disclosuregame.oracle import _interim_values
+from disclosuregame.grid import _interim_values
 
-from genutil import rand_coprime_game, rand_interval_game, rand_payoff, rand_point, rand_rich_structure
+from genutil import rand_coprime_game, rand_interval_game, rand_oracle_game, rand_payoff, rand_point, rand_rich_structure
 from reference_paths import slice_interim_values
 
 
@@ -105,6 +105,15 @@ def test_unions_merge_on_positions_as_interval_union_merges():
     assert merged > 100
 
 
+def write_games(tmp_path, games: list[GameSpec]) -> list:
+    paths = []
+    for k, game in enumerate(games):
+        path = tmp_path / f"game{k}.json"
+        path.write_text(json.dumps(game_to_obj(game)))
+        paths.append(path)
+    return paths
+
+
 def count_support_objects(monkeypatch) -> list:
     built = []
     for cls in (verifiability.SupportInterval, verifiability.IntervalUnion):
@@ -119,12 +128,7 @@ def count_support_objects(monkeypatch) -> list:
 
 
 def test_solve_json_svg_builds_no_support_objects(monkeypatch, tmp_path):
-    games = [rand_interval_game(random.Random(1804), 60)] + rich_games(1805, 40)
-    paths = []
-    for k, game in enumerate(games):
-        path = tmp_path / f"game{k}.json"
-        path.write_text(json.dumps(game_to_obj(game)))
-        paths.append(path)
+    paths = write_games(tmp_path, [rand_interval_game(random.Random(1804), 60)] + rich_games(1805, 40))
     built = count_support_objects(monkeypatch)
     for path in paths:
         game = load_game(str(path))
@@ -135,6 +139,23 @@ def test_solve_json_svg_builds_no_support_objects(monkeypatch, tmp_path):
             assert cli.main(["solve", str(path), "--json", "--svg", str(tmp_path / "out.svg")]) == 0
         assert built == []
     # the counter counts: reading messages builds the objects
+    assert load_game(str(paths[0])).structure.messages and built
+
+
+def test_oracle_builds_no_support_objects(monkeypatch, tmp_path):
+    # the search reads names, minima and availability from the table and
+    # spans, as verify does, never from the structure's messages
+    rng = random.Random(1809)
+    games = [rand_oracle_game(rng, want_pnbp=k % 2 == 0, max_grid=20) for k in range(12)] + rich_games(1810, 12)
+    paths = write_games(tmp_path, games)
+    built = count_support_objects(monkeypatch)
+    searched = 0
+    for path in paths:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = cli.main(["oracle", str(path), "--max-messages", "8", "--max-grid", "81"])
+        searched += code != 2
+        assert built == []
+    assert searched >= 12
     assert load_game(str(paths[0])).structure.messages and built
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction as F
 import pytest
 
 from disclosuregame import GameSpec, IntervalUnion, StepFunction, VerifStructure, mandatory_disclosure, pnbp, solve
-from disclosuregame import equilibrium, figures, oracle, rationals, verifiability
+from disclosuregame import equilibrium, figures, grid, rationals, verifiability
 from disclosuregame.equilibrium import (
     _best_message,
     _solve_pnbp,
@@ -25,7 +25,8 @@ from disclosuregame.equilibrium import (
 from disclosuregame.errors import PreconditionError
 from disclosuregame.figures import render_game_svg
 from disclosuregame.gamefile import game_to_obj, load_game
-from disclosuregame.oracle import _hull_segment, _interim_values
+from disclosuregame.grid import _interim_values
+from disclosuregame.oracle import _hull_segment
 from disclosuregame.piecewise import hull_candidates, pl_eval, step_eval, upper_hull_points
 from disclosuregame.rationals import on_line_through
 from disclosuregame.verifiability import messages_at
@@ -174,9 +175,9 @@ def test_supporting_line_matches_chord_search():
         skeptical = {name: supp.minimum for name, supp in game.structure.messages}
         for beliefs in (skeptical, rand_beliefs(rng, game.structure)):
             best, signal = chord_best_deviation(game, beliefs)
-            assert oracle._supporting_line(game, beliefs, best) is None
-            below = oracle._supporting_line(game, beliefs, best - F(1, 10**40))
-            above = oracle._supporting_line(game, beliefs, best + F(1, 10**40))
+            assert grid._supporting_line(game, beliefs, best) is None
+            below = grid._supporting_line(game, beliefs, best - F(1, 10**40))
+            above = grid._supporting_line(game, beliefs, best + F(1, 10**40))
             assert below.detail.startswith("profitable deviation") and below.witness.mean == game.prior
             assert above.detail.endswith("above best response: no signal attains it")
             if len(signal.support) == 2:

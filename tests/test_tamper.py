@@ -13,7 +13,7 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 from disclosuregame import GameSpec, Signal, solve, step_eval, verify_equilibrium
-from disclosuregame import equilibrium, oracle, piecewise, rationals
+from disclosuregame import equilibrium, grid, oracle, piecewise, rationals
 from disclosuregame.equilibrium import _belief_of
 from disclosuregame.oracle import exhaustive_equilibria
 from disclosuregame.verifiability import IDENTITY_PREFIX, identity_name, messages_at
@@ -134,7 +134,7 @@ def test_verify_runs_no_hull_code(monkeypatch):
     def refuse(*args):
         raise AssertionError("verify ran hull code")
 
-    for module in (rationals, piecewise, equilibrium, oracle):
+    for module in (rationals, piecewise, equilibrium, grid, oracle):
         for name in ("upper_hull", "not_right_turn", "strict_records", "on_line_through", "_hull_segment"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)

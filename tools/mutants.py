@@ -81,14 +81,12 @@ MUTANTS = (
     Mutant("piecewise.breakpoints_non_strict", "if not an * bd < bn * ad:", "if not an * bd <= bn * ad:"),
     Mutant("piecewise.vertex_x_non_strict", "if any(not an * bd < bn * ad for", "if any(not an * bd <= bn * ad for"),
     Mutant("piecewise.concavity_unchecked", "if any(map(not_right_turn, ints, ints[1:], ints[2:])):", "if False:"),
-    Mutant("piecewise.non_decreasing_drops_denominator",
-           "a.numerator * b.denominator <= b.numerator * a.denominator for a, b",
-           "a.numerator * b.denominator <= b.numerator for a, b"),
-    Mutant("piecewise.non_decreasing_strict",
-           "a.numerator * b.denominator <= b.numerator * a.denominator for a, b",
-           "a.numerator * b.denominator < b.numerator * a.denominator for a, b",
+    Mutant("piecewise.non_decreasing_drops_denominator", "all(an * bd <= bn * ad for (an, ad), (bn, bd) in zip(kept,",
+           "all(an * bd <= bn for (an, ad), (bn, bd) in zip(kept,"),
+    Mutant("piecewise.non_decreasing_strict", "all(an * bd <= bn * ad for (an, ad), (bn, bd) in zip(kept,",
+           "all(an * bd < bn * ad for (an, ad), (bn, bd) in zip(kept,",
            "adjacent values are merged when equal, so consecutive values differ and <= is <"),
-    Mutant("piecewise.equal_pieces_not_merged", "if (v.numerator, v.denominator) != last:", "if True:"),
+    Mutant("piecewise.equal_pieces_not_merged", "if v_pairs[i] != v_pairs[i - 1])", "if True)"),
     Mutant("piecewise.hull_keeps_first_duplicate", "if key not in best or y > best[key][1]:",
            "if key not in best:"),
     Mutant("piecewise.candidates_drop_right_ends", "pts.append((hi, v))", "pass"),
@@ -176,30 +174,30 @@ MUTANTS = (
     Mutant("equilibrium.identity_belief_unchecked",
            "if name.startswith(IDENTITY_PREFIX) and b != min_inverse(game.structure, name):", "if False:"),
     Mutant("equilibrium.bayes_unchecked", "if imbalance != 0:", "if False:"),
-    # oracle: the critical grid, the interim values and the searches
-    Mutant("oracle.midpoint_drops_factor_two", "(an * bd + bn * ad, 2 * ad * bd)", "(an * bd + bn * ad, ad * bd)"),
-    Mutant("oracle.piece_table_off_by_one",
+    # grid: the critical grid and the interim values
+    Mutant("grid.midpoint_drops_factor_two", "(an * bd + bn * ad, 2 * ad * bd)", "(an * bd + bn * ad, ad * bd)"),
+    Mutant("grid.piece_table_off_by_one",
            "starts = [2 * rank[b.numerator, b.denominator] for b in game.payoff.breakpoints]",
            "starts = [2 * rank[b.numerator, b.denominator] + 1 for b in game.payoff.breakpoints]"),
-    Mutant("oracle.piece_table_slice_longer", "piece[a:b] = [k] * (b - a)", "piece[a:b + 1] = [k] * (b + 1 - a)",
+    Mutant("grid.piece_table_slice_longer", "piece[a:b] = [k] * (b - a)", "piece[a:b + 1] = [k] * (b + 1 - a)",
            "the next piece's fill overwrites the extra slot, and the last piece's adds one slot past the grid, "
            "which no reader indexes"),
-    Mutant("oracle.off_grid_level_low", "sorted([(piece[position(beliefs[name])], a, b)",
+    Mutant("grid.off_grid_level_low", "sorted([(piece[position(beliefs[name])], a, b)",
            "sorted([(piece[(pos := position(beliefs[name]))] - pos % 2, a, b)"),
-    Mutant("oracle.fill_open_end_as_closed", "slot[end >> 1] + (end & 1)", "slot[end >> 1] + 1"),
-    Mutant("oracle.fill_in_ascending_level_order", "for a, b, name in slots], reverse=True):", "for a, b, name in slots]):"),
-    Mutant("oracle.fill_skips_a_slot", "free[i:j] = [j] * (j - i)", "free[i:j + 1] = [j + 1] * (j + 1 - i)"),
-    Mutant("oracle.identity_level_ignored", "w = list(map(max, w, piece))", "pass"),
-    # oracle: condition (1)'s supporting-line test
-    Mutant("oracle.line_ignores_w_at_prior", "at_p = rise[w[k]][0]", "at_p = -1"),
-    Mutant("oracle.line_drops_first_of_run", "for i in (a, b - 1):", "for i in (b - 1,):"),
-    Mutant("oracle.line_drops_last_of_run", "for i in (a, b - 1):", "for i in (a,):"),
-    Mutant("oracle.line_sides_swapped",
+    Mutant("grid.fill_open_end_as_closed", "slot[end >> 1] + (end & 1)", "slot[end >> 1] + 1"),
+    Mutant("grid.fill_in_ascending_level_order", "for a, b, name in slots], reverse=True):", "for a, b, name in slots]):"),
+    Mutant("grid.fill_skips_a_slot", "free[i:j] = [j] * (j - i)", "free[i:j + 1] = [j + 1] * (j + 1 - i)"),
+    Mutant("grid.identity_level_ignored", "w = list(map(max, w, piece))", "pass"),
+    # grid: condition (1)'s supporting-line test
+    Mutant("grid.line_ignores_w_at_prior", "at_p = rise[w[k]][0]", "at_p = -1"),
+    Mutant("grid.line_drops_first_of_run", "for i in (a, b - 1):", "for i in (b - 1,):"),
+    Mutant("grid.line_drops_last_of_run", "for i in (a, b - 1):", "for i in (a,):"),
+    Mutant("grid.line_sides_swapped",
            "if i > k:\n                if num * lo[1] > lo[0] * den:\n                    lo = num, den, i\n            elif i < k:",
            "if i < k:\n                if num * lo[1] > lo[0] * den:\n                    lo = num, den, i\n            elif i > k:"),
-    Mutant("oracle.line_feasibility_strict", "if lo[0] * hi[1] > hi[0] * lo[1]:", "if lo[0] * hi[1] >= hi[0] * lo[1]:"),
-    Mutant("oracle.line_tie_dropped", "if lo[0] * hi[1] == hi[0] * lo[1]:", "if False:"),
-    Mutant("oracle.line_accepts_above", "if lo[0] * hi[1] == hi[0] * lo[1]:", "if True:"),
+    Mutant("grid.line_feasibility_strict", "if lo[0] * hi[1] > hi[0] * lo[1]:", "if lo[0] * hi[1] >= hi[0] * lo[1]:"),
+    Mutant("grid.line_tie_dropped", "if lo[0] * hi[1] == hi[0] * lo[1]:", "if False:"),
+    Mutant("grid.line_accepts_above", "if lo[0] * hi[1] == hi[0] * lo[1]:", "if True:"),
     # oracle: the exhaustive search
     Mutant("oracle.search_gate_bypassed", "if verify_equilibrium(game, eq).ok:", "if True:"),
     Mutant("oracle.condition_two_weak", "if v_grid[r] < v_grid[s]:", "if v_grid[r] <= v_grid[s]:"),
@@ -247,6 +245,11 @@ MUTANTS = (
     Mutant("figures.limit_marker_at_own_value", 'cy="{py[k - 1]}"', 'cy="{py[k]}"'),
     Mutant("figures.no_identity_bar", 'rows.append(("identity", None))', "pass"),
     Mutant("figures.bar_at_structure_rank", "(to_game[start >> 1], to_game[end >> 1])", "(start >> 1, end >> 1)"),
+    # cli and gamefile: each subcommand imports only the modules it runs
+    Mutant("cli.figures_imported_at_start", "from .errors import GameFileError, OracleSizeError, PreconditionError\n",
+           "from .errors import GameFileError, OracleSizeError, PreconditionError\nfrom .figures import render_game_svg\n"),
+    Mutant("gamefile.comparative_imported_at_start", "from .equilibrium import Equilibrium, GameSpec\n",
+           "from .comparative import OrderVerdict\nfrom .equilibrium import Equilibrium, GameSpec\n"),
     # gamefile: the per-file reader and field paths
     Mutant("gamefile.memo_takes_bools", "if isinstance(obj, str):\n            pair = memo.get(obj)",
            "if isinstance(obj, (str, int)):\n            pair = memo.get(obj)"),
