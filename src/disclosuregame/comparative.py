@@ -20,20 +20,21 @@ one does.  Canonical interval unions compare as sets: one lookup per message.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from .equilibrium import GameSpec, equilibrium_value
 from .errors import PreconditionError
 from .piecewise import StepFunction
 from .rationals import ONE, ZERO
+from .records import Record, set_field
 from .verifiability import IntervalUnion, VerifStructure, identity_name, lowest_consistent_set
 
 
-@dataclass(frozen=True)
-class OrderVerdict:
-    relation: str  # "lc" | "sep"
-    holds: bool
-    witness: object = None  # type for lc; (type, complement pieces) for sep
+class OrderVerdict(Record):
+    # relation: "lc" | "sep"; witness: a type for lc, (type, complement pieces) for sep
+    def __init__(self, relation: str, holds: bool, witness: object = None) -> None:
+        set_field(self, "relation", relation)
+        set_field(self, "holds", holds)
+        set_field(self, "witness", witness)
 
     def __bool__(self):
         return self.holds
@@ -99,15 +100,16 @@ def is_receiver_optimal(structure: VerifStructure) -> bool:
     return not lset.all_of_unit_interval and set(lset.types) == {ZERO, ONE}
 
 
-@dataclass(frozen=True)
-class SeparatingInstance:
-    s_star: Fraction
-    payoff: StepFunction
-    prior: Fraction
-    game_lo: GameSpec
-    game_hi: GameSpec
-    value_lo: Fraction
-    sup_value_hi: Fraction
+class SeparatingInstance(Record):
+    def __init__(self, s_star: Fraction, payoff: StepFunction, prior: Fraction, game_lo: GameSpec, game_hi: GameSpec,
+                 value_lo: Fraction, sup_value_hi: Fraction) -> None:
+        set_field(self, "s_star", s_star)
+        set_field(self, "payoff", payoff)
+        set_field(self, "prior", prior)
+        set_field(self, "game_lo", game_lo)
+        set_field(self, "game_hi", game_hi)
+        set_field(self, "value_lo", value_lo)
+        set_field(self, "sup_value_hi", sup_value_hi)
 
 
 def separating_instance(m_hi: VerifStructure, m_lo: VerifStructure) -> SeparatingInstance:

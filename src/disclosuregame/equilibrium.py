@@ -18,7 +18,6 @@ an independent grid oracle.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import accumulate, compress
@@ -32,6 +31,7 @@ from .piecewise import (
     step_eval,
 )
 from .rationals import ONE, ZERO, Coordinates, as_fraction, in_unit_interval, on_line_through, order_key, strict_records, upper_hull
+from .records import Record, set_field
 from .verifiability import (
     IDENTITY_PREFIX,
     VerifStructure,
@@ -41,11 +41,12 @@ from .verifiability import (
 )
 
 
-@dataclass(frozen=True)
-class GameSpec:
-    payoff: StepFunction
-    prior: Fraction
-    structure: VerifStructure
+class GameSpec(Record):
+    def __init__(self, payoff: StepFunction, prior: Fraction, structure: VerifStructure) -> None:
+        set_field(self, "payoff", payoff)
+        set_field(self, "prior", prior)
+        set_field(self, "structure", structure)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "prior", as_fraction(self.prior))
@@ -154,12 +155,13 @@ class GameSpec:
         return ConcavePL(tuple((table.point(ranks[h]), vals[top[ranks[h]]]) for h in hull))
 
 
-@dataclass(frozen=True)
-class Signal:
+class Signal(Record):
     """Finite-support distribution over posteriors; mean must equal the prior."""
 
-    support: tuple[Fraction, ...]
-    weights: tuple[Fraction, ...]
+    def __init__(self, support: tuple[Fraction, ...], weights: tuple[Fraction, ...]) -> None:
+        set_field(self, "support", support)
+        set_field(self, "weights", weights)
+        self.__post_init__()
 
     def __post_init__(self):
         sup = tuple(as_fraction(s) for s in self.support)
@@ -183,12 +185,13 @@ class Signal:
         return sum(w * s for w, s in zip(self.weights, self.support))
 
 
-@dataclass(frozen=True)
-class Equilibrium:
-    signal: Signal
-    messaging: Mapping[Fraction, str]
-    beliefs: Mapping[str, Fraction]
-    value: Fraction
+class Equilibrium(Record):
+    def __init__(self, signal: Signal, messaging: Mapping[Fraction, str], beliefs: Mapping[str, Fraction],
+                 value: Fraction) -> None:
+        set_field(self, "signal", signal)
+        set_field(self, "messaging", messaging)
+        set_field(self, "beliefs", beliefs)
+        set_field(self, "value", value)
 
     @property
     def s_minus(self) -> Fraction:
@@ -201,10 +204,10 @@ class Equilibrium:
         return self.signal.support[-1]
 
 
-@dataclass(frozen=True)
-class PnbpVerdict:
-    holds: bool
-    witness: Optional[str] = None
+class PnbpVerdict(Record):
+    def __init__(self, holds: bool, witness: Optional[str] = None) -> None:
+        set_field(self, "holds", holds)
+        set_field(self, "witness", witness)
 
     def __bool__(self):
         return self.holds
@@ -215,12 +218,13 @@ class ValueResult(NamedTuple):
     tag: str  # "unique" | "sender_preferred"
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    ok: bool
-    condition: Optional[int] = None  # 1 info acquisition, 2 communication, 3 beliefs
-    detail: str = ""
-    witness: object = None
+class VerifyReport(Record):
+    # condition: 1 info acquisition, 2 communication, 3 beliefs
+    def __init__(self, ok: bool, condition: Optional[int] = None, detail: str = "", witness: object = None) -> None:
+        set_field(self, "ok", ok)
+        set_field(self, "condition", condition)
+        set_field(self, "detail", detail)
+        set_field(self, "witness", witness)
 
 
 def pnbp(game: GameSpec) -> PnbpVerdict:

@@ -16,21 +16,22 @@ Conventions, fixed once for the whole toolkit:
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import DomainError
 from .rationals import ONE, ZERO, as_fraction, in_unit_interval, not_right_turn, order_key, upper_hull
+from .records import Record, set_field
 
 Point = tuple[Fraction, Fraction]
 
 
-@dataclass(frozen=True)
-class StepFunction:
-    breakpoints: tuple[Fraction, ...]
-    values: tuple[Fraction, ...]
+class StepFunction(Record):
+    def __init__(self, breakpoints: tuple[Fraction, ...], values: tuple[Fraction, ...]) -> None:
+        set_field(self, "breakpoints", breakpoints)
+        set_field(self, "values", values)
+        self.__post_init__()
 
     def __post_init__(self):
         bps = tuple(map(as_fraction, self.breakpoints))
@@ -87,11 +88,12 @@ def step_eval(f: StepFunction, x: Fraction) -> Fraction:
     return f.values[f.piece(x)]
 
 
-@dataclass(frozen=True)
-class ConcavePL:
+class ConcavePL(Record):
     """Concave piecewise-linear function given by its vertex chain over [0,1]."""
 
-    vertices: tuple[Point, ...]
+    def __init__(self, vertices: tuple[Point, ...]) -> None:
+        set_field(self, "vertices", vertices)
+        self.__post_init__()
 
     def __post_init__(self):
         vs = tuple((as_fraction(x), as_fraction(y)) for x, y in self.vertices)

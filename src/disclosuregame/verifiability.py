@@ -19,7 +19,6 @@ available at s (the endpoint sweep), are int comparisons on table ranks.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -27,6 +26,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import ConstructionError, DomainError, PreconditionError, UnknownMessageError
 from .piecewise import StepFunction
 from .rationals import ONE, ZERO, Coordinates, as_fraction, format_rational, from_pair, in_unit_interval, parse_rational
+from .records import Record, set_field
 
 IDENTITY_PREFIX = "id:"
 Pair = tuple[int, int]
@@ -46,11 +46,12 @@ def check_interval(lo: Pair, hi: Pair, hi_closed: bool) -> None:
         raise ConstructionError("degenerate interval must be closed")
 
 
-@dataclass(frozen=True)
-class SupportInterval:
-    lo: Fraction
-    hi: Fraction
-    hi_closed: bool = True
+class SupportInterval(Record):
+    def __init__(self, lo: Fraction, hi: Fraction, hi_closed: bool = True) -> None:
+        set_field(self, "lo", lo)
+        set_field(self, "hi", hi)
+        set_field(self, "hi_closed", hi_closed)
+        self.__post_init__()
 
     def __post_init__(self):
         lo, hi = self.lo, self.hi
@@ -61,11 +62,12 @@ class SupportInterval:
         check_interval((lo.numerator, lo.denominator), (hi.numerator, hi.denominator), self.hi_closed)
 
 
-@dataclass(frozen=True)
-class IntervalUnion:
+class IntervalUnion(Record):
     """Canonical (sorted, merged) finite union of left-closed intervals."""
 
-    intervals: tuple[SupportInterval, ...]
+    def __init__(self, intervals: tuple[SupportInterval, ...]) -> None:
+        set_field(self, "intervals", intervals)
+        self.__post_init__()
 
     def __post_init__(self):
         ivs = tuple(self.intervals)
@@ -127,8 +129,7 @@ def _canonical(ivs: Sequence[Interval]) -> list[Interval]:
     return [(pairs[start >> 1], pairs[end >> 1], end & 1 == 1) for start, end in runs]
 
 
-@dataclass(frozen=True)
-class VerifStructure:
+class VerifStructure(Record):
     """Named messages with their supports, and the full-verifiability flag.
 
     Built from the supports' endpoint pairs (_from_pairs, or the objects'
@@ -142,8 +143,10 @@ class VerifStructure:
     first access.
     """
 
-    messages: tuple[tuple[str, IntervalUnion], ...]
-    full_verifiability: bool = False
+    def __init__(self, messages: tuple[tuple[str, IntervalUnion], ...], full_verifiability: bool = False) -> None:
+        set_field(self, "messages", messages)
+        set_field(self, "full_verifiability", full_verifiability)
+        self.__post_init__()
 
     def __post_init__(self):
         points = {(q.numerator, q.denominator): q for _, supp in self.messages for iv in supp.intervals for q in (iv.lo, iv.hi)}
@@ -275,10 +278,10 @@ def min_inverse(structure: VerifStructure, name: str) -> Fraction:
     return structure.support(name).minimum
 
 
-@dataclass(frozen=True)
-class LowestConsistentSet:
-    types: tuple[Fraction, ...]
-    all_of_unit_interval: bool = False
+class LowestConsistentSet(Record):
+    def __init__(self, types: tuple[Fraction, ...], all_of_unit_interval: bool = False) -> None:
+        set_field(self, "types", types)
+        set_field(self, "all_of_unit_interval", all_of_unit_interval)
 
     def issuperset(self, other: "LowestConsistentSet") -> bool:
         if self.all_of_unit_interval:
@@ -375,12 +378,12 @@ def partition(cells: Sequence, names: Sequence[str] | None = None) -> VerifStruc
 
 def add_message(structure: VerifStructure, name: str, support: IntervalUnion) -> VerifStructure:
     """The 'adding a message' shift: identical except `name` is newly available."""
-    return replace(structure, messages=structure.messages + ((name, support),))
+    return structure.replace(messages=structure.messages + ((name, support),))
 
 
 def full_verif(base: VerifStructure) -> VerifStructure:
     """Grant every type its identity message on top of an existing structure."""
-    return replace(base, full_verifiability=True)
+    return base.replace(full_verifiability=True)
 
 
 def mandatory_disclosure() -> VerifStructure:

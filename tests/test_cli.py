@@ -325,18 +325,24 @@ class TestRepeatedCalls:
 
 
 # one subcommand in a fresh interpreter, its output swallowed: prints its exit
-# code and the package's modules that it imported
+# code, the package's modules that it imported and which of the standard
+# library's costly introspection modules it imported
 RUN_AND_LIST_IMPORTS = (
     "import contextlib, io, json, sys\n"
     "from disclosuregame.cli import main\n"
     "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
     "    code = main(sys.argv[1:])\n"
-    "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('disclosuregame.'))]))\n"
+    "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('disclosuregame.')),\n"
+    "                  [m for m in ('dataclasses', 'inspect') if m in sys.modules]]))\n"
 )
 
 
 class TestImportSets:
-    """Each subcommand imports only the modules it runs: a start that compiles the package from source compiles no more."""
+    """Each subcommand imports only the modules it runs: a start that compiles the package from source compiles no more.
+
+    No subcommand imports dataclasses or inspect (with ast, dis and tokenize,
+    about 12 ms of a start): the value types are records.Record subclasses.
+    """
 
     @staticmethod
     def imported(*argv: str) -> set:
@@ -344,8 +350,9 @@ class TestImportSets:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
         out = subprocess.run([sys.executable, "-c", RUN_AND_LIST_IMPORTS, *argv], env=env, capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
-        code, modules = json.loads(out.stdout)
+        code, modules, introspection = json.loads(out.stdout)
         assert code == 0
+        assert introspection == [], argv
         return {name.split(".", 1)[1] for name in modules}
 
     def test_solve_imports_figures_only_for_svg(self, tmp_path):

@@ -3,7 +3,6 @@
 import random
 import sys
 from bisect import bisect_right
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -187,7 +186,7 @@ class TestSplitPoints:
         # the split points are the signal's ends, so an edit of the signal
         # cannot leave them stale
         eq = solve(G31)
-        moved = replace(eq, signal=Signal((F(0), F(4, 5)), (F(7, 12), F(5, 12))))
+        moved = eq.replace(signal=Signal((F(0), F(4, 5)), (F(7, 12), F(5, 12))))
         assert (moved.s_minus, moved.s_plus) == (F(0), F(4, 5))
         assert (eq.s_minus, eq.s_plus) == (F(0), F(1, 2))
 
@@ -250,7 +249,7 @@ class TestSolve:
 class TestVerifyEquilibrium:
     def test_tampered_belief_fails_bayes(self):
         eq = solve(G31)
-        bad = replace(eq, beliefs={**eq.beliefs, "m_M": F(3, 4)}, value=F(2, 3))
+        bad = eq.replace(beliefs={**eq.beliefs, "m_M": F(3, 4)}, value=F(2, 3))
         report = verify_equilibrium(G31, bad)
         assert not report.ok and report.condition == 3
 
@@ -275,8 +274,7 @@ class TestVerifyEquilibrium:
         # lowers the value below the best response, so condition (1) fires
         # before condition (2) is tested
         eq = solve(G31)
-        bad = replace(
-            eq,
+        bad = eq.replace(
             messaging={F(0): "m_L", F(1, 2): "m_L"},
             value=F(0),
         )
@@ -312,7 +310,7 @@ class TestVerifyEquilibrium:
         # precondition, so the report has to come before it runs
         game = GameSpec(StepFunction((F(0), F(1, 2)), (F(0), F(1))), F(1, 4), thresholds([F(1, 2)]))
         eq = solve(game)
-        bad = replace(eq, beliefs={**eq.beliefs, "m_1": F(1, 4)}, value=F(0))
+        bad = eq.replace(beliefs={**eq.beliefs, "m_1": F(1, 4)}, value=F(0))
         report = verify_equilibrium(game, bad)
         assert not report.ok and report.condition == 3
         assert report.witness == ("m_1", F(1, 4))
@@ -320,7 +318,7 @@ class TestVerifyEquilibrium:
     def test_structurally_invalid_raises(self):
         eq = solve(G31)
         with pytest.raises(ValueError):
-            verify_equilibrium(G31, replace(eq, value=F(1)))
+            verify_equilibrium(G31, eq.replace(value=F(1)))
 
 
 # v jumps from 0 to 1 at 1/2, prior 1/4; the solution splits {0, 1/2} with
@@ -351,35 +349,35 @@ class TestVerifyTamper:
         # beliefs pay, but no signal reaches it against those beliefs: w is 0 below
         # 1/2 and 1 from there, so the line through (1/4, 1) with the witness
         # slope 2, between 0 (from the right) and 4 (from the left), clears it
-        eq = replace(solve(TAMPER_GAME), messaging={F(0): "m_H", F(1, 2): "m_H"}, value=F(1))
+        eq = solve(TAMPER_GAME).replace(messaging={F(0): "m_H", F(1, 2): "m_H"}, value=F(1))
         report = verify_equilibrium(TAMPER_GAME, eq)
         assert not report.ok and report.condition == 1
         assert report.witness == F(2)
 
     def test_unavailable_message_fails_condition_two(self):
         # type 1/2 sends m_X, provable only from 3/4 on; the value matches
-        eq = replace(solve(TAMPER_GAME), messaging={F(0): "m_L", F(1, 2): "m_X"})
+        eq = solve(TAMPER_GAME).replace(messaging={F(0): "m_L", F(1, 2): "m_X"})
         assert eq.beliefs["m_X"] == F(3, 4)
         report = verify_equilibrium(TAMPER_GAME, eq)
         assert not report.ok and report.condition == 2
         assert report.witness == (F(1, 2), "m_X")
 
     def test_identity_belief_off_its_type_fails_condition_three(self):
-        game = replace(TAMPER_GAME, structure=full_verif(TAMPER_GAME.structure))
+        game = TAMPER_GAME.replace(structure=full_verif(TAMPER_GAME.structure))
         eq = solve(game)
         assert verify_equilibrium(game, eq).ok
-        bad = replace(eq, beliefs={**eq.beliefs, "id:1/3": F(1, 2)})
+        bad = eq.replace(beliefs={**eq.beliefs, "id:1/3": F(1, 2)})
         report = verify_equilibrium(game, bad)
         assert not report.ok and report.condition == 3
         assert report.witness == ("id:1/3", F(1, 2))
 
     def test_condition_one_detail_names_the_direction_of_the_gap(self):
         eq = solve(TAMPER_GAME)
-        above = replace(eq, messaging={F(0): "m_H", F(1, 2): "m_H"}, value=F(1))
+        above = eq.replace(messaging={F(0): "m_H", F(1, 2): "m_H"}, value=F(1))
         assert verify_equilibrium(TAMPER_GAME, above).detail == "value 1 above best response: no signal attains it"
         # the witness splits the prior between 0 and 1/2, worth 1/2 (here
         # also the best response)
-        below = replace(eq, messaging={F(0): "m_L", F(1, 2): "m_L"}, value=F(0))
+        below = eq.replace(messaging={F(0): "m_L", F(1, 2): "m_L"}, value=F(0))
         report = verify_equilibrium(TAMPER_GAME, below)
         assert report.detail == (
             "profitable deviation: value 0 below 1/2, the witness signal's value (not necessarily the best response)"

@@ -7,7 +7,6 @@ every rational its own 39-digit denominator.
 
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -340,7 +339,7 @@ def test_figure_matches_fraction_mapper(monkeypatch):
         values = game.payoff.values
         negative = GameSpec(StepFunction(game.payoff.breakpoints, tuple(y - 7 for y in values)), game.prior, game.structure)
         cases += [(game, eq), (negative, solve(negative))]
-        cases += [(game, replace(eq, value=values[-1] + F(1, 3))), (game, replace(eq, value=values[0] - 2))]
+        cases += [(game, eq.replace(value=values[-1] + F(1, 3))), (game, eq.replace(value=values[0] - 2))]
     assert any(eq.value == game.payoff.values[-1] for game, eq in cases)
     for game, eq in cases:
         svg = render_game_svg(game, eq)
@@ -355,8 +354,8 @@ def test_figure_draws_posteriors_off_the_table():
     # endpoint, breakpoint or prior: its dot is drawn at float(s)'s pixel
     game = GameSpec(StepFunction((F(0), F(1, 2)), (F(0), F(1))), F(1, 3), mandatory_disclosure())
     eq = solve(game)
-    off = replace(eq, signal=replace(eq.signal, support=(F(0), F(2, 3)), weights=(F(1, 2), F(1, 2))),
-                  messaging={F(0): "id:0", F(2, 3): "id:2/3"})
+    off = eq.replace(signal=eq.signal.replace(support=(F(0), F(2, 3)), weights=(F(1, 2), F(1, 2))),
+                 messaging={F(0): "id:0", F(2, 3): "id:2/3"})
     assert F(2, 3) not in game._table.points
     assert f'<circle cx="{figures._fmt(figures.PLOT_LEFT + float(F(2, 3)) * 560)}"' in render_game_svg(game, off)
 
@@ -373,11 +372,11 @@ def test_belief_outside_support_hull_on_either_side():
     eq = solve(game)
     assert "m_x" not in eq.messaging.values()
     for b in (F(1, 3) - F(1, 10**40), F(5, 6) + F(1, 10**40)):
-        bad = replace(eq, beliefs={**eq.beliefs, "m_x": b})
+        bad = eq.replace(beliefs={**eq.beliefs, "m_x": b})
         report = verify_equilibrium(game, bad)
         assert not report.ok and report.condition == 3 and report.witness == ("m_x", b)
     for b in (F(1, 3), F(5, 6)):  # the hull's closure holds both ends
-        assert verify_equilibrium(game, replace(eq, beliefs={**eq.beliefs, "m_x": b})).ok
+        assert verify_equilibrium(game, eq.replace(beliefs={**eq.beliefs, "m_x": b})).ok
 
 
 def test_table_orders_float_tied_points_exactly():

@@ -8,7 +8,6 @@ the CLI, which exits with code 2; so moving a check cannot drop it silently.
 """
 
 import json
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -165,12 +164,12 @@ def _solved():
 
 
 VALIDATE = [
-    (lambda eq: replace(eq, signal=Signal((F(0), F(2, 5)), (HALF, HALF))),
+    (lambda eq: eq.replace(signal=Signal((F(0), F(2, 5)), (HALF, HALF))),
      "signal is not Bayes-plausible for the game's prior"),
-    (lambda eq: replace(eq, beliefs={"m_0": F(0)}), "beliefs missing finite message 'm_1'"),
-    (lambda eq: replace(eq, beliefs={**eq.beliefs, "id:1/2": HALF}), "identity belief 'id:1/2' without full verifiability"),
-    (lambda eq: replace(eq, messaging={eq.signal.support[0]: "m_0"}), "messaging missing support type 2/5"),
-    (lambda eq: replace(eq, value=eq.value + 1), "value does not match the signal/messaging/beliefs it claims"),
+    (lambda eq: eq.replace(beliefs={"m_0": F(0)}), "beliefs missing finite message 'm_1'"),
+    (lambda eq: eq.replace(beliefs={**eq.beliefs, "id:1/2": HALF}), "identity belief 'id:1/2' without full verifiability"),
+    (lambda eq: eq.replace(messaging={eq.signal.support[0]: "m_0"}), "messaging missing support type 2/5"),
+    (lambda eq: eq.replace(value=eq.value + 1), "value does not match the signal/messaging/beliefs it claims"),
 ]
 
 
@@ -185,7 +184,7 @@ def test_verify_refuses_structurally_invalid_equilibria(tamper, message):
 def test_verify_refuses_a_message_outside_the_structure():
     game, eq = _solved()
     with pytest.raises(UnknownMessageError, match="m_9"):
-        verify_equilibrium(game, replace(eq, messaging={**eq.messaging, eq.signal.support[0]: "m_9"}))
+        verify_equilibrium(game, eq.replace(messaging={**eq.messaging, eq.signal.support[0]: "m_9"}))
 
 
 def test_identity_beliefs_allowed_under_full_verifiability():
@@ -193,4 +192,4 @@ def test_identity_beliefs_allowed_under_full_verifiability():
     # accepted once every type owns its identity message
     game = GameSpec(PAYOFF, THIRD, mandatory_disclosure())
     eq = solve(game)
-    assert verify_equilibrium(game, replace(eq, beliefs={**eq.beliefs, "id:1/2": HALF})).ok
+    assert verify_equilibrium(game, eq.replace(beliefs={**eq.beliefs, "id:1/2": HALF})).ok

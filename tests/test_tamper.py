@@ -9,7 +9,6 @@ and the kind of witness that the edit calls for.
 
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction as F
 
 from disclosuregame import GameSpec, Signal, solve, step_eval, verify_equilibrium
@@ -33,7 +32,7 @@ def rebuilt(eq, game, support, weights, messaging, beliefs):
     """eq with the given signal, messaging and beliefs, and the value they pay."""
     signal = Signal(support, weights)
     value = sum(w * level(game, beliefs, messaging[s]) for s, w in zip(signal.support, signal.weights))
-    return replace(eq, signal=signal, messaging=messaging, beliefs=beliefs, value=value)
+    return eq.replace(signal=signal, messaging=messaging, beliefs=beliefs, value=value)
 
 
 def tampered(game, eq):
@@ -60,7 +59,7 @@ def tampered(game, eq):
         here = level(game, eq.beliefs, sent)
         same = [m for m in structure.names if m not in avail and level(game, eq.beliefs, m) == here]
         if same:
-            yield "unavailable", replace(eq, messaging={**eq.messaging, s: same[0]}), 2, (s, same[0])
+            yield "unavailable", eq.replace(messaging={**eq.messaging, s: same[0]}), 2, (s, same[0])
         worse = [m for m in sorted(avail) if not m.startswith(IDENTITY_PREFIX) and level(game, eq.beliefs, m) < here]
         if worse:
             messaging = {**eq.messaging, s: worse[0]}
@@ -72,12 +71,12 @@ def tampered(game, eq):
             m in messages_at(structure, s) and step_eval(game.payoff, top) > level(game, eq.beliefs, eq.messaging[s])
             for s in eq.signal.support
         ):
-            yield "off_path", replace(eq, beliefs={**eq.beliefs, m: top}), 1, None
+            yield "off_path", eq.replace(beliefs={**eq.beliefs, m: top}), 1, None
             break
     if structure.full_verifiability:
         x = next(x for x in (F(1, 7), F(2, 7), F(3, 7)) if x not in eq.messaging)
         name, b = identity_name(x), x + F(1, 11)
-        yield "identity", replace(eq, beliefs={**eq.beliefs, name: b}), 3, (name, b)
+        yield "identity", eq.replace(beliefs={**eq.beliefs, name: b}), 3, (name, b)
     for m, supp in structure.messages:
         if m not in on_path:
             continue
@@ -85,7 +84,7 @@ def tampered(game, eq):
         lo, hi = supp.hull_bounds()
         moved = [q for q in (b + (hi - b) / 3, lo + (b - lo) / 3) if q != b and step_eval(game.payoff, q) == level(game, eq.beliefs, m)]
         if moved:
-            yield "bayes", replace(eq, beliefs={**eq.beliefs, m: moved[0]}), 3, (m, moved[0])
+            yield "bayes", eq.replace(beliefs={**eq.beliefs, m: moved[0]}), 3, (m, moved[0])
             break
 
 

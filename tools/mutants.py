@@ -1,6 +1,6 @@
 """Mutation run: is each named mutant of the package caught by the test suite?
 
-    python tools/mutants.py              # every mutant, about 13 minutes on one core
+    python tools/mutants.py              # every mutant, about 20 minutes on one core
     python tools/mutants.py NAME ...     # only the named ones
 
 Not part of tier-1.  Each mutant is one exact source edit (a snippet and its
@@ -49,6 +49,12 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
+    # records: the frozen value types' base
+    Mutant("records.eq_without_class_check", "if other.__class__ is self.__class__:", "if isinstance(other, Record):"),
+    Mutant("records.hash_drops_last_field", "return hash(self._values())", "return hash(self._values()[:-1])"),
+    Mutant("records.assignment_allowed", 'raise AttributeError(f"cannot assign to field {name!r}")',
+           "object.__setattr__(self, name, value)"),
+    Mutant("records.replace_drops_changes", "for name in self._fields}, **changes})", "for name in self._fields}})"),
     # rationals: the parse fast path, order keys and the int kernels
     Mutant("rationals.parse_zero_denominator", "        if d:\n            g = gcd(n, d)", "        if True:\n            g = gcd(n, d)"),
     Mutant("rationals.pair_gcd_dropped", "return n // g, d // g", "return n, d"),
