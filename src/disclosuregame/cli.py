@@ -31,7 +31,9 @@ ORACLE_CEILINGS = {"max_messages": 8, "max_grid": 81}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)
@@ -46,47 +48,75 @@ def main(argv=None) -> int:
         return 2
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """A new parser with every subcommand's name and help, and ``command``'s arguments.
+
+    argparse reads a command line's arguments with the one subparser it
+    names, so a parser built for ``argv[0]`` parses ``argv`` as the full
+    parser does, with the same usage, help and errors.  When ``command``
+    names no subcommand (None, an option, a typo), every subcommand gets its
+    arguments.
+    """
     parser = argparse.ArgumentParser(
         prog="disclosuregame",
         description="Solve and compare covert information-acquisition-and-disclosure games.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    every = command not in SUBCOMMANDS
+    for name, (help_text, add_arguments) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if every or name == command:
+            add_arguments(p)
+    return parser
 
-    p_solve = sub.add_parser("solve", help="solve a game file and report the equilibrium")
-    p_solve.add_argument("path")
-    p_solve.add_argument("--json", action="store_true", help="machine-readable output")
-    p_solve.add_argument("--svg", metavar="OUT", help="write a figure of the solution")
-    p_solve.set_defaults(func=cmd_solve)
 
-    p_cmp = sub.add_parser("compare", help="compare two verifiability structures")
-    p_cmp.add_argument("path_hi")
-    p_cmp.add_argument("path_lo")
-    p_cmp.add_argument("--relation", choices=("lc", "sep"), default="lc")
-    p_cmp.add_argument("--json", action="store_true")
-    p_cmp.set_defaults(func=cmd_compare)
+def solve_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("path")
+    p.add_argument("--json", action="store_true", help="machine-readable output")
+    p.add_argument("--svg", metavar="OUT", help="write a figure of the solution")
+    p.set_defaults(func=cmd_solve)
 
-    p_opt = sub.add_parser("optimal", help="check sender/receiver optimality of a structure")
-    p_opt.add_argument("path")
-    group = p_opt.add_mutually_exclusive_group(required=True)
+
+def compare_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("path_hi")
+    p.add_argument("path_lo")
+    p.add_argument("--relation", choices=("lc", "sep"), default="lc")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_compare)
+
+
+def optimal_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("path")
+    group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--sender", action="store_true")
     group.add_argument("--receiver", action="store_true")
-    p_opt.add_argument("--json", action="store_true")
-    p_opt.set_defaults(func=cmd_optimal)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_optimal)
 
-    p_oracle = sub.add_parser("oracle", help="cross-check the solver against brute force")
-    p_oracle.add_argument("path")
-    p_oracle.add_argument("--max-messages", type=int, default=4)
-    p_oracle.add_argument("--max-grid", type=int, default=12)
-    p_oracle.add_argument("--json", action="store_true")
-    p_oracle.set_defaults(func=cmd_oracle)
 
-    p_wit = sub.add_parser("witness", help="emit a game separating two lc-unordered structures")
-    p_wit.add_argument("path_hi")
-    p_wit.add_argument("path_lo")
-    p_wit.add_argument("--json", action="store_true")
-    p_wit.set_defaults(func=cmd_witness)
-    return parser
+def oracle_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("path")
+    p.add_argument("--max-messages", type=int, default=4)
+    p.add_argument("--max-grid", type=int, default=12)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_oracle)
+
+
+def witness_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("path_hi")
+    p.add_argument("path_lo")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_witness)
+
+
+# the one list of subcommands, in help order: name -> (help line, adds its arguments)
+SUBCOMMANDS = {
+    "solve": ("solve a game file and report the equilibrium", solve_arguments),
+    "compare": ("compare two verifiability structures", compare_arguments),
+    "optimal": ("check sender/receiver optimality of a structure", optimal_arguments),
+    "oracle": ("cross-check the solver against brute force", oracle_arguments),
+    "witness": ("emit a game separating two lc-unordered structures", witness_arguments),
+}
 
 
 def cmd_solve(args) -> int:

@@ -324,6 +324,152 @@ class TestRepeatedCalls:
         assert capsys.readouterr().out == "analytic value: 2/3\noracle values: {2/3}\nagreement: yes\n"
 
 
+USAGE = "usage: disclosuregame [-h] {solve,compare,optimal,oracle,witness} ...\n"
+TOP_HELP = (
+    USAGE + "\n"
+    "Solve and compare covert information-acquisition-and-disclosure games.\n"
+    "\n"
+    "positional arguments:\n"
+    "  {solve,compare,optimal,oracle,witness}\n"
+    "    solve               solve a game file and report the equilibrium\n"
+    "    compare             compare two verifiability structures\n"
+    "    optimal             check sender/receiver optimality of a structure\n"
+    "    oracle              cross-check the solver against brute force\n"
+    "    witness             emit a game separating two lc-unordered structures\n"
+    "\n"
+    "options:\n"
+    "  -h, --help            show this help message and exit\n"
+)
+COMPARE_USAGE = (
+    "usage: disclosuregame compare [-h] [--relation {lc,sep}] [--json]\n"
+    "                              path_hi path_lo\n"
+)
+SUBCOMMAND_HELP = {
+    "solve": (
+        "usage: disclosuregame solve [-h] [--json] [--svg OUT] path\n"
+        "\n"
+        "positional arguments:\n"
+        "  path\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+        "  --json      machine-readable output\n"
+        "  --svg OUT   write a figure of the solution\n"
+    ),
+    "compare": (
+        COMPARE_USAGE + "\n"
+        "positional arguments:\n"
+        "  path_hi\n"
+        "  path_lo\n"
+        "\n"
+        "options:\n"
+        "  -h, --help           show this help message and exit\n"
+        "  --relation {lc,sep}\n"
+        "  --json\n"
+    ),
+    "optimal": (
+        "usage: disclosuregame optimal [-h] (--sender | --receiver) [--json] path\n"
+        "\n"
+        "positional arguments:\n"
+        "  path\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+        "  --sender\n"
+        "  --receiver\n"
+        "  --json\n"
+    ),
+    "oracle": (
+        "usage: disclosuregame oracle [-h] [--max-messages MAX_MESSAGES]\n"
+        "                             [--max-grid MAX_GRID] [--json]\n"
+        "                             path\n"
+        "\n"
+        "positional arguments:\n"
+        "  path\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --max-messages MAX_MESSAGES\n"
+        "  --max-grid MAX_GRID\n"
+        "  --json\n"
+    ),
+    "witness": (
+        "usage: disclosuregame witness [-h] [--json] path_hi path_lo\n"
+        "\n"
+        "positional arguments:\n"
+        "  path_hi\n"
+        "  path_lo\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+        "  --json\n"
+    ),
+}
+
+
+class TestParserSurface:
+    """Usage, help and argument errors, byte for byte.
+
+    Each call builds its parser with every subcommand's name and help but only
+    the invoked subcommand's arguments, and every output here is the one a
+    parser with every subcommand's arguments prints.  argparse wraps help to
+    the terminal width, so COLUMNS is fixed.
+    """
+
+    @pytest.fixture(autouse=True)
+    def columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @staticmethod
+    def run(capsys, argv) -> tuple:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    def test_no_arguments(self, capsys):
+        err = USAGE + "disclosuregame: error: the following arguments are required: command\n"
+        assert self.run(capsys, []) == (2, "", err)
+
+    def test_top_level_help(self, capsys):
+        assert self.run(capsys, ["-h"]) == (0, TOP_HELP, "")
+
+    def test_unknown_subcommand(self, capsys):
+        code, out, err = self.run(capsys, ["bogus"])
+        # argparse quotes each choice up to Python 3.12 and prints them bare from 3.13
+        assert (code, out) == (2, "")
+        assert err in {
+            USAGE + "disclosuregame: error: argument command: invalid choice: 'bogus' "
+            f"(choose from {choices})\n"
+            for choices in ("'solve', 'compare', 'optimal', 'oracle', 'witness'", "solve, compare, optimal, oracle, witness")
+        }
+
+    def test_option_before_subcommand(self, capsys):
+        # the first argument names no subcommand: every subcommand gets its
+        # arguments, so only --foo is left over
+        err = USAGE + "disclosuregame: error: unrecognized arguments: --foo\n"
+        assert self.run(capsys, ["--foo", "solve", fx("three_action.json")]) == (2, "", err)
+
+    @pytest.mark.parametrize("command", sorted(SUBCOMMAND_HELP))
+    def test_subcommand_help(self, command, capsys):
+        assert self.run(capsys, [command, "-h"]) == (0, SUBCOMMAND_HELP[command], "")
+
+    def test_unrecognized_option_after_subcommand(self, capsys):
+        # --receiver is optimal's option, not witness's
+        err = USAGE + "disclosuregame: error: unrecognized arguments: --receiver\n"
+        argv = ["witness", fx("thresholds_three_quarters.json"), fx("thresholds_half.json"), "--receiver"]
+        assert self.run(capsys, argv) == (2, "", err)
+
+    def test_missing_required_argument(self, capsys):
+        err = COMPARE_USAGE + "disclosuregame compare: error: the following arguments are required: path_lo\n"
+        assert self.run(capsys, ["compare", fx("thresholds_half.json")]) == (2, "", err)
+
+    def test_argv_defaults_to_sys_argv(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["disclosuregame", "optimal", fx("receiver_optimal.json"), "--receiver"])
+        assert main() == 0
+        assert capsys.readouterr() == ("receiver-optimal: yes\n", "")
+
+
 # one subcommand in a fresh interpreter, its output swallowed: prints its exit
 # code, the package's modules that it imported and which of the standard
 # library's costly introspection modules it imported
@@ -346,9 +492,11 @@ class TestImportSets:
 
     @staticmethod
     def imported(*argv: str) -> set:
+        # -S: no site hooks, whose imports (a .pth file's) are not the package's;
+        # the child needs only the standard library and src
         path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-        out = subprocess.run([sys.executable, "-c", RUN_AND_LIST_IMPORTS, *argv], env=env, capture_output=True, text=True)
+        out = subprocess.run([sys.executable, "-S", "-c", RUN_AND_LIST_IMPORTS, *argv], env=env, capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
         code, modules, introspection = json.loads(out.stdout)
         assert code == 0

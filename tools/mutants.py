@@ -256,6 +256,9 @@ MUTANTS = (
            "from .errors import GameFileError, OracleSizeError, PreconditionError\nfrom .figures import render_game_svg\n"),
     Mutant("gamefile.comparative_imported_at_start", "from .equilibrium import Equilibrium, GameSpec\n",
            "from .comparative import OrderVerdict\nfrom .equilibrium import Equilibrium, GameSpec\n"),
+    # cli: each call's parser gives arguments to the invoked subcommand, or to every one
+    Mutant("cli.invoked_gets_no_arguments", "if every or name == command:", "if every or name != command:"),
+    Mutant("cli.no_fallback_for_non_command", "if every or name == command:", "if name == command:"),
     # gamefile: the per-file reader and field paths
     Mutant("gamefile.memo_takes_bools", "if isinstance(obj, str):\n            pair = memo.get(obj)",
            "if isinstance(obj, (str, int)):\n            pair = memo.get(obj)"),
