@@ -15,7 +15,8 @@ and every sender lies in that support, so geq_sep needs no sampling of types.
 It holds iff every finite support of the lower structure is a support of the
 higher one, or is a single point while the higher one has full
 verifiability, and the higher one has full verifiability whenever the lower
-one does.  Canonical interval unions compare as sets: one lookup per message.
+one does.  Canonical supports compare as sets, as their intervals on pairs
+(VerifStructure._intervals): one lookup per message.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import PreconditionError
 from .piecewise import StepFunction
 from .rationals import ONE, ZERO
 from .records import Record, set_field
-from .verifiability import IntervalUnion, VerifStructure, identity_name, lowest_consistent_set
+from .verifiability import VerifStructure, complement_pieces, identity_name, lowest_consistent_set
 
 
 class OrderVerdict(Record):
@@ -62,7 +63,7 @@ def geq_sep(m_hi: VerifStructure, m_lo: VerifStructure) -> OrderVerdict:
     A type separates from exactly the complement of a message's support, and
     every type that can send a message lies in its support.  So m_hi offers
     everything m_lo does iff every finite support of m_lo is a support of
-    m_hi (canonical interval unions compare as sets), or is a single point
+    m_hi (canonical supports compare as sets, on their intervals' pairs), or is a single point
     while m_hi has full verifiability, and m_lo's identity family, if any, is
     matched by m_hi's.
 
@@ -72,21 +73,21 @@ def geq_sep(m_hi: VerifStructure, m_lo: VerifStructure) -> OrderVerdict:
     support {0}, halfway between 0 and the smallest positive endpoint of
     either structure, where no support of m_hi is a single point.
     """
-    hi_supports = {supp for _, supp in m_hi.messages}
-    failures = []
-    for name, supp in m_lo.messages:
-        minimum, sup = supp.hull_bounds()
-        if supp not in hi_supports and not (m_hi.full_verifiability and minimum == sup):
-            failures.append((minimum, name, supp))
+    hi_supports = set(m_hi._intervals().values())
+    minima, failures = m_lo._minima, []
+    for name, ivs in m_lo._intervals().items():
+        if ivs not in hi_supports and not (m_hi.full_verifiability and ivs[0][0] == ivs[-1][1]):
+            failures.append((minima[name], name, ivs))
     if m_lo.full_verifiability and not m_hi.full_verifiability:
         s = ZERO
-        if IntervalUnion.from_pairs([(ZERO, ZERO)]) in hi_supports:
-            s = min(m_hi.support_endpoints()[1], m_lo.support_endpoints()[1]) / 2
-        failures.append((s, identity_name(s), IntervalUnion.from_pairs([(s, s)])))
+        if (((0, 1), (0, 1), True),) in hi_supports:  # the support {0}
+            s = min(m_hi._table.point(1), m_lo._table.point(1)) / 2
+        pair = s.numerator, s.denominator
+        failures.append((s, identity_name(s), ((pair, pair, True),)))
     if not failures:
         return OrderVerdict("sep", True)
-    s, _, supp = min(failures, key=lambda f: f[:2])
-    return OrderVerdict("sep", False, (s, supp.complement_pieces()))
+    s, _, ivs = min(failures, key=lambda f: f[:2])
+    return OrderVerdict("sep", False, (s, complement_pieces(ivs)))
 
 
 def is_sender_optimal(structure: VerifStructure) -> bool:

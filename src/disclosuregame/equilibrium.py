@@ -270,11 +270,6 @@ def equilibrium_value(game: GameSpec) -> ValueResult:
     return ValueResult(step_eval(game.payoff, game.prior), "sender_preferred")
 
 
-def _skeptical_beliefs(structure: VerifStructure) -> dict[str, Fraction]:
-    point = structure._table.point
-    return {name: point(minimum) for name, (minimum, _) in structure._hulls.items()}
-
-
 def _best_message(structure: VerifStructure, s: Fraction) -> str:
     """Message available at s with the largest support minimum; ties go to the smallest name.
 
@@ -300,7 +295,7 @@ def solve(game: GameSpec) -> Equilibrium:
 def _solve_no_pnbp(game: GameSpec) -> Equilibrium:
     structure, v, p = game.structure, game.payoff, game.prior
     m0 = _best_message(structure, p)
-    beliefs = _skeptical_beliefs(structure)
+    beliefs = dict(structure._minima)  # maximally skeptical
     beliefs[m0] = p
     signal = Signal((p,), (ONE,))
     messaging = {p: m0}
@@ -369,7 +364,7 @@ def _solve_pnbp(game: GameSpec) -> Equilibrium:
         s_plus = point(_walk(contact, k + 1, 1, n))
         w_lo = (s_plus - p) / (s_plus - s_minus)
         signal = Signal((s_minus, s_plus), (w_lo, 1 - w_lo))
-    beliefs = _skeptical_beliefs(structure)
+    beliefs = dict(structure._minima)  # maximally skeptical
     messaging = {}
     for s in signal.support:
         m = _best_message(structure, s)
@@ -408,8 +403,12 @@ def _validate_structure(game: GameSpec, eq: Equilibrium) -> None:
         if name not in eq.beliefs:
             raise ValueError(f"beliefs missing finite message {name!r}")
     for name in eq.beliefs:
-        if name.startswith(IDENTITY_PREFIX) and not game.structure.full_verifiability:
-            raise ValueError(f"identity belief {name!r} without full verifiability")
+        if name.startswith(IDENTITY_PREFIX):
+            try:
+                min_inverse(game.structure, name)
+            except UnknownMessageError:
+                why = "names no type in [0,1]" if game.structure.full_verifiability else "without full verifiability"
+                raise ValueError(f"identity belief {name!r} {why}") from None
     total = ZERO
     for s, w in zip(eq.signal.support, eq.signal.weights):
         if s not in eq.messaging:

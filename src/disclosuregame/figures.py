@@ -82,13 +82,10 @@ def render_game_svg(game: GameSpec, eq: Equilibrium) -> str:
         i = rank.get((q.numerator, q.denominator))
         return px[i] if i is not None else _fmt(PLOT_LEFT + float(q) * (PLOT_RIGHT - PLOT_LEFT))
 
-    # one row per message, its spans as game ranks (the structure's ranks are
-    # the marked points of the game's table); the identity family has no
-    # support of its own: a dotted bar over [0,1]
-    to_game, spans = game._to_game, {}
-    for start, end, _, name in game.structure._spans:
-        spans.setdefault(name, []).append((to_game[start >> 1], to_game[end >> 1]))
-    rows = list(spans.items())
+    # one row per message, its intervals' ends as game ranks (the game's table
+    # holds every support endpoint); the identity family has no support of
+    # its own: a dotted bar over [0,1]
+    rows = [(name, [(rank[lo], rank[hi]) for lo, hi, _ in ivs]) for name, ivs in game.structure._intervals().items()]
     if game.structure.full_verifiability:
         rows.append(("identity", None))
     height = PLOT_BOTTOM + 40 + ROW_HEIGHT * len(rows) + 20

@@ -9,9 +9,10 @@ like ``payoff.values[2]``, built only when a failure occurs.
 
 Each check runs once, on ints, in code that a library caller's constructors
 run too (verifiability.check_interval for a support interval).  The
-structure is built from its endpoint pairs, with no SupportInterval or
-IntervalUnion object until something reads its messages; the game widens its
-coordinate table with the payoff's breakpoints and the prior.
+structure is built from its endpoint pairs, and written back from them
+(VerifStructure._intervals), so no SupportInterval or IntervalUnion object is
+built either way; the game widens its coordinate table with the payoff's
+breakpoints and the prior.
 
 Input size is capped, so the solver's quadratic paths and exact arithmetic
 cannot be fed unbounded input: at most MAX_MESSAGES messages per structure,
@@ -29,7 +30,7 @@ from typing import Any, Callable
 from .equilibrium import Equilibrium, GameSpec
 from .errors import ConstructionError, GameFileError
 from .piecewise import StepFunction
-from .rationals import format_rational, from_pair, parse_pair
+from .rationals import format_pair, format_rational, from_pair, parse_pair
 from .verifiability import Interval, Pair, VerifStructure, _canonical, check_interval
 
 MAX_MESSAGES = 2_000
@@ -107,23 +108,11 @@ def _check(obj: Any, kind: type, where: str):
 # ---------------------------------------------------------------------------
 
 def structure_to_obj(structure: VerifStructure) -> dict:
-    return {
-        "full_verifiability": structure.full_verifiability,
-        "messages": [
-            {
-                "name": name,
-                "support": [
-                    {
-                        "lo": format_rational(iv.lo),
-                        "hi": format_rational(iv.hi),
-                        "hi_closed": iv.hi_closed,
-                    }
-                    for iv in supp.intervals
-                ],
-            }
-            for name, supp in structure.messages
-        ],
-    }
+    messages = [
+        {"name": name, "support": [{"lo": format_pair(*lo), "hi": format_pair(*hi), "hi_closed": hi_closed} for lo, hi, hi_closed in ivs]}
+        for name, ivs in structure._intervals().items()
+    ]
+    return {"full_verifiability": structure.full_verifiability, "messages": messages}
 
 
 def structure_from_obj(obj: Any, path: str = "structure") -> VerifStructure:

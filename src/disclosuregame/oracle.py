@@ -18,7 +18,7 @@ pair's weights and cuts only when a profile needs them.  The profiles that
 pass build Fractions, and verify_equilibrium alone decides which are kept.
 So the oracle shares with the solver only the Coordinates table and the
 search's rationals.upper_hull, and reads the game only through its fields,
-the structure's table and support hulls, and verifiability.messages_at.
+the structure's table, support hulls and minima, and verifiability.messages_at.
 """
 
 from __future__ import annotations
@@ -105,8 +105,15 @@ def exhaustive_equilibria(
     O(support^2) int tests per support, then one bit test per profile.
     These tests are implied by the best-response test (a message ranked
     above its sender's level at a support type raises w there, so a signal
-    on the support beats the profile's value); they spare its hull work
-    and let a support skip the profiles that cannot pass.
+    on the support beats the profile's value), so they change no result.
+    Without sendable and every sk_max lookup, every list found on 960
+    desk-scale games (the benchmark's oracle_desk, seeds 1 and 77) is the
+    same, and that search takes 0.92x the time.  But they spare hull work:
+    on 8 messages on [0, 1] with payoff breakpoints and values k/40
+    (k = 0..39), prior 1/2 and 81 grid points, the search makes one
+    _hull_segment call in about 0.3 s, and without sendable 2,394,160
+    calls in about 6 minutes.  Without the sk_max lookups alone, two
+    random 8-message games run 1.13-1.17x slower (the desk games 0.98x).
 
     Size-3 supports a < b < c around the prior p carry a one-parameter family
     of Bayes-plausible weights W(t), affine in t on [0, t_hi].  At fixed
@@ -170,8 +177,7 @@ def exhaustive_equilibria(
     if len(grid) > max_grid:
         raise OracleSizeError(f"critical grid exceeds {max_grid} points")
     v, p, grid = game.payoff, game.prior, [Fraction(n, d) for n, d in grid]
-    point = structure._table.point  # a support's minimum, from its rank: no support objects are built
-    skeptical = {name: point(minimum) for name, (minimum, _) in structure._hulls.items()}
+    skeptical = structure._minima  # each support's minimum, from its rank: no support objects are built
     names = tuple(sorted(skeptical))
     found: list[Equilibrium] = []
     values: set[tuple[int, int]] = set()  # certified values as (numerator, denominator)

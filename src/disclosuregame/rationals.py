@@ -71,9 +71,12 @@ def as_fraction(x) -> Fraction:
 
 def format_rational(q: Fraction) -> str:
     """Render a Fraction as "p/q", or just "p" for integers."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return format_pair(q.numerator, q.denominator)
+
+
+def format_pair(n: int, d: int) -> str:
+    """format_rational of a canonical pair."""
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def in_unit_interval(q: Fraction) -> bool:

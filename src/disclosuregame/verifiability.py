@@ -98,19 +98,26 @@ class IntervalUnion(Record):
 
     def complement_pieces(self) -> list[tuple[Fraction, bool, Fraction, bool]]:
         """Complement within [0,1] as (lo, lo_closed, hi, hi_closed) pieces."""
-        out = []
-        cursor, cursor_closed = ZERO, True
-        for iv in self.intervals:
-            if cursor < iv.lo:  # gap up to the left-closed start of iv
-                out.append((cursor, cursor_closed, iv.lo, False))
-            cursor, cursor_closed = iv.hi, not iv.hi_closed
-        if cursor < ONE or (cursor == ONE and cursor_closed):
-            out.append((cursor, cursor_closed, ONE, True))
-        return out
+        return complement_pieces([(_pair(iv.lo), _pair(iv.hi), iv.hi_closed) for iv in self.intervals])
 
 
 def _pair(q: Fraction) -> Pair:
     return q.numerator, q.denominator
+
+
+def complement_pieces(ivs: Sequence[Interval]) -> list[tuple[Fraction, bool, Fraction, bool]]:
+    """Complement within [0,1] of a support's canonical intervals, as (lo, lo_closed, hi, hi_closed) pieces.
+
+    Compared on the pairs; only the pieces' ends are built as Fractions.
+    """
+    out, cursor, cursor_closed = [], (0, 1), True
+    for lo, hi, hi_closed in ivs:
+        if cursor[0] * lo[1] < lo[0] * cursor[1]:  # gap up to the left-closed start of the interval
+            out.append((from_pair(*cursor), cursor_closed, from_pair(*lo), False))
+        cursor, cursor_closed = hi, not hi_closed
+    if cursor != (1, 1) or cursor_closed:
+        out.append((from_pair(*cursor), cursor_closed, ONE, True))
+    return out
 
 
 def _canonical(ivs: Sequence[Interval]) -> list[Interval]:
@@ -139,8 +146,10 @@ class VerifStructure(Record):
     every interval, in message order, as table positions (2i at point i,
     2i + 1 on the open gap after it): it covers start <= pos < end, and
     minimum is the position of its support's minimum.  Availability is
-    constant on each open gap.  Without objects, ``messages`` is built on
-    first access.
+    constant on each open gap.  Every reader inside the package reads the
+    spans: as each message's intervals on pairs (_intervals) or its
+    support's minimum (_minima).  Without objects, ``messages`` is built
+    from _intervals on first access, for library callers.
     """
 
     def __init__(self, messages: tuple[tuple[str, IntervalUnion], ...], full_verifiability: bool = False) -> None:
@@ -193,17 +202,30 @@ class VerifStructure(Record):
         """messages, built from the spans when the structure came without them (_from_pairs)."""
         if name != "messages" or "_spans" not in self.__dict__:
             raise AttributeError(name)
-        point, supports = self._table.point, {}
-        for start, end, _, message in self._spans:
-            supports.setdefault(message, []).append(SupportInterval(point(start >> 1), point(end >> 1), end & 1 == 1))
-        messages = tuple((message, IntervalUnion(tuple(ivs))) for message, ivs in supports.items())
+        point, rank = self._table.point, self._table.rank
+        messages = tuple(
+            (message, IntervalUnion(tuple(SupportInterval(point(rank[lo]), point(rank[hi]), hi_closed) for lo, hi, hi_closed in ivs)))
+            for message, ivs in self._intervals().items()
+        )
         object.__setattr__(self, "messages", messages)
         return messages
+
+    def _intervals(self) -> dict[str, tuple[Interval, ...]]:
+        """Each message's canonical intervals as (lo, hi, hi_closed) pairs, in message order: the spans decoded."""
+        pairs, supports = self._table.pairs, {}
+        for start, end, _, name in self._spans:
+            supports.setdefault(name, []).append((pairs[start >> 1], pairs[end >> 1], end & 1 == 1))
+        return {name: tuple(ivs) for name, ivs in supports.items()}
 
     @cached_property
     def _hulls(self) -> dict[str, tuple[int, int]]:
         """Each support's closed convex hull [minimum, supremum] as table ranks, in message order."""
         return {name: (minimum >> 1, end >> 1) for _, end, minimum, name in self._spans}
+
+    @cached_property
+    def _minima(self) -> dict[str, Fraction]:
+        """Each finite message's support minimum, in message order (the table's Fractions); read it, do not change it."""
+        return {name: self._table.point(minimum) for name, (minimum, _) in self._hulls.items()}
 
     def support(self, name: str) -> IntervalUnion:
         try:
@@ -270,12 +292,20 @@ def messages_at(structure: VerifStructure, s: Fraction) -> set[str]:
 
 
 def min_inverse(structure: VerifStructure, name: str) -> Fraction:
-    """Smallest type able to send the message (attained: supports are left-closed)."""
-    if name.startswith(IDENTITY_PREFIX):
-        if not structure.full_verifiability:
-            raise UnknownMessageError(name)
-        return parse_rational(name[len(IDENTITY_PREFIX):])
-    return structure.support(name).minimum
+    """Smallest type able to send the message (attained: supports are left-closed).
+
+    An identity message exists only under the flag, and only as
+    identity_name(s) for a type s in [0,1]: no other spelling names one.
+    """
+    try:
+        if not name.startswith(IDENTITY_PREFIX):
+            return structure._minima[name]
+        s = parse_rational(name[len(IDENTITY_PREFIX):])
+        if structure.full_verifiability and in_unit_interval(s) and identity_name(s) == name:
+            return s
+    except (KeyError, ValueError):
+        pass
+    raise UnknownMessageError(name)
 
 
 class LowestConsistentSet(Record):
@@ -293,7 +323,7 @@ class LowestConsistentSet(Record):
 
 def lowest_consistent_set(structure: VerifStructure) -> LowestConsistentSet:
     """Types that are the minimum of some message support (all of [0,1] under the flag)."""
-    minima = sorted({supp.minimum for _, supp in structure.messages})
+    minima = sorted(set(structure._minima.values()))
     return LowestConsistentSet(tuple(minima), structure.full_verifiability)
 
 

@@ -8,6 +8,8 @@ tests/test_acceptance.py` to see the lines.
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from disclosuregame import (
     GameSpec,
     IntervalUnion,
@@ -43,18 +45,31 @@ from genutil import (
 )
 from reference_paths import discrete_hull_value, piece_ends
 
-V1 = StepFunction((F(0), F(2, 5), F(4, 5)), (F(0), F(1), F(3)))
-V43 = StepFunction((F(0), F(2, 5), F(4, 5)), (F(0), F(2), F(3)))
-M31 = VerifStructure(
-    (
-        ("m_L", IntervalUnion.from_pairs([(0, 1)])),
-        ("m_M", IntervalUnion.from_pairs([(F(1, 2), 1)])),
+
+# the paper's examples, built by the tests that read them, so a fault in a
+# constructor fails those tests rather than the module's collection
+@pytest.fixture
+def v1() -> StepFunction:
+    return StepFunction((F(0), F(2, 5), F(4, 5)), (F(0), F(1), F(3)))
+
+
+@pytest.fixture
+def v43() -> StepFunction:
+    return StepFunction((F(0), F(2, 5), F(4, 5)), (F(0), F(2), F(3)))
+
+
+@pytest.fixture
+def m31() -> VerifStructure:
+    return VerifStructure(
+        (
+            ("m_L", IntervalUnion.from_pairs([(0, 1)])),
+            ("m_M", IntervalUnion.from_pairs([(F(1, 2), 1)])),
+        )
     )
-)
 
 
-def test_criterion_1_three_action_reproduction():
-    game = GameSpec(V1, F(1, 3), M31)
+def test_criterion_1_three_action_reproduction(v1, m31):
+    game = GameSpec(v1, F(1, 3), m31)
     eq = solve(game)
     assert eq.signal.support == (F(0), F(1, 2))
     assert eq.beliefs == {"m_L": F(0), "m_M": F(1, 2)}
@@ -64,10 +79,10 @@ def test_criterion_1_three_action_reproduction():
           "beliefs (0, 1/2), value 2/3 exactly")
 
 
-def test_criterion_2_more_verifiability_hurts():
-    cheap = GameSpec(V43, F(1, 2), cheap_talk(("m_0",)))
+def test_criterion_2_more_verifiability_hurts(v43):
+    cheap = GameSpec(v43, F(1, 2), cheap_talk(("m_0",)))
     more = GameSpec(
-        V43, F(1, 2), add_message(cheap_talk(("m_0",)), "m_H", IntervalUnion.from_pairs([(F(9, 10), 1)]))
+        v43, F(1, 2), add_message(cheap_talk(("m_0",)), "m_H", IntervalUnion.from_pairs([(F(9, 10), 1)]))
     )
     v_cheap = equilibrium_value(cheap)
     v_more = equilibrium_value(more)
@@ -80,8 +95,8 @@ def test_criterion_2_more_verifiability_hurts():
           "more verifiability hurts, exactly")
 
 
-def test_criterion_3_full_commitment_benchmark():
-    game = GameSpec(V1, F(1, 3), mandatory_disclosure())
+def test_criterion_3_full_commitment_benchmark(v1):
+    game = GameSpec(v1, F(1, 3), mandatory_disclosure())
     eq = solve(game)
     assert eq.value == F(5, 4)
     assert eq.signal.support == (F(0), F(4, 5))
@@ -156,7 +171,7 @@ def test_criterion_7_comparative_statics_suite():
           "strict value reversal on 50 unordered pairs")
 
 
-def test_criterion_8_receiver_optimal_suite():
+def test_criterion_8_receiver_optimal_suite(m31):
     receiver_optimal = VerifStructure(
         (
             ("m_L", IntervalUnion.from_pairs([(0, 1)])),
@@ -178,7 +193,7 @@ def test_criterion_8_receiver_optimal_suite():
     # under the three-action structure the indicator instance pools instead
     s_star = F(1, 2)
     indicator = StepFunction((F(0), s_star), (F(0), F(1)))
-    game = GameSpec(indicator, s_star / 2, M31)
+    game = GameSpec(indicator, s_star / 2, m31)
     eq = solve(game)
     assert eq.signal.support != (F(0), F(1))
     assert eq.value == (s_star / 2) / s_star == F(1, 2)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from functools import cache
 
 import pytest
 
@@ -38,31 +39,48 @@ from genutil import (
 )
 from reference_paths import grid_geq_sep
 
-M31 = VerifStructure(
-    (
-        ("m_L", IntervalUnion.from_pairs([(0, 1)])),
-        ("m_M", IntervalUnion.from_pairs([(F(1, 2), 1)])),
+
+# sample values, built on first use (and cached), so a fault in a constructor
+# fails the tests that read them rather than the module's collection
+@cache
+def m31():
+    return VerifStructure(
+        (
+            ("m_L", IntervalUnion.from_pairs([(0, 1)])),
+            ("m_M", IntervalUnion.from_pairs([(F(1, 2), 1)])),
+        )
     )
-)
-RECEIVER_OPTIMAL = VerifStructure(
-    (
-        ("m_L", IntervalUnion.from_pairs([(0, 1)])),
-        ("m_1", IntervalUnion.from_pairs([(1, 1)])),
+
+
+@cache
+def receiver_optimal():
+    return VerifStructure(
+        (
+            ("m_L", IntervalUnion.from_pairs([(0, 1)])),
+            ("m_1", IntervalUnion.from_pairs([(1, 1)])),
+        )
     )
-)
+
+
 # lc-equivalent but sep-incomparable pair
-SEP_A = VerifStructure(
-    (
-        ("m_L", IntervalUnion.from_pairs([(0, 1)])),
-        ("m_a", IntervalUnion.from_pairs([(F(1, 2), 1)])),
+@cache
+def sep_a():
+    return VerifStructure(
+        (
+            ("m_L", IntervalUnion.from_pairs([(0, 1)])),
+            ("m_a", IntervalUnion.from_pairs([(F(1, 2), 1)])),
+        )
     )
-)
-SEP_B = VerifStructure(
-    (
-        ("m_L", IntervalUnion.from_pairs([(0, 1)])),
-        ("m_b", IntervalUnion.from_pairs([(F(1, 2), F(3, 4))])),
+
+
+@cache
+def sep_b():
+    return VerifStructure(
+        (
+            ("m_L", IntervalUnion.from_pairs([(0, 1)])),
+            ("m_b", IntervalUnion.from_pairs([(F(1, 2), F(3, 4))])),
+        )
     )
-)
 
 
 class TestGeqLc:
@@ -88,7 +106,7 @@ class TestGeqLc:
             assert geq_lc(mandatory_disclosure(), rand_structure(rng)).holds
 
     def test_nothing_finite_dominates_full_verifiability(self):
-        verdict = geq_lc(M31, mandatory_disclosure())
+        verdict = geq_lc(m31(), mandatory_disclosure())
         assert not verdict.holds and 0 < verdict.witness <= 1
 
     def test_reflexive_and_transitive(self):
@@ -118,15 +136,15 @@ class TestGeqSep:
             assert geq_sep(bigger, base).holds
 
     def test_interval_vs_threshold_fails_both_ways(self):
-        down = geq_sep(SEP_B, SEP_A)
-        up = geq_sep(SEP_A, SEP_B)
+        down = geq_sep(sep_b(), sep_a())
+        up = geq_sep(sep_a(), sep_b())
         assert not down.holds and not up.holds
         s, pieces = down.witness
         assert F(1, 2) <= s <= F(3, 4)
         assert pieces == [(F(0), True, F(1, 2), False)]
 
     def test_counterexample_pair_is_lc_equivalent(self):
-        assert geq_lc(SEP_B, SEP_A).holds and geq_lc(SEP_A, SEP_B).holds
+        assert geq_lc(sep_b(), sep_a()).holds and geq_lc(sep_a(), sep_b()).holds
 
     def test_sep_implies_lc_randomized(self):
         rng = random.Random(43)
@@ -200,13 +218,13 @@ class TestOptimality:
         assert is_sender_optimal(full_verif(cheap_talk()))
 
     def test_three_action_not_sender_optimal(self):
-        assert not is_sender_optimal(M31)
+        assert not is_sender_optimal(m31())
 
     def test_receiver_optimal_fixture(self):
-        assert is_receiver_optimal(RECEIVER_OPTIMAL)
+        assert is_receiver_optimal(receiver_optimal())
 
     def test_three_action_not_receiver_optimal(self):
-        assert not is_receiver_optimal(M31)
+        assert not is_receiver_optimal(m31())
 
     def test_cheap_talk_not_receiver_optimal(self):
         assert not is_receiver_optimal(cheap_talk())
@@ -221,7 +239,7 @@ class TestSeparatingInstance:
         assert inst.sup_value_hi == F(1, 3)
 
     def test_cheap_talk_high_side(self):
-        inst = separating_instance(cheap_talk(), M31)
+        inst = separating_instance(cheap_talk(), m31())
         assert inst.s_star == F(1, 2)
         assert inst.value_lo == F(1, 2)
         assert inst.sup_value_hi == F(0)

@@ -4,6 +4,7 @@ import random
 import sys
 from bisect import bisect_right
 from fractions import Fraction as F
+from functools import cache
 
 import pytest
 
@@ -45,56 +46,92 @@ from genutil import (
 )
 from reference_paths import pointwise_adjusted, pointwise_envelope, pointwise_g, swept_g
 
-V1 = StepFunction((F(0), F(2, 5), F(4, 5)), (F(0), F(1), F(3)))
-V43 = StepFunction((F(0), F(2, 5), F(4, 5)), (F(0), F(2), F(3)))
-M31 = VerifStructure(
-    (
-        ("m_L", IntervalUnion.from_pairs([(0, 1)])),
-        ("m_M", IntervalUnion.from_pairs([(F(1, 2), 1)])),
-    )
-)
-M_PRIME = cheap_talk(("m_0",))
-M_DOUBLE_PRIME = add_message(M_PRIME, "m_H", IntervalUnion.from_pairs([(F(9, 10), 1)]))
 
-G31 = GameSpec(V1, F(1, 3), M31)
-G_PRIME = GameSpec(V43, F(1, 2), M_PRIME)
-G_DOUBLE_PRIME = GameSpec(V43, F(1, 2), M_DOUBLE_PRIME)
-G_MANDATORY = GameSpec(V1, F(1, 3), mandatory_disclosure())
+# sample values, built on first use (and cached), so a fault in a constructor
+# fails the tests that read them rather than the module's collection
+@cache
+def v1():
+    return StepFunction((F(0), F(2, 5), F(4, 5)), (F(0), F(1), F(3)))
+
+
+@cache
+def v43():
+    return StepFunction((F(0), F(2, 5), F(4, 5)), (F(0), F(2), F(3)))
+
+
+@cache
+def m31():
+    return VerifStructure(
+        (
+            ("m_L", IntervalUnion.from_pairs([(0, 1)])),
+            ("m_M", IntervalUnion.from_pairs([(F(1, 2), 1)])),
+        )
+    )
+
+
+@cache
+def m_prime():
+    return cheap_talk(("m_0",))
+
+
+@cache
+def m_double_prime():
+    return add_message(m_prime(), "m_H", IntervalUnion.from_pairs([(F(9, 10), 1)]))
+
+
+@cache
+def g31():
+    return GameSpec(v1(), F(1, 3), m31())
+
+
+@cache
+def g_prime():
+    return GameSpec(v43(), F(1, 2), m_prime())
+
+
+@cache
+def g_double_prime():
+    return GameSpec(v43(), F(1, 2), m_double_prime())
+
+
+@cache
+def g_mandatory():
+    return GameSpec(v1(), F(1, 3), mandatory_disclosure())
 
 
 class TestPnbp:
     def test_three_action(self):
-        verdict = pnbp(G31)
+        verdict = pnbp(g31())
         assert verdict.holds and verdict.witness == "m_M"
 
     def test_cheap_talk_never(self):
-        assert not pnbp(G_PRIME).holds
+        assert not pnbp(g_prime()).holds
 
     def test_constant_payoff_never(self):
-        game = GameSpec(StepFunction((F(0),), (F(2),)), F(1, 3), M31)
+        game = GameSpec(StepFunction((F(0),), (F(2),)), F(1, 3), m31())
         assert not pnbp(game).holds
 
     def test_counterexample_high_message(self):
-        verdict = pnbp(G_DOUBLE_PRIME)
+        verdict = pnbp(g_double_prime())
         assert verdict.holds and verdict.witness == "m_H"
 
     def test_full_verifiability_iff_room_above_prior(self):
-        assert pnbp(G_MANDATORY).holds
-        assert not pnbp(GameSpec(V1, F(1), mandatory_disclosure())).holds
+        assert pnbp(g_mandatory()).holds
+        assert not pnbp(GameSpec(v1(), F(1), mandatory_disclosure())).holds
 
     def test_verdict_is_its_truth_value(self):
-        assert pnbp(G31) and not pnbp(G_PRIME)
+        assert pnbp(g31()) and not pnbp(g_prime())
 
 
 class TestSkepticalValue:
     def test_three_action(self):
-        assert skeptical_value(G31) == StepFunction((F(0), F(1, 2)), (F(0), F(1)))
+        assert skeptical_value(g31()) == StepFunction((F(0), F(1, 2)), (F(0), F(1)))
 
     def test_counterexample(self):
-        assert skeptical_value(G_DOUBLE_PRIME) == StepFunction((F(0), F(9, 10)), (F(0), F(3)))
+        assert skeptical_value(g_double_prime()) == StepFunction((F(0), F(9, 10)), (F(0), F(3)))
 
     def test_mandatory_disclosure_returns_payoff(self):
-        assert skeptical_value(G_MANDATORY) == V1
+        assert skeptical_value(g_mandatory()) == v1()
 
 
 class TestSharedAnalysis:
@@ -110,7 +147,7 @@ class TestSharedAnalysis:
                 assert skeptical_value(game) == StepFunction(ends, (*levels, pointwise_adjusted(game, F(1))))
 
     def test_built_once_per_game(self):
-        game = GameSpec(V1, F(1, 3), M31)
+        game = GameSpec(v1(), F(1, 3), m31())
         assert skeptical_value(game) is skeptical_value(game)
         assert value_hull(game) is value_hull(game)
         assert pnbp(game) is pnbp(game)
@@ -153,25 +190,25 @@ class TestSharedAnalysis:
 
 class TestEquilibriumValue:
     def test_three_action(self):
-        assert equilibrium_value(G31) == (F(2, 3), "unique")
+        assert equilibrium_value(g31()) == (F(2, 3), "unique")
 
     def test_counterexample_drop(self):
-        assert equilibrium_value(G_DOUBLE_PRIME) == (F(5, 3), "unique")
-        assert equilibrium_value(G_PRIME) == (F(2), "sender_preferred")
+        assert equilibrium_value(g_double_prime()) == (F(5, 3), "unique")
+        assert equilibrium_value(g_prime()) == (F(2), "sender_preferred")
 
     def test_mandatory_disclosure_full_commitment(self):
-        assert equilibrium_value(G_MANDATORY) == (F(5, 4), "unique")
+        assert equilibrium_value(g_mandatory()) == (F(5, 4), "unique")
 
 
 class TestSplitPoints:
     def test_three_action(self):
-        eq = solve(G31)
+        eq = solve(g31())
         assert (eq.s_minus, eq.s_plus) == (F(0), F(1, 2))
 
     def test_prior_in_contact_set(self):
         # v(g) = v touches its envelope at the vertex 2/5, and m_2 proves news
         # better than the prior, so the prior is its own split
-        game = GameSpec(V43, F(2, 5), thresholds([F(2, 5), F(4, 5)]))
+        game = GameSpec(v43(), F(2, 5), thresholds([F(2, 5), F(4, 5)]))
         assert pnbp(game).holds
         assert pl_eval(value_hull(game), F(2, 5)) == pointwise_adjusted(game, F(2, 5))
         eq = solve(game)
@@ -179,13 +216,13 @@ class TestSplitPoints:
         assert eq.signal.support == (F(2, 5),)
 
     def test_counterexample(self):
-        eq = solve(G_DOUBLE_PRIME)
+        eq = solve(g_double_prime())
         assert (eq.s_minus, eq.s_plus) == (F(0), F(9, 10))
 
     def test_split_points_follow_the_signal(self):
         # the split points are the signal's ends, so an edit of the signal
         # cannot leave them stale
-        eq = solve(G31)
+        eq = solve(g31())
         moved = eq.replace(signal=Signal((F(0), F(4, 5)), (F(7, 12), F(5, 12))))
         assert (moved.s_minus, moved.s_plus) == (F(0), F(4, 5))
         assert (eq.s_minus, eq.s_plus) == (F(0), F(1, 2))
@@ -193,7 +230,7 @@ class TestSplitPoints:
 
 class TestSolve:
     def test_three_action_full_profile(self):
-        eq = solve(G31)
+        eq = solve(g31())
         assert eq.signal.support == (F(0), F(1, 2))
         assert eq.signal.weights == (F(1, 3), F(2, 3))
         assert eq.messaging == {F(0): "m_L", F(1, 2): "m_M"}
@@ -202,55 +239,55 @@ class TestSolve:
         assert (eq.s_minus, eq.s_plus) == (F(0), F(1, 2))
 
     def test_counterexample_profile(self):
-        eq = solve(G_DOUBLE_PRIME)
+        eq = solve(g_double_prime())
         assert eq.signal.support == (F(0), F(9, 10))
         assert eq.signal.weights == (F(4, 9), F(5, 9))
         assert eq.value == F(5, 3)
 
     def test_cheap_talk_no_information(self):
-        eq = solve(G_PRIME)
+        eq = solve(g_prime())
         assert eq.signal.support == (F(1, 2),)
         assert eq.beliefs["m_0"] == F(1, 2)
         assert eq.value == F(2)
 
     def test_mandatory_disclosure_full_commitment_split(self):
-        eq = solve(G_MANDATORY)
+        eq = solve(g_mandatory())
         assert eq.signal.support == (F(0), F(4, 5))
         assert eq.value == F(5, 4)
 
     def test_best_message_ties_go_to_the_smallest_name(self):
         # no PNBP: m0 is the smallest name among the largest available minima
-        eq = solve(GameSpec(V43, F(1, 2), cheap_talk(("m_b", "m_a"))))
+        eq = solve(GameSpec(v43(), F(1, 2), cheap_talk(("m_b", "m_a"))))
         assert eq.messaging == {F(1, 2): "m_a"}
         # PNBP: two messages share the threshold 1/2
-        structure = add_message(M31, "m_K", IntervalUnion.from_pairs([(F(1, 2), 1)]))
-        assert solve(GameSpec(V1, F(1, 3), structure)).messaging == {F(0): "m_L", F(1, 2): "m_K"}
+        structure = add_message(m31(), "m_K", IntervalUnion.from_pairs([(F(1, 2), 1)]))
+        assert solve(GameSpec(v1(), F(1, 3), structure)).messaging == {F(0): "m_L", F(1, 2): "m_K"}
         # full verifiability: the identity message competes by its name
         for name, top in (("a", "a"), ("z", "id:4/5")):
             high = IntervalUnion.from_pairs([(F(4, 5), 1)])
-            game = GameSpec(V1, F(1, 3), full_verif(add_message(cheap_talk(("m_0",)), name, high)))
+            game = GameSpec(v1(), F(1, 3), full_verif(add_message(cheap_talk(("m_0",)), name, high)))
             eq = solve(game)
             assert eq.messaging == {F(0): "id:0", F(4, 5): top}
             assert verify_equilibrium(game, eq).ok
 
     def test_all_fixtures_verify(self):
-        for game in (G31, G_PRIME, G_DOUBLE_PRIME, G_MANDATORY):
+        for game in (g31(), g_prime(), g_double_prime(), g_mandatory()):
             assert verify_equilibrium(game, solve(game)).ok
 
     def test_degenerate_priors(self):
         for p in (F(0), F(1)):
-            game = GameSpec(V1, p, M31)
+            game = GameSpec(v1(), p, m31())
             eq = solve(game)
             assert eq.signal.support == (p,)
-            assert eq.value == step_eval(V1, p)
+            assert eq.value == step_eval(v1(), p)
             assert verify_equilibrium(game, eq).ok
 
 
 class TestVerifyEquilibrium:
     def test_tampered_belief_fails_bayes(self):
-        eq = solve(G31)
+        eq = solve(g31())
         bad = eq.replace(beliefs={**eq.beliefs, "m_M": F(3, 4)}, value=F(2, 3))
-        report = verify_equilibrium(G31, bad)
+        report = verify_equilibrium(g31(), bad)
         assert not report.ok and report.condition == 3
 
     def test_public_persuasion_split_is_not_covert_equilibrium(self):
@@ -265,7 +302,7 @@ class TestVerifyEquilibrium:
             beliefs=beliefs,
             value=value,
         )
-        report = verify_equilibrium(G31, eq)
+        report = verify_equilibrium(g31(), eq)
         assert not report.ok and report.condition == 1
         assert set(report.witness.support) == {F(0), F(1, 2)}
 
@@ -273,12 +310,12 @@ class TestVerifyEquilibrium:
         # on an upper semicontinuous game a type that sends a worse message
         # lowers the value below the best response, so condition (1) fires
         # before condition (2) is tested
-        eq = solve(G31)
+        eq = solve(g31())
         bad = eq.replace(
             messaging={F(0): "m_L", F(1, 2): "m_L"},
             value=F(0),
         )
-        report = verify_equilibrium(G31, bad)
+        report = verify_equilibrium(g31(), bad)
         assert not report.ok and report.condition == 1
 
     def test_suboptimal_message_fails_condition_two(self):
@@ -316,54 +353,56 @@ class TestVerifyEquilibrium:
         assert report.witness == ("m_1", F(1, 4))
 
     def test_structurally_invalid_raises(self):
-        eq = solve(G31)
+        eq = solve(g31())
         with pytest.raises(ValueError):
-            verify_equilibrium(G31, eq.replace(value=F(1)))
+            verify_equilibrium(g31(), eq.replace(value=F(1)))
 
 
 # v jumps from 0 to 1 at 1/2, prior 1/4; the solution splits {0, 1/2} with
 # messages m_L and m_H, value 1/2
-TAMPER_GAME = GameSpec(
-    StepFunction((F(0), F(1, 2)), (F(0), F(1))),
-    F(1, 4),
-    VerifStructure(
-        (
-            ("m_L", IntervalUnion.from_pairs([(0, 1)])),
-            ("m_H", IntervalUnion.from_pairs([(F(1, 2), 1)])),
-            ("m_X", IntervalUnion.from_pairs([(F(3, 4), 1)])),
-        )
-    ),
-)
+@cache
+def tamper_game():
+    return GameSpec(
+        StepFunction((F(0), F(1, 2)), (F(0), F(1))),
+        F(1, 4),
+        VerifStructure(
+            (
+                ("m_L", IntervalUnion.from_pairs([(0, 1)])),
+                ("m_H", IntervalUnion.from_pairs([(F(1, 2), 1)])),
+                ("m_X", IntervalUnion.from_pairs([(F(3, 4), 1)])),
+            )
+        ),
+    )
 
 
 class TestVerifyTamper:
     """One edit of a solved profile per case, each rejected with its own condition."""
 
     def test_solution_verifies(self):
-        eq = solve(TAMPER_GAME)
+        eq = solve(tamper_game())
         assert eq.messaging == {F(0): "m_L", F(1, 2): "m_H"} and eq.value == F(1, 2)
-        assert verify_equilibrium(TAMPER_GAME, eq).ok
+        assert verify_equilibrium(tamper_game(), eq).ok
 
     def test_claim_above_best_response_fails_condition_one(self):
         # type 0 sends the unavailable m_H; the claimed value 1 is what the
         # beliefs pay, but no signal reaches it against those beliefs: w is 0 below
         # 1/2 and 1 from there, so the line through (1/4, 1) with the witness
         # slope 2, between 0 (from the right) and 4 (from the left), clears it
-        eq = solve(TAMPER_GAME).replace(messaging={F(0): "m_H", F(1, 2): "m_H"}, value=F(1))
-        report = verify_equilibrium(TAMPER_GAME, eq)
+        eq = solve(tamper_game()).replace(messaging={F(0): "m_H", F(1, 2): "m_H"}, value=F(1))
+        report = verify_equilibrium(tamper_game(), eq)
         assert not report.ok and report.condition == 1
         assert report.witness == F(2)
 
     def test_unavailable_message_fails_condition_two(self):
         # type 1/2 sends m_X, provable only from 3/4 on; the value matches
-        eq = solve(TAMPER_GAME).replace(messaging={F(0): "m_L", F(1, 2): "m_X"})
+        eq = solve(tamper_game()).replace(messaging={F(0): "m_L", F(1, 2): "m_X"})
         assert eq.beliefs["m_X"] == F(3, 4)
-        report = verify_equilibrium(TAMPER_GAME, eq)
+        report = verify_equilibrium(tamper_game(), eq)
         assert not report.ok and report.condition == 2
         assert report.witness == (F(1, 2), "m_X")
 
     def test_identity_belief_off_its_type_fails_condition_three(self):
-        game = TAMPER_GAME.replace(structure=full_verif(TAMPER_GAME.structure))
+        game = tamper_game().replace(structure=full_verif(tamper_game().structure))
         eq = solve(game)
         assert verify_equilibrium(game, eq).ok
         bad = eq.replace(beliefs={**eq.beliefs, "id:1/3": F(1, 2)})
@@ -372,13 +411,13 @@ class TestVerifyTamper:
         assert report.witness == ("id:1/3", F(1, 2))
 
     def test_condition_one_detail_names_the_direction_of_the_gap(self):
-        eq = solve(TAMPER_GAME)
+        eq = solve(tamper_game())
         above = eq.replace(messaging={F(0): "m_H", F(1, 2): "m_H"}, value=F(1))
-        assert verify_equilibrium(TAMPER_GAME, above).detail == "value 1 above best response: no signal attains it"
+        assert verify_equilibrium(tamper_game(), above).detail == "value 1 above best response: no signal attains it"
         # the witness splits the prior between 0 and 1/2, worth 1/2 (here
         # also the best response)
         below = eq.replace(messaging={F(0): "m_L", F(1, 2): "m_L"}, value=F(0))
-        report = verify_equilibrium(TAMPER_GAME, below)
+        report = verify_equilibrium(tamper_game(), below)
         assert report.detail == (
             "profitable deviation: value 0 below 1/2, the witness signal's value (not necessarily the best response)"
         )
@@ -387,19 +426,19 @@ class TestVerifyTamper:
 
 class TestCheckTheorem1:
     def test_three_action(self):
-        assert check_theorem1(G31, solve(G31))
+        assert check_theorem1(g31(), solve(g31()))
 
     def test_counterexample(self):
-        assert check_theorem1(G_DOUBLE_PRIME, solve(G_DOUBLE_PRIME))
+        assert check_theorem1(g_double_prime(), solve(g_double_prime()))
 
     def test_degenerate_zero_prior(self):
-        game = GameSpec(V1, F(0), M31)
+        game = GameSpec(v1(), F(0), m31())
         assert pnbp(game).holds
         assert check_theorem1(game, solve(game))
 
     def test_requires_pnbp(self):
         with pytest.raises(PreconditionError):
-            check_theorem1(G_PRIME, solve(G_PRIME))
+            check_theorem1(g_prime(), solve(g_prime()))
 
 
 class TestRandomizedInvariants:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from functools import cache
 
 import pytest
 
@@ -45,19 +46,32 @@ from reference_paths import (
     signal_value,
 )
 
-V1 = StepFunction((F(0), F(2, 5), F(4, 5)), (F(0), F(1), F(3)))
-M31 = VerifStructure(
-    (
-        ("m_L", IntervalUnion.from_pairs([(0, 1)])),
-        ("m_M", IntervalUnion.from_pairs([(F(1, 2), 1)])),
+
+# sample values, built on first use (and cached), so a fault in a constructor
+# fails the tests that read them rather than the module's collection
+@cache
+def v1():
+    return StepFunction((F(0), F(2, 5), F(4, 5)), (F(0), F(1), F(3)))
+
+
+@cache
+def m31():
+    return VerifStructure(
+        (
+            ("m_L", IntervalUnion.from_pairs([(0, 1)])),
+            ("m_M", IntervalUnion.from_pairs([(F(1, 2), 1)])),
+        )
     )
-)
-G31 = GameSpec(V1, F(1, 3), M31)
+
+
+@cache
+def g31():
+    return GameSpec(v1(), F(1, 3), m31())
 
 
 class TestCriticalGrid:
     def test_three_action_contents(self):
-        grid = critical_grid(G31)
+        grid = critical_grid(g31())
         for x in (F(0), F(1, 3), F(2, 5), F(1, 2), F(4, 5), F(1)):
             assert x in grid
         # midpoints between consecutive base points are present
@@ -76,7 +90,7 @@ class TestCriticalGrid:
                 ("m_H", IntervalUnion.from_pairs([(F(9, 10), 1)])),
             )
         )
-        game = GameSpec(V1, F(1, 2), M)
+        game = GameSpec(v1(), F(1, 2), M)
         assert F(9, 10) in critical_grid(game)
 
     def test_full_verifiability_contact_points_on_grid(self):
@@ -177,7 +191,7 @@ class TestSupportingLine:
             ({"m_L": F(0), "m_M": F(4, 5)}, F(2)),
             ({"m_L": F(1, 2), "m_M": F(1, 2)}, F(1)),
         ):
-            assert assert_line_matches_chord(G31, beliefs) == best
+            assert assert_line_matches_chord(g31(), beliefs) == best
 
     def test_collinear_grid_points(self):
         # the hull edge over the prior runs from (0, 0) to (3/4, 3) through
@@ -218,7 +232,7 @@ class TestSupportingLine:
     def test_priors_at_zero_and_one(self):
         # one side of the prior is empty, and w(prior) alone decides
         for p in (F(0), F(1)):
-            game = GameSpec(V1, p, M31)
+            game = GameSpec(v1(), p, m31())
             for beliefs in ({"m_L": F(0), "m_M": F(1, 2)}, {"m_L": F(1, 2), "m_M": F(1)}):
                 assert assert_line_matches_chord(game, beliefs) == pointwise_interim_values(game, beliefs, [p])[0]
 
@@ -263,7 +277,7 @@ def _size3_pooling(game, eq):
 
 class TestExhaustiveSearch:
     def test_three_action_unique_value(self):
-        assert exhaustive_search(G31, 4, 12) == {F(2, 3)}
+        assert exhaustive_search(g31(), 4, 12) == {F(2, 3)}
 
     def test_cheap_talk_sender_preferred_is_max(self):
         v43 = StepFunction((F(0), F(2, 5), F(4, 5)), (F(0), F(2), F(3)))
@@ -272,20 +286,20 @@ class TestExhaustiveSearch:
         assert max(values) == F(2)
 
     def test_degenerate_prior(self):
-        game = GameSpec(V1, F(0), M31)
+        game = GameSpec(v1(), F(0), m31())
         assert exhaustive_search(game, 4, 12) == {F(0)}
 
     def test_refuses_oversized_message_set(self):
         with pytest.raises(OracleSizeError):
-            exhaustive_search(G31, 1, 12)
+            exhaustive_search(g31(), 1, 12)
 
     def test_refuses_oversized_grid(self):
         with pytest.raises(OracleSizeError):
-            exhaustive_search(G31, 4, 5)
+            exhaustive_search(g31(), 4, 5)
 
     def test_refuses_full_verifiability(self):
         with pytest.raises(OracleSizeError):
-            exhaustive_search(GameSpec(V1, F(1, 3), mandatory_disclosure()), 4, 12)
+            exhaustive_search(GameSpec(v1(), F(1, 3), mandatory_disclosure()), 4, 12)
 
     def test_matches_per_profile_reference(self):
         # the same verified profiles in the same order, in both dedup modes
@@ -393,6 +407,28 @@ class TestExhaustiveSearch:
                 want = per_profile_exhaustive_equilibria(game, 8, 9, dedup_values=dedup)
                 assert exhaustive_equilibria(game, 8, 9, dedup_values=dedup) == want
         assert repeated and not rejected
+
+    def test_condition_two_filters_spare_the_hull_work(self, monkeypatch):
+        # 8 messages on [0, 1] under a 40-step payoff, on 81 grid points:
+        # every type can send every message, so sendable (a type may send
+        # only what no type of lower level can) rules out the separating
+        # profiles that the best-response test would otherwise reject one
+        # hull call at a time.  The search makes one hull call; without
+        # sendable it makes 2,394,160
+        hull, calls = oracle._hull_segment, []
+
+        def budgeted(pts, x):
+            calls.append(x)
+            if len(calls) > 10:
+                raise AssertionError("more than 10 hull calls")
+            return hull(pts, x)
+
+        monkeypatch.setattr(oracle, "_hull_segment", budgeted)
+        steps = tuple(F(k, 40) for k in range(40))
+        game = GameSpec(StepFunction(steps, steps), F(1, 2), cheap_talk(tuple(f"m_{k}" for k in range(8))))
+        assert len(critical_grid(game)) == 81
+        assert exhaustive_search(game, 8, 81) == {F(1, 2)}
+        assert len(calls) == 1
 
     def test_agreement_on_random_pnbp_games(self):
         rng = random.Random(53)

@@ -5,7 +5,8 @@ reads ``messages``; these tests check that it equals the structure a library
 caller builds from the same supports, that merging a union's intervals on
 positions agrees with IntervalUnion's own merge, that the support objects it
 builds on first access are the ones the caller would have passed, and that
-``solve --json --svg`` on a loaded game never builds them.
+no subcommand builds them (solve --json --svg, oracle, compare, optimal and
+witness, each through cli.main).
 """
 
 import io
@@ -14,14 +15,24 @@ import random
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
-from disclosuregame import GameSpec, IntervalUnion, SupportInterval, VerifStructure, mandatory_disclosure, solve
+import pytest
+
+from disclosuregame import GameSpec, IntervalUnion, SupportInterval, VerifStructure, mandatory_disclosure, solve, thresholds
 from disclosuregame import cli, gamefile, verifiability
 from disclosuregame.equilibrium import verify_equilibrium
 from disclosuregame.figures import render_game_svg
 from disclosuregame.gamefile import game_from_obj, game_to_obj, load_game
 from disclosuregame.grid import _interim_values
 
-from genutil import rand_coprime_game, rand_interval_game, rand_oracle_game, rand_payoff, rand_point, rand_rich_structure
+from genutil import (
+    rand_coprime_game,
+    rand_interval_game,
+    rand_oracle_game,
+    rand_payoff,
+    rand_point,
+    rand_rich_structure,
+    rand_sep_pair,
+)
 from reference_paths import slice_interim_values
 
 
@@ -157,6 +168,46 @@ def test_oracle_builds_no_support_objects(monkeypatch, tmp_path):
         assert built == []
     assert searched >= 12
     assert load_game(str(paths[0])).structure.messages and built
+
+
+def comparative_runs(tmp_path) -> dict[str, list[list[str]]]:
+    """Command lines for each comparative subcommand, on rand_sep_pair's pairs and a pair whose high side is receiver-optimal."""
+    rng = random.Random(1811)
+    pairs = [rand_sep_pair(rng) for _ in range(40)]
+    pairs.append((VerifStructure((("m_0", IntervalUnion.from_pairs([(0, 1)])), ("m_1", IntervalUnion.from_pairs([(1, 1)])))),
+                  thresholds([F(1, 2)])))
+    paths = []
+    for k, pair in enumerate(pairs):
+        paths.append([])
+        for side, structure in zip(("hi", "lo"), pair):
+            path = tmp_path / f"{side}{k}.json"
+            path.write_text(json.dumps(gamefile.structure_to_obj(structure)))
+            paths[-1].append(str(path))
+    runs = {"optimal": []}
+    for k, (hi, lo) in enumerate(paths):
+        json_flag = ["--json"] if k % 2 else []
+        for relation in ("lc", "sep"):
+            runs.setdefault(f"compare-{relation}", []).append(["compare", hi, lo, "--relation", relation, *json_flag])
+        runs.setdefault("witness", []).append(["witness", hi, lo, *json_flag])
+        runs["optimal"] += [["optimal", hi, which, *json_flag] for which in ("--sender", "--receiver")]
+    return runs
+
+
+@pytest.mark.parametrize("command", ["compare-lc", "compare-sep", "optimal", "witness"])
+def test_comparative_subcommands_build_no_support_objects(command, monkeypatch, tmp_path):
+    # lowest-consistent sets, the separation comparison and its witness, and
+    # the witness game's JSON read minima and intervals from the table and
+    # spans; each subcommand both holds (exit 0) and fails (exit 1) here
+    runs = comparative_runs(tmp_path)[command]
+    built = count_support_objects(monkeypatch)
+    codes = set()
+    for argv in runs:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            codes.add((argv[2] if command == "optimal" else command, cli.main(argv)))
+        assert built == [], argv
+    kinds = ("--sender", "--receiver") if command == "optimal" else (command,)
+    assert codes == {(kind, code) for kind in kinds for code in (0, 1)}
+    assert gamefile.load_structure(runs[-1][1]).messages and built
 
 
 def test_linear_fill_matches_slice_fill():

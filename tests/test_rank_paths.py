@@ -77,8 +77,16 @@ def coprime_games(seed: int, count: int) -> list[GameSpec]:
     return [rand_coprime_game(rng, rng.randint(2, 10)) for _ in range(count)]
 
 
-GAMES = rich_games(2027, 700) + coprime_games(2027, 30)
-SAMPLE = GAMES[:700:3] + GAMES[700:]  # every third rich game, mandatory disclosure among them, and every coprime one
+@pytest.fixture(scope="module")
+def games() -> list[GameSpec]:
+    """The sample games, built by the first test that reads them, so a fault in building them fails that test."""
+    return rich_games(2027, 700) + coprime_games(2027, 30)
+
+
+@pytest.fixture(scope="module")
+def sample(games) -> list[GameSpec]:
+    """Every third rich game, mandatory disclosure among them, and every coprime one."""
+    return games[:700:3] + games[700:]
 
 
 def float_ties(q: F) -> list[F]:
@@ -109,7 +117,7 @@ def interim_values(game: GameSpec, beliefs) -> list[F]:
     return [game.payoff.values[k] for k in _interim_values(game, beliefs)]
 
 
-def test_one_coordinate_table_per_structure_and_per_game(monkeypatch, tmp_path):
+def test_one_coordinate_table_per_structure_and_per_game(monkeypatch, tmp_path, sample):
     # a loaded structure builds one table of 0, 1 and its support endpoints,
     # after one small table per union of several intervals, which orders
     # and merges them; the game builds one more, which also ranks the
@@ -123,7 +131,7 @@ def test_one_coordinate_table_per_structure_and_per_game(monkeypatch, tmp_path):
 
     monkeypatch.setattr(rationals.Coordinates, "_fill", counted)
     path = tmp_path / "game.json"
-    for game in SAMPLE[:60]:
+    for game in sample[:60]:
         ends = {F(0), F(1)} | {q for _, supp in game.structure.messages for iv in supp.intervals for q in (iv.lo, iv.hi)}
         path.write_text(json.dumps(game_to_obj(game)))
         built.clear()
@@ -138,10 +146,10 @@ def test_one_coordinate_table_per_structure_and_per_game(monkeypatch, tmp_path):
         assert GameSpec(loaded.payoff, loaded.prior, structure).structure is structure
 
 
-def test_endpoint_sweep_matches_pointwise_g():
+def test_endpoint_sweep_matches_pointwise_g(games):
     # g at every table point and on every gap, as table ranks, against a
     # scan of every support at the point and at the gap's midpoint
-    for game in GAMES:
+    for game in games:
         structure = game.structure
         if structure.full_verifiability:
             continue
@@ -151,11 +159,11 @@ def test_endpoint_sweep_matches_pointwise_g():
         assert [ends[j] for j in on_gap] == [pointwise_g(structure, (a + b) / 2) for a, b in zip(ends, ends[1:])]
 
 
-def test_level_table_matches_fraction_paths():
+def test_level_table_matches_fraction_paths(games):
     # pnbp, the envelope and the solution (the split walk among it) against
     # their definitions
     split = 0
-    for game in GAMES:
+    for game in games:
         verdict, envelope, eq = scan_solve(game)
         assert pnbp(game) == verdict
         assert value_hull(game) == envelope
@@ -164,13 +172,13 @@ def test_level_table_matches_fraction_paths():
     assert split > 100
 
 
-def test_supporting_line_matches_chord_search():
+def test_supporting_line_matches_chord_search(games):
     # skeptical beliefs, which the solver's own verification uses, and
     # random ones, which also put falling and flat hull edges over the prior;
     # the claim at the best response and beside it
     rng = random.Random(31)
     edges = set()
-    for game in GAMES:
+    for game in games:
         skeptical = {name: supp.minimum for name, supp in game.structure.messages}
         for beliefs in (skeptical, rand_beliefs(rng, game.structure)):
             best, signal = chord_best_deviation(game, beliefs)
@@ -185,12 +193,12 @@ def test_supporting_line_matches_chord_search():
     assert edges == {-1, 0, 1}
 
 
-def test_integer_kernels_match_fraction_paths():
+def test_integer_kernels_match_fraction_paths(games):
     # critical_grid's int midpoints, the envelope's hull and the oracle's
     # hull against Fraction arithmetic; the hull inputs are shuffled, with
     # repeated x, and the oracle's hull sees every grid point
     rng = random.Random(43)
-    for game in GAMES:
+    for game in games:
         grid = critical_grid(game)
         base = {F(0), F(1), game.prior, *game.payoff.breakpoints, *game.structure.support_endpoints()}
         assert list(grid[::2]) == sorted(base)
@@ -244,14 +252,14 @@ def test_split_walk_raises_instead_of_wrapping():
         _solve_pnbp(game)
 
 
-def test_position_lookups_match_fraction_contains():
+def test_position_lookups_match_fraction_contains(sample):
     # availability and the best message at every endpoint (degenerate
     # points and right-open ends among them), its float-tied neighbours, and
     # points off the endpoint table, against the Fraction scans of every
     # support; g at the same points against a scan of every support
     rng = random.Random(51)
     seen = {"open_end": 0, "degenerate": 0, "off_table": 0, "full": 0}
-    for game in SAMPLE:
+    for game in sample:
         structure = game.structure
         ends = structure.support_endpoints()
         for s in query_points(rng, ends):
@@ -268,14 +276,14 @@ def test_position_lookups_match_fraction_contains():
     assert min(seen.values()) > 100, seen
 
 
-def test_keyed_evaluation_matches_fraction_bisect():
+def test_keyed_evaluation_matches_fraction_bisect(sample):
     # step_eval on the payoff and on v(g), pl_eval on the envelope and the
     # level table's pieces, against bisecting Fractions; the coprime games'
     # breakpoints have 39-digit denominators, so their float-tied neighbours
     # reach the exact tie-break of the order keys
     rng = random.Random(53)
     ties = 0
-    for game in SAMPLE:
+    for game in sample:
         adjusted, hull = skeptical_value(game), value_hull(game)
         xs, (piece, _, _, _) = game._table.points, game._levels
         assert [game.payoff.values[k] for k in piece] == [fraction_step_eval(game.payoff, x) for x in xs]
@@ -288,12 +296,12 @@ def test_keyed_evaluation_matches_fraction_bisect():
     assert ties > 500
 
 
-def test_int_line_tests_match_fraction_products():
+def test_int_line_tests_match_fraction_products(sample):
     # every level-table point against every envelope edge, and the oracle's
     # grid points against the hull edge over the prior, both ways
     rng = random.Random(57)
     hits = misses = 0
-    for game in SAMPLE:
+    for game in sample:
         vertices = value_hull(game).vertices
         xs, (_, at, _, _) = game._table.points, game._levels
         vals = game.payoff.values
@@ -313,12 +321,12 @@ def test_int_line_tests_match_fraction_products():
     assert hits > 1000 and misses > 1000
 
 
-def test_interim_values_off_grid_beliefs():
+def test_interim_values_off_grid_beliefs(games):
     # a belief off the grid reads the piece table at its gap's position, one
     # on the grid at its own
     rng = random.Random(59)
     off_grid = 0
-    for game in GAMES:
+    for game in games:
         grid = critical_grid(game)
         beliefs = rand_beliefs(rng, game.structure)
         for name, supp in game.structure.messages[::2]:
@@ -329,12 +337,12 @@ def test_interim_values_off_grid_beliefs():
     assert off_grid > 300
 
 
-def test_figure_matches_fraction_mapper(monkeypatch):
+def test_figure_matches_fraction_mapper(monkeypatch, games):
     # coprime games, payoffs shifted to negative values, and equilibrium
     # values moved past either end of the payoff's range, each drawn with the
     # program's pixel tables and with their Fraction twins
     cases = []
-    for game in coprime_games(61, 12) + GAMES[::25]:
+    for game in coprime_games(61, 12) + games[::25]:
         eq = solve(game)
         values = game.payoff.values
         negative = GameSpec(StepFunction(game.payoff.breakpoints, tuple(y - 7 for y in values)), game.prior, game.structure)

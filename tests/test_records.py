@@ -36,52 +36,57 @@ from disclosuregame.comparative import OrderVerdict, SeparatingInstance, separat
 from disclosuregame.gamefile import structure_from_obj
 from disclosuregame.records import Record
 
-STEP = StepFunction((F(0), F(1, 2)), (F(0), F(1)))
-HALF_OPEN = SupportInterval(F(0), F(1, 2), False)
-UNION = IntervalUnion((SupportInterval(F(1, 2), F(1)), SupportInterval(F(0), F(1, 4))))
-GAME = GameSpec(STEP, F(1, 3), thresholds([F(1, 2)]))
-EQ = solve(GAME)
-WITNESSES = [separating_instance(cheap_talk(), thresholds([level])) for level in (F(1, 2), F(1, 4))]
-
 
 def field_values(record) -> tuple:
     return tuple(getattr(record, name) for name in record.__match_args__)
 
 
-# (type, its dataclass fields as (name, annotation[, default]), two unequal
-# argument lists, and one change for replace)
-CASES = [
-    (GameSpec, [("payoff", "StepFunction"), ("prior", "Fraction"), ("structure", "VerifStructure")],
-     (STEP, F(1, 3), thresholds([F(1, 2)])), (STEP, F(1, 4), cheap_talk()), {"prior": F(1, 5)}),
-    (Signal, [("support", "tuple[Fraction, ...]"), ("weights", "tuple[Fraction, ...]")],
-     ((F(1), F(0)), (F(1, 3), F(2, 3))), ((F(0), F(1)), (F(1, 2), F(1, 2))), {"weights": (F(1, 4), F(3, 4))}),
-    (Equilibrium, [("signal", "Signal"), ("messaging", "Mapping[Fraction, str]"), ("beliefs", "Mapping[str, Fraction]"),
-                   ("value", "Fraction")],
-     (EQ.signal, EQ.messaging, EQ.beliefs, EQ.value), (EQ.signal, EQ.messaging, EQ.beliefs, F(1)), {"value": F(0)}),
-    (PnbpVerdict, [("holds", "bool"), ("witness", "Optional[str]", None)],
-     (True, "m_1"), (False,), {"witness": "m_0"}),
-    (VerifyReport, [("ok", "bool"), ("condition", "Optional[int]", None), ("detail", "str", ""), ("witness", "object", None)],
-     (True,), (False, 2, "type 0 prefers 'm_1'", (F(0), "m_1")), {"detail": "x"}),
-    (StepFunction, [("breakpoints", "tuple[Fraction, ...]"), ("values", "tuple[Fraction, ...]")],
-     ((F(0), F(1, 2), F(3, 4)), (F(0), F(1), F(1))), ((F(0), F(1, 4)), (F(0), F(2))), {"values": (F(1), F(2))}),
-    (ConcavePL, [("vertices", "tuple[Point, ...]")],
-     (((0, 0), (F(1, 2), F(1)), (1, 1)),), (((F(0), F(0)), (F(1), F(1))),), {"vertices": ((F(0), F(1)), (F(1), F(0)))}),
-    (SupportInterval, [("lo", "Fraction"), ("hi", "Fraction"), ("hi_closed", "bool", True)],
-     (0, F(1, 2)), (F(0), F(1, 2), False), {"lo": F(1, 4)}),
-    (IntervalUnion, [("intervals", "tuple[SupportInterval, ...]")],
-     (UNION.intervals[::-1],), ((HALF_OPEN,),), {"intervals": (SupportInterval(F(0), F(1)),)}),
-    (VerifStructure, [("messages", "tuple[tuple[str, IntervalUnion], ...]"), ("full_verifiability", "bool", False)],
-     ((("m_0", UNION), ("m_1", IntervalUnion((SupportInterval(F(1, 4), F(1, 2)),)))),), ((), True),
-     {"full_verifiability": True}),
-    (LowestConsistentSet, [("types", "tuple[Fraction, ...]"), ("all_of_unit_interval", "bool", False)],
-     ((F(0), F(1, 2)),), ((), True), {"types": (F(0),)}),
-    (OrderVerdict, [("relation", "str"), ("holds", "bool"), ("witness", "object", None)],
-     ("lc", True), ("sep", False, (F(0), [(F(0), True, F(1), True)])), {"holds": False}),
-    (SeparatingInstance, [("s_star", "Fraction"), ("payoff", "StepFunction"), ("prior", "Fraction"), ("game_lo", "GameSpec"),
-                          ("game_hi", "GameSpec"), ("value_lo", "Fraction"), ("sup_value_hi", "Fraction")],
-     field_values(WITNESSES[0]), field_values(WITNESSES[1]), {"value_lo": F(0)}),
-]
-IDS = [cls.__name__ for cls, *_ in CASES]
+STEP_ARGS = ((F(0), F(1, 2)), (F(0), F(1)))
+IDS = ["GameSpec", "Signal", "Equilibrium", "PnbpVerdict", "VerifyReport", "StepFunction", "ConcavePL", "SupportInterval",
+       "IntervalUnion", "VerifStructure", "LowestConsistentSet", "OrderVerdict", "SeparatingInstance"]
+
+
+@pytest.fixture(scope="module")
+def cases() -> dict:
+    """Each type by name: (type, its dataclass fields as (name, annotation[, default]), two unequal argument lists, and
+    one change for replace).  Built here, not at import, so a fault in a constructor or the solver fails the tests."""
+    step = StepFunction(*STEP_ARGS)
+    half_open = SupportInterval(F(0), F(1, 2), False)
+    union = IntervalUnion((SupportInterval(F(1, 2), F(1)), SupportInterval(F(0), F(1, 4))))
+    eq = solve(GameSpec(step, F(1, 3), thresholds([F(1, 2)])))
+    witnesses = [separating_instance(cheap_talk(), thresholds([level])) for level in (F(1, 2), F(1, 4))]
+    listed = [
+        (GameSpec, [("payoff", "StepFunction"), ("prior", "Fraction"), ("structure", "VerifStructure")],
+         (step, F(1, 3), thresholds([F(1, 2)])), (step, F(1, 4), cheap_talk()), {"prior": F(1, 5)}),
+        (Signal, [("support", "tuple[Fraction, ...]"), ("weights", "tuple[Fraction, ...]")],
+         ((F(1), F(0)), (F(1, 3), F(2, 3))), ((F(0), F(1)), (F(1, 2), F(1, 2))), {"weights": (F(1, 4), F(3, 4))}),
+        (Equilibrium, [("signal", "Signal"), ("messaging", "Mapping[Fraction, str]"), ("beliefs", "Mapping[str, Fraction]"),
+                       ("value", "Fraction")],
+         (eq.signal, eq.messaging, eq.beliefs, eq.value), (eq.signal, eq.messaging, eq.beliefs, F(1)), {"value": F(0)}),
+        (PnbpVerdict, [("holds", "bool"), ("witness", "Optional[str]", None)],
+         (True, "m_1"), (False,), {"witness": "m_0"}),
+        (VerifyReport, [("ok", "bool"), ("condition", "Optional[int]", None), ("detail", "str", ""), ("witness", "object", None)],
+         (True,), (False, 2, "type 0 prefers 'm_1'", (F(0), "m_1")), {"detail": "x"}),
+        (StepFunction, [("breakpoints", "tuple[Fraction, ...]"), ("values", "tuple[Fraction, ...]")],
+         ((F(0), F(1, 2), F(3, 4)), (F(0), F(1), F(1))), ((F(0), F(1, 4)), (F(0), F(2))), {"values": (F(1), F(2))}),
+        (ConcavePL, [("vertices", "tuple[Point, ...]")],
+         (((0, 0), (F(1, 2), F(1)), (1, 1)),), (((F(0), F(0)), (F(1), F(1))),), {"vertices": ((F(0), F(1)), (F(1), F(0)))}),
+        (SupportInterval, [("lo", "Fraction"), ("hi", "Fraction"), ("hi_closed", "bool", True)],
+         (0, F(1, 2)), (F(0), F(1, 2), False), {"lo": F(1, 4)}),
+        (IntervalUnion, [("intervals", "tuple[SupportInterval, ...]")],
+         (union.intervals[::-1],), ((half_open,),), {"intervals": (SupportInterval(F(0), F(1)),)}),
+        (VerifStructure, [("messages", "tuple[tuple[str, IntervalUnion], ...]"), ("full_verifiability", "bool", False)],
+         ((("m_0", union), ("m_1", IntervalUnion((SupportInterval(F(1, 4), F(1, 2)),)))),), ((), True),
+         {"full_verifiability": True}),
+        (LowestConsistentSet, [("types", "tuple[Fraction, ...]"), ("all_of_unit_interval", "bool", False)],
+         ((F(0), F(1, 2)),), ((), True), {"types": (F(0),)}),
+        (OrderVerdict, [("relation", "str"), ("holds", "bool"), ("witness", "object", None)],
+         ("lc", True), ("sep", False, (F(0), [(F(0), True, F(1), True)])), {"holds": False}),
+        (SeparatingInstance, [("s_star", "Fraction"), ("payoff", "StepFunction"), ("prior", "Fraction"), ("game_lo", "GameSpec"),
+                              ("game_hi", "GameSpec"), ("value_lo", "Fraction"), ("sup_value_hi", "Fraction")],
+         field_values(witnesses[0]), field_values(witnesses[1]), {"value_lo": F(0)}),
+    ]
+    return {entry[0].__name__: entry for entry in listed}
 
 
 def twin_of(cls, fields):
@@ -91,9 +96,9 @@ def twin_of(cls, fields):
     return dataclasses.make_dataclass(cls.__name__, spec, bases=(cls,), frozen=True)
 
 
-@pytest.fixture(params=CASES, ids=IDS)
-def case(request):
-    cls, fields, a, b, changes = request.param
+@pytest.fixture(params=IDS)
+def case(request, cases):
+    cls, fields, a, b, changes = cases[request.param]
     return cls, twin_of(cls, fields), [name for name, *_ in fields], a, b, changes
 
 
@@ -105,9 +110,9 @@ def outcome(call):
         return type(exc), str(exc)
 
 
-def test_all_thirteen_value_types_are_records():
-    assert len(CASES) == 13
-    for cls, *_ in CASES:
+def test_all_thirteen_value_types_are_records(cases):
+    assert len(cases) == 13 and list(cases) == IDS
+    for cls, *_ in cases.values():
         assert Record in cls.__mro__ and not dataclasses.is_dataclass(cls)
 
 
@@ -177,7 +182,9 @@ def test_cached_and_lazy_values_stay_outside_eq_hash_and_repr():
     built = VerifStructure((("m_0", IntervalUnion((SupportInterval(F(0), F(1)),))),))
     loaded = structure_from_obj({"messages": [{"name": "m_0", "support": [{"lo": "0", "hi": "1"}]}]})
     assert "messages" not in vars(loaded) and built._hulls and built._supports
+    assert not hasattr(loaded, "not_a_field") and "messages" not in vars(loaded)  # only messages is built lazily
     assert repr(loaded) == repr(built) and loaded == built and hash(loaded) == hash(built)
-    game, fresh = GameSpec(STEP, F(1, 3), built), GameSpec(STEP, F(1, 3), built)
+    step = StepFunction(*STEP_ARGS)
+    game, fresh = GameSpec(step, F(1, 3), built), GameSpec(step, F(1, 3), built)
     assert game._value_hull and game.payoff._keys and "_value_hull" in vars(game)
     assert game == fresh and hash(game) == hash(fresh) and repr(game) == repr(fresh)

@@ -8,6 +8,7 @@ the CLI, which exits with code 2; so moving a check cannot drop it silently.
 """
 
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -58,6 +59,9 @@ LIBRARY = [
     (lambda: VerifStructure((("m", IntervalUnion.from_pairs([(THIRD, 1)])),)),
      ConstructionError, r"message supports must cover all of \[0,1\]"),
     (lambda: min_inverse(VerifStructure((("m", WHOLE),)), "id:1/2"), UnknownMessageError, "id:1/2"),
+    (lambda: VerifStructure((("m", WHOLE),)).support("nope"), UnknownMessageError, "nope"),
+    *((lambda name=name: min_inverse(mandatory_disclosure(), name), UnknownMessageError, name)
+      for name in ("id:2", "id:-1/3", "id:2/4", "id: 1/2")),
     # the canonical builders
     (lambda: cheap_talk(()), ConstructionError, "cheap talk needs at least one message"),
     (lambda: thresholds([F(0)]), ConstructionError, r"thresholds must lie in \(0,1\]"),
@@ -185,6 +189,16 @@ def test_verify_refuses_a_message_outside_the_structure():
     game, eq = _solved()
     with pytest.raises(UnknownMessageError, match="m_9"):
         verify_equilibrium(game, eq.replace(messaging={**eq.messaging, eq.signal.support[0]: "m_9"}))
+
+
+@pytest.mark.parametrize("name", ["id:2", "id:-1/3", "id:2/4", "id: 1/2"])
+def test_verify_refuses_identity_beliefs_that_name_no_type(name):
+    # under full verifiability an identity belief must still name a type in
+    # [0, 1] the one way identity_name spells it
+    game = GameSpec(PAYOFF, THIRD, mandatory_disclosure())
+    eq = solve(game)
+    with pytest.raises(ValueError, match=re.escape(f"identity belief {name!r} names no type in [0,1]")):
+        verify_equilibrium(game, eq.replace(beliefs={**eq.beliefs, name: HALF}))
 
 
 def test_identity_beliefs_allowed_under_full_verifiability():

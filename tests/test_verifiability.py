@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from functools import cache
 
 import pytest
 
@@ -31,13 +32,22 @@ from disclosuregame.verifiability import (
 from genutil import rand_rich_structure, rand_structure
 from reference_paths import pointwise_g, swept_g
 
-M31 = VerifStructure(
-    (
-        ("m_L", IntervalUnion.from_pairs([(0, 1)])),
-        ("m_M", IntervalUnion.from_pairs([(F(1, 2), 1)])),
+
+# sample values, built on first use (and cached), so a fault in a constructor
+# fails the tests that read them rather than the module's collection
+@cache
+def m31():
+    return VerifStructure(
+        (
+            ("m_L", IntervalUnion.from_pairs([(0, 1)])),
+            ("m_M", IntervalUnion.from_pairs([(F(1, 2), 1)])),
+        )
     )
-)
-M43 = add_message(cheap_talk(("m_0",)), "m_H", IntervalUnion.from_pairs([(F(9, 10), 1)]))
+
+
+@cache
+def m43():
+    return add_message(cheap_talk(("m_0",)), "m_H", IntervalUnion.from_pairs([(F(9, 10), 1)]))
 
 
 class TestIntervalUnion:
@@ -73,6 +83,10 @@ class TestIntervalUnion:
             (F(0), True, F(1, 2), False),
             (F(3, 4), False, F(1), True),
         ]
+        # a support open at 1 leaves the point 1; one closed there, nothing
+        u = IntervalUnion.from_pairs([(0, F(1, 3), False), (F(1, 2), 1, False)])
+        assert u.complement_pieces() == [(F(1, 3), True, F(1, 2), False), (F(1), True, F(1), True)]
+        assert IntervalUnion.from_pairs([(F(1, 2), 1)]).complement_pieces() == [(F(0), True, F(1, 2), False)]
 
     def test_complement_of_full_interval_is_empty(self):
         assert IntervalUnion.from_pairs([(0, 1)]).complement_pieces() == []
@@ -80,10 +94,10 @@ class TestIntervalUnion:
 
 class TestMessagesAt:
     def test_three_action_low_type(self):
-        assert messages_at(M31, F(1, 3)) == {"m_L"}
+        assert messages_at(m31(), F(1, 3)) == {"m_L"}
 
     def test_three_action_threshold_type(self):
-        assert messages_at(M31, F(1, 2)) == {"m_L", "m_M"}
+        assert messages_at(m31(), F(1, 2)) == {"m_L", "m_M"}
 
     def test_cheap_talk_everywhere(self):
         ct = cheap_talk(("a", "b"))
@@ -95,30 +109,39 @@ class TestMessagesAt:
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            messages_at(M31, F(3, 2))
+            messages_at(m31(), F(3, 2))
 
 
 class TestMinInverse:
     def test_threshold_message(self):
-        assert min_inverse(M31, "m_M") == F(1, 2)
+        assert min_inverse(m31(), "m_M") == F(1, 2)
 
     def test_base_message(self):
-        assert min_inverse(M31, "m_L") == 0
+        assert min_inverse(m31(), "m_L") == 0
 
     def test_counterexample_high_message(self):
-        assert min_inverse(M43, "m_H") == F(9, 10)
+        assert min_inverse(m43(), "m_H") == F(9, 10)
 
     def test_identity(self):
         assert min_inverse(mandatory_disclosure(), "id:2/3") == F(2, 3)
+        structure = full_verif(thresholds([F(1, 2)]))
+        for s in (F(0), F(1, 2), F(1)):
+            assert min_inverse(structure, f"id:{s}") == s
 
     def test_unknown(self):
         with pytest.raises(UnknownMessageError):
-            min_inverse(M31, "nope")
+            min_inverse(m31(), "nope")
+        # an identity name is id:<s> for a type s in [0, 1], spelled as
+        # identity_name spells it; no other name is a message of the game
+        for name in ("id:2", "id:-1/3", "id:2/4", "id: 1/2", "id:1/2 ", "id:+1/2", "id:", "id:x"):
+            for structure in (m31(), full_verif(thresholds([F(1, 2)]))):
+                with pytest.raises(UnknownMessageError):
+                    min_inverse(structure, name)
 
 
 class TestLowestConsistentSet:
     def test_three_action(self):
-        assert lowest_consistent_set(M31).types == (F(0), F(1, 2))
+        assert lowest_consistent_set(m31()).types == (F(0), F(1, 2))
 
     def test_cheap_talk(self):
         assert lowest_consistent_set(cheap_talk(("a", "b"))).types == (F(0),)
@@ -139,15 +162,15 @@ class TestLowestConsistentSet:
 
 class TestSkepticalTypeMap:
     def test_three_action(self):
-        assert skeptical_type_map(M31) == StepFunction((F(0), F(1, 2)), (F(0), F(1, 2)))
+        assert skeptical_type_map(m31()) == StepFunction((F(0), F(1, 2)), (F(0), F(1, 2)))
 
     def test_counterexample(self):
-        assert skeptical_type_map(M43) == StepFunction((F(0), F(9, 10)), (F(0), F(9, 10)))
+        assert skeptical_type_map(m43()) == StepFunction((F(0), F(9, 10)), (F(0), F(9, 10)))
 
     def test_mandatory_disclosure_is_identity(self):
         # under full verifiability g is the identity, read off no sweep;
         # it is not a step function, so skeptical_type_map refuses
-        for structure in (mandatory_disclosure(), full_verif(M31)):
+        for structure in (mandatory_disclosure(), full_verif(m31())):
             with pytest.raises(PreconditionError):
                 skeptical_type_map(structure)
             for s in (F(0), F(1, 3), F(1, 2), F(1)):
@@ -215,7 +238,7 @@ class TestEndpointSweep:
             assert swept_g(structure, s) == g == pointwise_g(structure, s)
 
     def test_domain_error(self):
-        for structure in (M31, mandatory_disclosure()):
+        for structure in (m31(), mandatory_disclosure()):
             for s in (F(-1, 2), F(3, 2)):
                 with pytest.raises(DomainError):
                     messages_at(structure, s)
@@ -224,11 +247,11 @@ class TestEndpointSweep:
 class TestBuilders:
     def test_thresholds_reproduces_three_action(self):
         t = thresholds([F(1, 2)], names=["m_L", "m_M"])
-        assert t.messages == M31.messages
+        assert t.messages == m31().messages
 
     def test_add_message_reproduces_counterexample(self):
-        assert M43.names == ("m_0", "m_H")
-        assert min_inverse(M43, "m_H") == F(9, 10)
+        assert m43().names == ("m_0", "m_H")
+        assert min_inverse(m43(), "m_H") == F(9, 10)
 
     def test_coarsest_partition(self):
         p = partition([(0, 1)])
@@ -265,8 +288,8 @@ class TestBuilders:
             VerifStructure((("id:0", IntervalUnion.from_pairs([(0, 1)])),))
 
     def test_full_verif_keeps_messages(self):
-        fv = full_verif(M31)
-        assert fv.full_verifiability and fv.messages == M31.messages
+        fv = full_verif(m31())
+        assert fv.full_verifiability and fv.messages == m31().messages
 
     def test_add_message_grows_lowest_consistent_set(self):
         rng = random.Random(21)

@@ -1,6 +1,6 @@
 """Mutation run: is each named mutant of the package caught by the test suite?
 
-    python tools/mutants.py              # every mutant, about 20 minutes on one core
+    python tools/mutants.py              # every mutant, about 19 minutes on one core
     python tools/mutants.py NAME ...     # only the named ones
 
 Not part of tier-1.  Each mutant is one exact source edit (a snippet and its
@@ -126,6 +126,18 @@ MUTANTS = (
     Mutant("verifiability.lcs_ignores_flag",
            "return LowestConsistentSet(tuple(minima), structure.full_verifiability)",
            "return LowestConsistentSet(tuple(minima), False)"),
+    # verifiability: the span decoder, the minima reader, the complement and identity names
+    Mutant("verifiability.decoder_drops_hi_closed", "append((pairs[start >> 1], pairs[end >> 1], end & 1 == 1))",
+           "append((pairs[start >> 1], pairs[end >> 1], True))"),
+    Mutant("verifiability.minima_read_suprema", "for name, (minimum, _) in self._hulls.items()}",
+           "for name, (_, minimum) in self._hulls.items()}"),
+    Mutant("verifiability.complement_gap_non_strict", "if cursor[0] * lo[1] < lo[0] * cursor[1]:",
+           "if cursor[0] * lo[1] <= lo[0] * cursor[1]:"),
+    Mutant("verifiability.complement_drops_point_one", "if cursor != (1, 1) or cursor_closed:", "if cursor != (1, 1):"),
+    Mutant("verifiability.identity_name_not_canonical", "and in_unit_interval(s) and identity_name(s) == name:",
+           "and in_unit_interval(s):"),
+    Mutant("verifiability.identity_outside_unit_interval", "and in_unit_interval(s) and identity_name(s) == name:",
+           "and identity_name(s) == name:"),
     # equilibrium: the solver's level table and split walk, and verify
     Mutant("equilibrium.identity_loses_ties", "candidates.append((-pos, identity_name(s)))",
            "candidates.append((-pos + 1, identity_name(s)))"),
@@ -177,6 +189,8 @@ MUTANTS = (
            "    # (3) consistent receiver beliefs; the convex hulls are checked above\n"),
     Mutant("equilibrium.unavailable_message_accepted", "if m not in avail:", "if False:"),
     Mutant("equilibrium.better_message_ignored", "if payoff(other) > vm:", "if False:"),
+    Mutant("equilibrium.identity_belief_name_unchecked", "                min_inverse(game.structure, name)\n            except",
+           "                game.structure.full_verifiability or min_inverse(game.structure, name)\n            except"),
     Mutant("equilibrium.identity_belief_unchecked",
            "if name.startswith(IDENTITY_PREFIX) and b != min_inverse(game.structure, name):", "if False:"),
     Mutant("equilibrium.bayes_unchecked", "if imbalance != 0:", "if False:"),
@@ -207,9 +221,7 @@ MUTANTS = (
     # oracle: the exhaustive search
     Mutant("oracle.search_gate_bypassed", "if verify_equilibrium(game, eq).ok:", "if True:"),
     Mutant("oracle.condition_two_weak", "if v_grid[r] < v_grid[s]:", "if v_grid[r] <= v_grid[s]:"),
-    Mutant("oracle.sendable_ignores_lower_types", "below |= avail[r]", "pass",
-           "condition (2) is implied by the best-response test: a sent message that a lower type can send raises "
-           "w there, so a signal on the support beats the profile's value; the mask only spares hull work"),
+    Mutant("oracle.sendable_ignores_lower_types", "below |= avail[r]", "pass"),
     Mutant("oracle.size_two_weights_swapped", "value = scaled[v_grid[a]] * (B - P) + scaled[v_grid[b]] * (P - A)",
            "value = scaled[v_grid[a]] * (P - A) + scaled[v_grid[b]] * (B - P)"),
     Mutant("oracle.dedup_always", "return not (dedup_values and target in values) and",
@@ -243,6 +255,10 @@ MUTANTS = (
            "if plans[k] is not None:\n                                        plans[k] = []\n"
            "                                    else:\n                                        plans[k] = pair_candidates("),
     Mutant("oracle.size_three_support_at_prior", "for c in range(max(b, ip) + 1, n):", "for c in range(max(b, ip), n):"),
+    # comparative: the separation comparison on the decoded intervals
+    Mutant("comparative.sep_key_drops_hi_closed", "hi_supports = set(m_hi._intervals().values())",
+           "hi_supports = {tuple((lo, hi, True) for lo, hi, _ in ivs) for ivs in m_hi._intervals().values()}"),
+    Mutant("comparative.sep_point_test_on_first_interval", "ivs[0][0] == ivs[-1][1]", "ivs[0][0] == ivs[0][1]"),
     # figures
     Mutant("figures.y_drops_hd", "t = (vn * ld - ln * vd) * hd / (vd * span)", "t = (vn * ld - ln * vd) / (vd * span)"),
     Mutant("figures.y_range_without_value",
@@ -250,7 +266,8 @@ MUTANTS = (
            "y_lo, y_hi = min(values[0], ZERO), max(values[-1], ZERO)"),
     Mutant("figures.limit_marker_at_own_value", 'cy="{py[k - 1]}"', 'cy="{py[k]}"'),
     Mutant("figures.no_identity_bar", 'rows.append(("identity", None))', "pass"),
-    Mutant("figures.bar_at_structure_rank", "(to_game[start >> 1], to_game[end >> 1])", "(start >> 1, end >> 1)"),
+    Mutant("figures.bar_at_structure_rank", "[(rank[lo], rank[hi]) for lo, hi, _ in ivs]",
+           "[(game.structure._table.rank[lo], game.structure._table.rank[hi]) for lo, hi, _ in ivs]"),
     # cli and gamefile: each subcommand imports only the modules it runs
     Mutant("cli.figures_imported_at_start", "from .errors import GameFileError, OracleSizeError, PreconditionError\n",
            "from .errors import GameFileError, OracleSizeError, PreconditionError\nfrom .figures import render_game_svg\n"),
