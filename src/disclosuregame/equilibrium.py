@@ -17,7 +17,6 @@ an independent grid oracle.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import accumulate, compress
@@ -30,7 +29,7 @@ from .piecewise import (
     pl_eval,
     step_eval,
 )
-from .rationals import ONE, ZERO, Coordinates, as_fraction, in_unit_interval, on_line_through, order_key, strict_records, upper_hull
+from .rationals import ONE, ZERO, Coordinates, as_fraction, in_unit_interval, on_line_through, strict_records, upper_hull
 from .records import Record, set_field
 from .verifiability import (
     IDENTITY_PREFIX,
@@ -286,24 +285,24 @@ def _best_message(structure: VerifStructure, s: Fraction) -> str:
 
 
 def solve(game: GameSpec) -> Equilibrium:
-    """Canonical equilibrium: skeptical two-point split under PNBP, no acquisition otherwise."""
-    if pnbp(game).holds:
-        return _solve_pnbp(game)
-    return _solve_no_pnbp(game)
+    """Canonical equilibrium: skeptical two-point split under PNBP, no acquisition otherwise.
 
-
-def _solve_no_pnbp(game: GameSpec) -> Equilibrium:
-    structure, v, p = game.structure, game.payoff, game.prior
-    m0 = _best_message(structure, p)
+    The signal is _split's under PNBP, else the degenerate one at the prior.
+    Each posterior s sends its best message, which is believed to be s; every
+    other belief is maximally skeptical.  Under PNBP s is lowest-consistent,
+    so a finite message's belief is its minimum either way.
+    """
+    structure = game.structure
+    signal = _split(game) if pnbp(game).holds else Signal((game.prior,), (ONE,))
     beliefs = dict(structure._minima)  # maximally skeptical
-    beliefs[m0] = p
-    signal = Signal((p,), (ONE,))
-    messaging = {p: m0}
-    value = step_eval(v, p)
-    return Equilibrium(signal=signal, messaging=messaging, beliefs=beliefs, value=value)
+    messaging = {}
+    for s in signal.support:
+        m = messaging[s] = _best_message(structure, s)
+        beliefs[m] = s
+    return Equilibrium(signal=signal, messaging=messaging, beliefs=beliefs, value=equilibrium_value(game).value)
 
 
-def _solve_pnbp(game: GameSpec) -> Equilibrium:
+def _split(game: GameSpec) -> Signal:
     """Split the prior between the nearest lowest-consistent contact points.
 
     A candidate is a type x with g(x) = x (lowest-consistent, so skeptical
@@ -341,15 +340,13 @@ def _solve_pnbp(game: GameSpec) -> Equilibrium:
     point, and the walk stops at the same points.  Every point the walk
     tests lies between the ends of the hull edge over p, which are contact
     points by step 4, so hull(x) = v(g(x)) there is an int collinearity test
-    against that edge.  Fractions remain only in the split weights and the
-    value.
+    against that edge.  Fractions remain only in the split weights.
     """
-    structure, p = game.structure, game.prior
-    hull = value_hull(game)
+    p, hull = game.prior, value_hull(game)
     point, (_, at, _, fixed) = game._table.point, game._levels
     top, from_left, _ = game._hull_levels
     vals = game.payoff.values
-    e = bisect_right(hull._keys, order_key(p)) - 1  # the edge over p; p < 1 under PNBP
+    e = hull._table.position(p) >> 1  # the edge over p; p < 1 under PNBP
     on_edge = on_line_through(hull.vertices[e], hull.vertices[e + 1])
 
     def contact(i: int) -> bool:
@@ -357,28 +354,19 @@ def _solve_pnbp(game: GameSpec) -> Equilibrium:
 
     k = game._table.rank[p.numerator, p.denominator]
     if contact(k):
-        signal = Signal((p,), (ONE,))
-    else:
-        n = len(game._table.pairs)
-        s_minus = point(_walk(contact, k - 1, -1, n))
-        s_plus = point(_walk(contact, k + 1, 1, n))
-        w_lo = (s_plus - p) / (s_plus - s_minus)
-        signal = Signal((s_minus, s_plus), (w_lo, 1 - w_lo))
-    beliefs = dict(structure._minima)  # maximally skeptical
-    messaging = {}
-    for s in signal.support:
-        m = _best_message(structure, s)
-        messaging[s] = m
-        if m.startswith(IDENTITY_PREFIX):
-            beliefs[m] = s
-    return Equilibrium(signal=signal, messaging=messaging, beliefs=beliefs, value=pl_eval(hull, p))
+        return Signal((p,), (ONE,))
+    n = len(game._table.pairs)
+    s_minus = point(_walk(contact, k - 1, -1, n))
+    s_plus = point(_walk(contact, k + 1, 1, n))
+    w_lo = (s_plus - p) / (s_plus - s_minus)
+    return Signal((s_minus, s_plus), (w_lo, 1 - w_lo))
 
 
 def _walk(test, i: int, step: int, n: int) -> int:
     """The first index from i on, stepping by step, that passes test.
 
     Leaving range(n) raises instead of wrapping to a negative index; under
-    PNBP _solve_pnbp's argument rules it out.
+    PNBP _split's argument rules it out.
     """
     while 0 <= i < n:
         if test(i):
@@ -409,6 +397,8 @@ def _validate_structure(game: GameSpec, eq: Equilibrium) -> None:
             except UnknownMessageError:
                 why = "names no type in [0,1]" if game.structure.full_verifiability else "without full verifiability"
                 raise ValueError(f"identity belief {name!r} {why}") from None
+        elif name not in game.structure._hulls:
+            raise ValueError(f"belief for {name!r}, which is no message of the structure")
     total = ZERO
     for s, w in zip(eq.signal.support, eq.signal.weights):
         if s not in eq.messaging:

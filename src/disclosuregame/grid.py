@@ -47,10 +47,11 @@ def _table_and_grid(game: GameSpec) -> tuple[Coordinates, tuple[tuple[int, int],
     structure's endpoints (never the solver's table); the grid adds the
     midpoint of each gap between them, so grid[i], a (numerator,
     denominator) pair not always in lowest terms, sits at table position i.
-    Every breakpoint is a table point, so piece k holds the slots from
-    2 rank(b_k) up to 2 rank(b_k+1): one range fill gives piece[i], the
-    index of v's piece at grid[i], and piece[table.position(q)] is that
-    index at any q in [0,1].  An interval [lo, hi] covers the slots from
+    Every breakpoint is a table point, and the first is 0, so piece k holds
+    the slots from 2 rank(b_k) up to 2 rank(b_k+1): appending k once per
+    slot of its range writes each slot of piece once, piece[i] the index of
+    v's piece at grid[i], and piece[table.position(q)] is that index at any
+    q in [0,1].  An interval [lo, hi] covers the slots from
     a = 2 rank(lo) up to b = 2 rank(hi), b + 1 when closed: (a, b, name).
     """
     structure, p = game.structure, game.prior
@@ -61,9 +62,9 @@ def _table_and_grid(game: GameSpec) -> tuple[Coordinates, tuple[tuple[int, int],
         grid += (an, ad), (an * bd + bn * ad, 2 * ad * bd)  # a, (a + b) / 2
     grid.append(pairs[-1])
     starts = [2 * rank[b.numerator, b.denominator] for b in game.payoff.breakpoints] + [len(grid)]
-    piece = [0] * len(grid)
+    piece = []
     for k, (a, b) in enumerate(zip(starts, starts[1:])):
-        piece[a:b] = [k] * (b - a)
+        piece += [k] * (b - a)
     slot = [2 * rank[pair] for pair in ends]
     slots = tuple((slot[start >> 1], slot[end >> 1] + (end & 1), name) for start, end, _, name in structure._spans)
     return table, tuple(grid), tuple(piece), slots

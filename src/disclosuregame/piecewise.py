@@ -8,20 +8,20 @@ Conventions, fixed once for the whole toolkit:
   semicontinuous automatically.  Non-monotone instances are allowed (the
   skepticism-adjusted payoff can be non-monotone).
 * All arithmetic is over ``fractions.Fraction``; every comparison in this module
-  is exact, there are no tolerances anywhere.  Point queries bisect cached
-  ``rationals.order_key`` tables, and validation and hull turns cross-multiply
+  is exact, there are no tolerances anywhere.  A point query reads the
+  point's position in a cached ``rationals.Coordinates`` table of the
+  breakpoints (or vertices), and validation and hull turns cross-multiply
   numerators and denominators.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import DomainError
-from .rationals import ONE, ZERO, as_fraction, in_unit_interval, not_right_turn, order_key, upper_hull
+from .rationals import ONE, ZERO, Coordinates, as_fraction, in_unit_interval, not_right_turn, upper_hull
 from .records import Record, set_field
 
 Point = tuple[Fraction, Fraction]
@@ -61,13 +61,13 @@ class StepFunction(Record):
         return step_eval(self, x)
 
     @cached_property
-    def _keys(self) -> tuple[tuple[float, Fraction], ...]:
-        """order_key of every breakpoint, built once per instance (not a field: eq and repr ignore it)."""
-        return tuple(map(order_key, self.breakpoints))
+    def _table(self) -> Coordinates:
+        """The breakpoints and 1 as a coordinate table, built once per instance (not a field: eq and repr ignore it)."""
+        return Coordinates({(b.numerator, b.denominator): b for b in (*self.breakpoints, ONE)})
 
     def piece(self, x: Fraction) -> int:
-        """Index of the piece holding x in [0,1]: a bisect into the breakpoints' order keys."""
-        return bisect_right(self._keys, order_key(x)) - 1
+        """Index of the piece holding x in [0,1]: the rank of the table's point at or before x (1, when no breakpoint, is on the last piece)."""
+        return min(self._table.position(x) >> 1, len(self.breakpoints) - 1)
 
     def pieces(self) -> Iterator[tuple[Fraction, Fraction, Fraction]]:
         """Yield (lo, hi, value); every piece is [lo, hi) except the last, [lo, 1]."""
@@ -119,9 +119,9 @@ class ConcavePL(Record):
         return tuple(x for x, _ in self.vertices)
 
     @cached_property
-    def _keys(self) -> tuple[tuple[float, Fraction], ...]:
-        """order_key of every vertex x-coordinate, built once per instance."""
-        return tuple(map(order_key, self.xs))
+    def _table(self) -> Coordinates:
+        """The vertex x-coordinates as a coordinate table, built once per instance."""
+        return Coordinates({(x.numerator, x.denominator): x for x in self.xs})
 
 
 def pl_eval(g: ConcavePL, x: Fraction) -> Fraction:
@@ -129,7 +129,7 @@ def pl_eval(g: ConcavePL, x: Fraction) -> Fraction:
     x = as_fraction(x)
     if not in_unit_interval(x):
         raise DomainError(f"piecewise-linear argument {x} outside [0,1]")
-    i = bisect_right(g._keys, order_key(x)) - 1
+    i = g._table.position(x) >> 1
     if i == len(g.vertices) - 1:
         return g.vertices[-1][1]
     (x0, y0), (x1, y1) = g.vertices[i], g.vertices[i + 1]
@@ -141,7 +141,8 @@ def upper_hull_points(points: Iterable[Point]) -> list[Point]:
 
     Collinear interior points are dropped, so consecutive slopes strictly
     decrease.  Duplicate x-coordinates keep only the highest y.  Points are
-    keyed by their canonical (numerator, denominator), and rationals.upper_hull
+    keyed by their canonical (numerator, denominator), sorted as (x, y)
+    tuples (x is distinct, so y is never compared), and rationals.upper_hull
     scans them on those ints.
     """
     best: dict[tuple[int, int], Point] = {}
@@ -149,7 +150,7 @@ def upper_hull_points(points: Iterable[Point]) -> list[Point]:
         key = x.numerator, x.denominator
         if key not in best or y > best[key][1]:
             best[key] = (x, y)
-    pts = sorted(best.values(), key=lambda pt: order_key(pt[0]))
+    pts = sorted(best.values())
     return [pts[i] for i in upper_hull([(x.numerator, x.denominator, y.numerator, y.denominator) for x, y in pts])]
 
 

@@ -84,20 +84,6 @@ def in_unit_interval(q: Fraction) -> bool:
     return 0 <= q.numerator <= q.denominator
 
 
-def order_key(q: Fraction) -> tuple[float, Fraction]:
-    """Sort key that orders Fractions exactly, mostly by one float comparison.
-
-    Python divides ints with correct rounding, so n / d is monotone in q and
-    equal floats fall back to comparing the Fractions themselves.  A quotient
-    too large for a float maps to an infinity of its sign.
-    """
-    n, d = q.numerator, q.denominator
-    try:
-        return n / d, q
-    except OverflowError:
-        return (inf if n > 0 else -inf), q
-
-
 class Coordinates:
     """One sorted table of distinct rationals in [0,1]: the coordinates that every layer of a game reads.
 

@@ -158,8 +158,10 @@ class VerifStructure(Record):
         self.__post_init__()
 
     def __post_init__(self):
-        points = {(q.numerator, q.denominator): q for _, supp in self.messages for iv in supp.intervals for q in (iv.lo, iv.hi)}
-        self._build([(name, [(_pair(iv.lo), _pair(iv.hi), iv.hi_closed) for iv in supp.intervals]) for name, supp in self.messages], points)
+        messages = tuple(map(tuple, self.messages))
+        object.__setattr__(self, "messages", messages)
+        points = {(q.numerator, q.denominator): q for _, supp in messages for iv in supp.intervals for q in (iv.lo, iv.hi)}
+        self._build([(name, [(_pair(iv.lo), _pair(iv.hi), iv.hi_closed) for iv in supp.intervals]) for name, supp in messages], points)
 
     @classmethod
     def _from_pairs(cls, supports: Sequence[tuple[str, Sequence[Interval]]], full_verifiability: bool,

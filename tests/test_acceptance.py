@@ -20,14 +20,11 @@ from disclosuregame import (
     check_theorem1,
     cheap_talk,
     equilibrium_value,
-    lowest_consistent_set,
     mandatory_disclosure,
     min_inverse,
     pl_eval,
-    pnbp,
     solve,
     step_eval,
-    thresholds,
     verify_equilibrium,
 )
 from disclosuregame.comparative import geq_lc, geq_sep, separating_instance
@@ -35,9 +32,7 @@ from disclosuregame.equilibrium import value_hull
 from disclosuregame.oracle import exhaustive_search
 
 from genutil import (
-    rand_game,
     rand_interior,
-    rand_no_pnbp_game,
     rand_oracle_game,
     rand_payoff,
     rand_pnbp_game,

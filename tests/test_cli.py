@@ -11,7 +11,7 @@ import pytest
 
 from disclosuregame import cli, oracle
 from disclosuregame.cli import ORACLE_CEILINGS, main
-from disclosuregame.equilibrium import _solve_no_pnbp
+from disclosuregame.equilibrium import _best_message
 from disclosuregame.gamefile import (
     MAX_MESSAGES,
     MAX_PAYOFF_PIECES,
@@ -25,7 +25,8 @@ from disclosuregame.gamefile import (
     structure_to_obj,
 )
 from disclosuregame import (
-    GameFileError, GameSpec, IntervalUnion, Signal, StepFunction, VerifStructure, parse_rational, pnbp, solve,
+    Equilibrium, GameFileError, GameSpec, IntervalUnion, Signal, StepFunction, VerifStructure, parse_rational, pnbp, solve,
+    step_eval,
 )
 from disclosuregame.figures import render_game_svg
 
@@ -59,8 +60,14 @@ class TestSolveCommand:
 
     def test_unverified_solution_is_an_internal_error(self, monkeypatch, capsys):
         # a solver fault must not reach the output: under PNBP the babbling
-        # profile fails condition (1)
-        monkeypatch.setattr(cli, "solve", _solve_no_pnbp)
+        # profile (no acquisition, the prior's best message believed to be
+        # the prior, skeptical beliefs elsewhere) fails condition (1)
+        def babbling(game):
+            p, m0 = game.prior, _best_message(game.structure, game.prior)
+            beliefs = {**game.structure._minima, m0: p}
+            return Equilibrium(Signal((p,), (F(1),)), {p: m0}, beliefs, step_eval(game.payoff, p))
+
+        monkeypatch.setattr(cli, "solve", babbling)
         assert main(["solve", fx("three_action.json")]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

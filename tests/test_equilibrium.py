@@ -17,7 +17,6 @@ from disclosuregame import (
     StepFunction,
     VerifStructure,
     add_message,
-    cav,
     check_theorem1,
     cheap_talk,
     equilibrium_value,
@@ -455,7 +454,7 @@ class TestRandomizedInvariants:
                 assert eq.beliefs[m] == min_inverse(game.structure, m) == s
 
     def test_split_edge_ends_are_lowest_consistent_contact_points(self):
-        # the argument in _solve_pnbp's docstring: under PNBP the hull edge over
+        # the argument in _split's docstring: under PNBP the hull edge over
         # the prior rises strictly and both of its ends are lowest-consistent
         # contact points, so the split-point scan always finds both sides
         rng = random.Random(2026)

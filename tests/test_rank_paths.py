@@ -15,7 +15,7 @@ from disclosuregame import GameSpec, IntervalUnion, StepFunction, VerifStructure
 from disclosuregame import equilibrium, figures, grid, rationals, verifiability
 from disclosuregame.equilibrium import (
     _best_message,
-    _solve_pnbp,
+    _split,
     _walk,
     skeptical_value,
     value_hull,
@@ -121,12 +121,14 @@ def test_one_coordinate_table_per_structure_and_per_game(monkeypatch, tmp_path, 
     # a loaded structure builds one table of 0, 1 and its support endpoints,
     # after one small table per union of several intervals, which orders
     # and merges them; the game builds one more, which also ranks the
-    # payoff's breakpoints and the prior, and keeps the structure it was given
+    # payoff's breakpoints and the prior, and keeps the structure it was
+    # given; solving reads one table of a function's own points: the
+    # envelope's vertices under PNBP, else the payoff's breakpoints
     built = []
     fill = rationals.Coordinates._fill
 
     def counted(self, entries):
-        built.append(len(entries))
+        built.append(self)
         fill(self, entries)
 
     monkeypatch.setattr(rationals.Coordinates, "_fill", counted)
@@ -140,7 +142,8 @@ def test_one_coordinate_table_per_structure_and_per_game(monkeypatch, tmp_path, 
         assert len(built) == 1 + unions and loaded.structure.support_endpoints() == sorted(ends)
         assert set(loaded._table.points) == ends | set(game.payoff.breakpoints) | {game.prior}
         solve(loaded)
-        assert len(built) == 2 + unions
+        own = vars(value_hull(loaded) if pnbp(loaded) else loaded.payoff)["_table"]
+        assert len(built) == 3 + unions and sum(table is own for table in built) == 1
         assert [q for q, marked in zip(loaded._table.points, loaded._table.marked) if marked] == sorted(ends)
         structure = VerifStructure(loaded.structure.messages, loaded.structure.full_verifiability)
         assert GameSpec(loaded.payoff, loaded.prior, structure).structure is structure
@@ -249,7 +252,7 @@ def test_split_walk_raises_instead_of_wrapping():
     game = GameSpec(StepFunction((F(0), F(1, 2)), (F(0), F(1))), F(1, 4), cheap)
     assert not pnbp(game).holds
     with pytest.raises(PreconditionError):
-        _solve_pnbp(game)
+        _split(game)
 
 
 def test_position_lookups_match_fraction_contains(sample):

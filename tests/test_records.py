@@ -33,7 +33,7 @@ from disclosuregame import (
     thresholds,
 )
 from disclosuregame.comparative import OrderVerdict, SeparatingInstance, separating_instance
-from disclosuregame.gamefile import structure_from_obj
+from disclosuregame.gamefile import structure_from_obj, structure_to_obj
 from disclosuregame.records import Record
 
 
@@ -186,5 +186,17 @@ def test_cached_and_lazy_values_stay_outside_eq_hash_and_repr():
     assert repr(loaded) == repr(built) and loaded == built and hash(loaded) == hash(built)
     step = StepFunction(*STEP_ARGS)
     game, fresh = GameSpec(step, F(1, 3), built), GameSpec(step, F(1, 3), built)
-    assert game._value_hull and game.payoff._keys and "_value_hull" in vars(game)
+    assert game._value_hull and game.payoff._table and "_value_hull" in vars(game)
     assert game == fresh and hash(game) == hash(fresh) and repr(game) == repr(fresh)
+
+
+def test_structure_from_lists_keeps_a_tuple_of_messages():
+    # a structure given its messages as a list of lists stores a tuple of
+    # (name, support) pairs, as StepFunction, Signal and IntervalUnion store
+    # tuples, so it hashes and equals the same structure read back from JSON
+    whole, upper = IntervalUnion.from_pairs([(0, 1)]), IntervalUnion.from_pairs([(F(2, 5), 1)])
+    built = VerifStructure([["m_0", whole], ["m_1", upper]])
+    assert built.messages == (("m_0", whole), ("m_1", upper))
+    loaded = structure_from_obj(structure_to_obj(built))
+    assert loaded == built and hash(loaded) == hash(built) and repr(loaded) == repr(built)
+    assert built == VerifStructure((("m_0", whole), ("m_1", upper)))

@@ -172,6 +172,7 @@ VALIDATE = [
      "signal is not Bayes-plausible for the game's prior"),
     (lambda eq: eq.replace(beliefs={"m_0": F(0)}), "beliefs missing finite message 'm_1'"),
     (lambda eq: eq.replace(beliefs={**eq.beliefs, "id:1/2": HALF}), "identity belief 'id:1/2' without full verifiability"),
+    (lambda eq: eq.replace(beliefs={**eq.beliefs, "m_9": HALF}), "belief for 'm_9', which is no message of the structure"),
     (lambda eq: eq.replace(messaging={eq.signal.support[0]: "m_0"}), "messaging missing support type 2/5"),
     (lambda eq: eq.replace(value=eq.value + 1), "value does not match the signal/messaging/beliefs it claims"),
 ]
@@ -189,6 +190,11 @@ def test_verify_refuses_a_message_outside_the_structure():
     game, eq = _solved()
     with pytest.raises(UnknownMessageError, match="m_9"):
         verify_equilibrium(game, eq.replace(messaging={**eq.messaging, eq.signal.support[0]: "m_9"}))
+    # a belief for a name that is no message is refused under full verifiability too
+    game = GameSpec(PAYOFF, THIRD, mandatory_disclosure())
+    eq = solve(game)
+    with pytest.raises(ValueError, match="belief for 'm_9', which is no message of the structure"):
+        verify_equilibrium(game, eq.replace(beliefs={**eq.beliefs, "m_9": HALF}))
 
 
 @pytest.mark.parametrize("name", ["id:2", "id:-1/3", "id:2/4", "id: 1/2"])

@@ -55,11 +55,10 @@ MUTANTS = (
     Mutant("records.assignment_allowed", 'raise AttributeError(f"cannot assign to field {name!r}")',
            "object.__setattr__(self, name, value)"),
     Mutant("records.replace_drops_changes", "for name in self._fields}, **changes})", "for name in self._fields}})"),
-    # rationals: the parse fast path, order keys and the int kernels
+    # rationals: the parse fast path and the int kernels
     Mutant("rationals.parse_zero_denominator", "        if d:\n            g = gcd(n, d)", "        if True:\n            g = gcd(n, d)"),
     Mutant("rationals.pair_gcd_dropped", "return n // g, d // g", "return n, d"),
     Mutant("rationals.pair_sign_on_denominator", "return n // g, d // g", "return abs(n) // g, (d if n >= 0 else -d) // g"),
-    Mutant("rationals.huge_negative_to_plus_inf", "return (inf if n > 0 else -inf), q", "return inf, q"),
     Mutant("rationals.unit_interval_open_at_one", "return 0 <= q.numerator <= q.denominator",
            "return 0 <= q.numerator < q.denominator"),
     Mutant("rationals.on_line_drops_xd",
@@ -79,11 +78,12 @@ MUTANTS = (
            "while len(hull) >= 2 and not not_right_turn(points[hull[-2]], points[hull[-1]], p):"),
     Mutant("rationals.hull_pops_once", "while len(hull) >= 2 and not_right_turn(", "if len(hull) >= 2 and not_right_turn("),
     Mutant("rationals.records_on_ties", "if levels[i] > top:", "if levels[i] >= top:"),
-    # piecewise: keyed lookups, validation and the envelope
-    Mutant("piecewise.piece_bisect_left", "return bisect_right(self._keys, order_key(x)) - 1",
-           "return bisect_left(self._keys, order_key(x)) - 1"),
-    Mutant("piecewise.pl_eval_float_key", "i = bisect_right(g._keys, order_key(x)) - 1",
-           "i = bisect_right([k[0] for k in g._keys], x.numerator / x.denominator) - 1"),
+    # piecewise: position lookups, validation and the envelope
+    Mutant("piecewise.piece_on_gap_reads_next", "return min(self._table.position(x) >> 1,",
+           "return min(self._table.position(x) + 1 >> 1,"),
+    Mutant("piecewise.piece_one_past_last", "return min(self._table.position(x) >> 1, len(self.breakpoints) - 1)",
+           "return self._table.position(x) >> 1"),
+    Mutant("piecewise.pl_eval_on_gap_reads_next", "i = g._table.position(x) >> 1", "i = g._table.position(x) + 1 >> 1"),
     Mutant("piecewise.breakpoints_non_strict", "if not an * bd < bn * ad:", "if not an * bd <= bn * ad:"),
     Mutant("piecewise.vertex_x_non_strict", "if any(not an * bd < bn * ad for", "if any(not an * bd <= bn * ad for"),
     Mutant("piecewise.concavity_unchecked", "if any(map(not_right_turn, ints, ints[1:], ints[2:])):", "if False:"),
@@ -156,12 +156,8 @@ MUTANTS = (
            "top = list(at)"),
     Mutant("equilibrium.walk_on_right_records", "top, from_left, _ = game._hull_levels",
            "top, _, from_left = game._hull_levels"),
-    Mutant("equilibrium.split_edge_right_of_prior", "e = bisect_right(hull._keys, order_key(p)) - 1",
-           "e = bisect_right(hull._keys, order_key(p))"),
-    Mutant("equilibrium.split_edge_bisect_left", "e = bisect_right(hull._keys, order_key(p)) - 1",
-           "e = __import__('bisect').bisect_left(hull._keys, order_key(p)) - 1",
-           "differs only when p is a hull vertex, which is then a contact point on either edge"),
-    Mutant("equilibrium.no_pnbp_belief_skeptical", "    beliefs[m0] = p\n", ""),
+    Mutant("equilibrium.split_edge_right_of_prior", "e = hull._table.position(p) >> 1", "e = (hull._table.position(p) >> 1) + 1"),
+    Mutant("equilibrium.posterior_belief_skeptical", "        beliefs[m] = s\n", ""),
     Mutant("equilibrium.value_identity_unchecked", "if total != eq.value:", "if False:"),
     Mutant("equilibrium.hull_check_dropped", "if not (ln * bd <= bn * ld and bn * hd <= hn * bd):", "if False:"),
     Mutant("equilibrium.hull_sup_strict", "bn * hd <= hn * bd", "bn * hd < hn * bd"),
@@ -191,6 +187,7 @@ MUTANTS = (
     Mutant("equilibrium.better_message_ignored", "if payoff(other) > vm:", "if False:"),
     Mutant("equilibrium.identity_belief_name_unchecked", "                min_inverse(game.structure, name)\n            except",
            "                game.structure.full_verifiability or min_inverse(game.structure, name)\n            except"),
+    Mutant("equilibrium.unknown_belief_name_accepted", "elif name not in game.structure._hulls:", "elif False:"),
     Mutant("equilibrium.identity_belief_unchecked",
            "if name.startswith(IDENTITY_PREFIX) and b != min_inverse(game.structure, name):", "if False:"),
     Mutant("equilibrium.bayes_unchecked", "if imbalance != 0:", "if False:"),
@@ -199,9 +196,7 @@ MUTANTS = (
     Mutant("grid.piece_table_off_by_one",
            "starts = [2 * rank[b.numerator, b.denominator] for b in game.payoff.breakpoints]",
            "starts = [2 * rank[b.numerator, b.denominator] + 1 for b in game.payoff.breakpoints]"),
-    Mutant("grid.piece_table_slice_longer", "piece[a:b] = [k] * (b - a)", "piece[a:b + 1] = [k] * (b + 1 - a)",
-           "the next piece's fill overwrites the extra slot, and the last piece's adds one slot past the grid, "
-           "which no reader indexes"),
+    Mutant("grid.piece_table_run_longer", "piece += [k] * (b - a)", "piece += [k] * (b - a + 1)"),
     Mutant("grid.off_grid_level_low", "sorted([(piece[position(beliefs[name])], a, b)",
            "sorted([(piece[(pos := position(beliefs[name]))] - pos % 2, a, b)"),
     Mutant("grid.fill_open_end_as_closed", "slot[end >> 1] + (end & 1)", "slot[end >> 1] + 1"),
