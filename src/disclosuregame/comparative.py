@@ -26,16 +26,14 @@ from .equilibrium import GameSpec, equilibrium_value
 from .errors import PreconditionError
 from .piecewise import StepFunction
 from .rationals import ONE, ZERO
-from .records import Record, set_field
+from .records import Record
 from .verifiability import VerifStructure, complement_pieces, identity_name, lowest_consistent_set
 
 
 class OrderVerdict(Record):
     # relation: "lc" | "sep"; witness: a type for lc, (type, complement pieces) for sep
     def __init__(self, relation: str, holds: bool, witness: object = None) -> None:
-        set_field(self, "relation", relation)
-        set_field(self, "holds", holds)
-        set_field(self, "witness", witness)
+        self._store(relation, holds, witness)
 
     def __bool__(self):
         return self.holds
@@ -104,13 +102,7 @@ def is_receiver_optimal(structure: VerifStructure) -> bool:
 class SeparatingInstance(Record):
     def __init__(self, s_star: Fraction, payoff: StepFunction, prior: Fraction, game_lo: GameSpec, game_hi: GameSpec,
                  value_lo: Fraction, sup_value_hi: Fraction) -> None:
-        set_field(self, "s_star", s_star)
-        set_field(self, "payoff", payoff)
-        set_field(self, "prior", prior)
-        set_field(self, "game_lo", game_lo)
-        set_field(self, "game_hi", game_hi)
-        set_field(self, "value_lo", value_lo)
-        set_field(self, "sup_value_hi", sup_value_hi)
+        self._store(s_star, payoff, prior, game_lo, game_hi, value_lo, sup_value_hi)
 
 
 def separating_instance(m_hi: VerifStructure, m_lo: VerifStructure) -> SeparatingInstance:

@@ -42,13 +42,10 @@ from .verifiability import (
 
 class GameSpec(Record):
     def __init__(self, payoff: StepFunction, prior: Fraction, structure: VerifStructure) -> None:
-        set_field(self, "payoff", payoff)
-        set_field(self, "prior", prior)
-        set_field(self, "structure", structure)
-        self.__post_init__()
+        self._store(payoff, prior, structure)
 
     def __post_init__(self):
-        object.__setattr__(self, "prior", as_fraction(self.prior))
+        set_field(self, "prior", as_fraction(self.prior))
         if not in_unit_interval(self.prior):
             raise DomainError(f"prior {self.prior} outside [0,1]")
         if not self.payoff.is_non_decreasing:
@@ -158,9 +155,7 @@ class Signal(Record):
     """Finite-support distribution over posteriors; mean must equal the prior."""
 
     def __init__(self, support: tuple[Fraction, ...], weights: tuple[Fraction, ...]) -> None:
-        set_field(self, "support", support)
-        set_field(self, "weights", weights)
-        self.__post_init__()
+        self._store(support, weights)
 
     def __post_init__(self):
         sup = tuple(as_fraction(s) for s in self.support)
@@ -176,8 +171,8 @@ class Signal(Record):
         if sum(wts) != 1:
             raise ValueError("weights must sum to 1")
         order = sorted(range(len(sup)), key=lambda i: sup[i])
-        object.__setattr__(self, "support", tuple(sup[i] for i in order))
-        object.__setattr__(self, "weights", tuple(wts[i] for i in order))
+        set_field(self, "support", tuple(sup[i] for i in order))
+        set_field(self, "weights", tuple(wts[i] for i in order))
 
     @property
     def mean(self) -> Fraction:
@@ -187,10 +182,7 @@ class Signal(Record):
 class Equilibrium(Record):
     def __init__(self, signal: Signal, messaging: Mapping[Fraction, str], beliefs: Mapping[str, Fraction],
                  value: Fraction) -> None:
-        set_field(self, "signal", signal)
-        set_field(self, "messaging", messaging)
-        set_field(self, "beliefs", beliefs)
-        set_field(self, "value", value)
+        self._store(signal, messaging, beliefs, value)
 
     @property
     def s_minus(self) -> Fraction:
@@ -205,8 +197,7 @@ class Equilibrium(Record):
 
 class PnbpVerdict(Record):
     def __init__(self, holds: bool, witness: Optional[str] = None) -> None:
-        set_field(self, "holds", holds)
-        set_field(self, "witness", witness)
+        self._store(holds, witness)
 
     def __bool__(self):
         return self.holds
@@ -220,10 +211,7 @@ class ValueResult(NamedTuple):
 class VerifyReport(Record):
     # condition: 1 info acquisition, 2 communication, 3 beliefs
     def __init__(self, ok: bool, condition: Optional[int] = None, detail: str = "", witness: object = None) -> None:
-        set_field(self, "ok", ok)
-        set_field(self, "condition", condition)
-        set_field(self, "detail", detail)
-        set_field(self, "witness", witness)
+        self._store(ok, condition, detail, witness)
 
 
 def pnbp(game: GameSpec) -> PnbpVerdict:

@@ -14,6 +14,10 @@ structure is built from its endpoint pairs, and written back from them
 built either way; the game widens its coordinate table with the payoff's
 breakpoints and the prior.
 
+A file that cannot be read, or that json cannot decode (malformed JSON,
+bytes that are not UTF-8, nesting too deep for the parser, an integer over
+Python's digit limit), raises GameFileError naming the file.
+
 Input size is capped, so the solver's quadratic paths and exact arithmetic
 cannot be fed unbounded input: at most MAX_MESSAGES messages per structure,
 MAX_PAYOFF_PIECES payoff pieces per game, and MAX_RATIONAL_DIGITS digits in
@@ -244,6 +248,8 @@ def _load_json(path: str) -> Any:
         raise GameFileError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise GameFileError(f"parse error in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, an integer over Python's digit limit, nesting too deep
+        raise GameFileError(f"parse error in {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

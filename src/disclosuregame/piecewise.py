@@ -29,9 +29,7 @@ Point = tuple[Fraction, Fraction]
 
 class StepFunction(Record):
     def __init__(self, breakpoints: tuple[Fraction, ...], values: tuple[Fraction, ...]) -> None:
-        set_field(self, "breakpoints", breakpoints)
-        set_field(self, "values", values)
-        self.__post_init__()
+        self._store(breakpoints, values)
 
     def __post_init__(self):
         bps = tuple(map(as_fraction, self.breakpoints))
@@ -53,9 +51,9 @@ class StepFunction(Record):
         v_pairs = [(v.numerator, v.denominator) for v in vals]
         keep = [0, *(i for i in range(1, len(vals)) if v_pairs[i] != v_pairs[i - 1])]
         kept = [v_pairs[i] for i in keep]
-        object.__setattr__(self, "breakpoints", tuple(bps[i] for i in keep))
-        object.__setattr__(self, "values", tuple(vals[i] for i in keep))
-        object.__setattr__(self, "_non_decreasing", all(an * bd <= bn * ad for (an, ad), (bn, bd) in zip(kept, kept[1:])))
+        set_field(self, "breakpoints", tuple(bps[i] for i in keep))
+        set_field(self, "values", tuple(vals[i] for i in keep))
+        set_field(self, "_non_decreasing", all(an * bd <= bn * ad for (an, ad), (bn, bd) in zip(kept, kept[1:])))
 
     def __call__(self, x: Fraction) -> Fraction:
         return step_eval(self, x)
@@ -92,8 +90,7 @@ class ConcavePL(Record):
     """Concave piecewise-linear function given by its vertex chain over [0,1]."""
 
     def __init__(self, vertices: tuple[Point, ...]) -> None:
-        set_field(self, "vertices", vertices)
-        self.__post_init__()
+        self._store(vertices)
 
     def __post_init__(self):
         vs = tuple((as_fraction(x), as_fraction(y)) for x, y in self.vertices)
@@ -108,7 +105,7 @@ class ConcavePL(Record):
             raise ValueError("vertex x-coordinates must be strictly ascending")
         if any(map(not_right_turn, ints, ints[1:], ints[2:])):
             raise ValueError("slopes must strictly decrease (concavity)")
-        object.__setattr__(self, "vertices", vs)
+        set_field(self, "vertices", vs)
 
     def __call__(self, x: Fraction) -> Fraction:
         return pl_eval(self, x)

@@ -1,17 +1,19 @@
 """Frozen records: the base of the package's value types.
 
-A record's fields are the parameters of its class's own ``__init__``, which
-stores each one with ``set_field`` (``object.__setattr__``, as a frozen
-dataclass's generated ``__init__`` does) and then calls ``__post_init__``
-where the class has one.  A hand-written ``__init__`` costs no more than the
-generated one, and importing this module costs next to nothing, where
+A record's fields are the parameters of its class's own ``__init__``, whose
+body is one call, ``self._store(<fields>)``: it stores each value with
+``set_field`` (``object.__setattr__``, as a frozen dataclass's generated
+``__init__`` does) and then runs ``__post_init__`` where the class has one,
+looked up on the class at each call (so a hook patched onto the class
+runs too).  Importing this module costs next to nothing, where
 ``dataclasses`` imports ``inspect``, ``ast``, ``dis`` and ``tokenize`` and
 compiles several functions per class.  The base gives what a frozen
 dataclass had: a repr of the fields, ``==`` between instances of the same
 class on the field tuple, the hash of that tuple, no assignment or
 deletion, ``__match_args__``, and ``replace``, a copy with some fields
 changed.  Attributes that are not fields (cached properties, values set in
-``__post_init__``) stay outside all of these.
+``__post_init__``) stay outside all of these; they are stored with
+``set_field`` too.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ set_field = object.__setattr__
 
 
 class Record:
-    """Frozen value type; subclasses define ``__init__(self, <fields>)`` and nothing else of the protocol."""
+    """Frozen value type; subclasses define ``__init__(self, <fields>)`` calling ``self._store(<fields>)``."""
 
     _fields: tuple[str, ...]
 
@@ -30,6 +32,14 @@ class Record:
         cls._fields = cls.__match_args__ = code.co_varnames[1:code.co_argcount]
         # postponed annotations make `-> None` the string 'None'; keep the object, as in a dataclass's signature
         cls.__init__.__annotations__["return"] = None
+
+    def _store(self, *values) -> None:
+        """Store the values as the fields, in order, then run the class's __post_init__ if it has one."""
+        for name, value in zip(self._fields, values):
+            set_field(self, name, value)
+        post_init = getattr(type(self), "__post_init__", None)
+        if post_init is not None:
+            post_init(self)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -48,17 +48,14 @@ def check_interval(lo: Pair, hi: Pair, hi_closed: bool) -> None:
 
 class SupportInterval(Record):
     def __init__(self, lo: Fraction, hi: Fraction, hi_closed: bool = True) -> None:
-        set_field(self, "lo", lo)
-        set_field(self, "hi", hi)
-        set_field(self, "hi_closed", hi_closed)
-        self.__post_init__()
+        self._store(lo, hi, hi_closed)
 
     def __post_init__(self):
         lo, hi = self.lo, self.hi
         if not (isinstance(lo, Fraction) and isinstance(hi, Fraction)):
             lo, hi = as_fraction(lo), as_fraction(hi)
-            object.__setattr__(self, "lo", lo)
-            object.__setattr__(self, "hi", hi)
+            set_field(self, "lo", lo)
+            set_field(self, "hi", hi)
         check_interval((lo.numerator, lo.denominator), (hi.numerator, hi.denominator), self.hi_closed)
 
 
@@ -66,8 +63,7 @@ class IntervalUnion(Record):
     """Canonical (sorted, merged) finite union of left-closed intervals."""
 
     def __init__(self, intervals: tuple[SupportInterval, ...]) -> None:
-        set_field(self, "intervals", intervals)
-        self.__post_init__()
+        self._store(intervals)
 
     def __post_init__(self):
         ivs = tuple(self.intervals)
@@ -77,7 +73,7 @@ class IntervalUnion(Record):
             value = {(q.numerator, q.denominator): q for iv in ivs for q in (iv.lo, iv.hi)}
             merged = _canonical([(_pair(iv.lo), _pair(iv.hi), iv.hi_closed) for iv in ivs])
             ivs = tuple(SupportInterval(value[lo], value[hi], hi_closed) for lo, hi, hi_closed in merged)
-        object.__setattr__(self, "intervals", ivs)
+        set_field(self, "intervals", ivs)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable) -> "IntervalUnion":
@@ -153,13 +149,11 @@ class VerifStructure(Record):
     """
 
     def __init__(self, messages: tuple[tuple[str, IntervalUnion], ...], full_verifiability: bool = False) -> None:
-        set_field(self, "messages", messages)
-        set_field(self, "full_verifiability", full_verifiability)
-        self.__post_init__()
+        self._store(messages, full_verifiability)
 
     def __post_init__(self):
         messages = tuple(map(tuple, self.messages))
-        object.__setattr__(self, "messages", messages)
+        set_field(self, "messages", messages)
         points = {(q.numerator, q.denominator): q for _, supp in messages for iv in supp.intervals for q in (iv.lo, iv.hi)}
         self._build([(name, [(_pair(iv.lo), _pair(iv.hi), iv.hi_closed) for iv in supp.intervals]) for name, supp in messages], points)
 
@@ -171,7 +165,7 @@ class VerifStructure(Record):
         The table keeps the Fractions that points holds for some endpoints.
         """
         structure = _new(cls)
-        object.__setattr__(structure, "full_verifiability", full_verifiability)
+        set_field(structure, "full_verifiability", full_verifiability)
         structure._build(supports, points)
         return structure
 
@@ -193,24 +187,24 @@ class VerifStructure(Record):
             minimum = 2 * rank[ivs[0][0]]
             for lo, hi, hi_closed in ivs:
                 spans.append((2 * rank[lo], 2 * rank[hi] + hi_closed, minimum, name))
-        object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "_spans", tuple(spans))
+        set_field(self, "_table", table)
+        set_field(self, "_spans", tuple(spans))
         if not self.full_verifiability:
             if not supports:
                 raise ConstructionError("a structure without full verifiability needs messages")
             self._best_minima  # the endpoint sweep checks coverage
 
-    def __getattr__(self, name: str):
-        """messages, built from the spans when the structure came without them (_from_pairs)."""
-        if name != "messages" or "_spans" not in self.__dict__:
-            raise AttributeError(name)
+    @cached_property
+    def messages(self) -> tuple[tuple[str, IntervalUnion], ...]:
+        """The field, built from the spans on first access when the structure came without it (_from_pairs).
+
+        A constructed structure stores the field in its instance dict, which shadows this.
+        """
         point, rank = self._table.point, self._table.rank
-        messages = tuple(
+        return tuple(
             (message, IntervalUnion(tuple(SupportInterval(point(rank[lo]), point(rank[hi]), hi_closed) for lo, hi, hi_closed in ivs)))
             for message, ivs in self._intervals().items()
         )
-        object.__setattr__(self, "messages", messages)
-        return messages
 
     def _intervals(self) -> dict[str, tuple[Interval, ...]]:
         """Each message's canonical intervals as (lo, hi, hi_closed) pairs, in message order: the spans decoded."""
@@ -312,8 +306,7 @@ def min_inverse(structure: VerifStructure, name: str) -> Fraction:
 
 class LowestConsistentSet(Record):
     def __init__(self, types: tuple[Fraction, ...], all_of_unit_interval: bool = False) -> None:
-        set_field(self, "types", types)
-        set_field(self, "all_of_unit_interval", all_of_unit_interval)
+        self._store(types, all_of_unit_interval)
 
     def issuperset(self, other: "LowestConsistentSet") -> bool:
         if self.all_of_unit_interval:

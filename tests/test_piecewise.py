@@ -6,6 +6,7 @@ graph points averaging to x, which is independent of the hull construction.
 """
 
 from fractions import Fraction as F
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,30 +31,38 @@ def brute_split_value(points, x):
     return best
 
 
-V1 = StepFunction((F(0), F(2, 5), F(4, 5)), (F(0), F(1), F(3)))
-VM31 = StepFunction((F(0), F(1, 2)), (F(0), F(1)))
+# sample payoffs, built on first use (and cached), so a fault in a constructor
+# fails the tests that read them rather than the module's collection
+@cache
+def v1():
+    return StepFunction((F(0), F(2, 5), F(4, 5)), (F(0), F(1), F(3)))
+
+
+@cache
+def vm31():
+    return StepFunction((F(0), F(1, 2)), (F(0), F(1)))
 
 
 class TestStepEval:
     def test_three_action_below_first_jump(self):
-        assert step_eval(V1, F(1, 3)) == 0
+        assert step_eval(v1(), F(1, 3)) == 0
 
     def test_three_action_left_closed_at_jump(self):
-        assert step_eval(V1, F(2, 5)) == 1
+        assert step_eval(v1(), F(2, 5)) == 1
 
     def test_constant(self):
         assert step_eval(StepFunction((F(0),), (F(0),)), F(7, 13)) == 0
 
     def test_last_piece_closed_at_one(self):
-        assert step_eval(V1, F(1)) == 3
+        assert step_eval(v1(), F(1)) == 3
 
     def test_call_is_step_eval(self):
-        assert V1(F(2, 5)) == step_eval(V1, F(2, 5)) == 1
+        assert v1()(F(2, 5)) == step_eval(v1(), F(2, 5)) == 1
 
     @pytest.mark.parametrize("x", [F(-1, 10), F(11, 10)])
     def test_domain_error(self, x):
         with pytest.raises(DomainError):
-            step_eval(V1, x)
+            step_eval(v1(), x)
 
     def test_merges_equal_adjacent_pieces(self):
         f = StepFunction((F(0), F(1, 4), F(1, 2)), (F(1), F(1), F(2)))
@@ -62,18 +71,18 @@ class TestStepEval:
 
 class TestCav:
     def test_three_action_vertices(self):
-        assert cav(V1).vertices == ((F(0), F(0)), (F(4, 5), F(3)), (F(1), F(3)))
+        assert cav(v1()).vertices == ((F(0), F(0)), (F(4, 5), F(3)), (F(1), F(3)))
 
     def test_three_action_value(self):
-        g = cav(V1)
+        g = cav(v1())
         assert pl_eval(g, F(1, 3)) == g(F(1, 3)) == F(5, 4)
-        assert brute_split_value(piece_ends(V1), F(1, 3)) == F(5, 4)
+        assert brute_split_value(piece_ends(v1()), F(1, 3)) == F(5, 4)
 
     def test_skeptical_three_action(self):
-        g = cav(VM31)
+        g = cav(vm31())
         assert g.vertices == ((F(0), F(0)), (F(1, 2), F(1)), (F(1), F(1)))
         assert pl_eval(g, F(1, 3)) == F(2, 3)
-        assert brute_split_value(piece_ends(VM31), F(1, 3)) == F(2, 3)
+        assert brute_split_value(piece_ends(vm31()), F(1, 3)) == F(2, 3)
 
     def test_constant_is_its_own_envelope(self):
         g = cav(StepFunction((F(0),), (F(5, 7),)))
@@ -96,10 +105,10 @@ class TestContactSet:
     """Where the envelope touches f, read off cav's vertices and values."""
 
     def test_skeptical_three_action(self):
-        g = cav(VM31)
-        assert all(touches(VM31, g, x) for x in g.xs)
+        g = cav(vm31())
+        assert all(touches(vm31(), g, x) for x in g.xs)
         xs = (F(0), F(1, 4), F(1, 2), F(3, 4), F(1))
-        assert [x for x in xs if touches(VM31, g, x)] == [F(0), F(1, 2), F(3, 4), F(1)]
+        assert [x for x in xs if touches(vm31(), g, x)] == [F(0), F(1, 2), F(3, 4), F(1)]
 
     def test_concave_function_touches_everywhere(self):
         f = StepFunction((F(0),), (F(2),))
@@ -108,10 +117,10 @@ class TestContactSet:
         assert all(touches(f, g, F(k, 7)) for k in range(8))
 
     def test_three_action(self):
-        g = cav(V1)
-        assert all(touches(V1, g, x) for x in g.xs)
+        g = cav(v1())
+        assert all(touches(v1(), g, x) for x in g.xs)
         xs = (F(0), F(2, 5), F(3, 5), F(4, 5), F(9, 10), F(1))
-        assert [x for x in xs if touches(V1, g, x)] == [F(0), F(4, 5), F(9, 10), F(1)]
+        assert [x for x in xs if touches(v1(), g, x)] == [F(0), F(4, 5), F(9, 10), F(1)]
 
     def test_never_empty_and_contains_hull_vertices_on_graph(self):
         # a non-decreasing step function with left-closed pieces is upper
@@ -134,7 +143,7 @@ class TestPlEval:
         assert pl_eval(g, F(9, 10)) == F(3)
 
     def test_cav_three_action_at_prior(self):
-        assert pl_eval(cav(V1), F(1, 3)) == F(5, 4)
+        assert pl_eval(cav(v1()), F(1, 3)) == F(5, 4)
 
     def test_domain_error(self):
         g = ConcavePL(((F(0), F(0)), (F(1), F(1))))

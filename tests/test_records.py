@@ -5,7 +5,11 @@ from the fields the type had as a dataclass (names, annotations, defaults).
 It subclasses the type, so it runs the same __post_init__, cached
 properties and lazy attributes, while the dataclass machinery writes its
 own __init__, repr, ==, hash and frozen __setattr__ and __delattr__ over
-the record's.  Every check compares the record with its twin on the same
+the record's (and never calls Record._store).  Every twin field is given
+as a dataclasses.field(), with or without a default: a bare field would
+take a class attribute of the same name as its default, and
+VerifStructure's lazily built ``messages`` is such an attribute, a cached
+property.  Every check compares the record with its twin on the same
 arguments: the signature, repr, ==, hash, frozen assignment and deletion,
 the constructor's TypeErrors, and replace against dataclasses.replace.
 """
@@ -91,7 +95,7 @@ def cases() -> dict:
 
 def twin_of(cls, fields):
     """A frozen dataclass on the type's dataclass fields, overriding the record's protocol."""
-    spec = [(name, annotation) if not default else (name, annotation, dataclasses.field(default=default[0]))
+    spec = [(name, annotation, dataclasses.field(default=default[0]) if default else dataclasses.field())
             for name, annotation, *default in fields]
     return dataclasses.make_dataclass(cls.__name__, spec, bases=(cls,), frozen=True)
 

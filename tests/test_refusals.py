@@ -10,6 +10,7 @@ the CLI, which exits with code 2; so moving a check cannot drop it silently.
 import json
 import re
 from fractions import Fraction as F
+from functools import cache
 
 import pytest
 
@@ -34,11 +35,22 @@ from disclosuregame import (
 )
 from disclosuregame.cli import main
 from disclosuregame.errors import GameFileError
-from disclosuregame.gamefile import game_from_obj, load_game
+from disclosuregame.gamefile import game_from_obj, load_game, load_structure
 
 HALF, THIRD = F(1, 2), F(1, 3)
-WHOLE = IntervalUnion.from_pairs([(0, 1)])
-PAYOFF = StepFunction((F(0), F(2, 5)), (F(0), F(1)))
+
+
+# sample values, built on first use (and cached), so a fault in a constructor
+# fails the tests that read them rather than the module's collection
+@cache
+def whole():
+    return IntervalUnion.from_pairs([(0, 1)])
+
+
+@cache
+def two_piece_payoff():
+    return StepFunction((F(0), F(2, 5)), (F(0), F(1)))
+
 
 LIBRARY = [
     # SupportInterval
@@ -49,8 +61,8 @@ LIBRARY = [
     # IntervalUnion
     (lambda: IntervalUnion(()), ConstructionError, "support must be non-empty"),
     # VerifStructure
-    (lambda: VerifStructure((("m", WHOLE), ("m", WHOLE))), ConstructionError, "message names must be unique"),
-    (lambda: VerifStructure((("id:1/2", WHOLE),)), ConstructionError, "uses the reserved prefix 'id:'"),
+    (lambda: VerifStructure((("m", whole()), ("m", whole()))), ConstructionError, "message names must be unique"),
+    (lambda: VerifStructure((("id:1/2", whole()),)), ConstructionError, "uses the reserved prefix 'id:'"),
     (lambda: VerifStructure(()), ConstructionError, "a structure without full verifiability needs messages"),
     (lambda: VerifStructure((("m", IntervalUnion.from_pairs([(0, HALF, False), (F(2, 3), 1)])),)),
      ConstructionError, r"message supports must cover all of \[0,1\]"),
@@ -58,8 +70,8 @@ LIBRARY = [
      ConstructionError, r"message supports must cover all of \[0,1\]"),
     (lambda: VerifStructure((("m", IntervalUnion.from_pairs([(THIRD, 1)])),)),
      ConstructionError, r"message supports must cover all of \[0,1\]"),
-    (lambda: min_inverse(VerifStructure((("m", WHOLE),)), "id:1/2"), UnknownMessageError, "id:1/2"),
-    (lambda: VerifStructure((("m", WHOLE),)).support("nope"), UnknownMessageError, "nope"),
+    (lambda: min_inverse(VerifStructure((("m", whole()),)), "id:1/2"), UnknownMessageError, "id:1/2"),
+    (lambda: VerifStructure((("m", whole()),)).support("nope"), UnknownMessageError, "nope"),
     *((lambda name=name: min_inverse(mandatory_disclosure(), name), UnknownMessageError, name)
       for name in ("id:2", "id:-1/3", "id:2/4", "id: 1/2")),
     # the canonical builders
@@ -83,8 +95,8 @@ LIBRARY = [
     (lambda: ConcavePL(((F(0), F(0)), (HALF, F(0)), (F(1), F(1)))), ValueError, r"slopes must strictly decrease \(concavity\)"),
     (lambda: ConcavePL(((F(0), F(0)), (THIRD, F(1)), (F(1), F(3)))), ValueError, r"slopes must strictly decrease \(concavity\)"),
     # GameSpec
-    (lambda: GameSpec(PAYOFF, F(3, 2), VerifStructure((("m", WHOLE),))), DomainError, r"prior 3/2 outside \[0,1\]"),
-    (lambda: GameSpec(StepFunction((F(0), HALF), (F(1), F(0))), THIRD, VerifStructure((("m", WHOLE),))),
+    (lambda: GameSpec(two_piece_payoff(), F(3, 2), VerifStructure((("m", whole()),))), DomainError, r"prior 3/2 outside \[0,1\]"),
+    (lambda: GameSpec(StepFunction((F(0), HALF), (F(1), F(0))), THIRD, VerifStructure((("m", whole()),))),
      ValueError, "payoff function must be non-decreasing"),
     # Signal
     (lambda: Signal((), ()), ValueError, "support and weights must be non-empty and same length"),
@@ -154,6 +166,42 @@ def test_loader_and_cli_refuse(game, message, tmp_path, capsys):
     assert captured.out == "" and captured.err.startswith("parse error: ")
 
 
+# files on which json.load raises something other than JSONDecodeError
+UNDECODABLE = {
+    "deep_nesting": b"[" * 200_000 + b"]" * 200_000,  # RecursionError
+    "not_utf8": b"\xff\xfe{}",  # UnicodeDecodeError
+    "integer_over_digit_limit": b'{"prior": ' + b"9" * 5_000 + b"}",  # ValueError from int()
+}
+SUBCOMMANDS = {
+    "solve": lambda path: ["solve", path],
+    "compare": lambda path: ["compare", path, path],
+    "optimal": lambda path: ["optimal", "--sender", path],
+    "oracle": lambda path: ["oracle", path],
+    "witness": lambda path: ["witness", path, path],
+}
+
+
+@pytest.mark.parametrize("kind", UNDECODABLE)
+@pytest.mark.parametrize("load", [load_game, load_structure])
+def test_loader_refuses_undecodable_files(kind, load, tmp_path):
+    path = tmp_path / f"{kind}.json"
+    path.write_bytes(UNDECODABLE[kind])
+    with pytest.raises(GameFileError, match=f"^parse error in {re.escape(str(path))}: "):
+        load(str(path))
+
+
+@pytest.mark.parametrize("kind", UNDECODABLE)
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_cli_refuses_undecodable_files_with_exit_two(kind, command, tmp_path, capsys):
+    # exit 1 means "relation fails", "disagrees" or "not optimal" for some
+    # subcommands, so an unreadable file must exit 2 with a parse error
+    path = tmp_path / f"{kind}.json"
+    path.write_bytes(UNDECODABLE[kind])
+    assert main(SUBCOMMANDS[command](str(path))) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"parse error: parse error in {path}: ")
+
+
 def test_prior_outside_unit_interval_with_a_structure_error_reports_the_structure():
     # the structure is read, and checked, before the game checks its prior
     game = _game(prior="3/2", messages=_support(("0", "1/2")))
@@ -162,8 +210,8 @@ def test_prior_outside_unit_interval_with_a_structure_error_reports_the_structur
 
 
 def _solved():
-    structure = VerifStructure((("m_0", WHOLE), ("m_1", IntervalUnion.from_pairs([(F(2, 5), 1)]))))
-    game = GameSpec(PAYOFF, THIRD, structure)
+    structure = VerifStructure((("m_0", whole()), ("m_1", IntervalUnion.from_pairs([(F(2, 5), 1)]))))
+    game = GameSpec(two_piece_payoff(), THIRD, structure)
     return game, solve(game)
 
 
@@ -191,7 +239,7 @@ def test_verify_refuses_a_message_outside_the_structure():
     with pytest.raises(UnknownMessageError, match="m_9"):
         verify_equilibrium(game, eq.replace(messaging={**eq.messaging, eq.signal.support[0]: "m_9"}))
     # a belief for a name that is no message is refused under full verifiability too
-    game = GameSpec(PAYOFF, THIRD, mandatory_disclosure())
+    game = GameSpec(two_piece_payoff(), THIRD, mandatory_disclosure())
     eq = solve(game)
     with pytest.raises(ValueError, match="belief for 'm_9', which is no message of the structure"):
         verify_equilibrium(game, eq.replace(beliefs={**eq.beliefs, "m_9": HALF}))
@@ -201,7 +249,7 @@ def test_verify_refuses_a_message_outside_the_structure():
 def test_verify_refuses_identity_beliefs_that_name_no_type(name):
     # under full verifiability an identity belief must still name a type in
     # [0, 1] the one way identity_name spells it
-    game = GameSpec(PAYOFF, THIRD, mandatory_disclosure())
+    game = GameSpec(two_piece_payoff(), THIRD, mandatory_disclosure())
     eq = solve(game)
     with pytest.raises(ValueError, match=re.escape(f"identity belief {name!r} names no type in [0,1]")):
         verify_equilibrium(game, eq.replace(beliefs={**eq.beliefs, name: HALF}))
@@ -210,6 +258,6 @@ def test_verify_refuses_identity_beliefs_that_name_no_type(name):
 def test_identity_beliefs_allowed_under_full_verifiability():
     # the same identity belief that _validate_structure refuses above is
     # accepted once every type owns its identity message
-    game = GameSpec(PAYOFF, THIRD, mandatory_disclosure())
+    game = GameSpec(two_piece_payoff(), THIRD, mandatory_disclosure())
     eq = solve(game)
     assert verify_equilibrium(game, eq.replace(beliefs={**eq.beliefs, "id:1/2": HALF})).ok

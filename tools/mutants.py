@@ -1,6 +1,6 @@
 """Mutation run: is each named mutant of the package caught by the test suite?
 
-    python tools/mutants.py              # every mutant, about 19 minutes on one core
+    python tools/mutants.py              # every mutant, about 18 minutes on one core
     python tools/mutants.py NAME ...     # only the named ones
 
 Not part of tier-1.  Each mutant is one exact source edit (a snippet and its
@@ -10,9 +10,10 @@ mutants when it moves between modules.  Mutants run one at a time: the edit is
 written into a temporary copy of what the tests read (``src``, ``tests``,
 ``fixtures``, ``pyproject.toml`` and ``README.md``), and ``pytest -x`` runs
 there, without the tier-1 test that checks this list against the unmutated
-package (``tests/test_mutants_anchored.py``).  A failing or timed-out run
-kills the mutant.  The unmutated copy runs first and must pass, or no kill
-would mean anything.
+package (``tests/test_mutants_anchored.py``).  The unmutated copy runs
+first and must pass, or no kill would mean anything; its time sets the cap
+on each mutant's run (``TIMEOUT_FACTOR`` times it).  A failing run, or one
+stopped at the cap, kills the mutant.
 
 One line per mutant: killed (with the first failing test), or survived (with
 the reason when the mutant is listed as equivalent: no input tells it apart).
@@ -37,7 +38,11 @@ from typing import NamedTuple, Optional
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "disclosuregame"
 COPIED = ("src", "tests", "fixtures", "pyproject.toml", "README.md")
-TIMEOUT_S = 300
+# each mutant's run is capped at this multiple of the unmutated run's time:
+# the same machine runs the same suite up to 1.7x slower from one run to the
+# next, and a mutant listed as equivalent may make the suite slower still, so
+# 3x stops a mutant that hangs the tests without killing one on the clock
+TIMEOUT_FACTOR = 3
 ANCHORING_TEST = "tests/test_mutants_anchored.py"
 
 
@@ -55,6 +60,8 @@ MUTANTS = (
     Mutant("records.assignment_allowed", 'raise AttributeError(f"cannot assign to field {name!r}")',
            "object.__setattr__(self, name, value)"),
     Mutant("records.replace_drops_changes", "for name in self._fields}, **changes})", "for name in self._fields}})"),
+    Mutant("records.store_skips_post_init", "post_init(self)", "pass"),
+    Mutant("records.store_drops_last_field", "zip(self._fields, values)", "zip(self._fields, values[:-1])"),
     # rationals: the parse fast path and the int kernels
     Mutant("rationals.parse_zero_denominator", "        if d:\n            g = gcd(n, d)", "        if True:\n            g = gcd(n, d)"),
     Mutant("rationals.pair_gcd_dropped", "return n // g, d // g", "return n, d"),
@@ -278,6 +285,9 @@ MUTANTS = (
     Mutant("gamefile.hi_closed_dropped", "return lo, hi, hi_closed", "return lo, hi, True"),
     Mutant("gamefile.digit_cap_inclusive", 'len(part.strip().lstrip("+-")) > MAX_RATIONAL_DIGITS',
            'len(part.strip().lstrip("+-")) >= MAX_RATIONAL_DIGITS'),
+    Mutant("gamefile.undecodable_file_unrefused",
+           "    except (ValueError, RecursionError) as exc:  # not UTF-8, an integer over Python's digit limit, nesting too deep\n"
+           "        raise GameFileError(f\"parse error in {path}: {exc}\") from exc\n", ""),
     Mutant("gamefile.support_index_off_by_one", 'exc.where = f".support[{len(ivs)}]{exc.where}"',
            'exc.where = f".support[{len(ivs) + 1}]{exc.where}"'),
 )
@@ -298,14 +308,14 @@ def locate(mutant: Mutant, sources: dict[Path, str]) -> tuple[Optional[Path], st
     return path, mutated
 
 
-def run_tests(workdir: Path) -> tuple[bool, str]:
-    """(failed, first failing test or the reason) for pytest -x in workdir."""
+def run_tests(workdir: Path, timeout: Optional[float] = None) -> tuple[bool, str]:
+    """(failed, first failing test or the reason) for pytest -x in workdir, stopped after timeout seconds."""
     env = dict(os.environ, PYTHONPATH=str(workdir / "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--ignore", ANCHORING_TEST, "tests"]
     try:
-        proc = subprocess.run(cmd, cwd=workdir, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+        proc = subprocess.run(cmd, cwd=workdir, env=env, capture_output=True, text=True, timeout=timeout)
     except subprocess.TimeoutExpired:
-        return True, f"timed out after {TIMEOUT_S} s"
+        return True, f"timed out after {timeout:.0f} s"
     if proc.returncode == 0:
         return False, ""
     failed = [line.split(" - ")[0] for line in proc.stdout.splitlines() if line.startswith(("FAILED", "ERROR"))]
@@ -330,10 +340,14 @@ def main(argv: list[str]) -> int:
                 shutil.copytree(src, work / name, ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
             else:
                 shutil.copy2(src, work / name)
+        began = time.perf_counter()
         failed, why = run_tests(work)
         if failed:
             print(f"the tests fail without a mutant: {why}", file=sys.stderr)
             return 2
+        unmutated = time.perf_counter() - began
+        timeout = TIMEOUT_FACTOR * unmutated
+        print(f"unmutated run {unmutated:.0f} s; each mutant's run is stopped after {timeout:.0f} s", flush=True)
         for mutant in chosen:
             path, mutated = locate(mutant, sources)
             if path is None:
@@ -342,7 +356,7 @@ def main(argv: list[str]) -> int:
                 continue
             (work / path).write_text(mutated)
             try:
-                killed, why = run_tests(work)
+                killed, why = run_tests(work, timeout)
             finally:
                 (work / path).write_text(sources[path])
             if killed and mutant.equivalent:
