@@ -17,6 +17,7 @@ an independent grid oracle.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import accumulate, compress
@@ -111,7 +112,10 @@ class GameSpec(Record):
 
     @cached_property
     def _oracle_grid(self) -> tuple[Coordinates, tuple[tuple[int, int], ...], tuple[int, ...], tuple[tuple[int, int, str], ...]]:
-        """The brute-force oracle's own table, critical grid, piece table and support slots (grid._table_and_grid); the solver never reads it."""
+        """The oracle's own table, critical grid, piece table and support slots (grid._table_and_grid).
+
+        Verify and the exhaustive search read it; the solver never does.
+        """
         from .grid import _table_and_grid  # late import: grid builds on this module's types
         return _table_and_grid(self)
 
@@ -334,7 +338,7 @@ def _split(game: GameSpec) -> Signal:
     point, (_, at, _, fixed) = game._table.point, game._levels
     top, from_left, _ = game._hull_levels
     vals = game.payoff.values
-    e = hull._table.position(p) >> 1  # the edge over p; p < 1 under PNBP
+    e = bisect_right(hull.xs, p) - 1  # the edge over p; p < 1 under PNBP
     on_edge = on_line_through(hull.vertices[e], hull.vertices[e + 1])
 
     def contact(i: int) -> bool:
@@ -407,11 +411,14 @@ def verify_equilibrium(game: GameSpec, eq: Equilibrium) -> VerifyReport:
     2. Sequentially rational communication: each on-path type sends a message
        maximizing v(beliefs) among its available messages.
     3. Consistent beliefs: every belief lies in the convex hull of the
-       message's support, and on-path messages satisfy Bayes' rule.
+       message's support, every identity belief is its type, and on-path
+       messages satisfy Bayes' rule.
 
-    The line test needs every belief inside its message's convex hull, so a
-    belief outside it is reported as a violation of (3) before (1) and (2)
-    are tested.
+    The line test needs every belief inside its message's convex hull, and
+    its w takes every identity belief to be its type, so these two parts of
+    (3) are tested first, before (1) and (2).  Every belief then lies in
+    [0,1], and (2) ranks each message by its belief's payoff piece on the
+    oracle grid's table (grid._table_and_grid), which (1) has built.
     """
     from . import grid  # late import: grid builds on this module's types
 
@@ -423,31 +430,33 @@ def verify_equilibrium(game: GameSpec, eq: Equilibrium) -> VerifyReport:
         (ln, ld), (hn, hd), bn, bd = pairs[minimum], pairs[supremum], b.numerator, b.denominator
         if not (ln * bd <= bn * ld and bn * hd <= hn * bd):
             return VerifyReport(False, 3, f"belief for {name!r} outside conv support", (name, b))
+    for name, b in beliefs.items():
+        if name.startswith(IDENTITY_PREFIX) and b != min_inverse(game.structure, name):
+            return VerifyReport(False, 3, f"identity belief {name!r} must equal its type", (name, b))
 
     # (1) optimal information acquisition
     report = grid._supporting_line(game, beliefs, eq.value)
     if report is not None:
         return report
 
-    # (2) sequentially rational communication; each message's payoff is
-    # evaluated once, however many signal points may send it
-    payoff = cache(lambda name: step_eval(game.payoff, _belief_of(game, beliefs, name)))
+    # (2) sequentially rational communication; each message's payoff piece
+    # (its level: pieces rank values) is read once, however many signal
+    # points may send it
+    table, _, piece, _ = game._oracle_grid
+    level = cache(lambda name: piece[table.position(_belief_of(game, beliefs, name))])
     for s in eq.signal.support:
         m = eq.messaging[s]
         avail = messages_at(game.structure, s)
         if m not in avail:
             return VerifyReport(False, 2, f"type {s} sends unavailable message {m!r}", (s, m))
-        vm = payoff(m)
+        lm = level(m)
         for other in sorted(avail):
-            if payoff(other) > vm:
+            if level(other) > lm:
                 return VerifyReport(
                     False, 2, f"type {s} prefers message {other!r} over {m!r}", (s, other)
                 )
 
-    # (3) consistent receiver beliefs; the convex hulls are checked above
-    for name, b in beliefs.items():
-        if name.startswith(IDENTITY_PREFIX) and b != min_inverse(game.structure, name):
-            return VerifyReport(False, 3, f"identity belief {name!r} must equal its type", (name, b))
+    # (3) on-path Bayes; the convex hulls and identity beliefs are checked above
     senders: dict[str, list[tuple[Fraction, Fraction]]] = {}
     for s, w in zip(eq.signal.support, eq.signal.weights):
         senders.setdefault(eq.messaging[s], []).append((s, w))

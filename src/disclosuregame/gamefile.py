@@ -247,9 +247,9 @@ def _load_json(path: str) -> Any:
     except OSError as exc:
         raise GameFileError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise GameFileError(f"parse error in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        raise GameFileError(f"{path} at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # not UTF-8, an integer over Python's digit limit, nesting too deep
-        raise GameFileError(f"parse error in {path}: {exc}") from exc
+        raise GameFileError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

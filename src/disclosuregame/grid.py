@@ -13,7 +13,10 @@ right-open support can break this: w may then jump down at the open end, and
 the supremum over signals that approach that end from the left is not attained
 and not on the grid, so the grid's optimum lies below it.  Structures whose
 supports are all right-closed meet the precondition (the payoff is
-non-decreasing, so identity messages keep it too).
+non-decreasing, so identity messages keep it too).  Condition (1)'s
+"above best response" detail says that no signal attains the claim only
+under this precondition; with a right-open support it names the grid's best
+response instead (_supporting_line).
 
 Arithmetic stays exact throughout.  The oracle builds its own table once
 per game and keeps it on the game (the solver never reads it): a
@@ -24,8 +27,9 @@ value is ranked by its piece's index (the payoff is non-decreasing with
 merged pieces, so its values strictly increase).  w is one fill of those
 slots, in descending order of level, that writes each slot once
 (_interim_values).  Condition (1) is a supporting-line test on ints
-(_supporting_line) and builds no hull.  So the grid test shares with the
-solver only the Coordinates table, and reads the game only through its
+(_supporting_line) and builds no hull; verify's condition (2), which runs
+after it, ranks each message by the piece table read at its belief's
+position.  So the grid test shares with the solver only the Coordinates table, and reads the game only through its
 fields and the pairs of the structure's support endpoints and the spans over
 them.  The exhaustive search (oracle) runs on the same grid.
 """
@@ -134,6 +138,10 @@ def _supporting_line(game: GameSpec, beliefs: Mapping[str, Fraction], value: Fra
     slopes cross, worth v* + (p - x_l)(x_r - p)(s(x_r) - s(x_l)) / (x_r - x_l).
     Above, it is a slope strictly between lo and hi (lo + 1 or hi - 1 with
     one side empty): the line through (p, v*) with that slope clears w.
+    The detail says that no signal attains v* only when every support is
+    right-closed, where the grid is exact (the module's precondition); with
+    a right-open support it says only that v* is above the grid's best
+    response, since signals that approach an open end may be worth more.
     """
     table, grid, _, _ = game._oracle_grid
     w = _interim_values(game, beliefs)
@@ -172,7 +180,9 @@ def _supporting_line(game: GameSpec, beliefs: Mapping[str, Fraction], value: Fra
         return None
     lo_s, hi_s = (Fraction(num, den) if den else None for num, den, _ in (lo, hi))
     slope = lo_s + 1 if hi_s is None else hi_s - 1 if lo_s is None else (lo_s + hi_s) / 2
-    return VerifyReport(False, 1, f"value {value} above best response: no signal attains it", slope * pd / vd)
+    exact = all(end & 1 for _, end, _, _ in game.structure._spans)  # every support right-closed
+    best = "best response: no signal attains it" if exact else "the critical grid's best response (a support is right-open)"
+    return VerifyReport(False, 1, f"value {value} above {best}", slope * pd / vd)
 
 
 def _below(value: Fraction, u: Fraction, signal: Signal) -> VerifyReport:

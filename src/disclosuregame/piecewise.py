@@ -8,20 +8,21 @@ Conventions, fixed once for the whole toolkit:
   semicontinuous automatically.  Non-monotone instances are allowed (the
   skepticism-adjusted payoff can be non-monotone).
 * All arithmetic is over ``fractions.Fraction``; every comparison in this module
-  is exact, there are no tolerances anywhere.  A point query reads the
-  point's position in a cached ``rationals.Coordinates`` table of the
-  breakpoints (or vertices), and validation and hull turns cross-multiply
-  numerators and denominators.
+  is exact, there are no tolerances anywhere.  A point query bisects the
+  function's own breakpoints (or vertex x-coordinates), comparing Fractions
+  exactly, and validation and hull turns cross-multiply numerators and
+  denominators.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import DomainError
-from .rationals import ONE, ZERO, Coordinates, as_fraction, in_unit_interval, not_right_turn, upper_hull
+from .rationals import ONE, ZERO, as_fraction, in_unit_interval, not_right_turn, upper_hull
 from .records import Record, set_field
 
 Point = tuple[Fraction, Fraction]
@@ -58,14 +59,9 @@ class StepFunction(Record):
     def __call__(self, x: Fraction) -> Fraction:
         return step_eval(self, x)
 
-    @cached_property
-    def _table(self) -> Coordinates:
-        """The breakpoints and 1 as a coordinate table, built once per instance (not a field: eq and repr ignore it)."""
-        return Coordinates({(b.numerator, b.denominator): b for b in (*self.breakpoints, ONE)})
-
     def piece(self, x: Fraction) -> int:
-        """Index of the piece holding x in [0,1]: the rank of the table's point at or before x (1, when no breakpoint, is on the last piece)."""
-        return min(self._table.position(x) >> 1, len(self.breakpoints) - 1)
+        """Index of the piece holding x in [0,1]: the last breakpoint at or before x (1 is on the last piece)."""
+        return bisect_right(self.breakpoints, x) - 1
 
     def pieces(self) -> Iterator[tuple[Fraction, Fraction, Fraction]]:
         """Yield (lo, hi, value); every piece is [lo, hi) except the last, [lo, 1]."""
@@ -115,18 +111,13 @@ class ConcavePL(Record):
         """Vertex x-coordinates, built once per instance (not a field: eq and repr ignore it)."""
         return tuple(x for x, _ in self.vertices)
 
-    @cached_property
-    def _table(self) -> Coordinates:
-        """The vertex x-coordinates as a coordinate table, built once per instance."""
-        return Coordinates({(x.numerator, x.denominator): x for x in self.xs})
-
 
 def pl_eval(g: ConcavePL, x: Fraction) -> Fraction:
     """Exact linear interpolation between the bracketing vertices."""
     x = as_fraction(x)
     if not in_unit_interval(x):
         raise DomainError(f"piecewise-linear argument {x} outside [0,1]")
-    i = g._table.position(x) >> 1
+    i = bisect_right(g.xs, x) - 1
     if i == len(g.vertices) - 1:
         return g.vertices[-1][1]
     (x0, y0), (x1, y1) = g.vertices[i], g.vertices[i + 1]

@@ -222,6 +222,18 @@ def line_clears_w(game: GameSpec, beliefs, value: Fraction, slope: Fraction) -> 
     return all(value + slope * (x - game.prior) > y for x, y in zip(grid, w))
 
 
+def above_detail(game: GameSpec, value: Fraction) -> str:
+    """Condition (1)'s detail for a claim above the grid's best response.
+
+    It says that no signal attains the claim only when every support is
+    right-closed, where the grid is exact; with a right-open support a signal
+    approaching the open end may be worth more than any grid signal.
+    """
+    if all(iv.hi_closed for _, supp in game.structure.messages for iv in supp.intervals):
+        return f"value {value} above best response: no signal attains it"
+    return f"value {value} above the critical grid's best response (a support is right-open)"
+
+
 def discrete_hull_value(points, x: Fraction) -> Fraction:
     """Value at x of the upper concave hull of a finite point set, in any order; repeated x keep the highest y."""
     best: dict[Fraction, Fraction] = {}

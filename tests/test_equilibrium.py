@@ -16,6 +16,7 @@ from disclosuregame import (
     Signal,
     StepFunction,
     VerifStructure,
+    VerifyReport,
     add_message,
     check_theorem1,
     cheap_talk,
@@ -31,7 +32,7 @@ from disclosuregame import (
     thresholds,
     verify_equilibrium,
 )
-from disclosuregame import equilibrium, verifiability
+from disclosuregame import equilibrium, grid, verifiability
 from disclosuregame.equilibrium import value_hull
 
 from genutil import (
@@ -43,7 +44,7 @@ from genutil import (
     rand_point,
     rand_rich_structure,
 )
-from reference_paths import pointwise_adjusted, pointwise_envelope, pointwise_g, swept_g
+from reference_paths import pointwise_adjusted, pointwise_envelope, pointwise_g, signal_value, swept_g
 
 
 # sample values, built on first use (and cached), so a fault in a constructor
@@ -421,6 +422,48 @@ class TestVerifyTamper:
             "profitable deviation: value 0 below 1/2, the witness signal's value (not necessarily the best response)"
         )
         assert report.witness == Signal((F(0), F(1, 2)), (F(1, 2), F(1, 2)))
+
+    def test_identity_beliefs_are_checked_before_conditions_one_and_two(self):
+        # an unsent identity message believed off its type fails (3) before
+        # (1) and (2) read any belief: believed at 5, outside [0,1], it
+        # would have no payoff piece for (2) to rank; at 1/8 (2) passes
+        structure = VerifStructure(thresholds([F(1, 2)]).messages, True)
+        game = GameSpec(StepFunction((F(0), F(1, 2)), (F(0), F(1))), F(1, 4), structure)
+        for belief in (F(5), F(1, 8)):
+            eq = Equilibrium(
+                Signal((F(0), F(1, 2)), (F(1, 2), F(1, 2))),
+                {F(0): "m_0", F(1, 2): "m_1"},
+                {"m_0": F(0), "m_1": F(1, 2), "id:1/2": belief},
+                F(1, 2),
+            )
+            assert verify_equilibrium(game, eq) == VerifyReport(
+                False, 3, "identity belief 'id:1/2' must equal its type", ("id:1/2", belief)
+            )
+
+    def test_right_open_claim_above_the_grid_is_not_called_unattainable(self):
+        # m_X = [1/2, 3/4) is right-open; with m_X believed at 3/4, w is 2 on
+        # [1/2, 3/4) and 0 elsewhere, so the signals {3/4 - e, 1} reach
+        # 25/26 at e = 1/100 (supremum 1, not attained), while the critical
+        # grid's best at the prior 7/8 is 2/3, from its midpoint 5/8: the
+        # claim 9/10 is above the grid's best response, which is all the
+        # detail says, and the candidate's own signal attains 9/10
+        structure = VerifStructure((
+            ("m_L", IntervalUnion.from_pairs([(0, 1)])),
+            ("m_X", IntervalUnion.from_pairs([(F(1, 2), F(3, 4), False)])),
+        ))
+        game = GameSpec(StepFunction((F(0), F(1, 2), F(3, 4)), (F(0), F(1), F(2))), F(7, 8), structure)
+        beliefs = {"m_L": F(0), "m_X": F(3, 4)}
+        eq = Equilibrium(Signal((F(13, 18), F(1)), (F(9, 20), F(11, 20))), {F(13, 18): "m_X", F(1): "m_L"}, beliefs, F(9, 10))
+        above = VerifyReport(
+            False, 1,
+            "value 9/10 above the critical grid's best response (a support is right-open)",
+            F(-29, 5),
+        )
+        assert verify_equilibrium(game, eq) == above
+        assert grid._supporting_line(game, beliefs, F(9, 10)) == above
+        lo = F(3, 4) - F(1, 100)
+        w_lo = (1 - game.prior) / (1 - lo)
+        assert signal_value(game, beliefs, Signal((lo, F(1)), (w_lo, 1 - w_lo))) == F(25, 26)
 
 
 class TestCheckTheorem1:

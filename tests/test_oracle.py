@@ -39,6 +39,7 @@ from genutil import (
     rand_structure,
 )
 from reference_paths import (
+    above_detail,
     chord_best_deviation,
     line_clears_w,
     per_profile_exhaustive_equilibria,
@@ -165,7 +166,7 @@ def line_verdict(game, beliefs, value) -> int:
             f"profitable deviation: value {value} below {u}, the witness signal's value (not necessarily the best response)"
         )
         return 1
-    assert report.detail == f"value {value} above best response: no signal attains it"
+    assert report.detail == above_detail(game, value)
     assert line_clears_w(game, beliefs, value, report.witness)
     return -1
 

@@ -40,6 +40,7 @@ from genutil import (
     rand_rich_structure,
 )
 from reference_paths import (
+    above_detail,
     chord_best_deviation,
     contains_best_message,
     contains_messages_at,
@@ -122,8 +123,8 @@ def test_one_coordinate_table_per_structure_and_per_game(monkeypatch, tmp_path, 
     # after one small table per union of several intervals, which orders
     # and merges them; the game builds one more, which also ranks the
     # payoff's breakpoints and the prior, and keeps the structure it was
-    # given; solving reads one table of a function's own points: the
-    # envelope's vertices under PNBP, else the payoff's breakpoints
+    # given; solving builds none, and verifying builds exactly one, the
+    # oracle grid's; the payoff and the envelope keep no table of their own
     built = []
     fill = rationals.Coordinates._fill
 
@@ -141,9 +142,11 @@ def test_one_coordinate_table_per_structure_and_per_game(monkeypatch, tmp_path, 
         unions = sum(len(supp.intervals) > 1 for _, supp in game.structure.messages)
         assert len(built) == 1 + unions and loaded.structure.support_endpoints() == sorted(ends)
         assert set(loaded._table.points) == ends | set(game.payoff.breakpoints) | {game.prior}
-        solve(loaded)
-        own = vars(value_hull(loaded) if pnbp(loaded) else loaded.payoff)["_table"]
-        assert len(built) == 3 + unions and sum(table is own for table in built) == 1
+        eq = solve(loaded)
+        assert len(built) == 2 + unions
+        assert verify_equilibrium(loaded, eq).ok
+        assert len(built) == 3 + unions and built[-1] is loaded._oracle_grid[0]
+        assert "_table" not in vars(loaded.payoff) and "_table" not in vars(value_hull(loaded))
         assert [q for q, marked in zip(loaded._table.points, loaded._table.marked) if marked] == sorted(ends)
         structure = VerifStructure(loaded.structure.messages, loaded.structure.full_verifiability)
         assert GameSpec(loaded.payoff, loaded.prior, structure).structure is structure
@@ -189,7 +192,7 @@ def test_supporting_line_matches_chord_search(games):
             below = grid._supporting_line(game, beliefs, best - F(1, 10**40))
             above = grid._supporting_line(game, beliefs, best + F(1, 10**40))
             assert below.detail.startswith("profitable deviation") and below.witness.mean == game.prior
-            assert above.detail.endswith("above best response: no signal attains it")
+            assert above.detail == above_detail(game, best + F(1, 10**40))
             if len(signal.support) == 2:
                 lo, hi = pointwise_interim_values(game, beliefs, signal.support)
                 edges.add((lo > hi) - (lo < hi))

@@ -190,7 +190,7 @@ def test_cached_and_lazy_values_stay_outside_eq_hash_and_repr():
     assert repr(loaded) == repr(built) and loaded == built and hash(loaded) == hash(built)
     step = StepFunction(*STEP_ARGS)
     game, fresh = GameSpec(step, F(1, 3), built), GameSpec(step, F(1, 3), built)
-    assert game._value_hull and game.payoff._table and "_value_hull" in vars(game)
+    assert game._value_hull.xs and "_value_hull" in vars(game) and "xs" in vars(game._value_hull)
     assert game == fresh and hash(game) == hash(fresh) and repr(game) == repr(fresh)
 
 

@@ -186,7 +186,7 @@ SUBCOMMANDS = {
 def test_loader_refuses_undecodable_files(kind, load, tmp_path):
     path = tmp_path / f"{kind}.json"
     path.write_bytes(UNDECODABLE[kind])
-    with pytest.raises(GameFileError, match=f"^parse error in {re.escape(str(path))}: "):
+    with pytest.raises(GameFileError, match=f"^{re.escape(str(path))}: "):
         load(str(path))
 
 
@@ -199,7 +199,7 @@ def test_cli_refuses_undecodable_files_with_exit_two(kind, command, tmp_path, ca
     path.write_bytes(UNDECODABLE[kind])
     assert main(SUBCOMMANDS[command](str(path))) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith(f"parse error: parse error in {path}: ")
+    assert captured.out == "" and captured.err.startswith(f"parse error: {path}: ")
 
 
 def test_prior_outside_unit_interval_with_a_structure_error_reports_the_structure():

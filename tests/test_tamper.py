@@ -18,7 +18,7 @@ from disclosuregame.oracle import exhaustive_equilibria
 from disclosuregame.verifiability import IDENTITY_PREFIX, identity_name, messages_at
 
 from genutil import rand_oracle_game, rand_payoff, rand_point, rand_rich_structure
-from reference_paths import line_clears_w, signal_value
+from reference_paths import above_detail, line_clears_w, signal_value
 
 KINDS = ("value_up", "value_down", "unavailable", "worse", "off_path", "identity", "bayes")
 
@@ -107,7 +107,7 @@ def test_seeded_edits_of_rich_solutions_are_rejected():
                     assert report.witness == witness, (seed, kind, report)
                     continue
                 if kind == "value_up":
-                    assert report.detail == f"value {bad.value} above best response: no signal attains it"
+                    assert report.detail == above_detail(game, bad.value)
                     assert line_clears_w(game, bad.beliefs, bad.value, report.witness)
                 else:
                     u = signal_value(game, bad.beliefs, report.witness)

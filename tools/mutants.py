@@ -53,6 +53,37 @@ class Mutant(NamedTuple):
     equivalent: Optional[str] = None  # why no input tells the mutant apart
 
 
+# verify_equilibrium's identity-belief test and its conditions (1) and (2), in
+# source order, for the mutants that delete or move them
+_IDENTITY_TEST = """    for name, b in beliefs.items():
+        if name.startswith(IDENTITY_PREFIX) and b != min_inverse(game.structure, name):
+            return VerifyReport(False, 3, f"identity belief {name!r} must equal its type", (name, b))
+"""
+_CONDITION_ONE = """
+    # (1) optimal information acquisition
+    report = grid._supporting_line(game, beliefs, eq.value)
+    if report is not None:
+        return report
+"""
+_CONDITION_TWO = """
+    # (2) sequentially rational communication; each message's payoff piece
+    # (its level: pieces rank values) is read once, however many signal
+    # points may send it
+    table, _, piece, _ = game._oracle_grid
+    level = cache(lambda name: piece[table.position(_belief_of(game, beliefs, name))])
+    for s in eq.signal.support:
+        m = eq.messaging[s]
+        avail = messages_at(game.structure, s)
+        if m not in avail:
+            return VerifyReport(False, 2, f"type {s} sends unavailable message {m!r}", (s, m))
+        lm = level(m)
+        for other in sorted(avail):
+            if level(other) > lm:
+                return VerifyReport(
+                    False, 2, f"type {s} prefers message {other!r} over {m!r}", (s, other)
+                )
+"""
+
 MUTANTS = (
     # records: the frozen value types' base
     Mutant("records.eq_without_class_check", "if other.__class__ is self.__class__:", "if isinstance(other, Record):"),
@@ -85,12 +116,10 @@ MUTANTS = (
            "while len(hull) >= 2 and not not_right_turn(points[hull[-2]], points[hull[-1]], p):"),
     Mutant("rationals.hull_pops_once", "while len(hull) >= 2 and not_right_turn(", "if len(hull) >= 2 and not_right_turn("),
     Mutant("rationals.records_on_ties", "if levels[i] > top:", "if levels[i] >= top:"),
-    # piecewise: position lookups, validation and the envelope
-    Mutant("piecewise.piece_on_gap_reads_next", "return min(self._table.position(x) >> 1,",
-           "return min(self._table.position(x) + 1 >> 1,"),
-    Mutant("piecewise.piece_one_past_last", "return min(self._table.position(x) >> 1, len(self.breakpoints) - 1)",
-           "return self._table.position(x) >> 1"),
-    Mutant("piecewise.pl_eval_on_gap_reads_next", "i = g._table.position(x) >> 1", "i = g._table.position(x) + 1 >> 1"),
+    # piecewise: point lookups, validation and the envelope
+    Mutant("piecewise.piece_on_gap_reads_next", "return bisect_right(self.breakpoints, x) - 1",
+           "return bisect_right(self.breakpoints, x) - (x in self.breakpoints)"),
+    Mutant("piecewise.pl_eval_on_gap_reads_next", "i = bisect_right(g.xs, x) - 1", "i = bisect_right(g.xs, x) - (x in g.xs)"),
     Mutant("piecewise.breakpoints_non_strict", "if not an * bd < bn * ad:", "if not an * bd <= bn * ad:"),
     Mutant("piecewise.vertex_x_non_strict", "if any(not an * bd < bn * ad for", "if any(not an * bd <= bn * ad for"),
     Mutant("piecewise.concavity_unchecked", "if any(map(not_right_turn, ints, ints[1:], ints[2:])):", "if False:"),
@@ -163,35 +192,17 @@ MUTANTS = (
            "top = list(at)"),
     Mutant("equilibrium.walk_on_right_records", "top, from_left, _ = game._hull_levels",
            "top, _, from_left = game._hull_levels"),
-    Mutant("equilibrium.split_edge_right_of_prior", "e = hull._table.position(p) >> 1", "e = (hull._table.position(p) >> 1) + 1"),
+    Mutant("equilibrium.split_edge_right_of_prior", "e = bisect_right(hull.xs, p) - 1", "e = bisect_right(hull.xs, p)"),
     Mutant("equilibrium.posterior_belief_skeptical", "        beliefs[m] = s\n", ""),
     Mutant("equilibrium.value_identity_unchecked", "if total != eq.value:", "if False:"),
     Mutant("equilibrium.hull_check_dropped", "if not (ln * bd <= bn * ld and bn * hd <= hn * bd):", "if False:"),
     Mutant("equilibrium.hull_sup_strict", "bn * hd <= hn * bd", "bn * hd < hn * bd"),
-    Mutant("equilibrium.condition_two_and_identity_deleted",
-           """    # (2) sequentially rational communication; each message's payoff is
-    # evaluated once, however many signal points may send it
-    payoff = cache(lambda name: step_eval(game.payoff, _belief_of(game, beliefs, name)))
-    for s in eq.signal.support:
-        m = eq.messaging[s]
-        avail = messages_at(game.structure, s)
-        if m not in avail:
-            return VerifyReport(False, 2, f"type {s} sends unavailable message {m!r}", (s, m))
-        vm = payoff(m)
-        for other in sorted(avail):
-            if payoff(other) > vm:
-                return VerifyReport(
-                    False, 2, f"type {s} prefers message {other!r} over {m!r}", (s, other)
-                )
-
-    # (3) consistent receiver beliefs; the convex hulls are checked above
-    for name, b in beliefs.items():
-        if name.startswith(IDENTITY_PREFIX) and b != min_inverse(game.structure, name):
-            return VerifyReport(False, 3, f"identity belief {name!r} must equal its type", (name, b))
-""",
-           "    # (3) consistent receiver beliefs; the convex hulls are checked above\n"),
+    Mutant("equilibrium.condition_two_and_identity_deleted", _IDENTITY_TEST + _CONDITION_ONE + _CONDITION_TWO, _CONDITION_ONE),
+    Mutant("equilibrium.identity_test_after_communication", _IDENTITY_TEST + _CONDITION_ONE + _CONDITION_TWO,
+           _CONDITION_ONE + _CONDITION_TWO + _IDENTITY_TEST),
     Mutant("equilibrium.unavailable_message_accepted", "if m not in avail:", "if False:"),
-    Mutant("equilibrium.better_message_ignored", "if payoff(other) > vm:", "if False:"),
+    Mutant("equilibrium.better_message_ignored", "if level(other) > lm:", "if False:"),
+    Mutant("equilibrium.better_message_weak", "if level(other) > lm:", "if level(other) >= lm:"),
     Mutant("equilibrium.identity_belief_name_unchecked", "                min_inverse(game.structure, name)\n            except",
            "                game.structure.full_verifiability or min_inverse(game.structure, name)\n            except"),
     Mutant("equilibrium.unknown_belief_name_accepted", "elif name not in game.structure._hulls:", "elif False:"),
@@ -220,6 +231,7 @@ MUTANTS = (
     Mutant("grid.line_feasibility_strict", "if lo[0] * hi[1] > hi[0] * lo[1]:", "if lo[0] * hi[1] >= hi[0] * lo[1]:"),
     Mutant("grid.line_tie_dropped", "if lo[0] * hi[1] == hi[0] * lo[1]:", "if False:"),
     Mutant("grid.line_accepts_above", "if lo[0] * hi[1] == hi[0] * lo[1]:", "if True:"),
+    Mutant("grid.above_detail_ignores_open_ends", "exact = all(end & 1 for _, end, _, _ in game.structure._spans)", "exact = True"),
     # oracle: the exhaustive search
     Mutant("oracle.search_gate_bypassed", "if verify_equilibrium(game, eq).ok:", "if True:"),
     Mutant("oracle.condition_two_weak", "if v_grid[r] < v_grid[s]:", "if v_grid[r] <= v_grid[s]:"),
@@ -287,7 +299,7 @@ MUTANTS = (
            'len(part.strip().lstrip("+-")) >= MAX_RATIONAL_DIGITS'),
     Mutant("gamefile.undecodable_file_unrefused",
            "    except (ValueError, RecursionError) as exc:  # not UTF-8, an integer over Python's digit limit, nesting too deep\n"
-           "        raise GameFileError(f\"parse error in {path}: {exc}\") from exc\n", ""),
+           "        raise GameFileError(f\"{path}: {exc}\") from exc\n", ""),
     Mutant("gamefile.support_index_off_by_one", 'exc.where = f".support[{len(ivs)}]{exc.where}"',
            'exc.where = f".support[{len(ivs) + 1}]{exc.where}"'),
 )
