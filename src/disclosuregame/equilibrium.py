@@ -18,10 +18,11 @@ an independent grid oracle.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import namedtuple
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import accumulate, compress
-from typing import Mapping, NamedTuple, Optional
 
 from .errors import DomainError, PreconditionError, UnknownMessageError
 from .piecewise import (
@@ -200,21 +201,20 @@ class Equilibrium(Record):
 
 
 class PnbpVerdict(Record):
-    def __init__(self, holds: bool, witness: Optional[str] = None) -> None:
+    def __init__(self, holds: bool, witness: str | None = None) -> None:
         self._store(holds, witness)
 
     def __bool__(self):
         return self.holds
 
 
-class ValueResult(NamedTuple):
-    value: Fraction
-    tag: str  # "unique" | "sender_preferred"
+# value: a Fraction; tag: "unique" | "sender_preferred"
+ValueResult = namedtuple("ValueResult", "value tag")
 
 
 class VerifyReport(Record):
     # condition: 1 info acquisition, 2 communication, 3 beliefs
-    def __init__(self, ok: bool, condition: Optional[int] = None, detail: str = "", witness: object = None) -> None:
+    def __init__(self, ok: bool, condition: int | None = None, detail: str = "", witness: object = None) -> None:
         self._store(ok, condition, detail, witness)
 
 

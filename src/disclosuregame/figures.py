@@ -13,8 +13,8 @@ decimals when written, so output is byte-for-byte deterministic.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
 from .equilibrium import Equilibrium, GameSpec, _belief_of, value_hull
 from .piecewise import step_eval

@@ -36,8 +36,8 @@ them.  The exhaustive search (oracle) runs on the same grid.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping, Optional
 
 from .equilibrium import GameSpec, Signal, VerifyReport
 from .rationals import ONE, Coordinates
@@ -109,7 +109,7 @@ def _interim_values(game: GameSpec, beliefs: Mapping[str, Fraction]) -> list[int
     return w
 
 
-def _supporting_line(game: GameSpec, beliefs: Mapping[str, Fraction], value: Fraction) -> Optional[VerifyReport]:
+def _supporting_line(game: GameSpec, beliefs: Mapping[str, Fraction], value: Fraction) -> VerifyReport | None:
     """Condition (1) of verify_equilibrium: None iff a line through (p, value) lies weakly above w and touches it.
 
     Else the failing report.  verify has put every belief in its message's hull.

@@ -24,9 +24,9 @@ the structure's table, support hulls and minima, and verifiability.messages_at.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
 
 from .errors import DomainError, OracleSizeError
 from .equilibrium import (

@@ -17,9 +17,9 @@ Conventions, fixed once for the whole toolkit:
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator
 
 from .errors import DomainError
 from .rationals import ONE, ZERO, as_fraction, in_unit_interval, not_right_turn, upper_hull

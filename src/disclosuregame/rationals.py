@@ -6,11 +6,13 @@ key, and exact tests can run on those two ints, which is much cheaper than
 Fraction's own hash, comparisons and arithmetic.
 """
 
+from __future__ import annotations
+
 from bisect import bisect_left
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, inf
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -98,7 +100,7 @@ class Coordinates:
 
     __slots__ = ("pairs", "keys", "rank", "marked", "_points")
 
-    def __init__(self, points: Mapping[tuple[int, int], Optional[Fraction]]):
+    def __init__(self, points: Mapping[tuple[int, int], Fraction | None]):
         """points maps the canonical pair of each value in [0,1] to its Fraction, or to None."""
         self._fill([(n / d, (n, d), True, q) for (n, d), q in points.items()])
 
@@ -112,7 +114,7 @@ class Coordinates:
         ])
         return table
 
-    def _fill(self, entries: list[tuple[float, tuple[int, int], bool, Optional[Fraction]]]) -> None:
+    def _fill(self, entries: list[tuple[float, tuple[int, int], bool, Fraction | None]]) -> None:
         """Set the table from (float, pair, marked, Fraction or None) entries with distinct pairs; ties of floats sort exactly."""
         entries.sort()  # pairs are distinct, so no comparison reaches the values
         if len(set(map(itemgetter(0), entries))) < len(entries):

@@ -19,9 +19,9 @@ available at s (the endpoint sweep), are int comparisons on table ranks.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
 
 from .errors import ConstructionError, DomainError, PreconditionError, UnknownMessageError
 from .piecewise import StepFunction

@@ -486,7 +486,7 @@ RUN_AND_LIST_IMPORTS = (
     "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
     "    code = main(sys.argv[1:])\n"
     "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('disclosuregame.')),\n"
-    "                  [m for m in ('dataclasses', 'inspect') if m in sys.modules]]))\n"
+    "                  [m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules]]))\n"
 )
 
 
@@ -495,6 +495,8 @@ class TestImportSets:
 
     No subcommand imports dataclasses or inspect (with ast, dis and tokenize,
     about 12 ms of a start): the value types are records.Record subclasses.
+    Nor typing: annotations are never evaluated, and name collections.abc
+    types.
     """
 
     @staticmethod

@@ -67,9 +67,9 @@ def cases() -> dict:
         (Equilibrium, [("signal", "Signal"), ("messaging", "Mapping[Fraction, str]"), ("beliefs", "Mapping[str, Fraction]"),
                        ("value", "Fraction")],
          (eq.signal, eq.messaging, eq.beliefs, eq.value), (eq.signal, eq.messaging, eq.beliefs, F(1)), {"value": F(0)}),
-        (PnbpVerdict, [("holds", "bool"), ("witness", "Optional[str]", None)],
+        (PnbpVerdict, [("holds", "bool"), ("witness", "str | None", None)],
          (True, "m_1"), (False,), {"witness": "m_0"}),
-        (VerifyReport, [("ok", "bool"), ("condition", "Optional[int]", None), ("detail", "str", ""), ("witness", "object", None)],
+        (VerifyReport, [("ok", "bool"), ("condition", "int | None", None), ("detail", "str", ""), ("witness", "object", None)],
          (True,), (False, 2, "type 0 prefers 'm_1'", (F(0), "m_1")), {"detail": "x"}),
         (StepFunction, [("breakpoints", "tuple[Fraction, ...]"), ("values", "tuple[Fraction, ...]")],
          ((F(0), F(1, 2), F(3, 4)), (F(0), F(1), F(1))), ((F(0), F(1, 4)), (F(0), F(2))), {"values": (F(1), F(2))}),

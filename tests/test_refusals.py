@@ -8,6 +8,7 @@ the CLI, which exits with code 2; so moving a check cannot drop it silently.
 """
 
 import json
+import pathlib
 import re
 from fractions import Fraction as F
 from functools import cache
@@ -200,6 +201,95 @@ def test_cli_refuses_undecodable_files_with_exit_two(kind, command, tmp_path, ca
     assert main(SUBCOMMANDS[command](str(path))) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(f"parse error: {path}: ")
+
+
+# the input contract: every object holds only the keys gamefile.FIELDS lists
+# for it, each at most once; these are fixtures/three_action.json with one edit
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+THREE_ACTION = (FIXTURES / "three_action.json").read_text()
+UNKNOWN_KEYS = {
+    "interval": (('"hi_closed": true\n          }\n        ]\n      }\n    ]', '"hi_close": true\n          }\n        ]\n      }\n    ]'),
+                 "structure.messages[1].support[0]: unknown key 'hi_close'"),
+    "message": (('"name": "m_L"', '"nme": "m_L"'), "structure.messages[0]: unknown key 'nme'"),
+    "structure": (('"full_verifiability": false', '"full_verifiabilty": true'), "structure: unknown key 'full_verifiabilty'"),
+    "payoff": (('"values"', '"value"'), "payoff: unknown key 'value'"),
+    "game": (('"prior": "1/3"', '"prior": "1/3", "note": "drawn by hand"'), "game: unknown key 'note'"),
+}
+REPEATED_KEYS = {
+    "prior": ('"prior": "1/3"', '"prior": "1/3", "prior": "9/10"'),
+    "hi_closed": ('"hi_closed": true', '"hi_closed": true, "hi_closed": false'),
+}
+
+
+def _edited(tmp_path, old_new, text=THREE_ACTION) -> str:
+    old, new = old_new
+    assert old in text
+    path = tmp_path / "edited.json"
+    path.write_text(text.replace(old, new, 1))
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", UNKNOWN_KEYS)
+def test_unknown_key_is_refused_with_its_path(kind, tmp_path, capsys):
+    edit, message = UNKNOWN_KEYS[kind]
+    path = _edited(tmp_path, edit)
+    with pytest.raises(GameFileError) as err:
+        load_game(path)
+    assert str(err.value) == message
+    assert main(["solve", "--json", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"parse error: {message}\n"
+    with pytest.raises(GameFileError, match=f"^{re.escape(message)}$"):
+        game_from_obj(json.loads(pathlib.Path(path).read_text()))
+
+
+@pytest.mark.parametrize("key", REPEATED_KEYS)
+def test_repeated_key_is_refused(key, tmp_path, capsys):
+    path = _edited(tmp_path, REPEATED_KEYS[key])
+    for load in (load_game, load_structure):
+        with pytest.raises(GameFileError, match=f"^{re.escape(path)}: repeated key '{key}'$"):
+            load(path)
+    assert main(["solve", "--json", path]) == 2
+    assert capsys.readouterr().err == f"parse error: {path}: repeated key '{key}'\n"
+
+
+STRUCTURE_EDITS = {
+    "hi_close": (('"hi_closed": true\n        }\n      ]\n    }\n  ]', '"hi_close": true\n        }\n      ]\n    }\n  ]'),
+                 "structure.messages[1].support[0]: unknown key 'hi_close'"),
+    "full_verifiabilty": (('"full_verifiability": false', '"full_verifiabilty": true'), "structure: unknown key 'full_verifiabilty'"),
+    "repeated": (('"full_verifiability": false', '"full_verifiability": false, "full_verifiability": true'),
+                 "repeated key 'full_verifiability'"),
+    "top_level": (('"full_verifiability": false', '"full_verifiability": false, "prior": "1/3"'), "structure: unknown key 'prior'"),
+}
+STRUCTURE_COMMANDS = {
+    "compare": lambda path: ["compare", path, str(FIXTURES / "cheap_talk.json")],
+    "optimal": lambda path: ["optimal", path, "--sender"],
+    "witness": lambda path: ["witness", str(FIXTURES / "thresholds_half.json"), path],
+}
+
+
+@pytest.mark.parametrize("edit", STRUCTURE_EDITS)
+@pytest.mark.parametrize("command", STRUCTURE_COMMANDS)
+def test_structure_file_edits_are_refused(edit, command, tmp_path, capsys):
+    old_new, message = STRUCTURE_EDITS[edit]
+    text = json.dumps(json.loads(THREE_ACTION)["structure"], indent=2)
+    path = _edited(tmp_path, old_new, text)
+    assert main(STRUCTURE_COMMANDS[command](path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("parse error: ") and captured.err.endswith(f"{message}\n")
+
+
+def test_structure_commands_read_a_game_file_whole(tmp_path, capsys):
+    # a game file given where a structure is read is read as a game, so a
+    # key of its payoff, which the structure does not use, is checked too
+    assert load_structure(str(FIXTURES / "three_action.json")) == load_game(str(FIXTURES / "three_action.json")).structure
+    non_decreasing = (('"3"\n    ]', '"1/2"\n    ]'), "game: payoff function must be non-decreasing")
+    for edit, message in (UNKNOWN_KEYS["game"], UNKNOWN_KEYS["payoff"], UNKNOWN_KEYS["interval"], non_decreasing):
+        path = _edited(tmp_path, edit)
+        with pytest.raises(GameFileError, match=f"^{re.escape(message)}$"):
+            load_structure(path)
+        assert main(["optimal", path, "--receiver"]) == 2
+        assert capsys.readouterr().err == f"parse error: {message}\n"
 
 
 def test_prior_outside_unit_interval_with_a_structure_error_reports_the_structure():

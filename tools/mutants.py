@@ -290,7 +290,7 @@ MUTANTS = (
     # cli: each call's parser gives arguments to the invoked subcommand, or to every one
     Mutant("cli.invoked_gets_no_arguments", "if every or name == command:", "if every or name != command:"),
     Mutant("cli.no_fallback_for_non_command", "if every or name == command:", "if name == command:"),
-    # gamefile: the per-file reader and field paths
+    # gamefile: the per-file reader, the walker and its field paths
     Mutant("gamefile.memo_takes_bools", "if isinstance(obj, str):\n            pair = memo.get(obj)",
            "if isinstance(obj, (str, int)):\n            pair = memo.get(obj)"),
     Mutant("gamefile.no_memo", "pair = memo.get(obj)", "pair = None"),
@@ -298,10 +298,12 @@ MUTANTS = (
     Mutant("gamefile.digit_cap_inclusive", 'len(part.strip().lstrip("+-")) > MAX_RATIONAL_DIGITS',
            'len(part.strip().lstrip("+-")) >= MAX_RATIONAL_DIGITS'),
     Mutant("gamefile.undecodable_file_unrefused",
-           "    except (ValueError, RecursionError) as exc:  # not UTF-8, an integer over Python's digit limit, nesting too deep\n"
+           "    except (ValueError, RecursionError) as exc:  # not UTF-8, a repeated key, an integer over Python's digit limit, nesting too deep\n"
            "        raise GameFileError(f\"{path}: {exc}\") from exc\n", ""),
-    Mutant("gamefile.support_index_off_by_one", 'exc.where = f".support[{len(ivs)}]{exc.where}"',
-           'exc.where = f".support[{len(ivs) + 1}]{exc.where}"'),
+    Mutant("gamefile.support_index_off_by_one", 'exc.args = (f".{field}[{len(done)}]{exc}",)',
+           'exc.args = (f".{field}[{len(done) + 1}]{exc}",)'),
+    Mutant("gamefile.unknown_key_accepted", "if not keys.issuperset(obj):", "if False:"),
+    Mutant("gamefile.repeated_key_accepted", "json.load(fh, object_pairs_hook=_unique)", "json.load(fh)"),
 )
 
 
