@@ -53,9 +53,12 @@ def build_parser(command=None) -> argparse.ArgumentParser:
 
     argparse reads a command line's arguments with the one subparser it
     names, so a parser built for ``argv[0]`` parses ``argv`` as the full
-    parser does, with the same usage, help and errors.  When ``command``
-    names no subcommand (None, an option, a typo), every subcommand gets its
-    arguments.
+    parser does, with the same usage, help and errors.  Every other
+    subparser is only listed, by the top-level usage, help and invalid-choice
+    error, and none of them prints it, so it gets neither arguments nor a
+    ``-h`` action.  When ``command`` names no subcommand (None, an option, a
+    typo), every subcommand gets its arguments and its ``-h``.  The top-level
+    ``-h`` stays: its ``[-h]`` is part of the usage that errors print.
     """
     parser = argparse.ArgumentParser(
         prog="disclosuregame",
@@ -64,8 +67,9 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     every = command not in SUBCOMMANDS
     for name, (help_text, add_arguments) in SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        if every or name == command:
+        runs = every or name == command
+        p = sub.add_parser(name, help=help_text, add_help=runs)
+        if runs:
             add_arguments(p)
     return parser
 

@@ -60,7 +60,8 @@ class GameSpec(Record):
     @cached_property
     def _table(self) -> Coordinates:
         """The game's coordinate table: the structure's (0, 1 and the support endpoints, marked), the payoff's breakpoints and the prior."""
-        return self.structure._table.widened((*self.payoff.breakpoints, self.prior))
+        p = self.prior
+        return self.structure._table.widened((*self.payoff.breakpoint_pairs, (p.numerator, p.denominator)))
 
     @cached_property
     def _to_game(self) -> list[int]:
@@ -83,7 +84,7 @@ class GameSpec(Record):
         """
         table = self._table
         n, rank = len(table.pairs), table.rank
-        breaks = [rank[b.numerator, b.denominator] for b in self.payoff.breakpoints]
+        breaks = list(map(rank.__getitem__, self.payoff.breakpoint_pairs))
         piece = [0] * n
         for k, (lo, hi) in enumerate(zip(breaks, [*breaks[1:], n])):
             piece[lo:hi] = [k] * (hi - lo)
@@ -147,11 +148,10 @@ class GameSpec(Record):
 
     @cached_property
     def _value_hull(self) -> ConcavePL:
-        table, vals = self._table, self.payoff.values
+        table, vals, levels = self._table, self.payoff.values, self.payoff.value_pairs
         top, from_left, from_right = self._hull_levels
         # candidates come in rank order, distinct: the hull scan needs no sort
         ranks = [i for i, (a, b) in enumerate(zip(from_left, from_right)) if a or b]
-        levels = [(v.numerator, v.denominator) for v in vals]
         hull = upper_hull([(*table.pairs[i], *levels[top[i]]) for i in ranks])
         return ConcavePL(tuple((table.point(ranks[h]), vals[top[ranks[h]]]) for h in hull))
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .equilibrium import Equilibrium, GameSpec, _belief_of, value_hull
 from .piecewise import step_eval
-from .rationals import ZERO, Coordinates, format_rational
+from .rationals import ZERO, Coordinates, format_pair
 
 
 WIDTH = 720
@@ -43,8 +43,8 @@ def _x_pixels(table: Coordinates) -> list[str]:
     return [_fmt(PLOT_LEFT + key * (PLOT_RIGHT - PLOT_LEFT)) for key in table.keys]
 
 
-def _y_pixels(game: GameSpec, eq: Equilibrium) -> Callable[[Fraction], str]:
-    """The y pixel string of a value: y spans every value drawn, 0 and the equilibrium value, padded.
+def _y_pixels(game: GameSpec, eq: Equilibrium) -> Callable[[int, int], str]:
+    """The y pixel string of a value, from its canonical pair: y spans every value drawn, 0 and the equilibrium value, padded.
 
     Every value drawn is a payoff value: v∘g takes v's values, and so do the
     envelope's vertices.  The payoff's values strictly increase, so its first
@@ -61,8 +61,7 @@ def _y_pixels(game: GameSpec, eq: Equilibrium) -> Callable[[Fraction], str]:
     ln, ld, hd = y_lo.numerator, y_lo.denominator, y_hi.denominator
     span = y_hi.numerator * ld - ln * hd
 
-    def y(v: Fraction) -> str:
-        vn, vd = v.numerator, v.denominator
+    def y(vn: int, vd: int) -> str:
         t = (vn * ld - ln * vd) * hd / (vd * span)
         return _fmt(PLOT_BOTTOM - t * (PLOT_BOTTOM - PLOT_TOP))
 
@@ -70,12 +69,22 @@ def _y_pixels(game: GameSpec, eq: Equilibrium) -> Callable[[Fraction], str]:
 
 
 def render_game_svg(game: GameSpec, eq: Equilibrium) -> str:
-    """The figure; every x is a point of the game's table, drawn from one pixel string per rank."""
+    """The figure; every x is a point of the game's table, drawn from one pixel string per rank.
+
+    Ticks, value labels and payoff rows read the pairs that the table and
+    the payoff keep, and each layout number becomes a string once per
+    figure, not once per element.
+    """
     v, table = game.payoff, game._table
     hull = value_hull(game)
-    px, y = _x_pixels(table), _y_pixels(game, eq)
-    py = [y(val) for val in v.values]  # by payoff piece, which every level indexes
+    px, y_pair = _x_pixels(table), _y_pixels(game, eq)
+    py = [y_pair(*pair) for pair in v.value_pairs]  # by payoff piece, which every level indexes
     rank = table.rank
+    bottom, tick_end, tick_label, value_label, name_label = map(
+        str, (PLOT_BOTTOM, PLOT_BOTTOM + 4, PLOT_BOTTOM + 16, PLOT_LEFT - 8, PLOT_RIGHT + 10))
+
+    def y(q: Fraction) -> str:
+        return y_pair(q.numerator, q.denominator)
 
     def x(q: Fraction) -> str:
         """By rank: every x drawn is a point of the table, but for a posterior of a signal that solve did not find."""
@@ -100,16 +109,16 @@ def render_game_svg(game: GameSpec, eq: Equilibrium) -> str:
     ]
 
     # x ticks: breakpoints, 0, 1 and the prior
-    breaks = [rank[b.numerator, b.denominator] for b in v.breakpoints]
+    breaks = list(map(rank.__getitem__, v.breakpoint_pairs))
     for r in sorted({*breaks, len(px) - 1, rank[game.prior.numerator, game.prior.denominator]}):
-        parts.append(f'<line x1="{px[r]}" y1="{PLOT_BOTTOM}" x2="{px[r]}" y2="{PLOT_BOTTOM + 4}" stroke="black"/>')
+        parts.append(f'<line x1="{px[r]}" y1="{bottom}" x2="{px[r]}" y2="{tick_end}" stroke="black"/>')
         parts.append(
-            f'<text x="{px[r]}" y="{PLOT_BOTTOM + 16}" text-anchor="middle">{format_rational(table.point(r))}</text>'
+            f'<text x="{px[r]}" y="{tick_label}" text-anchor="middle">{format_pair(*table.pairs[r])}</text>'
         )
-    for yv, label in zip(py, v.values):  # strictly increasing
+    for yv, label in zip(py, v.value_pairs):  # strictly increasing
         parts.append(
-            f'<text x="{PLOT_LEFT - 8}" y="{yv}" text-anchor="end" dominant-baseline="middle">'
-            f"{format_rational(label)}</text>"
+            f'<text x="{value_label}" y="{yv}" text-anchor="end" dominant-baseline="middle">'
+            f"{format_pair(*label)}</text>"
         )
 
     # concave envelope of the adjusted payoff: gray chord
@@ -154,7 +163,7 @@ def render_game_svg(game: GameSpec, eq: Equilibrium) -> str:
     # message availability bars below the axis
     base = PLOT_BOTTOM + 44
     for i, (name, bars) in enumerate(rows):
-        y_row = base + i * ROW_HEIGHT
+        y_row = str(base + i * ROW_HEIGHT)
         if bars is None:
             parts.append(
                 f'<line x1="{px[0]}" y1="{y_row}" x2="{px[-1]}" y2="{y_row}" '
@@ -170,7 +179,7 @@ def render_game_svg(game: GameSpec, eq: Equilibrium) -> str:
                         f'stroke="black" stroke-width="2"/>'
                     )
         parts.append(
-            f'<text x="{PLOT_RIGHT + 10}" y="{y_row}" dominant-baseline="middle">{name}</text>'
+            f'<text x="{name_label}" y="{y_row}" dominant-baseline="middle">{name}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

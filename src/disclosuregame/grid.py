@@ -30,8 +30,9 @@ slots, in descending order of level, that writes each slot once
 (_supporting_line) and builds no hull; verify's condition (2), which runs
 after it, ranks each message by the piece table read at its belief's
 position.  So the grid test shares with the solver only the Coordinates table, and reads the game only through its
-fields and the pairs of the structure's support endpoints and the spans over
-them.  The exhaustive search (oracle) runs on the same grid.
+fields, the pairs its payoff keeps (StepFunction.breakpoint_pairs and
+value_pairs) and the pairs of the structure's support endpoints and the
+spans over them.  The exhaustive search (oracle) runs on the same grid.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ def _table_and_grid(game: GameSpec) -> tuple[Coordinates, tuple[tuple[int, int],
     """The oracle's own coordinate table, the critical grid on it, the payoff piece of every grid slot, and each support interval's slots.
 
     The table holds 0, 1, the prior, the payoff breakpoints and the support
-    endpoints, read off game.payoff, game.prior and the pairs of the
-    structure's endpoints (never the solver's table); the grid adds the
+    endpoints, read off game.prior, the payoff's breakpoint pairs and the
+    pairs of the structure's endpoints (never the solver's table); the grid adds the
     midpoint of each gap between them, so grid[i], a (numerator,
     denominator) pair not always in lowest terms, sits at table position i.
     Every breakpoint is a table point, and the first is 0, so piece k holds
@@ -58,14 +59,14 @@ def _table_and_grid(game: GameSpec) -> tuple[Coordinates, tuple[tuple[int, int],
     q in [0,1].  An interval [lo, hi] covers the slots from
     a = 2 rank(lo) up to b = 2 rank(hi), b + 1 when closed: (a, b, name).
     """
-    structure, p = game.structure, game.prior
+    structure, p, breaks = game.structure, game.prior, game.payoff.breakpoint_pairs
     ends = structure._table.pairs
-    table = Coordinates(dict.fromkeys([(p.numerator, p.denominator), *((b.numerator, b.denominator) for b in game.payoff.breakpoints), *ends]))
+    table = Coordinates(dict.fromkeys([(p.numerator, p.denominator), *breaks, *ends]))
     rank, pairs, grid = table.rank, table.pairs, []
     for (an, ad), (bn, bd) in zip(pairs, pairs[1:]):
         grid += (an, ad), (an * bd + bn * ad, 2 * ad * bd)  # a, (a + b) / 2
     grid.append(pairs[-1])
-    starts = [2 * rank[b.numerator, b.denominator] for b in game.payoff.breakpoints] + [len(grid)]
+    starts = [2 * rank[b] for b in breaks] + [len(grid)]
     piece = []
     for k, (a, b) in enumerate(zip(starts, starts[1:])):
         piece += [k] * (b - a)
@@ -149,7 +150,7 @@ def _supporting_line(game: GameSpec, beliefs: Mapping[str, Fraction], value: Fra
     k = 2 * table.rank[p.numerator, p.denominator]
     vn, vd, pn, pd = value.numerator, value.denominator, p.numerator, p.denominator
     # (v_l - v*) times v*_d v_ld, and v_ld, for each payoff level l
-    rise = [(y.numerator * vd - vn * y.denominator, y.denominator) for y in vals]
+    rise = [(yn * vd - vn * yd, yd) for yn, yd in game.payoff.value_pairs]
     at_p = rise[w[k]][0]
     if at_p > 0:
         return _below(value, vals[w[k]], Signal((p,), (ONE,)))

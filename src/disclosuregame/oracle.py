@@ -188,13 +188,13 @@ def exhaustive_equilibria(
     xs = [s.numerator * (scale // s.denominator) for s in grid]
     n, ip = len(grid), 2 * table.rank[p.numerator, p.denominator]
     P, l_p = xs[ip], v_grid[ip]
-    bps = [b.numerator * (scale // b.denominator) for b in v.breakpoints]
+    bps = [bn * (scale // bd) for bn, bd in v.breakpoint_pairs]
     # payoff levels: the payoff is non-decreasing with merged pieces, so its
     # values strictly increase and a piece's index ranks its value; the values
     # themselves, for sums, over the lcm of their denominators
-    vscale = lcm(*(y.denominator for y in v.values))
-    scaled = [y.numerator * (vscale // y.denominator) for y in v.values]
-    value_p = v.values[l_p].numerator, v.values[l_p].denominator  # v(p), the value of every one-level profile
+    vscale = lcm(*(yd for _, yd in v.value_pairs))
+    scaled = [yn * (vscale // yd) for yn, yd in v.value_pairs]
+    value_p = v.value_pairs[l_p]  # v(p), the value of every one-level profile
 
     # message sets as masks: bit o is names[o]; each slot's mask, and its messages in name order
     index = {name: k for k, name in enumerate(names)}

@@ -29,6 +29,18 @@ Point = tuple[Fraction, Fraction]
 
 
 class StepFunction(Record):
+    """A non-empty step function on [0,1] in canonical form: adjacent pieces with equal values are merged.
+
+    Besides its two fields it keeps, after the merge, the canonical
+    (numerator, denominator) pairs of each: breakpoint_pairs[i] is that of
+    breakpoints[i] and value_pairs[i] that of values[i].  They are not
+    fields (eq, hash, repr and replace ignore them; replace derives them
+    again).  The int kernels that read a game's payoff read them in place of
+    the Fractions' properties: the game's table and level table, the hull
+    scan, the oracle's grid, the line test, the exhaustive search and the
+    figure.
+    """
+
     def __init__(self, breakpoints: tuple[Fraction, ...], values: tuple[Fraction, ...]) -> None:
         self._store(breakpoints, values)
 
@@ -37,12 +49,12 @@ class StepFunction(Record):
         vals = tuple(map(as_fraction, self.values))
         if len(bps) != len(vals) or not bps:
             raise ValueError("breakpoints and values must be non-empty and same length")
-        if bps[0].numerator != 0:
-            raise ValueError("first breakpoint must be 0")
         # every check, the merge and the monotonicity test run once, on the
         # canonical (numerator, denominator) pairs, with the positive
         # denominators cross-multiplied
         pairs = [(b.numerator, b.denominator) for b in bps]
+        if pairs[0][0] != 0:
+            raise ValueError("first breakpoint must be 0")
         for (an, ad), (bn, bd) in zip(pairs, pairs[1:]):
             if not an * bd < bn * ad:
                 raise ValueError("breakpoints must be strictly ascending")
@@ -51,9 +63,11 @@ class StepFunction(Record):
         # canonical form: merge adjacent pieces with equal values
         v_pairs = [(v.numerator, v.denominator) for v in vals]
         keep = [0, *(i for i in range(1, len(vals)) if v_pairs[i] != v_pairs[i - 1])]
-        kept = [v_pairs[i] for i in keep]
+        kept = tuple(v_pairs[i] for i in keep)
         set_field(self, "breakpoints", tuple(bps[i] for i in keep))
         set_field(self, "values", tuple(vals[i] for i in keep))
+        set_field(self, "breakpoint_pairs", tuple(pairs[i] for i in keep))
+        set_field(self, "value_pairs", kept)
         set_field(self, "_non_decreasing", all(an * bd <= bn * ad for (an, ad), (bn, bd) in zip(kept, kept[1:])))
 
     def __call__(self, x: Fraction) -> Fraction:

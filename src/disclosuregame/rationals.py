@@ -104,13 +104,17 @@ class Coordinates:
         """points maps the canonical pair of each value in [0,1] to its Fraction, or to None."""
         self._fill([(n / d, (n, d), True, q) for (n, d), q in points.items()])
 
-    def widened(self, others: Iterable[Fraction]) -> "Coordinates":
-        """A table of these points, marked as here, and of the values others, which are not marked."""
+    def widened(self, others: Iterable[tuple[int, int]]) -> "Coordinates":
+        """A table of these points, marked as here, and of the values whose canonical pairs are others, which are not marked.
+
+        The callers hold the others' pairs already (a StepFunction keeps its
+        breakpoints'), so no Fraction property is read here; a new point's
+        Fraction is built on first use.
+        """
         rank, table = self.rank, _new(Coordinates)
-        extra = {(q.numerator, q.denominator): q for q in others}
         table._fill([
             *zip(self.keys, self.pairs, self.marked, self._points),
-            *((n / d, (n, d), False, q) for (n, d), q in extra.items() if (n, d) not in rank),
+            *((n / d, (n, d), False, None) for n, d in dict.fromkeys(others) if (n, d) not in rank),
         ])
         return table
 

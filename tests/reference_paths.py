@@ -630,7 +630,7 @@ def fraction_x_pixels(table) -> list[str]:
 
 
 def fraction_y_pixels(game: GameSpec, eq: Equilibrium):
-    """figures._y_pixels over the sorted set of every value drawn, each coordinate a Fraction converted by float()."""
+    """figures._y_pixels over the sorted set of every value drawn, each coordinate a Fraction converted by float(); y takes a value's pair."""
     ys = set(game.payoff.values) | set(skeptical_value(game).values)
     ys |= {y for _, y in value_hull(game).vertices} | {eq.value, ZERO}
     y_lo, y_hi = min(ys), max(ys)
@@ -639,8 +639,8 @@ def fraction_y_pixels(game: GameSpec, eq: Equilibrium):
     pad = (y_hi - y_lo) / 12
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
-    def y(v: Fraction) -> str:
-        t = (v - y_lo) / (y_hi - y_lo)
+    def y(n: int, d: int) -> str:
+        t = (Fraction(n, d) - y_lo) / (y_hi - y_lo)
         return _fmt(PLOT_BOTTOM - float(t) * (PLOT_BOTTOM - PLOT_TOP))
 
     return y

@@ -146,6 +146,17 @@ class TestSvg:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
+    def test_payoff_with_equal_adjacent_values_gives_the_golden_bytes(self, tmp_path, capsys):
+        # three_action's payoff with each piece cut in two: the cuts merge
+        # away, and the pairs the payoff keeps are those of the merged pieces,
+        # so solve --json --svg prints and draws the fixture's golden bytes
+        obj = json.loads(pathlib.Path(fx("three_action.json")).read_text())
+        obj["payoff"] = {"breakpoints": ["0", "1/5", "2/5", "3/5", "4/5", "9/10"], "values": ["0", "0", "1", "1", "3", "3"]}
+        svg = tmp_path / "split.svg"
+        assert main(["solve", _write(tmp_path, obj), "--json", "--svg", str(svg)]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "three_action.json").read_text()
+        assert svg.read_bytes() == (GOLDEN / "three_action.svg").read_bytes()
+
     def test_contains_expected_elements(self, tmp_path, capsys):
         out = tmp_path / "fig.svg"
         main(["solve", fx("fig2_more_verifiable.json"), "--svg", str(out)])

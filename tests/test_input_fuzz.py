@@ -7,7 +7,9 @@ not), a rational with 41 digits, a sign or a zero denominator, or an empty
 string.  Every subcommand must then return 0, 1 or 2 and raise nothing but
 SystemExit.  A renamed or repeated key must give 2 from every subcommand: a
 renamed key is one its object does not list, and each subcommand reads every
-object of the file it is given.
+object of the file it is given.  When `solve --json` gives 0, it answered the
+game the file holds: its JSON is that of the library's solve of the loaded
+game, and that equilibrium passes verify_equilibrium.
 """
 
 import contextlib
@@ -18,7 +20,9 @@ import tempfile
 
 from hypothesis import given, settings, strategies as st
 
+from disclosuregame import pnbp, solve, verify_equilibrium
 from disclosuregame.cli import main
+from disclosuregame.gamefile import equilibrium_to_obj, load_game
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 FILES = {path.name: json.loads(path.read_text()) for path in sorted(FIXTURES.glob("*.json"))}
@@ -99,13 +103,15 @@ def key_edit(kind: str, data):
     return edit
 
 
-def run(argv: list) -> int:
+def run(argv: list) -> tuple:
+    """(exit code, standard output)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            return main(argv)
+            code = main(argv)
         except SystemExit as exc:  # the one exception a subcommand may raise
-            return exc.code
+            code = exc.code
+    return code, out.getvalue()
 
 
 @settings(max_examples=250, deadline=None)
@@ -126,7 +132,13 @@ def test_edited_fixtures_exit_zero_one_or_two(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = str(pathlib.Path(tmp) / name)
         pathlib.Path(path).write_text(text)
-        codes = [run(command(path)) for command in COMMANDS]
+        (code, out), *others = [run(command(path)) for command in COMMANDS]
+        if code == 0:
+            game = load_game(path)
+            eq = solve(game)
+            assert json.loads(out) == equilibrium_to_obj(eq, pnbp(game).holds), text
+            assert verify_equilibrium(game, eq).ok, text
+    codes = [code, *(c for c, _ in others)]
     assert set(codes) <= {0, 1, 2}, codes
     parent = obj
     for key in at[:-1]:

@@ -11,9 +11,10 @@ from functools import cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from disclosuregame import ConcavePL, DomainError, StepFunction, cav, pl_eval, step_eval
+from disclosuregame import ConcavePL, DomainError, GameSpec, StepFunction, cav, pl_eval, skeptical_value, step_eval
+from disclosuregame.gamefile import game_from_obj, game_to_obj
 
-from genutil import rand_payoff
+from genutil import rand_payoff, rand_point, rand_rich_structure
 from reference_paths import piece_ends
 import random
 
@@ -225,3 +226,50 @@ class TestEnvelopeProperties:
         pts = piece_ends(f)
         for x in grid_of(f):
             assert pl_eval(g, x) == brute_split_value(pts, x)
+
+
+def canonical_pairs(qs) -> tuple:
+    return tuple((q.numerator, q.denominator) for q in qs)
+
+
+def assert_pairs_carried(f: StepFunction) -> None:
+    assert f.breakpoint_pairs == canonical_pairs(f.breakpoints)
+    assert f.value_pairs == canonical_pairs(f.values)
+
+
+# a step function drawn with adjacent equal values, so that the merge drops pieces
+@st.composite
+def step_functions(draw):
+    denom = draw(st.sampled_from((2, 6, 24, 997)))
+    cuts = draw(st.lists(st.integers(1, denom - 1), max_size=7, unique=True))
+    bps = (F(0), *sorted(F(c, denom) for c in cuts))
+    vals = draw(st.lists(st.integers(-3, 3), min_size=len(bps), max_size=len(bps)))
+    vals = tuple(F(sum(vals[: i + 1]) if draw(st.booleans()) else vals[i], draw(st.sampled_from((1, 3)))) for i in range(len(bps)))
+    return StepFunction(bps, vals)
+
+
+class TestCarriedPairs:
+    """A step function keeps the canonical pairs of its merged breakpoints and values, however it was built."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(step_functions())
+    def test_library_built_and_replaced(self, f):
+        assert_pairs_carried(f)
+        assert_pairs_carried(f.replace(values=tuple(reversed(f.values))))
+        if len(f.breakpoints) > 1:
+            assert_pairs_carried(f.replace(breakpoints=(F(0), *(b / 2 for b in f.breakpoints[1:]))))
+
+    def test_merge_drops_the_pairs_of_merged_pieces(self):
+        f = StepFunction((0, F(1, 4), F(1, 2), F(3, 4)), (0, F(2, 4), F(1, 2), 1))
+        assert f.breakpoint_pairs == ((0, 1), (1, 4), (3, 4))
+        assert f.value_pairs == ((0, 1), (1, 2), (1, 1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_loaded_and_skeptical(self, rng):
+        game = GameSpec(rand_payoff(rng), rand_point(rng), rand_rich_structure(rng))
+        loaded = game_from_obj(game_to_obj(game))
+        assert_pairs_carried(loaded.payoff)
+        assert (loaded.payoff.breakpoint_pairs, loaded.payoff.value_pairs) == (game.payoff.breakpoint_pairs, game.payoff.value_pairs)
+        assert_pairs_carried(skeptical_value(game))
+        assert_pairs_carried(skeptical_value(loaded))

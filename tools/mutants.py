@@ -129,6 +129,7 @@ MUTANTS = (
            "all(an * bd < bn * ad for (an, ad), (bn, bd) in zip(kept,",
            "adjacent values are merged when equal, so consecutive values differ and <= is <"),
     Mutant("piecewise.equal_pieces_not_merged", "if v_pairs[i] != v_pairs[i - 1])", "if True)"),
+    Mutant("piecewise.pairs_before_merge", 'set_field(self, "value_pairs", kept)', 'set_field(self, "value_pairs", tuple(v_pairs))'),
     Mutant("piecewise.hull_keeps_first_duplicate", "if key not in best or y > best[key][1]:",
            "if key not in best:"),
     Mutant("piecewise.candidates_drop_right_ends", "pts.append((hi, v))", "pass"),
@@ -154,8 +155,8 @@ MUTANTS = (
     Mutant("rationals.position_ignores_float_ties", "while keys[i] == f and pairs[i][0] * d < n * pairs[i][1]:",
            "while False:"),
     Mutant("rationals.table_sort_on_float_only", "if len(set(map(itemgetter(0), entries))) < len(entries):", "if False:"),
-    Mutant("rationals.widened_table_marks_every_point", "((n / d, (n, d), False, q) for (n, d), q in extra.items()",
-           "((n / d, (n, d), True, q) for (n, d), q in extra.items()"),
+    Mutant("rationals.widened_table_marks_every_point", "((n / d, (n, d), False, None) for n, d in dict.fromkeys(others)",
+           "((n / d, (n, d), True, None) for n, d in dict.fromkeys(others)"),
     Mutant("verifiability.coverage_unchecked",
            'raise ConstructionError("message supports must cover all of [0,1]")', "return 0"),
     Mutant("verifiability.touching_not_merged", "if runs and start <= runs[-1][1]:", "if runs and start < runs[-1][1]:"),
@@ -211,9 +212,7 @@ MUTANTS = (
     Mutant("equilibrium.bayes_unchecked", "if imbalance != 0:", "if False:"),
     # grid: the critical grid and the interim values
     Mutant("grid.midpoint_drops_factor_two", "(an * bd + bn * ad, 2 * ad * bd)", "(an * bd + bn * ad, ad * bd)"),
-    Mutant("grid.piece_table_off_by_one",
-           "starts = [2 * rank[b.numerator, b.denominator] for b in game.payoff.breakpoints]",
-           "starts = [2 * rank[b.numerator, b.denominator] + 1 for b in game.payoff.breakpoints]"),
+    Mutant("grid.piece_table_off_by_one", "starts = [2 * rank[b] for b in breaks]", "starts = [2 * rank[b] + 1 for b in breaks]"),
     Mutant("grid.piece_table_run_longer", "piece += [k] * (b - a)", "piece += [k] * (b - a + 1)"),
     Mutant("grid.off_grid_level_low", "sorted([(piece[position(beliefs[name])], a, b)",
            "sorted([(piece[(pos := position(beliefs[name]))] - pos % 2, a, b)"),
@@ -287,9 +286,11 @@ MUTANTS = (
            "from .errors import GameFileError, OracleSizeError, PreconditionError\nfrom .figures import render_game_svg\n"),
     Mutant("gamefile.comparative_imported_at_start", "from .equilibrium import Equilibrium, GameSpec\n",
            "from .comparative import OrderVerdict\nfrom .equilibrium import Equilibrium, GameSpec\n"),
-    # cli: each call's parser gives arguments to the invoked subcommand, or to every one
-    Mutant("cli.invoked_gets_no_arguments", "if every or name == command:", "if every or name != command:"),
-    Mutant("cli.no_fallback_for_non_command", "if every or name == command:", "if name == command:"),
+    # cli: each call's parser gives arguments and -h to the invoked subcommand, or to every one
+    Mutant("cli.invoked_gets_no_arguments", "        if runs:\n            add_arguments(p)",
+           "        if every or name != command:\n            add_arguments(p)"),
+    Mutant("cli.no_fallback_for_non_command", "runs = every or name == command", "runs = name == command"),
+    Mutant("cli.invoked_subparser_without_help", "add_help=runs)", "add_help=every)"),
     # gamefile: the per-file reader, the walker and its field paths
     Mutant("gamefile.memo_takes_bools", "if isinstance(obj, str):\n            pair = memo.get(obj)",
            "if isinstance(obj, (str, int)):\n            pair = memo.get(obj)"),
