@@ -31,10 +31,7 @@ ORACLE_CEILINGS = {"max_messages": 8, "max_grid": 81}
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = build_parser(argv[0] if argv else None)
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except GameFileError as exc:
@@ -48,30 +45,43 @@ def main(argv=None) -> int:
         return 2
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """A new parser with every subcommand's name and help, and ``command``'s arguments.
+def build_parser() -> argparse.ArgumentParser:
+    """A new parser with every subcommand's name and help, whose subparsers are built when argparse runs them.
 
+    The top-level usage, ``-h`` and invalid-choice error print only the
+    subcommands' names and help lines, which the subparsers action holds.
     argparse reads a command line's arguments with the one subparser it
-    names, so a parser built for ``argv[0]`` parses ``argv`` as the full
-    parser does, with the same usage, help and errors.  Every other
-    subparser is only listed, by the top-level usage, help and invalid-choice
-    error, and none of them prints it, so it gets neither arguments nor a
-    ``-h`` action.  When ``command`` names no subcommand (None, an option, a
-    typo), every subcommand gets its arguments and its ``-h``.  The top-level
-    ``-h`` stays: its ``[-h]`` is part of the usage that errors print.
+    names, through its ``parse_known_args``, so each subcommand is a
+    _Subcommand that builds its ArgumentParser there: a call builds the
+    top-level parser and the invoked subcommand's, and a call that reaches
+    no subcommand (``-h``, no arguments, an unknown name) builds the first
+    only.  argparse's own code still prints every usage, help and error.
     """
     parser = argparse.ArgumentParser(
         prog="disclosuregame",
         description="Solve and compare covert information-acquisition-and-disclosure games.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    every = command not in SUBCOMMANDS
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
     for name, (help_text, add_arguments) in SUBCOMMANDS.items():
-        runs = every or name == command
-        p = sub.add_parser(name, help=help_text, add_help=runs)
-        if runs:
-            add_arguments(p)
+        sub.add_parser(name, help=help_text, arguments=add_arguments)
     return parser
+
+
+class _Subcommand:
+    """A subcommand's parser, built when argparse dispatches to it.
+
+    It keeps every keyword that add_parser passes (``prog``, and any that a
+    newer argparse adds) and builds the ArgumentParser from all of them.
+    """
+
+    def __init__(self, arguments, **kwargs):
+        self.arguments = arguments
+        self.kwargs = kwargs
+
+    def parse_known_args(self, args=None, namespace=None):
+        parser = argparse.ArgumentParser(**self.kwargs)
+        self.arguments(parser)
+        return parser.parse_known_args(args, namespace)
 
 
 def solve_arguments(p: argparse.ArgumentParser) -> None:

@@ -174,8 +174,8 @@ def structure_to_obj(structure: VerifStructure) -> dict:
     return {"full_verifiability": structure.full_verifiability, "messages": messages}
 
 
-def structure_from_obj(obj: object, path: str = "structure") -> VerifStructure:
-    return _below(path, _structure, obj, _reader(), {})
+def structure_from_obj(obj: object) -> VerifStructure:
+    return _below("structure", _structure, obj, _reader(), {})
 
 
 def _structure(obj: object, read: Reader, built: dict[Pair, Fraction]) -> VerifStructure:

@@ -1,10 +1,14 @@
 """Command-line interface: commands, exit codes, JSON round-trips, SVG output."""
 
+import argparse
+import contextlib
+import gc
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -428,10 +432,11 @@ SUBCOMMAND_HELP = {
 class TestParserSurface:
     """Usage, help and argument errors, byte for byte.
 
-    Each call builds its parser with every subcommand's name and help but only
-    the invoked subcommand's arguments, and every output here is the one a
-    parser with every subcommand's arguments prints.  argparse wraps help to
-    the terminal width, so COLUMNS is fixed.
+    Each call builds the top-level parser with every subcommand's name and
+    help, and builds a subcommand's parser, with its arguments, only when
+    argparse dispatches to it; every output here is the one a parser with
+    every subcommand's arguments prints.  argparse wraps help to the terminal
+    width, so COLUMNS is fixed.
     """
 
     @pytest.fixture(autouse=True)
@@ -486,6 +491,49 @@ class TestParserSurface:
         monkeypatch.setattr(sys, "argv", ["disclosuregame", "optimal", fx("receiver_optimal.json"), "--receiver"])
         assert main() == 0
         assert capsys.readouterr() == ("receiver-optimal: yes\n", "")
+
+
+class TestParsersBuilt:
+    """A call builds the top-level parser, and the invoked subcommand's when a subcommand is parsed; none outlives the call."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The prog of each ArgumentParser built since, and a weak set of them all."""
+        progs, parsers = [], weakref.WeakSet()
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            progs.append(self.prog)
+            parsers.add(self)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        return progs, parsers
+
+    @staticmethod
+    def call(argv, built) -> list:
+        with contextlib.suppress(SystemExit):
+            main(argv)
+        gc.collect()
+        progs, parsers = built
+        assert not parsers
+        return progs
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", fx("three_action.json"), "--json"],
+        ["compare", fx("thresholds_half.json"), fx("thresholds_half.json")],
+        ["optimal", fx("receiver_optimal.json"), "--receiver"],
+        ["oracle", fx("three_action.json")],
+        ["witness", fx("thresholds_three_quarters.json"), fx("thresholds_half.json")],
+        ["solve", "-h"],
+        ["compare", fx("thresholds_half.json")],
+    ])
+    def test_a_subcommand_line_builds_two(self, argv, built, capsys):
+        assert self.call(argv, built) == ["disclosuregame", f"disclosuregame {argv[0]}"]
+
+    @pytest.mark.parametrize("argv", [["-h"], [], ["bogus"], ["--foo"]])
+    def test_a_line_without_a_subcommand_builds_one(self, argv, built, capsys):
+        assert self.call(argv, built) == ["disclosuregame"]
 
 
 # one subcommand in a fresh interpreter, its output swallowed: prints its exit

@@ -10,6 +10,12 @@ renamed key is one its object does not list, and each subcommand reads every
 object of the file it is given.  When `solve --json` gives 0, it answered the
 game the file holds: its JSON is that of the library's solve of the loaded
 game, and that equilibrium passes verify_equilibrium.
+
+Few of those edits leave a game file valid, so a second fuzz makes only edits
+that do: it reorders or renames a game fixture's messages, repeats a
+message's support under a fresh name, moves the prior within [0,1] and maps
+the payoff's values by a positive affine map.  There `solve --json` must give
+0 on every example, with the same check of its answer.
 """
 
 import contextlib
@@ -17,12 +23,15 @@ import io
 import json
 import pathlib
 import tempfile
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from disclosuregame import pnbp, solve, verify_equilibrium
 from disclosuregame.cli import main
 from disclosuregame.gamefile import equilibrium_to_obj, load_game
+from disclosuregame.rationals import format_rational, parse_rational
+from disclosuregame.verifiability import IDENTITY_PREFIX
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 FILES = {path.name: json.loads(path.read_text()) for path in sorted(FIXTURES.glob("*.json"))}
@@ -34,6 +43,8 @@ COMMANDS = (
     lambda path: ["witness", path, path],
 )
 VALUES = (0, 1, -1, 1.5, True, False, None, "x", [], {}, [["0"]], {"lo": "0"})
+GAMES = sorted(name for name, obj in FILES.items() if "prior" in obj)
+NAMES = st.text(max_size=6).filter(lambda name: not name.startswith(IDENTITY_PREFIX))
 RATIONALS = ("1" + "0" * 40, "1/" + "3" * 41, "-1/2", "+1/3", "-0", "1/0", "0/0", "")
 
 
@@ -114,6 +125,14 @@ def run(argv: list) -> tuple:
     return code, out.getvalue()
 
 
+def answered(path: str, out: str, text: str) -> None:
+    """`solve --json`'s output on the file at path is the library's solve of the loaded game, which verifies."""
+    game = load_game(path)
+    eq = solve(game)
+    assert json.loads(out) == equilibrium_to_obj(eq, pnbp(game).holds), text
+    assert verify_equilibrium(game, eq).ok, text
+
+
 @settings(max_examples=250, deadline=None)
 @given(st.data())
 def test_edited_fixtures_exit_zero_one_or_two(data):
@@ -134,10 +153,7 @@ def test_edited_fixtures_exit_zero_one_or_two(data):
         pathlib.Path(path).write_text(text)
         (code, out), *others = [run(command(path)) for command in COMMANDS]
         if code == 0:
-            game = load_game(path)
-            eq = solve(game)
-            assert json.loads(out) == equilibrium_to_obj(eq, pnbp(game).holds), text
-            assert verify_equilibrium(game, eq).ok, text
+            answered(path, out, text)
     codes = [code, *(c for c, _ in others)]
     assert set(codes) <= {0, 1, 2}, codes
     parent = obj
@@ -145,3 +161,33 @@ def test_edited_fixtures_exit_zero_one_or_two(data):
         parent = parent[key]
     if kind in ("rename", "repeat") and isinstance(parent, dict):
         assert codes == [2] * len(COMMANDS), (text, codes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_valid_edits_of_a_game_solve(data):
+    name = data.draw(st.sampled_from(GAMES), label="fixture")
+    obj = FILES[name]
+    messages = obj["structure"]["messages"]
+    if messages and data.draw(st.booleans(), label="repeat a support"):
+        taken = {message["name"] for message in messages}
+        support = data.draw(st.sampled_from(messages))["support"]
+        messages = messages + [{"name": data.draw(NAMES.filter(lambda n: n not in taken)), "support": support}]
+    if data.draw(st.booleans(), label="rename"):
+        fresh = data.draw(st.lists(NAMES, min_size=len(messages), max_size=len(messages), unique=True))
+        messages = [dict(message, name=new) for message, new in zip(messages, fresh)]
+    obj = dict(obj, structure=dict(obj["structure"], messages=data.draw(st.permutations(messages), label="order")))
+    if data.draw(st.booleans(), label="move the prior"):
+        obj["prior"] = format_rational(data.draw(st.fractions(0, 1, max_denominator=24)))
+    if data.draw(st.booleans(), label="affine payoff"):
+        scale = data.draw(st.fractions(Fraction(1, 12), 12, max_denominator=12))
+        shift = data.draw(st.fractions(-12, 12, max_denominator=12))
+        values = [format_rational(scale * parse_rational(v) + shift) for v in obj["payoff"]["values"]]
+        obj["payoff"] = dict(obj["payoff"], values=values)
+    text = json.dumps(obj)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(pathlib.Path(tmp) / name)
+        pathlib.Path(path).write_text(text)
+        code, out = run(["solve", path, "--json"])
+        assert code == 0, text
+        answered(path, out, text)

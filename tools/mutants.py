@@ -286,11 +286,10 @@ MUTANTS = (
            "from .errors import GameFileError, OracleSizeError, PreconditionError\nfrom .figures import render_game_svg\n"),
     Mutant("gamefile.comparative_imported_at_start", "from .equilibrium import Equilibrium, GameSpec\n",
            "from .comparative import OrderVerdict\nfrom .equilibrium import Equilibrium, GameSpec\n"),
-    # cli: each call's parser gives arguments and -h to the invoked subcommand, or to every one
-    Mutant("cli.invoked_gets_no_arguments", "        if runs:\n            add_arguments(p)",
-           "        if every or name != command:\n            add_arguments(p)"),
-    Mutant("cli.no_fallback_for_non_command", "runs = every or name == command", "runs = name == command"),
-    Mutant("cli.invoked_subparser_without_help", "add_help=runs)", "add_help=every)"),
+    # cli: argparse builds the invoked subcommand's parser, from every keyword it passes and that subcommand's arguments
+    Mutant("cli.subcommand_gets_wrong_arguments", "arguments=add_arguments)", 'arguments=SUBCOMMANDS["compare"][1])'),
+    Mutant("cli.subcommand_drops_prog", "self.kwargs = kwargs",
+           'self.kwargs = {key: value for key, value in kwargs.items() if key != "prog"}'),
     # gamefile: the per-file reader, the walker and its field paths
     Mutant("gamefile.memo_takes_bools", "if isinstance(obj, str):\n            pair = memo.get(obj)",
            "if isinstance(obj, (str, int)):\n            pair = memo.get(obj)"),
