@@ -237,7 +237,7 @@ def _game(obj: object, read: Reader) -> GameSpec:
     if max(len(raw_b), len(raw_v)) > MAX_PAYOFF_PIECES:
         raise GameFileError(f".payoff: more than {MAX_PAYOFF_PIECES} pieces")
     bps, vals = _rats(raw_b, read, ".payoff.breakpoints"), _rats(raw_v, read, ".payoff.values")
-    payoff = _below(".payoff", StepFunction, tuple(map(fraction, bps)), tuple(map(fraction, vals)))
+    payoff = _below(".payoff", StepFunction._from_pairs, bps, vals, fraction)
     structure = _below(".structure", _structure, structure_obj, read, built)
     return _below("", GameSpec, payoff, fraction(prior), structure)
 

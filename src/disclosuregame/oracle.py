@@ -5,20 +5,27 @@ kept on the game as GameSpec._oracle_grid), under the same precondition for
 exactness: w upper semicontinuous, which right-closed supports meet.  It
 caps its grid at max_grid points and scales it to ints over the lcm of its
 denominators.  A set of messages is an int mask: each grid slot's
-available messages are one mask, and a table sk_max[mask] holds the
-highest skeptical level of any set, so condition (2) for the messages a
-profile does not send is one lookup.  Each messaging profile is tested once on Python ints, at the one
-assignment of levels whose value the weights cannot move, against a
-memoised best response from one hull call per tuple of levels
-(_hull_segment); a profile whose sent messages share one level, which is
-then v(p)'s, reads its whole test from a memo keyed by its sent mask.  A
-size-3 support first puts each pooled pair through a feasibility pre-test
-on the levels at the two ends of the pair's posterior, and builds the
-pair's weights and cuts only when a profile needs them.  The profiles that
-pass build Fractions, and verify_equilibrium alone decides which are kept.
-So the oracle shares with the solver only the Coordinates table and the
-search's rationals.upper_hull, and reads the game only through its fields,
-the structure's table, support hulls and minima, and verifiability.messages_at.
+available messages are one mask, built in one pass over the slots that
+each support interval covers (_slot_masks), and a table sk_max[mask] holds
+the highest skeptical level of any set, so condition (2) for the messages
+a profile does not send is one lookup.  Each messaging profile is tested
+once on Python ints, at the one assignment of levels whose value the
+weights cannot move, against a memoised best response from one hull call
+per tuple of levels (_hull_segment); a profile whose sent messages share
+one level, which is then v(p)'s, reads its whole test from a memo keyed by
+its sent mask.  A size-3 support first puts each pooled pair through a
+feasibility pre-test on the levels at the two ends of the pair's
+posterior, and builds the pair's weights and cuts only when a profile
+needs them.  When only the value set matters and v(p) is certified, every
+profile worth v(p) is spared, and so is every support where no other
+value can pass, settled from its levels alone: a pair whose two types
+share a level, and a triple whose levels are equal or whose middle point
+lies off the chord of the other two (exhaustive_equilibria says why).
+The profiles that pass build Fractions, and verify_equilibrium alone
+decides which are kept.  So the oracle shares with the solver only the
+Coordinates table and the search's rationals.upper_hull, and reads the
+game only through its fields, the structure's table, support hulls and
+minima, and the oracle grid's table, piece table and interval slots.
 """
 
 from __future__ import annotations
@@ -37,7 +44,6 @@ from .equilibrium import (
 )
 from .piecewise import Point
 from .rationals import ONE, upper_hull
-from .verifiability import messages_at
 
 
 def _hull_segment(pts: Sequence[Point], x: Fraction) -> tuple[Point, Point]:
@@ -57,6 +63,20 @@ def _hull_segment(pts: Sequence[Point], x: Fraction) -> tuple[Point, Point]:
     if xs[i] == x:
         return hull[i], hull[i]
     return hull[i], hull[i + 1]
+
+
+def _slot_masks(slots: Sequence[tuple[int, int, str]], index: dict[str, int], n: int) -> list[int]:
+    """Each of the n grid slots' available messages as an int mask, bit index[name] for message name.
+
+    One pass over the slots each support interval covers, a up to b for
+    (a, b, name) (grid._table_and_grid): the grid points it holds, the same
+    slots that _interim_values fills with the message's level.
+    """
+    avail = [0] * n
+    for a, b, name in slots:
+        bit = 1 << index[name]
+        avail[a:b] = [mask | bit for mask in avail[a:b]]
+    return avail
 
 
 def exhaustive_search(
@@ -95,23 +115,24 @@ def exhaustive_equilibria(
     each message's belief, messages in name order) is memoised.
 
     Message o is bit o of an int mask, messages in name order: each grid
-    slot's available messages are one mask, read from messages_at, and
-    sk_max[mask] is the highest skeptical level of any message in mask
-    (-1 for none), a table of 2^M entries for M messages.  So condition (2)
-    for the messages a profile does not send, which keep their skeptical
-    beliefs, is one lookup: sk_max[available & ~sent] at most the sender's
-    level.  For the messages it sends, when each type sends its own, a
-    type may send only what no type of lower level can send (sendable):
-    O(support^2) int tests per support, then one bit test per profile.
-    These tests are implied by the best-response test (a message ranked
-    above its sender's level at a support type raises w there, so a signal
-    on the support beats the profile's value), so they change no result.
-    Without sendable and every sk_max lookup, every list found on 960
-    desk-scale games (the benchmark's oracle_desk, seeds 1 and 77) is the
-    same, and that search takes 0.92x the time.  But they spare hull work:
-    on 8 messages on [0, 1] with payoff breakpoints and values k/40
+    slot's available messages are one mask, set in one pass over the slots
+    that each support interval covers (_slot_masks), and sk_max[mask] is
+    the highest skeptical level of any message in mask (-1 for none), a
+    table of 2^M entries for M messages.  So condition (2) for the messages
+    a profile does not send, which keep their skeptical beliefs, is one
+    lookup: sk_max[available & ~sent] at most the sender's level.  For the
+    messages it sends, when each type sends its own, a type may send only
+    what no type of lower level can send (sendable): O(support^2) int
+    tests per support, then one bit test per profile.  These tests are
+    implied by the best-response test (a message ranked above its sender's
+    level at a support type raises w there, so a signal on the support
+    beats the profile's value), so they change no result.  Without
+    sendable and every sk_max lookup, every list found on 960 desk-scale
+    games (the benchmark's oracle_desk, seeds 1 and 77) is the same, and
+    that search takes 0.92x the time.  But they spare hull work: on 8
+    messages on [0, 1] with payoff breakpoints and values k/40
     (k = 0..39), prior 1/2 and 81 grid points, the search makes one
-    _hull_segment call in about 0.3 s, and without sendable 2,394,160
+    _hull_segment call in about 0.15 s, and without sendable 2,394,160
     calls in about 6 minutes.  Without the sk_max lookups alone, two
     random 8-message games run 1.13-1.17x slower (the desk games 0.98x).
 
@@ -156,36 +177,48 @@ def exhaustive_equilibria(
     With dedup_values=True, a profile whose value is already certified is
     skipped before assembly, where its value is known (v(p), or the best
     response it must equal); cheaper when only the value set matters.  Once
-    v(p) is certified, at_one_level and the pre-test fail, and a support
-    whose three levels are equal (so l_p) has no none-pooling profile left
-    to test.  full_check need not test again: only a pair plan sends one
-    profile to it twice, with equal levels, so verify accepts both or
-    neither.  If both, v(p) is the best response and a < p < c sit at
-    level l_p, so w is at most l_p on the grid (its hull is flat at v(p)
-    over [a, c]).  Two candidates mean a cut, where the pair's posterior q
-    is breakpoint l_p, a grid point across p from the singleton s_k: the
-    size-2 profile on {q, s_k} (s_k keeps its message; q sends another, or
-    the same) is then an equilibrium of value v(p), certified before any
-    size-3 support.
+    v(p) is certified, at_one_level and the pre-test fail, and each support
+    is settled from its levels before any work of its own; two kinds hold
+    no profile that can pass, so they are skipped:
+
+    * a pair a < p < b whose two types share a level: with v
+      non-decreasing that level is l_p, so a pooling profile (belief p)
+      and a separating one (both beliefs at l_p) are each worth v(p);
+    * a triple whose three levels are equal, or whose middle point lies
+      off the chord from (a, v(a)) to (c, v(c)): every profile on it where
+      some types pool is worth v(p) (the cases above), and one where none
+      pool needs the chord, where it is worth v(p) too if the levels are
+      equal.
+
+    The walk with dedup_values=False skips none of them.  full_check need
+    not test again: only a pair plan sends one profile to it twice, with
+    equal levels, so verify accepts both or neither.  If both, v(p) is the
+    best response and a < p < c sit at level l_p, so w is at most l_p on
+    the grid (its hull is flat at v(p) over [a, c]).  Two candidates mean a
+    cut, where the pair's posterior q is breakpoint l_p, a grid point
+    across p from the singleton s_k: the size-2 profile on {q, s_k} (s_k
+    keeps its message; q sends another, or the same) is then an
+    equilibrium of value v(p), certified before any size-3 support.
     """
     structure = game.structure
     if structure.full_verifiability:
         raise OracleSizeError("full verifiability carries infinitely many messages")
     if len(structure._hulls) > max_messages:
         raise OracleSizeError(f"structure has more than {max_messages} messages")
-    table, grid, v_grid, _ = game._oracle_grid
+    table, grid, v_grid, slots = game._oracle_grid
     if len(grid) > max_grid:
         raise OracleSizeError(f"critical grid exceeds {max_grid} points")
-    v, p, grid = game.payoff, game.prior, [Fraction(n, d) for n, d in grid]
+    v, p = game.payoff, game.prior
     skeptical = structure._minima  # each support's minimum, from its rank: no support objects are built
     names = tuple(sorted(skeptical))
     found: list[Equilibrium] = []
     values: set[tuple[int, int]] = set()  # certified values as (numerator, denominator)
 
     # integer coordinates: grid points, the prior and the payoff breakpoints
-    # (all on the grid) over the lcm of the grid's denominators
-    scale = lcm(*(s.denominator for s in grid))
-    xs = [s.numerator * (scale // s.denominator) for s in grid]
+    # (all on the grid) over the lcm of the grid's denominators in lowest
+    # terms (a midpoint's pair need not be); Fractions only in full_check
+    scale = lcm(*(d // gcd(x, d) for x, d in grid))
+    xs = [x * scale // d for x, d in grid]
     n, ip = len(grid), 2 * table.rank[p.numerator, p.denominator]
     P, l_p = xs[ip], v_grid[ip]
     bps = [bn * (scale // bd) for bn, bd in v.breakpoint_pairs]
@@ -197,8 +230,7 @@ def exhaustive_equilibria(
     value_p = v.value_pairs[l_p]  # v(p), the value of every one-level profile
 
     # message sets as masks: bit o is names[o]; each slot's mask, and its messages in name order
-    index = {name: k for k, name in enumerate(names)}
-    avail = [sum(1 << index[m] for m in messages_at(structure, s)) for s in grid]
+    avail = _slot_masks(slots, {name: k for k, name in enumerate(names)}, n)
     members = [tuple(o for o in range(len(names)) if mask >> o & 1) for mask in range(1 << len(names))]
     sends = [members[mask] for mask in avail]
     skeptical_levels = [v_grid[table.position(skeptical[m])] for m in names]
@@ -262,7 +294,7 @@ def exhaustive_equilibria(
 
     def full_check(support_idx, mu_idx, weights):
         """Exact assembly of one candidate profile (grid and message indices), kept iff verify_equilibrium accepts it."""
-        support = tuple(grid[i] for i in support_idx)
+        support = tuple(Fraction(*grid[i]) for i in support_idx)
         mu = tuple(names[m] for m in mu_idx)
         beliefs = dict(skeptical)
         for m in set(mu):
@@ -275,8 +307,8 @@ def exhaustive_equilibria(
             found.append(eq)
 
     def weights_at(support, t):
-        a, b, c = (grid[i] for i in support)
-        return ((c - p) - t * (c - b)) / (c - a), t, ((p - a) - t * (b - a)) / (c - a)
+        A, B, C = (xs[i] for i in support)
+        return ((C - P) - t * (C - B)) / (C - A), t, ((P - A) - t * (B - A)) / (C - A)
 
     def t_hi(support) -> tuple[int, int]:
         """min((C - P) / (C - B), (P - A) / (B - A)), the largest t with W(t) >= 0, as (num, den).
@@ -340,6 +372,8 @@ def exhaustive_equilibria(
     # size 2: weights pinned by Bayes plausibility, (B - P, P - A) / (B - A)
     for a in range(ip):
         for b in range(ip + 1, n):
+            if v_grid[a] == v_grid[b] and dedup_values and value_p in values:  # every profile is worth v(p)
+                continue
             A, B = xs[a], xs[b]
             around = avail[a] | avail[b]
             value = scaled[v_grid[a]] * (B - P) + scaled[v_grid[b]] * (P - A)  # when separating
@@ -359,8 +393,15 @@ def exhaustive_equilibria(
     for a in range(ip):
         for b in range(a + 1, n - 1):
             for c in range(max(b, ip) + 1, n):
-                support = a, b, c
+                la, lb, lc = v_grid[a], v_grid[b], v_grid[c]
                 A, B, C = xs[a], xs[b], xs[c]
+                ya, yb, yc = scaled[la], scaled[lb], scaled[lc]
+                # none pool: (b, v(b)) must lie on the chord from (a, v(a)) to (c, v(c))
+                on_chord = yb * (C - A) == ya * (C - B) + yc * (B - A)
+                p_open = not (dedup_values and value_p in values)
+                if not p_open and (la == lb == lc or not on_chord):  # no profile here can pass
+                    continue
+                support = a, b, c
                 around = avail[a] | avail[b] | avail[c]
                 # the feasibility pre-test, by the singleton's position k.  The mean
                 # of the three types is p, so the singleton and the pair's posterior
@@ -374,22 +415,18 @@ def exhaustive_equilibria(
                 # lower end of [e, c]; just below g, the upper end of [a, g]; just
                 # below p when it runs from p down to a.  With dedup_values, no
                 # one-level profile passes once v(p) is certified.
-                p_open = not (dedup_values and value_p in values)
                 a_first = b <= ip
                 e, g = (ip, b) if a_first else (b, ip)
                 ends = (c, e), (ip, ip if b == ip else c if a_first else a), (a, g)
-                la, lb, lc = v_grid[a], v_grid[b], v_grid[c]
                 feasible = (
                     p_open and la == v_grid[e],
                     p_open and lb == l_p and (a_first or v_grid[ip - 1] == l_p),
                     p_open and lc == v_grid[g - 1],
                 )
-                # none pool: (b, v(b)) must lie on the chord from (a, v(a)) to (c, v(c)),
-                # and each type have a message to send
-                ya, yb, yc = scaled[la], scaled[lb], scaled[lc]
-                if la == lb == lc:  # all at l_p: no type ranks below another, and the value is v(p)
-                    ok = [avail[a], avail[b], avail[c]] if p_open else [0]
-                elif yb * (C - A) == ya * (C - B) + yc * (B - A):
+                # none pool: on the chord, each type must have a message to send
+                if la == lb == lc:  # all at l_p, v(p) still open: no type ranks below another
+                    ok = [avail[a], avail[b], avail[c]]
+                elif on_chord:
                     ok = sendable(support)
                 else:
                     ok = [0]

@@ -17,7 +17,7 @@ Conventions, fixed once for the whole toolkit:
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property
 
@@ -26,6 +26,9 @@ from .rationals import ONE, ZERO, as_fraction, in_unit_interval, not_right_turn,
 from .records import Record, set_field
 
 Point = tuple[Fraction, Fraction]
+Pair = tuple[int, int]  # a rational's canonical (numerator, denominator)
+
+_new = object.__new__
 
 
 class StepFunction(Record):
@@ -47,12 +50,31 @@ class StepFunction(Record):
     def __post_init__(self):
         bps = tuple(map(as_fraction, self.breakpoints))
         vals = tuple(map(as_fraction, self.values))
-        if len(bps) != len(vals) or not bps:
+        keep = self._build([(b.numerator, b.denominator) for b in bps], [(v.numerator, v.denominator) for v in vals])
+        set_field(self, "breakpoints", tuple(bps[i] for i in keep))
+        set_field(self, "values", tuple(vals[i] for i in keep))
+
+    @classmethod
+    def _from_pairs(cls, pairs: Sequence[Pair], v_pairs: Sequence[Pair], fraction: Callable[[Pair], Fraction]) -> StepFunction:
+        """A step function from canonical (numerator, denominator) pairs, as a reader holds them.
+
+        fraction(pair) is the Fraction of a pair; it is called only for the
+        breakpoints and values that the merge keeps.
+        """
+        f = _new(cls)
+        f._build(pairs, v_pairs)
+        set_field(f, "breakpoints", tuple(map(fraction, f.breakpoint_pairs)))
+        set_field(f, "values", tuple(map(fraction, f.value_pairs)))
+        return f
+
+    def _build(self, pairs: Sequence[Pair], v_pairs: Sequence[Pair]) -> list[int]:
+        """Check and merge the pieces given as canonical pairs, keep the merged pairs, and return the kept pieces' indices.
+
+        Every check, the merge and the monotonicity test run once, on the
+        pairs, with the positive denominators cross-multiplied.
+        """
+        if len(pairs) != len(v_pairs) or not pairs:
             raise ValueError("breakpoints and values must be non-empty and same length")
-        # every check, the merge and the monotonicity test run once, on the
-        # canonical (numerator, denominator) pairs, with the positive
-        # denominators cross-multiplied
-        pairs = [(b.numerator, b.denominator) for b in bps]
         if pairs[0][0] != 0:
             raise ValueError("first breakpoint must be 0")
         for (an, ad), (bn, bd) in zip(pairs, pairs[1:]):
@@ -61,14 +83,12 @@ class StepFunction(Record):
         if pairs[-1][0] > pairs[-1][1]:
             raise ValueError("breakpoints must lie in [0,1]")
         # canonical form: merge adjacent pieces with equal values
-        v_pairs = [(v.numerator, v.denominator) for v in vals]
-        keep = [0, *(i for i in range(1, len(vals)) if v_pairs[i] != v_pairs[i - 1])]
+        keep = [0, *(i for i in range(1, len(v_pairs)) if v_pairs[i] != v_pairs[i - 1])]
         kept = tuple(v_pairs[i] for i in keep)
-        set_field(self, "breakpoints", tuple(bps[i] for i in keep))
-        set_field(self, "values", tuple(vals[i] for i in keep))
         set_field(self, "breakpoint_pairs", tuple(pairs[i] for i in keep))
         set_field(self, "value_pairs", kept)
         set_field(self, "_non_decreasing", all(an * bd <= bn * ad for (an, ad), (bn, bd) in zip(kept, kept[1:])))
+        return keep
 
     def __call__(self, x: Fraction) -> Fraction:
         return step_eval(self, x)

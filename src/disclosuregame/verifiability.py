@@ -24,12 +24,11 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import ConstructionError, DomainError, PreconditionError, UnknownMessageError
-from .piecewise import StepFunction
+from .piecewise import Pair, StepFunction
 from .rationals import ONE, ZERO, Coordinates, as_fraction, format_rational, from_pair, in_unit_interval, parse_rational
 from .records import Record, set_field
 
 IDENTITY_PREFIX = "id:"
-Pair = tuple[int, int]
 Interval = tuple[Pair, Pair, bool]  # (lo, hi, hi_closed) as canonical pairs
 _new = object.__new__
 

@@ -468,8 +468,9 @@ class TestParserSurface:
         }
 
     def test_option_before_subcommand(self, capsys):
-        # the first argument names no subcommand: every subcommand gets its
-        # arguments, so only --foo is left over
+        # --foo is no option of the top-level parser, which sets it aside and
+        # dispatches the rest to solve: only solve's parser is built, it
+        # reads the path, and --foo is the one argument left over
         err = USAGE + "disclosuregame: error: unrecognized arguments: --foo\n"
         assert self.run(capsys, ["--foo", "solve", fx("three_action.json")]) == (2, "", err)
 

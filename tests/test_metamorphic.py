@@ -3,7 +3,8 @@
 The search checks the solver on at most 8 messages.  These relations need no
 second solver, so they check it on interval games of 50 and 200 messages, a
 200-message game whose rationals share no denominator, and 100 small games on
-union supports (right-open ends, points, full verifiability):
+union supports (right-open ends, points, full verifiability) whose payoff
+jumps at a union message's minimum above the prior, so that most of them split:
 
 - a positive affine map of the payoff's values maps the value alike, and
   keeps the signal and whether PNBP holds;
@@ -67,7 +68,28 @@ def test_relations_on_large_games(make):
     check_relations(make(rng), rng)
 
 
+def union_game(rng: random.Random) -> GameSpec:
+    """A rand_rich_structure game whose payoff jumps at the minimum of a union message, above the prior.
+
+    That message proves news better than the prior, so PNBP holds and the
+    signal splits, unless no message has its minimum inside (0, 1).
+    """
+    structure = rand_rich_structure(rng)
+    payoff = rand_payoff(rng)
+    minima = sorted({supp.minimum for _, supp in structure.messages if 0 < supp.minimum < 1})
+    if not minima:
+        return GameSpec(payoff, rand_interior(rng), structure)
+    jump, rise = rng.choice(minima), rng.choice((Fraction(1, 2), Fraction(1), Fraction(2)))
+    bps = sorted({*payoff.breakpoints, jump})
+    payoff = StepFunction(tuple(bps), tuple(payoff(b) + (rise if b >= jump else 0) for b in bps))
+    return GameSpec(payoff, jump * Fraction(rng.randint(1, 3), 4), structure)
+
+
 def test_relations_on_union_supports():
     rng = random.Random(29)
+    split = 0
     for _ in range(100):
-        check_relations(GameSpec(rand_payoff(rng), rand_interior(rng), rand_rich_structure(rng)), rng)
+        game = union_game(rng)
+        check_relations(game, rng)
+        split += len(solve(game).signal.support) > 1
+    assert split > 50  # 71 of the 100 games split

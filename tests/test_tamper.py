@@ -148,10 +148,11 @@ def test_verify_runs_no_hull_code(monkeypatch):
 
 
 def test_search_gate_rejects_what_the_int_tests_pass(monkeypatch):
-    # with every message available at every grid point, the search's int
-    # tests pass profiles that send unavailable messages; verify_equilibrium,
-    # the search's only exact gate, must reject them, so every profile found
-    # is a true equilibrium, found in the unpatched order
+    # with every message available at every grid point in the search's own
+    # masks (verify's condition (2) still reads messages_at), the search's
+    # int tests pass profiles that send unavailable messages;
+    # verify_equilibrium, the search's only exact gate, must reject them, so
+    # every profile found is a true equilibrium, found in the unpatched order
     rng = random.Random(12)
     games = [rand_oracle_game(rng, want_pnbp=k % 2 == 0) for k in range(24)]
     unpatched = [exhaustive_equilibria(game, 4, 12) for game in games]
@@ -163,7 +164,7 @@ def test_search_gate_rejects_what_the_int_tests_pass(monkeypatch):
             rejected.append(report.condition)
         return report
 
-    monkeypatch.setattr(oracle, "messages_at", lambda structure, s: set(structure.names))
+    monkeypatch.setattr(oracle, "_slot_masks", lambda slots, index, n: [(1 << len(index)) - 1] * n)
     monkeypatch.setattr(oracle, "verify_equilibrium", counted)
     for game, want in zip(games, unpatched):
         found = exhaustive_equilibria(game, 4, 12)

@@ -132,6 +132,8 @@ MUTANTS = (
     Mutant("piecewise.pairs_before_merge", 'set_field(self, "value_pairs", kept)', 'set_field(self, "value_pairs", tuple(v_pairs))'),
     Mutant("piecewise.hull_keeps_first_duplicate", "if key not in best or y > best[key][1]:",
            "if key not in best:"),
+    Mutant("piecewise.read_values_unmerged", 'set_field(f, "values", tuple(map(fraction, f.value_pairs)))',
+           'set_field(f, "values", tuple(map(fraction, v_pairs)))'),
     Mutant("piecewise.candidates_drop_right_ends", "pts.append((hi, v))", "pass"),
     Mutant("piecewise.pl_eval_last_vertex", "if i == len(g.vertices) - 1:", "if i == len(g.vertices):"),
     # verifiability: supports, the coordinate table, positions and the endpoint sweep
@@ -249,9 +251,8 @@ MUTANTS = (
            "condition (2) is implied by the best-response test: an unsent message ranked above the sender's level "
            "at a support type raises w there, so a signal on the support beats the profile's value; the lookup "
            "only spares hull work"),
-    Mutant("oracle.slot_mask_drops_lowest_message",
-           "avail = [sum(1 << index[m] for m in messages_at(structure, s)) for s in grid]",
-           "avail = [(mask := sum(1 << index[m] for m in messages_at(structure, s))) & (mask - 1) for s in grid]"),
+    Mutant("oracle.slot_mask_drops_lowest_message", "        avail[a:b] = [mask | bit for mask in avail[a:b]]\n    return avail\n",
+           "        avail[a:b] = [mask | bit for mask in avail[a:b]]\n    return [mask & (mask - 1) for mask in avail]\n"),
     Mutant("oracle.feasibility_wrong_pooled_end", "e, g = (ip, b) if a_first else (b, ip)",
            "e, g = (b, ip) if a_first else (ip, b)"),
     Mutant("oracle.diagonal_only_despite_pairs", "if not (none_pool or any(feasible)):", "if not none_pool:"),
@@ -267,6 +268,15 @@ MUTANTS = (
            "if plans[k] is None:\n                                        plans[k] = pair_candidates(",
            "if plans[k] is not None:\n                                        plans[k] = []\n"
            "                                    else:\n                                        plans[k] = pair_candidates("),
+    Mutant("oracle.skip_before_v_p_certified", "if not p_open and (la == lb == lc or not on_chord):",
+           "if la == lb == lc or not on_chord:"),
+    Mutant("oracle.skip_on_chord_triples", "if not p_open and (la == lb == lc or not on_chord):", "if not p_open:",
+           "with dedup_values no none-pooling triple adds a value: the pair of its outer types a < p < c, sending the "
+           "same two messages, is an equilibrium of the same value (the middle message's belief falls to its minimum, "
+           "which lowers w only where the chord through (a, v(a)) and (c, v(c)) still bounds it), and size 2 runs "
+           "first; so after v(p) is certified only one-level profiles, all worth v(p), could add one"),
+    Mutant("oracle.skip_pairs_at_two_levels", "if v_grid[a] == v_grid[b] and dedup_values and value_p in values:",
+           "if dedup_values and value_p in values:"),
     Mutant("oracle.size_three_support_at_prior", "for c in range(max(b, ip) + 1, n):", "for c in range(max(b, ip), n):"),
     # comparative: the separation comparison on the decoded intervals
     Mutant("comparative.sep_key_drops_hi_closed", "hi_supports = set(m_hi._intervals().values())",
