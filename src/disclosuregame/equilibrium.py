@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import namedtuple
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import accumulate, compress
 
 from .errors import DomainError, PreconditionError, UnknownMessageError
@@ -31,7 +31,16 @@ from .piecewise import (
     pl_eval,
     step_eval,
 )
-from .rationals import ONE, ZERO, Coordinates, as_fraction, in_unit_interval, on_line_through, strict_records, upper_hull
+from .rationals import (
+    ONE,
+    Coordinates,
+    as_fraction,
+    in_unit_interval,
+    on_line_through,
+    pair_sum,
+    strict_records,
+    upper_hull,
+)
 from .records import Record, set_field
 from .verifiability import (
     IDENTITY_PREFIX,
@@ -157,27 +166,43 @@ class GameSpec(Record):
 
 
 class Signal(Record):
-    """Finite-support distribution over posteriors; mean must equal the prior."""
+    """Finite-support distribution over posteriors; mean must equal the prior.
+
+    Every check runs on the canonical (numerator, denominator) pairs: the
+    support's are distinct and in [0,1], the weights' numerators positive,
+    and the weights sum to 1 over one common denominator (pair_sum).  The
+    pairs are kept, in support order, as support_pairs and weight_pairs;
+    they are not fields (eq, hash, repr and replace ignore them), and
+    verify_equilibrium reads them in place of the Fractions' properties.
+    """
 
     def __init__(self, support: tuple[Fraction, ...], weights: tuple[Fraction, ...]) -> None:
         self._store(support, weights)
 
     def __post_init__(self):
-        sup = tuple(as_fraction(s) for s in self.support)
-        wts = tuple(as_fraction(w) for w in self.weights)
+        sup = tuple(map(as_fraction, self.support))
+        wts = tuple(map(as_fraction, self.weights))
         if len(sup) != len(wts) or not sup:
             raise ValueError("support and weights must be non-empty and same length")
-        if len(set(sup)) != len(sup):
+        s_pairs = [(s.numerator, s.denominator) for s in sup]
+        if len(set(s_pairs)) != len(s_pairs):
             raise ValueError("support entries must be distinct")
-        if any(not in_unit_interval(s) for s in sup):
+        if any(not 0 <= n <= d for n, d in s_pairs):
             raise ValueError("support entries must lie in [0,1]")
-        if any(w <= 0 for w in wts):
+        w_pairs = [(w.numerator, w.denominator) for w in wts]
+        if any(n <= 0 for n, _ in w_pairs):
             raise ValueError("weights must be positive")
-        if sum(wts) != 1:
+        total, den = pair_sum(w_pairs)
+        if total != den:
             raise ValueError("weights must sum to 1")
-        order = sorted(range(len(sup)), key=lambda i: sup[i])
-        set_field(self, "support", tuple(sup[i] for i in order))
-        set_field(self, "weights", tuple(wts[i] for i in order))
+        if any(an * bd > bn * ad for (an, ad), (bn, bd) in zip(s_pairs, s_pairs[1:])):  # not ascending
+            order = sorted(range(len(sup)), key=lambda i: sup[i])
+            sup, wts = tuple(sup[i] for i in order), tuple(wts[i] for i in order)
+            s_pairs, w_pairs = [s_pairs[i] for i in order], [w_pairs[i] for i in order]
+        set_field(self, "support", sup)
+        set_field(self, "weights", wts)
+        set_field(self, "support_pairs", tuple(s_pairs))
+        set_field(self, "weight_pairs", tuple(w_pairs))
 
     @property
     def mean(self) -> Fraction:
@@ -375,14 +400,24 @@ def _belief_of(game: GameSpec, beliefs: Mapping[str, Fraction], name: str) -> Fr
     raise UnknownMessageError(name)
 
 
-def _validate_structure(game: GameSpec, eq: Equilibrium) -> None:
-    """Structural validity: shapes, Bayes plausibility of the signal, value identity."""
-    if eq.signal.mean != game.prior:
+def _validate_structure(game: GameSpec, eq: Equilibrium, beliefs: Mapping[str, Fraction], value: Fraction,
+                        level: Callable[[str], int]) -> list[str]:
+    """Structural validity: shapes, Bayes plausibility of the signal, value identity.
+
+    Returns the message each support point sends, in support order: the
+    messaging is looked up once per point.  level(name) is the payoff piece
+    at the message's belief (verify_equilibrium's memo).  Both sums run on
+    the canonical pairs over one common denominator (pair_sum).
+    """
+    signal, p = eq.signal, game.prior
+    w_pairs = signal.weight_pairs
+    mean, den = pair_sum([(wn * sn, wd * sd) for (wn, wd), (sn, sd) in zip(w_pairs, signal.support_pairs)])
+    if mean * p.denominator != p.numerator * den:
         raise ValueError("signal is not Bayes-plausible for the game's prior")
     for name in game.structure.names:
-        if name not in eq.beliefs:
+        if name not in beliefs:
             raise ValueError(f"beliefs missing finite message {name!r}")
-    for name in eq.beliefs:
+    for name in beliefs:
         if name.startswith(IDENTITY_PREFIX):
             try:
                 min_inverse(game.structure, name)
@@ -391,13 +426,19 @@ def _validate_structure(game: GameSpec, eq: Equilibrium) -> None:
                 raise ValueError(f"identity belief {name!r} {why}") from None
         elif name not in game.structure._hulls:
             raise ValueError(f"belief for {name!r}, which is no message of the structure")
-    total = ZERO
-    for s, w in zip(eq.signal.support, eq.signal.weights):
-        if s not in eq.messaging:
-            raise ValueError(f"messaging missing support type {s}")
-        total += w * step_eval(game.payoff, _belief_of(game, eq.beliefs, eq.messaging[s]))
-    if total != eq.value:
+    sent, terms, v_pairs = [], [], game.payoff.value_pairs
+    for s, (wn, wd) in zip(signal.support, w_pairs):
+        try:
+            m = eq.messaging[s]
+        except KeyError:
+            raise ValueError(f"messaging missing support type {s}") from None
+        yn, yd = v_pairs[level(m)]
+        terms.append((wn * yn, wd * yd))
+        sent.append(m)
+    total, den = pair_sum(terms)
+    if total * value.denominator != value.numerator * den:
         raise ValueError("value does not match the signal/messaging/beliefs it claims")
+    return sent
 
 
 def verify_equilibrium(game: GameSpec, eq: Equilibrium) -> VerifyReport:
@@ -419,11 +460,30 @@ def verify_equilibrium(game: GameSpec, eq: Equilibrium) -> VerifyReport:
     (3) are tested first, before (1) and (2).  Every belief then lies in
     [0,1], and (2) ranks each message by its belief's payoff piece on the
     oracle grid's table (grid._table_and_grid), which (1) has built.
+
+    Beliefs and the value are read through as_fraction, as Signal reads its
+    entries.  Every test runs on canonical (numerator, denominator) pairs:
+    the sums of Bayes plausibility, the value identity and on-path Bayes
+    over one common denominator (pair_sum), and no Fraction arithmetic.
     """
     from . import grid  # late import: grid builds on this module's types
 
-    _validate_structure(game, eq)
-    beliefs = dict(eq.beliefs)
+    beliefs = {name: as_fraction(b) for name, b in eq.beliefs.items()}
+    value = as_fraction(eq.value)
+    table, _, piece, _ = game._oracle_grid
+    levels: dict[str, int] = {}
+
+    def level(name: str) -> int:
+        """The payoff piece at the belief after message name, read once per message however many points send it."""
+        hit = levels.get(name)
+        if hit is None:
+            b = _belief_of(game, beliefs, name)
+            if not in_unit_interval(b):
+                raise DomainError(f"belief {b} for message {name!r} outside [0,1]")
+            hit = levels[name] = piece[table.position(b)]
+        return hit
+
+    sent = _validate_structure(game, eq, beliefs, value, level)
     pairs = game.structure._table.pairs
     for name, (minimum, supremum) in game.structure._hulls.items():
         b = beliefs[name]
@@ -435,17 +495,13 @@ def verify_equilibrium(game: GameSpec, eq: Equilibrium) -> VerifyReport:
             return VerifyReport(False, 3, f"identity belief {name!r} must equal its type", (name, b))
 
     # (1) optimal information acquisition
-    report = grid._supporting_line(game, beliefs, eq.value)
+    report = grid._supporting_line(game, beliefs, value)
     if report is not None:
         return report
 
-    # (2) sequentially rational communication; each message's payoff piece
-    # (its level: pieces rank values) is read once, however many signal
-    # points may send it
-    table, _, piece, _ = game._oracle_grid
-    level = cache(lambda name: piece[table.position(_belief_of(game, beliefs, name))])
-    for s in eq.signal.support:
-        m = eq.messaging[s]
+    # (2) sequentially rational communication; level reads each message's
+    # payoff piece (pieces rank values) once
+    for s, m in zip(eq.signal.support, sent):
         avail = messages_at(game.structure, s)
         if m not in avail:
             return VerifyReport(False, 2, f"type {s} sends unavailable message {m!r}", (s, m))
@@ -456,15 +512,19 @@ def verify_equilibrium(game: GameSpec, eq: Equilibrium) -> VerifyReport:
                     False, 2, f"type {s} prefers message {other!r} over {m!r}", (s, other)
                 )
 
-    # (3) on-path Bayes; the convex hulls and identity beliefs are checked above
-    senders: dict[str, list[tuple[Fraction, Fraction]]] = {}
-    for s, w in zip(eq.signal.support, eq.signal.weights):
-        senders.setdefault(eq.messaging[s], []).append((s, w))
+    # (3) on-path Bayes: the types sending a message average to its belief,
+    # sum of w s equal to the belief times sum of w; the convex hulls and
+    # identity beliefs are checked above
+    senders: dict[str, list[tuple[tuple[int, int], tuple[int, int]]]] = {}
+    for m, w, s in zip(sent, eq.signal.weight_pairs, eq.signal.support_pairs):
+        senders.setdefault(m, []).append((w, s))
     for name, group in senders.items():
-        imbalance = sum(w * (s - beliefs[name]) for s, w in group)
-        if imbalance != 0:
+        b = _belief_of(game, beliefs, name)
+        mass, mass_den = pair_sum([w for w, _ in group])
+        mean, mean_den = pair_sum([(wn * sn, wd * sd) for (wn, wd), (sn, sd) in group])
+        if mean * mass_den * b.denominator != b.numerator * mass * mean_den:
             return VerifyReport(
-                False, 3, f"on-path Bayes fails for {name!r}", (name, beliefs[name])
+                False, 3, f"on-path Bayes fails for {name!r}", (name, b)
             )
     return VerifyReport(True)
 

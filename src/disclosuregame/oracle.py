@@ -21,11 +21,14 @@ profile worth v(p) is spared, and so is every support where no other
 value can pass, settled from its levels alone: a pair whose two types
 share a level, and a triple whose levels are equal or whose middle point
 lies off the chord of the other two (exhaustive_equilibria says why).
-The profiles that pass build Fractions, and verify_equilibrium alone
-decides which are kept.  So the oracle shares with the solver only the
-Coordinates table and the search's rationals.upper_hull, and reads the
-game only through its fields, the structure's table, support hulls and
-minima, and the oracle grid's table, piece table and interval slots.
+A profile that passes is assembled by full_check from the scaled grid:
+each belief and the value are one int over one denominator, and the
+weights share one, so one Fraction is built per field and none is added
+or multiplied.  verify_equilibrium alone decides which are kept.  So the
+oracle shares with the solver only the Coordinates table and the search's
+rationals.upper_hull, and reads the game only through its fields, the
+structure's table, support hulls and minima, and the oracle grid's table,
+piece table and interval slots.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .equilibrium import (
     verify_equilibrium,
 )
 from .piecewise import Point
-from .rationals import ONE, upper_hull
+from .rationals import upper_hull
 
 
 def _hull_segment(pts: Sequence[Point], x: Fraction) -> tuple[Point, Point]:
@@ -105,9 +108,14 @@ def exhaustive_equilibria(
 
     Every candidate first passes two of verify's tests on Python ints,
     condition (2) and the best response at its levels.  Only then does
-    full_check assemble it in Fractions (Bayes beliefs, skeptical off path,
-    and the value read from the piece table) and keep it iff
-    verify_equilibrium accepts it, without testing either again.  The
+    full_check assemble it and keep it iff verify_equilibrium accepts it,
+    without testing either again.  The assembly stays on ints until each
+    field is built: the weights are int numerators over one denominator,
+    each on-path belief is its senders' weighted sum of scaled grid points
+    over scale times their weight, off-path beliefs are skeptical, and the
+    value is the weighted sum of scaled levels (read from the piece table)
+    over vscale times the weights' denominator; one Fraction is built per
+    support point, weight, on-path belief and value.  The
     grid, the prior and the payoff breakpoints are scaled over the lcm of
     the grid's denominators; a payoff value is ranked by its piece's index,
     for comparisons, and scaled over the lcm of the values' denominators,
@@ -292,23 +300,34 @@ def exhaustive_equilibria(
         num, den, target = target_for(tuple(lev))
         return not (dedup_values and target in values) and vn * den == num * vd
 
-    def full_check(support_idx, mu_idx, weights):
-        """Exact assembly of one candidate profile (grid and message indices), kept iff verify_equilibrium accepts it."""
-        support = tuple(Fraction(*grid[i]) for i in support_idx)
-        mu = tuple(names[m] for m in mu_idx)
+    def full_check(support_idx, mu_idx, weights, total):
+        """Exact assembly of one candidate profile, kept iff verify_equilibrium accepts it.
+
+        The profile is given by grid and message indices and int weights over
+        total.  A message's belief is its senders' mean point on the scaled
+        grid, their weighted sum over scale times their mass, and the value
+        is the weighted sum of scaled levels over vscale * total: one
+        Fraction per field, and no Fraction arithmetic.
+        """
+        support = tuple(Fraction(xs[i], scale) for i in support_idx)
         beliefs = dict(skeptical)
-        for m in set(mu):
-            idx = [i for i, sent in enumerate(mu) if sent == m]
-            beliefs[m] = sum(weights[i] * support[i] for i in idx) / sum(weights[i] for i in idx)
-        value = sum(w * v.values[v_grid[table.position(beliefs[m])]] for w, m in zip(weights, mu))
-        eq = Equilibrium(signal=Signal(support, weights), messaging=dict(zip(support, mu)), beliefs=beliefs, value=value)
+        worth = 0
+        for m in set(mu_idx):
+            idx = [k for k, sent in enumerate(mu_idx) if sent == m]
+            mass = sum(weights[k] for k in idx)
+            belief = beliefs[names[m]] = Fraction(sum(weights[k] * xs[support_idx[k]] for k in idx), scale * mass)
+            worth += mass * scaled[v_grid[table.position(belief)]]
+        value = Fraction(worth, vscale * total)
+        signal = Signal(support, tuple(Fraction(w, total) for w in weights))
+        eq = Equilibrium(signal=signal, messaging=dict(zip(support, (names[m] for m in mu_idx))), beliefs=beliefs, value=value)
         if verify_equilibrium(game, eq).ok:
             values.add((value.numerator, value.denominator))
             found.append(eq)
 
-    def weights_at(support, t):
+    def weights_at(support, tn, td):
+        """W(t) at t = tn / td: the weights' numerators and their denominator (C - A) td."""
         A, B, C = (xs[i] for i in support)
-        return ((C - P) - t * (C - B)) / (C - A), t, ((P - A) - t * (B - A)) / (C - A)
+        return ((C - P) * td - tn * (C - B), tn * (C - A), (P - A) * td - tn * (B - A)), (C - A) * td
 
     def t_hi(support) -> tuple[int, int]:
         """min((C - P) / (C - B), (P - A) / (B - A)), the largest t with W(t) >= 0, as (num, den).
@@ -319,9 +338,9 @@ def exhaustive_equilibria(
         A, B, C = (xs[s] for s in support)
         return (C - P, C - B) if support[1] <= ip else (P - A, B - A)
 
-    def t_half(support) -> Fraction:
+    def t_half(support) -> tuple[int, int]:
         tn, td = t_hi(support)
-        return Fraction(tn, 2 * td)
+        return tn, 2 * td
 
     def pair_candidates(support, k, ends):
         """The t (num, den), ascending, where the pair pooled beside the
@@ -367,7 +386,7 @@ def exhaustive_equilibria(
     # size 1: no information acquisition
     for m in sends[ip]:
         if at_one_level(avail[ip], 1 << m):
-            full_check((ip,), (m,), (ONE,))
+            full_check((ip,), (m,), (1,), 1)
 
     # size 2: weights pinned by Bayes plausibility, (B - P, P - A) / (B - A)
     for a in range(ip):
@@ -386,8 +405,7 @@ def exhaustive_equilibria(
                         ok = ok or sendable((a, b))
                         passed = separating((a, b), (m0, m1), ok, value, B - A)
                     if passed:
-                        w_lo = Fraction(B - P, B - A)
-                        full_check((a, b), (m0, m1), (w_lo, 1 - w_lo))
+                        full_check((a, b), (m0, m1), (B - P, P - A), B - A)
 
     # size 3: the supports a < ip < c, in the order of combinations(range(n), 3)
     for a in range(ip):
@@ -434,7 +452,7 @@ def exhaustive_equilibria(
                 if not (none_pool or any(feasible)):  # only the profiles where all pool can pass
                     for m in members[avail[a] & avail[b] & avail[c]]:
                         if at_one_level(around, 1 << m):
-                            full_check(support, (m, m, m), weights_at(support, t_half(support)))
+                            full_check(support, (m, m, m), *weights_at(support, *t_half(support)))
                     continue
                 plans: list = [None] * 3  # by the singleton's position, built when first needed
                 for m0 in sends[a]:
@@ -442,15 +460,15 @@ def exhaustive_equilibria(
                         for m2 in sends[c]:
                             if m0 == m1 == m2:
                                 if at_one_level(around, 1 << m0):
-                                    full_check(support, (m0, m1, m2), weights_at(support, t_half(support)))
+                                    full_check(support, (m0, m1, m2), *weights_at(support, *t_half(support)))
                             elif m0 != m1 != m2 != m0:  # weight-independent: try t_hi / 2
                                 if none_pool and separating(support, (m0, m1, m2), ok, ya * (C - P) + yc * (P - A), C - A):
-                                    full_check(support, (m0, m1, m2), weights_at(support, t_half(support)))
+                                    full_check(support, (m0, m1, m2), *weights_at(support, *t_half(support)))
                             else:
                                 k = 0 if m1 == m2 else 1 if m0 == m2 else 2
                                 if feasible[k] and at_one_level(around, 1 << m0 | 1 << m1 | 1 << m2):
                                     if plans[k] is None:
                                         plans[k] = pair_candidates(support, k, ends[k])
                                     for t_n, t_d in plans[k]:
-                                        full_check(support, (m0, m1, m2), weights_at(support, Fraction(t_n, t_d)))
+                                        full_check(support, (m0, m1, m2), *weights_at(support, t_n, t_d))
     return found

@@ -147,7 +147,11 @@ class ConcavePL(Record):
 
 
 def pl_eval(g: ConcavePL, x: Fraction) -> Fraction:
-    """Exact linear interpolation between the bracketing vertices."""
+    """Exact linear interpolation between the bracketing vertices.
+
+    y0 + (y1 - y0)(x - x0) / (x1 - x0) on numerators and denominators, one
+    int over one positive denominator: a single Fraction is built.
+    """
     x = as_fraction(x)
     if not in_unit_interval(x):
         raise DomainError(f"piecewise-linear argument {x} outside [0,1]")
@@ -155,7 +159,12 @@ def pl_eval(g: ConcavePL, x: Fraction) -> Fraction:
     if i == len(g.vertices) - 1:
         return g.vertices[-1][1]
     (x0, y0), (x1, y1) = g.vertices[i], g.vertices[i + 1]
-    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+    an, ad, bn, bd = x0.numerator, x0.denominator, x1.numerator, x1.denominator
+    en, ed, fn, fd = y0.numerator, y0.denominator, y1.numerator, y1.denominator
+    xn, xd = x.numerator, x.denominator
+    span = bn * ad - an * bd  # (x1 - x0) ad bd > 0
+    num = en * fd * xd * span + (fn * ed - en * fd) * (xn * ad - an * xd) * bd
+    return Fraction(num, ed * fd * xd * span)
 
 
 def upper_hull_points(points: Iterable[Point]) -> list[Point]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
-from math import gcd, inf
+from math import gcd, inf, lcm
 from operator import itemgetter
 
 ZERO = Fraction(0)
@@ -79,6 +79,16 @@ def format_rational(q: Fraction) -> str:
 def format_pair(n: int, d: int) -> str:
     """format_rational of a canonical pair."""
     return str(n) if d == 1 else f"{n}/{d}"
+
+
+def pair_sum(pairs: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """The sum of the rationals n / d of pairs (d > 0) as (numerator, denominator) over the lcm of the denominators.
+
+    Exact and not reduced: the sum equals a / b iff numerator * b == a *
+    denominator.  The empty sum is (0, 1).
+    """
+    den = lcm(*[d for _, d in pairs])
+    return sum([n * (den // d) for n, d in pairs]), den
 
 
 def in_unit_interval(q: Fraction) -> bool:

@@ -15,9 +15,12 @@ every message at every endpoint and gap midpoint of both structures.
 
 Then come the Fraction twins of the program's integer kernels: Fraction(str)
 for every rational (the reader before it read pairs), hull turns as Fraction cross-products, step and envelope
-evaluation by bisecting Fractions, on-line tests as Fraction products, and
-the figure's coordinates as Fractions.  The references above are built on
-these twins, never on the fast paths.
+evaluation by bisecting Fractions, on-line tests as Fraction products,
+the figure's coordinates as Fractions, and Signal's checks and
+verify_equilibrium's gate with their sums (the weights', Bayes
+plausibility, the value identity and on-path Bayes) in Fraction
+arithmetic.  The references above are built on these twins, never on the
+fast paths.
 """
 
 from bisect import bisect_right
@@ -36,11 +39,12 @@ from disclosuregame import (
     verify_equilibrium,
 )
 from disclosuregame.comparative import OrderVerdict
-from disclosuregame.equilibrium import Equilibrium, skeptical_value, value_hull
-from disclosuregame.errors import DomainError, OracleSizeError
+from disclosuregame.equilibrium import Equilibrium, VerifyReport, skeptical_value, value_hull
+from disclosuregame.errors import DomainError, OracleSizeError, UnknownMessageError
 from disclosuregame.figures import PLOT_BOTTOM, PLOT_LEFT, PLOT_RIGHT, PLOT_TOP, _fmt
+from disclosuregame.grid import _supporting_line
 from disclosuregame.piecewise import Point
-from disclosuregame.verifiability import IDENTITY_PREFIX, identity_name
+from disclosuregame.verifiability import IDENTITY_PREFIX, identity_name, min_inverse
 
 from genutil import critical_grid
 
@@ -616,6 +620,99 @@ def fraction_pl_eval(g: ConcavePL, x: Fraction) -> Fraction:
         return g.vertices[-1][1]
     (x0, y0), (x1, y1) = g.vertices[i], g.vertices[i + 1]
     return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+
+
+def fraction_signal(support, weights) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Signal's checks, in its order and with its texts, on Fractions: a set of them, Fraction comparisons and the weights' Fraction sum; the sorted support and weights."""
+    sup, wts = tuple(map(Fraction, support)), tuple(map(Fraction, weights))
+    if len(sup) != len(wts) or not sup:
+        raise ValueError("support and weights must be non-empty and same length")
+    if len(set(sup)) != len(sup):
+        raise ValueError("support entries must be distinct")
+    if any(not 0 <= s <= 1 for s in sup):
+        raise ValueError("support entries must lie in [0,1]")
+    if any(w <= 0 for w in wts):
+        raise ValueError("weights must be positive")
+    if sum(wts) != 1:
+        raise ValueError("weights must sum to 1")
+    order = sorted(range(len(sup)), key=sup.__getitem__)
+    return tuple(sup[i] for i in order), tuple(wts[i] for i in order)
+
+
+def fraction_verify_equilibrium(game: GameSpec, eq: Equilibrium) -> VerifyReport:
+    """verify_equilibrium's checks, in its order and with its texts, on Fractions.
+
+    Bayes plausibility is the signal's Fraction mean, the value identity a
+    Fraction sum of fraction_step_eval at each sent message's belief, and
+    on-path Bayes each message's Fraction imbalance, sum of w (s - belief);
+    the hull and identity tests compare Fractions, and condition (2) tests
+    every support (contains_messages_at) and ranks messages by their
+    payoff values.  Condition (1) is the package's own line test, which
+    this twin does not stand in for.
+    """
+    structure, signal = game.structure, eq.signal
+    beliefs = {name: Fraction(b) for name, b in eq.beliefs.items()}
+    value = Fraction(eq.value)
+    supports = dict(structure.messages)
+
+    def belief(name):
+        if name in beliefs:
+            return beliefs[name]
+        if name.startswith(IDENTITY_PREFIX) and structure.full_verifiability:
+            return min_inverse(structure, name)
+        raise UnknownMessageError(name)
+
+    def payoff(name):
+        b = belief(name)
+        if not 0 <= b <= 1:
+            raise DomainError(f"belief {b} for message {name!r} outside [0,1]")
+        return fraction_step_eval(game.payoff, b)
+
+    if sum(w * s for s, w in zip(signal.support, signal.weights)) != game.prior:
+        raise ValueError("signal is not Bayes-plausible for the game's prior")
+    for name in supports:
+        if name not in beliefs:
+            raise ValueError(f"beliefs missing finite message {name!r}")
+    for name in beliefs:
+        if name.startswith(IDENTITY_PREFIX):
+            try:
+                min_inverse(structure, name)
+            except UnknownMessageError:
+                why = "names no type in [0,1]" if structure.full_verifiability else "without full verifiability"
+                raise ValueError(f"identity belief {name!r} {why}") from None
+        elif name not in supports:
+            raise ValueError(f"belief for {name!r}, which is no message of the structure")
+    total = ZERO
+    for s, w in zip(signal.support, signal.weights):
+        if s not in eq.messaging:
+            raise ValueError(f"messaging missing support type {s}")
+        total += w * payoff(eq.messaging[s])
+    if total != value:
+        raise ValueError("value does not match the signal/messaging/beliefs it claims")
+    for name, supp in supports.items():
+        lo, hi = supp.hull_bounds()
+        if not lo <= beliefs[name] <= hi:
+            return VerifyReport(False, 3, f"belief for {name!r} outside conv support", (name, beliefs[name]))
+    for name, b in beliefs.items():
+        if name.startswith(IDENTITY_PREFIX) and b != min_inverse(structure, name):
+            return VerifyReport(False, 3, f"identity belief {name!r} must equal its type", (name, b))
+    report = _supporting_line(game, beliefs, value)
+    if report is not None:
+        return report
+    for s in signal.support:
+        m, avail = eq.messaging[s], contains_messages_at(structure, s)
+        if m not in avail:
+            return VerifyReport(False, 2, f"type {s} sends unavailable message {m!r}", (s, m))
+        for other in sorted(avail):
+            if payoff(other) > payoff(m):
+                return VerifyReport(False, 2, f"type {s} prefers message {other!r} over {m!r}", (s, other))
+    senders: dict[str, list[tuple[Fraction, Fraction]]] = {}
+    for s, w in zip(signal.support, signal.weights):
+        senders.setdefault(eq.messaging[s], []).append((s, w))
+    for name, group in senders.items():
+        if sum(w * (s - belief(name)) for s, w in group) != 0:
+            return VerifyReport(False, 3, f"on-path Bayes fails for {name!r}", (name, belief(name)))
+    return VerifyReport(True)
 
 
 def fraction_on_line(p0: Point, p1: Point, x: Fraction, y: Fraction) -> bool:

@@ -1,12 +1,14 @@
 """Solver: PNBP detection, values, explicit equilibria, verification."""
 
 import random
+import re
 import sys
 from bisect import bisect_right
 from fractions import Fraction as F
 from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from disclosuregame import (
     Equilibrium,
@@ -44,7 +46,7 @@ from genutil import (
     rand_point,
     rand_rich_structure,
 )
-from reference_paths import pointwise_adjusted, pointwise_envelope, pointwise_g, signal_value, swept_g
+from reference_paths import fraction_signal, pointwise_adjusted, pointwise_envelope, pointwise_g, signal_value, swept_g
 
 
 # sample values, built on first use (and cached), so a fault in a constructor
@@ -622,3 +624,50 @@ class TestRandomizedInvariants:
         assert low == F(5)
         assert high == F(10, 3) < low
 
+
+
+COPRIME = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 10**9 + 7)
+
+
+@st.composite
+def signal_arguments(draw):
+    """(support, weights) of up to 4 points, unsorted, whose denominators are pairwise co-prime or share a factor.
+
+    Now and then an entry strays outside [0,1] or repeats, a weight is zero
+    or negative, or a weight is missing; the last weight mostly closes the
+    sum to 1, sometimes off by a little.
+    """
+    k = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        dens = draw(st.permutations(COPRIME))[:2 * k]
+    else:
+        base = draw(st.sampled_from((4, 6, 30, 2**40)))
+        dens = [base * draw(st.integers(1, 9)) for _ in range(2 * k)]
+    rarely = st.sampled_from((False,) * 7 + (True,))
+    support = [F(draw(st.sampled_from((-1, d + 1)) if draw(rarely) else st.integers(0, d)), d) for d in dens[:k]]
+    weights = [F(draw(st.sampled_from((-1, 0)) if draw(rarely) else st.integers(1, max(1, d // k))), d) for d in dens[k:]]
+    if not draw(rarely):
+        off = draw(st.sampled_from((0, 0, 0, F(1, 10**12), F(-1, dens[0] * dens[-1]))))
+        weights[-1] = 1 - sum(weights[:-1]) + off
+    if draw(rarely):
+        weights.pop()
+    return support, weights
+
+
+@settings(max_examples=300, deadline=None)
+@given(signal_arguments())
+def test_signal_checks_match_the_fraction_twin(arguments):
+    # Signal checks its pairs and sums its weights over one common
+    # denominator; the twin does it all in Fractions: the same refusal, or
+    # the same sorted signal, whose pairs are its entries'
+    support, weights = arguments
+    try:
+        want = fraction_signal(support, weights)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            Signal(support, weights)
+        return
+    signal = Signal(support, weights)
+    assert (signal.support, signal.weights) == want
+    assert signal.support_pairs == tuple((q.numerator, q.denominator) for q in want[0])
+    assert signal.weight_pairs == tuple((q.numerator, q.denominator) for q in want[1])

@@ -335,6 +335,38 @@ def test_verify_refuses_a_message_outside_the_structure():
         verify_equilibrium(game, eq.replace(beliefs={**eq.beliefs, "m_9": HALF}))
 
 
+def test_verify_reads_float_beliefs_and_the_value_as_fractions():
+    # Signal reads floats through as_fraction, and so does verify: a float
+    # belief or value is read as its exact Fraction
+    game, eq = _solved()
+    assert verify_equilibrium(game, eq.replace(beliefs={"m_0": 0.0, "m_1": F(2, 5)})).ok
+    report = verify_equilibrium(game, eq.replace(beliefs={"m_0": 0.0, "m_1": 0.4}))  # 0.4 is not 2/5
+    assert report.condition == 3 and report.witness == ("m_1", F(0.4))
+    with pytest.raises(ValueError, match="value does not match"):
+        verify_equilibrium(game, eq.replace(value=float(eq.value)))  # 5/6 has no float
+
+
+def test_an_on_path_belief_outside_the_unit_interval_names_its_message():
+    game, eq = _solved()
+    assert eq.messaging[F(2, 5)] == "m_1"
+    with pytest.raises(DomainError, match=re.escape("belief 3/2 for message 'm_1' outside [0,1]")):
+        verify_equilibrium(game, eq.replace(beliefs={**eq.beliefs, "m_1": F(3, 2)}))
+    # an identity message's too, under full verifiability
+    game = GameSpec(two_piece_payoff(), THIRD, mandatory_disclosure())
+    eq = solve(game)
+    with pytest.raises(DomainError, match=re.escape("belief -1 for message 'id:2/5' outside [0,1]")):
+        verify_equilibrium(game, eq.replace(beliefs={**eq.beliefs, "id:2/5": F(-1)}))
+
+
+def test_on_path_identity_messages_need_no_belief_entry():
+    # an identity belief is forced to be its type, so on-path Bayes reads it
+    # as such when the beliefs leave it out
+    game = GameSpec(two_piece_payoff(), THIRD, mandatory_disclosure())
+    eq = solve(game)
+    assert set(eq.messaging.values()) == {"id:0", "id:2/5"}
+    assert verify_equilibrium(game, eq.replace(beliefs={})).ok
+
+
 @pytest.mark.parametrize("name", ["id:2", "id:-1/3", "id:2/4", "id: 1/2"])
 def test_verify_refuses_identity_beliefs_that_name_no_type(name):
     # under full verifiability an identity belief must still name a type in

@@ -10,15 +10,20 @@ and the kind of witness that the edit calls for.
 import random
 from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 from disclosuregame import GameSpec, Signal, solve, step_eval, verify_equilibrium
 from disclosuregame import equilibrium, grid, oracle, piecewise, rationals
 from disclosuregame.equilibrium import _belief_of
+from disclosuregame.errors import GameFileError
+from disclosuregame.gamefile import load_game
 from disclosuregame.oracle import exhaustive_equilibria
 from disclosuregame.verifiability import IDENTITY_PREFIX, identity_name, messages_at
 
 from genutil import rand_oracle_game, rand_payoff, rand_point, rand_rich_structure
-from reference_paths import above_detail, line_clears_w, signal_value
+from reference_paths import above_detail, fraction_verify_equilibrium, line_clears_w, signal_value
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 KINDS = ("value_up", "value_down", "unavailable", "worse", "off_path", "identity", "bayes")
 
@@ -171,3 +176,65 @@ def test_search_gate_rejects_what_the_int_tests_pass(monkeypatch):
         remaining = iter(want)
         assert all(eq in remaining for eq in found)  # a sub-list, in order
     assert len(rejected) > 100 and 2 in rejected
+
+
+def outcome(check, game, eq):
+    """check's report on eq, or the type and text of what it raised."""
+    try:
+        return check(game, eq)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def gate_edits(game, eq):
+    """eq, the tamper suite's edits of it, and one edit failing each of the gate's sums or reads.
+
+    The value moved off the identity, the weights moved off the prior's
+    mean (a split signal), a sent message believed at 3/2, a support type
+    left without a message, and every belief as the nearest float.
+    """
+    yield eq
+    for _, bad, _, _ in tampered(game, eq):
+        yield bad
+    yield eq.replace(value=eq.value + F(1, 7))
+    support, weights = eq.signal.support, eq.signal.weights
+    if len(support) > 1:
+        d = min(weights) / 3
+        yield eq.replace(signal=Signal(support, (weights[0] + d, *weights[1:-1], weights[-1] - d)))
+    yield eq.replace(beliefs={**eq.beliefs, eq.messaging[support[-1]]: F(3, 2)})
+    yield eq.replace(messaging={s: m for s, m in eq.messaging.items() if s != support[0]})
+    yield eq.replace(beliefs={name: float(b) for name, b in eq.beliefs.items()})
+
+
+def test_verify_reports_match_the_fraction_twin():
+    # the gate's checks run on int pairs; the twin runs them in Fraction
+    # arithmetic, and each report, or each refusal's type and text, must be
+    # the same: on the tamper suite's games and edits, on the fixtures, and
+    # on the exhaustive search's profiles (pooled senders and three-point
+    # signals) with a sent message's belief moved to its support's minimum
+    cases = []
+    for seed in (1, 2, 3, 4):
+        rng = random.Random(seed)
+        for _ in range(150):
+            game = GameSpec(rand_payoff(rng), rand_point(rng), rand_rich_structure(rng))
+            cases += [(game, bad) for bad in gate_edits(game, solve(game))]
+    for path in sorted(FIXTURES.glob("*.json")):
+        try:
+            game = load_game(str(path))
+        except GameFileError:  # a structure file
+            continue
+        cases += [(game, bad) for bad in gate_edits(game, solve(game))]
+    rng = random.Random(12)
+    for k in range(24):
+        game = rand_oracle_game(rng, want_pnbp=k % 2 == 0)
+        for eq in exhaustive_equilibria(game, 4, 12):
+            cases += [(game, eq), (game, eq.replace(value=eq.value + F(1, 7)))]
+            for m in set(eq.messaging.values()):
+                cases.append((game, eq.replace(beliefs={**eq.beliefs, m: game.structure.support(m).minimum})))
+    seen = Counter()
+    for game, eq in cases:
+        got = outcome(verify_equilibrium, game, eq)
+        assert got == outcome(fraction_verify_equilibrium, game, eq), (game, eq)
+        seen[got.condition if hasattr(got, "condition") else got[0].__name__] += 1
+    assert min(seen.values()) > 20 and set(seen) == {None, 1, 2, 3, "ValueError", "DomainError"}, seen
+    assert any(len(eq.signal.support) == 3 and len(set(eq.messaging.values())) < 3 for _, eq in cases)

@@ -61,18 +61,14 @@ _IDENTITY_TEST = """    for name, b in beliefs.items():
 """
 _CONDITION_ONE = """
     # (1) optimal information acquisition
-    report = grid._supporting_line(game, beliefs, eq.value)
+    report = grid._supporting_line(game, beliefs, value)
     if report is not None:
         return report
 """
 _CONDITION_TWO = """
-    # (2) sequentially rational communication; each message's payoff piece
-    # (its level: pieces rank values) is read once, however many signal
-    # points may send it
-    table, _, piece, _ = game._oracle_grid
-    level = cache(lambda name: piece[table.position(_belief_of(game, beliefs, name))])
-    for s in eq.signal.support:
-        m = eq.messaging[s]
+    # (2) sequentially rational communication; level reads each message's
+    # payoff piece (pieces rank values) once
+    for s, m in zip(eq.signal.support, sent):
         avail = messages_at(game.structure, s)
         if m not in avail:
             return VerifyReport(False, 2, f"type {s} sends unavailable message {m!r}", (s, m))
@@ -197,7 +193,7 @@ MUTANTS = (
            "top, _, from_left = game._hull_levels"),
     Mutant("equilibrium.split_edge_right_of_prior", "e = bisect_right(hull.xs, p) - 1", "e = bisect_right(hull.xs, p)"),
     Mutant("equilibrium.posterior_belief_skeptical", "        beliefs[m] = s\n", ""),
-    Mutant("equilibrium.value_identity_unchecked", "if total != eq.value:", "if False:"),
+    Mutant("equilibrium.value_identity_unchecked", "if total * value.denominator != value.numerator * den:", "if False:"),
     Mutant("equilibrium.hull_check_dropped", "if not (ln * bd <= bn * ld and bn * hd <= hn * bd):", "if False:"),
     Mutant("equilibrium.hull_sup_strict", "bn * hd <= hn * bd", "bn * hd < hn * bd"),
     Mutant("equilibrium.condition_two_and_identity_deleted", _IDENTITY_TEST + _CONDITION_ONE + _CONDITION_TWO, _CONDITION_ONE),
@@ -211,7 +207,9 @@ MUTANTS = (
     Mutant("equilibrium.unknown_belief_name_accepted", "elif name not in game.structure._hulls:", "elif False:"),
     Mutant("equilibrium.identity_belief_unchecked",
            "if name.startswith(IDENTITY_PREFIX) and b != min_inverse(game.structure, name):", "if False:"),
-    Mutant("equilibrium.bayes_unchecked", "if imbalance != 0:", "if False:"),
+    Mutant("equilibrium.bayes_plausibility_unchecked", "if mean * p.denominator != p.numerator * den:", "if False:"),
+    Mutant("equilibrium.signal_sum_unchecked", "if total != den:", "if False:"),
+    Mutant("equilibrium.bayes_unchecked", "if mean * mass_den * b.denominator != b.numerator * mass * mean_den:", "if False:"),
     # grid: the critical grid and the interim values
     Mutant("grid.midpoint_drops_factor_two", "(an * bd + bn * ad, 2 * ad * bd)", "(an * bd + bn * ad, ad * bd)"),
     Mutant("grid.piece_table_off_by_one", "starts = [2 * rank[b] for b in breaks]", "starts = [2 * rank[b] + 1 for b in breaks]"),
@@ -234,6 +232,7 @@ MUTANTS = (
     Mutant("grid.line_accepts_above", "if lo[0] * hi[1] == hi[0] * lo[1]:", "if True:"),
     Mutant("grid.above_detail_ignores_open_ends", "exact = all(end & 1 for _, end, _, _ in game.structure._spans)", "exact = True"),
     # oracle: the exhaustive search
+    Mutant("oracle.belief_over_all_weights", "scale * mass)", "scale * total)"),
     Mutant("oracle.search_gate_bypassed", "if verify_equilibrium(game, eq).ok:", "if True:"),
     Mutant("oracle.condition_two_weak", "if v_grid[r] < v_grid[s]:", "if v_grid[r] <= v_grid[s]:"),
     Mutant("oracle.sendable_ignores_lower_types", "below |= avail[r]", "pass"),
